@@ -9,6 +9,7 @@
 //! *and* to this paper's analyses.
 
 use crate::ir::{BinOp, Blk, CmpOp, Fun, Function, Module, Op, Val};
+use crate::regs::{enter_block, PhiFault, RegFile};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -44,6 +45,15 @@ impl fmt::Display for LirTrap {
 
 impl std::error::Error for LirTrap {}
 
+impl From<PhiFault> for LirTrap {
+    fn from(fault: PhiFault) -> Self {
+        LirTrap::Malformed(match fault {
+            PhiFault::NoPred => "phi in entry",
+            PhiFault::MissingIncoming => "phi missing incoming",
+        })
+    }
+}
+
 /// Execution counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LirStats {
@@ -67,6 +77,10 @@ pub struct LirMachine<'m> {
     /// Counters.
     pub stats: LirStats,
     fuel: u64,
+    /// Scratch for the φ parallel copy at block entry.
+    phis: Vec<i64>,
+    /// Scratch for runtime-call arguments.
+    rt_args: Vec<i64>,
 }
 
 const NULL_GUARD: usize = 16; // low addresses invalid
@@ -112,6 +126,8 @@ impl<'m> LirMachine<'m> {
             assocs: Vec::new(),
             stats: LirStats::default(),
             fuel: 200_000_000,
+            phis: Vec::new(),
+            rt_args: Vec::new(),
         }
     }
 
@@ -152,58 +168,40 @@ impl<'m> LirMachine<'m> {
 
     /// Runs a function.
     pub fn run(&mut self, fid: Fun, args: Vec<i64>) -> Result<Vec<i64>, LirTrap> {
-        let f: &Function = &self.module.funcs[fid.0 as usize];
-        let mut env: HashMap<Val, i64> = HashMap::new();
-        for (i, a) in args.iter().enumerate() {
-            env.insert(Val(i as u32), *a);
+        let module = self.module;
+        let f: &Function = &module.funcs[fid.0 as usize];
+        let mut regs = RegFile::new(f);
+        for (i, &a) in args.iter().enumerate() {
+            regs.set(Val(i as u32), a);
         }
+        let get = |regs: &RegFile<i64>, v: Val| -> Result<i64, LirTrap> {
+            regs.get(v).ok_or(LirTrap::Malformed("unbound value"))
+        };
         let mut block = f.entry;
         let mut prev: Option<Blk> = None;
         loop {
-            let insts = f.blocks[block.0 as usize].insts.clone();
-            // φs first (parallel).
-            let mut cursor = 0;
-            let mut phi_updates = Vec::new();
-            while cursor < insts.len() {
-                let inst = &f.insts[insts[cursor].0 as usize];
-                if let Op::Phi(incs) = &inst.op {
-                    let pred = prev.ok_or(LirTrap::Malformed("phi in entry"))?;
-                    let (_, v) = incs
-                        .iter()
-                        .find(|(b, _)| *b == pred)
-                        .ok_or(LirTrap::Malformed("phi missing incoming"))?;
-                    let x = *env
-                        .get(v)
-                        .ok_or(LirTrap::Malformed("unbound phi operand"))?;
-                    phi_updates.push((inst.results[0], x));
-                    self.stats.insts += 1;
-                    cursor += 1;
-                } else {
-                    break;
-                }
-            }
-            for (r, v) in phi_updates {
-                env.insert(r, v);
-            }
+            let insts = &f.blocks[block.0 as usize].insts;
+            // φs first (parallel); each counts as an instruction.
+            let stats = &mut self.stats;
+            let phis = enter_block(f, prev, block, &mut regs, &mut self.phis, |regs, v| {
+                regs.get(v)
+                    .inspect(|_| stats.insts += 1)
+                    .ok_or(LirTrap::Malformed("unbound phi operand"))
+            })?;
 
             let mut next: Option<Blk> = None;
-            for &iid in &insts[cursor..] {
+            for &iid in &insts[phis..] {
                 if self.stats.insts >= self.fuel {
                     return Err(LirTrap::OutOfFuel);
                 }
                 self.stats.insts += 1;
-                let inst = f.insts[iid.0 as usize].clone();
-                let get = |env: &HashMap<Val, i64>, v: Val| -> Result<i64, LirTrap> {
-                    env.get(&v)
-                        .copied()
-                        .ok_or(LirTrap::Malformed("unbound value"))
-                };
+                let inst = &f.insts[iid.0 as usize];
                 match inst.op {
                     Op::Const(c) => {
-                        env.insert(inst.results[0], c);
+                        regs.set(inst.results[0], c);
                     }
                     Op::Bin(op, a, b) => {
-                        let (x, y) = (get(&env, a)?, get(&env, b)?);
+                        let (x, y) = (get(&regs, a)?, get(&regs, b)?);
                         let r = match op {
                             BinOp::Add => x.wrapping_add(y),
                             BinOp::Sub => x.wrapping_sub(y),
@@ -226,10 +224,10 @@ impl<'m> LirMachine<'m> {
                             BinOp::Shl => x.wrapping_shl(y as u32),
                             BinOp::Shr => x.wrapping_shr(y as u32),
                         };
-                        env.insert(inst.results[0], r);
+                        regs.set(inst.results[0], r);
                     }
                     Op::Cmp(op, a, b) => {
-                        let (x, y) = (get(&env, a)?, get(&env, b)?);
+                        let (x, y) = (get(&regs, a)?, get(&regs, b)?);
                         let r = match op {
                             CmpOp::Eq => x == y,
                             CmpOp::Ne => x != y,
@@ -238,52 +236,55 @@ impl<'m> LirMachine<'m> {
                             CmpOp::Gt => x > y,
                             CmpOp::Ge => x >= y,
                         };
-                        env.insert(inst.results[0], r as i64);
+                        regs.set(inst.results[0], r as i64);
                     }
                     Op::Phi(_) => return Err(LirTrap::Malformed("phi after non-phi")),
                     Op::Alloca(n) => {
                         let base = self.alloc_words(n as usize);
-                        env.insert(inst.results[0], base);
+                        regs.set(inst.results[0], base);
                     }
                     Op::Malloc(n) => {
-                        let words = get(&env, n)?.max(0) as usize;
+                        let words = get(&regs, n)?.max(0) as usize;
                         let base = self.alloc_words(words);
-                        env.insert(inst.results[0], base);
+                        regs.set(inst.results[0], base);
                     }
                     Op::Free(_) => {}
                     Op::Load(a) => {
-                        let v = self.load(get(&env, a)?)?;
-                        env.insert(inst.results[0], v);
+                        let v = self.load(get(&regs, a)?)?;
+                        regs.set(inst.results[0], v);
                     }
                     Op::Store { addr, value } => {
-                        let (a, v) = (get(&env, addr)?, get(&env, value)?);
+                        let (a, v) = (get(&regs, addr)?, get(&regs, value)?);
                         self.store(a, v)?;
                     }
                     Op::Gep { base, offset } => {
-                        let r = get(&env, base)?.wrapping_add(get(&env, offset)?);
-                        env.insert(inst.results[0], r);
+                        let r = get(&regs, base)?.wrapping_add(get(&regs, offset)?);
+                        regs.set(inst.results[0], r);
                     }
                     Op::Call { func, ref args } => {
                         let argv: Vec<i64> = args
                             .iter()
-                            .map(|&a| get(&env, a))
+                            .map(|&a| get(&regs, a))
                             .collect::<Result<_, _>>()?;
                         let rets = self.run(func, argv)?;
-                        for (r, v) in inst.results.iter().zip(rets) {
-                            env.insert(*r, v);
+                        for (&r, v) in inst.results.iter().zip(rets) {
+                            regs.set(r, v);
                         }
                     }
                     Op::CallRt {
                         ref name, ref args, ..
                     } => {
                         self.stats.rt_calls += 1;
-                        let argv: Vec<i64> = args
-                            .iter()
-                            .map(|&a| get(&env, a))
-                            .collect::<Result<_, _>>()?;
-                        let out = self.call_rt(name, &argv)?;
-                        if let (Some(&r), Some(v)) = (inst.results.first(), out) {
-                            env.insert(r, v);
+                        // The argument buffer is reused across calls.
+                        let mut argv = std::mem::take(&mut self.rt_args);
+                        argv.clear();
+                        for &a in args {
+                            argv.push(get(&regs, a)?);
+                        }
+                        let out = self.call_rt(name, &argv);
+                        self.rt_args = argv;
+                        if let (Some(&r), Some(v)) = (inst.results.first(), out?) {
+                            regs.set(r, v);
                         }
                     }
                     Op::Jmp(b) => {
@@ -295,7 +296,7 @@ impl<'m> LirMachine<'m> {
                         then_b,
                         else_b,
                     } => {
-                        next = Some(if get(&env, cond)? != 0 {
+                        next = Some(if get(&regs, cond)? != 0 {
                             then_b
                         } else {
                             else_b
@@ -303,7 +304,7 @@ impl<'m> LirMachine<'m> {
                         break;
                     }
                     Op::Ret(ref vs) => {
-                        return vs.iter().map(|&v| get(&env, v)).collect();
+                        return vs.iter().map(|&v| get(&regs, v)).collect();
                     }
                 }
             }

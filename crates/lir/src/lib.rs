@@ -34,6 +34,7 @@ pub mod ir;
 pub mod mem2reg;
 pub mod passes;
 pub mod printer;
+pub mod regs;
 pub mod sinkpass;
 pub mod verifier;
 

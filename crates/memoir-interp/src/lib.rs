@@ -21,6 +21,7 @@
 #![warn(missing_debug_implementations)]
 
 mod machine;
+pub mod regs;
 pub mod stats;
 mod value;
 

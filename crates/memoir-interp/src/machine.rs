@@ -15,11 +15,12 @@
 //! elements, absent keys, or out-of-range indices — raises a [`Trap`]
 //! instead of producing garbage, which makes differential testing strict.
 
+use crate::regs::{enter_block, PhiFault, RegFile};
 use crate::stats::ExecStats;
 use crate::value::{CollId, Collection, Key, Store, Value};
 use memoir_ir::{
-    BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstKind, Module, Repr, ReprChoices,
-    Type, ValueDef, ValueId,
+    BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstId, InstKind, Module, Repr,
+    ReprChoices, Type, ValueDef, ValueId,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -72,6 +73,15 @@ impl fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
+impl From<PhiFault> for Trap {
+    fn from(fault: PhiFault) -> Self {
+        Trap::TypeConfusion(match fault {
+            PhiFault::NoPred => "phi in entry block",
+            PhiFault::MissingIncoming => "phi missing incoming",
+        })
+    }
+}
+
 /// Host implementation of an extern function.
 pub type ExternFn = Box<dyn FnMut(&mut Store, &[Value]) -> Result<Vec<Value>, Trap>>;
 
@@ -87,6 +97,8 @@ pub struct Interp<'m> {
     /// Adaptive representation choices per allocation site (opt-in via
     /// [`Interp::with_repr_choices`]; affects cost accounting only).
     repr_choices: ReprChoices,
+    /// Scratch for the φ parallel copy at block entry.
+    phis: Vec<Value>,
 }
 
 impl fmt::Debug for Interp<'_> {
@@ -109,6 +121,7 @@ impl<'m> Interp<'m> {
             stats: ExecStats::default(),
             fuel: 100_000_000,
             repr_choices: ReprChoices::default(),
+            phis: Vec::new(),
         }
     }
 
@@ -166,7 +179,8 @@ impl<'m> Interp<'m> {
     }
 
     fn call_function(&mut self, fid: FuncId, mut args: Vec<Value>) -> Result<Vec<Value>, Trap> {
-        let f = &self.module.funcs[fid];
+        let module = self.module;
+        let f = &module.funcs[fid];
         self.stats.call();
         // Value semantics: by-value collection arguments are deep copies in
         // mut form (the MUT library mirrors C++). SSA-form functions never
@@ -185,9 +199,9 @@ impl<'m> Interp<'m> {
             }
         }
 
-        let mut env: HashMap<ValueId, Value> = HashMap::new();
+        let mut regs = RegFile::new(f);
         for (i, &pv) in f.param_values.iter().enumerate() {
-            env.insert(
+            regs.set(
                 pv,
                 args.get(i)
                     .cloned()
@@ -199,56 +213,20 @@ impl<'m> Interp<'m> {
         let mut prev: Option<BlockId> = None;
         loop {
             // Evaluate φs as a parallel copy using the incoming edge.
-            let insts = f.blocks[block].insts.clone();
-            let mut phi_updates: Vec<(ValueId, Value)> = Vec::new();
-            let mut idx = 0;
-            while idx < insts.len() {
-                let inst = &f.insts[insts[idx]];
-                if let InstKind::Phi { incoming } = &inst.kind {
-                    let pred = prev.ok_or(Trap::TypeConfusion("phi in entry block"))?;
-                    let (_, v) = incoming
-                        .iter()
-                        .find(|(b, _)| *b == pred)
-                        .ok_or(Trap::TypeConfusion("phi missing incoming"))?;
-                    let val = self.eval(f, &env, *v)?;
-                    self.stats.scalar();
-                    phi_updates.push((inst.results[0], val));
-                    idx += 1;
-                } else {
-                    break;
-                }
-            }
-            for (r, v) in phi_updates {
-                env.insert(r, v);
-            }
+            let insts = &f.blocks[block].insts;
+            let stats = &mut self.stats;
+            let phis = enter_block(f, prev, block, &mut regs, &mut self.phis, |regs, v| {
+                eval(f, regs, v).inspect(|_| stats.scalar())
+            })?;
 
             // Execute the rest of the block.
             let mut next: Option<BlockId> = None;
-            for &iid in &insts[idx..] {
+            for &iid in &insts[phis..] {
                 if self.stats.insts >= self.fuel {
                     return Err(Trap::OutOfFuel);
                 }
-                let inst = f.insts[iid].clone();
-                match self.exec(f, &mut env, &inst.kind)? {
-                    Control::Next(values) => {
-                        // Tag collections allocated at sites with an
-                        // adaptive representation choice.
-                        if !self.repr_choices.is_empty()
-                            && matches!(
-                                inst.kind,
-                                InstKind::NewSeq { .. } | InstKind::NewAssoc { .. }
-                            )
-                        {
-                            if let Some(r) = self.repr_choices.get(&(fid, iid)).copied() {
-                                if let Some(Value::Coll(id)) = values.first() {
-                                    self.store.reprs.insert(*id, r);
-                                }
-                            }
-                        }
-                        for (r, v) in inst.results.iter().zip(values) {
-                            env.insert(*r, v);
-                        }
-                    }
+                match self.exec(f, &mut regs, (fid, iid))? {
+                    Control::Next => {}
                     Control::Jump(b) => {
                         next = Some(b);
                         break;
@@ -266,36 +244,12 @@ impl<'m> Interp<'m> {
         }
     }
 
-    fn eval(&self, f: &Function, env: &HashMap<ValueId, Value>, v: ValueId) -> Result<Value, Trap> {
-        match &f.values[v].def {
-            ValueDef::Const(c) => Ok(const_value(*c)),
-            _ => env
-                .get(&v)
-                .cloned()
-                .ok_or(Trap::TypeConfusion("unbound value")),
+    /// Tags a collection allocated at `site` with the site's adaptive
+    /// representation choice, if it has one.
+    fn tag_repr(&mut self, site: (FuncId, InstId), id: CollId) {
+        if let Some(r) = self.repr_choices.get(&site).copied() {
+            self.store.reprs.insert(id, r);
         }
-    }
-
-    fn coll_arg(
-        &self,
-        f: &Function,
-        env: &HashMap<ValueId, Value>,
-        v: ValueId,
-    ) -> Result<CollId, Trap> {
-        self.eval(f, env, v)?
-            .as_coll()
-            .ok_or(Trap::TypeConfusion("expected collection"))
-    }
-
-    fn index_arg(
-        &self,
-        f: &Function,
-        env: &HashMap<ValueId, Value>,
-        v: ValueId,
-    ) -> Result<u64, Trap> {
-        self.eval(f, env, v)?
-            .as_index()
-            .ok_or(Trap::TypeConfusion("expected index"))
     }
 
     fn charge_alloc_bytes(&mut self, id: CollId) {
@@ -306,30 +260,44 @@ impl<'m> Interp<'m> {
         self.stats.alloc(self.store.coll(id).len() as u64, bytes);
     }
 
+    /// Executes one non-φ instruction, binding its results in `regs`.
     fn exec(
         &mut self,
         f: &Function,
-        env: &mut HashMap<ValueId, Value>,
-        kind: &InstKind,
+        regs: &mut RegFile<Value>,
+        site: (FuncId, InstId),
     ) -> Result<Control, Trap> {
         use InstKind::*;
-        Ok(match kind {
+        let inst = &f.insts[site.1];
+        let results = &inst.results;
+        // Binds the first result (a result-less instruction discards its
+        // value) and falls through.
+        macro_rules! next {
+            ($v:expr) => {{
+                let v = $v;
+                if let Some(&r) = results.first() {
+                    regs.set(r, v);
+                }
+                Control::Next
+            }};
+        }
+        Ok(match &inst.kind {
             Bin { op, lhs, rhs } => {
                 self.stats.scalar();
-                let a = self.eval(f, env, *lhs)?;
-                let b = self.eval(f, env, *rhs)?;
-                Control::Next(vec![exec_bin(*op, &a, &b)?])
+                let a = eval(f, regs, *lhs)?;
+                let b = eval(f, regs, *rhs)?;
+                next!(exec_bin(*op, &a, &b)?)
             }
             Cmp { op, lhs, rhs } => {
                 self.stats.scalar();
-                let a = self.eval(f, env, *lhs)?;
-                let b = self.eval(f, env, *rhs)?;
-                Control::Next(vec![Value::Bool(exec_cmp(*op, &a, &b)?)])
+                let a = eval(f, regs, *lhs)?;
+                let b = eval(f, regs, *rhs)?;
+                next!(Value::Bool(exec_cmp(*op, &a, &b)?))
             }
             Cast { to, value } => {
                 self.stats.scalar();
-                let v = self.eval(f, env, *value)?;
-                Control::Next(vec![exec_cast(self.module.types.get(*to), &v)?])
+                let v = eval(f, regs, *value)?;
+                next!(exec_cast(self.module.types.get(*to), &v)?)
             }
             Select {
                 cond,
@@ -337,27 +305,29 @@ impl<'m> Interp<'m> {
                 else_value,
             } => {
                 self.stats.scalar();
-                let c = self
-                    .eval(f, env, *cond)?
+                let c = eval(f, regs, *cond)?
                     .as_bool()
                     .ok_or(Trap::TypeConfusion("select"))?;
                 let v = if c {
-                    self.eval(f, env, *then_value)?
+                    eval(f, regs, *then_value)?
                 } else {
-                    self.eval(f, env, *else_value)?
+                    eval(f, regs, *else_value)?
                 };
-                Control::Next(vec![v])
+                next!(v)
             }
             Phi { .. } => return Err(Trap::TypeConfusion("phi outside block head")),
             Call { callee, args } => {
                 let argv: Vec<Value> = args
                     .iter()
-                    .map(|&a| self.eval(f, env, a))
+                    .map(|&a| eval(f, regs, a))
                     .collect::<Result<_, _>>()?;
                 match callee {
                     Callee::Func(fid) => {
                         let rets = self.call_function(*fid, argv)?;
-                        Control::Next(rets)
+                        for (&r, v) in results.iter().zip(rets) {
+                            regs.set(r, v);
+                        }
+                        Control::Next
                     }
                     Callee::Extern(eid) => {
                         self.stats.call();
@@ -368,7 +338,10 @@ impl<'m> Interp<'m> {
                             .ok_or_else(|| Trap::UnknownExtern(name.clone()))?;
                         let result = host(&mut self.store, &argv);
                         self.externs.insert(name, host);
-                        Control::Next(result?)
+                        for (&r, v) in results.iter().zip(result?) {
+                            regs.set(r, v);
+                        }
+                        Control::Next
                     }
                 }
             }
@@ -382,8 +355,7 @@ impl<'m> Interp<'m> {
                 else_target,
             } => {
                 self.stats.scalar();
-                let c = self
-                    .eval(f, env, *cond)?
+                let c = eval(f, regs, *cond)?
                     .as_bool()
                     .ok_or(Trap::TypeConfusion("branch"))?;
                 Control::Jump(if c { *then_target } else { *else_target })
@@ -391,171 +363,173 @@ impl<'m> Interp<'m> {
             Ret { values } => {
                 let vals: Vec<Value> = values
                     .iter()
-                    .map(|&v| self.eval(f, env, v))
+                    .map(|&v| eval(f, regs, v))
                     .collect::<Result<_, _>>()?;
                 Control::Return(vals)
             }
             Unreachable => return Err(Trap::Unreachable),
 
             NewSeq { len, .. } => {
-                let n = self.index_arg(f, env, *len)?;
+                let n = index_arg(f, regs, *len)?;
                 let id = self
                     .store
                     .alloc_coll(Collection::Seq(vec![Value::Uninit; n as usize]));
                 self.charge_alloc_bytes(id);
-                Control::Next(vec![Value::Coll(id)])
+                self.tag_repr(site, id);
+                next!(Value::Coll(id))
             }
             NewAssoc { .. } => {
                 let id = self.store.alloc_coll(Collection::new_assoc());
                 self.charge_alloc_bytes(id);
-                Control::Next(vec![Value::Coll(id)])
+                self.tag_repr(site, id);
+                next!(Value::Coll(id))
             }
             NewObj { obj } => {
                 let nfields = self.module.types.object(*obj).fields.len();
                 let bytes = self.module.types.object_layout(*obj).size + 16;
                 self.stats.alloc(0, bytes);
                 let id = self.store.alloc_obj(*obj, nfields);
-                Control::Next(vec![Value::Ref(*obj, Some(id))])
+                next!(Value::Ref(*obj, Some(id)))
             }
             DeleteObj { obj } => {
                 self.stats.scalar();
-                let v = self.eval(f, env, *obj)?;
+                let v = eval(f, regs, *obj)?;
                 match v {
                     Value::Ref(_, Some(id)) => {
                         self.store.objects[id.0 as usize].fields = None;
-                        Control::Next(vec![])
+                        Control::Next
                     }
                     _ => return Err(Trap::BadReference),
                 }
             }
 
             Read { c, idx } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let iv = self.eval(f, env, *idx)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let iv = eval(f, regs, *idx)?;
                 let v = self.read_element(cid, &iv)?;
-                Control::Next(vec![v])
+                next!(v)
             }
             Write { c, idx, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let iv = self.eval(f, env, *idx)?;
-                let vv = self.eval(f, env, *value)?;
+                let iv = eval(f, regs, *idx)?;
+                let vv = eval(f, regs, *value)?;
                 self.write_element(copy, &iv, vv)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutWrite { c, idx, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let iv = self.eval(f, env, *idx)?;
-                let vv = self.eval(f, env, *value)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let iv = eval(f, regs, *idx)?;
+                let vv = eval(f, regs, *value)?;
                 self.write_element(cid, &iv, vv)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Rmw { c, idx, op, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let iv = self.eval(f, env, *idx)?;
-                let vv = self.eval(f, env, *value)?;
+                let iv = eval(f, regs, *idx)?;
+                let vv = eval(f, regs, *value)?;
                 self.rmw_element(copy, &iv, *op, &vv)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutRmw { c, idx, op, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let iv = self.eval(f, env, *idx)?;
-                let vv = self.eval(f, env, *value)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let iv = eval(f, regs, *idx)?;
+                let vv = eval(f, regs, *value)?;
                 self.rmw_element(cid, &iv, *op, &vv)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Insert { c, idx, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let iv = self.eval(f, env, *idx)?;
+                let iv = eval(f, regs, *idx)?;
                 let vv = match value {
-                    Some(v) => Some(self.eval(f, env, *v)?),
+                    Some(v) => Some(eval(f, regs, *v)?),
                     None => None,
                 };
                 self.insert_element(copy, &iv, vv)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutInsert { c, idx, value } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let iv = self.eval(f, env, *idx)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let iv = eval(f, regs, *idx)?;
                 let vv = match value {
-                    Some(v) => Some(self.eval(f, env, *v)?),
+                    Some(v) => Some(eval(f, regs, *v)?),
                     None => None,
                 };
                 self.insert_element(cid, &iv, vv)?;
-                Control::Next(vec![])
+                Control::Next
             }
             InsertSeq { c, idx, src } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let i = self.index_arg(f, env, *idx)?;
-                let sid = self.coll_arg(f, env, *src)?;
+                let i = index_arg(f, regs, *idx)?;
+                let sid = coll_arg(f, regs, *src)?;
                 self.splice(copy, i, sid)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutInsertSeq { c, idx, src } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let i = self.index_arg(f, env, *idx)?;
-                let sid = self.coll_arg(f, env, *src)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let i = index_arg(f, regs, *idx)?;
+                let sid = coll_arg(f, regs, *src)?;
                 self.splice(cid, i, sid)?;
-                Control::Next(vec![])
+                Control::Next
             }
             MutAppend { c, src } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let at = self.store.coll(cid).len() as u64;
-                let sid = self.coll_arg(f, env, *src)?;
+                let sid = coll_arg(f, regs, *src)?;
                 self.splice(cid, at, sid)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Remove { c, idx } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let iv = self.eval(f, env, *idx)?;
+                let iv = eval(f, regs, *idx)?;
                 self.remove_element(copy, &iv)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutRemove { c, idx } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let iv = self.eval(f, env, *idx)?;
+                let cid = coll_arg(f, regs, *c)?;
+                let iv = eval(f, regs, *idx)?;
                 self.remove_element(cid, &iv)?;
-                Control::Next(vec![])
+                Control::Next
             }
             RemoveRange { c, from, to } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                let (a, b) = (self.index_arg(f, env, *from)?, self.index_arg(f, env, *to)?);
+                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
                 self.remove_range(copy, a, b)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutRemoveRange { c, from, to } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let (a, b) = (self.index_arg(f, env, *from)?, self.index_arg(f, env, *to)?);
+                let cid = coll_arg(f, regs, *c)?;
+                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
                 self.remove_range(cid, a, b)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Copy { c } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             CopyRange { c, from, to } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let (a, b) = (self.index_arg(f, env, *from)?, self.index_arg(f, env, *to)?);
+                let cid = coll_arg(f, regs, *c)?;
+                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
                 let Collection::Seq(elems) = self.store.coll(cid) else {
                     return Err(Trap::TypeConfusion("copy.range on assoc"));
                 };
@@ -568,11 +542,11 @@ impl<'m> Interp<'m> {
                 let id = self.store.alloc_coll(Collection::Seq(slice));
                 self.stats.copy(n);
                 self.charge_alloc_bytes(id);
-                Control::Next(vec![Value::Coll(id)])
+                next!(Value::Coll(id))
             }
             MutSplit { c, from, to } => {
-                let cid = self.coll_arg(f, env, *c)?;
-                let (a, b) = (self.index_arg(f, env, *from)?, self.index_arg(f, env, *to)?);
+                let cid = coll_arg(f, regs, *c)?;
+                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
                 let Collection::Seq(elems) = self.store.coll_mut(cid) else {
                     return Err(Trap::TypeConfusion("split on assoc"));
                 };
@@ -586,34 +560,34 @@ impl<'m> Interp<'m> {
                 self.stats.copy(n);
                 self.stats.moved(len - b);
                 self.charge_alloc_bytes(id);
-                Control::Next(vec![Value::Coll(id)])
+                next!(Value::Coll(id))
             }
             Swap { c, from, to, at } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (copy, n) = self.store.clone_coll(cid);
                 self.stats.copy(n as u64);
                 self.charge_alloc_bytes(copy);
                 let (a, b, k) = (
-                    self.index_arg(f, env, *from)?,
-                    self.index_arg(f, env, *to)?,
-                    self.index_arg(f, env, *at)?,
+                    index_arg(f, regs, *from)?,
+                    index_arg(f, regs, *to)?,
+                    index_arg(f, regs, *at)?,
                 );
                 self.swap_ranges(copy, a, b, k)?;
-                Control::Next(vec![Value::Coll(copy)])
+                next!(Value::Coll(copy))
             }
             MutSwap { c, from, to, at } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let (a, b, k) = (
-                    self.index_arg(f, env, *from)?,
-                    self.index_arg(f, env, *to)?,
-                    self.index_arg(f, env, *at)?,
+                    index_arg(f, regs, *from)?,
+                    index_arg(f, regs, *to)?,
+                    index_arg(f, regs, *at)?,
                 );
                 self.swap_ranges(cid, a, b, k)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Swap2 { a, from, to, b, at } => {
-                let aid = self.coll_arg(f, env, *a)?;
-                let bid = self.coll_arg(f, env, *b)?;
+                let aid = coll_arg(f, regs, *a)?;
+                let bid = coll_arg(f, regs, *b)?;
                 let (ca, na) = self.store.clone_coll(aid);
                 let (cb, nb) = self.store.clone_coll(bid);
                 self.stats.copy(na as u64);
@@ -621,48 +595,48 @@ impl<'m> Interp<'m> {
                 self.charge_alloc_bytes(ca);
                 self.charge_alloc_bytes(cb);
                 let (x, y, k) = (
-                    self.index_arg(f, env, *from)?,
-                    self.index_arg(f, env, *to)?,
-                    self.index_arg(f, env, *at)?,
+                    index_arg(f, regs, *from)?,
+                    index_arg(f, regs, *to)?,
+                    index_arg(f, regs, *at)?,
                 );
                 self.swap_across(ca, cb, x, y, k)?;
-                Control::Next(vec![Value::Coll(ca), Value::Coll(cb)])
+                for (&r, v) in results.iter().zip([Value::Coll(ca), Value::Coll(cb)]) {
+                    regs.set(r, v);
+                }
+                Control::Next
             }
             MutSwap2 { a, from, to, b, at } => {
-                let aid = self.coll_arg(f, env, *a)?;
-                let bid = self.coll_arg(f, env, *b)?;
+                let aid = coll_arg(f, regs, *a)?;
+                let bid = coll_arg(f, regs, *b)?;
                 let (x, y, k) = (
-                    self.index_arg(f, env, *from)?,
-                    self.index_arg(f, env, *to)?,
-                    self.index_arg(f, env, *at)?,
+                    index_arg(f, regs, *from)?,
+                    index_arg(f, regs, *to)?,
+                    index_arg(f, regs, *at)?,
                 );
                 self.swap_across(aid, bid, x, y, k)?;
-                Control::Next(vec![])
+                Control::Next
             }
             Size { c } => {
                 self.stats.scalar();
-                let cid = self.coll_arg(f, env, *c)?;
-                Control::Next(vec![Value::Int(
-                    Type::Index,
-                    self.store.coll(cid).len() as i64,
-                )])
+                let cid = coll_arg(f, regs, *c)?;
+                next!(Value::Int(Type::Index, self.store.coll(cid).len() as i64))
             }
             Has { c, key } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 if matches!(self.store.repr_of(cid), Repr::Dense { .. }) {
                     self.stats.dense_access(false);
                 } else {
                     self.stats.assoc_op(false);
                 }
-                let kv = self.eval(f, env, *key)?;
+                let kv = eval(f, regs, *key)?;
                 let k = Key::from_value(&kv).ok_or(Trap::TypeConfusion("bad key"))?;
                 let Collection::Assoc { map, .. } = self.store.coll(cid) else {
                     return Err(Trap::TypeConfusion("has on sequence"));
                 };
-                Control::Next(vec![Value::Bool(map.contains_key(&k))])
+                next!(Value::Bool(map.contains_key(&k)))
             }
             Keys { c } => {
-                let cid = self.coll_arg(f, env, *c)?;
+                let cid = coll_arg(f, regs, *c)?;
                 let key_ty = match self.module.types.get(f.value_ty(*c)) {
                     Type::Assoc(k, _) => self.module.types.get(k),
                     _ => return Err(Trap::TypeConfusion("keys on sequence")),
@@ -679,17 +653,17 @@ impl<'m> Interp<'m> {
                 let id = self.store.alloc_coll(Collection::Seq(elems));
                 self.stats.copy(n);
                 self.charge_alloc_bytes(id);
-                Control::Next(vec![Value::Coll(id)])
+                next!(Value::Coll(id))
             }
             UsePhi { c } => {
                 self.stats.scalar();
-                let v = self.eval(f, env, *c)?;
-                Control::Next(vec![v])
+                let v = eval(f, regs, *c)?;
+                next!(v)
             }
             FieldRead { obj, obj_ty, field } => {
                 let bytes = self.module.types.object_layout(*obj_ty).size;
                 self.stats.field_op(bytes);
-                let v = self.eval(f, env, *obj)?;
+                let v = eval(f, regs, *obj)?;
                 let Value::Ref(_, Some(id)) = v else {
                     return Err(Trap::BadReference);
                 };
@@ -701,7 +675,7 @@ impl<'m> Interp<'m> {
                 if fv == Value::Uninit {
                     return Err(Trap::ReadUninit);
                 }
-                Control::Next(vec![fv])
+                next!(fv)
             }
             FieldWrite {
                 obj,
@@ -711,8 +685,8 @@ impl<'m> Interp<'m> {
             } => {
                 let bytes = self.module.types.object_layout(*obj_ty).size;
                 self.stats.field_op(bytes);
-                let v = self.eval(f, env, *obj)?;
-                let fv = self.eval(f, env, *value)?;
+                let v = eval(f, regs, *obj)?;
+                let fv = eval(f, regs, *value)?;
                 let Value::Ref(_, Some(id)) = v else {
                     return Err(Trap::BadReference);
                 };
@@ -721,7 +695,7 @@ impl<'m> Interp<'m> {
                     .as_mut()
                     .ok_or(Trap::BadReference)?;
                 fields[*field as usize] = fv;
-                Control::Next(vec![])
+                Control::Next
             }
         })
     }
@@ -990,9 +964,32 @@ impl<'m> Interp<'m> {
 }
 
 enum Control {
-    Next(Vec<Value>),
+    /// Results bound; go on to the next instruction.
+    Next,
     Jump(BlockId),
     Return(Vec<Value>),
+}
+
+fn eval(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<Value, Trap> {
+    match &f.values[v].def {
+        ValueDef::Const(c) => Ok(const_value(*c)),
+        _ => regs
+            .get(v)
+            .cloned()
+            .ok_or(Trap::TypeConfusion("unbound value")),
+    }
+}
+
+fn coll_arg(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<CollId, Trap> {
+    eval(f, regs, v)?
+        .as_coll()
+        .ok_or(Trap::TypeConfusion("expected collection"))
+}
+
+fn index_arg(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<u64, Trap> {
+    eval(f, regs, v)?
+        .as_index()
+        .ok_or(Trap::TypeConfusion("expected index"))
 }
 
 /// Materializes a constant.

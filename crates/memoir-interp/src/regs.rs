@@ -1,0 +1,90 @@
+//! Executor state shared by the two MEMOIR executors.
+//!
+//! [`Interp`](crate::Interp) and `symexec`'s MEMOIR path enumerator keep
+//! a function's SSA values in a [`RegFile`]: one slot per entry of the
+//! function's value arena, holding a [`Value`](crate::Value) in one
+//! executor and a symbolic value in the other. [`enter_block`] is the one
+//! implementation of block entry (the φ head as a parallel copy) that
+//! both run.
+
+use memoir_ir::{BlockId, Function, InstKind, ValueId};
+
+/// One slot per SSA value of a function, indexed by [`ValueId`]. A slot
+/// is empty until its definition runs on the current path, so a use
+/// before definition reads as unbound instead of panicking. Constants
+/// never occupy their slots: executors materialize them from the value
+/// arena.
+#[derive(Clone, Debug)]
+pub struct RegFile<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T: Clone> RegFile<T> {
+    /// An empty file with a slot for each value in `f`'s arena.
+    pub fn new(f: &Function) -> Self {
+        RegFile {
+            slots: vec![None; f.values.len()],
+        }
+    }
+
+    /// The value bound to `v`, if any.
+    #[inline]
+    pub fn get(&self, v: ValueId) -> Option<&T> {
+        self.slots.get(v.index())?.as_ref()
+    }
+
+    /// Binds `v`. Every id a [`Function`] mints indexes its arena; one
+    /// from elsewhere grows the file.
+    #[inline]
+    pub fn set(&mut self, v: ValueId, x: T) {
+        let i = v.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(x);
+    }
+}
+
+/// Why a block's φ head is malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PhiFault {
+    /// A φ in a block entered without a predecessor (the entry block).
+    NoPred,
+    /// A φ without an incoming value for the edge taken.
+    MissingIncoming,
+}
+
+/// Enters `target` from `pred`: evaluates its leading φs as one parallel
+/// copy (every incoming value is read through `read` before any φ result
+/// is bound) and returns their count, the position of the first non-φ
+/// instruction. `read` materializes constants and reports an unbound
+/// operand in the caller's own error type. `buf` is scratch owned by the
+/// caller, so entering a block allocates nothing once it has grown to
+/// the widest φ head.
+pub fn enter_block<T: Clone, E: From<PhiFault>>(
+    f: &Function,
+    pred: Option<BlockId>,
+    target: BlockId,
+    regs: &mut RegFile<T>,
+    buf: &mut Vec<T>,
+    mut read: impl FnMut(&RegFile<T>, ValueId) -> Result<T, E>,
+) -> Result<usize, E> {
+    let insts = &f.blocks[target].insts;
+    buf.clear();
+    for &iid in insts {
+        let InstKind::Phi { incoming } = &f.insts[iid].kind else {
+            break;
+        };
+        let pred = pred.ok_or(PhiFault::NoPred)?;
+        let &(_, v) = incoming
+            .iter()
+            .find(|(b, _)| *b == pred)
+            .ok_or(PhiFault::MissingIncoming)?;
+        buf.push(read(regs, v)?);
+    }
+    let n = buf.len();
+    for (&iid, x) in insts.iter().zip(buf.drain(..)) {
+        regs.set(f.insts[iid].results[0], x);
+    }
+    Ok(n)
+}

@@ -13,10 +13,14 @@
 //! values the repr/range analyses proved small: the path condition
 //! accumulated from the lowered bounds checks pins indices tightly
 //! enough for the solver's intervals to enumerate them.
+//!
+//! Frames keep their values in the machine's own register file and
+//! enter blocks through its φ routine (`lir::regs`), in place.
 
 use crate::solver::{self, Lit};
 use crate::term::{TermId, TermPool};
 use crate::{Budget, Path, PathEnd, SymError};
+use lir::regs::{enter_block, PhiFault, RegFile};
 use lir::{Blk, Fun, Function, Module, Op, Val};
 use memoir_ir::{BinOp, CmpOp, Type};
 use std::collections::HashMap;
@@ -29,7 +33,7 @@ struct Frame {
     fun: Fun,
     block: Blk,
     at: usize,
-    env: HashMap<Val, TermId>,
+    regs: RegFile<TermId>,
 }
 
 /// One in-flight execution (a path prefix). Memory and host assoc
@@ -65,6 +69,12 @@ enum Stop {
 }
 
 type R<T> = Result<T, Stop>;
+
+impl From<PhiFault> for Stop {
+    fn from(_: PhiFault) -> Self {
+        Stop::Trap // phi in entry / phi missing incoming: malformed
+    }
+}
 
 enum StepOut {
     Continue,
@@ -132,10 +142,9 @@ pub fn enumerate_lir(
     while pool.param_tys.len() < f.num_params as usize {
         pool.param_tys.push(Type::I64);
     }
-    let mut env = HashMap::new();
+    let mut regs = RegFile::new(f);
     for i in 0..f.num_params {
-        let t = pool.param(i);
-        env.insert(Val(i), t);
+        regs.set(Val(i), pool.param(i));
     }
     let zero = pool.konst(0);
     let init = Exec {
@@ -143,7 +152,7 @@ pub fn enumerate_lir(
             fun,
             block: f.entry,
             at: 0,
-            env,
+            regs,
         }],
         mem: vec![zero; NULL_GUARD],
         assocs: Vec::new(),
@@ -158,6 +167,8 @@ pub fn enumerate_lir(
         ops: 0,
         worklist: vec![init],
         paths: Vec::new(),
+        phis: Vec::new(),
+        rt_args: Vec::new(),
     };
     eng.run()?;
     Ok(eng.paths)
@@ -170,6 +181,10 @@ struct Engine<'m, 'p, 'b> {
     ops: u64,
     worklist: Vec<Exec>,
     paths: Vec<Path>,
+    /// Scratch for the φ parallel copy at block entry.
+    phis: Vec<TermId>,
+    /// Scratch for runtime-call arguments.
+    rt_args: Vec<TermId>,
 }
 
 impl Engine<'_, '_, '_> {
@@ -667,29 +682,16 @@ impl Engine<'_, '_, '_> {
         }
     }
 
-    /// Processes the φ-head of `target` as a parallel copy from `pred`,
-    /// then positions the frame past the φs.
-    fn enter_block(&self, f: &Function, frame: &mut Frame, pred: Blk, target: Blk) -> R<()> {
-        let insts = &f.blocks[target.0 as usize].insts;
-        let mut updates = Vec::new();
-        let mut at = 0;
-        for &ins in insts.iter() {
-            let inst = &f.insts[ins.0 as usize];
-            if let Op::Phi(incs) = &inst.op {
-                let (_, v) = incs.iter().find(|(b, _)| *b == pred).ok_or(Stop::Trap)?; // phi missing incoming
-                let x = *frame.env.get(v).ok_or(Stop::Trap)?;
-                updates.push((inst.results[0], x));
-                at += 1;
-            } else {
-                break;
-            }
-        }
-        for (r, v) in updates {
-            frame.env.insert(r, v);
-        }
-        frame.block = target;
-        frame.at = at;
-        Ok(())
+    /// Moves the top frame from its block into `target` in place,
+    /// running `target`'s φ head as a parallel copy.
+    fn jump(&mut self, f: &Function, ex: &mut Exec, target: Blk) -> R<StepOut> {
+        let fr = ex.frames.last_mut().unwrap();
+        let (pred, regs) = (Some(fr.block), &mut fr.regs);
+        fr.at = enter_block(f, pred, target, regs, &mut self.phis, |regs, v| {
+            regs.get(v).ok_or(Stop::Trap) // unbound phi operand
+        })?;
+        fr.block = target;
+        Ok(StepOut::Continue)
     }
 
     fn step(&mut self, ex: &mut Exec) -> Result<StepOut, SymError> {
@@ -719,17 +721,22 @@ impl Engine<'_, '_, '_> {
             .insts
             .get(frame.at)
             .ok_or(Stop::Trap)?; // fell off block: malformed
-        let inst = f.insts[ins.0 as usize].clone();
-        let results = inst.results.clone();
-        let getv = |env: &HashMap<Val, TermId>, v: Val| -> R<TermId> {
-            env.get(&v).copied().ok_or(Stop::Trap) // unbound value
+        let inst = &f.insts[ins.0 as usize];
+        let getv = |regs: &RegFile<TermId>, v: Val| -> R<TermId> {
+            regs.get(v).ok_or(Stop::Trap) // unbound value
         };
+        // Binds the first result (if the instruction has one) and
+        // advances.
         macro_rules! next {
-            ($vals:expr) => {{
-                let vals: Vec<TermId> = $vals;
+            () => {{
+                ex.frames.last_mut().unwrap().at += 1;
+                return Ok(StepOut::Continue);
+            }};
+            ($v:expr) => {{
+                let v: TermId = $v;
                 let fr = ex.frames.last_mut().unwrap();
-                for (r, v) in results.iter().zip(vals) {
-                    fr.env.insert(*r, v);
+                if let Some(&r) = inst.results.first() {
+                    fr.regs.set(r, v);
                 }
                 fr.at += 1;
                 return Ok(StepOut::Continue);
@@ -738,11 +745,11 @@ impl Engine<'_, '_, '_> {
         match inst.op {
             Op::Const(c) => {
                 let t = self.pool.konst(c);
-                next!(vec![t]);
+                next!(t);
             }
             Op::Bin(op, a, b) => {
-                let x = getv(&frame.env, a)?;
-                let y = getv(&frame.env, b)?;
+                let x = getv(&frame.regs, a)?;
+                let y = getv(&frame.regs, b)?;
                 let op = lower_binop(op);
                 if matches!(op, BinOp::Div | BinOp::Rem) {
                     let zero = self.pool.konst(0);
@@ -752,110 +759,98 @@ impl Engine<'_, '_, '_> {
                     }
                 }
                 let t = self.pool.bin(op, x, y).map_err(|_| Stop::Trap)?;
-                next!(vec![t]);
+                next!(t);
             }
             Op::Cmp(op, a, b) => {
-                let x = getv(&frame.env, a)?;
-                let y = getv(&frame.env, b)?;
+                let x = getv(&frame.regs, a)?;
+                let y = getv(&frame.regs, b)?;
                 // lir comparisons are always signed.
                 let t = self.pool.cmp(lower_cmpop(op), false, x, y);
-                next!(vec![t]);
+                next!(t);
             }
             Op::Phi(_) => Err(Stop::Trap), // phi outside block head
             Op::Alloca(n) => {
                 let base = self.alloc_words(ex, n as usize);
                 let t = self.pool.konst(base);
-                next!(vec![t]);
+                next!(t);
             }
             Op::Malloc(n) => {
-                let nt = getv(&frame.env, n)?;
+                let nt = getv(&frame.regs, n)?;
                 let words = self.resolve(ex, nt)?.max(0) as usize;
                 let base = self.alloc_words(ex, words);
                 let t = self.pool.konst(base);
-                next!(vec![t]);
+                next!(t);
             }
-            Op::Free(_) => next!(vec![]),
+            Op::Free(_) => next!(),
             Op::Load(a) => {
-                let at = getv(&frame.env, a)?;
+                let at = getv(&frame.regs, a)?;
                 let addr = self.resolve(ex, at)?;
                 let t = self.mem_load(ex, addr)?;
-                next!(vec![t]);
+                next!(t);
             }
             Op::Store { addr, value } => {
-                let at = getv(&frame.env, addr)?;
-                let v = getv(&frame.env, value)?;
+                let at = getv(&frame.regs, addr)?;
+                let v = getv(&frame.regs, value)?;
                 let a = self.resolve(ex, at)?;
                 self.mem_store(ex, a, v)?;
-                next!(vec![]);
+                next!();
             }
             Op::Gep { base, offset } => {
-                let b = getv(&frame.env, base)?;
-                let o = getv(&frame.env, offset)?;
+                let b = getv(&frame.regs, base)?;
+                let o = getv(&frame.regs, offset)?;
                 // `Add` folds with the same wrapping as the machine.
                 let t = self.pool.bin(BinOp::Add, b, o).map_err(|_| Stop::Trap)?;
-                next!(vec![t]);
+                next!(t);
             }
             Op::Call { func, ref args } => {
-                let argv: Vec<TermId> = args
-                    .iter()
-                    .map(|&a| getv(&frame.env, a))
-                    .collect::<R<_>>()?;
                 let callee: &Function = m.funcs.get(func.0 as usize).ok_or(Stop::Trap)?;
-                let mut env = HashMap::new();
-                for (i, &t) in argv.iter().enumerate() {
-                    env.insert(Val(i as u32), t);
+                let mut regs = RegFile::new(callee);
+                for (i, &a) in args.iter().enumerate() {
+                    regs.set(Val(i as u32), getv(&frame.regs, a)?);
                 }
                 ex.frames.push(Frame {
                     fun: func,
                     block: callee.entry,
                     at: 0,
-                    env,
+                    regs,
                 });
                 Ok(StepOut::Continue)
             }
             Op::CallRt {
                 ref name, ref args, ..
             } => {
-                let argv: Vec<TermId> = args
-                    .iter()
-                    .map(|&a| getv(&frame.env, a))
-                    .collect::<R<_>>()?;
-                let name = name.clone();
-                let out = self.call_rt(ex, &name, &argv)?;
+                // The argument buffer is reused across calls.
+                let mut argv = std::mem::take(&mut self.rt_args);
+                argv.clear();
+                for &a in args {
+                    argv.push(getv(&frame.regs, a)?);
+                }
+                let out = self.call_rt(ex, name, &argv);
+                self.rt_args = argv;
                 let fr = ex.frames.last_mut().unwrap();
-                if let (Some(&r), Some(v)) = (results.first(), out) {
-                    fr.env.insert(r, v);
+                if let (Some(&r), Some(v)) = (inst.results.first(), out?) {
+                    fr.regs.set(r, v);
                 }
                 fr.at += 1;
                 Ok(StepOut::Continue)
             }
-            Op::Jmp(b) => {
-                let pred = frame.block;
-                let mut fr = ex.frames.last().unwrap().clone();
-                self.enter_block(f, &mut fr, pred, b)?;
-                *ex.frames.last_mut().unwrap() = fr;
-                Ok(StepOut::Continue)
-            }
+            Op::Jmp(b) => self.jump(f, ex, b),
             Op::Br {
                 cond,
                 then_b,
                 else_b,
             } => {
-                let c = getv(&frame.env, cond)?;
+                let c = getv(&frame.regs, cond)?;
                 let taken = if self.resolve_cond(ex, c)? {
                     then_b
                 } else {
                     else_b
                 };
-                let pred = frame.block;
-                let mut fr = ex.frames.last().unwrap().clone();
-                self.enter_block(f, &mut fr, pred, taken)?;
-                *ex.frames.last_mut().unwrap() = fr;
-                Ok(StepOut::Continue)
+                self.jump(f, ex, taken)
             }
             Op::Ret(ref vs) => {
                 let terms: Vec<TermId> =
-                    vs.iter().map(|&v| getv(&frame.env, v)).collect::<R<_>>()?;
+                    vs.iter().map(|&v| getv(&frame.regs, v)).collect::<R<_>>()?;
                 if ex.frames.len() == 1 {
                     return Ok(StepOut::End(PathEnd::Ret(terms)));
                 }
@@ -863,9 +858,8 @@ impl Engine<'_, '_, '_> {
                 let fr = ex.frames.last_mut().unwrap();
                 let cf = &m.funcs[fr.fun.0 as usize];
                 let call_ins = cf.blocks[fr.block.0 as usize].insts[fr.at];
-                let call_results = cf.insts[call_ins.0 as usize].results.clone();
-                for (r, v) in call_results.iter().zip(terms) {
-                    fr.env.insert(*r, v);
+                for (&r, v) in cf.insts[call_ins.0 as usize].results.iter().zip(terms) {
+                    fr.regs.set(r, v);
                 }
                 fr.at += 1;
                 Ok(StepOut::Continue)

@@ -10,10 +10,14 @@
 //! pointers, wide symbolic indices, externs) aborts enumeration with
 //! [`SymError::Unsupported`], which callers treat as "fall back to
 //! probing" — never as a verdict.
+//!
+//! Frames keep their values in the interpreter's own register file and
+//! enter blocks through its φ routine (`memoir_interp::regs`), in place.
 
 use crate::solver::{self, Lit};
 use crate::term::{type_domain, TermId, TermPool};
 use crate::{Budget, Path, PathEnd, SymError};
+use memoir_interp::regs::{enter_block, PhiFault, RegFile};
 use memoir_ir::BlockId;
 use memoir_ir::{
     BinOp, Callee, CmpOp, Constant, Form, FuncId, Function, InstKind, Module, Type, ValueDef,
@@ -101,7 +105,7 @@ struct Frame {
     fid: FuncId,
     block: BlockId,
     at: usize,
-    env: HashMap<ValueId, SymValue>,
+    regs: RegFile<SymValue>,
 }
 
 /// One in-flight execution (a path prefix).
@@ -129,6 +133,12 @@ enum Stop {
 
 type R<T> = Result<T, Stop>;
 
+impl From<PhiFault> for Stop {
+    fn from(_: PhiFault) -> Self {
+        Stop::Trap // phi in entry block / phi missing incoming
+    }
+}
+
 enum StepOut {
     /// Instruction completed; keep stepping this execution.
     Continue,
@@ -155,7 +165,7 @@ pub fn enumerate_memoir(
     budget: &Budget,
 ) -> Result<Vec<Path>, SymError> {
     let f = &module.funcs[fid];
-    let mut env = HashMap::new();
+    let mut regs = RegFile::new(f);
     for (i, &pv) in f.param_values.iter().enumerate() {
         let ty = module.types.get(f.params[i].ty);
         let t = pool.param(i as u32);
@@ -164,14 +174,14 @@ pub fn enumerate_memoir(
             ty if ty.is_integer() => SymValue::Int(ty, t),
             _ => return Err(SymError::Unsupported("non-integer parameter")),
         };
-        env.insert(pv, v);
+        regs.set(pv, v);
     }
     let init = Exec {
         frames: vec![Frame {
             fid,
             block: f.entry,
             at: 0,
-            env,
+            regs,
         }],
         store: SymStore::default(),
         cond: Vec::new(),
@@ -184,6 +194,7 @@ pub fn enumerate_memoir(
         ops: 0,
         worklist: vec![init],
         paths: Vec::new(),
+        phis: Vec::new(),
     };
     eng.run()?;
     Ok(eng.paths)
@@ -196,6 +207,8 @@ struct Engine<'m, 'p, 'b> {
     ops: u64,
     worklist: Vec<Exec>,
     paths: Vec<Path>,
+    /// Scratch for the φ parallel copy at block entry.
+    phis: Vec<SymValue>,
 }
 
 impl Engine<'_, '_, '_> {
@@ -306,24 +319,12 @@ impl Engine<'_, '_, '_> {
         }
     }
 
-    fn const_value(&mut self, c: Constant) -> R<SymValue> {
-        match c {
-            Constant::Int(ty, v) => Ok(SymValue::Int(ty, self.pool.konst(v))),
-            Constant::Bool(b) => Ok(SymValue::Bool(self.pool.konst(b as i64))),
-            Constant::Null(_) => Ok(SymValue::Ref(None)),
-            Constant::Float(..) => Err(Stop::Unsupported("float constant")),
-        }
+    fn eval(&mut self, f: &Function, regs: &RegFile<SymValue>, v: ValueId) -> R<SymValue> {
+        eval(self.pool, f, regs, v)
     }
 
-    fn eval(&mut self, f: &Function, env: &HashMap<ValueId, SymValue>, v: ValueId) -> R<SymValue> {
-        match &f.values[v].def {
-            ValueDef::Const(c) => self.const_value(*c),
-            _ => env.get(&v).cloned().ok_or(Stop::Trap), // unbound value
-        }
-    }
-
-    fn coll_arg(&mut self, f: &Function, env: &HashMap<ValueId, SymValue>, v: ValueId) -> R<usize> {
-        match self.eval(f, env, v)? {
+    fn coll_arg(&mut self, f: &Function, regs: &RegFile<SymValue>, v: ValueId) -> R<usize> {
+        match self.eval(f, regs, v)? {
             SymValue::Coll(c) => Ok(c),
             _ => Err(Stop::Trap),
         }
@@ -397,38 +398,16 @@ impl Engine<'_, '_, '_> {
         }
     }
 
-    /// Processes the φ-head of `target` as a parallel copy from `pred`,
-    /// then positions the frame past the φs.
-    fn enter_block(
-        &mut self,
-        f: &Function,
-        frame: &mut Frame,
-        pred: BlockId,
-        target: BlockId,
-    ) -> R<()> {
-        let insts = &f.blocks[target].insts;
-        let mut updates = Vec::new();
-        let mut at = 0;
-        for &iid in insts.iter() {
-            let inst = &f.insts[iid];
-            if let InstKind::Phi { incoming } = &inst.kind {
-                let (_, v) = incoming
-                    .iter()
-                    .find(|(b, _)| *b == pred)
-                    .ok_or(Stop::Trap)?; // phi missing incoming
-                let val = self.eval(f, &frame.env, *v)?;
-                updates.push((inst.results[0], val));
-                at += 1;
-            } else {
-                break;
-            }
-        }
-        for (r, v) in updates {
-            frame.env.insert(r, v);
-        }
-        frame.block = target;
-        frame.at = at;
-        Ok(())
+    /// Moves the top frame from its block into `target` in place,
+    /// running `target`'s φ head as a parallel copy.
+    fn jump(&mut self, f: &Function, ex: &mut Exec, target: BlockId) -> R<StepOut> {
+        let fr = ex.frames.last_mut().unwrap();
+        let (pred, regs, pool) = (Some(fr.block), &mut fr.regs, &mut *self.pool);
+        fr.at = enter_block(f, pred, target, regs, &mut self.phis, |regs, v| {
+            eval(pool, f, regs, v)
+        })?;
+        fr.block = target;
+        Ok(StepOut::Continue)
     }
 
     fn step(&mut self, ex: &mut Exec) -> Result<StepOut, SymError> {
@@ -452,58 +431,61 @@ impl Engine<'_, '_, '_> {
     /// (forked children re-execute the instruction from a clone of `ex`).
     fn step_inner(&mut self, ex: &mut Exec) -> R<StepOut> {
         use InstKind::*;
+        let m = self.module;
         let frame = ex.frames.last().ok_or(Stop::Trap)?;
-        let fid = frame.fid;
-        let f = &self.module.funcs[fid];
+        let f = &m.funcs[frame.fid];
         let iid = *f.blocks[frame.block]
             .insts
             .get(frame.at)
             .ok_or(Stop::Trap)?; // fell off the block: malformed
         let inst = &f.insts[iid];
-        let results = inst.results.clone();
-        let kind = inst.kind.clone();
-        // Local helper: bind results and advance.
+        // Local helper: bind the first result (if the instruction has
+        // one) and advance.
         macro_rules! next {
-            ($vals:expr) => {{
-                let vals: Vec<SymValue> = $vals;
+            () => {{
+                ex.frames.last_mut().unwrap().at += 1;
+                return Ok(StepOut::Continue);
+            }};
+            ($v:expr) => {{
+                let v: SymValue = $v;
                 let frame = ex.frames.last_mut().unwrap();
-                for (r, v) in results.iter().zip(vals) {
-                    frame.env.insert(*r, v);
+                if let Some(&r) = inst.results.first() {
+                    frame.regs.set(r, v);
                 }
                 frame.at += 1;
                 return Ok(StepOut::Continue);
             }};
         }
-        match kind {
+        match inst.kind {
             Bin { op, lhs, rhs } => {
-                let a = self.eval(f, &frame.env, lhs)?;
-                let b = self.eval(f, &frame.env, rhs)?;
+                let a = self.eval(f, &frame.regs, lhs)?;
+                let b = self.eval(f, &frame.regs, rhs)?;
                 let v = self.exec_bin(ex, op, &a, &b)?;
-                next!(vec![v]);
+                next!(v);
             }
             Cmp { op, lhs, rhs } => {
-                let a = self.eval(f, &frame.env, lhs)?;
-                let b = self.eval(f, &frame.env, rhs)?;
+                let a = self.eval(f, &frame.regs, lhs)?;
+                let b = self.eval(f, &frame.regs, rhs)?;
                 let v = self.exec_cmp(op, &a, &b)?;
-                next!(vec![v]);
+                next!(v);
             }
             Cast { to, value } => {
-                let v = self.eval(f, &frame.env, value)?;
+                let v = self.eval(f, &frame.regs, value)?;
                 let to = self.module.types.get(to);
                 let out = self.exec_cast(to, &v)?;
-                next!(vec![out]);
+                next!(out);
             }
             Select {
                 cond,
                 then_value,
                 else_value,
             } => {
-                let c = match self.eval(f, &frame.env, cond)? {
+                let c = match self.eval(f, &frame.regs, cond)? {
                     SymValue::Bool(t) => t,
                     _ => return Err(Stop::Trap),
                 };
-                let tv = self.eval(f, &frame.env, then_value)?;
-                let ev = self.eval(f, &frame.env, else_value)?;
+                let tv = self.eval(f, &frame.regs, then_value)?;
+                let ev = self.eval(f, &frame.regs, else_value)?;
                 let out = match (&tv, &ev) {
                     _ if self.pool.as_const(c).is_some() || ex.fixes.contains_key(&c) => {
                         if self.resolve_bool(ex, c)? {
@@ -528,77 +510,66 @@ impl Engine<'_, '_, '_> {
                         }
                     }
                 };
-                next!(vec![out]);
+                next!(out);
             }
             Phi { .. } => Err(Stop::Trap), // phi outside block head
-            Call { callee, args } => {
+            Call { callee, ref args } => {
                 let argv: Vec<SymValue> = args
                     .iter()
-                    .map(|&a| self.eval(f, &frame.env, a))
+                    .map(|&a| self.eval(f, &frame.regs, a))
                     .collect::<R<_>>()?;
                 match callee {
                     Callee::Func(callee_fid) => {
-                        let callee_f = &self.module.funcs[callee_fid];
+                        let callee_f = &m.funcs[callee_fid];
                         let mut argv = argv;
                         // Mut form: by-value collection args are deep
                         // copies (value semantics of the MUT library).
                         if callee_f.form == Form::Mut {
                             for (i, a) in argv.iter_mut().enumerate() {
-                                if let (Some(p), SymValue::Coll(c)) =
-                                    (callee_f.params.get(i), a.clone())
+                                if let (Some(p), SymValue::Coll(c)) = (callee_f.params.get(i), &*a)
                                 {
                                     if !p.by_ref {
-                                        *a = SymValue::Coll(ex.store.clone_coll(c));
+                                        *a = SymValue::Coll(ex.store.clone_coll(*c));
                                     }
                                 }
                             }
                         }
-                        let mut env = HashMap::new();
+                        let mut regs = RegFile::new(callee_f);
                         for (i, &pv) in callee_f.param_values.iter().enumerate() {
-                            env.insert(pv, argv.get(i).cloned().ok_or(Stop::Trap)?);
+                            regs.set(pv, argv.get(i).cloned().ok_or(Stop::Trap)?);
                         }
                         ex.frames.push(Frame {
                             fid: callee_fid,
                             block: callee_f.entry,
                             at: 0,
-                            env,
+                            regs,
                         });
                         Ok(StepOut::Continue)
                     }
                     Callee::Extern(_) => Err(Stop::Unsupported("extern call")),
                 }
             }
-            Jump { target } => {
-                let pred = frame.block;
-                let mut fr = ex.frames.last().unwrap().clone();
-                self.enter_block(f, &mut fr, pred, target)?;
-                *ex.frames.last_mut().unwrap() = fr;
-                Ok(StepOut::Continue)
-            }
+            Jump { target } => self.jump(f, ex, target),
             Branch {
                 cond,
                 then_target,
                 else_target,
             } => {
-                let c = match self.eval(f, &frame.env, cond)? {
+                let c = match self.eval(f, &frame.regs, cond)? {
                     SymValue::Bool(t) => t,
                     _ => return Err(Stop::Trap),
                 };
-                let pred = frame.block;
                 let taken = if self.resolve_bool(ex, c)? {
                     then_target
                 } else {
                     else_target
                 };
-                let mut fr = ex.frames.last().unwrap().clone();
-                self.enter_block(f, &mut fr, pred, taken)?;
-                *ex.frames.last_mut().unwrap() = fr;
-                Ok(StepOut::Continue)
+                self.jump(f, ex, taken)
             }
-            Ret { values } => {
+            Ret { ref values } => {
                 let vals: Vec<SymValue> = values
                     .iter()
-                    .map(|&v| self.eval(f, &frame.env, v))
+                    .map(|&v| self.eval(f, &frame.regs, v))
                     .collect::<R<_>>()?;
                 if ex.frames.len() == 1 {
                     // Entry return: project scalar results to terms.
@@ -614,11 +585,10 @@ impl Engine<'_, '_, '_> {
                 ex.frames.pop();
                 // Bind the caller's call-instruction results.
                 let frame = ex.frames.last_mut().unwrap();
-                let cf = &self.module.funcs[frame.fid];
+                let cf = &m.funcs[frame.fid];
                 let call_iid = cf.blocks[frame.block].insts[frame.at];
-                let call_results = cf.insts[call_iid].results.clone();
-                for (r, v) in call_results.iter().zip(vals) {
-                    frame.env.insert(*r, v);
+                for (&r, v) in cf.insts[call_iid].results.iter().zip(vals) {
+                    frame.regs.set(r, v);
                 }
                 frame.at += 1;
                 Ok(StepOut::Continue)
@@ -626,7 +596,7 @@ impl Engine<'_, '_, '_> {
             Unreachable => Err(Stop::Trap),
 
             NewSeq { len, .. } => {
-                let lv = self.eval(f, &frame.env, len)?;
+                let lv = self.eval(f, &frame.regs, len)?;
                 let n = self.resolve_index(ex, &lv)?;
                 if n > u16::MAX as u64 {
                     // A concrete interpreter would allocate this; the
@@ -636,11 +606,11 @@ impl Engine<'_, '_, '_> {
                 let id = ex
                     .store
                     .alloc_coll(SymColl::Seq(vec![SymValue::Uninit; n as usize]));
-                next!(vec![SymValue::Coll(id)]);
+                next!(SymValue::Coll(id));
             }
             NewAssoc { .. } => {
                 let id = ex.store.alloc_coll(SymColl::Assoc(Vec::new()));
-                next!(vec![SymValue::Coll(id)]);
+                next!(SymValue::Coll(id));
             }
             NewObj { obj } => {
                 let nfields = self.module.types.object(obj).fields.len();
@@ -648,146 +618,146 @@ impl Engine<'_, '_, '_> {
                     fields: Some(vec![SymValue::Uninit; nfields]),
                 });
                 let id = ex.store.objs.len() - 1;
-                next!(vec![SymValue::Ref(Some(id))]);
+                next!(SymValue::Ref(Some(id)));
             }
             DeleteObj { obj } => {
-                let v = self.eval(f, &frame.env, obj)?;
+                let v = self.eval(f, &frame.regs, obj)?;
                 match v {
                     SymValue::Ref(Some(id)) => {
                         ex.store.objs[id].fields = None;
-                        next!(vec![]);
+                        next!();
                     }
                     _ => Err(Stop::Trap), // BadReference
                 }
             }
 
             Read { c, idx } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let v = self.read_element(ex, cid, &iv)?;
-                next!(vec![v]);
+                next!(v);
             }
             Write { c, idx, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
-                let vv = self.eval(f, &frame.env, value)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
+                let vv = self.eval(f, &frame.regs, value)?;
                 let loc = self.locate_write(ex, cid, &iv)?;
                 let copy = ex.store.clone_coll(cid);
                 Self::store_at(&mut ex.store, copy, loc, vv);
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutWrite { c, idx, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
-                let vv = self.eval(f, &frame.env, value)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
+                let vv = self.eval(f, &frame.regs, value)?;
                 let loc = self.locate_write(ex, cid, &iv)?;
                 Self::store_at(&mut ex.store, cid, loc, vv);
-                next!(vec![]);
+                next!();
             }
             Rmw { c, idx, op, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
-                let vv = self.eval(f, &frame.env, value)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
+                let vv = self.eval(f, &frame.regs, value)?;
                 let old = self.read_element(ex, cid, &iv)?;
                 let new = self.exec_bin(ex, op, &old, &vv)?;
                 let loc = self.locate_write(ex, cid, &iv)?;
                 let copy = ex.store.clone_coll(cid);
                 Self::store_at(&mut ex.store, copy, loc, new);
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutRmw { c, idx, op, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
-                let vv = self.eval(f, &frame.env, value)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
+                let vv = self.eval(f, &frame.regs, value)?;
                 let old = self.read_element(ex, cid, &iv)?;
                 let new = self.exec_bin(ex, op, &old, &vv)?;
                 let loc = self.locate_write(ex, cid, &iv)?;
                 Self::store_at(&mut ex.store, cid, loc, new);
-                next!(vec![]);
+                next!();
             }
             Insert { c, idx, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let vv = match value {
-                    Some(v) => Some(self.eval(f, &frame.env, v)?),
+                    Some(v) => Some(self.eval(f, &frame.regs, v)?),
                     None => None,
                 };
                 let ins = self.locate_insert(ex, cid, &iv)?;
                 let copy = ex.store.clone_coll(cid);
                 Self::insert_at(&mut ex.store, copy, ins, vv);
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutInsert { c, idx, value } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let vv = match value {
-                    Some(v) => Some(self.eval(f, &frame.env, v)?),
+                    Some(v) => Some(self.eval(f, &frame.regs, v)?),
                     None => None,
                 };
                 let ins = self.locate_insert(ex, cid, &iv)?;
                 Self::insert_at(&mut ex.store, cid, ins, vv);
-                next!(vec![]);
+                next!();
             }
             InsertSeq { c, idx, src } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let i = self.resolve_index(ex, &iv)?;
-                let sid = self.coll_arg(f, &frame.env, src)?;
+                let sid = self.coll_arg(f, &frame.regs, src)?;
                 let copy = ex.store.clone_coll(cid);
                 self.splice(ex, copy, i, sid)?;
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutInsertSeq { c, idx, src } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let i = self.resolve_index(ex, &iv)?;
-                let sid = self.coll_arg(f, &frame.env, src)?;
+                let sid = self.coll_arg(f, &frame.regs, src)?;
                 self.splice(ex, cid, i, sid)?;
-                next!(vec![]);
+                next!();
             }
             MutAppend { c, src } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
                 let at = ex.store.colls[cid].len() as u64;
-                let sid = self.coll_arg(f, &frame.env, src)?;
+                let sid = self.coll_arg(f, &frame.regs, src)?;
                 self.splice(ex, cid, at, sid)?;
-                next!(vec![]);
+                next!();
             }
             Remove { c, idx } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let loc = self.locate_remove(ex, cid, &iv)?;
                 let copy = ex.store.clone_coll(cid);
                 Self::remove_at(&mut ex.store, copy, loc);
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutRemove { c, idx } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let iv = self.eval(f, &frame.env, idx)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let iv = self.eval(f, &frame.regs, idx)?;
                 let loc = self.locate_remove(ex, cid, &iv)?;
                 Self::remove_at(&mut ex.store, cid, loc);
-                next!(vec![]);
+                next!();
             }
             RemoveRange { c, from, to } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
                 let copy = ex.store.clone_coll(cid);
                 self.remove_range(ex, copy, a, b)?;
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutRemoveRange { c, from, to } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
                 self.remove_range(ex, cid, a, b)?;
-                next!(vec![]);
+                next!();
             }
             Copy { c } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
                 let copy = ex.store.clone_coll(cid);
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             CopyRange { c, from, to } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
                 let SymColl::Seq(elems) = &ex.store.colls[cid] else {
                     return Err(Stop::Trap); // copy.range on assoc
                 };
@@ -797,11 +767,11 @@ impl Engine<'_, '_, '_> {
                 }
                 let slice = elems[a as usize..b as usize].to_vec();
                 let id = ex.store.alloc_coll(SymColl::Seq(slice));
-                next!(vec![SymValue::Coll(id)]);
+                next!(SymValue::Coll(id));
             }
             MutSplit { c, from, to } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
                 let SymColl::Seq(elems) = &mut ex.store.colls[cid] else {
                     return Err(Stop::Trap); // split on assoc
                 };
@@ -811,64 +781,73 @@ impl Engine<'_, '_, '_> {
                 }
                 let split: Vec<SymValue> = elems.drain(a as usize..b as usize).collect();
                 let id = ex.store.alloc_coll(SymColl::Seq(split));
-                next!(vec![SymValue::Coll(id)]);
+                next!(SymValue::Coll(id));
             }
             Swap { c, from, to, at } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
-                let kv = self.eval(f, &frame.env, at)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
+                let kv = self.eval(f, &frame.regs, at)?;
                 let k = self.resolve_index(ex, &kv)?;
                 let copy = ex.store.clone_coll(cid);
                 self.swap_ranges(ex, copy, a, b, k)?;
-                next!(vec![SymValue::Coll(copy)]);
+                next!(SymValue::Coll(copy));
             }
             MutSwap { c, from, to, at } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let (a, b) = self.range_args(ex, f, &frame.env, from, to)?;
-                let kv = self.eval(f, &frame.env, at)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
+                let kv = self.eval(f, &frame.regs, at)?;
                 let k = self.resolve_index(ex, &kv)?;
                 self.swap_ranges(ex, cid, a, b, k)?;
-                next!(vec![]);
+                next!();
             }
             Swap2 { a, from, to, b, at } => {
-                let aid = self.coll_arg(f, &frame.env, a)?;
-                let bid = self.coll_arg(f, &frame.env, b)?;
-                let (x, y) = self.range_args(ex, f, &frame.env, from, to)?;
-                let kv = self.eval(f, &frame.env, at)?;
+                let aid = self.coll_arg(f, &frame.regs, a)?;
+                let bid = self.coll_arg(f, &frame.regs, b)?;
+                let (x, y) = self.range_args(ex, f, &frame.regs, from, to)?;
+                let kv = self.eval(f, &frame.regs, at)?;
                 let k = self.resolve_index(ex, &kv)?;
                 let ca = ex.store.clone_coll(aid);
                 let cb = ex.store.clone_coll(bid);
                 self.swap_across(ex, ca, cb, x, y, k)?;
-                next!(vec![SymValue::Coll(ca), SymValue::Coll(cb)]);
+                let frame = ex.frames.last_mut().unwrap();
+                for (&r, v) in inst
+                    .results
+                    .iter()
+                    .zip([SymValue::Coll(ca), SymValue::Coll(cb)])
+                {
+                    frame.regs.set(r, v);
+                }
+                frame.at += 1;
+                Ok(StepOut::Continue)
             }
             MutSwap2 { a, from, to, b, at } => {
-                let aid = self.coll_arg(f, &frame.env, a)?;
-                let bid = self.coll_arg(f, &frame.env, b)?;
-                let (x, y) = self.range_args(ex, f, &frame.env, from, to)?;
-                let kv = self.eval(f, &frame.env, at)?;
+                let aid = self.coll_arg(f, &frame.regs, a)?;
+                let bid = self.coll_arg(f, &frame.regs, b)?;
+                let (x, y) = self.range_args(ex, f, &frame.regs, from, to)?;
+                let kv = self.eval(f, &frame.regs, at)?;
                 let k = self.resolve_index(ex, &kv)?;
                 self.swap_across(ex, aid, bid, x, y, k)?;
-                next!(vec![]);
+                next!();
             }
             Size { c } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
                 let n = ex.store.colls[cid].len() as i64;
                 let t = self.pool.konst(n);
-                next!(vec![SymValue::Int(Type::Index, t)]);
+                next!(SymValue::Int(Type::Index, t));
             }
             Has { c, key } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
-                let kv = self.eval(f, &frame.env, key)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
+                let kv = self.eval(f, &frame.regs, key)?;
                 let k = self.resolve_key(ex, &kv)?;
                 let SymColl::Assoc(entries) = &ex.store.colls[cid] else {
                     return Err(Stop::Trap); // has on sequence
                 };
                 let present = entries.iter().any(|(ek, _)| *ek == k);
                 let t = self.pool.konst(present as i64);
-                next!(vec![SymValue::Bool(t)]);
+                next!(SymValue::Bool(t));
             }
             Keys { c } => {
-                let cid = self.coll_arg(f, &frame.env, c)?;
+                let cid = self.coll_arg(f, &frame.regs, c)?;
                 let key_ty = match self.module.types.get(f.value_ty(c)) {
                     Type::Assoc(k, _) => self.module.types.get(k),
                     _ => return Err(Stop::Trap), // keys on sequence
@@ -886,14 +865,14 @@ impl Engine<'_, '_, '_> {
                     })
                     .collect();
                 let id = ex.store.alloc_coll(SymColl::Seq(elems));
-                next!(vec![SymValue::Coll(id)]);
+                next!(SymValue::Coll(id));
             }
             UsePhi { c } => {
-                let v = self.eval(f, &frame.env, c)?;
-                next!(vec![v]);
+                let v = self.eval(f, &frame.regs, c)?;
+                next!(v);
             }
             FieldRead { obj, field, .. } => {
-                let v = self.eval(f, &frame.env, obj)?;
+                let v = self.eval(f, &frame.regs, obj)?;
                 let SymValue::Ref(Some(id)) = v else {
                     return Err(Stop::Trap); // BadReference
                 };
@@ -902,19 +881,19 @@ impl Engine<'_, '_, '_> {
                 if fv == SymValue::Uninit {
                     return Err(Stop::Trap); // ReadUninit
                 }
-                next!(vec![fv]);
+                next!(fv);
             }
             FieldWrite {
                 obj, field, value, ..
             } => {
-                let v = self.eval(f, &frame.env, obj)?;
-                let fv = self.eval(f, &frame.env, value)?;
+                let v = self.eval(f, &frame.regs, obj)?;
+                let fv = self.eval(f, &frame.regs, value)?;
                 let SymValue::Ref(Some(id)) = v else {
                     return Err(Stop::Trap);
                 };
                 let fields = ex.store.objs[id].fields.as_mut().ok_or(Stop::Trap)?;
                 fields[field as usize] = fv;
-                next!(vec![]);
+                next!();
             }
         }
     }
@@ -923,13 +902,13 @@ impl Engine<'_, '_, '_> {
         &mut self,
         ex: &Exec,
         f: &Function,
-        env: &HashMap<ValueId, SymValue>,
+        regs: &RegFile<SymValue>,
         from: ValueId,
         to: ValueId,
     ) -> R<(u64, u64)> {
-        let fv = self.eval(f, env, from)?;
+        let fv = self.eval(f, regs, from)?;
         let a = self.resolve_index(ex, &fv)?;
-        let tv = self.eval(f, env, to)?;
+        let tv = self.eval(f, regs, to)?;
         let b = self.resolve_index(ex, &tv)?;
         Ok((a, b))
     }
@@ -1137,6 +1116,24 @@ impl Engine<'_, '_, '_> {
 enum WriteLoc {
     SeqAt(usize),
     AssocKey(SymKey),
+}
+
+/// A constant's symbolic value.
+fn const_value(pool: &mut TermPool, c: Constant) -> R<SymValue> {
+    match c {
+        Constant::Int(ty, v) => Ok(SymValue::Int(ty, pool.konst(v))),
+        Constant::Bool(b) => Ok(SymValue::Bool(pool.konst(b as i64))),
+        Constant::Null(_) => Ok(SymValue::Ref(None)),
+        Constant::Float(..) => Err(Stop::Unsupported("float constant")),
+    }
+}
+
+/// An operand's symbolic value: a constant, or the value bound to it.
+fn eval(pool: &mut TermPool, f: &Function, regs: &RegFile<SymValue>, v: ValueId) -> R<SymValue> {
+    match &f.values[v].def {
+        ValueDef::Const(c) => const_value(pool, *c),
+        _ => regs.get(v).cloned().ok_or(Stop::Trap), // unbound value
+    }
 }
 
 /// The concrete prediction of a symbolic summary on given arguments: the

@@ -110,22 +110,20 @@ impl<'p> Solver<'p> {
     /// declared type domains.
     pub fn new(pool: &'p TermPool) -> Self {
         let mut atom_iv = HashMap::new();
-        for (i, node) in (0u32..).zip(0..pool.len()) {
-            if let Term::Param(p) = pool.get(TermId(node as u32)) {
-                let (lo, hi) = pool
-                    .param_tys
-                    .get(*p as usize)
-                    .copied()
-                    .map(type_domain)
-                    .unwrap_or((i64::MIN, i64::MAX));
-                atom_iv.insert(
-                    TermId(i),
-                    Interval {
-                        lo: lo as i128,
-                        hi: hi as i128,
-                    },
-                );
-            }
+        for &(p, t) in &pool.params {
+            let (lo, hi) = pool
+                .param_tys
+                .get(p as usize)
+                .copied()
+                .map(type_domain)
+                .unwrap_or((i64::MIN, i64::MAX));
+            atom_iv.insert(
+                t,
+                Interval {
+                    lo: lo as i128,
+                    hi: hi as i128,
+                },
+            );
         }
         Solver { pool, atom_iv }
     }
@@ -531,9 +529,7 @@ pub fn find_model(pool: &TermPool, lits: &[Lit]) -> Option<Vec<i64>> {
 }
 
 fn find_param_term(pool: &TermPool, i: u32) -> Option<TermId> {
-    (0..pool.len() as u32)
-        .map(TermId)
-        .find(|&t| matches!(pool.get(t), Term::Param(p) if *p == i))
+    pool.params.iter().find(|&&(p, _)| p == i).map(|&(_, t)| t)
 }
 
 fn search(

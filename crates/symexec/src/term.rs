@@ -129,11 +129,16 @@ pub fn type_domain(t: Type) -> (i64, i64) {
     }
 }
 
-/// The hash-consing arena.
+/// The hash-consing arena. Interning keeps the default (randomly keyed)
+/// hasher: the terms come from MEMOIR source that `memoird` accepts from
+/// its clients.
 #[derive(Debug, Default)]
 pub struct TermPool {
     nodes: Vec<Term>,
     interned: HashMap<Term, TermId>,
+    /// Every parameter term with its index, in creation order: the
+    /// solver seeds parameter domains from it without scanning `nodes`.
+    pub(crate) params: Vec<(u32, TermId)>,
     /// Declared parameter types (seeded by the engines; consulted by the
     /// solver for initial domains and by model search).
     pub param_tys: Vec<Type>,
@@ -177,7 +182,12 @@ impl TermPool {
 
     /// The `i`-th parameter symbol.
     pub fn param(&mut self, i: u32) -> TermId {
-        self.intern(Term::Param(i))
+        let fresh = self.nodes.len();
+        let t = self.intern(Term::Param(i));
+        if t.0 as usize == fresh {
+            self.params.push((i, t));
+        }
+        t
     }
 
     /// The constant behind a term, if it normalized to one.
