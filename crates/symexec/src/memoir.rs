@@ -13,6 +13,9 @@
 //!
 //! Frames keep their values in the interpreter's own register file and
 //! enter blocks through its φ routine (`memoir_interp::regs`), in place.
+//! The heap is copy-on-write: a fork shares every collection and object,
+//! a value copy shares its collection, and a write copies only the one
+//! collection or object it touches, and only while something shares it.
 
 use crate::solver::{self, Lit};
 use crate::term::{type_domain, TermId, TermPool};
@@ -24,6 +27,7 @@ use memoir_ir::{
     ValueId,
 };
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A symbolic value: the mirror of `memoir_interp::Value` with terms for
 /// scalar payloads. Floats and raw pointers are unsupported.
@@ -42,7 +46,7 @@ pub enum SymValue {
 }
 
 /// A concrete associative key (the engine forks until keys are concrete).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SymKey {
     /// Raw integer payload (mirrors `Key::Int`: type-erased).
     Int(i64),
@@ -57,17 +61,22 @@ pub enum SymKey {
 pub enum SymColl {
     /// Sequence: length is always concrete.
     Seq(Vec<SymValue>),
-    /// Associative array in insertion order (mirrors the interpreter's
-    /// `map` + `order` pair: overwrites keep a key's position, removals
-    /// drop it, re-inserts append).
-    Assoc(Vec<(SymKey, SymValue)>),
+    /// Associative array, shaped like `memoir_interp::Collection::Assoc`:
+    /// overwrites keep a key's position, removals drop it, re-inserts
+    /// append.
+    Assoc {
+        /// Key → value map.
+        map: HashMap<SymKey, SymValue>,
+        /// Keys in insertion order (the `keys` order).
+        order: Vec<SymKey>,
+    },
 }
 
 impl SymColl {
     fn len(&self) -> usize {
         match self {
             SymColl::Seq(v) => v.len(),
-            SymColl::Assoc(e) => e.len(),
+            SymColl::Assoc { map, .. } => map.len(),
         }
     }
 }
@@ -78,24 +87,40 @@ pub struct SymObj {
     fields: Option<Vec<SymValue>>,
 }
 
-/// The symbolic heap of one execution.
+/// The symbolic heap of one execution. Collections and objects sit
+/// behind `Rc`s, so cloning the heap copies handles only; a write goes
+/// through `coll_mut` / `obj_mut`, which copy a shared collection or
+/// object first.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SymStore {
-    colls: Vec<SymColl>,
-    objs: Vec<SymObj>,
+    colls: Vec<Rc<SymColl>>,
+    objs: Vec<Rc<SymObj>>,
 }
 
 impl SymStore {
     fn alloc_coll(&mut self, c: SymColl) -> usize {
-        self.colls.push(c);
+        self.colls.push(Rc::new(c));
         self.colls.len() - 1
     }
 
     /// Shallow clone, like `Store::clone_coll` (nested handles stay
-    /// shared).
+    /// shared). The copy shares storage with `id` until either is written.
     fn clone_coll(&mut self, id: usize) -> usize {
-        let c = self.colls[id].clone();
-        self.alloc_coll(c)
+        let c = Rc::clone(&self.colls[id]);
+        self.colls.push(c);
+        self.colls.len() - 1
+    }
+
+    fn coll(&self, id: usize) -> &SymColl {
+        &self.colls[id]
+    }
+
+    fn coll_mut(&mut self, id: usize) -> &mut SymColl {
+        Rc::make_mut(&mut self.colls[id])
+    }
+
+    fn obj_mut(&mut self, id: usize) -> &mut SymObj {
+        Rc::make_mut(&mut self.objs[id])
     }
 }
 
@@ -609,14 +634,17 @@ impl Engine<'_, '_, '_> {
                 next!(SymValue::Coll(id));
             }
             NewAssoc { .. } => {
-                let id = ex.store.alloc_coll(SymColl::Assoc(Vec::new()));
+                let id = ex.store.alloc_coll(SymColl::Assoc {
+                    map: HashMap::new(),
+                    order: Vec::new(),
+                });
                 next!(SymValue::Coll(id));
             }
             NewObj { obj } => {
                 let nfields = self.module.types.object(obj).fields.len();
-                ex.store.objs.push(SymObj {
+                ex.store.objs.push(Rc::new(SymObj {
                     fields: Some(vec![SymValue::Uninit; nfields]),
-                });
+                }));
                 let id = ex.store.objs.len() - 1;
                 next!(SymValue::Ref(Some(id)));
             }
@@ -624,7 +652,7 @@ impl Engine<'_, '_, '_> {
                 let v = self.eval(f, &frame.regs, obj)?;
                 match v {
                     SymValue::Ref(Some(id)) => {
-                        ex.store.objs[id].fields = None;
+                        ex.store.objs[id] = Rc::new(SymObj { fields: None });
                         next!();
                     }
                     _ => Err(Stop::Trap), // BadReference
@@ -717,7 +745,7 @@ impl Engine<'_, '_, '_> {
             }
             MutAppend { c, src } => {
                 let cid = self.coll_arg(f, &frame.regs, c)?;
-                let at = ex.store.colls[cid].len() as u64;
+                let at = ex.store.coll(cid).len() as u64;
                 let sid = self.coll_arg(f, &frame.regs, src)?;
                 self.splice(ex, cid, at, sid)?;
                 next!();
@@ -758,7 +786,7 @@ impl Engine<'_, '_, '_> {
             CopyRange { c, from, to } => {
                 let cid = self.coll_arg(f, &frame.regs, c)?;
                 let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
-                let SymColl::Seq(elems) = &ex.store.colls[cid] else {
+                let SymColl::Seq(elems) = ex.store.coll(cid) else {
                     return Err(Stop::Trap); // copy.range on assoc
                 };
                 let len = elems.len() as u64;
@@ -772,7 +800,7 @@ impl Engine<'_, '_, '_> {
             MutSplit { c, from, to } => {
                 let cid = self.coll_arg(f, &frame.regs, c)?;
                 let (a, b) = self.range_args(ex, f, &frame.regs, from, to)?;
-                let SymColl::Seq(elems) = &mut ex.store.colls[cid] else {
+                let SymColl::Seq(elems) = ex.store.coll_mut(cid) else {
                     return Err(Stop::Trap); // split on assoc
                 };
                 let len = elems.len() as u64;
@@ -831,7 +859,7 @@ impl Engine<'_, '_, '_> {
             }
             Size { c } => {
                 let cid = self.coll_arg(f, &frame.regs, c)?;
-                let n = ex.store.colls[cid].len() as i64;
+                let n = ex.store.coll(cid).len() as i64;
                 let t = self.pool.konst(n);
                 next!(SymValue::Int(Type::Index, t));
             }
@@ -839,10 +867,10 @@ impl Engine<'_, '_, '_> {
                 let cid = self.coll_arg(f, &frame.regs, c)?;
                 let kv = self.eval(f, &frame.regs, key)?;
                 let k = self.resolve_key(ex, &kv)?;
-                let SymColl::Assoc(entries) = &ex.store.colls[cid] else {
+                let SymColl::Assoc { map, .. } = ex.store.coll(cid) else {
                     return Err(Stop::Trap); // has on sequence
                 };
-                let present = entries.iter().any(|(ek, _)| *ek == k);
+                let present = map.contains_key(&k);
                 let t = self.pool.konst(present as i64);
                 next!(SymValue::Bool(t));
             }
@@ -852,13 +880,12 @@ impl Engine<'_, '_, '_> {
                     Type::Assoc(k, _) => self.module.types.get(k),
                     _ => return Err(Stop::Trap), // keys on sequence
                 };
-                let SymColl::Assoc(entries) = &ex.store.colls[cid] else {
+                let SymColl::Assoc { order, .. } = ex.store.coll(cid) else {
                     return Err(Stop::Trap);
                 };
-                let keys: Vec<SymKey> = entries.iter().map(|(k, _)| k.clone()).collect();
-                let elems: Vec<SymValue> = keys
-                    .into_iter()
-                    .map(|k| match k {
+                let elems: Vec<SymValue> = order
+                    .iter()
+                    .map(|&k| match k {
                         SymKey::Int(x) => SymValue::Int(key_ty, self.pool.konst(x)),
                         SymKey::Bool(b) => SymValue::Bool(self.pool.konst(b as i64)),
                         SymKey::Ref(o) => SymValue::Ref(o),
@@ -891,7 +918,7 @@ impl Engine<'_, '_, '_> {
                 let SymValue::Ref(Some(id)) = v else {
                     return Err(Stop::Trap);
                 };
-                let fields = ex.store.objs[id].fields.as_mut().ok_or(Stop::Trap)?;
+                let fields = ex.store.obj_mut(id).fields.as_mut().ok_or(Stop::Trap)?;
                 fields[field as usize] = fv;
                 next!();
             }
@@ -916,7 +943,7 @@ impl Engine<'_, '_, '_> {
     /// Where a write would land; resolves indices/keys (possibly forking)
     /// *before* any mutation.
     fn locate_write(&mut self, ex: &Exec, cid: usize, idx: &SymValue) -> R<WriteLoc> {
-        match &ex.store.colls[cid] {
+        match ex.store.coll(cid) {
             SymColl::Seq(elems) => {
                 let i = self.resolve_index(ex, idx)?;
                 if (i as usize) < elems.len() {
@@ -925,7 +952,7 @@ impl Engine<'_, '_, '_> {
                     Err(Stop::Trap) // OutOfRange
                 }
             }
-            SymColl::Assoc(_) => {
+            SymColl::Assoc { .. } => {
                 let k = self.resolve_key(ex, idx)?;
                 Ok(WriteLoc::AssocKey(k))
             }
@@ -933,7 +960,7 @@ impl Engine<'_, '_, '_> {
     }
 
     fn locate_insert(&mut self, ex: &Exec, cid: usize, idx: &SymValue) -> R<WriteLoc> {
-        match &ex.store.colls[cid] {
+        match ex.store.coll(cid) {
             SymColl::Seq(elems) => {
                 let i = self.resolve_index(ex, idx)?;
                 if i as usize > elems.len() {
@@ -942,7 +969,7 @@ impl Engine<'_, '_, '_> {
                     Ok(WriteLoc::SeqAt(i as usize))
                 }
             }
-            SymColl::Assoc(_) => {
+            SymColl::Assoc { .. } => {
                 let k = self.resolve_key(ex, idx)?;
                 Ok(WriteLoc::AssocKey(k))
             }
@@ -950,7 +977,7 @@ impl Engine<'_, '_, '_> {
     }
 
     fn locate_remove(&mut self, ex: &Exec, cid: usize, idx: &SymValue) -> R<WriteLoc> {
-        match &ex.store.colls[cid] {
+        match ex.store.coll(cid) {
             SymColl::Seq(elems) => {
                 let i = self.resolve_index(ex, idx)?;
                 if (i as usize) < elems.len() {
@@ -959,9 +986,9 @@ impl Engine<'_, '_, '_> {
                     Err(Stop::Trap) // OutOfRange (i >= len)
                 }
             }
-            SymColl::Assoc(entries) => {
+            SymColl::Assoc { map, .. } => {
                 let k = self.resolve_key(ex, idx)?;
-                if entries.iter().any(|(ek, _)| *ek == k) {
+                if map.contains_key(&k) {
                     Ok(WriteLoc::AssocKey(k))
                 } else {
                     Err(Stop::Trap) // MissingKey
@@ -971,13 +998,11 @@ impl Engine<'_, '_, '_> {
     }
 
     fn store_at(store: &mut SymStore, cid: usize, loc: WriteLoc, v: SymValue) {
-        match (&mut store.colls[cid], loc) {
+        match (store.coll_mut(cid), loc) {
             (SymColl::Seq(elems), WriteLoc::SeqAt(i)) => elems[i] = v,
-            (SymColl::Assoc(entries), WriteLoc::AssocKey(k)) => {
-                if let Some(e) = entries.iter_mut().find(|(ek, _)| *ek == k) {
-                    e.1 = v;
-                } else {
-                    entries.push((k, v));
+            (SymColl::Assoc { map, order }, WriteLoc::AssocKey(k)) => {
+                if map.insert(k, v).is_none() {
+                    order.push(k);
                 }
             }
             _ => unreachable!("write location shape"),
@@ -986,13 +1011,11 @@ impl Engine<'_, '_, '_> {
 
     fn insert_at(store: &mut SymStore, cid: usize, loc: WriteLoc, v: Option<SymValue>) {
         let v = v.unwrap_or(SymValue::Uninit);
-        match (&mut store.colls[cid], loc) {
+        match (store.coll_mut(cid), loc) {
             (SymColl::Seq(elems), WriteLoc::SeqAt(i)) => elems.insert(i, v),
-            (SymColl::Assoc(entries), WriteLoc::AssocKey(k)) => {
-                if let Some(e) = entries.iter_mut().find(|(ek, _)| *ek == k) {
-                    e.1 = v;
-                } else {
-                    entries.push((k, v));
+            (SymColl::Assoc { map, order }, WriteLoc::AssocKey(k)) => {
+                if map.insert(k, v).is_none() {
+                    order.push(k);
                 }
             }
             _ => unreachable!("insert location shape"),
@@ -1000,12 +1023,13 @@ impl Engine<'_, '_, '_> {
     }
 
     fn remove_at(store: &mut SymStore, cid: usize, loc: WriteLoc) {
-        match (&mut store.colls[cid], loc) {
+        match (store.coll_mut(cid), loc) {
             (SymColl::Seq(elems), WriteLoc::SeqAt(i)) => {
                 elems.remove(i);
             }
-            (SymColl::Assoc(entries), WriteLoc::AssocKey(k)) => {
-                entries.retain(|(ek, _)| *ek != k);
+            (SymColl::Assoc { map, order }, WriteLoc::AssocKey(k)) => {
+                map.remove(&k);
+                order.retain(|&ek| ek != k);
             }
             _ => unreachable!("remove location shape"),
         }
@@ -1013,7 +1037,7 @@ impl Engine<'_, '_, '_> {
 
     /// Mirrors `read_element` (present + initialized, or trap).
     fn read_element(&mut self, ex: &Exec, cid: usize, idx: &SymValue) -> R<SymValue> {
-        match &ex.store.colls[cid] {
+        match ex.store.coll(cid) {
             SymColl::Seq(elems) => {
                 let i = self.resolve_index(ex, idx)?;
                 let v = elems.get(i as usize).cloned().ok_or(Stop::Trap)?;
@@ -1022,13 +1046,9 @@ impl Engine<'_, '_, '_> {
                 }
                 Ok(v)
             }
-            SymColl::Assoc(entries) => {
+            SymColl::Assoc { map, .. } => {
                 let k = self.resolve_key(ex, idx)?;
-                let v = entries
-                    .iter()
-                    .find(|(ek, _)| *ek == k)
-                    .map(|(_, v)| v.clone())
-                    .ok_or(Stop::Trap)?; // MissingKey
+                let v = map.get(&k).cloned().ok_or(Stop::Trap)?; // MissingKey
                 if v == SymValue::Uninit {
                     return Err(Stop::Trap);
                 }
@@ -1038,7 +1058,7 @@ impl Engine<'_, '_, '_> {
     }
 
     fn remove_range(&mut self, ex: &mut Exec, cid: usize, from: u64, to: u64) -> R<()> {
-        let SymColl::Seq(elems) = &mut ex.store.colls[cid] else {
+        let SymColl::Seq(elems) = ex.store.coll_mut(cid) else {
             return Err(Stop::Trap);
         };
         let len = elems.len() as u64;
@@ -1050,11 +1070,11 @@ impl Engine<'_, '_, '_> {
     }
 
     fn splice(&mut self, ex: &mut Exec, dst: usize, at: u64, src: usize) -> R<()> {
-        let src_elems = match &ex.store.colls[src] {
+        let src_elems = match ex.store.coll(src) {
             SymColl::Seq(e) => e.clone(),
             _ => return Err(Stop::Trap),
         };
-        let SymColl::Seq(elems) = &mut ex.store.colls[dst] else {
+        let SymColl::Seq(elems) = ex.store.coll_mut(dst) else {
             return Err(Stop::Trap);
         };
         if at > elems.len() as u64 {
@@ -1065,7 +1085,7 @@ impl Engine<'_, '_, '_> {
     }
 
     fn swap_ranges(&mut self, ex: &mut Exec, cid: usize, from: u64, to: u64, at: u64) -> R<()> {
-        let SymColl::Seq(elems) = &mut ex.store.colls[cid] else {
+        let SymColl::Seq(elems) = ex.store.coll_mut(cid) else {
             return Err(Stop::Trap);
         };
         let len = elems.len() as u64;
@@ -1092,24 +1112,21 @@ impl Engine<'_, '_, '_> {
             return self.swap_ranges(ex, a, from, to, at);
         }
         let width = to.checked_sub(from).ok_or(Stop::Trap)?;
-        // Take both out to sidestep the split borrow.
-        let mut ca = std::mem::replace(&mut ex.store.colls[a], SymColl::Seq(Vec::new()));
-        let mut cb = std::mem::replace(&mut ex.store.colls[b], SymColl::Seq(Vec::new()));
-        let result = (|| {
-            let (SymColl::Seq(ea), SymColl::Seq(eb)) = (&mut ca, &mut cb) else {
-                return Err(Stop::Trap);
-            };
-            if to > ea.len() as u64 || at + width > eb.len() as u64 {
-                return Err(Stop::Trap);
-            }
-            for k in 0..width {
-                std::mem::swap(&mut ea[(from + k) as usize], &mut eb[(at + k) as usize]);
-            }
-            Ok(())
-        })();
-        ex.store.colls[a] = ca;
-        ex.store.colls[b] = cb;
-        result
+        let [ca, cb] = ex
+            .store
+            .colls
+            .get_disjoint_mut([a, b])
+            .map_err(|_| Stop::Trap)?;
+        let (SymColl::Seq(ea), SymColl::Seq(eb)) = (Rc::make_mut(ca), Rc::make_mut(cb)) else {
+            return Err(Stop::Trap);
+        };
+        if to > ea.len() as u64 || at + width > eb.len() as u64 {
+            return Err(Stop::Trap);
+        }
+        for k in 0..width {
+            std::mem::swap(&mut ea[(from + k) as usize], &mut eb[(at + k) as usize]);
+        }
+        Ok(())
     }
 }
 

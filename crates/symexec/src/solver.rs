@@ -134,10 +134,10 @@ impl<'p> Solver<'p> {
             return *iv;
         }
         match self.pool.get(t) {
-            Term::Const(v) => Interval::point(*v),
+            Term::Const(v) => Interval::point(v),
             Term::Param(_) => Interval::full(),
             Term::Bin(op, a, b) => {
-                let (ia, ib) = (self.interval(*a), self.interval(*b));
+                let (ia, ib) = (self.interval(a), self.interval(b));
                 let wide = match op {
                     BinOp::Add => Interval {
                         lo: ia.lo + ib.lo,
@@ -162,14 +162,14 @@ impl<'p> Solver<'p> {
                         lo: ia.lo.max(ib.lo),
                         hi: ia.hi.max(ib.hi),
                     },
-                    BinOp::And => match self.pool.as_const(*b).or(self.pool.as_const(*a)) {
+                    BinOp::And => match self.pool.as_const(b).or(self.pool.as_const(a)) {
                         Some(m) if m >= 0 => Interval {
                             lo: 0,
                             hi: m as i128,
                         },
                         _ => Interval::full(),
                     },
-                    BinOp::Rem => match self.pool.as_const(*b) {
+                    BinOp::Rem => match self.pool.as_const(b) {
                         // Non-negative dividend: wrapping_rem keeps the
                         // dividend's sign, so the result is in [0, |c|).
                         Some(c) if c != 0 && ia.lo >= 0 => Interval {
@@ -190,14 +190,14 @@ impl<'p> Solver<'p> {
             }
             Term::Cmp(..) => Interval { lo: 0, hi: 1 },
             Term::Trunc(ty, _) => {
-                let (lo, hi) = type_domain(*ty);
+                let (lo, hi) = type_domain(ty);
                 Interval {
                     lo: lo as i128,
                     hi: hi as i128,
                 }
             }
             Term::Select(_, a, b) => {
-                let (ia, ib) = (self.interval(*a), self.interval(*b));
+                let (ia, ib) = (self.interval(a), self.interval(b));
                 Interval {
                     lo: ia.lo.min(ib.lo),
                     hi: ia.hi.max(ib.hi),
@@ -237,9 +237,9 @@ impl<'p> Solver<'p> {
     /// Structural congruence of a term.
     pub fn congruence(&self, t: TermId) -> Congruence {
         match self.pool.get(t) {
-            Term::Const(v) => Congruence::point(*v),
+            Term::Const(v) => Congruence::point(v),
             Term::Bin(op, a, b) => {
-                let (ca, cb) = (self.congruence(*a), self.congruence(*b));
+                let (ca, cb) = (self.congruence(a), self.congruence(b));
                 match op {
                     BinOp::Add | BinOp::Sub => {
                         if ca.modulus == 0 && cb.modulus == 0 {
@@ -252,7 +252,7 @@ impl<'p> Solver<'p> {
                         if m <= 1 {
                             return Congruence::any();
                         }
-                        if !m.is_power_of_two() && !self.no_wrap(*op, *a, *b) {
+                        if !m.is_power_of_two() && !self.no_wrap(op, a, b) {
                             return Congruence::any(); // a wrap would shift the residue
                         }
                         let ra = if ca.modulus == 0 {
@@ -276,12 +276,12 @@ impl<'p> Solver<'p> {
                         // term wraps mod 2^64: the residue survives the
                         // wrap only when |c| divides 2^64 (|c| a power of
                         // two) or the product provably stays in range.
-                        let c = self.pool.as_const(*a).or(self.pool.as_const(*b));
+                        let c = self.pool.as_const(a).or(self.pool.as_const(b));
                         match c {
                             Some(c)
                                 if c.unsigned_abs() > 1
                                     && (c.unsigned_abs().is_power_of_two()
-                                        || self.no_wrap(BinOp::Mul, *a, *b)) =>
+                                        || self.no_wrap(BinOp::Mul, a, b)) =>
                             {
                                 Congruence {
                                     modulus: c.unsigned_abs(),
@@ -291,7 +291,7 @@ impl<'p> Solver<'p> {
                             _ => Congruence::any(),
                         }
                     }
-                    BinOp::Shl => match self.pool.as_const(*b) {
+                    BinOp::Shl => match self.pool.as_const(b) {
                         Some(s) if (1..63).contains(&s) => Congruence {
                             modulus: 1u64 << s,
                             rem: 0,
@@ -315,8 +315,7 @@ impl<'p> Solver<'p> {
     fn absorb(&mut self, lit: Lit) {
         let (t, truth) = lit;
         if let Term::Cmp(op, unsigned, a, b) = self.pool.get(t) {
-            let (op, unsigned) = (if truth { *op } else { op.negated() }, *unsigned);
-            let (a, b) = (*a, *b);
+            let op = if truth { op } else { op.negated() };
             if let Some(c) = self.pool.as_const(b) {
                 self.narrow_with(op, unsigned, a, c);
             } else if let Some(c) = self.pool.as_const(a) {
@@ -404,16 +403,16 @@ impl<'p> Solver<'p> {
                 continue;
             }
             if let Term::Cmp(op, unsigned, a, b) = self.pool.get(t) {
-                let op = if truth { *op } else { op.negated() };
-                if *unsigned {
+                let op = if truth { op } else { op.negated() };
+                if unsigned {
                     // Unsigned ordering only matches interval reasoning
                     // when both sides are known non-negative.
-                    let (ia, ib) = (self.interval(*a), self.interval(*b));
+                    let (ia, ib) = (self.interval(a), self.interval(b));
                     if ia.lo < 0 || ib.lo < 0 {
                         continue;
                     }
                 }
-                let (ia, ib) = (self.interval(*a), self.interval(*b));
+                let (ia, ib) = (self.interval(a), self.interval(b));
                 let possible = match op {
                     CmpOp::Eq => ia.lo <= ib.hi && ib.lo <= ia.hi,
                     CmpOp::Ne => !(ia.lo == ia.hi && ib.lo == ib.hi && ia.lo == ib.lo),
@@ -427,7 +426,7 @@ impl<'p> Solver<'p> {
                 }
                 // Congruence refutation of equalities.
                 if op == CmpOp::Eq {
-                    let (ca, cb) = (self.congruence(*a), self.congruence(*b));
+                    let (ca, cb) = (self.congruence(a), self.congruence(b));
                     let m = match (ca.modulus, cb.modulus) {
                         (0, 0) => 0,
                         (0, m) | (m, 0) => m,

@@ -10,17 +10,44 @@
 //! structural equality an id comparison, which is what the equivalence
 //! checker leans on: two functions that lower to the same normalized term
 //! per path are equal by construction.
+//!
+//! Most terms the engines build are constants: loop counters, addresses,
+//! lengths, keys. A constant in `[-2^30, 2^30)` is carried *inside* its
+//! [`TermId`] (top bit set, value in the low 31 bits), so making one,
+//! reading it back and folding it touch neither the arena nor the hash
+//! map. Every other constant, and every compound term, is interned; no
+//! constant is ever both, so each still has exactly one id and equality
+//! stays id equality.
 
 use memoir_ir::{BinOp, CmpOp, Type};
 use std::collections::HashMap;
 
-/// A reference into the term pool.
+/// A reference into the term pool: the index of an interned node, or,
+/// with the top bit set, an inline constant in `[-2^30, 2^30)` held in
+/// the low 31 bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
+impl TermId {
+    /// The tag bit of an inline constant.
+    const INLINE: u32 = 1 << 31;
+
+    /// The inline id of `v`, if `v` fits in 31 signed bits.
+    fn inline(v: i64) -> Option<TermId> {
+        (-(1 << 30)..1 << 30)
+            .contains(&v)
+            .then_some(TermId(Self::INLINE | (v as u32 & !Self::INLINE)))
+    }
+
+    /// The constant an inline id carries (sign-extended from bit 30).
+    fn inline_value(self) -> Option<i64> {
+        (self.0 & Self::INLINE != 0).then_some(((self.0 << 1) as i32 >> 1) as i64)
+    }
+}
+
 /// A term node. All terms denote an `i64` machine word; booleans are the
 /// words `0`/`1`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A constant word.
     Const(i64),
@@ -131,7 +158,7 @@ pub fn type_domain(t: Type) -> (i64, i64) {
 
 /// The hash-consing arena. Interning keeps the default (randomly keyed)
 /// hasher: the terms come from MEMOIR source that `memoird` accepts from
-/// its clients.
+/// its clients. Inline constants skip the arena and the hasher entirely.
 #[derive(Debug, Default)]
 pub struct TermPool {
     nodes: Vec<Term>,
@@ -150,12 +177,16 @@ impl TermPool {
         Self::default()
     }
 
-    /// The node behind an id.
-    pub fn get(&self, t: TermId) -> &Term {
-        &self.nodes[t.0 as usize]
+    /// The node behind an id (an inline constant decodes to
+    /// [`Term::Const`]).
+    pub fn get(&self, t: TermId) -> Term {
+        match t.inline_value() {
+            Some(v) => Term::Const(v),
+            None => self.nodes[t.0 as usize],
+        }
     }
 
-    /// Number of interned terms.
+    /// Number of interned terms (inline constants are not counted).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -166,18 +197,21 @@ impl TermPool {
     }
 
     fn intern(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.interned.get(&t) {
-            return id;
+        let next = self.nodes.len();
+        let id = *self.interned.entry(t).or_insert_with(|| {
+            // Node ids must stay clear of the inline-constant tag bit.
+            assert!(next < TermId::INLINE as usize, "term pool overflow");
+            TermId(next as u32)
+        });
+        if id.0 as usize == next {
+            self.nodes.push(t);
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(t.clone());
-        self.interned.insert(t, id);
         id
     }
 
-    /// A constant term.
+    /// A constant term: inline when it fits, interned otherwise.
     pub fn konst(&mut self, v: i64) -> TermId {
-        self.intern(Term::Const(v))
+        TermId::inline(v).unwrap_or_else(|| self.intern(Term::Const(v)))
     }
 
     /// The `i`-th parameter symbol.
@@ -193,7 +227,7 @@ impl TermPool {
     /// The constant behind a term, if it normalized to one.
     pub fn as_const(&self, t: TermId) -> Option<i64> {
         match self.get(t) {
-            Term::Const(v) => Some(*v),
+            Term::Const(v) => Some(v),
             _ => None,
         }
     }
@@ -275,7 +309,7 @@ impl TermPool {
             return self.konst(w);
         }
         if let Term::Trunc(inner_t, _) = self.get(v) {
-            if *inner_t == t {
+            if inner_t == t {
                 return v;
             }
         }
@@ -297,22 +331,22 @@ impl TermPool {
     /// division by zero (the corresponding execution would trap).
     pub fn eval(&self, t: TermId, params: &[i64]) -> Option<i64> {
         match self.get(t) {
-            Term::Const(v) => Some(*v),
-            Term::Param(i) => params.get(*i as usize).copied(),
+            Term::Const(v) => Some(v),
+            Term::Param(i) => params.get(i as usize).copied(),
             Term::Bin(op, a, b) => {
-                let (x, y) = (self.eval(*a, params)?, self.eval(*b, params)?);
-                fold_bin(*op, x, y).ok()
+                let (x, y) = (self.eval(a, params)?, self.eval(b, params)?);
+                fold_bin(op, x, y).ok()
             }
             Term::Cmp(op, unsigned, a, b) => {
-                let (x, y) = (self.eval(*a, params)?, self.eval(*b, params)?);
-                Some(fold_cmp(*op, *unsigned, x, y) as i64)
+                let (x, y) = (self.eval(a, params)?, self.eval(b, params)?);
+                Some(fold_cmp(op, unsigned, x, y) as i64)
             }
-            Term::Trunc(ty, a) => Some(fold_trunc(*ty, self.eval(*a, params)?)),
+            Term::Trunc(ty, a) => Some(fold_trunc(ty, self.eval(a, params)?)),
             Term::Select(c, a, b) => {
-                if self.eval(*c, params)? != 0 {
-                    self.eval(*a, params)
+                if self.eval(c, params)? != 0 {
+                    self.eval(a, params)
                 } else {
-                    self.eval(*b, params)
+                    self.eval(b, params)
                 }
             }
         }
@@ -323,21 +357,16 @@ impl TermPool {
         match self.get(t) {
             Term::Const(_) => {}
             Term::Param(i) => {
-                if !out.contains(i) {
-                    out.push(*i);
+                if !out.contains(&i) {
+                    out.push(i);
                 }
             }
             Term::Bin(_, a, b) | Term::Cmp(_, _, a, b) => {
-                let (a, b) = (*a, *b);
                 self.params_of(a, out);
                 self.params_of(b, out);
             }
-            Term::Trunc(_, a) => {
-                let a = *a;
-                self.params_of(a, out);
-            }
+            Term::Trunc(_, a) => self.params_of(a, out),
             Term::Select(c, a, b) => {
-                let (c, a, b) = (*c, *a, *b);
                 self.params_of(c, out);
                 self.params_of(a, out);
                 self.params_of(b, out);
@@ -404,6 +433,68 @@ mod tests {
         assert_eq!(p.eval(div, &[5, 0]), None, "trap evaluates to None");
         let t8 = p.trunc(Type::I8, sum);
         assert_eq!(p.eval(t8, &[100, 100]), Some(fold_trunc(Type::I8, 400)));
+    }
+
+    const LO: i64 = -(1 << 30);
+    const HI: i64 = (1 << 30) - 1;
+
+    #[test]
+    fn small_constants_are_inline_and_the_rest_interned() {
+        let mut p = TermPool::new();
+        for v in [LO, -1, 0, 1, HI] {
+            let t = p.konst(v);
+            assert_eq!(t.inline_value(), Some(v), "{v} is inline");
+        }
+        assert_eq!(p.len(), 0, "inline constants leave the arena alone");
+        for (i, v) in [LO - 1, HI + 1, i64::MIN, i64::MAX].into_iter().enumerate() {
+            let t = p.konst(v);
+            assert_eq!(t.inline_value(), None, "{v} is interned");
+            assert_eq!(p.len(), i + 1, "{v} takes one node");
+        }
+    }
+
+    #[test]
+    fn each_constant_has_one_id() {
+        let mut p = TermPool::new();
+        for v in [LO - 1, LO, 0, HI, HI + 1, i64::MIN, i64::MAX] {
+            let (a, b) = (p.konst(v), p.konst(v));
+            assert_eq!(a, b, "konst({v}) twice");
+        }
+        assert_eq!(p.len(), 4, "only the four out-of-range constants intern");
+    }
+
+    #[test]
+    fn decoding_agrees_on_both_kinds_of_id() {
+        let mut p = TermPool::new();
+        for v in [LO - 1, LO, -7, 0, 42, HI, HI + 1, i64::MIN, i64::MAX] {
+            let t = p.konst(v);
+            assert_eq!(p.get(t), Term::Const(v));
+            assert_eq!(p.as_const(t), Some(v));
+            assert_eq!(p.eval(t, &[]), Some(v));
+        }
+    }
+
+    #[test]
+    fn folding_across_the_inline_boundary_hash_conses() {
+        let mut p = TermPool::new();
+        let (hi, one) = (p.konst(HI), p.konst(1));
+        let sum = p.bin(BinOp::Add, hi, one).unwrap();
+        assert_eq!(sum, p.konst(HI + 1), "(2^30 - 1) + 1 is the interned 2^30");
+        let back = p.bin(BinOp::Sub, sum, one).unwrap();
+        assert_eq!(back, hi, "2^30 - 1 folds back to the inline id");
+    }
+
+    #[test]
+    fn commuted_operands_hash_cons_with_either_kind_of_constant() {
+        let mut p = TermPool::new();
+        let x = p.param(0);
+        for v in [5, HI + 1] {
+            let c = p.konst(v);
+            let xc = p.bin(BinOp::Add, x, c).unwrap();
+            let cx = p.bin(BinOp::Add, c, x).unwrap();
+            assert_eq!(xc, cx, "x + {v} and {v} + x");
+            assert_eq!(p.eval(xc, &[3]), Some(3i64.wrapping_add(v)));
+        }
     }
 
     #[test]

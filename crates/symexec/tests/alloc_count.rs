@@ -4,15 +4,19 @@
 //! MEMOIR path enumerators), up to the amortized growth of containers
 //! that fill with the trip count (the term pool's arena and index).
 //!
+//! Forking copies no heap: the MEMOIR enumerator's forks share every
+//! collection of the path they split, so the allocations of a forking
+//! function grow with the heap it builds, not with heap × forks.
+//!
 //! A counting global allocator tallies allocations per thread, so the
 //! tests in this binary do not see each other's.
 
 use lir::LirMachine;
 use memoir_interp::{Interp, Value};
-use memoir_ir::{CmpOp, Form, Module, ModuleBuilder, Type};
+use memoir_ir::{BinOp, CmpOp, Form, Module, ModuleBuilder, Type};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use symexec::{enumerate_lir, enumerate_memoir, seed_params, Budget, PathEnd, TermPool};
+use symexec::{enumerate_lir, enumerate_memoir, predict, seed_params, Budget, PathEnd, TermPool};
 
 struct Counting;
 
@@ -210,4 +214,90 @@ fn memoir_enumeration_loop_allocates_per_path_not_per_instruction() {
         assert_eq!(pool.eval(ret[0], &[0, 3]), Some(3 * trips));
         n
     });
+}
+
+/// `lookups(n: Index)`: stores `entries` one-element sequences `[k]` in
+/// an assoc under keys `0..entries`, then sums `a[i][0]` for `i < n`.
+/// The fill loop is concrete; the lookup loop forks on `i >= n` at every
+/// trip, so `n` in the `Index` window [0, 16] gives 17 paths and 16
+/// two-way forks, each taken with the whole assoc live.
+fn memoir_lookups(entries: u64) -> Module {
+    let mut mb = ModuleBuilder::new("m");
+    mb.func("lookups", Form::Mut, |b| {
+        let idx = b.ty(Type::Index);
+        let i64t = b.ty(Type::I64);
+        let seq = b.ty(Type::Seq(i64t));
+        let n = b.param("n", idx);
+        b.returns(&[i64t]);
+        let (fill, fill_body) = (b.block("fill"), b.block("fill_body"));
+        let (look, look_body, exit) = (b.block("look"), b.block("look_body"), b.block("exit"));
+        let entry = b.current_block();
+        let a = b.new_assoc(i64t, seq);
+        let (zero, one, bound) = (b.index(0), b.index(1), b.index(entries));
+        let acc0 = b.i64(0);
+        b.jump(fill);
+        b.switch_to(fill);
+        let j = b.phi_placeholder(idx);
+        b.add_phi_incoming(j, entry, zero);
+        let filled = b.cmp(CmpOp::Ge, j, bound);
+        b.branch(filled, look, fill_body);
+        b.switch_to(fill_body);
+        let key = b.cast(Type::I64, j);
+        let s = b.new_seq(i64t, one);
+        b.mut_write(s, zero, key);
+        b.mut_write(a, key, s);
+        let j2 = b.add(j, one);
+        b.add_phi_incoming(j, fill_body, j2);
+        b.jump(fill);
+        b.switch_to(look);
+        let i = b.phi_placeholder(idx);
+        let acc = b.phi_placeholder(i64t);
+        b.add_phi_incoming(i, fill, zero);
+        b.add_phi_incoming(acc, fill, acc0);
+        let done = b.cmp(CmpOp::Ge, i, n);
+        b.branch(done, exit, look_body);
+        b.switch_to(look_body);
+        let k = b.cast(Type::I64, i);
+        let s = b.read(a, k);
+        let v = b.read(s, zero);
+        let acc2 = b.bin(BinOp::Add, acc, v);
+        let i2 = b.add(i, one);
+        b.add_phi_incoming(i, look_body, i2);
+        b.add_phi_incoming(acc, look_body, acc2);
+        b.jump(look);
+        b.switch_to(exit);
+        b.ret(vec![acc]);
+    });
+    mb.finish()
+}
+
+#[test]
+fn memoir_enumeration_forks_share_the_heap() {
+    let run = |entries: u64| {
+        let m = memoir_lookups(entries);
+        memoir_ir::verifier::assert_valid(&m);
+        let fid = m.func_by_name("lookups").unwrap();
+        let mut pool = seed_params(&m, fid).unwrap();
+        let (n, paths) =
+            allocations(|| enumerate_memoir(&m, fid, &mut pool, &Budget::default()).unwrap());
+        assert_eq!(paths.len(), 17, "one path per n in [0, 16]");
+        for k in 0..=16 {
+            let want = k * (k - 1) / 2;
+            assert_eq!(
+                predict(&pool, &paths, &[k]),
+                Some(Ok(vec![want])),
+                "n = {k}"
+            );
+        }
+        n
+    };
+    let (small, large) = (run(64), run(512));
+    // Each added entry allocates its sequence and its share of the
+    // assoc's growth once; a fork that copied the heap would add an
+    // allocation per entry per fork (16 per entry here).
+    let per_entry = 4;
+    assert!(
+        large <= small + per_entry * (512 - 64),
+        "{small} allocations at 64 entries but {large} at 512"
+    );
 }
