@@ -9,7 +9,7 @@
 //! constant propagation that succeeds effortlessly in MEMOIR
 //! (`memoir-opt::constprop`, Listing 1) is blocked here by opaque memory.
 
-use crate::ir::{BinOp, CmpOp, Function, Module, Op, Val};
+use crate::ir::{Function, Module, Op, Val};
 use std::collections::HashMap;
 
 /// Fig. 12 counters.
@@ -82,7 +82,7 @@ fn run_function(f: &mut Function) -> ConstFoldStats {
             match &inst.op {
                 Op::Bin(op, a, b) => {
                     if let (Some(&x), Some(&y)) = (konst.get(a), konst.get(b)) {
-                        if let Some(v) = fold_bin(*op, x, y) {
+                        if let Some(v) = op.eval(x, y) {
                             replacements.insert(inst.results[0], v);
                             konst.insert(inst.results[0], v);
                             stats.scalar_success += 1;
@@ -91,7 +91,7 @@ fn run_function(f: &mut Function) -> ConstFoldStats {
                 }
                 Op::Cmp(op, a, b) => {
                     if let (Some(&x), Some(&y)) = (konst.get(a), konst.get(b)) {
-                        let v = fold_cmp(*op, x, y) as i64;
+                        let v = op.eval(x, y) as i64;
                         replacements.insert(inst.results[0], v);
                         konst.insert(inst.results[0], v);
                         stats.scalar_success += 1;
@@ -158,45 +158,10 @@ fn run_function(f: &mut Function) -> ConstFoldStats {
     stats
 }
 
-fn fold_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::Rem => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr => x.wrapping_shr(y as u32),
-    })
-}
-
-fn fold_cmp(op: CmpOp, x: i64, y: i64) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::BinOp;
 
     #[test]
     fn scalars_fold() {

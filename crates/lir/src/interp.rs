@@ -1,4 +1,4 @@
-//! An interpreter for the low-level IR.
+//! The executor of the low-level IR, generic over its value domain.
 //!
 //! Memory is a flat, word-addressed array grown by a bump allocator
 //! (`free` is a no-op — lifetimes are measured at the MEMOIR level).
@@ -7,8 +7,15 @@
 //! `load`/`store`), while associative arrays live in host tables —
 //! mirroring a real libc++ `unordered_map` being opaque to the compiler
 //! *and* to this paper's analyses.
+//!
+//! [`Machine`] states this semantics once, over any [`Domain`] of words.
+//! [`LirMachine`] runs it on concrete `i64` words under a fuel budget;
+//! `symexec`'s path enumerator runs it on symbolic terms, resolving each
+//! word that must be concrete (an address, a length, a key, a handle, an
+//! rmw opcode, a branch condition) by pinning or forking. Frames live on
+//! an explicit stack, so call depth costs heap, not host stack.
 
-use crate::ir::{BinOp, Blk, CmpOp, Fun, Function, Module, Op, Val};
+use crate::ir::{BinOp, Blk, CmpOp, Fun, Function, Ins, Module, Op, Val};
 use crate::regs::{enter_block, PhiFault, RegFile};
 use std::collections::HashMap;
 use std::fmt;
@@ -67,68 +74,225 @@ pub struct LirStats {
     pub rt_calls: u64,
 }
 
-/// The machine.
-#[derive(Debug)]
-pub struct LirMachine<'m> {
+/// An operation of the executor's ALU: an [`Op::Bin`] operation, or one
+/// of the `min` / `max` that only `rt_assoc_rmw` opcodes reach.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Alu {
+    /// An [`Op::Bin`] operation.
+    Bin(BinOp),
+    /// Signed minimum.
+    Min,
+    /// Signed maximum.
+    Max,
+}
+
+impl Alu {
+    /// Decodes an `rt_assoc_rmw` opcode (the integer encoding of
+    /// `memoir_ir::BinOp` emitted by `memoir-lower`): `0`=add `1`=sub
+    /// `2`=mul `3`=div `4`=rem `5`=and `6`=or `7`=xor `8`=shl `9`=shr
+    /// `10`=min `11`=max.
+    #[inline]
+    pub fn from_rmw(op: i64) -> Option<Alu> {
+        use BinOp::*;
+        Some(match op {
+            0..=9 => Alu::Bin([Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr][op as usize]),
+            10 => Alu::Min,
+            11 => Alu::Max,
+            _ => return None,
+        })
+    }
+
+    /// Concrete semantics: [`BinOp::eval`], or signed min / max. `None`
+    /// is a division by zero.
+    #[inline]
+    pub fn eval(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            Alu::Bin(op) => op.eval(x, y),
+            Alu::Min => Some(x.min(y)),
+            Alu::Max => Some(x.max(y)),
+        }
+    }
+}
+
+/// The words a [`Machine`] computes with, and how it decides the words
+/// that must be concrete. Every method that can fork the symbolic domain
+/// (`alu` on a divisor, `resolve`, `truth`) runs before the instruction
+/// writes memory or binds a result, because a forked child re-runs the
+/// instruction from a copy of the machine.
+pub trait Domain {
+    /// A machine word.
+    type Word: Copy;
+    /// Why an instruction stops short: a trap, or a decision of the
+    /// domain (a budget, a fork, a construct it cannot model).
+    type Stop: From<LirTrap>;
+    /// Runs before each instruction that is not a φ.
+    fn tick(&mut self, stats: &LirStats) -> Result<(), Self::Stop>;
+    /// A constant word.
+    fn konst(&mut self, c: i64) -> Self::Word;
+    /// `x op y`; a zero divisor traps [`LirTrap::DivByZero`].
+    fn alu(&mut self, op: Alu, x: Self::Word, y: Self::Word) -> Result<Self::Word, Self::Stop>;
+    /// `x op y` as the word `0` or `1`.
+    fn cmp(&mut self, op: CmpOp, x: Self::Word, y: Self::Word) -> Self::Word;
+    /// The concrete value of a word that must have one.
+    fn resolve(&mut self, w: Self::Word) -> Result<i64, Self::Stop>;
+    /// Whether a branch condition is non-zero.
+    fn truth(&mut self, w: Self::Word) -> Result<bool, Self::Stop>;
+}
+
+/// The concrete domain: words are `i64`s, and `fuel` bounds the
+/// instructions run.
+struct Concrete {
+    fuel: u64,
+}
+
+impl Domain for Concrete {
+    type Word = i64;
+    type Stop = LirTrap;
+
+    #[inline]
+    fn tick(&mut self, stats: &LirStats) -> Result<(), LirTrap> {
+        if stats.insts >= self.fuel {
+            return Err(LirTrap::OutOfFuel);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn konst(&mut self, c: i64) -> i64 {
+        c
+    }
+
+    #[inline]
+    fn alu(&mut self, op: Alu, x: i64, y: i64) -> Result<i64, LirTrap> {
+        op.eval(x, y).ok_or(LirTrap::DivByZero)
+    }
+
+    #[inline]
+    fn cmp(&mut self, op: CmpOp, x: i64, y: i64) -> i64 {
+        op.eval(x, y) as i64
+    }
+
+    #[inline]
+    fn resolve(&mut self, w: i64) -> Result<i64, LirTrap> {
+        Ok(w)
+    }
+
+    #[inline]
+    fn truth(&mut self, w: i64) -> Result<bool, LirTrap> {
+        Ok(w != 0)
+    }
+}
+
+/// One call frame: the function, the next instruction, its values.
+#[derive(Clone, Debug)]
+struct Frame<W> {
+    fun: Fun,
+    block: Blk,
+    at: usize,
+    regs: RegFile<W>,
+}
+
+/// Where control goes after an instruction.
+enum Flow {
+    /// To the next instruction of the block.
+    Next,
+    /// To the head of another block.
+    Jump(Blk),
+    /// Out of the frame.
+    Exit(Exit),
+}
+
+/// How a frame's run ends.
+enum Exit {
+    /// Call `Fun` with the arguments in `Machine::args`.
+    Call(Fun),
+    /// Return the values in `Machine::args`.
+    Ret,
+}
+
+/// The machine state of one execution: linear memory, host tables,
+/// frames and counters, over words `W`. [`LirMachine`] is the concrete
+/// instance.
+#[derive(Clone, Debug)]
+pub struct Machine<'m, W> {
     module: &'m Module,
     /// Linear memory (word-addressed).
-    pub mem: Vec<i64>,
-    assocs: Vec<(HashMap<i64, i64>, Vec<i64>)>,
+    pub mem: Vec<W>,
+    /// Host assoc tables at negative handles (`-1` is the first): each
+    /// key's value, and the keys in insertion order (an overwrite keeps
+    /// a key's place, a removal drops it).
+    tables: Vec<(HashMap<i64, W>, Vec<i64>)>,
     /// Counters.
     pub stats: LirStats,
+    /// The instruction budget of [`LirMachine::run`].
     fuel: u64,
+    frames: Vec<Frame<W>>,
+    zero: W,
     /// Scratch for the φ parallel copy at block entry.
-    phis: Vec<i64>,
-    /// Scratch for runtime-call arguments.
-    rt_args: Vec<i64>,
+    phis: Vec<W>,
+    /// Call arguments and return values in flight; runtime-call
+    /// arguments.
+    args: Vec<W>,
 }
+
+/// The concrete lir interpreter.
+pub type LirMachine<'m> = Machine<'m, i64>;
 
 const NULL_GUARD: usize = 16; // low addresses invalid
 
-/// Applies an `rt_assoc_rmw`/dense-rmw opcode (the integer encoding of
-/// `memoir_ir::BinOp` emitted by `memoir-lower::rmw_opcode`):
-/// `0`=add `1`=sub `2`=mul `3`=div `4`=rem `5`=and `6`=or `7`=xor
-/// `8`=shl `9`=shr `10`=min `11`=max.
-fn apply_rmw(op: i64, x: i64, y: i64) -> Result<i64, LirTrap> {
-    Ok(match op {
-        0 => x.wrapping_add(y),
-        1 => x.wrapping_sub(y),
-        2 => x.wrapping_mul(y),
-        3 => {
-            if y == 0 {
-                return Err(LirTrap::DivByZero);
-            }
-            x.wrapping_div(y)
-        }
-        4 => {
-            if y == 0 {
-                return Err(LirTrap::DivByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        5 => x & y,
-        6 => x | y,
-        7 => x ^ y,
-        8 => x.wrapping_shl(y as u32),
-        9 => x.wrapping_shr(y as u32),
-        10 => x.min(y),
-        11 => x.max(y),
-        _ => return Err(LirTrap::Malformed("bad rmw opcode")),
+/// An assoc routine taking a handle (every `rt_assoc_*` but `new`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Assoc {
+    Read,
+    Write,
+    Rmw,
+    Has,
+    Remove,
+    Size,
+    Copy,
+    Keys,
+}
+
+impl Assoc {
+    /// The routine `name` names, with its argument count.
+    fn decode(name: &str) -> Option<(Assoc, usize)> {
+        Some(match name {
+            "rt_assoc_read" => (Assoc::Read, 2),
+            "rt_assoc_write" => (Assoc::Write, 3),
+            "rt_assoc_rmw" => (Assoc::Rmw, 4),
+            "rt_assoc_has" => (Assoc::Has, 2),
+            "rt_assoc_remove" => (Assoc::Remove, 2),
+            "rt_assoc_size" => (Assoc::Size, 1),
+            "rt_assoc_copy" => (Assoc::Copy, 1),
+            "rt_assoc_keys" => (Assoc::Keys, 1),
+            _ => return None,
+        })
+    }
+}
+
+/// The argument count of every other runtime routine; `None` for an
+/// unknown name.
+fn rt_arity(name: &str) -> Option<usize> {
+    Some(match name {
+        "rt_assoc_new" | "rt_obj_delete" => 0,
+        "rt_dense_new" | "rt_seq_new" | "rt_seq_copy" | "rt_obj_new" => 1,
+        "rt_seq_grow" | "rt_seq_remove" => 2,
+        "rt_seq_insert" | "rt_seq_remove_range" | "rt_seq_splice" | "rt_seq_copy_range" => 3,
+        "rt_seq_swap_range" => 4,
+        "rt_seq_swap2" => 5,
+        _ => return None,
     })
+}
+
+#[inline]
+fn reg<W: Copy>(regs: &RegFile<W>, v: Val) -> Result<W, LirTrap> {
+    regs.get(v).ok_or(LirTrap::Malformed("unbound value"))
 }
 
 impl<'m> LirMachine<'m> {
     /// Creates a machine.
     pub fn new(module: &'m Module) -> Self {
-        LirMachine {
-            module,
-            mem: vec![0; NULL_GUARD],
-            assocs: Vec::new(),
-            stats: LirStats::default(),
-            fuel: 200_000_000,
-            phis: Vec::new(),
-            rt_args: Vec::new(),
-        }
+        Machine::with_zero(module, 0)
     }
 
     /// Overrides the fuel budget.
@@ -143,13 +307,249 @@ impl<'m> LirMachine<'m> {
         self.run(f, args)
     }
 
+    /// Runs a function.
+    pub fn run(&mut self, fid: Fun, args: Vec<i64>) -> Result<Vec<i64>, LirTrap> {
+        self.frames.clear();
+        self.enter(fid, &args)?;
+        self.exec(&mut Concrete { fuel: self.fuel })
+    }
+}
+
+impl<'m, W: Copy> Machine<'m, W> {
+    /// A machine with empty memory whose cells start as `zero`, the
+    /// domain's word `0`.
+    pub fn with_zero(module: &'m Module, zero: W) -> Self {
+        Machine {
+            module,
+            mem: vec![zero; NULL_GUARD],
+            tables: Vec::new(),
+            stats: LirStats::default(),
+            fuel: 200_000_000,
+            frames: Vec::new(),
+            zero,
+            phis: Vec::new(),
+            args: Vec::new(),
+        }
+    }
+
+    /// Pushes a frame for `fun` with `args` bound to its parameters,
+    /// positioned after the entry block's φ head.
+    pub fn enter(&mut self, fun: Fun, args: &[W]) -> Result<(), LirTrap> {
+        let f: &'m Function = self
+            .module
+            .funcs
+            .get(fun.0 as usize)
+            .ok_or(LirTrap::Malformed("unknown function"))?;
+        let mut regs = RegFile::new(f);
+        for (i, &a) in args.iter().enumerate() {
+            regs.set(Val(i as u32), a);
+        }
+        let at = self.enter_block(f, None, f.entry, &mut regs)?;
+        self.frames.push(Frame {
+            fun,
+            block: f.entry,
+            at,
+            regs,
+        });
+        Ok(())
+    }
+
+    /// Runs the frame stack until the bottom frame returns, and returns
+    /// its values. On a stop, the top frame stays at the instruction that
+    /// stopped, so a copy of the machine can run it again.
+    pub fn exec<D: Domain<Word = W>>(&mut self, dom: &mut D) -> Result<Vec<W>, D::Stop> {
+        loop {
+            let top = self.frames.last_mut().expect("a frame to run");
+            let (fun, mut block, mut at) = (top.fun, top.block, top.at);
+            let mut regs = std::mem::replace(&mut top.regs, RegFile::empty());
+            let module: &'m Module = self.module;
+            let f = &module.funcs[fun.0 as usize];
+            let exit = self.run_frame(dom, f, &mut regs, &mut block, &mut at);
+            let top = self.frames.last_mut().expect("the running frame");
+            (top.regs, top.block, top.at) = (regs, block, at);
+            match exit? {
+                Exit::Call(callee) => {
+                    let args = std::mem::take(&mut self.args);
+                    let entered = self.enter(callee, &args);
+                    self.args = args;
+                    entered?;
+                }
+                Exit::Ret => {
+                    self.frames.pop();
+                    let Some(caller) = self.frames.last_mut() else {
+                        return Ok(std::mem::take(&mut self.args));
+                    };
+                    let cf = &self.module.funcs[caller.fun.0 as usize];
+                    let call = cf.blocks[caller.block.0 as usize].insts[caller.at];
+                    for (&r, &v) in cf.insts[call.0 as usize].results.iter().zip(&self.args) {
+                        caller.regs.set(r, v);
+                    }
+                    caller.at += 1;
+                }
+            }
+        }
+    }
+
+    /// Runs `f` from `(block, at)` until it calls or returns; jumps move
+    /// `block` and `at` along. A block's instructions run in an inner
+    /// loop over its slice; `at` is written back only when the frame stops
+    /// running.
+    #[inline(always)]
+    fn run_frame<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        f: &'m Function,
+        regs: &mut RegFile<W>,
+        block: &mut Blk,
+        at: &mut usize,
+    ) -> Result<Exit, D::Stop> {
+        loop {
+            let insts = &f.blocks[block.0 as usize].insts;
+            let start = (*at).min(insts.len());
+            let mut target = None;
+            for (i, &iid) in insts[start..].iter().enumerate() {
+                match self.step(dom, f, regs, iid) {
+                    Ok(Flow::Next) => {}
+                    Ok(Flow::Jump(b)) => {
+                        target = Some(b);
+                        break;
+                    }
+                    Ok(Flow::Exit(exit)) => {
+                        *at = start + i;
+                        return Ok(exit);
+                    }
+                    Err(stop) => {
+                        *at = start + i;
+                        return Err(stop);
+                    }
+                }
+            }
+            let Some(target) = target else {
+                return Err(LirTrap::Malformed("fell off block").into());
+            };
+            *at = self.enter_block(f, Some(*block), target, regs)?;
+            *block = target;
+        }
+    }
+
+    /// Executes one instruction other than a φ.
+    #[inline(always)]
+    fn step<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        f: &'m Function,
+        regs: &mut RegFile<W>,
+        iid: Ins,
+    ) -> Result<Flow, D::Stop> {
+        dom.tick(&self.stats)?;
+        self.stats.insts += 1;
+        let inst = &f.insts[iid.0 as usize];
+        let out = match inst.op {
+            Op::Const(c) => dom.konst(c),
+            Op::Bin(op, a, b) => {
+                let (x, y) = (reg(regs, a)?, reg(regs, b)?);
+                dom.alu(Alu::Bin(op), x, y)?
+            }
+            Op::Cmp(op, a, b) => {
+                let (x, y) = (reg(regs, a)?, reg(regs, b)?);
+                dom.cmp(op, x, y)
+            }
+            Op::Phi(_) => return Err(LirTrap::Malformed("phi after non-phi").into()),
+            Op::Alloca(n) => {
+                let base = self.alloc_words(n as usize);
+                dom.konst(base)
+            }
+            Op::Malloc(n) => {
+                let words = dom.resolve(reg(regs, n)?)?.max(0) as usize;
+                let base = self.alloc_words(words);
+                dom.konst(base)
+            }
+            Op::Free(_) => return Ok(Flow::Next),
+            Op::Load(a) => {
+                let addr = dom.resolve(reg(regs, a)?)?;
+                self.load(addr)?
+            }
+            Op::Store { addr, value } => {
+                let (a, v) = (reg(regs, addr)?, reg(regs, value)?);
+                let a = dom.resolve(a)?;
+                self.store(a, v)?;
+                return Ok(Flow::Next);
+            }
+            Op::Gep { base, offset } => {
+                let (b, o) = (reg(regs, base)?, reg(regs, offset)?);
+                dom.alu(Alu::Bin(BinOp::Add), b, o)?
+            }
+            Op::Call { func, ref args } => {
+                self.args.clear();
+                for &a in args {
+                    self.args.push(reg(regs, a)?);
+                }
+                return Ok(Flow::Exit(Exit::Call(func)));
+            }
+            Op::CallRt {
+                ref name, ref args, ..
+            } => {
+                self.stats.rt_calls += 1;
+                let mut argv = std::mem::take(&mut self.args);
+                argv.clear();
+                for &a in args {
+                    argv.push(reg(regs, a)?);
+                }
+                let out = self.call_rt(dom, name, &argv);
+                self.args = argv;
+                match (inst.results.first(), out?) {
+                    (Some(_), Some(v)) => v,
+                    _ => return Ok(Flow::Next),
+                }
+            }
+            Op::Jmp(b) => return Ok(Flow::Jump(b)),
+            Op::Br {
+                cond,
+                then_b,
+                else_b,
+            } => {
+                let c = reg(regs, cond)?;
+                return Ok(Flow::Jump(if dom.truth(c)? { then_b } else { else_b }));
+            }
+            Op::Ret(ref vs) => {
+                self.args.clear();
+                for &v in vs {
+                    self.args.push(reg(regs, v)?);
+                }
+                return Ok(Flow::Exit(Exit::Ret));
+            }
+        };
+        if let Some(&r) = inst.results.first() {
+            regs.set(r, out);
+        }
+        Ok(Flow::Next)
+    }
+
+    /// Enters `target` from `pred`, running its φ head (each φ counts as
+    /// an instruction), and returns the position after it.
+    fn enter_block(
+        &mut self,
+        f: &Function,
+        pred: Option<Blk>,
+        target: Blk,
+        regs: &mut RegFile<W>,
+    ) -> Result<usize, LirTrap> {
+        let stats = &mut self.stats;
+        enter_block(f, pred, target, regs, &mut self.phis, |regs, v| {
+            regs.get(v)
+                .inspect(|_| stats.insts += 1)
+                .ok_or(LirTrap::Malformed("unbound phi operand"))
+        })
+    }
+
     fn alloc_words(&mut self, n: usize) -> i64 {
         let base = self.mem.len() as i64;
-        self.mem.resize(self.mem.len() + n.max(1), 0);
+        self.mem.resize(self.mem.len() + n.max(1), self.zero);
         base
     }
 
-    fn load(&mut self, addr: i64) -> Result<i64, LirTrap> {
+    #[inline]
+    fn load(&mut self, addr: i64) -> Result<W, LirTrap> {
         self.stats.loads += 1;
         if addr < NULL_GUARD as i64 || addr as usize >= self.mem.len() {
             return Err(LirTrap::BadAddress(addr));
@@ -157,7 +557,8 @@ impl<'m> LirMachine<'m> {
         Ok(self.mem[addr as usize])
     }
 
-    fn store(&mut self, addr: i64, v: i64) -> Result<(), LirTrap> {
+    #[inline]
+    fn store(&mut self, addr: i64, v: W) -> Result<(), LirTrap> {
         self.stats.stores += 1;
         if addr < NULL_GUARD as i64 || addr as usize >= self.mem.len() {
             return Err(LirTrap::BadAddress(addr));
@@ -166,333 +567,179 @@ impl<'m> LirMachine<'m> {
         Ok(())
     }
 
-    /// Runs a function.
-    pub fn run(&mut self, fid: Fun, args: Vec<i64>) -> Result<Vec<i64>, LirTrap> {
-        let module = self.module;
-        let f: &Function = &module.funcs[fid.0 as usize];
-        let mut regs = RegFile::new(f);
-        for (i, &a) in args.iter().enumerate() {
-            regs.set(Val(i as u32), a);
-        }
-        let get = |regs: &RegFile<i64>, v: Val| -> Result<i64, LirTrap> {
-            regs.get(v).ok_or(LirTrap::Malformed("unbound value"))
-        };
-        let mut block = f.entry;
-        let mut prev: Option<Blk> = None;
-        loop {
-            let insts = &f.blocks[block.0 as usize].insts;
-            // φs first (parallel); each counts as an instruction.
-            let stats = &mut self.stats;
-            let phis = enter_block(f, prev, block, &mut regs, &mut self.phis, |regs, v| {
-                regs.get(v)
-                    .inspect(|_| stats.insts += 1)
-                    .ok_or(LirTrap::Malformed("unbound phi operand"))
-            })?;
+    /// Loads a word that must be concrete.
+    fn load_i64<D: Domain<Word = W>>(&mut self, dom: &mut D, addr: i64) -> Result<i64, D::Stop> {
+        let w = self.load(addr)?;
+        dom.resolve(w)
+    }
 
-            let mut next: Option<Blk> = None;
-            for &iid in &insts[phis..] {
-                if self.stats.insts >= self.fuel {
-                    return Err(LirTrap::OutOfFuel);
-                }
-                self.stats.insts += 1;
-                let inst = &f.insts[iid.0 as usize];
-                match inst.op {
-                    Op::Const(c) => {
-                        regs.set(inst.results[0], c);
-                    }
-                    Op::Bin(op, a, b) => {
-                        let (x, y) = (get(&regs, a)?, get(&regs, b)?);
-                        let r = match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Div => {
-                                if y == 0 {
-                                    return Err(LirTrap::DivByZero);
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::Rem => {
-                                if y == 0 {
-                                    return Err(LirTrap::DivByZero);
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Xor => x ^ y,
-                            BinOp::Shl => x.wrapping_shl(y as u32),
-                            BinOp::Shr => x.wrapping_shr(y as u32),
-                        };
-                        regs.set(inst.results[0], r);
-                    }
-                    Op::Cmp(op, a, b) => {
-                        let (x, y) = (get(&regs, a)?, get(&regs, b)?);
-                        let r = match op {
-                            CmpOp::Eq => x == y,
-                            CmpOp::Ne => x != y,
-                            CmpOp::Lt => x < y,
-                            CmpOp::Le => x <= y,
-                            CmpOp::Gt => x > y,
-                            CmpOp::Ge => x >= y,
-                        };
-                        regs.set(inst.results[0], r as i64);
-                    }
-                    Op::Phi(_) => return Err(LirTrap::Malformed("phi after non-phi")),
-                    Op::Alloca(n) => {
-                        let base = self.alloc_words(n as usize);
-                        regs.set(inst.results[0], base);
-                    }
-                    Op::Malloc(n) => {
-                        let words = get(&regs, n)?.max(0) as usize;
-                        let base = self.alloc_words(words);
-                        regs.set(inst.results[0], base);
-                    }
-                    Op::Free(_) => {}
-                    Op::Load(a) => {
-                        let v = self.load(get(&regs, a)?)?;
-                        regs.set(inst.results[0], v);
-                    }
-                    Op::Store { addr, value } => {
-                        let (a, v) = (get(&regs, addr)?, get(&regs, value)?);
-                        self.store(a, v)?;
-                    }
-                    Op::Gep { base, offset } => {
-                        let r = get(&regs, base)?.wrapping_add(get(&regs, offset)?);
-                        regs.set(inst.results[0], r);
-                    }
-                    Op::Call { func, ref args } => {
-                        let argv: Vec<i64> = args
-                            .iter()
-                            .map(|&a| get(&regs, a))
-                            .collect::<Result<_, _>>()?;
-                        let rets = self.run(func, argv)?;
-                        for (&r, v) in inst.results.iter().zip(rets) {
-                            regs.set(r, v);
-                        }
-                    }
-                    Op::CallRt {
-                        ref name, ref args, ..
-                    } => {
-                        self.stats.rt_calls += 1;
-                        // The argument buffer is reused across calls.
-                        let mut argv = std::mem::take(&mut self.rt_args);
-                        argv.clear();
-                        for &a in args {
-                            argv.push(get(&regs, a)?);
-                        }
-                        let out = self.call_rt(name, &argv);
-                        self.rt_args = argv;
-                        if let (Some(&r), Some(v)) = (inst.results.first(), out?) {
-                            regs.set(r, v);
-                        }
-                    }
-                    Op::Jmp(b) => {
-                        next = Some(b);
-                        break;
-                    }
-                    Op::Br {
-                        cond,
-                        then_b,
-                        else_b,
-                    } => {
-                        next = Some(if get(&regs, cond)? != 0 {
-                            then_b
-                        } else {
-                            else_b
-                        });
-                        break;
-                    }
-                    Op::Ret(ref vs) => {
-                        return vs.iter().map(|&v| get(&regs, v)).collect();
-                    }
-                }
-            }
-            match next {
-                Some(b) => {
-                    prev = Some(block);
-                    block = b;
-                }
-                None => return Err(LirTrap::Malformed("fell off block")),
-            }
-        }
+    /// Stores a concrete word.
+    fn store_i64<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        addr: i64,
+        v: i64,
+    ) -> Result<(), LirTrap> {
+        let w = dom.konst(v);
+        self.store(addr, w)
     }
 
     /// Sequence header layout: `[data, len, cap]` at the handle address.
-    fn seq_parts(&mut self, hdr: i64) -> Result<(i64, i64, i64), LirTrap> {
-        Ok((self.load(hdr)?, self.load(hdr + 1)?, self.load(hdr + 2)?))
+    fn seq_parts<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        hdr: i64,
+    ) -> Result<(i64, i64, i64), D::Stop> {
+        Ok((
+            self.load_i64(dom, hdr)?,
+            self.load_i64(dom, hdr + 1)?,
+            self.load_i64(dom, hdr + 2)?,
+        ))
     }
 
-    /// Dense-map operations at a non-negative assoc handle. Layout in
-    /// linear memory: `[cap, size, present[cap], vals[cap]]` at `hdr`.
-    /// The repr analysis proved every key in `0 .. cap`, so an
-    /// out-of-bound read/write is a compiler bug and traps loudly
-    /// (`has` stays total: absent, not a trap).
-    fn call_dense(&mut self, name: &str, args: &[i64]) -> Result<Option<i64>, LirTrap> {
-        let hdr = args[0];
-        let cap = self.load(hdr)?;
-        let in_bounds = |k: i64| (0..cap).contains(&k);
-        match name {
-            "rt_assoc_read" => {
-                let k = args[1];
-                if !in_bounds(k) || self.load(hdr + 2 + k)? == 0 {
-                    return Err(LirTrap::MissingKey);
-                }
-                Ok(Some(self.load(hdr + 2 + cap + k)?))
+    /// `rt_seq_new`: a sequence of `n` zero words.
+    fn seq_new<D: Domain<Word = W>>(&mut self, dom: &mut D, n: i64) -> Result<i64, LirTrap> {
+        let n = n.max(0);
+        let data = self.alloc_words(n as usize);
+        let hdr = self.alloc_words(3);
+        self.store_i64(dom, hdr, data)?;
+        self.store_i64(dom, hdr + 1, n)?;
+        self.store_i64(dom, hdr + 2, n)?;
+        Ok(hdr)
+    }
+
+    /// `rt_seq_grow`: ensures capacity ≥ `want` for the sequence at `hdr`.
+    fn seq_grow<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        hdr: i64,
+        want: i64,
+    ) -> Result<(), D::Stop> {
+        let (data, len, cap) = self.seq_parts(dom, hdr)?;
+        if want > cap {
+            let new_cap = (cap * 2).max(want).max(4);
+            let new_data = self.alloc_words(new_cap as usize);
+            for i in 0..len {
+                let v = self.load(data + i)?;
+                self.store(new_data + i, v)?;
             }
-            "rt_assoc_write" => {
-                let (k, v) = (args[1], args[2]);
-                if !in_bounds(k) {
-                    return Err(LirTrap::BadAddress(k));
-                }
-                if self.load(hdr + 2 + k)? == 0 {
-                    self.store(hdr + 2 + k, 1)?;
-                    let sz = self.load(hdr + 1)?;
-                    self.store(hdr + 1, sz + 1)?;
-                }
-                self.store(hdr + 2 + cap + k, v)?;
-                Ok(None)
-            }
-            "rt_assoc_rmw" => {
-                let k = args[1];
-                if !in_bounds(k) || self.load(hdr + 2 + k)? == 0 {
-                    return Err(LirTrap::MissingKey);
-                }
-                let x = self.load(hdr + 2 + cap + k)?;
-                let r = apply_rmw(args[2], x, args[3])?;
-                self.store(hdr + 2 + cap + k, r)?;
-                Ok(None)
-            }
-            "rt_assoc_has" => {
-                let k = args[1];
-                let present = in_bounds(k) && self.load(hdr + 2 + k)? != 0;
-                Ok(Some(present as i64))
-            }
-            "rt_assoc_remove" => {
-                let k = args[1];
-                if in_bounds(k) && self.load(hdr + 2 + k)? != 0 {
-                    self.store(hdr + 2 + k, 0)?;
-                    let sz = self.load(hdr + 1)?;
-                    self.store(hdr + 1, sz - 1)?;
-                }
-                Ok(None)
-            }
-            "rt_assoc_size" => Ok(Some(self.load(hdr + 1)?)),
-            "rt_assoc_copy" => {
-                let out = self.alloc_words((2 + 2 * cap) as usize);
-                for i in 0..2 + 2 * cap {
-                    let v = self.load(hdr + i)?;
-                    self.store(out + i, v)?;
-                }
-                Ok(Some(out))
-            }
-            "rt_assoc_keys" => {
-                // Present keys ascending — selection never fires when a
-                // `keys` op is reachable, so this order is unobservable;
-                // it matches `memoir_runtime::DenseMap::keys`.
-                let mut keys = Vec::new();
-                for k in 0..cap {
-                    if self.load(hdr + 2 + k)? != 0 {
-                        keys.push(k);
-                    }
-                }
-                let out = self.call_rt("rt_seq_new", &[keys.len() as i64])?.unwrap();
-                let (odata, _, _) = self.seq_parts(out)?;
-                for (i, k) in keys.iter().enumerate() {
-                    self.store(odata + i as i64, *k)?;
-                }
-                Ok(Some(out))
-            }
-            other => Err(LirTrap::UnknownRt(other.to_string())),
+            self.store_i64(dom, hdr, new_data)?;
+            self.store_i64(dom, hdr + 2, new_cap)?;
         }
+        Ok(())
     }
 
-    fn call_rt(&mut self, name: &str, args: &[i64]) -> Result<Option<i64>, LirTrap> {
-        match name {
-            // Dense dispatch: a non-negative assoc handle is a dense
-            // direct-indexed map living in linear memory (emitted by the
-            // adaptive `rt_dense_new` lowering); a negative handle is a
-            // host hashtable as before.
-            n if n.starts_with("rt_assoc_") && args.first().is_some_and(|&h| h >= 0) => {
-                self.call_dense(n, args)
+    /// A fresh sequence holding `keys`.
+    fn seq_of<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        keys: &[i64],
+    ) -> Result<Option<W>, D::Stop> {
+        let out = self.seq_new(dom, keys.len() as i64)?;
+        let (odata, _, _) = self.seq_parts(dom, out)?;
+        for (i, &k) in keys.iter().enumerate() {
+            self.store_i64(dom, odata + i as i64, k)?;
+        }
+        Ok(Some(dom.konst(out)))
+    }
+
+    /// Runs runtime routine `name`. Each routine's argument count is
+    /// checked once here: too few arguments are malformed. Kept out of
+    /// line: inlined, the routines would bloat the loop every
+    /// instruction runs through.
+    #[inline(never)]
+    fn call_rt<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        name: &str,
+        args: &[W],
+    ) -> Result<Option<W>, D::Stop> {
+        let assoc = Assoc::decode(name);
+        let arity = match assoc {
+            Some((_, n)) => n,
+            None => rt_arity(name).ok_or_else(|| LirTrap::UnknownRt(name.to_string()))?,
+        };
+        if args.len() < arity {
+            return Err(LirTrap::Malformed("missing runtime-call argument").into());
+        }
+        // Dense dispatch: a non-negative assoc handle is a dense
+        // direct-indexed map living in linear memory (emitted by the
+        // adaptive `rt_dense_new` lowering); a negative handle is a host
+        // table.
+        if let Some((op, _)) = assoc {
+            let h = dom.resolve(args[0])?;
+            return if h >= 0 {
+                self.call_dense(dom, op, h, args)
+            } else {
+                self.call_host(dom, op, h, args)
+            };
+        }
+        let mut arg = |i: usize| dom.resolve(args[i]);
+        let out = match name {
+            "rt_assoc_new" => {
+                self.tables.push(Default::default());
+                -(self.tables.len() as i64)
             }
             "rt_dense_new" => {
-                let cap = args[0].max(0);
+                let cap = arg(0)?.max(0);
                 let hdr = self.alloc_words((2 + 2 * cap) as usize);
-                self.store(hdr, cap)?;
-                self.store(hdr + 1, 0)?;
-                Ok(Some(hdr))
+                self.store_i64(dom, hdr, cap)?;
+                self.store_i64(dom, hdr + 1, 0)?;
+                hdr
             }
             // ------------------------------------------------- sequences
             "rt_seq_new" => {
-                let n = args[0].max(0);
-                let data = self.alloc_words(n as usize);
-                let hdr = self.alloc_words(3);
-                self.store(hdr, data)?;
-                self.store(hdr + 1, n)?;
-                self.store(hdr + 2, n)?;
-                Ok(Some(hdr))
+                let n = arg(0)?;
+                self.seq_new(dom, n)?
             }
             "rt_seq_grow" => {
-                // Ensure capacity ≥ args[1] for handle args[0].
-                let hdr = args[0];
-                let want = args[1];
-                let (data, len, cap) = self.seq_parts(hdr)?;
-                if want > cap {
-                    let new_cap = (cap * 2).max(want).max(4);
-                    let new_data = self.alloc_words(new_cap as usize);
-                    for i in 0..len {
-                        let v = self.load(data + i)?;
-                        self.store(new_data + i, v)?;
-                    }
-                    self.store(hdr, new_data)?;
-                    self.store(hdr + 2, new_cap)?;
-                }
-                Ok(None)
+                let (hdr, want) = (arg(0)?, arg(1)?);
+                self.seq_grow(dom, hdr, want)?;
+                return Ok(None);
             }
             "rt_seq_insert" => {
-                let (hdr, at, v) = (args[0], args[1], args[2]);
-                let (_, len, _) = self.seq_parts(hdr)?;
-                self.call_rt("rt_seq_grow", &[hdr, len + 1])?;
-                let (data, len, _) = self.seq_parts(hdr)?;
+                let (hdr, at) = (arg(0)?, arg(1)?);
+                let (_, len, _) = self.seq_parts(dom, hdr)?;
+                self.seq_grow(dom, hdr, len + 1)?;
+                let (data, len, _) = self.seq_parts(dom, hdr)?;
                 let mut i = len;
                 while i > at {
                     let x = self.load(data + i - 1)?;
                     self.store(data + i, x)?;
                     i -= 1;
                 }
-                self.store(data + at, v)?;
-                self.store(hdr + 1, len + 1)?;
-                Ok(None)
+                self.store(data + at, args[2])?;
+                self.store_i64(dom, hdr + 1, len + 1)?;
+                return Ok(None);
             }
             "rt_seq_remove" => {
-                let (hdr, at) = (args[0], args[1]);
-                let (data, len, _) = self.seq_parts(hdr)?;
+                let (hdr, at) = (arg(0)?, arg(1)?);
+                let (data, len, _) = self.seq_parts(dom, hdr)?;
                 for i in at..len - 1 {
                     let x = self.load(data + i + 1)?;
                     self.store(data + i, x)?;
                 }
-                self.store(hdr + 1, len - 1)?;
-                Ok(None)
+                self.store_i64(dom, hdr + 1, len - 1)?;
+                return Ok(None);
             }
             "rt_seq_remove_range" => {
-                let (hdr, from, to) = (args[0], args[1], args[2]);
-                let (data, len, _) = self.seq_parts(hdr)?;
+                let (hdr, from, to) = (arg(0)?, arg(1)?, arg(2)?);
+                let (data, len, _) = self.seq_parts(dom, hdr)?;
                 let w = to - from;
                 for i in from..len - w {
                     let x = self.load(data + i + w)?;
                     self.store(data + i, x)?;
                 }
-                self.store(hdr + 1, len - w)?;
-                Ok(None)
+                self.store_i64(dom, hdr + 1, len - w)?;
+                return Ok(None);
             }
             "rt_seq_splice" => {
-                let (hdr, at, src) = (args[0], args[1], args[2]);
-                let (_, slen, _) = self.seq_parts(src)?;
-                let (_, len, _) = self.seq_parts(hdr)?;
-                self.call_rt("rt_seq_grow", &[hdr, len + slen])?;
-                let (data, len, _) = self.seq_parts(hdr)?;
-                let (sdata, slen, _) = self.seq_parts(src)?;
+                let (hdr, at, src) = (arg(0)?, arg(1)?, arg(2)?);
+                let (_, slen, _) = self.seq_parts(dom, src)?;
+                let (_, len, _) = self.seq_parts(dom, hdr)?;
+                self.seq_grow(dom, hdr, len + slen)?;
+                let (data, len, _) = self.seq_parts(dom, hdr)?;
+                let (sdata, slen, _) = self.seq_parts(dom, src)?;
                 let mut i = len;
                 while i > at {
                     let x = self.load(data + i - 1)?;
@@ -503,139 +750,221 @@ impl<'m> LirMachine<'m> {
                     let x = self.load(sdata + i)?;
                     self.store(data + at + i, x)?;
                 }
-                self.store(hdr + 1, len + slen)?;
-                Ok(None)
+                self.store_i64(dom, hdr + 1, len + slen)?;
+                return Ok(None);
             }
             "rt_seq_swap_range" => {
-                let (hdr, from, to, at) = (args[0], args[1], args[2], args[3]);
-                let (data, _, _) = self.seq_parts(hdr)?;
+                let (hdr, from, to, at) = (arg(0)?, arg(1)?, arg(2)?, arg(3)?);
+                let (data, _, _) = self.seq_parts(dom, hdr)?;
                 for o in 0..(to - from) {
                     let a = self.load(data + from + o)?;
                     let b = self.load(data + at + o)?;
                     self.store(data + from + o, b)?;
                     self.store(data + at + o, a)?;
                 }
-                Ok(None)
+                return Ok(None);
             }
             "rt_seq_copy" => {
-                let hdr = args[0];
-                let (data, len, _) = self.seq_parts(hdr)?;
-                let out = self.call_rt("rt_seq_new", &[len])?.unwrap();
-                let (odata, _, _) = self.seq_parts(out)?;
+                let hdr = arg(0)?;
+                let (data, len, _) = self.seq_parts(dom, hdr)?;
+                let out = self.seq_new(dom, len)?;
+                let (odata, _, _) = self.seq_parts(dom, out)?;
                 for i in 0..len {
                     let v = self.load(data + i)?;
                     self.store(odata + i, v)?;
                 }
-                Ok(Some(out))
+                out
             }
             "rt_seq_copy_range" => {
-                let (hdr, from, to) = (args[0], args[1], args[2]);
-                let (data, _, _) = self.seq_parts(hdr)?;
-                let out = self.call_rt("rt_seq_new", &[to - from])?.unwrap();
-                let (odata, _, _) = self.seq_parts(out)?;
+                let (hdr, from, to) = (arg(0)?, arg(1)?, arg(2)?);
+                let (data, _, _) = self.seq_parts(dom, hdr)?;
+                let out = self.seq_new(dom, to - from)?;
+                let (odata, _, _) = self.seq_parts(dom, out)?;
                 for i in 0..(to - from) {
                     let v = self.load(data + from + i)?;
                     self.store(odata + i, v)?;
                 }
-                Ok(Some(out))
+                out
             }
             "rt_seq_swap2" => {
-                let (ha, from, to, hb, at) = (args[0], args[1], args[2], args[3], args[4]);
-                let (da, _, _) = self.seq_parts(ha)?;
-                let (db, _, _) = self.seq_parts(hb)?;
+                let (ha, from, to) = (arg(0)?, arg(1)?, arg(2)?);
+                let (hb, at) = (arg(3)?, arg(4)?);
+                let (da, _, _) = self.seq_parts(dom, ha)?;
+                let (db, _, _) = self.seq_parts(dom, hb)?;
                 for o in 0..(to - from) {
                     let x = self.load(da + from + o)?;
                     let y = self.load(db + at + o)?;
                     self.store(da + from + o, y)?;
                     self.store(db + at + o, x)?;
                 }
-                Ok(None)
+                return Ok(None);
             }
-            // ------------------------------------------------ assoc (host)
-            "rt_assoc_copy" => {
-                let idx = (-args[0] - 1) as usize;
-                let cloned = self.assocs[idx].clone();
-                self.assocs.push(cloned);
-                Ok(Some(-(self.assocs.len() as i64)))
+            // ------------------------------------------------------ misc
+            "rt_obj_new" => {
+                let words = arg(0)?.max(1);
+                self.alloc_words(words as usize)
             }
-            "rt_assoc_new" => {
-                self.assocs.push((HashMap::new(), Vec::new()));
-                Ok(Some(-(self.assocs.len() as i64)))
-            }
-            "rt_assoc_write" => {
-                let idx = (-args[0] - 1) as usize;
-                let (map, order) = &mut self.assocs[idx];
-                if !map.contains_key(&args[1]) {
-                    order.push(args[1]);
+            _ => return Ok(None), // rt_obj_delete
+        };
+        Ok(Some(dom.konst(out)))
+    }
+
+    /// Dense-map operations at a non-negative assoc handle. Layout in
+    /// linear memory: `[cap, size, present[cap], vals[cap]]` at `hdr`.
+    /// The repr analysis proved every key in `0 .. cap`, so an
+    /// out-of-bound read/write is a compiler bug and traps loudly
+    /// (`has` stays total: absent, not a trap).
+    fn call_dense<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        op: Assoc,
+        hdr: i64,
+        args: &[W],
+    ) -> Result<Option<W>, D::Stop> {
+        let cap = self.load_i64(dom, hdr)?;
+        let in_bounds = |k: i64| (0..cap).contains(&k);
+        // The present flag of in-bounds key `k`.
+        let present = |m: &mut Self, dom: &mut D, k: i64| -> Result<bool, D::Stop> {
+            Ok(in_bounds(k) && m.load_i64(dom, hdr + 2 + k)? != 0)
+        };
+        match op {
+            Assoc::Read => {
+                let k = dom.resolve(args[1])?;
+                if !present(self, dom, k)? {
+                    return Err(LirTrap::MissingKey.into());
                 }
-                map.insert(args[1], args[2]);
+                Ok(Some(self.load(hdr + 2 + cap + k)?))
+            }
+            Assoc::Write => {
+                let k = dom.resolve(args[1])?;
+                if !in_bounds(k) {
+                    return Err(LirTrap::BadAddress(k).into());
+                }
+                if !present(self, dom, k)? {
+                    let sz = self.load_i64(dom, hdr + 1)?;
+                    self.store_i64(dom, hdr + 2 + k, 1)?;
+                    self.store_i64(dom, hdr + 1, sz + 1)?;
+                }
+                self.store(hdr + 2 + cap + k, args[2])?;
                 Ok(None)
             }
-            "rt_assoc_read" => {
-                let idx = (-args[0] - 1) as usize;
-                self.assocs[idx]
-                    .0
-                    .get(&args[1])
+            Assoc::Rmw => {
+                let k = dom.resolve(args[1])?;
+                if !present(self, dom, k)? {
+                    return Err(LirTrap::MissingKey.into());
+                }
+                let code = dom.resolve(args[2])?;
+                let x = self.load(hdr + 2 + cap + k)?;
+                let alu = Alu::from_rmw(code).ok_or(LirTrap::Malformed("bad rmw opcode"))?;
+                let r = dom.alu(alu, x, args[3])?;
+                self.store(hdr + 2 + cap + k, r)?;
+                Ok(None)
+            }
+            Assoc::Has => {
+                let k = dom.resolve(args[1])?;
+                let p = present(self, dom, k)?;
+                Ok(Some(dom.konst(p as i64)))
+            }
+            Assoc::Remove => {
+                let k = dom.resolve(args[1])?;
+                if present(self, dom, k)? {
+                    let sz = self.load_i64(dom, hdr + 1)?;
+                    self.store_i64(dom, hdr + 2 + k, 0)?;
+                    self.store_i64(dom, hdr + 1, sz - 1)?;
+                }
+                Ok(None)
+            }
+            Assoc::Size => Ok(Some(self.load(hdr + 1)?)),
+            Assoc::Copy => {
+                let out = self.alloc_words((2 + 2 * cap) as usize);
+                for i in 0..2 + 2 * cap {
+                    let v = self.load(hdr + i)?;
+                    self.store(out + i, v)?;
+                }
+                Ok(Some(dom.konst(out)))
+            }
+            Assoc::Keys => {
+                // Present keys ascending — selection never fires when a
+                // `keys` op is reachable, so this order is unobservable;
+                // it matches `memoir_runtime::DenseMap::keys`.
+                let mut keys = Vec::new();
+                for k in 0..cap {
+                    if present(self, dom, k)? {
+                        keys.push(k);
+                    }
+                }
+                self.seq_of(dom, &keys)
+            }
+        }
+    }
+
+    /// Host-table operations at a negative handle; a handle that names no
+    /// table is a bad address.
+    fn call_host<D: Domain<Word = W>>(
+        &mut self,
+        dom: &mut D,
+        op: Assoc,
+        h: i64,
+        args: &[W],
+    ) -> Result<Option<W>, D::Stop> {
+        let t = (!h) as usize; // -1 ↦ 0, -2 ↦ 1, …
+        if t >= self.tables.len() {
+            return Err(LirTrap::BadAddress(h).into());
+        }
+        let word = match op {
+            Assoc::Copy => {
+                let copy = self.tables[t].clone();
+                self.tables.push(copy);
+                -(self.tables.len() as i64)
+            }
+            Assoc::Size => self.tables[t].0.len() as i64,
+            Assoc::Keys => {
+                let (map, order) = &self.tables[t];
+                let keys: Vec<i64> = order
+                    .iter()
                     .copied()
-                    .map(Some)
-                    .ok_or(LirTrap::MissingKey)
+                    .filter(|k| map.contains_key(k))
+                    .collect();
+                return self.seq_of(dom, &keys);
             }
-            "rt_assoc_has" => {
-                let idx = (-args[0] - 1) as usize;
-                Ok(Some(self.assocs[idx].0.contains_key(&args[1]) as i64))
+            Assoc::Has => {
+                let k = dom.resolve(args[1])?;
+                self.tables[t].0.contains_key(&k) as i64
             }
-            "rt_assoc_remove" => {
-                let idx = (-args[0] - 1) as usize;
-                let (map, order) = &mut self.assocs[idx];
-                if map.remove(&args[1]).is_some() {
-                    order.retain(|&k| k != args[1]);
+            Assoc::Read => {
+                let k = dom.resolve(args[1])?;
+                return Ok(Some(*self.tables[t].0.get(&k).ok_or(LirTrap::MissingKey)?));
+            }
+            Assoc::Write => {
+                let k = dom.resolve(args[1])?;
+                let (map, order) = &mut self.tables[t];
+                if map.insert(k, args[2]).is_none() {
+                    order.push(k);
                 }
-                Ok(None)
+                return Ok(None);
             }
-            "rt_assoc_rmw" => {
+            Assoc::Remove => {
+                let k = dom.resolve(args[1])?;
+                let (map, order) = &mut self.tables[t];
+                if map.remove(&k).is_some() {
+                    order.retain(|&x| x != k);
+                }
+                return Ok(None);
+            }
+            Assoc::Rmw => {
                 // Fused read-modify-write (`mut.rmw` lowering): the
                 // read-half traps on a missing key exactly like
                 // `rt_assoc_read`, then the combined value is stored
                 // without re-hashing.
-                let idx = (-args[0] - 1) as usize;
-                let x = *self.assocs[idx]
-                    .0
-                    .get(&args[1])
-                    .ok_or(LirTrap::MissingKey)?;
-                let r = apply_rmw(args[2], x, args[3])?;
-                self.assocs[idx].0.insert(args[1], r);
-                Ok(None)
+                let (k, code) = (dom.resolve(args[1])?, dom.resolve(args[2])?);
+                let x = *self.tables[t].0.get(&k).ok_or(LirTrap::MissingKey)?;
+                let alu = Alu::from_rmw(code).ok_or(LirTrap::Malformed("bad rmw opcode"))?;
+                let r = dom.alu(alu, x, args[3])?;
+                self.tables[t].0.insert(k, r);
+                return Ok(None);
             }
-            "rt_assoc_size" => {
-                let idx = (-args[0] - 1) as usize;
-                Ok(Some(self.assocs[idx].0.len() as i64))
-            }
-            "rt_assoc_keys" => {
-                // Returns a fresh sequence of the keys.
-                let idx = (-args[0] - 1) as usize;
-                let keys: Vec<i64> = {
-                    let (map, order) = &self.assocs[idx];
-                    order
-                        .iter()
-                        .copied()
-                        .filter(|k| map.contains_key(k))
-                        .collect()
-                };
-                let out = self.call_rt("rt_seq_new", &[keys.len() as i64])?.unwrap();
-                let (odata, _, _) = self.seq_parts(out)?;
-                for (i, k) in keys.iter().enumerate() {
-                    self.store(odata + i as i64, *k)?;
-                }
-                Ok(Some(out))
-            }
-            // ------------------------------------------------------ misc
-            "rt_obj_new" => {
-                let words = args[0].max(1);
-                Ok(Some(self.alloc_words(words as usize)))
-            }
-            "rt_obj_delete" => Ok(None),
-            other => Err(LirTrap::UnknownRt(other.to_string())),
-        }
+        };
+        Ok(Some(dom.konst(word)))
     }
 }
 

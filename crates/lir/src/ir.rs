@@ -84,6 +84,43 @@ pub enum CmpOp {
     Ge,
 }
 
+impl BinOp {
+    /// The semantics both lir executors and `constfold` share: wrapping
+    /// `i64` arithmetic, shifts by the low six bits of `y`, arithmetic
+    /// right shift. `None` is a division or remainder by zero (a trap).
+    #[inline]
+    pub fn eval(self, x: i64, y: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div | BinOp::Rem if y == 0 => return None,
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem => x.wrapping_rem(y),
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::Shr => x.wrapping_shr(y as u32),
+        })
+    }
+}
+
+impl CmpOp {
+    /// The signed comparison both lir executors and `constfold` share.
+    #[inline]
+    pub fn eval(self, x: i64, y: i64) -> bool {
+        match self {
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+        }
+    }
+}
+
 /// An instruction.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {

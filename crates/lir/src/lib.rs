@@ -42,7 +42,7 @@ pub use constfold::{constfold, ConstFoldStats};
 pub use dce::dce;
 pub use dom::{DomTree, DomTreeAnalysis};
 pub use gvn::{gvn, GvnStats};
-pub use interp::{LirMachine, LirStats, LirTrap};
+pub use interp::{Alu, Domain, LirMachine, LirStats, LirTrap, Machine};
 pub use ir::{BinOp, Blk, CmpOp, Fun, Function, Ins, Inst, Module, Op, Val};
 pub use mem2reg::{mem2reg, Mem2RegStats};
 pub use passes::optimize;

@@ -1,10 +1,10 @@
-//! Executor state shared by the two lir executors.
+//! Frame state of the lir executor.
 //!
-//! [`LirMachine`](crate::LirMachine) and `symexec`'s lir path enumerator
-//! keep a function's SSA values in a [`RegFile`]: one slot per value id,
-//! holding a concrete word in one executor and a symbolic term in the
-//! other. [`enter_block`] is the one implementation of block entry (the
-//! φ head as a parallel copy) that both run.
+//! Each frame of a [`Machine`](crate::interp::Machine) keeps its SSA
+//! values in a [`RegFile`]: one slot per value id, holding a concrete
+//! word in [`LirMachine`](crate::LirMachine) and a symbolic term in
+//! `symexec`'s path enumerator. [`enter_block`] is block entry (the φ
+//! head as a parallel copy).
 
 use crate::ir::{Blk, Function, Op, Val};
 
@@ -15,6 +15,13 @@ use crate::ir::{Blk, Function, Op, Val};
 #[derive(Clone, Debug)]
 pub struct RegFile<T> {
     slots: Vec<Option<T>>,
+}
+
+impl<T> RegFile<T> {
+    /// A file with no slots: every value reads as unbound.
+    pub fn empty() -> Self {
+        RegFile { slots: Vec::new() }
+    }
 }
 
 impl<T: Copy> RegFile<T> {

@@ -25,6 +25,6 @@ pub mod regs;
 pub mod stats;
 mod value;
 
-pub use machine::{const_value, ExternFn, Interp, Trap};
+pub use machine::{const_value, Domain, Interp, Machine, Trap};
 pub use stats::ExecStats;
-pub use value::{CollId, Collection, Key, ObjId, Object, Store, Value};
+pub use value::{CollId, Collection, Key, ObjId, Object, Store, Val, Value};

@@ -1,4 +1,4 @@
-//! The execution engine.
+//! The execution engine, generic over its value domain.
 //!
 //! Executes MEMOIR functions in either program form:
 //!
@@ -14,16 +14,32 @@
 //! Undefined behaviour per the paper (§IV-B) — reading uninitialized
 //! elements, absent keys, or out-of-range indices — raises a [`Trap`]
 //! instead of producing garbage, which makes differential testing strict.
+//!
+//! [`Machine`] states this semantics once, over any [`Domain`] of scalar
+//! payloads. [`Interp`] runs it on concrete values under a fuel budget;
+//! `symexec`'s path enumerator runs it on symbolic terms, resolving each
+//! payload that must be concrete (an index, a length, a key, a branch
+//! condition) by pinning or forking. Frames live on an explicit stack, so
+//! call depth costs heap, not host stack. Every allocation of collection
+//! storage first passes the domain's storage guard.
 
 use crate::regs::{enter_block, PhiFault, RegFile};
 use crate::stats::ExecStats;
-use crate::value::{CollId, Collection, Key, Store, Value};
+use crate::value::{CollId, Collection, Key, Store, Val, Value};
 use memoir_ir::{
     BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstId, InstKind, Module, Repr,
     ReprChoices, Type, ValueDef, ValueId,
 };
-use std::collections::HashMap;
 use std::fmt;
+
+/// Charges `$m.stats` with `$call` when domain `$d` counts.
+macro_rules! charge {
+    ($m:expr, $d:ty, $($call:tt)+) => {
+        if <$d as Domain>::COUNTS {
+            $m.stats.$($call)+;
+        }
+    };
+}
 
 /// An execution failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,7 +63,7 @@ pub enum Trap {
     BadReference,
     /// Execution exceeded the fuel limit.
     OutOfFuel,
-    /// Call of an unregistered extern.
+    /// Call of an extern (the interpreter implements none).
     UnknownExtern(String),
     /// Internal type confusion (verifier should have rejected the module).
     TypeConfusion(&'static str),
@@ -82,28 +98,270 @@ impl From<PhiFault> for Trap {
     }
 }
 
-/// Host implementation of an extern function.
-pub type ExternFn = Box<dyn FnMut(&mut Store, &[Value]) -> Result<Vec<Value>, Trap>>;
+/// The scalar payloads a [`Machine`] computes with, and how it decides
+/// the payloads that must be concrete. Every method that can fork the
+/// symbolic domain (`bin` on a divisor, `resolve`, `truth`) runs before
+/// the instruction writes the heap or binds a result, because a forked
+/// child re-runs the instruction from a copy of the machine.
+pub trait Domain {
+    /// An integer payload (the `i64` word of any integer type).
+    type Int: Copy + PartialEq + fmt::Debug;
+    /// A boolean payload.
+    type Bool: Copy + PartialEq + fmt::Debug;
+    /// Why an instruction stops short: a trap, or a decision of the
+    /// domain (a budget, a fork, a construct it cannot model).
+    type Stop: From<Trap> + From<PhiFault>;
+    /// Whether the step charges [`ExecStats`]. Only the concrete drivers
+    /// read the counters, and the cost model's running sum would slow the
+    /// symbolic engine by a tenth.
+    const COUNTS: bool;
+    /// Runs before each instruction that is not a φ.
+    fn tick(&mut self, stats: &ExecStats) -> Result<(), Self::Stop>;
+    /// The storage guard: runs before allocating `elems` elements of
+    /// collection storage for a collection that then holds `len`.
+    fn guard(&mut self, stats: &ExecStats, elems: u64, len: u64) -> Result<(), Self::Stop>;
+    /// Marks a construct the domain may be unable to model (floats,
+    /// externs, reference ordering).
+    fn refuse(&mut self, what: &'static str) -> Result<(), Self::Stop>;
+    /// A constant integer.
+    fn int(&mut self, c: i64) -> Self::Int;
+    /// A constant boolean.
+    fn boolean(&mut self, b: bool) -> Self::Bool;
+    /// `x op y` in integer type `ty`: [`BinOp::eval`], truncated to `ty`;
+    /// a zero divisor traps [`Trap::DivByZero`].
+    fn bin(
+        &mut self,
+        op: BinOp,
+        ty: Type,
+        x: Self::Int,
+        y: Self::Int,
+    ) -> Result<Self::Int, Self::Stop>;
+    /// `x op y` for `op` one of `and`, `or`, `xor`.
+    fn logic(&mut self, op: BinOp, x: Self::Bool, y: Self::Bool) -> Self::Bool;
+    /// [`CmpOp::eval`].
+    fn cmp(&mut self, op: CmpOp, unsigned: bool, x: Self::Int, y: Self::Int) -> Self::Bool;
+    /// [`Type::truncate`].
+    fn trunc(&mut self, ty: Type, x: Self::Int) -> Self::Int;
+    /// A boolean as the integer `0` or `1`.
+    fn widen(&mut self, b: Self::Bool) -> Self::Int;
+    /// Whether an integer is non-zero.
+    fn nonzero(&mut self, x: Self::Int) -> Self::Bool;
+    /// `c ? x : y` over integers, for a condition [`Domain::known`] cannot
+    /// decide.
+    fn select(&mut self, c: Self::Bool, x: Self::Int, y: Self::Int) -> Self::Int;
+    /// `c ? x : y` over booleans, likewise.
+    fn select_bool(&mut self, c: Self::Bool, x: Self::Bool, y: Self::Bool) -> Self::Bool;
+    /// A boolean's value, if it is already decided.
+    fn known(&self, b: Self::Bool) -> Option<bool>;
+    /// The concrete value of an integer that must have one.
+    fn resolve(&mut self, x: Self::Int) -> Result<i64, Self::Stop>;
+    /// The concrete value of a boolean that must have one.
+    fn truth(&mut self, b: Self::Bool) -> Result<bool, Self::Stop>;
+}
 
-/// The interpreter.
-pub struct Interp<'m> {
+/// The concrete domain: `i64` and `bool` payloads, and a fuel budget
+/// that both instructions (counted by [`ExecStats::insts`]) and
+/// collection storage (one unit per element allocated) draw on.
+pub(crate) struct Concrete {
+    fuel: u64,
+}
+
+impl Concrete {
+    /// Evaluates `f` on concrete values outside any run, where the
+    /// domain's decisions are the identity and never stop.
+    pub(crate) fn with<T>(f: impl FnOnce(&mut Concrete) -> Result<T, Trap>) -> T {
+        match f(&mut Concrete { fuel: u64::MAX }) {
+            Ok(v) => v,
+            Err(trap) => unreachable!("concrete decisions never stop: {trap}"),
+        }
+    }
+}
+
+impl Domain for Concrete {
+    type Int = i64;
+    type Bool = bool;
+    type Stop = Trap;
+    const COUNTS: bool = true;
+
+    #[inline]
+    fn tick(&mut self, stats: &ExecStats) -> Result<(), Trap> {
+        if stats.insts >= self.fuel {
+            return Err(Trap::OutOfFuel);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn guard(&mut self, stats: &ExecStats, elems: u64, _: u64) -> Result<(), Trap> {
+        if elems > self.fuel.saturating_sub(stats.insts) {
+            return Err(Trap::OutOfFuel);
+        }
+        self.fuel -= elems;
+        Ok(())
+    }
+
+    #[inline]
+    fn refuse(&mut self, _: &'static str) -> Result<(), Trap> {
+        Ok(())
+    }
+
+    #[inline]
+    fn int(&mut self, c: i64) -> i64 {
+        c
+    }
+
+    #[inline]
+    fn boolean(&mut self, b: bool) -> bool {
+        b
+    }
+
+    #[inline]
+    fn bin(&mut self, op: BinOp, ty: Type, x: i64, y: i64) -> Result<i64, Trap> {
+        Ok(ty.truncate(op.eval(x, y).ok_or(Trap::DivByZero)?))
+    }
+
+    #[inline]
+    fn logic(&mut self, op: BinOp, x: bool, y: bool) -> bool {
+        match op {
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            _ => x ^ y,
+        }
+    }
+
+    #[inline]
+    fn cmp(&mut self, op: CmpOp, unsigned: bool, x: i64, y: i64) -> bool {
+        op.eval(unsigned, x, y)
+    }
+
+    #[inline]
+    fn trunc(&mut self, ty: Type, x: i64) -> i64 {
+        ty.truncate(x)
+    }
+
+    #[inline]
+    fn widen(&mut self, b: bool) -> i64 {
+        b as i64
+    }
+
+    #[inline]
+    fn nonzero(&mut self, x: i64) -> bool {
+        x != 0
+    }
+
+    #[inline]
+    fn select(&mut self, c: bool, x: i64, y: i64) -> i64 {
+        if c {
+            x
+        } else {
+            y
+        }
+    }
+
+    #[inline]
+    fn select_bool(&mut self, c: bool, x: bool, y: bool) -> bool {
+        if c {
+            x
+        } else {
+            y
+        }
+    }
+
+    #[inline]
+    fn known(&self, b: bool) -> Option<bool> {
+        Some(b)
+    }
+
+    #[inline]
+    fn resolve(&mut self, x: i64) -> Result<i64, Trap> {
+        Ok(x)
+    }
+
+    #[inline]
+    fn truth(&mut self, b: bool) -> Result<bool, Trap> {
+        Ok(b)
+    }
+}
+
+/// A value over a domain's payloads.
+type DVal<D> = Val<<D as Domain>::Int, <D as Domain>::Bool>;
+
+/// One call frame: the function, the next instruction, its values.
+#[derive(Clone, Debug)]
+struct Frame<V> {
+    fid: FuncId,
+    block: BlockId,
+    at: usize,
+    regs: RegFile<V>,
+}
+
+/// Where control goes after an instruction.
+enum Flow {
+    /// To the next instruction of the block.
+    Next,
+    /// To the head of another block.
+    Jump(BlockId),
+    /// Out of the frame.
+    Exit(Exit),
+}
+
+/// How a frame's run ends.
+enum Exit {
+    /// Call `FuncId` with the arguments in `Machine::args`.
+    Call(FuncId),
+    /// Return the values in `Machine::args`.
+    Ret,
+}
+
+/// Where an element access lands, found before anything is written.
+enum Loc {
+    /// A sequence position.
+    At(usize),
+    /// An associative key.
+    Key(Key),
+}
+
+/// What an element access does, for [`Machine::locate`]'s checks.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Reads a present, initialized element.
+    Read,
+    /// Writes an element (any key; an in-range index).
+    Write,
+    /// Inserts before an index `<= len`, or at any key.
+    Insert,
+    /// Removes a present element.
+    Remove,
+}
+
+/// The machine state of one execution — heap, frames and counters —
+/// over integer payloads `I` and boolean payloads `B`. [`Interp`] is the
+/// concrete instance.
+#[derive(Clone)]
+pub struct Machine<'m, I, B> {
     module: &'m Module,
     /// The heap.
-    pub store: Store,
-    externs: HashMap<String, ExternFn>,
+    pub store: Store<Val<I, B>>,
     /// Accumulated statistics.
     pub stats: ExecStats,
+    /// The fuel left to [`Interp::run`].
     fuel: u64,
     /// Adaptive representation choices per allocation site (opt-in via
     /// [`Interp::with_repr_choices`]; affects cost accounting only).
     repr_choices: ReprChoices,
+    frames: Vec<Frame<Val<I, B>>>,
     /// Scratch for the φ parallel copy at block entry.
-    phis: Vec<Value>,
+    phis: Vec<Val<I, B>>,
+    /// Call arguments and return values in flight.
+    args: Vec<Val<I, B>>,
 }
 
-impl fmt::Debug for Interp<'_> {
+/// The concrete interpreter.
+pub type Interp<'m> = Machine<'m, i64, bool>;
+
+impl<I, B> fmt::Debug for Machine<'_, I, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Interp")
+        f.debug_struct("Machine")
             .field("module", &self.module.name)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -112,17 +370,9 @@ impl fmt::Debug for Interp<'_> {
 
 impl<'m> Interp<'m> {
     /// Creates an interpreter over a module with the default fuel budget
-    /// (100 million instructions).
+    /// (100 million units).
     pub fn new(module: &'m Module) -> Self {
-        Interp {
-            module,
-            store: Store::default(),
-            externs: HashMap::new(),
-            stats: ExecStats::default(),
-            fuel: 100_000_000,
-            repr_choices: ReprChoices::default(),
-            phis: Vec::new(),
-        }
+        Machine::fresh(module)
     }
 
     /// Overrides the fuel budget.
@@ -141,19 +391,9 @@ impl<'m> Interp<'m> {
         self
     }
 
-    /// Registers a host implementation for an extern.
-    pub fn register_extern(
-        &mut self,
-        name: impl Into<String>,
-        f: impl FnMut(&mut Store, &[Value]) -> Result<Vec<Value>, Trap> + 'static,
-    ) {
-        self.externs.insert(name.into(), Box::new(f));
-    }
-
     /// Convenience: allocates a sequence in the store from values.
     pub fn alloc_seq(&mut self, elems: Vec<Value>) -> Value {
-        let id = self.store.alloc_coll(Collection::Seq(elems));
-        Value::Coll(id)
+        Value::Coll(self.store.alloc_coll(Collection::Seq(elems)))
     }
 
     /// Reads out a sequence as a vector of values.
@@ -166,7 +406,13 @@ impl<'m> Interp<'m> {
 
     /// Runs a function by id with the given arguments.
     pub fn run(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>, Trap> {
-        self.call_function(fid, args)
+        let mut dom = Concrete { fuel: self.fuel };
+        self.frames.clear();
+        let out = self
+            .enter(&mut dom, fid, args)
+            .and_then(|()| self.exec(&mut dom));
+        self.fuel = dom.fuel;
+        out
     }
 
     /// Runs a function by name.
@@ -177,71 +423,535 @@ impl<'m> Interp<'m> {
             .unwrap_or_else(|| panic!("no function named `{name}`"));
         self.run(fid, args)
     }
+}
 
-    fn call_function(&mut self, fid: FuncId, mut args: Vec<Value>) -> Result<Vec<Value>, Trap> {
+/// Materializes a constant.
+pub fn const_value(c: Constant) -> Value {
+    Concrete::with(|dom| konst(dom, c))
+}
+
+impl<'m, I, B> Machine<'m, I, B>
+where
+    I: Copy + PartialEq + fmt::Debug,
+    B: Copy + PartialEq + fmt::Debug,
+{
+    /// A machine with an empty heap and no frames.
+    pub fn fresh(module: &'m Module) -> Self {
+        Machine {
+            module,
+            store: Store::default(),
+            stats: ExecStats::default(),
+            fuel: 100_000_000,
+            repr_choices: ReprChoices::default(),
+            frames: Vec::new(),
+            phis: Vec::new(),
+            args: Vec::new(),
+        }
+    }
+
+    /// Pushes a frame for `fid` with `args` bound to its parameters,
+    /// positioned after the entry block's φ head. Value semantics: by-value
+    /// collection arguments of a mut-form function are copies (the MUT
+    /// library mirrors C++). SSA-form functions never mutate their
+    /// inputs, so the copy is skipped (and ARGφ/RETφ flow returns updated
+    /// collections explicitly).
+    pub fn enter<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        fid: FuncId,
+        mut args: Vec<Val<I, B>>,
+    ) -> Result<(), D::Stop> {
         let module = self.module;
         let f = &module.funcs[fid];
-        self.stats.call();
-        // Value semantics: by-value collection arguments are deep copies in
-        // mut form (the MUT library mirrors C++). SSA-form functions never
-        // mutate their inputs, so the copy is skipped (and ARGφ/RETφ flow
-        // returns updated collections explicitly).
+        charge!(self, D, call());
         if f.form == memoir_ir::Form::Mut {
-            for (i, a) in args.iter_mut().enumerate() {
-                if let (Some(p), Value::Coll(c)) = (f.params.get(i), a.clone()) {
-                    if !p.by_ref {
-                        let (copy, n) = self.store.clone_coll(c);
-                        self.stats.copy(n as u64);
-                        self.charge_alloc_bytes(copy);
-                        *a = Value::Coll(copy);
-                    }
+            for (p, a) in f.params.iter().zip(args.iter_mut()) {
+                if let (false, Val::Coll(c)) = (p.by_ref, &*a) {
+                    *a = Val::Coll(self.copy_coll(dom, *c)?);
                 }
             }
         }
-
         let mut regs = RegFile::new(f);
         for (i, &pv) in f.param_values.iter().enumerate() {
-            regs.set(
-                pv,
-                args.get(i)
-                    .cloned()
-                    .ok_or(Trap::TypeConfusion("missing argument"))?,
-            );
+            let a = args.get(i).cloned();
+            regs.set(pv, a.ok_or(Trap::TypeConfusion("missing argument"))?);
         }
+        let at = self.enter_block(dom, f, None, f.entry, &mut regs)?;
+        self.frames.push(Frame {
+            fid,
+            block: f.entry,
+            at,
+            regs,
+        });
+        Ok(())
+    }
 
-        let mut block = f.entry;
-        let mut prev: Option<BlockId> = None;
+    /// Runs the frame stack until the bottom frame returns, and returns
+    /// its values. On a stop, the top frame stays at the instruction that
+    /// stopped, so a copy of the machine can run it again.
+    pub fn exec<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+    ) -> Result<Vec<Val<I, B>>, D::Stop> {
+        let module = self.module;
         loop {
-            // Evaluate φs as a parallel copy using the incoming edge.
-            let insts = &f.blocks[block].insts;
-            let stats = &mut self.stats;
-            let phis = enter_block(f, prev, block, &mut regs, &mut self.phis, |regs, v| {
-                eval(f, regs, v).inspect(|_| stats.scalar())
-            })?;
-
-            // Execute the rest of the block.
-            let mut next: Option<BlockId> = None;
-            for &iid in &insts[phis..] {
-                if self.stats.insts >= self.fuel {
-                    return Err(Trap::OutOfFuel);
+            let top = self.frames.last_mut().expect("a frame to run");
+            let (fid, mut block, mut at) = (top.fid, top.block, top.at);
+            let mut regs = std::mem::replace(&mut top.regs, RegFile::empty());
+            let f = &module.funcs[fid];
+            let exit = self.run_frame(dom, fid, f, &mut regs, &mut block, &mut at);
+            let top = self.frames.last_mut().expect("the running frame");
+            (top.regs, top.block, top.at) = (regs, block, at);
+            match exit? {
+                Exit::Call(callee) => {
+                    let args = std::mem::take(&mut self.args);
+                    self.enter(dom, callee, args)?;
                 }
-                match self.exec(f, &mut regs, (fid, iid))? {
-                    Control::Next => {}
-                    Control::Jump(b) => {
-                        next = Some(b);
+                Exit::Ret => {
+                    self.frames.pop();
+                    let Some(caller) = self.frames.last_mut() else {
+                        return Ok(std::mem::take(&mut self.args));
+                    };
+                    let cf = &module.funcs[caller.fid];
+                    let call = cf.blocks[caller.block].insts[caller.at];
+                    for (&r, v) in cf.insts[call].results.iter().zip(self.args.drain(..)) {
+                        caller.regs.set(r, v);
+                    }
+                    caller.at += 1;
+                }
+            }
+        }
+    }
+
+    /// Runs `f` from `(block, at)` until it calls or returns; jumps move
+    /// `block` and `at` along. A block's instructions run in an inner
+    /// loop over its slice; `at` is written back only when the frame stops
+    /// running.
+    #[inline(always)]
+    fn run_frame<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        fid: FuncId,
+        f: &'m Function,
+        regs: &mut RegFile<Val<I, B>>,
+        block: &mut BlockId,
+        at: &mut usize,
+    ) -> Result<Exit, D::Stop> {
+        loop {
+            let insts = &f.blocks[*block].insts;
+            let start = (*at).min(insts.len());
+            let mut target = None;
+            for (i, &iid) in insts[start..].iter().enumerate() {
+                match self.step(dom, fid, f, regs, iid) {
+                    Ok(Flow::Next) => {}
+                    Ok(Flow::Jump(b)) => {
+                        target = Some(b);
                         break;
                     }
-                    Control::Return(vals) => return Ok(vals),
+                    Ok(Flow::Exit(exit)) => {
+                        *at = start + i;
+                        return Ok(exit);
+                    }
+                    Err(stop) => {
+                        *at = start + i;
+                        return Err(stop);
+                    }
                 }
             }
-            match next {
-                Some(b) => {
-                    prev = Some(block);
-                    block = b;
-                }
-                None => return Err(Trap::TypeConfusion("block fell through")),
-            }
+            let Some(target) = target else {
+                return Err(Trap::TypeConfusion("block fell through").into());
+            };
+            *at = self.enter_block(dom, f, Some(*block), target, regs)?;
+            *block = target;
         }
+    }
+
+    /// Executes one instruction other than a φ.
+    #[inline(always)]
+    fn step<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        fid: FuncId,
+        f: &'m Function,
+        regs: &mut RegFile<Val<I, B>>,
+        iid: InstId,
+    ) -> Result<Flow, D::Stop> {
+        use InstKind::*;
+        let module: &'m Module = self.module;
+        let types = &module.types;
+        dom.tick(&self.stats)?;
+        let inst = &f.insts[iid];
+        let ev = |dom: &mut D, v| eval(dom, f, regs, v);
+        let out: Val<I, B> = match inst.kind {
+            Bin { op, lhs, rhs } => {
+                charge!(self, D, scalar());
+                let (a, b) = (ev(dom, lhs)?, ev(dom, rhs)?);
+                exec_bin(dom, op, a, b)?
+            }
+            Cmp { op, lhs, rhs } => {
+                charge!(self, D, scalar());
+                let (a, b) = (ev(dom, lhs)?, ev(dom, rhs)?);
+                exec_cmp(dom, op, a, b)?
+            }
+            Cast { to, value } => {
+                charge!(self, D, scalar());
+                let v = ev(dom, value)?;
+                exec_cast(dom, types.get(to), v)?
+            }
+            Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                charge!(self, D, scalar());
+                let Val::Bool(c) = ev(dom, cond)? else {
+                    return Err(Trap::TypeConfusion("select").into());
+                };
+                match dom.known(c) {
+                    Some(c) => ev(dom, if c { then_value } else { else_value })?,
+                    None => match (ev(dom, then_value)?, ev(dom, else_value)?) {
+                        (Val::Int(t, x), Val::Int(_, y)) => Val::Int(t, dom.select(c, x, y)),
+                        (Val::Bool(x), Val::Bool(y)) => Val::Bool(dom.select_bool(c, x, y)),
+                        // Selecting between heap values needs a
+                        // decided condition.
+                        (tv, evv) => {
+                            if dom.truth(c)? {
+                                tv
+                            } else {
+                                evv
+                            }
+                        }
+                    },
+                }
+            }
+            Phi { .. } => return Err(Trap::TypeConfusion("phi outside block head").into()),
+            Call { callee, ref args } => {
+                self.args.clear();
+                for &a in args {
+                    let v = ev(dom, a)?;
+                    self.args.push(v);
+                }
+                match callee {
+                    Callee::Func(callee) => return Ok(Flow::Exit(Exit::Call(callee))),
+                    Callee::Extern(eid) => {
+                        dom.refuse("extern call")?;
+                        charge!(self, D, call());
+                        let name = module.externs[eid].name.clone();
+                        return Err(Trap::UnknownExtern(name).into());
+                    }
+                }
+            }
+            Jump { target } => {
+                charge!(self, D, scalar());
+                return Ok(Flow::Jump(target));
+            }
+            Branch {
+                cond,
+                then_target,
+                else_target,
+            } => {
+                charge!(self, D, scalar());
+                let Val::Bool(c) = ev(dom, cond)? else {
+                    return Err(Trap::TypeConfusion("branch").into());
+                };
+                return Ok(Flow::Jump(if dom.truth(c)? {
+                    then_target
+                } else {
+                    else_target
+                }));
+            }
+            Ret { ref values } => {
+                self.args.clear();
+                for &v in values {
+                    let v = ev(dom, v)?;
+                    self.args.push(v);
+                }
+                return Ok(Flow::Exit(Exit::Ret));
+            }
+            Unreachable => return Err(Trap::Unreachable.into()),
+
+            NewSeq { len, .. } => {
+                let n = index_arg(dom, f, regs, len)?;
+                dom.guard(&self.stats, n, n)?;
+                let id = self
+                    .store
+                    .alloc_coll(Collection::Seq(vec![Val::Uninit; n as usize]));
+                self.charge_alloc_bytes::<D>(id);
+                self.tag_repr((fid, iid), id);
+                Val::Coll(id)
+            }
+            NewAssoc { .. } => {
+                let id = self.store.alloc_coll(Collection::new_assoc());
+                self.charge_alloc_bytes::<D>(id);
+                self.tag_repr((fid, iid), id);
+                Val::Coll(id)
+            }
+            NewObj { obj } => {
+                let nfields = types.object(obj).fields.len();
+                let bytes = types.object_layout(obj).size + 16;
+                charge!(self, D, alloc(0, bytes));
+                Val::Ref(obj, Some(self.store.alloc_obj(obj, nfields)))
+            }
+            DeleteObj { obj } => {
+                charge!(self, D, scalar());
+                let Val::Ref(_, Some(id)) = ev(dom, obj)? else {
+                    return Err(Trap::BadReference.into());
+                };
+                self.store.obj_mut(id).fields = None;
+                return Ok(Flow::Next);
+            }
+
+            Read { c, idx } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let iv = ev(dom, idx)?;
+                let loc = self.locate(dom, cid, &iv, Access::Read)?;
+                self.get::<D>(cid, &loc)
+            }
+            Write { c, idx, value } | MutWrite { c, idx, value } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
+                let loc = self.locate(dom, cid, &iv, Access::Write)?;
+                let t = self.target(dom, cid, matches!(inst.kind, Write { .. }))?;
+                self.put::<D>(t, loc, vv, false);
+                Val::Coll(t)
+            }
+            Rmw { c, idx, op, value } | MutRmw { c, idx, op, value } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
+                let loc = self.locate(dom, cid, &iv, Access::Read)?;
+                let old = self.peek(cid, &loc);
+                let new = exec_bin(dom, op, old, vv)?;
+                let t = self.target(dom, cid, matches!(inst.kind, Rmw { .. }))?;
+                self.put::<D>(t, loc, new, true);
+                Val::Coll(t)
+            }
+            Insert { c, idx, value } | MutInsert { c, idx, value } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let iv = ev(dom, idx)?;
+                let vv = match value {
+                    Some(v) => ev(dom, v)?,
+                    None => Val::Uninit,
+                };
+                let loc = self.locate(dom, cid, &iv, Access::Insert)?;
+                let t = self.target(dom, cid, matches!(inst.kind, Insert { .. }))?;
+                let len = self.store.coll(t).len() as u64;
+                dom.guard(&self.stats, 1, len + 1)?;
+                self.insert_at::<D>(t, loc, vv);
+                Val::Coll(t)
+            }
+            InsertSeq { c, idx, src } | MutInsertSeq { c, idx, src } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let i = index_arg(dom, f, regs, idx)?;
+                let sid = coll_arg(dom, f, regs, src)?;
+                let t = self.target(dom, cid, matches!(inst.kind, InsertSeq { .. }))?;
+                self.splice(dom, t, i, sid)?;
+                Val::Coll(t)
+            }
+            MutAppend { c, src } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let at = self.store.coll(cid).len() as u64;
+                let sid = coll_arg(dom, f, regs, src)?;
+                self.splice(dom, cid, at, sid)?;
+                Val::Coll(cid)
+            }
+            Remove { c, idx } | MutRemove { c, idx } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let iv = ev(dom, idx)?;
+                let loc = self.locate(dom, cid, &iv, Access::Remove)?;
+                let t = self.target(dom, cid, matches!(inst.kind, Remove { .. }))?;
+                self.remove_at::<D>(t, loc);
+                Val::Coll(t)
+            }
+            RemoveRange { c, from, to } | MutRemoveRange { c, from, to } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let a = index_arg(dom, f, regs, from)?;
+                let b = index_arg(dom, f, regs, to)?;
+                let t = self.target(dom, cid, matches!(inst.kind, RemoveRange { .. }))?;
+                let elems = self
+                    .store
+                    .seq_mut(t)
+                    .ok_or(Trap::TypeConfusion("remove.range on assoc"))?;
+                let len = elems.len() as u64;
+                if a > b || b > len {
+                    return Err(Trap::OutOfRange { index: b, len }.into());
+                }
+                elems.drain(a as usize..b as usize);
+                charge!(self, D, moved(len - b));
+                Val::Coll(t)
+            }
+            Copy { c } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                Val::Coll(self.copy_coll(dom, cid)?)
+            }
+            CopyRange { c, from, to } | MutSplit { c, from, to } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let a = index_arg(dom, f, regs, from)?;
+                let b = index_arg(dom, f, regs, to)?;
+                let split = matches!(inst.kind, MutSplit { .. });
+                let len =
+                    self.store
+                        .seq(cid)
+                        .map(|e| e.len() as u64)
+                        .ok_or(Trap::TypeConfusion(if split {
+                            "split on assoc"
+                        } else {
+                            "copy.range on assoc"
+                        }))?;
+                if a > b || b > len {
+                    return Err(Trap::OutOfRange { index: b, len }.into());
+                }
+                dom.guard(&self.stats, b - a, b - a)?;
+                let range = a as usize..b as usize;
+                let part = if split {
+                    self.store.seq_mut(cid).map(|e| e.drain(range).collect())
+                } else {
+                    self.store.seq(cid).map(|e| e[range].to_vec())
+                };
+                let part = part.unwrap_or_default();
+                let id = self.store.alloc_coll(Collection::Seq(part));
+                charge!(self, D, copy(b - a));
+                if split {
+                    charge!(self, D, moved(len - b));
+                }
+                self.charge_alloc_bytes::<D>(id);
+                Val::Coll(id)
+            }
+            Swap { c, from, to, at: k } | MutSwap { c, from, to, at: k } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let a = index_arg(dom, f, regs, from)?;
+                let b = index_arg(dom, f, regs, to)?;
+                let k = index_arg(dom, f, regs, k)?;
+                let t = self.target(dom, cid, matches!(inst.kind, Swap { .. }))?;
+                self.swap_ranges::<D>(t, a, b, k)?;
+                Val::Coll(t)
+            }
+            Swap2 {
+                a,
+                from,
+                to,
+                b,
+                at: k,
+            }
+            | MutSwap2 {
+                a,
+                from,
+                to,
+                b,
+                at: k,
+            } => {
+                let aid = coll_arg(dom, f, regs, a)?;
+                let bid = coll_arg(dom, f, regs, b)?;
+                let x = index_arg(dom, f, regs, from)?;
+                let y = index_arg(dom, f, regs, to)?;
+                let k = index_arg(dom, f, regs, k)?;
+                let ssa = matches!(inst.kind, Swap2 { .. });
+                let ta = self.target(dom, aid, ssa)?;
+                let tb = self.target(dom, bid, ssa)?;
+                self.swap_across::<D>(ta, tb, x, y, k)?;
+                for (&r, v) in inst.results.iter().zip([Val::Coll(ta), Val::Coll(tb)]) {
+                    regs.set(r, v);
+                }
+                return Ok(Flow::Next);
+            }
+            Size { c } => {
+                charge!(self, D, scalar());
+                let cid = coll_arg(dom, f, regs, c)?;
+                Val::Int(Type::Index, dom.int(self.store.coll(cid).len() as i64))
+            }
+            Has { c, key } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                if matches!(self.store.repr_of(cid), Repr::Dense { .. }) {
+                    charge!(self, D, dense_access(false));
+                } else {
+                    charge!(self, D, assoc_op(false));
+                }
+                let kv = ev(dom, key)?;
+                let k = key_of(dom, &kv)?.ok_or(Trap::TypeConfusion("bad key"))?;
+                let Collection::Assoc { map, .. } = self.store.coll(cid) else {
+                    return Err(Trap::TypeConfusion("has on sequence").into());
+                };
+                let present = map.contains_key(&k);
+                Val::Bool(dom.boolean(present))
+            }
+            Keys { c } => {
+                let cid = coll_arg(dom, f, regs, c)?;
+                let key_ty = match types.get(f.value_ty(c)) {
+                    Type::Assoc(k, _) => types.get(k),
+                    _ => return Err(Trap::TypeConfusion("keys on sequence").into()),
+                };
+                let Collection::Assoc { order, map } = self.store.coll(cid) else {
+                    return Err(Trap::TypeConfusion("keys on sequence").into());
+                };
+                let n = map.len() as u64;
+                dom.guard(&self.stats, n, n)?;
+                let elems: Vec<_> = order
+                    .iter()
+                    .filter(|k| map.contains_key(k))
+                    .map(|k| key_value(dom, k, key_ty))
+                    .collect();
+                let id = self.store.alloc_coll(Collection::Seq(elems));
+                charge!(self, D, copy(n));
+                self.charge_alloc_bytes::<D>(id);
+                Val::Coll(id)
+            }
+            UsePhi { c } => {
+                charge!(self, D, scalar());
+                ev(dom, c)?
+            }
+            FieldRead { obj, obj_ty, field } => {
+                charge!(self, D, field_op(types.object_layout(obj_ty).size));
+                let Val::Ref(_, Some(id)) = ev(dom, obj)? else {
+                    return Err(Trap::BadReference.into());
+                };
+                let fields = self.store.obj(id).fields.as_ref();
+                let fv = fields.ok_or(Trap::BadReference)?[field as usize].clone();
+                if matches!(fv, Val::Uninit) {
+                    return Err(Trap::ReadUninit.into());
+                }
+                fv
+            }
+            FieldWrite {
+                obj,
+                obj_ty,
+                field,
+                value,
+            } => {
+                charge!(self, D, field_op(types.object_layout(obj_ty).size));
+                let (v, fv) = (ev(dom, obj)?, ev(dom, value)?);
+                let Val::Ref(_, Some(id)) = v else {
+                    return Err(Trap::BadReference.into());
+                };
+                let fields = self.store.obj_mut(id).fields.as_mut();
+                fields.ok_or(Trap::BadReference)?[field as usize] = fv;
+                return Ok(Flow::Next);
+            }
+        };
+        // A result-less instruction (a mut-form update) discards its
+        // value.
+        if let Some(&r) = inst.results.first() {
+            regs.set(r, out);
+        }
+        Ok(Flow::Next)
+    }
+
+    /// Enters `target` from `pred`, running its φ head (each φ counts as
+    /// a scalar instruction), and returns the position after it.
+    fn enter_block<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        f: &Function,
+        pred: Option<BlockId>,
+        target: BlockId,
+        regs: &mut RegFile<Val<I, B>>,
+    ) -> Result<usize, D::Stop> {
+        let stats = &mut self.stats;
+        enter_block(f, pred, target, regs, &mut self.phis, |regs, v| {
+            let x = eval(dom, f, regs, v)?;
+            if D::COUNTS {
+                stats.scalar();
+            }
+            Ok(x)
+        })
     }
 
     /// Tags a collection allocated at `site` with the site's adaptive
@@ -252,656 +962,210 @@ impl<'m> Interp<'m> {
         }
     }
 
-    fn charge_alloc_bytes(&mut self, id: CollId) {
-        let bytes = match self.store.coll(id) {
+    fn charge_alloc_bytes<D: Domain<Int = I, Bool = B>>(&mut self, id: CollId) {
+        let c = self.store.coll(id);
+        let bytes = match c {
             Collection::Seq(v) => 32 + 8 * v.len() as u64,
             Collection::Assoc { map, .. } => 48 + 24 * map.len() as u64,
         };
-        self.stats.alloc(self.store.coll(id).len() as u64, bytes);
+        charge!(self, D, alloc(c.len() as u64, bytes));
     }
 
-    /// Executes one non-φ instruction, binding its results in `regs`.
-    fn exec(
+    /// A value copy of collection `cid`, charged as one.
+    fn copy_coll<D: Domain<Int = I, Bool = B>>(
         &mut self,
-        f: &Function,
-        regs: &mut RegFile<Value>,
-        site: (FuncId, InstId),
-    ) -> Result<Control, Trap> {
-        use InstKind::*;
-        let inst = &f.insts[site.1];
-        let results = &inst.results;
-        // Binds the first result (a result-less instruction discards its
-        // value) and falls through.
-        macro_rules! next {
-            ($v:expr) => {{
-                let v = $v;
-                if let Some(&r) = results.first() {
-                    regs.set(r, v);
-                }
-                Control::Next
-            }};
-        }
-        Ok(match &inst.kind {
-            Bin { op, lhs, rhs } => {
-                self.stats.scalar();
-                let a = eval(f, regs, *lhs)?;
-                let b = eval(f, regs, *rhs)?;
-                next!(exec_bin(*op, &a, &b)?)
-            }
-            Cmp { op, lhs, rhs } => {
-                self.stats.scalar();
-                let a = eval(f, regs, *lhs)?;
-                let b = eval(f, regs, *rhs)?;
-                next!(Value::Bool(exec_cmp(*op, &a, &b)?))
-            }
-            Cast { to, value } => {
-                self.stats.scalar();
-                let v = eval(f, regs, *value)?;
-                next!(exec_cast(self.module.types.get(*to), &v)?)
-            }
-            Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                self.stats.scalar();
-                let c = eval(f, regs, *cond)?
-                    .as_bool()
-                    .ok_or(Trap::TypeConfusion("select"))?;
-                let v = if c {
-                    eval(f, regs, *then_value)?
-                } else {
-                    eval(f, regs, *else_value)?
-                };
-                next!(v)
-            }
-            Phi { .. } => return Err(Trap::TypeConfusion("phi outside block head")),
-            Call { callee, args } => {
-                let argv: Vec<Value> = args
-                    .iter()
-                    .map(|&a| eval(f, regs, a))
-                    .collect::<Result<_, _>>()?;
-                match callee {
-                    Callee::Func(fid) => {
-                        let rets = self.call_function(*fid, argv)?;
-                        for (&r, v) in results.iter().zip(rets) {
-                            regs.set(r, v);
-                        }
-                        Control::Next
-                    }
-                    Callee::Extern(eid) => {
-                        self.stats.call();
-                        let name = self.module.externs[*eid].name.clone();
-                        let mut host = self
-                            .externs
-                            .remove(&name)
-                            .ok_or_else(|| Trap::UnknownExtern(name.clone()))?;
-                        let result = host(&mut self.store, &argv);
-                        self.externs.insert(name, host);
-                        for (&r, v) in results.iter().zip(result?) {
-                            regs.set(r, v);
-                        }
-                        Control::Next
-                    }
-                }
-            }
-            Jump { target } => {
-                self.stats.scalar();
-                Control::Jump(*target)
-            }
-            Branch {
-                cond,
-                then_target,
-                else_target,
-            } => {
-                self.stats.scalar();
-                let c = eval(f, regs, *cond)?
-                    .as_bool()
-                    .ok_or(Trap::TypeConfusion("branch"))?;
-                Control::Jump(if c { *then_target } else { *else_target })
-            }
-            Ret { values } => {
-                let vals: Vec<Value> = values
-                    .iter()
-                    .map(|&v| eval(f, regs, v))
-                    .collect::<Result<_, _>>()?;
-                Control::Return(vals)
-            }
-            Unreachable => return Err(Trap::Unreachable),
-
-            NewSeq { len, .. } => {
-                let n = index_arg(f, regs, *len)?;
-                let id = self
-                    .store
-                    .alloc_coll(Collection::Seq(vec![Value::Uninit; n as usize]));
-                self.charge_alloc_bytes(id);
-                self.tag_repr(site, id);
-                next!(Value::Coll(id))
-            }
-            NewAssoc { .. } => {
-                let id = self.store.alloc_coll(Collection::new_assoc());
-                self.charge_alloc_bytes(id);
-                self.tag_repr(site, id);
-                next!(Value::Coll(id))
-            }
-            NewObj { obj } => {
-                let nfields = self.module.types.object(*obj).fields.len();
-                let bytes = self.module.types.object_layout(*obj).size + 16;
-                self.stats.alloc(0, bytes);
-                let id = self.store.alloc_obj(*obj, nfields);
-                next!(Value::Ref(*obj, Some(id)))
-            }
-            DeleteObj { obj } => {
-                self.stats.scalar();
-                let v = eval(f, regs, *obj)?;
-                match v {
-                    Value::Ref(_, Some(id)) => {
-                        self.store.objects[id.0 as usize].fields = None;
-                        Control::Next
-                    }
-                    _ => return Err(Trap::BadReference),
-                }
-            }
-
-            Read { c, idx } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let iv = eval(f, regs, *idx)?;
-                let v = self.read_element(cid, &iv)?;
-                next!(v)
-            }
-            Write { c, idx, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let iv = eval(f, regs, *idx)?;
-                let vv = eval(f, regs, *value)?;
-                self.write_element(copy, &iv, vv)?;
-                next!(Value::Coll(copy))
-            }
-            MutWrite { c, idx, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let iv = eval(f, regs, *idx)?;
-                let vv = eval(f, regs, *value)?;
-                self.write_element(cid, &iv, vv)?;
-                Control::Next
-            }
-            Rmw { c, idx, op, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let iv = eval(f, regs, *idx)?;
-                let vv = eval(f, regs, *value)?;
-                self.rmw_element(copy, &iv, *op, &vv)?;
-                next!(Value::Coll(copy))
-            }
-            MutRmw { c, idx, op, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let iv = eval(f, regs, *idx)?;
-                let vv = eval(f, regs, *value)?;
-                self.rmw_element(cid, &iv, *op, &vv)?;
-                Control::Next
-            }
-            Insert { c, idx, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let iv = eval(f, regs, *idx)?;
-                let vv = match value {
-                    Some(v) => Some(eval(f, regs, *v)?),
-                    None => None,
-                };
-                self.insert_element(copy, &iv, vv)?;
-                next!(Value::Coll(copy))
-            }
-            MutInsert { c, idx, value } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let iv = eval(f, regs, *idx)?;
-                let vv = match value {
-                    Some(v) => Some(eval(f, regs, *v)?),
-                    None => None,
-                };
-                self.insert_element(cid, &iv, vv)?;
-                Control::Next
-            }
-            InsertSeq { c, idx, src } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let i = index_arg(f, regs, *idx)?;
-                let sid = coll_arg(f, regs, *src)?;
-                self.splice(copy, i, sid)?;
-                next!(Value::Coll(copy))
-            }
-            MutInsertSeq { c, idx, src } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let i = index_arg(f, regs, *idx)?;
-                let sid = coll_arg(f, regs, *src)?;
-                self.splice(cid, i, sid)?;
-                Control::Next
-            }
-            MutAppend { c, src } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let at = self.store.coll(cid).len() as u64;
-                let sid = coll_arg(f, regs, *src)?;
-                self.splice(cid, at, sid)?;
-                Control::Next
-            }
-            Remove { c, idx } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let iv = eval(f, regs, *idx)?;
-                self.remove_element(copy, &iv)?;
-                next!(Value::Coll(copy))
-            }
-            MutRemove { c, idx } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let iv = eval(f, regs, *idx)?;
-                self.remove_element(cid, &iv)?;
-                Control::Next
-            }
-            RemoveRange { c, from, to } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
-                self.remove_range(copy, a, b)?;
-                next!(Value::Coll(copy))
-            }
-            MutRemoveRange { c, from, to } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
-                self.remove_range(cid, a, b)?;
-                Control::Next
-            }
-            Copy { c } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                next!(Value::Coll(copy))
-            }
-            CopyRange { c, from, to } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
-                let Collection::Seq(elems) = self.store.coll(cid) else {
-                    return Err(Trap::TypeConfusion("copy.range on assoc"));
-                };
-                let len = elems.len() as u64;
-                if a > b || b > len {
-                    return Err(Trap::OutOfRange { index: b, len });
-                }
-                let slice = elems[a as usize..b as usize].to_vec();
-                let n = slice.len() as u64;
-                let id = self.store.alloc_coll(Collection::Seq(slice));
-                self.stats.copy(n);
-                self.charge_alloc_bytes(id);
-                next!(Value::Coll(id))
-            }
-            MutSplit { c, from, to } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (a, b) = (index_arg(f, regs, *from)?, index_arg(f, regs, *to)?);
-                let Collection::Seq(elems) = self.store.coll_mut(cid) else {
-                    return Err(Trap::TypeConfusion("split on assoc"));
-                };
-                let len = elems.len() as u64;
-                if a > b || b > len {
-                    return Err(Trap::OutOfRange { index: b, len });
-                }
-                let split: Vec<Value> = elems.drain(a as usize..b as usize).collect();
-                let n = split.len() as u64;
-                let id = self.store.alloc_coll(Collection::Seq(split));
-                self.stats.copy(n);
-                self.stats.moved(len - b);
-                self.charge_alloc_bytes(id);
-                next!(Value::Coll(id))
-            }
-            Swap { c, from, to, at } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (copy, n) = self.store.clone_coll(cid);
-                self.stats.copy(n as u64);
-                self.charge_alloc_bytes(copy);
-                let (a, b, k) = (
-                    index_arg(f, regs, *from)?,
-                    index_arg(f, regs, *to)?,
-                    index_arg(f, regs, *at)?,
-                );
-                self.swap_ranges(copy, a, b, k)?;
-                next!(Value::Coll(copy))
-            }
-            MutSwap { c, from, to, at } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let (a, b, k) = (
-                    index_arg(f, regs, *from)?,
-                    index_arg(f, regs, *to)?,
-                    index_arg(f, regs, *at)?,
-                );
-                self.swap_ranges(cid, a, b, k)?;
-                Control::Next
-            }
-            Swap2 { a, from, to, b, at } => {
-                let aid = coll_arg(f, regs, *a)?;
-                let bid = coll_arg(f, regs, *b)?;
-                let (ca, na) = self.store.clone_coll(aid);
-                let (cb, nb) = self.store.clone_coll(bid);
-                self.stats.copy(na as u64);
-                self.stats.copy(nb as u64);
-                self.charge_alloc_bytes(ca);
-                self.charge_alloc_bytes(cb);
-                let (x, y, k) = (
-                    index_arg(f, regs, *from)?,
-                    index_arg(f, regs, *to)?,
-                    index_arg(f, regs, *at)?,
-                );
-                self.swap_across(ca, cb, x, y, k)?;
-                for (&r, v) in results.iter().zip([Value::Coll(ca), Value::Coll(cb)]) {
-                    regs.set(r, v);
-                }
-                Control::Next
-            }
-            MutSwap2 { a, from, to, b, at } => {
-                let aid = coll_arg(f, regs, *a)?;
-                let bid = coll_arg(f, regs, *b)?;
-                let (x, y, k) = (
-                    index_arg(f, regs, *from)?,
-                    index_arg(f, regs, *to)?,
-                    index_arg(f, regs, *at)?,
-                );
-                self.swap_across(aid, bid, x, y, k)?;
-                Control::Next
-            }
-            Size { c } => {
-                self.stats.scalar();
-                let cid = coll_arg(f, regs, *c)?;
-                next!(Value::Int(Type::Index, self.store.coll(cid).len() as i64))
-            }
-            Has { c, key } => {
-                let cid = coll_arg(f, regs, *c)?;
-                if matches!(self.store.repr_of(cid), Repr::Dense { .. }) {
-                    self.stats.dense_access(false);
-                } else {
-                    self.stats.assoc_op(false);
-                }
-                let kv = eval(f, regs, *key)?;
-                let k = Key::from_value(&kv).ok_or(Trap::TypeConfusion("bad key"))?;
-                let Collection::Assoc { map, .. } = self.store.coll(cid) else {
-                    return Err(Trap::TypeConfusion("has on sequence"));
-                };
-                next!(Value::Bool(map.contains_key(&k)))
-            }
-            Keys { c } => {
-                let cid = coll_arg(f, regs, *c)?;
-                let key_ty = match self.module.types.get(f.value_ty(*c)) {
-                    Type::Assoc(k, _) => self.module.types.get(k),
-                    _ => return Err(Trap::TypeConfusion("keys on sequence")),
-                };
-                let Collection::Assoc { order, map } = self.store.coll(cid) else {
-                    return Err(Trap::TypeConfusion("keys on sequence"));
-                };
-                let elems: Vec<Value> = order
-                    .iter()
-                    .filter(|k| map.contains_key(k))
-                    .map(|k| k.to_value(key_ty))
-                    .collect();
-                let n = elems.len() as u64;
-                let id = self.store.alloc_coll(Collection::Seq(elems));
-                self.stats.copy(n);
-                self.charge_alloc_bytes(id);
-                next!(Value::Coll(id))
-            }
-            UsePhi { c } => {
-                self.stats.scalar();
-                let v = eval(f, regs, *c)?;
-                next!(v)
-            }
-            FieldRead { obj, obj_ty, field } => {
-                let bytes = self.module.types.object_layout(*obj_ty).size;
-                self.stats.field_op(bytes);
-                let v = eval(f, regs, *obj)?;
-                let Value::Ref(_, Some(id)) = v else {
-                    return Err(Trap::BadReference);
-                };
-                let fields = self.store.objects[id.0 as usize]
-                    .fields
-                    .as_ref()
-                    .ok_or(Trap::BadReference)?;
-                let fv = fields[*field as usize].clone();
-                if fv == Value::Uninit {
-                    return Err(Trap::ReadUninit);
-                }
-                next!(fv)
-            }
-            FieldWrite {
-                obj,
-                obj_ty,
-                field,
-                value,
-            } => {
-                let bytes = self.module.types.object_layout(*obj_ty).size;
-                self.stats.field_op(bytes);
-                let v = eval(f, regs, *obj)?;
-                let fv = eval(f, regs, *value)?;
-                let Value::Ref(_, Some(id)) = v else {
-                    return Err(Trap::BadReference);
-                };
-                let fields = self.store.objects[id.0 as usize]
-                    .fields
-                    .as_mut()
-                    .ok_or(Trap::BadReference)?;
-                fields[*field as usize] = fv;
-                Control::Next
-            }
-        })
+        dom: &mut D,
+        cid: CollId,
+    ) -> Result<CollId, D::Stop> {
+        let n = self.store.coll(cid).len() as u64;
+        dom.guard(&self.stats, n, n)?;
+        let (copy, n) = self.store.clone_coll(cid);
+        charge!(self, D, copy(n as u64));
+        self.charge_alloc_bytes::<D>(copy);
+        Ok(copy)
     }
 
-    /// Fused read-modify-write of one element: reads (with `read`'s trap
-    /// behaviour — the element must be present and initialized), combines
-    /// via `op`, and writes back, charging a single fused storage cost.
-    fn rmw_element(&mut self, cid: CollId, idx: &Value, op: BinOp, v: &Value) -> Result<(), Trap> {
-        let repr = self.store.repr_of(cid);
-        match self.store.coll_mut(cid) {
-            Collection::Seq(elems) => {
-                let i = idx.as_index().ok_or(Trap::TypeConfusion("seq index"))?;
-                let len = elems.len() as u64;
-                let slot = elems
-                    .get_mut(i as usize)
-                    .ok_or(Trap::OutOfRange { index: i, len })?;
-                if *slot == Value::Uninit {
-                    return Err(Trap::ReadUninit);
-                }
-                *slot = exec_bin(op, slot, v)?;
-                self.stats.seq_rmw();
-                Ok(())
-            }
-            Collection::Assoc { map, .. } => {
-                let k = Key::from_value(idx).ok_or(Trap::TypeConfusion("bad key"))?;
-                let slot = map.get_mut(&k).ok_or(Trap::MissingKey)?;
-                if *slot == Value::Uninit {
-                    return Err(Trap::ReadUninit);
-                }
-                *slot = exec_bin(op, slot, v)?;
-                if matches!(repr, Repr::Dense { .. }) {
-                    self.stats.dense_rmw();
-                } else {
-                    self.stats.assoc_rmw();
-                }
-                Ok(())
-            }
+    /// The collection an update writes: a copy of `cid` for an SSA-form
+    /// update, `cid` itself for a mut-form one.
+    fn target<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        cid: CollId,
+        ssa: bool,
+    ) -> Result<CollId, D::Stop> {
+        if ssa {
+            self.copy_coll(dom, cid)
+        } else {
+            Ok(cid)
         }
     }
 
-    fn read_element(&mut self, cid: CollId, idx: &Value) -> Result<Value, Trap> {
-        let repr = self.store.repr_of(cid);
+    /// Where `access` through `idx` lands in collection `cid`, or the
+    /// trap it raises; resolves the index or key (possibly forking)
+    /// before anything is written.
+    fn locate<D: Domain<Int = I, Bool = B>>(
+        &self,
+        dom: &mut D,
+        cid: CollId,
+        idx: &Val<I, B>,
+        access: Access,
+    ) -> Result<Loc, D::Stop> {
         match self.store.coll(cid) {
             Collection::Seq(elems) => {
-                if matches!(repr, Repr::Inline { .. }) {
-                    self.stats.inline_access(false);
-                } else {
-                    self.stats.seq_access(false);
-                }
-                let i = idx.as_index().ok_or(Trap::TypeConfusion("seq index"))?;
+                let i = as_index(dom, idx)?.ok_or(Trap::TypeConfusion("seq index"))?;
                 let len = elems.len() as u64;
-                let v = elems
-                    .get(i as usize)
-                    .cloned()
-                    .ok_or(Trap::OutOfRange { index: i, len })?;
-                if v == Value::Uninit {
-                    return Err(Trap::ReadUninit);
+                let fits = if access == Access::Insert {
+                    i <= len
+                } else {
+                    i < len
+                };
+                if !fits {
+                    return Err(Trap::OutOfRange { index: i, len }.into());
                 }
-                Ok(v)
+                if access == Access::Read && matches!(elems[i as usize], Val::Uninit) {
+                    return Err(Trap::ReadUninit.into());
+                }
+                Ok(Loc::At(i as usize))
             }
             Collection::Assoc { map, .. } => {
-                if matches!(repr, Repr::Dense { .. }) {
-                    self.stats.dense_access(false);
-                } else {
-                    self.stats.assoc_op(false);
+                let k = key_of(dom, idx)?.ok_or(Trap::TypeConfusion("bad key"))?;
+                match (access, map.get(&k)) {
+                    (Access::Read | Access::Remove, None) => Err(Trap::MissingKey.into()),
+                    (Access::Read, Some(Val::Uninit)) => Err(Trap::ReadUninit.into()),
+                    _ => Ok(Loc::Key(k)),
                 }
-                let k = Key::from_value(idx).ok_or(Trap::TypeConfusion("bad key"))?;
-                let v = map.get(&k).cloned().ok_or(Trap::MissingKey)?;
-                if v == Value::Uninit {
-                    return Err(Trap::ReadUninit);
-                }
-                Ok(v)
             }
         }
     }
 
-    fn write_element(&mut self, cid: CollId, idx: &Value, v: Value) -> Result<(), Trap> {
-        let repr = self.store.repr_of(cid);
-        match self.store.coll_mut(cid) {
-            Collection::Seq(elems) => {
-                let i = idx.as_index().ok_or(Trap::TypeConfusion("seq index"))?;
-                let len = elems.len() as u64;
-                let slot = elems
-                    .get_mut(i as usize)
-                    .ok_or(Trap::OutOfRange { index: i, len })?;
-                *slot = v;
-                if matches!(repr, Repr::Inline { .. }) {
-                    self.stats.inline_access(true);
-                } else {
-                    self.stats.seq_access(true);
-                }
-                Ok(())
-            }
-            Collection::Assoc { map, order } => {
-                let k = Key::from_value(idx).ok_or(Trap::TypeConfusion("bad key"))?;
-                if !map.contains_key(&k) {
-                    order.push(k.clone());
-                }
-                map.insert(k, v);
-                if matches!(repr, Repr::Dense { .. }) {
-                    self.stats.dense_access(true);
-                } else {
-                    self.stats.assoc_op(true);
-                }
-                Ok(())
-            }
+    /// The element at a located position.
+    fn peek(&self, cid: CollId, loc: &Loc) -> Val<I, B> {
+        match (self.store.coll(cid), loc) {
+            (Collection::Seq(elems), Loc::At(i)) => elems[*i].clone(),
+            (Collection::Assoc { map, .. }, Loc::Key(k)) => map[k].clone(),
+            _ => unreachable!("location shape"),
         }
     }
 
-    fn insert_element(&mut self, cid: CollId, idx: &Value, v: Option<Value>) -> Result<(), Trap> {
+    /// Reads the element at a located position, charging the access.
+    fn get<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: &Loc) -> Val<I, B> {
+        match (self.store.repr_of(cid), loc) {
+            (Repr::Inline { .. }, Loc::At(_)) => charge!(self, D, inline_access(false)),
+            (_, Loc::At(_)) => charge!(self, D, seq_access(false)),
+            (Repr::Dense { .. }, Loc::Key(_)) => charge!(self, D, dense_access(false)),
+            (_, Loc::Key(_)) => charge!(self, D, assoc_op(false)),
+        }
+        self.peek(cid, loc)
+    }
+
+    /// Writes `v` at a located position, charging a write (or, for `rmw`,
+    /// a fused read-modify-write).
+    fn put<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        cid: CollId,
+        loc: Loc,
+        v: Val<I, B>,
+        rmw: bool,
+    ) {
         let repr = self.store.repr_of(cid);
-        match self.store.coll_mut(cid) {
-            Collection::Seq(elems) => {
-                let i = idx.as_index().ok_or(Trap::TypeConfusion("seq index"))?;
-                let len = elems.len() as u64;
-                if i > len {
-                    return Err(Trap::OutOfRange { index: i, len });
+        let seq = matches!(loc, Loc::At(_));
+        match (self.store.coll_mut(cid), loc) {
+            (Collection::Seq(elems), Loc::At(i)) => elems[i] = v,
+            (Collection::Assoc { map, order }, Loc::Key(k)) => {
+                if map.insert(k.clone(), v).is_none() {
+                    order.push(k);
                 }
-                elems.insert(i as usize, v.unwrap_or(Value::Uninit));
-                let moved = len - i;
-                self.stats.seq_access(true);
-                self.stats.moved(moved);
-                Ok(())
             }
-            Collection::Assoc { map, order } => {
-                let k = Key::from_value(idx).ok_or(Trap::TypeConfusion("bad key"))?;
-                if !map.contains_key(&k) {
-                    order.push(k.clone());
-                }
-                map.insert(k, v.unwrap_or(Value::Uninit));
-                if matches!(repr, Repr::Dense { .. }) {
-                    self.stats.dense_access(true);
-                } else {
-                    self.stats.assoc_op(true);
-                }
-                Ok(())
-            }
+            _ => unreachable!("location shape"),
+        }
+        match (seq, rmw, repr) {
+            (true, true, _) => charge!(self, D, seq_rmw()),
+            (true, false, Repr::Inline { .. }) => charge!(self, D, inline_access(true)),
+            (true, false, _) => charge!(self, D, seq_access(true)),
+            (false, true, Repr::Dense { .. }) => charge!(self, D, dense_rmw()),
+            (false, true, _) => charge!(self, D, assoc_rmw()),
+            (false, false, Repr::Dense { .. }) => charge!(self, D, dense_access(true)),
+            (false, false, _) => charge!(self, D, assoc_op(true)),
         }
     }
 
-    fn remove_element(&mut self, cid: CollId, idx: &Value) -> Result<(), Trap> {
-        let repr = self.store.repr_of(cid);
-        match self.store.coll_mut(cid) {
-            Collection::Seq(elems) => {
-                let i = idx.as_index().ok_or(Trap::TypeConfusion("seq index"))?;
-                let len = elems.len() as u64;
-                if i >= len {
-                    return Err(Trap::OutOfRange { index: i, len });
-                }
-                elems.remove(i as usize);
-                self.stats.seq_access(true);
-                self.stats.moved(len - i - 1);
-                Ok(())
+    /// Inserts `v` at a located position, charging the insertion.
+    fn insert_at<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: Loc, v: Val<I, B>) {
+        let Loc::At(i) = loc else {
+            return self.put::<D>(cid, loc, v, false);
+        };
+        if let Some(elems) = self.store.seq_mut(cid) {
+            let len = elems.len();
+            elems.insert(i, v);
+            charge!(self, D, seq_access(true));
+            charge!(self, D, moved((len - i) as u64));
+        }
+    }
+
+    /// Removes the element at a located position, charging the removal.
+    fn remove_at<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: Loc) {
+        let dense = matches!(self.store.repr_of(cid), Repr::Dense { .. });
+        match (self.store.coll_mut(cid), loc) {
+            (Collection::Seq(elems), Loc::At(i)) => {
+                let len = elems.len();
+                elems.remove(i);
+                charge!(self, D, seq_access(true));
+                charge!(self, D, moved((len - i - 1) as u64));
             }
-            Collection::Assoc { map, order } => {
-                let k = Key::from_value(idx).ok_or(Trap::TypeConfusion("bad key"))?;
-                if map.remove(&k).is_none() {
-                    return Err(Trap::MissingKey);
-                }
+            (Collection::Assoc { map, order }, Loc::Key(k)) => {
+                map.remove(&k);
                 order.retain(|x| x != &k);
-                if matches!(repr, Repr::Dense { .. }) {
-                    self.stats.dense_access(true);
+                if dense {
+                    charge!(self, D, dense_access(true));
                 } else {
-                    self.stats.assoc_op(false);
+                    charge!(self, D, assoc_op(false));
                 }
-                Ok(())
             }
+            _ => unreachable!("location shape"),
         }
     }
 
-    fn remove_range(&mut self, cid: CollId, from: u64, to: u64) -> Result<(), Trap> {
-        let Collection::Seq(elems) = self.store.coll_mut(cid) else {
-            return Err(Trap::TypeConfusion("remove.range on assoc"));
-        };
-        let len = elems.len() as u64;
-        if from > to || to > len {
-            return Err(Trap::OutOfRange { index: to, len });
-        }
-        elems.drain(from as usize..to as usize);
-        self.stats.moved(len - to);
-        Ok(())
-    }
-
-    fn splice(&mut self, dst: CollId, at: u64, src: CollId) -> Result<(), Trap> {
-        let src_elems = match self.store.coll(src) {
-            Collection::Seq(e) => e.clone(),
-            _ => return Err(Trap::TypeConfusion("splice from assoc")),
-        };
-        let Collection::Seq(elems) = self.store.coll_mut(dst) else {
-            return Err(Trap::TypeConfusion("splice into assoc"));
-        };
-        let len = elems.len() as u64;
+    /// Inserts sequence `src` into sequence `dst` before position `at`.
+    fn splice<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        dst: CollId,
+        at: u64,
+        src: CollId,
+    ) -> Result<(), D::Stop> {
+        let n = self
+            .store
+            .seq(src)
+            .ok_or(Trap::TypeConfusion("splice from assoc"))?
+            .len() as u64;
+        let len = self
+            .store
+            .seq(dst)
+            .ok_or(Trap::TypeConfusion("splice into assoc"))?
+            .len() as u64;
         if at > len {
-            return Err(Trap::OutOfRange { index: at, len });
+            return Err(Trap::OutOfRange { index: at, len }.into());
         }
-        let n = src_elems.len() as u64;
-        let tail = len - at;
-        elems.splice(at as usize..at as usize, src_elems);
-        self.stats.moved(n + tail);
+        dom.guard(&self.stats, n, len + n)?;
+        let src_elems = self.store.seq(src).map(<[_]>::to_vec).unwrap_or_default();
+        if let Some(elems) = self.store.seq_mut(dst) {
+            elems.splice(at as usize..at as usize, src_elems);
+        }
+        charge!(self, D, moved(n + len - at));
         Ok(())
     }
 
-    fn swap_ranges(&mut self, cid: CollId, from: u64, to: u64, at: u64) -> Result<(), Trap> {
-        let Collection::Seq(elems) = self.store.coll_mut(cid) else {
-            return Err(Trap::TypeConfusion("swap on assoc"));
-        };
+    fn swap_ranges<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        cid: CollId,
+        from: u64,
+        to: u64,
+        at: u64,
+    ) -> Result<(), Trap> {
+        let elems = self
+            .store
+            .seq_mut(cid)
+            .ok_or(Trap::TypeConfusion("swap on assoc"))?;
         let len = elems.len() as u64;
         let width = to
             .checked_sub(from)
@@ -915,11 +1179,11 @@ impl<'m> Interp<'m> {
         for k in 0..width {
             elems.swap((from + k) as usize, (at + k) as usize);
         }
-        self.stats.moved(2 * width);
+        charge!(self, D, moved(2 * width));
         Ok(())
     }
 
-    fn swap_across(
+    fn swap_across<D: Domain<Int = I, Bool = B>>(
         &mut self,
         a: CollId,
         b: CollId,
@@ -928,25 +1192,13 @@ impl<'m> Interp<'m> {
         at: u64,
     ) -> Result<(), Trap> {
         if a == b {
-            return self.swap_ranges(a, from, to, at);
+            return self.swap_ranges::<D>(a, from, to, at);
         }
         let width = to.checked_sub(from).ok_or(Trap::OutOfRange {
             index: from,
             len: 0,
         })?;
-        // Split-borrow the two collections.
-        let (x, y) = {
-            let (lo, hi) = if a.0 < b.0 { (a, b) } else { (b, a) };
-            let (first, second) = self.store.collections.split_at_mut(hi.0 as usize);
-            let xa = &mut first[lo.0 as usize];
-            let xb = &mut second[0];
-            if a.0 < b.0 {
-                (xa, xb)
-            } else {
-                (xb, xa)
-            }
-        };
-        let (Collection::Seq(ea), Collection::Seq(eb)) = (x, y) else {
+        let [Collection::Seq(ea), Collection::Seq(eb)] = self.store.colls_mut(a, b) else {
             return Err(Trap::TypeConfusion("swap2 on assoc"));
         };
         if to > ea.len() as u64 || at + width > eb.len() as u64 {
@@ -958,169 +1210,167 @@ impl<'m> Interp<'m> {
         for k in 0..width {
             std::mem::swap(&mut ea[(from + k) as usize], &mut eb[(at + k) as usize]);
         }
-        self.stats.moved(2 * width);
+        charge!(self, D, moved(2 * width));
         Ok(())
     }
 }
 
-enum Control {
-    /// Results bound; go on to the next instruction.
-    Next,
-    Jump(BlockId),
-    Return(Vec<Value>),
+/// A constant's value.
+fn konst<D: Domain>(dom: &mut D, c: Constant) -> Result<DVal<D>, D::Stop> {
+    Ok(match c {
+        Constant::Int(ty, v) => Val::Int(ty, dom.int(v)),
+        Constant::Float(ty, bits) => {
+            dom.refuse("float constant")?;
+            Val::Float(ty, f64::from_bits(bits))
+        }
+        Constant::Bool(b) => Val::Bool(dom.boolean(b)),
+        Constant::Null(obj) => Val::Ref(obj, None),
+    })
 }
 
-fn eval(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<Value, Trap> {
+/// An operand's value: a constant, or the value bound to it.
+fn eval<D: Domain>(
+    dom: &mut D,
+    f: &Function,
+    regs: &RegFile<DVal<D>>,
+    v: ValueId,
+) -> Result<DVal<D>, D::Stop> {
     match &f.values[v].def {
-        ValueDef::Const(c) => Ok(const_value(*c)),
-        _ => regs
+        ValueDef::Const(c) => konst(dom, *c),
+        _ => Ok(regs
             .get(v)
             .cloned()
-            .ok_or(Trap::TypeConfusion("unbound value")),
+            .ok_or(Trap::TypeConfusion("unbound value"))?),
     }
 }
 
-fn coll_arg(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<CollId, Trap> {
-    eval(f, regs, v)?
-        .as_coll()
-        .ok_or(Trap::TypeConfusion("expected collection"))
+fn coll_arg<D: Domain>(
+    dom: &mut D,
+    f: &Function,
+    regs: &RegFile<DVal<D>>,
+    v: ValueId,
+) -> Result<CollId, D::Stop> {
+    let c = eval(dom, f, regs, v)?.as_coll();
+    Ok(c.ok_or(Trap::TypeConfusion("expected collection"))?)
 }
 
-fn index_arg(f: &Function, regs: &RegFile<Value>, v: ValueId) -> Result<u64, Trap> {
-    eval(f, regs, v)?
-        .as_index()
-        .ok_or(Trap::TypeConfusion("expected index"))
+fn index_arg<D: Domain>(
+    dom: &mut D,
+    f: &Function,
+    regs: &RegFile<DVal<D>>,
+    v: ValueId,
+) -> Result<u64, D::Stop> {
+    let v = eval(dom, f, regs, v)?;
+    Ok(as_index(dom, &v)?.ok_or(Trap::TypeConfusion("expected index"))?)
 }
 
-/// Materializes a constant.
-pub fn const_value(c: Constant) -> Value {
-    match c {
-        Constant::Int(ty, v) => Value::Int(ty, v),
-        Constant::Float(ty, bits) => Value::Float(ty, f64::from_bits(bits)),
-        Constant::Bool(b) => Value::Bool(b),
-        Constant::Null(obj) => Value::Ref(obj, None),
-    }
-}
-
-fn exec_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, Trap> {
-    match (a, b) {
-        (Value::Int(ta, x), Value::Int(_, y)) => {
-            let (x, y) = (*x, *y);
-            let v = match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(Trap::DivByZero);
-                    }
-                    x.wrapping_div(y)
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(Trap::DivByZero);
-                    }
-                    x.wrapping_rem(y)
-                }
-                BinOp::And => x & y,
-                BinOp::Or => x | y,
-                BinOp::Xor => x ^ y,
-                BinOp::Shl => x.wrapping_shl(y as u32),
-                BinOp::Shr => x.wrapping_shr(y as u32),
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-            };
-            Ok(Value::Int(*ta, truncate(*ta, v)))
+/// An index payload over a domain: an `index` payload, or any other
+/// non-negative integer.
+pub(crate) fn as_index<D: Domain>(dom: &mut D, v: &DVal<D>) -> Result<Option<u64>, D::Stop> {
+    Ok(match *v {
+        Val::Int(Type::Index, x) => Some(dom.resolve(x)? as u64),
+        Val::Int(_, x) => {
+            let x = dom.resolve(x)?;
+            (x >= 0).then_some(x as u64)
         }
-        (Value::Float(ta, x), Value::Float(_, y)) => {
-            let v = match op {
+        _ => None,
+    })
+}
+
+/// The key form of a value over a domain.
+pub(crate) fn key_of<D: Domain>(dom: &mut D, v: &DVal<D>) -> Result<Option<Key>, D::Stop> {
+    Ok(match *v {
+        Val::Int(_, x) => Some(Key::Int(dom.resolve(x)?)),
+        Val::Bool(b) => Some(Key::Bool(dom.truth(b)?)),
+        Val::Ref(_, o) => Some(Key::Ref(o)),
+        Val::Float(_, x) => Some(Key::Float(x.to_bits())),
+        Val::Ptr(p) => Some(Key::Ptr(p)),
+        Val::Coll(_) | Val::Uninit => None,
+    })
+}
+
+/// [`Key::to_value`] over a domain.
+fn key_value<D: Domain>(dom: &mut D, k: &Key, ty: Type) -> DVal<D> {
+    match Key::to_value(k, ty) {
+        Value::Int(t, x) => Val::Int(t, dom.int(x)),
+        Value::Bool(b) => Val::Bool(dom.boolean(b)),
+        Value::Float(t, x) => Val::Float(t, x),
+        Value::Ref(t, o) => Val::Ref(t, o),
+        Value::Ptr(p) => Val::Ptr(p),
+        Value::Coll(c) => Val::Coll(c),
+        Value::Uninit => Val::Uninit,
+    }
+}
+
+fn exec_bin<D: Domain>(dom: &mut D, op: BinOp, a: DVal<D>, b: DVal<D>) -> Result<DVal<D>, D::Stop> {
+    Ok(match (a, b) {
+        (Val::Int(ta, x), Val::Int(_, y)) => Val::Int(ta, dom.bin(op, ta, x, y)?),
+        (Val::Float(ta, x), Val::Float(_, y)) => Val::Float(
+            ta,
+            match op {
                 BinOp::Add => x + y,
                 BinOp::Sub => x - y,
                 BinOp::Mul => x * y,
                 BinOp::Div => x / y,
                 BinOp::Rem => x % y,
-                BinOp::Min => x.min(*y),
-                BinOp::Max => x.max(*y),
-                _ => return Err(Trap::TypeConfusion("bitwise op on float")),
-            };
-            Ok(Value::Float(*ta, v))
-        }
-        (Value::Bool(x), Value::Bool(y)) => {
-            let v = match op {
-                BinOp::And => x & y,
-                BinOp::Or => x | y,
-                BinOp::Xor => x ^ y,
-                _ => return Err(Trap::TypeConfusion("arith on bool")),
-            };
-            Ok(Value::Bool(v))
-        }
-        _ => Err(Trap::TypeConfusion("bin operand types")),
-    }
+                BinOp::Min => x.min(y),
+                BinOp::Max => x.max(y),
+                _ => return Err(Trap::TypeConfusion("bitwise op on float").into()),
+            },
+        ),
+        (Val::Bool(x), Val::Bool(y)) => match op {
+            BinOp::And | BinOp::Or | BinOp::Xor => Val::Bool(dom.logic(op, x, y)),
+            _ => return Err(Trap::TypeConfusion("arith on bool").into()),
+        },
+        _ => return Err(Trap::TypeConfusion("bin operand types").into()),
+    })
 }
 
-fn exec_cmp(op: CmpOp, a: &Value, b: &Value) -> Result<bool, Trap> {
-    let ord = match (a, b) {
-        (Value::Int(ta, x), Value::Int(_, y)) => {
-            if is_unsigned(*ta) {
-                (*x as u64).cmp(&(*y as u64))
-            } else {
-                x.cmp(y)
+fn exec_cmp<D: Domain>(dom: &mut D, op: CmpOp, a: DVal<D>, b: DVal<D>) -> Result<DVal<D>, D::Stop> {
+    let holds = match (a, b) {
+        (Val::Int(ta, x), Val::Int(_, y)) => {
+            return Ok(Val::Bool(dom.cmp(op, ta.is_unsigned(), x, y)))
+        }
+        (Val::Bool(x), Val::Bool(y)) => {
+            // Booleans compare as 0/1 with signed order.
+            let (x, y) = (dom.widen(x), dom.widen(y));
+            return Ok(Val::Bool(dom.cmp(op, false, x, y)));
+        }
+        (Val::Float(_, x), Val::Float(_, y)) => match op {
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+        },
+        (Val::Ref(_, x), Val::Ref(_, y)) => {
+            // Identity is the same in every domain; the order between
+            // allocations is the concrete store's own.
+            if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                dom.refuse("reference ordering")?;
             }
+            op.holds(x.cmp(&y))
         }
-        (Value::Float(_, x), Value::Float(_, y)) => {
-            return Ok(match op {
-                CmpOp::Eq => x == y,
-                CmpOp::Ne => x != y,
-                CmpOp::Lt => x < y,
-                CmpOp::Le => x <= y,
-                CmpOp::Gt => x > y,
-                CmpOp::Ge => x >= y,
-            })
-        }
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-        (Value::Ref(_, x), Value::Ref(_, y)) => x.cmp(y),
-        (Value::Ptr(x), Value::Ptr(y)) => x.cmp(y),
-        _ => return Err(Trap::TypeConfusion("cmp operand types")),
+        (Val::Ptr(x), Val::Ptr(y)) => op.holds(x.cmp(&y)),
+        _ => return Err(Trap::TypeConfusion("cmp operand types").into()),
     };
-    Ok(match op {
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Ge => ord.is_ge(),
-    })
+    Ok(Val::Bool(dom.boolean(holds)))
 }
 
-fn exec_cast(to: Type, v: &Value) -> Result<Value, Trap> {
+fn exec_cast<D: Domain>(dom: &mut D, to: Type, v: DVal<D>) -> Result<DVal<D>, D::Stop> {
     Ok(match (to, v) {
-        (t, Value::Int(_, x)) if t.is_integer() => Value::Int(t, truncate(t, *x)),
-        (t, Value::Int(_, x)) if t.is_float() => Value::Float(t, *x as f64),
-        (t, Value::Float(_, x)) if t.is_integer() => Value::Int(t, truncate(t, *x as i64)),
-        (t, Value::Float(_, x)) if t.is_float() => Value::Float(t, *x),
-        (t, Value::Bool(b)) if t.is_integer() => Value::Int(t, *b as i64),
-        (Type::Bool, Value::Int(_, x)) => Value::Bool(*x != 0),
-        _ => return Err(Trap::TypeConfusion("cast")),
+        (t, Val::Int(_, x)) if t.is_integer() => Val::Int(t, dom.trunc(t, x)),
+        (t, Val::Int(_, x)) if t.is_float() => {
+            dom.refuse("float cast")?;
+            Val::Float(t, dom.resolve(x)? as f64)
+        }
+        (t, Val::Float(_, x)) if t.is_integer() => Val::Int(t, dom.int(t.truncate(x as i64))),
+        (t, Val::Float(_, x)) if t.is_float() => Val::Float(t, x),
+        (t, Val::Bool(b)) if t.is_integer() => Val::Int(t, dom.widen(b)),
+        (Type::Bool, Val::Int(_, x)) => Val::Bool(dom.nonzero(x)),
+        _ => return Err(Trap::TypeConfusion("cast").into()),
     })
-}
-
-fn is_unsigned(t: Type) -> bool {
-    matches!(
-        t,
-        Type::U64 | Type::U32 | Type::U16 | Type::U8 | Type::Index
-    )
-}
-
-fn truncate(t: Type, v: i64) -> i64 {
-    match t {
-        Type::I8 => v as i8 as i64,
-        Type::U8 => v as u8 as i64,
-        Type::I16 => v as i16 as i64,
-        Type::U16 => v as u16 as i64,
-        Type::I32 => v as i32 as i64,
-        Type::U32 => v as u32 as i64,
-        _ => v,
-    }
 }
 
 #[cfg(test)]
@@ -1356,7 +1606,7 @@ mod tests {
     }
 
     #[test]
-    fn extern_host_function() {
+    fn extern_call_traps_unknown_extern() {
         let mut mb = ModuleBuilder::new("m");
         let i64t = mb.module.types.intern(Type::I64);
         let ext = mb.module.add_extern(memoir_ir::ExternDecl {
@@ -1372,13 +1622,10 @@ mod tests {
             b.ret(vec![r[0]]);
         });
         let m = mb.finish();
-        let mut interp = Interp::new(&m);
-        interp.register_extern("double_it", |_store, args| {
-            let x = args[0].as_int().unwrap();
-            Ok(vec![Value::Int(Type::I64, x * 2)])
-        });
-        let r = interp.run_by_name("main", vec![]).unwrap();
-        assert_eq!(r, vec![Value::Int(Type::I64, 42)]);
+        assert_eq!(
+            Interp::new(&m).run_by_name("main", vec![]),
+            Err(Trap::UnknownExtern("double_it".into()))
+        );
     }
 
     #[test]

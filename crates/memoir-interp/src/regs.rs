@@ -1,11 +1,10 @@
-//! Executor state shared by the two MEMOIR executors.
+//! Frame state of the MEMOIR executor.
 //!
-//! [`Interp`](crate::Interp) and `symexec`'s MEMOIR path enumerator keep
-//! a function's SSA values in a [`RegFile`]: one slot per entry of the
-//! function's value arena, holding a [`Value`](crate::Value) in one
-//! executor and a symbolic value in the other. [`enter_block`] is the one
-//! implementation of block entry (the φ head as a parallel copy) that
-//! both run.
+//! Each frame of a [`Machine`](crate::Machine) keeps its SSA values in a
+//! [`RegFile`]: one slot per entry of the function's value arena, holding
+//! a [`Value`](crate::Value) in [`Interp`](crate::Interp) and a symbolic
+//! value in `symexec`'s path enumerator. [`enter_block`] is block entry
+//! (the φ head as a parallel copy).
 
 use memoir_ir::{BlockId, Function, InstKind, ValueId};
 
@@ -17,6 +16,13 @@ use memoir_ir::{BlockId, Function, InstKind, ValueId};
 #[derive(Clone, Debug)]
 pub struct RegFile<T> {
     slots: Vec<Option<T>>,
+}
+
+impl<T> RegFile<T> {
+    /// A file with no slots: every value reads as unbound.
+    pub fn empty() -> Self {
+        RegFile { slots: Vec::new() }
+    }
 }
 
 impl<T: Clone> RegFile<T> {

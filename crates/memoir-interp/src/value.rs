@@ -1,8 +1,10 @@
 //! Runtime values and the collection store.
 
+use crate::machine::{as_index, key_of, Concrete};
 use memoir_ir::{ObjTypeId, Type};
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Identifier of a collection in the [`Store`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -12,15 +14,16 @@ pub struct CollId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u32);
 
-/// A runtime value.
+/// A runtime value over integer payloads `I` and boolean payloads `B`:
+/// [`Value`] in the concrete interpreter, terms in `symexec`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+pub enum Val<I, B> {
     /// Integer of a specific IR type (including `index`).
-    Int(Type, i64),
+    Int(Type, I),
     /// Float of a specific IR type.
     Float(Type, f64),
     /// Boolean.
-    Bool(bool),
+    Bool(B),
     /// Object reference (`None` = null).
     Ref(ObjTypeId, Option<ObjId>),
     /// Raw pointer payload (opaque).
@@ -32,15 +35,24 @@ pub enum Value {
     Uninit,
 }
 
+/// A concrete runtime value.
+pub type Value = Val<i64, bool>;
+
+impl<I, B> Val<I, B> {
+    /// Collection handle payload.
+    pub fn as_coll(&self) -> Option<CollId> {
+        match self {
+            Val::Coll(c) => Some(*c),
+            _ => None,
+        }
+    }
+}
+
 impl Value {
     /// Index payload (traps-by-panic on type confusion; the verifier rules
     /// this out for verified programs).
     pub fn as_index(&self) -> Option<u64> {
-        match self {
-            Value::Int(Type::Index, v) => Some(*v as u64),
-            Value::Int(_, v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
+        Concrete::with(|dom| as_index(dom, self))
     }
 
     /// Integer payload.
@@ -56,14 +68,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Collection handle payload.
-    pub fn as_coll(&self) -> Option<CollId> {
-        match self {
-            Value::Coll(c) => Some(*c),
             _ => None,
         }
     }
@@ -104,14 +108,7 @@ pub enum Key {
 impl Key {
     /// Converts a runtime value into its key form.
     pub fn from_value(v: &Value) -> Option<Key> {
-        match v {
-            Value::Int(_, x) => Some(Key::Int(*x)),
-            Value::Bool(b) => Some(Key::Bool(*b)),
-            Value::Ref(_, o) => Some(Key::Ref(*o)),
-            Value::Float(_, x) => Some(Key::Float(x.to_bits())),
-            Value::Ptr(p) => Some(Key::Ptr(*p)),
-            _ => None,
-        }
+        Concrete::with(|dom| key_of(dom, v))
     }
 
     /// Rebuilds a value from the key, given the key's IR type.
@@ -131,20 +128,20 @@ impl Key {
 
 /// A stored collection.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Collection {
+pub enum Collection<V = Value> {
     /// Sequence storage.
-    Seq(Vec<Value>),
+    Seq(Vec<V>),
     /// Associative storage with deterministic (insertion-order) key
     /// enumeration.
     Assoc {
         /// Key → value map.
-        map: HashMap<Key, Value>,
+        map: HashMap<Key, V>,
         /// Keys in insertion order (the deterministic `keys` order).
         order: Vec<Key>,
     },
 }
 
-impl Collection {
+impl<V> Collection<V> {
     /// Creates an empty associative collection.
     pub fn new_assoc() -> Self {
         Collection::Assoc {
@@ -169,60 +166,102 @@ impl Collection {
 
 /// An allocated object: per-field values, `None` after `delete`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Object {
+pub struct Object<V = Value> {
     /// The object's type.
     pub ty: ObjTypeId,
     /// Field values (`None` = deleted object).
-    pub fields: Option<Vec<Value>>,
+    pub fields: Option<Vec<V>>,
 }
 
-/// The heap: collections and objects.
-#[derive(Clone, Debug, Default)]
-pub struct Store {
-    /// Collections by id.
-    pub collections: Vec<Collection>,
-    /// Objects by id.
-    pub objects: Vec<Object>,
+/// The heap: collections and objects, copy-on-write. Each sits behind an
+/// `Rc`, so a value copy (and a clone of the whole store) shares storage
+/// until one side writes; [`Store::coll_mut`] and [`Store::obj_mut`] copy
+/// a shared collection or object first.
+#[derive(Clone, Debug)]
+pub struct Store<V = Value> {
+    collections: Vec<Rc<Collection<V>>>,
+    objects: Vec<Rc<Object<V>>>,
     /// Representation tags for collections allocated at sites with a
     /// non-default [`Repr`](memoir_ir::Repr) choice (cost accounting
     /// only — storage semantics are unchanged). Tags follow value copies.
     pub reprs: HashMap<CollId, memoir_ir::Repr>,
 }
 
-impl Store {
-    /// Allocates a collection, returning its handle.
-    pub fn alloc_coll(&mut self, c: Collection) -> CollId {
-        let id = CollId(self.collections.len() as u32);
-        self.collections.push(c);
-        id
+impl<V> Default for Store<V> {
+    fn default() -> Self {
+        Store {
+            collections: Vec::new(),
+            objects: Vec::new(),
+            reprs: HashMap::new(),
+        }
     }
+}
 
-    /// Allocates an object with all fields uninitialized.
-    pub fn alloc_obj(&mut self, ty: ObjTypeId, nfields: usize) -> ObjId {
-        let id = ObjId(self.objects.len() as u32);
-        self.objects.push(Object {
-            ty,
-            fields: Some(vec![Value::Uninit; nfields]),
-        });
+impl<V: Clone> Store<V> {
+    /// Allocates a collection, returning its handle.
+    pub fn alloc_coll(&mut self, c: Collection<V>) -> CollId {
+        let id = CollId(self.collections.len() as u32);
+        self.collections.push(Rc::new(c));
         id
     }
 
     /// Immutable access to a collection.
-    pub fn coll(&self, id: CollId) -> &Collection {
+    pub fn coll(&self, id: CollId) -> &Collection<V> {
         &self.collections[id.0 as usize]
     }
 
-    /// Mutable access to a collection.
-    pub fn coll_mut(&mut self, id: CollId) -> &mut Collection {
-        &mut self.collections[id.0 as usize]
+    /// Mutable access to a collection (copied first while shared).
+    pub fn coll_mut(&mut self, id: CollId) -> &mut Collection<V> {
+        Rc::make_mut(&mut self.collections[id.0 as usize])
     }
 
-    /// Deep-copies a collection (value semantics), returning the new
-    /// handle and the number of elements copied.
+    /// A sequence's elements (`None` for an associative array).
+    pub fn seq(&self, id: CollId) -> Option<&[V]> {
+        match self.coll(id) {
+            Collection::Seq(elems) => Some(elems),
+            Collection::Assoc { .. } => None,
+        }
+    }
+
+    /// A sequence's elements, mutably (copied first while shared).
+    pub fn seq_mut(&mut self, id: CollId) -> Option<&mut Vec<V>> {
+        match self.coll(id) {
+            Collection::Seq(_) => match self.coll_mut(id) {
+                Collection::Seq(elems) => Some(elems),
+                Collection::Assoc { .. } => None,
+            },
+            // Not through `coll_mut`: that would copy a shared assoc.
+            Collection::Assoc { .. } => None,
+        }
+    }
+
+    /// Mutable access to two distinct collections at once.
+    pub fn colls_mut(&mut self, a: CollId, b: CollId) -> [&mut Collection<V>; 2] {
+        let [x, y] = self
+            .collections
+            .get_disjoint_mut([a.0 as usize, b.0 as usize])
+            .expect("two distinct collections");
+        [Rc::make_mut(x), Rc::make_mut(y)]
+    }
+
+    /// Immutable access to an object.
+    pub fn obj(&self, id: ObjId) -> &Object<V> {
+        &self.objects[id.0 as usize]
+    }
+
+    /// Mutable access to an object (copied first while shared).
+    pub fn obj_mut(&mut self, id: ObjId) -> &mut Object<V> {
+        Rc::make_mut(&mut self.objects[id.0 as usize])
+    }
+
+    /// Copies a collection by value (nested handles stay shared),
+    /// returning the new handle and the number of elements copied. The
+    /// copy shares storage with `id` until either is written.
     pub fn clone_coll(&mut self, id: CollId) -> (CollId, usize) {
-        let c = self.coll(id).clone();
+        let c = Rc::clone(&self.collections[id.0 as usize]);
         let n = c.len();
-        let copy = self.alloc_coll(c);
+        let copy = CollId(self.collections.len() as u32);
+        self.collections.push(c);
         if let Some(r) = self.reprs.get(&id).copied() {
             self.reprs.insert(copy, r);
         }
@@ -236,6 +275,18 @@ impl Store {
             .get(&id)
             .copied()
             .unwrap_or(memoir_ir::Repr::Default)
+    }
+}
+
+impl<I: Clone, B: Clone> Store<Val<I, B>> {
+    /// Allocates an object with all fields uninitialized.
+    pub fn alloc_obj(&mut self, ty: ObjTypeId, nfields: usize) -> ObjId {
+        let id = ObjId(self.objects.len() as u32);
+        self.objects.push(Rc::new(Object {
+            ty,
+            fields: Some(vec![Val::Uninit; nfields]),
+        }));
+        id
     }
 }
 

@@ -119,6 +119,30 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// The integer semantics every MEMOIR executor and folder shares, on
+    /// raw `i64` payloads: wrapping arithmetic, shifts by the low six bits
+    /// of `y`, signed `min`/`max`. `None` is a division or remainder by
+    /// zero (a trap, never a value). The result is not yet truncated to
+    /// the operand type: see [`Type::truncate`](crate::Type::truncate).
+    #[inline]
+    pub fn eval(self, x: i64, y: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div | BinOp::Rem if y == 0 => return None,
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem => x.wrapping_rem(y),
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::Shr => x.wrapping_shr(y as u32),
+            BinOp::Min => x.min(y),
+            BinOp::Max => x.max(y),
+        })
+    }
+
     /// Whether `a op b == b op a` for all operands.
     pub fn is_commutative(self) -> bool {
         matches!(
@@ -174,6 +198,31 @@ impl CmpOp {
             CmpOp::Gt => "gt",
             CmpOp::Ge => "ge",
         }
+    }
+
+    /// Whether the comparison holds for operands ordered `ord`.
+    #[inline]
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
+    /// The integer comparison every MEMOIR executor and folder shares,
+    /// on raw `i64` payloads ordered as unsigned when `unsigned` (see
+    /// [`Type::is_unsigned`](crate::Type::is_unsigned)).
+    #[inline]
+    pub fn eval(self, unsigned: bool, x: i64, y: i64) -> bool {
+        self.holds(if unsigned {
+            (x as u64).cmp(&(y as u64))
+        } else {
+            x.cmp(&y)
+        })
     }
 
     /// The comparison with operands swapped (`a < b` ⇔ `b > a`).

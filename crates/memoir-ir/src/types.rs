@@ -92,6 +92,40 @@ impl Type {
         matches!(self, Type::F64 | Type::F32)
     }
 
+    /// Whether integer values of this type compare as unsigned.
+    #[inline]
+    pub fn is_unsigned(self) -> bool {
+        matches!(
+            self,
+            Type::U64 | Type::U32 | Type::U16 | Type::U8 | Type::Index
+        )
+    }
+
+    /// Whether this integer type is narrower than the `i64` payload that
+    /// carries it, so [`Type::truncate`] is not the identity.
+    #[inline]
+    pub fn is_narrow(self) -> bool {
+        matches!(
+            self,
+            Type::I8 | Type::U8 | Type::I16 | Type::U16 | Type::I32 | Type::U32
+        )
+    }
+
+    /// Wraps an `i64` payload to this type's width (sign-extending signed
+    /// types, zero-extending unsigned ones); the identity on wide types.
+    #[inline]
+    pub fn truncate(self, v: i64) -> i64 {
+        match self {
+            Type::I8 => v as i8 as i64,
+            Type::U8 => v as u8 as i64,
+            Type::I16 => v as i16 as i64,
+            Type::U16 => v as u16 as i64,
+            Type::I32 => v as i32 as i64,
+            Type::U32 => v as u32 as i64,
+            _ => v,
+        }
+    }
+
     /// Size in bytes of a value of this type when stored in memory, per the
     /// lowering layout used throughout the evaluation. Collections report
     /// the size of their *handle* (a pointer-sized header reference); their

@@ -897,8 +897,8 @@ fn emit_bin(ctx: &mut Ctx<'_>, b: Blk, op: BinOp, a: Val, c: Val) -> Val {
     }
 }
 
-/// The integer opcode for `rt_assoc_rmw` — decoded by `apply_rmw` in
-/// `lir::interp` (the two tables must stay in sync).
+/// The integer opcode for `rt_assoc_rmw` — decoded by `lir::Alu::from_rmw`
+/// (the two tables must stay in sync).
 fn rmw_opcode(op: BinOp) -> i64 {
     match op {
         BinOp::Add => 0,

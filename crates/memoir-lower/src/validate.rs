@@ -387,7 +387,7 @@ pub fn materialize(interp: &mut Interp<'_>, arg: &ProbeArg) -> Result<Value, Val
                 .map(|f| materialize(interp, f))
                 .collect::<Result<_, _>>()?;
             let id = interp.store.alloc_obj(*ty, vals.len());
-            interp.store.objects[id.0 as usize].fields = Some(vals);
+            interp.store.obj_mut(id).fields = Some(vals);
             Ok(Value::Ref(*ty, Some(id)))
         }
         ProbeArg::NullRef(ty) => Ok(Value::Ref(*ty, None)),

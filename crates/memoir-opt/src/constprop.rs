@@ -446,31 +446,7 @@ fn fold_size(types: &memoir_ir::TypeTable, f: &Function, c: ValueId, fuel: usize
 fn fold_bin(op: BinOp, a: Constant, b: Constant) -> Option<Constant> {
     match (a, b) {
         (Constant::Int(ty, x), Constant::Int(_, y)) => {
-            let v = match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return None;
-                    }
-                    x.wrapping_div(y)
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return None;
-                    }
-                    x.wrapping_rem(y)
-                }
-                BinOp::And => x & y,
-                BinOp::Or => x | y,
-                BinOp::Xor => x ^ y,
-                BinOp::Shl => x.wrapping_shl(y as u32),
-                BinOp::Shr => x.wrapping_shr(y as u32),
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-            };
-            Some(Constant::Int(ty, v))
+            Some(Constant::Int(ty, ty.truncate(op.eval(x, y)?)))
         }
         (Constant::Bool(x), Constant::Bool(y)) => {
             let v = match op {
@@ -500,18 +476,8 @@ fn fold_bin(op: BinOp, a: Constant, b: Constant) -> Option<Constant> {
 
 fn fold_cmp(op: CmpOp, a: Constant, b: Constant) -> Option<bool> {
     match (a, b) {
-        (Constant::Int(ty, x), Constant::Int(_, y)) => {
-            let ord = if matches!(
-                ty,
-                Type::U64 | Type::U32 | Type::U16 | Type::U8 | Type::Index
-            ) {
-                (x as u64).cmp(&(y as u64))
-            } else {
-                x.cmp(&y)
-            };
-            Some(apply_ord(op, ord))
-        }
-        (Constant::Bool(x), Constant::Bool(y)) => Some(apply_ord(op, x.cmp(&y))),
+        (Constant::Int(ty, x), Constant::Int(_, y)) => Some(op.eval(ty.is_unsigned(), x, y)),
+        (Constant::Bool(x), Constant::Bool(y)) => Some(op.holds(x.cmp(&y))),
         (Constant::Float(_, xb), Constant::Float(_, yb)) => {
             let (x, y) = (f64::from_bits(xb), f64::from_bits(yb));
             Some(match op {
@@ -527,45 +493,23 @@ fn fold_cmp(op: CmpOp, a: Constant, b: Constant) -> Option<bool> {
     }
 }
 
-fn apply_ord(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Ge => ord.is_ge(),
-    }
-}
-
 fn fold_cast(to: Type, c: Constant) -> Option<Constant> {
     match c {
-        Constant::Int(_, v) if to.is_integer() => Some(Constant::Int(to, truncate(to, v))),
+        Constant::Int(_, v) if to.is_integer() => Some(Constant::Int(to, to.truncate(v))),
         Constant::Int(_, v) if to.is_float() => Some(Constant::Float(to, (v as f64).to_bits())),
         Constant::Bool(b) if to.is_integer() => Some(Constant::Int(to, b as i64)),
         Constant::Float(_, bits) if to.is_integer() => {
-            Some(Constant::Int(to, truncate(to, f64::from_bits(bits) as i64)))
+            Some(Constant::Int(to, to.truncate(f64::from_bits(bits) as i64)))
         }
         Constant::Float(_, bits) if to.is_float() => Some(Constant::Float(to, bits)),
         _ => None,
     }
 }
 
-fn truncate(t: Type, v: i64) -> i64 {
-    match t {
-        Type::I8 => v as i8 as i64,
-        Type::U8 => v as u8 as i64,
-        Type::I16 => v as i16 as i64,
-        Type::U16 => v as u16 as i64,
-        Type::I32 => v as i32 as i64,
-        Type::U32 => v as u32 as i64,
-        _ => v,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memoir_interp::Value;
     use memoir_ir::{Form, ModuleBuilder};
 
     /// Listing 1: `map[0] = 10; map[1] = 11; return map[0];` folds to 10
@@ -851,5 +795,59 @@ mod tests {
         let mut m = mb.finish();
         let stats = constprop(&mut m);
         assert_eq!(stats.scalars_folded, 1);
+    }
+
+    /// `f() = op(x, y) cmp 0`, folded: the constant `f` returns, and what
+    /// `memoir-interp` returns for the unfolded function.
+    fn fold_narrow(ty: Type, op: BinOp, x: i64, y: i64, cmp: Option<CmpOp>) -> (Constant, Value) {
+        let mut mb = ModuleBuilder::new("m");
+        mb.func("f", Form::Ssa, |b| {
+            let t = b.ty(ty);
+            let (xv, yv) = (b.int(ty, x), b.int(ty, y));
+            let r = b.bin(op, xv, yv);
+            let out = match cmp {
+                Some(c) => {
+                    let zero = b.int(ty, 0);
+                    let boolt = b.ty(Type::Bool);
+                    b.returns(&[boolt]);
+                    b.cmp(c, r, zero)
+                }
+                None => {
+                    b.returns(&[t]);
+                    r
+                }
+            };
+            b.ret(vec![out]);
+        });
+        let mut m = mb.finish();
+        let want = memoir_interp::Interp::new(&m)
+            .run_by_name("f", vec![])
+            .unwrap();
+        constprop(&mut m);
+        let f = &m.funcs[m.func_by_name("f").unwrap()];
+        let folded = f
+            .inst_ids_in_order()
+            .into_iter()
+            .find_map(|(_, i)| match &f.insts[i].kind {
+                InstKind::Ret { values } => f.value_const(values[0]),
+                _ => None,
+            })
+            .expect("the result folds to a constant");
+        (folded, want[0].clone())
+    }
+
+    #[test]
+    fn narrow_add_wraps_before_the_compare() {
+        // 127 + 1 wraps to -128 in i8, which is below zero.
+        let (folded, run) = fold_narrow(Type::I8, BinOp::Add, 127, 1, Some(CmpOp::Lt));
+        assert_eq!(folded, Constant::Bool(true));
+        assert_eq!(run, Value::Bool(true));
+    }
+
+    #[test]
+    fn narrow_mul_wraps_to_the_type() {
+        let (folded, run) = fold_narrow(Type::I32, BinOp::Mul, 65536, 65536, None);
+        assert_eq!(folded, Constant::Int(Type::I32, 0));
+        assert_eq!(run, Value::Int(Type::I32, 0));
     }
 }

@@ -8,11 +8,10 @@
 //! * [`solver`] — an in-tree normalizer/solver (interval + congruence +
 //!   structural equality — **no external SMT**) for path-condition
 //!   feasibility, index narrowing, and bounded witness search;
-//! * [`memoir`] — the MEMOIR path enumerator, mirroring
-//!   `memoir-interp`'s trap conditions and value semantics exactly;
-//! * [`lirsym`] — the lir path enumerator, mirroring `lir::LirMachine`'s
-//!   linear memory, `rt_*` runtime routines and dense/host assoc
-//!   dispatch exactly;
+//! * [`memoir`] — the MEMOIR path enumerator: `memoir_interp::Machine`,
+//!   the interpreter's own step function, run over symbolic payloads;
+//! * [`lirsym`] — the lir path enumerator: `lir::Machine`, the
+//!   interpreter's own step function, run over symbolic words;
 //! * [`equiv`] — per-function equivalence: path-pair discharge with
 //!   **confirmation-gated refutation** (a divergence is only reported
 //!   after the witness reproduces on the concrete interpreters).
@@ -26,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod domain;
 pub mod equiv;
 pub mod lirsym;
 pub mod memoir;

@@ -2,9 +2,8 @@
 //!
 //! Scalars are represented as nodes in a term DAG over the function's
 //! parameters. The smart constructors normalize as they build: constants
-//! fold with the *exact* semantics of the concrete interpreters (wrapping
-//! `i64` arithmetic, trapping division, `wrapping_shl(y as u32)` shifts,
-//! per-type truncation, signed/unsigned comparison), commutative operands
+//! fold through the interpreters' own integer table (`memoir_ir`'s
+//! [`BinOp::eval`], [`CmpOp::eval`] and [`Type::truncate`]), commutative operands
 //! are ordered canonically, and a small set of sound algebraic identities
 //! (`x+0`, `x*1`, `x-x`, `min(x,x)`, …) is applied. Hash-consing makes
 //! structural equality an id comparison, which is what the equivalence
@@ -57,84 +56,19 @@ pub enum Term {
     /// Binary operation with plain wrapping-`i64` semantics (the MEMOIR
     /// interpreter's per-type truncation is a separate [`Term::Trunc`]).
     Bin(BinOp, TermId, TermId),
-    /// Comparison producing `0`/`1`. `unsigned` mirrors
-    /// `memoir-interp`'s `is_unsigned` operand typing; the low-level IR
-    /// always compares signed.
+    /// Comparison producing `0`/`1`. `unsigned` is the operand type's
+    /// [`Type::is_unsigned`]; the low-level IR always compares signed.
     Cmp(CmpOp, bool, TermId, TermId),
-    /// Truncation to a narrow integer type (`truncate` in
-    /// `memoir-interp`); wide types never build this node.
+    /// Truncation to a narrow integer type ([`Type::truncate`]); wide
+    /// types never build this node.
     Trunc(Type, TermId),
     /// `if c != 0 { t } else { e }`.
     Select(TermId, TermId, TermId),
 }
 
-/// Exact concrete semantics of [`Term::Bin`]: `Err(())` is division by
-/// zero (a trap, never a value).
-#[allow(clippy::result_unit_err)] // the unit error *is* the trap marker
-pub fn fold_bin(op: BinOp, x: i64, y: i64) -> Result<i64, ()> {
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return Err(());
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::Rem => {
-            if y == 0 {
-                return Err(());
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr => x.wrapping_shr(y as u32),
-        BinOp::Min => x.min(y),
-        BinOp::Max => x.max(y),
-    })
-}
-
-/// Exact concrete semantics of [`Term::Cmp`].
-pub fn fold_cmp(op: CmpOp, unsigned: bool, x: i64, y: i64) -> bool {
-    let ord = if unsigned {
-        (x as u64).cmp(&(y as u64))
-    } else {
-        x.cmp(&y)
-    };
-    match op {
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Ge => ord.is_ge(),
-    }
-}
-
-/// Exact concrete semantics of [`Term::Trunc`] (`memoir-interp`'s
-/// `truncate`; wide types are the identity).
+/// Exact concrete semantics of [`Term::Trunc`]: [`Type::truncate`].
 pub fn fold_trunc(t: Type, v: i64) -> i64 {
-    match t {
-        Type::I8 => v as i8 as i64,
-        Type::U8 => v as u8 as i64,
-        Type::I16 => v as i16 as i64,
-        Type::U16 => v as u16 as i64,
-        Type::I32 => v as i32 as i64,
-        Type::U32 => v as u32 as i64,
-        _ => v,
-    }
-}
-
-/// Whether truncation to `t` is the identity on every `i64` word.
-pub fn trunc_is_identity(t: Type) -> bool {
-    !matches!(
-        t,
-        Type::I8 | Type::U8 | Type::I16 | Type::U16 | Type::I32 | Type::U32
-    )
+    t.truncate(v)
 }
 
 /// The inclusive `i64` payload domain of an integer parameter type,
@@ -238,7 +172,7 @@ impl TermPool {
     pub fn bin(&mut self, op: BinOp, a: TermId, b: TermId) -> Result<TermId, ()> {
         let (ca, cb) = (self.as_const(a), self.as_const(b));
         if let (Some(x), Some(y)) = (ca, cb) {
-            return fold_bin(op, x, y).map(|v| self.konst(v));
+            return op.eval(x, y).map(|v| self.konst(v)).ok_or(());
         }
         // Sound identities on the known-constant side.
         match (op, ca, cb) {
@@ -283,7 +217,7 @@ impl TermPool {
     /// Comparison producing a `0`/`1` term.
     pub fn cmp(&mut self, op: CmpOp, unsigned: bool, a: TermId, b: TermId) -> TermId {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
-            let v = fold_cmp(op, unsigned, x, y);
+            let v = op.eval(unsigned, x, y);
             return self.konst(v as i64);
         }
         if a == b {
@@ -301,12 +235,11 @@ impl TermPool {
 
     /// Truncation to an integer type.
     pub fn trunc(&mut self, t: Type, v: TermId) -> TermId {
-        if trunc_is_identity(t) {
+        if !t.is_narrow() {
             return v;
         }
         if let Some(x) = self.as_const(v) {
-            let w = fold_trunc(t, x);
-            return self.konst(w);
+            return self.konst(t.truncate(x));
         }
         if let Term::Trunc(inner_t, _) = self.get(v) {
             if inner_t == t {
@@ -335,13 +268,13 @@ impl TermPool {
             Term::Param(i) => params.get(i as usize).copied(),
             Term::Bin(op, a, b) => {
                 let (x, y) = (self.eval(a, params)?, self.eval(b, params)?);
-                fold_bin(op, x, y).ok()
+                op.eval(x, y)
             }
             Term::Cmp(op, unsigned, a, b) => {
                 let (x, y) = (self.eval(a, params)?, self.eval(b, params)?);
-                Some(fold_cmp(op, unsigned, x, y) as i64)
+                Some(op.eval(unsigned, x, y) as i64)
             }
-            Term::Trunc(ty, a) => Some(fold_trunc(ty, self.eval(a, params)?)),
+            Term::Trunc(ty, a) => Some(ty.truncate(self.eval(a, params)?)),
             Term::Select(c, a, b) => {
                 if self.eval(c, params)? != 0 {
                     self.eval(a, params)

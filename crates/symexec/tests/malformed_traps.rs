@@ -1,8 +1,9 @@
 //! Malformed functions trap, never panic, on both executors of each IR,
 //! each with its fixed trap kind and message: an operand the register
 //! file has no binding for (an id at or beyond the function's value
-//! count, or a definition the taken path skipped) and a φ without an
-//! incoming value for the edge taken.
+//! count, or a definition the taken path skipped), a φ without an
+//! incoming value for the edge taken, and a runtime call with too few
+//! arguments or a handle that names no host table.
 
 use lir::{BinOp, Blk, Function, LirMachine, LirTrap, Op, Val};
 use memoir_interp::{Interp, Trap, Value};
@@ -52,6 +53,49 @@ fn lir_operand_beyond_the_value_count_is_unbound() {
             Err(LirTrap::Malformed("unbound value"))
         );
         assert_eq!(lir_ends(&m), vec![PathEnd::Trap]);
+    }
+}
+
+/// `f(x)`: returns the result of one runtime call with constant
+/// arguments.
+fn lir_rt_call(name: &str, args: &[i64]) -> lir::Module {
+    let mut f = Function::new("f", 1, 1);
+    let e = f.entry;
+    let args = args.iter().map(|&c| f.push1(e, Op::Const(c))).collect();
+    let out = f.push1(
+        e,
+        Op::CallRt {
+            name: name.into(),
+            args,
+            has_result: true,
+        },
+    );
+    f.push0(e, Op::Ret(vec![out]));
+    lir_module(f)
+}
+
+#[test]
+fn lir_runtime_call_arguments_and_handles_are_checked() {
+    let missing = LirTrap::Malformed("missing runtime-call argument");
+    for (name, args, trap) in [
+        ("rt_assoc_read", &[-5, 1][..], LirTrap::BadAddress(-5)),
+        ("rt_assoc_size", &[-1], LirTrap::BadAddress(-1)),
+        (
+            "rt_assoc_read",
+            &[i64::MIN, 1],
+            LirTrap::BadAddress(i64::MIN),
+        ),
+        ("rt_assoc_read", &[], missing.clone()),
+        ("rt_seq_new", &[], missing.clone()),
+        ("rt_dense_new", &[], missing.clone()),
+    ] {
+        let m = lir_rt_call(name, args);
+        assert_eq!(
+            LirMachine::new(&m).run_by_name("f", vec![1]),
+            Err(trap),
+            "{name}{args:?}"
+        );
+        assert_eq!(lir_ends(&m), vec![PathEnd::Trap], "{name}{args:?}");
     }
 }
 
