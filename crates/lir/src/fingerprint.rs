@@ -13,17 +13,14 @@
 //! not merely structurally isomorphic.
 //!
 //! Callee *bodies* are not hashed locally (their slot ids are, since
-//! cached pass outputs embed them); instead the callgraph is condensed
-//! into SCCs (leaves-first) and each function's final fingerprint folds
-//! in the fingerprints of its callees in call-site order — intra-SCC
-//! (recursive) calls as a marker plus a commutative SCC summary, so the
-//! result is independent of member enumeration order. Editing any
-//! (transitively) called function therefore changes the fingerprints of
-//! all its dependents.
+//! cached pass outputs embed them); [`passman::fingerprint::propagate`]
+//! folds in the callees' fingerprints over the condensed callgraph, so
+//! editing any (transitively) called function changes the fingerprints
+//! of all its dependents.
 
 use crate::ir::{Blk, Fun, Function, Module, Op, Val};
-use passman::fingerprint::{sccs, Fingerprint, StableHasher};
-use std::collections::HashMap;
+use passman::fingerprint::{propagate, Fingerprint, StableHasher};
+use std::hash::Hasher;
 
 /// Per-op tags (stable, never reordered: they are part of the hash).
 const T_CONST: u64 = 1;
@@ -41,8 +38,8 @@ const T_CALLRT: u64 = 12;
 const T_JMP: u64 = 13;
 const T_BR: u64 = 14;
 const T_RET: u64 = 15;
-const BLOCK_MARK: u64 = 0x424c_4f43_4b00_0000; // "BLOCK"
-const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
+/// A value or block slot not given a canonical number.
+const UNNUMBERED: u64 = u64::MAX;
 
 /// Canonical block order: reverse postorder from the entry, then any
 /// unreachable blocks in id order.
@@ -82,52 +79,43 @@ fn block_order(f: &Function) -> Vec<Blk> {
 /// call-site order.
 fn local_structure(f: &Function) -> (u64, Vec<usize>) {
     let order = block_order(f);
-    let mut bnum: HashMap<Blk, u64> = HashMap::new();
+    // `order` holds every block once, so every in-range slot is filled.
+    let mut bnum = vec![UNNUMBERED; f.blocks.len()];
     for (i, &b) in order.iter().enumerate() {
-        bnum.insert(b, i as u64);
+        bnum[b.0 as usize] = i as u64;
     }
     // Canonical value numbers: params first, then results in walk order.
-    let mut canon: HashMap<Val, u64> = HashMap::new();
-    for p in 0..f.num_params {
-        canon.insert(Val(p), p as u64);
-    }
-    let mut next = f.num_params as u64;
+    let mut canon = vec![UNNUMBERED; f.next_val as usize];
+    let mut next = 0u64;
+    let mut number = |v: Val| {
+        if let Some(slot) = canon.get_mut(v.0 as usize) {
+            if *slot == UNNUMBERED {
+                *slot = next;
+                next += 1;
+            }
+        }
+    };
+    (0..f.num_params).map(Val).for_each(&mut number);
     for &b in &order {
         for &i in &f.blocks[b.0 as usize].insts {
-            let Some(inst) = f.insts.get(i.0 as usize) else {
-                continue;
-            };
-            for &r in &inst.results {
-                canon.entry(r).or_insert_with(|| {
-                    let v = next;
-                    next += 1;
-                    v
-                });
+            if let Some(inst) = f.insts.get(i.0 as usize) {
+                inst.results.iter().copied().for_each(&mut number);
             }
         }
     }
-    let cv = |h: &mut StableHasher, v: Val| match canon.get(&v) {
-        Some(&c) => {
-            h.write_u64(2);
-            h.write_u64(c);
-        }
-        None => {
-            // Use of an undefined value (broken IR mid-fuzz): hash the
-            // raw id so the walk stays total and deterministic.
-            h.write_u64(1);
-            h.write_u64(v.0 as u64);
-        }
+    // A numbered slot hashes as (2, number); anything else — a use of an
+    // undefined value or a dangling block in broken IR mid-fuzz — as
+    // (1, raw id), so the walk stays total and deterministic.
+    let tagged = |h: &mut StableHasher, slots: &[u64], raw: u32| {
+        let (tag, word) = match slots.get(raw as usize) {
+            Some(&c) if c != UNNUMBERED => (2, c),
+            _ => (1, raw as u64),
+        };
+        h.write_u64(tag);
+        h.write_u64(word);
     };
-    let cb = |h: &mut StableHasher, b: Blk| match bnum.get(&b) {
-        Some(&c) => {
-            h.write_u64(2);
-            h.write_u64(c);
-        }
-        None => {
-            h.write_u64(1);
-            h.write_u64(b.0 as u64);
-        }
-    };
+    let cv = |h: &mut StableHasher, v: Val| tagged(h, &canon, v.0);
+    let cb = |h: &mut StableHasher, b: Blk| tagged(h, &bnum, b.0);
 
     let mut h = StableHasher::new();
     let mut callees: Vec<usize> = Vec::new();
@@ -136,8 +124,7 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
     h.write_u32(f.num_rets);
     h.write_usize(order.len());
     for &b in &order {
-        h.write_u64(BLOCK_MARK);
-        h.write_u64(bnum[&b]);
+        h.write_usize(f.blocks[b.0 as usize].insts.len());
         for &i in &f.blocks[b.0 as usize].insts {
             let Some(inst) = f.insts.get(i.0 as usize) else {
                 h.write_u64(u64::MAX); // dangling inst id
@@ -167,7 +154,9 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
                     // predecessor number.
                     let mut inc: Vec<(u64, Blk, Val)> = incomings
                         .iter()
-                        .map(|&(p, v)| (bnum.get(&p).copied().unwrap_or(u64::MAX), p, v))
+                        .map(|&(p, v)| {
+                            (bnum.get(p.0 as usize).copied().unwrap_or(UNNUMBERED), p, v)
+                        })
                         .collect();
                     inc.sort_by_key(|&(c, _, _)| c);
                     h.write_usize(inc.len());
@@ -260,49 +249,12 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
 /// Fingerprints every function of a module, with callee propagation
 /// across the condensed callgraph (see the module docs).
 pub fn module_fingerprints(m: &Module) -> Vec<(Fun, Fingerprint)> {
-    let n = m.funcs.len();
-    let mut locals: Vec<u64> = Vec::with_capacity(n);
-    let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for f in &m.funcs {
-        let (h, cs) = local_structure(f);
-        locals.push(h);
-        callees.push(cs);
-    }
-    let comps = sccs(n, &|v| callees[v].clone());
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci;
-        }
-    }
-    let mut out = vec![Fingerprint(0); n];
-    for (ci, comp) in comps.iter().enumerate() {
-        // Member hash: local structure + callee fingerprints in
-        // call-site order (leaves-first, so cross-SCC callees are final;
-        // intra-SCC callees become a marker, resolved by the summary).
-        let members: Vec<Fingerprint> = comp
-            .iter()
-            .map(|&v| {
-                let mut h = StableHasher::new();
-                h.write_u64(locals[v]);
-                for &c in &callees[v] {
-                    if c < n && comp_of[c] == ci {
-                        h.write_u64(RECURSIVE_CALLEE);
-                    } else if c < n {
-                        h.write_u64(out[c].0);
-                    } else {
-                        h.write_u64(u64::MAX); // dangling callee
-                    }
-                }
-                h.fingerprint()
-            })
-            .collect();
-        let summary = Fingerprint::combine_commutative(members.iter().copied());
-        for (&v, member) in comp.iter().zip(members) {
-            out[v] = member.combine(summary);
-        }
-    }
-    (0..n).map(|i| (Fun(i as u32), out[i])).collect()
+    let locals: Vec<_> = m.funcs.iter().map(local_structure).collect();
+    propagate(None, &locals)
+        .into_iter()
+        .enumerate()
+        .map(|(i, fp)| (Fun(i as u32), fp))
+        .collect()
 }
 
 #[cfg(test)]

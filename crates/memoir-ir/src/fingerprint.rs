@@ -14,6 +14,13 @@
 //! carrying their symbol name, so two functions may share a fingerprint
 //! only when they are byte-compatible, not merely isomorphic.
 //!
+//! An instruction is serialized by its derived `Hash`: a private copy of
+//! the op, with operands and successors rewritten to canonical numbers,
+//! is fed to the [`StableHasher`], followed by its constant operands in
+//! operand order. One serialization thus covers the whole instruction
+//! set, immediates included, and every list in the stream is
+//! length-prefixed, so distinct functions never write the same words.
+//!
 //! Raw `TypeId` / `ObjTypeId` / `ExternId` immediates do appear in the
 //! per-op stream, so their meaning is pinned by folding a hash of the
 //! whole type table (interned types, object definitions and layouts) and
@@ -23,31 +30,27 @@
 //! transformations (field elision, dead-field elimination) require.
 //!
 //! Callee *bodies* are not hashed locally (their `FuncId` slots are,
-//! since cached pass outputs embed them); instead the callgraph is
-//! condensed into SCCs (leaves-first) and each function's final
-//! fingerprint folds in the fingerprints of its callees in call-site
-//! order — intra-SCC (recursive) calls as a marker plus a commutative
-//! SCC summary, so the result is independent of member enumeration
-//! order. A pass that edits only callee `g` therefore changes the
-//! fingerprint of every (transitive) caller of `g`, even when the pass
-//! reported `Mutation::Funcs([g])` — which is what lets the analysis
-//! cache drop the callers' callgraph-dependent results.
+//! since cached pass outputs embed them); [`passman::fingerprint::propagate`]
+//! folds in the callees' fingerprints over the condensed callgraph. A
+//! pass that edits only callee `g` therefore changes the fingerprint of
+//! every (transitive) caller of `g`, even when the pass reported
+//! `Mutation::Funcs([g])` — which is what lets the analysis cache drop
+//! the callers' callgraph-dependent results.
 
 use crate::function::{Function, ValueDef};
 use crate::ids::{BlockId, FuncId, ValueId};
-use crate::inst::{Callee, InstKind};
+use crate::inst::{Callee, Constant, InstKind};
 use crate::module::Module;
-use passman::fingerprint::{sccs, Fingerprint, StableHasher};
-use std::collections::HashMap;
+use passman::fingerprint::{propagate, Fingerprint, StableHasher};
+use std::hash::{Hash, Hasher};
 
 /// Marker written to the op stream in place of a constant operand (the
 /// constant's value is hashed separately, in operand order).
 const CONST_MARK: u32 = u32::MAX - 1;
 /// Marker for an operand or successor that resolves to nothing (broken
-/// IR mid-fuzz); keeps the walk total and deterministic.
+/// IR mid-fuzz), and for a value slot not yet numbered; keeps the walk
+/// total and deterministic.
 const DANGLING_MARK: u32 = u32::MAX;
-const BLOCK_MARK: u64 = 0x424c_4f43_4b00_0000; // "BLOCK"
-const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 
 /// Canonical block order: reverse postorder from the entry, then any
 /// unreachable blocks in id order.
@@ -71,11 +74,7 @@ fn block_order(f: &Function) -> Vec<BlockId> {
 fn table_hash(m: &Module) -> u64 {
     let mut h = StableHasher::new();
     let types: Vec<_> = m.types.entries().collect();
-    h.write_usize(types.len());
-    for (id, ty) in types {
-        h.write_u32(id.raw());
-        h.write_str(&m.types.display_type(ty));
-    }
+    types.hash(&mut h);
     h.write_usize(m.types.object_count());
     for (oid, obj) in m.types.objects() {
         h.write_u32(oid.raw());
@@ -96,14 +95,8 @@ fn table_hash(m: &Module) -> u64 {
     for (eid, e) in m.externs.iter() {
         h.write_u32(eid.raw());
         h.write_str(&e.name);
-        h.write_usize(e.params.len());
-        for &t in &e.params {
-            h.write_u32(t.raw());
-        }
-        h.write_usize(e.ret_tys.len());
-        for &t in &e.ret_tys {
-            h.write_u32(t.raw());
-        }
+        e.params.hash(&mut h);
+        e.ret_tys.hash(&mut h);
         h.write_bool(e.effects.reads_args);
         h.write_bool(e.effects.writes_args);
         h.write_bool(e.effects.opaque);
@@ -119,42 +112,42 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
     for (i, &b) in order.iter().enumerate() {
         blk_pos[b.index()] = i as u32;
     }
+    let canon_block =
+        |b: BlockId| BlockId::from_raw(blk_pos.get(b.index()).copied().unwrap_or(DANGLING_MARK));
     // Canonical value numbers: params first, then results in walk order.
-    let mut canon: HashMap<ValueId, u32> = HashMap::new();
-    for &p in &f.param_values {
-        let next = canon.len() as u32;
-        canon.insert(p, next);
-    }
+    let mut canon = vec![DANGLING_MARK; f.values.len()];
+    let mut next = 0u32;
+    let mut number = |v: ValueId| {
+        if let Some(slot) = canon.get_mut(v.index()) {
+            if *slot == DANGLING_MARK {
+                *slot = next;
+                next += 1;
+            }
+        }
+    };
+    f.param_values.iter().copied().for_each(&mut number);
     for &b in &order {
         for &iid in &f.blocks[b].insts {
-            if iid.index() >= f.insts.len() {
-                continue;
-            }
-            for &r in &f.insts[iid].results {
-                let next = canon.len() as u32;
-                canon.entry(r).or_insert(next);
+            if iid.index() < f.insts.len() {
+                f.insts[iid].results.iter().copied().for_each(&mut number);
             }
         }
     }
-    let canon_block =
-        |b: BlockId| BlockId::from_raw(blk_pos.get(b.index()).copied().unwrap_or(DANGLING_MARK));
 
     let mut h = StableHasher::new();
     let mut callees: Vec<usize> = Vec::new();
+    let mut consts: Vec<Constant> = Vec::new();
     h.write_str(&f.name);
     h.write_usize(f.params.len());
     for p in &f.params {
         h.write_u32(p.ty.raw());
         h.write_bool(p.by_ref);
     }
-    h.write_usize(f.ret_tys.len());
-    for &t in &f.ret_tys {
-        h.write_u32(t.raw());
-    }
-    h.write_str(&format!("{:?}", f.form));
+    f.ret_tys.hash(&mut h);
+    h.write_u64(f.form as u64);
     h.write_usize(order.len());
     for &b in &order {
-        h.write_u64(BLOCK_MARK);
+        h.write_usize(f.blocks[b].insts.len());
         for &iid in &f.blocks[b].insts {
             if iid.index() >= f.insts.len() {
                 h.write_u64(u64::MAX); // dangling inst id
@@ -170,9 +163,8 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
                     false => h.write_u32(DANGLING_MARK),
                 }
             }
-            // Canonicalize a private copy of the op, then hash its
-            // `Debug` rendering — one stable serialization for the whole
-            // instruction set instead of a hand-maintained 36-arm match.
+            // Canonicalize a private copy of the op and hash it
+            // structurally, immediates and all.
             let mut kind = inst.kind.clone();
             if let InstKind::Call {
                 callee: Callee::Func(fid),
@@ -180,32 +172,34 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
             } = &kind
             {
                 // The callee's *content* enters via fingerprint
-                // propagation; its slot id stays in the `Debug` stream
-                // because cached pass outputs embed it.
+                // propagation; its slot id stays in the op because
+                // cached pass outputs embed it.
                 callees.push(fid.index());
             }
-            kind.visit_operands_mut(|v| {
-                *v = if v.index() >= f.values.len() {
-                    ValueId::from_raw(DANGLING_MARK)
-                } else if let ValueDef::Const(c) = f.values[*v].def {
-                    // Constants are values in the arena, minted in
-                    // first-use order — hash by value, not by id.
-                    h.write_str(&format!("{c:?}"));
-                    ValueId::from_raw(CONST_MARK)
-                } else {
-                    ValueId::from_raw(canon.get(v).copied().unwrap_or(DANGLING_MARK))
-                };
-            });
-            kind.visit_successors_mut(|b| *b = canon_block(*b));
             if let InstKind::Phi { incoming } = &mut kind {
                 // Incoming order is id-dependent: sort by canonical
-                // predecessor (operands were canonicalized above).
+                // predecessor, before the constants are collected.
                 for (p, _) in incoming.iter_mut() {
                     *p = canon_block(*p);
                 }
-                incoming.sort_by_key(|&(p, v)| (p.raw(), v.raw()));
+                incoming.sort_by_key(|&(p, _)| p.raw());
             }
-            h.write_str(&format!("{kind:?}"));
+            consts.clear();
+            kind.visit_operands_mut(|v| {
+                *v = ValueId::from_raw(if v.index() >= f.values.len() {
+                    DANGLING_MARK
+                } else if let ValueDef::Const(c) = f.values[*v].def {
+                    // Constants are values in the arena, minted in
+                    // first-use order — hash by value, not by id.
+                    consts.push(c);
+                    CONST_MARK
+                } else {
+                    canon[v.index()]
+                });
+            });
+            kind.visit_successors_mut(|b| *b = canon_block(*b));
+            kind.hash(&mut h);
+            consts.hash(&mut h);
         }
     }
     (h.finish(), callees)
@@ -214,52 +208,11 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
 /// Fingerprints every function of a module, with callee propagation
 /// across the condensed callgraph (see the module docs).
 pub fn module_fingerprints(m: &Module) -> Vec<(FuncId, Fingerprint)> {
-    let n = m.funcs.len();
-    let table = table_hash(m);
-    let mut locals: Vec<u64> = Vec::with_capacity(n);
-    let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (_, f) in m.funcs.iter() {
-        let (h, cs) = local_structure(f);
-        locals.push(h);
-        callees.push(cs);
-    }
-    let comps = sccs(n, &|v| callees[v].clone());
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci;
-        }
-    }
-    let mut out = vec![Fingerprint(0); n];
-    for (ci, comp) in comps.iter().enumerate() {
-        // Member hash: module context + local structure + callee
-        // fingerprints in call-site order (leaves-first, so cross-SCC
-        // callees are final; intra-SCC callees become a marker, resolved
-        // by the commutative summary).
-        let members: Vec<Fingerprint> = comp
-            .iter()
-            .map(|&v| {
-                let mut h = StableHasher::new();
-                h.write_u64(table);
-                h.write_u64(locals[v]);
-                for &c in &callees[v] {
-                    if c < n && comp_of[c] == ci {
-                        h.write_u64(RECURSIVE_CALLEE);
-                    } else if c < n {
-                        h.write_u64(out[c].0);
-                    } else {
-                        h.write_u64(u64::MAX); // dangling callee
-                    }
-                }
-                h.fingerprint()
-            })
-            .collect();
-        let summary = Fingerprint::combine_commutative(members.iter().copied());
-        for (&v, member) in comp.iter().zip(members) {
-            out[v] = member.combine(summary);
-        }
-    }
-    m.funcs.ids().zip(out).collect()
+    let locals: Vec<_> = m.funcs.iter().map(|(_, f)| local_structure(f)).collect();
+    m.funcs
+        .ids()
+        .zip(propagate(Some(table_hash(m)), &locals))
+        .collect()
 }
 
 #[cfg(test)]

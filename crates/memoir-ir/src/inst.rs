@@ -266,7 +266,7 @@ pub enum Callee {
 /// single result; `swap` over two sequences and `call`s of multi-return
 /// functions produce several results. Mut-form instructions mutate the
 /// storage named by their first operand and produce no collection result.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum InstKind {
     // ---------------------------------------------------------------- scalar
     /// Binary arithmetic: `res = op lhs, rhs`.

@@ -9,7 +9,8 @@
 //! (where "may write"/"may reference" memory barriers dominate failures).
 
 use memoir_analysis::cached::{CachedDefUse, CachedDomTree, CachedLoopDepths};
-use memoir_ir::{BlockId, Effect, Form, InstId, InstKind, Module};
+use memoir_analysis::{DefUse, DomTree};
+use memoir_ir::{BlockId, Effect, Form, Function, InstId, InstKind, Module};
 use passman::AnalysisManager;
 use std::collections::HashMap;
 
@@ -25,33 +26,50 @@ pub fn sink(m: &mut Module) -> SinkStats {
     sink_with(m, &mut AnalysisManager::new())
 }
 
-/// Runs sinking, sharing analyses through `am`: the dominator tree,
-/// def-use chains, and loop depths are fetched from the cache and
-/// invalidated only on iterations that actually moved an instruction.
+/// Runs sinking, sharing analyses through `am`.
+///
+/// Sinking moves instructions between existing blocks: it changes
+/// neither the CFG nor any value's set of users. So the dominator tree,
+/// def-use chains and loop depths fetched once per function stay valid
+/// across every iteration of that function's fixpoint, and the functions
+/// that moved anything are invalidated together after the last one —
+/// the pass causes at most one fingerprint refresh of the module, not
+/// one per function.
 pub fn sink_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> SinkStats {
     let mut stats = SinkStats::default();
+    let mut moved = Vec::new();
     for fid in m.funcs.ids().collect::<Vec<_>>() {
         if m.funcs[fid].form != Form::Ssa {
             continue;
         }
+        let dt = am.get::<CachedDomTree>(m, fid);
+        let du = am.get::<CachedDefUse>(m, fid);
+        let depths = am.get::<CachedLoopDepths>(m, fid);
+        let before = stats.sunk;
         loop {
-            let n = run_function(m, fid, am);
+            let n = run_function(&mut m.funcs[fid], &dt, &du, &depths);
             stats.sunk += n;
             if n == 0 {
                 break;
             }
-            am.invalidate(fid);
         }
+        if stats.sunk > before {
+            moved.push(fid);
+        }
+    }
+    for fid in moved {
+        am.invalidate(fid);
     }
     stats
 }
 
-fn run_function(m: &mut Module, fid: memoir_ir::FuncId, am: &mut AnalysisManager<Module>) -> usize {
-    let dt = am.get::<CachedDomTree>(m, fid);
-    let du = am.get::<CachedDefUse>(m, fid);
-    let depths = am.get::<CachedLoopDepths>(m, fid);
-    let f = &m.funcs[fid];
-
+/// One sinking sweep over `f`; returns the number of instructions moved.
+fn run_function(
+    f: &mut Function,
+    dt: &DomTree,
+    du: &DefUse,
+    depths: &HashMap<BlockId, u32>,
+) -> usize {
     // Position of each instruction.
     let mut pos: HashMap<InstId, (BlockId, usize)> = HashMap::new();
     for (b, block) in f.blocks.iter() {
@@ -121,7 +139,6 @@ fn run_function(m: &mut Module, fid: memoir_ir::FuncId, am: &mut AnalysisManager
     }
 
     let count = moves.len();
-    let f = &mut m.funcs[fid];
     for (inst, from, to) in moves {
         f.remove_inst(from, inst);
         // Insert before the first use (re-scan; earlier sinks shifted

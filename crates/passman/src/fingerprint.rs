@@ -25,11 +25,13 @@
 //!   invalidate *dependents* of a changed function without a separate
 //!   dependency graph.
 //!
-//! The IR crates implement the actual walks
+//! The IR crates implement the per-function walks
 //! (`memoir_ir::fingerprint`, `lir::fingerprint`) on top of the
-//! [`StableHasher`] and the leaves-first [`sccs`] condensation here.
+//! [`StableHasher`]; [`propagate`] here folds the callgraph into the
+//! local hashes for both.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// A stable structural content hash of one function (plus its type and
 /// callee context). See the module docs for the contract.
@@ -92,6 +94,10 @@ fn mix64(mut h: u64) -> u64 {
 /// every machine — the property fingerprints need to serve as cross-job
 /// cache keys. Not cryptographic; collision resistance is "good 64-bit
 /// mixing", which is plenty for cache keying.
+///
+/// It implements [`Hasher`], so any `#[derive(Hash)]` type can be fed
+/// in structurally: every integer write becomes one word of the mixer,
+/// and raw bytes go in length-prefixed, eight to a word.
 #[derive(Clone, Debug)]
 pub struct StableHasher {
     state: u64,
@@ -111,29 +117,9 @@ impl StableHasher {
         }
     }
 
-    /// Feeds one 64-bit word.
+    /// Feeds one 64-bit word: the mixer every other write goes through.
     pub fn write_u64(&mut self, x: u64) {
         self.state = mix64(self.state.rotate_left(23) ^ x).wrapping_add(0x2545_f491_4f6c_dd1d);
-    }
-
-    /// Feeds a 32-bit word.
-    pub fn write_u32(&mut self, x: u32) {
-        self.write_u64(x as u64);
-    }
-
-    /// Feeds a `usize`.
-    pub fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    /// Feeds a signed 64-bit word.
-    pub fn write_i64(&mut self, x: i64) {
-        self.write_u64(x as u64);
-    }
-
-    /// Feeds one byte.
-    pub fn write_u8(&mut self, x: u8) {
-        self.write_u64(x as u64);
     }
 
     /// Feeds a boolean.
@@ -144,12 +130,7 @@ impl StableHasher {
     /// Feeds a string, length-prefixed (so `"ab", "c"` and `"a", "bc"`
     /// digest differently).
     pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        for chunk in s.as_bytes().chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(w));
-        }
+        self.write(s.as_bytes());
     }
 
     /// The digest of everything written so far.
@@ -163,19 +144,104 @@ impl StableHasher {
     }
 }
 
+impl Hasher for StableHasher {
+    fn finish(&self) -> u64 {
+        StableHasher::finish(self)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+    }
+
+    // The signed writes default to these.
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        StableHasher::write_u64(self, x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// Marker folded in place of a callee in the caller's own SCC.
+const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
+
+/// Final fingerprints of a module's functions, from each function's
+/// local structure hash and in-module callee list (call-site order;
+/// indices into `funcs`), plus an optional hash of module-wide context
+/// every function depends on.
+///
+/// The callgraph is condensed into SCCs and processed leaves-first.
+/// Each function hashes the context, its local hash and its callees'
+/// fingerprints in call-site order: a callee in another SCC is already
+/// final; one in the same SCC (recursion) becomes a marker, resolved by
+/// a commutative summary of the SCC's members, so the result does not
+/// depend on the order members are enumerated in. Editing any
+/// (transitively) called function therefore moves the fingerprints of
+/// all its callers.
+pub fn propagate(context: Option<u64>, funcs: &[(u64, Vec<usize>)]) -> Vec<Fingerprint> {
+    let n = funcs.len();
+    let comps = sccs(n, &|v| &funcs[v].1);
+    let mut comp_of = vec![usize::MAX; n];
+    for (ci, comp) in comps.iter().enumerate() {
+        for &v in comp {
+            comp_of[v] = ci;
+        }
+    }
+    let mut out = vec![Fingerprint(0); n];
+    for (ci, comp) in comps.iter().enumerate() {
+        let members: Vec<Fingerprint> = comp
+            .iter()
+            .map(|&v| {
+                let (local, callees) = &funcs[v];
+                let mut h = StableHasher::new();
+                if let Some(cx) = context {
+                    h.write_u64(cx);
+                }
+                h.write_u64(*local);
+                for &c in callees {
+                    h.write_u64(match comp_of.get(c) {
+                        Some(&cc) if cc == ci => RECURSIVE_CALLEE,
+                        Some(_) => out[c].0,
+                        None => u64::MAX, // dangling callee
+                    });
+                }
+                h.fingerprint()
+            })
+            .collect();
+        let summary = Fingerprint::combine_commutative(members.iter().copied());
+        for (&v, member) in comp.iter().zip(members) {
+            out[v] = member.combine(summary);
+        }
+    }
+    out
+}
+
 /// Strongly connected components of a directed graph over nodes
 /// `0..n`, returned **leaves-first** (every edge leaving a component
 /// points to an earlier component in the returned order). Within a
 /// component, nodes appear in a deterministic (input-index) order.
 ///
-/// This is the condensation both IR crates run callee-fingerprint
-/// propagation over: process SCCs leaves-first, so every cross-SCC
-/// callee already has a final fingerprint, and summarize intra-SCC
-/// (recursive) edges commutatively.
-///
 /// Iterative Tarjan — fuzzed modules can have deep call chains, so no
 /// recursion.
-pub fn sccs(n: usize, edges: &dyn Fn(usize) -> Vec<usize>) -> Vec<Vec<usize>> {
+fn sccs<'a>(n: usize, edges: &dyn Fn(usize) -> &'a [usize]) -> Vec<Vec<usize>> {
     const UNVISITED: usize = usize::MAX;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
@@ -189,7 +255,7 @@ pub fn sccs(n: usize, edges: &dyn Fn(usize) -> Vec<usize>) -> Vec<Vec<usize>> {
         if index[root] != UNVISITED {
             continue;
         }
-        let mut frames: Vec<(usize, Vec<usize>, usize)> = vec![(root, edges(root), 0)];
+        let mut frames: Vec<(usize, &[usize], usize)> = vec![(root, edges(root), 0)];
         index[root] = next_index;
         lowlink[root] = next_index;
         next_index += 1;
@@ -282,12 +348,12 @@ mod tests {
     #[test]
     fn sccs_leaves_first() {
         // 0 -> 1 -> 2, 2 -> 1 (cycle {1,2}), 3 isolated.
-        let edges = |v: usize| -> Vec<usize> {
+        let edges = |v: usize| -> &'static [usize] {
             match v {
-                0 => vec![1],
-                1 => vec![2],
-                2 => vec![1],
-                _ => vec![],
+                0 => &[1],
+                1 => &[2],
+                2 => &[1],
+                _ => &[],
             }
         };
         let comps = sccs(4, &edges);
@@ -299,10 +365,10 @@ mod tests {
 
     #[test]
     fn sccs_handles_self_loop_and_dangling_edges() {
-        let edges = |v: usize| -> Vec<usize> {
+        let edges = |v: usize| -> &'static [usize] {
             match v {
-                0 => vec![0, 7],
-                _ => vec![],
+                0 => &[0, 7],
+                _ => &[],
             }
         };
         let comps = sccs(2, &edges);
