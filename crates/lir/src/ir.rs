@@ -85,6 +85,22 @@ pub enum CmpOp {
 }
 
 impl BinOp {
+    /// The printer's mnemonic.
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::Div => "div",
+            BinOp::Rem => "rem",
+            BinOp::And => "and",
+            BinOp::Or => "or",
+            BinOp::Xor => "xor",
+            BinOp::Shl => "shl",
+            BinOp::Shr => "shr",
+        }
+    }
+
     /// The semantics both lir executors and `constfold` share: wrapping
     /// `i64` arithmetic, shifts by the low six bits of `y`, arithmetic
     /// right shift. `None` is a division or remainder by zero (a trap).
@@ -107,6 +123,18 @@ impl BinOp {
 }
 
 impl CmpOp {
+    /// The printer's mnemonic.
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "eq",
+            CmpOp::Ne => "ne",
+            CmpOp::Lt => "lt",
+            CmpOp::Le => "le",
+            CmpOp::Gt => "gt",
+            CmpOp::Ge => "ge",
+        }
+    }
+
     /// The signed comparison both lir executors and `constfold` share.
     #[inline]
     pub fn eval(self, x: i64, y: i64) -> bool {

@@ -1,82 +1,116 @@
 //! Textual rendering of low-level IR functions (debugging aid).
+//!
+//! One renderer, [`write_module`], streams the text into any
+//! [`fmt::Write`] sink; [`print_module`] and [`print_function`] collect
+//! it into a `String`.
 
-use crate::ir::{Function, Module, Op};
-use std::fmt::Write;
+use crate::ir::{Function, Module, Op, Val};
+use std::fmt::{self, Write};
 
 /// Prints a module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    for f in &m.funcs {
-        out.push_str(&print_function(f, m));
-        out.push('\n');
-    }
+    write_module(&mut out, m).expect("a String sink never fails");
     out
 }
 
 /// Prints one function.
 pub fn print_function(f: &Function, m: &Module) -> String {
     let mut out = String::new();
-    let params: Vec<String> = (0..f.num_params).map(|i| format!("%{i}")).collect();
-    let _ = writeln!(
-        out,
-        "fn {}({}) -> {} values {{",
-        f.name,
-        params.join(", "),
-        f.num_rets
-    );
+    write_function(&mut out, f, m).expect("a String sink never fails");
+    out
+}
+
+/// Writes a module into `w`: each function followed by a blank line.
+pub fn write_module<W: Write>(w: &mut W, m: &Module) -> fmt::Result {
+    for f in &m.funcs {
+        write_function(w, f, m)?;
+        w.write_char('\n')?;
+    }
+    Ok(())
+}
+
+/// Writes one function into `w`.
+fn write_function<W: Write>(w: &mut W, f: &Function, m: &Module) -> fmt::Result {
+    write!(w, "fn {}(", f.name)?;
+    for i in 0..f.num_params {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        write!(w, "%{i}")?;
+    }
+    writeln!(w, ") -> {} values {{", f.num_rets)?;
     for (bi, block) in f.blocks.iter().enumerate() {
-        let _ = writeln!(out, "b{bi}:");
+        writeln!(w, "b{bi}:")?;
         for &i in &block.insts {
             let inst = &f.insts[i.0 as usize];
-            let results = if inst.results.is_empty() {
-                String::new()
-            } else {
-                let names: Vec<String> = inst.results.iter().map(|r| format!("%{}", r.0)).collect();
-                format!("{} = ", names.join(", "))
-            };
-            let body = match &inst.op {
-                Op::Const(c) => format!("const {c}"),
-                Op::Bin(op, a, b) => format!("{op:?} %{}, %{}", a.0, b.0).to_lowercase(),
-                Op::Cmp(op, a, b) => format!("cmp.{op:?} %{}, %{}", a.0, b.0).to_lowercase(),
-                Op::Phi(incs) => {
-                    let parts: Vec<String> = incs
-                        .iter()
-                        .map(|(b, v)| format!("[b{}: %{}]", b.0, v.0))
-                        .collect();
-                    format!("phi {}", parts.join(", "))
+            w.write_str("  ")?;
+            if !inst.results.is_empty() {
+                write_vals(w, &inst.results)?;
+                w.write_str(" = ")?;
+            }
+            match &inst.op {
+                Op::Const(c) => write!(w, "const {c}")?,
+                Op::Bin(op, a, b) => write_op(w, op.mnemonic(), &[*a, *b])?,
+                Op::Cmp(op, a, b) => {
+                    w.write_str("cmp.")?;
+                    write_op(w, op.mnemonic(), &[*a, *b])?
                 }
-                Op::Alloca(n) => format!("alloca {n}"),
-                Op::Malloc(v) => format!("malloc %{}", v.0),
-                Op::Free(v) => format!("free %{}", v.0),
-                Op::Load(a) => format!("load %{}", a.0),
-                Op::Store { addr, value } => format!("store %{}, %{}", addr.0, value.0),
-                Op::Gep { base, offset } => format!("gep %{}, %{}", base.0, offset.0),
+                Op::Phi(incs) => {
+                    w.write_str("phi ")?;
+                    for (k, (b, v)) in incs.iter().enumerate() {
+                        if k > 0 {
+                            w.write_str(", ")?;
+                        }
+                        write!(w, "[b{}: %{}]", b.0, v.0)?;
+                    }
+                }
+                Op::Alloca(n) => write!(w, "alloca {n}")?,
+                Op::Malloc(v) => write_op(w, "malloc", &[*v])?,
+                Op::Free(v) => write_op(w, "free", &[*v])?,
+                Op::Load(a) => write_op(w, "load", &[*a])?,
+                Op::Store { addr, value } => write_op(w, "store", &[*addr, *value])?,
+                Op::Gep { base, offset } => write_op(w, "gep", &[*base, *offset])?,
                 Op::Call { func, args } => {
-                    let a: Vec<String> = args.iter().map(|v| format!("%{}", v.0)).collect();
-                    format!("call @{}({})", m.funcs[func.0 as usize].name, a.join(", "))
+                    write!(w, "call @{}(", m.funcs[func.0 as usize].name)?;
+                    write_vals(w, args)?;
+                    w.write_char(')')?
                 }
                 Op::CallRt { name, args, .. } => {
-                    let a: Vec<String> = args.iter().map(|v| format!("%{}", v.0)).collect();
-                    format!("call @{name}!({})", a.join(", "))
+                    write!(w, "call @{name}!(")?;
+                    write_vals(w, args)?;
+                    w.write_char(')')?
                 }
-                Op::Jmp(b) => format!("jmp b{}", b.0),
+                Op::Jmp(b) => write!(w, "jmp b{}", b.0)?,
                 Op::Br {
                     cond,
                     then_b,
                     else_b,
-                } => {
-                    format!("br %{}, b{}, b{}", cond.0, then_b.0, else_b.0)
-                }
-                Op::Ret(vs) => {
-                    let a: Vec<String> = vs.iter().map(|v| format!("%{}", v.0)).collect();
-                    format!("ret {}", a.join(", "))
-                }
-            };
-            let _ = writeln!(out, "  {results}{body}");
+                } => write!(w, "br %{}, b{}, b{}", cond.0, then_b.0, else_b.0)?,
+                Op::Ret(vs) => write_op(w, "ret", vs)?,
+            }
+            w.write_char('\n')?;
         }
     }
-    out.push_str("}\n");
-    out
+    w.write_str("}\n")
+}
+
+/// `mnemonic %a, %b, ...`.
+fn write_op<W: Write>(w: &mut W, mnemonic: &str, vs: &[Val]) -> fmt::Result {
+    w.write_str(mnemonic)?;
+    w.write_char(' ')?;
+    write_vals(w, vs)
+}
+
+/// Values as a comma-separated `%N` list.
+fn write_vals<W: Write>(w: &mut W, vs: &[Val]) -> fmt::Result {
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        write!(w, "%{}", v.0)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,33 +3,51 @@
 //! The format is stable and parseable by [`crate::parser`]. Values print as
 //! `%N` or `%name.N` when a name hint is present; blocks as `bbN` or
 //! `name.N`.
+//!
+//! There is one renderer, [`write_module`]: it streams every name, id,
+//! constant and type straight into a [`fmt::Write`] sink, with no
+//! intermediate `String`s. [`print_module`] and [`print_function`]
+//! collect it into a `String`; a digest sink (`passman::TextDigest`)
+//! keys a module by its text without building it.
 
-use crate::ids::{BlockId, InstId, ValueId};
-use crate::inst::{Callee, Constant, InstKind};
-use crate::{Function, Module, TypeTable, ValueDef};
-use std::fmt::Write;
+use crate::ids::{BlockId, ObjTypeId, TypeId, ValueId};
+use crate::inst::{Callee, Inst, InstKind};
+use crate::{Form, Function, Module, TypeTable, ValueDef};
+use std::fmt::{self, Write};
 
 /// Prints a whole module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "module {}", m.name);
+    write_module(&mut out, m).expect("a String sink never fails");
+    out
+}
+
+/// Prints a single function.
+pub fn print_function(f: &Function, types: &TypeTable, module: &Module) -> String {
+    let mut out = String::new();
+    write_function(&mut out, f, types, module).expect("a String sink never fails");
+    out
+}
+
+/// Writes a whole module into `w`.
+pub fn write_module<W: Write>(w: &mut W, m: &Module) -> fmt::Result {
+    writeln!(w, "module {}", m.name)?;
     for (id, obj) in m.types.objects() {
-        let fields: Vec<String> = obj
-            .fields
-            .iter()
-            .map(|f| format!("{}: {}", f.name, m.types.display(f.ty)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "type {} = {{ {} }}  ; {}",
-            obj.name,
-            fields.join(", "),
-            id
-        );
+        write!(w, "type {} = {{ ", obj.name)?;
+        for (i, field) in obj.fields.iter().enumerate() {
+            if i > 0 {
+                w.write_str(", ")?;
+            }
+            write!(w, "{}: ", field.name)?;
+            m.types.write_type(w, field.ty)?;
+        }
+        writeln!(w, " }}  ; {id}")?;
     }
     for (_, e) in m.externs.iter() {
-        let params: Vec<String> = e.params.iter().map(|&t| m.types.display(t)).collect();
-        let rets: Vec<String> = e.ret_tys.iter().map(|&t| m.types.display(t)).collect();
+        write!(w, "extern {}(", e.name)?;
+        write_types(w, &m.types, &e.params)?;
+        w.write_str(") -> (")?;
+        write_types(w, &m.types, &e.ret_tys)?;
         let eff = if e.effects.opaque {
             "opaque"
         } else if e.effects.writes_args {
@@ -39,253 +57,271 @@ pub fn print_module(m: &Module) -> String {
         } else {
             "const"
         };
-        let _ = writeln!(
-            out,
-            "extern {}({}) -> ({}) [{}]",
-            e.name,
-            params.join(", "),
-            rets.join(", "),
-            eff
-        );
+        writeln!(w, ") [{eff}]")?;
     }
     for (_, f) in m.funcs.iter() {
-        out.push('\n');
-        out.push_str(&print_function(f, &m.types, m));
+        w.write_char('\n')?;
+        write_function(w, f, &m.types, m)?;
     }
-    out
+    Ok(())
 }
 
-/// Prints a single function.
-pub fn print_function(f: &Function, types: &TypeTable, module: &Module) -> String {
-    let mut out = String::new();
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|p| {
-            format!(
-                "{}{}: {}",
-                if p.by_ref { "&" } else { "" },
-                p.name,
-                types.display(p.ty)
-            )
-        })
-        .collect();
-    let rets: Vec<String> = f.ret_tys.iter().map(|&t| types.display(t)).collect();
+/// Writes a single function into `w`.
+fn write_function<W: Write>(
+    w: &mut W,
+    f: &Function,
+    types: &TypeTable,
+    module: &Module,
+) -> fmt::Result {
+    write!(w, "fn {}(", f.name)?;
+    for (i, p) in f.params.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        write!(w, "{}{}: ", if p.by_ref { "&" } else { "" }, p.name)?;
+        types.write_type(w, p.ty)?;
+    }
+    w.write_str(") -> (")?;
+    write_types(w, types, &f.ret_tys)?;
     let form = match f.form {
-        crate::Form::Mut => "mut",
-        crate::Form::Ssa => "ssa",
+        Form::Mut => "mut",
+        Form::Ssa => "ssa",
     };
-    let _ = writeln!(
-        out,
-        "fn {}({}) -> ({}) form={} {{",
-        f.name,
-        params.join(", "),
-        rets.join(", "),
-        form
-    );
+    writeln!(w, ") form={form} {{")?;
+    let mut p = FnWriter {
+        w,
+        f,
+        types,
+        module,
+    };
     for (b, block) in f.blocks.iter() {
-        let _ = writeln!(out, "{}:", block_name(f, b));
+        p.block(b)?;
+        p.w.write_str(":\n")?;
         for &i in &block.insts {
-            let _ = writeln!(out, "  {}", print_inst(f, i, types, module));
+            p.w.write_str("  ")?;
+            p.inst(&f.insts[i])?;
+            p.w.write_char('\n')?;
         }
     }
-    out.push_str("}\n");
-    out
+    p.w.write_str("}\n")
 }
 
-/// Render a value reference.
-pub fn value_name(f: &Function, v: ValueId) -> String {
-    match (&f.values[v].def, &f.values[v].name) {
-        (ValueDef::Const(c), _) => format!("{c}"),
-        (_, Some(n)) => format!("%{}.{}", n, v.raw()),
-        (_, None) => format!("%{}", v.raw()),
+/// Writes `tys` as a comma-separated list.
+fn write_types<W: Write>(w: &mut W, types: &TypeTable, tys: &[TypeId]) -> fmt::Result {
+    for (i, &t) in tys.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        types.write_type(w, t)?;
     }
+    Ok(())
 }
 
-/// Render a block reference.
-pub fn block_name(f: &Function, b: BlockId) -> String {
-    match &f.blocks[b].name {
-        Some(n) => format!("{}.{}", n, b.raw()),
-        None => format!("bb{}", b.raw()),
+/// A sink plus what a function's operands are rendered against.
+struct FnWriter<'a, W> {
+    w: &'a mut W,
+    f: &'a Function,
+    types: &'a TypeTable,
+    module: &'a Module,
+}
+
+impl<W: Write> FnWriter<'_, W> {
+    /// A value reference: its constant, or `%name.N` / `%N`.
+    fn value(&mut self, v: ValueId) -> fmt::Result {
+        let value = &self.f.values[v];
+        match (&value.def, &value.name) {
+            (ValueDef::Const(c), _) => write!(self.w, "{c}"),
+            (_, Some(n)) => write!(self.w, "%{n}.{}", v.raw()),
+            (_, None) => write!(self.w, "%{}", v.raw()),
+        }
     }
-}
 
-fn callee_name(module: &Module, c: Callee) -> String {
-    match c {
-        Callee::Func(id) => format!("@{}", module.funcs[id].name),
-        Callee::Extern(id) => format!("@{}!", module.externs[id].name),
+    /// A block reference: `name.N` or `bbN`.
+    fn block(&mut self, b: BlockId) -> fmt::Result {
+        match &self.f.blocks[b].name {
+            Some(n) => write!(self.w, "{n}.{}", b.raw()),
+            None => write!(self.w, "bb{}", b.raw()),
+        }
     }
-}
 
-/// Renders one instruction.
-pub fn print_inst(f: &Function, id: InstId, types: &TypeTable, module: &Module) -> String {
-    let inst = &f.insts[id];
-    let v = |val: &ValueId| value_name(f, *val);
-    let results = if inst.results.is_empty() {
-        String::new()
-    } else {
-        let names: Vec<String> = inst.results.iter().map(|r| value_name(f, *r)).collect();
-        format!("{} = ", names.join(", "))
-    };
-    let body = match &inst.kind {
-        InstKind::Bin { op, lhs, rhs } => format!("{} {}, {}", op.mnemonic(), v(lhs), v(rhs)),
-        InstKind::Cmp { op, lhs, rhs } => {
-            format!("cmp.{} {}, {}", op.mnemonic(), v(lhs), v(rhs))
+    /// Values as a comma-separated list.
+    fn values(&mut self, vs: &[ValueId]) -> fmt::Result {
+        for (i, &v) in vs.iter().enumerate() {
+            if i > 0 {
+                self.w.write_str(", ")?;
+            }
+            self.value(v)?;
         }
-        InstKind::Cast { to, value } => format!("cast {} to {}", v(value), types.display(*to)),
-        InstKind::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            format!("select {}, {}, {}", v(cond), v(then_value), v(else_value))
-        }
-        InstKind::Phi { incoming } => {
-            let parts: Vec<String> = incoming
-                .iter()
-                .map(|(b, val)| format!("[{}: {}]", block_name(f, *b), v(val)))
-                .collect();
-            // The result type is annotated so the parser never needs to
-            // resolve forward references to type a φ.
-            let ty = types.display(f.value_ty(inst.results[0]));
-            format!("phi {} {}", ty, parts.join(", "))
-        }
-        InstKind::Call { callee, args } => {
-            let a: Vec<String> = args.iter().map(&v).collect();
-            format!("call {}({})", callee_name(module, *callee), a.join(", "))
-        }
-        InstKind::Jump { target } => format!("jump {}", block_name(f, *target)),
-        InstKind::Branch {
-            cond,
-            then_target,
-            else_target,
-        } => format!(
-            "br {}, {}, {}",
-            v(cond),
-            block_name(f, *then_target),
-            block_name(f, *else_target)
-        ),
-        InstKind::Ret { values } => {
-            let a: Vec<String> = values.iter().map(&v).collect();
-            format!("ret {}", a.join(", "))
-        }
-        InstKind::Unreachable => "unreachable".into(),
-        InstKind::NewSeq { elem, len } => {
-            format!("new Seq<{}>({})", types.display(*elem), v(len))
-        }
-        InstKind::NewAssoc { key, value } => {
-            format!(
-                "new Assoc<{}, {}>",
-                types.display(*key),
-                types.display(*value)
-            )
-        }
-        InstKind::NewObj { obj } => format!("new {}", types.object(*obj).name),
-        InstKind::DeleteObj { obj } => format!("delete {}", v(obj)),
-        InstKind::Read { c, idx } => format!("read {}, {}", v(c), v(idx)),
-        InstKind::Write { c, idx, value } => {
-            format!("write {}, {}, {}", v(c), v(idx), v(value))
-        }
-        InstKind::Rmw { c, idx, op, value } => {
-            format!("rmw {}, {}, {}, {}", v(c), v(idx), op.mnemonic(), v(value))
-        }
-        InstKind::Insert { c, idx, value } => match value {
-            Some(val) => format!("insert {}, {}, {}", v(c), v(idx), v(val)),
-            None => format!("insert {}, {}", v(c), v(idx)),
-        },
-        InstKind::InsertSeq { c, idx, src } => {
-            format!("insert.seq {}, {}, {}", v(c), v(idx), v(src))
-        }
-        InstKind::Remove { c, idx } => format!("remove {}, {}", v(c), v(idx)),
-        InstKind::RemoveRange { c, from, to } => {
-            format!("remove.range {}, {}, {}", v(c), v(from), v(to))
-        }
-        InstKind::Copy { c } => format!("copy {}", v(c)),
-        InstKind::CopyRange { c, from, to } => {
-            format!("copy.range {}, {}, {}", v(c), v(from), v(to))
-        }
-        InstKind::Swap { c, from, to, at } => {
-            format!("swap {}, {}, {}, {}", v(c), v(from), v(to), v(at))
-        }
-        InstKind::Swap2 { a, from, to, b, at } => {
-            format!(
-                "swap2 {}, {}, {}, {}, {}",
-                v(a),
-                v(from),
-                v(to),
-                v(b),
-                v(at)
-            )
-        }
-        InstKind::Size { c } => format!("size {}", v(c)),
-        InstKind::Has { c, key } => format!("has {}, {}", v(c), v(key)),
-        InstKind::Keys { c } => format!("keys {}", v(c)),
-        InstKind::UsePhi { c } => format!("usephi {}", v(c)),
-        InstKind::FieldRead { obj, obj_ty, field } => format!(
-            "field.read {}, {}.{}",
-            v(obj),
-            types.object(*obj_ty).name,
-            types.object(*obj_ty).fields[*field as usize].name
-        ),
-        InstKind::FieldWrite {
-            obj,
-            obj_ty,
-            field,
-            value,
-        } => format!(
-            "field.write {}, {}.{}, {}",
-            v(obj),
-            types.object(*obj_ty).name,
-            types.object(*obj_ty).fields[*field as usize].name,
-            v(value)
-        ),
-        InstKind::MutWrite { c, idx, value } => {
-            format!("mut.write {}, {}, {}", v(c), v(idx), v(value))
-        }
-        InstKind::MutRmw { c, idx, op, value } => {
-            format!(
-                "mut.rmw {}, {}, {}, {}",
-                v(c),
-                v(idx),
-                op.mnemonic(),
-                v(value)
-            )
-        }
-        InstKind::MutInsert { c, idx, value } => match value {
-            Some(val) => format!("mut.insert {}, {}, {}", v(c), v(idx), v(val)),
-            None => format!("mut.insert {}, {}", v(c), v(idx)),
-        },
-        InstKind::MutInsertSeq { c, idx, src } => {
-            format!("mut.insert.seq {}, {}, {}", v(c), v(idx), v(src))
-        }
-        InstKind::MutRemove { c, idx } => format!("mut.remove {}, {}", v(c), v(idx)),
-        InstKind::MutRemoveRange { c, from, to } => {
-            format!("mut.remove.range {}, {}, {}", v(c), v(from), v(to))
-        }
-        InstKind::MutAppend { c, src } => format!("mut.append {}, {}", v(c), v(src)),
-        InstKind::MutSwap { c, from, to, at } => {
-            format!("mut.swap {}, {}, {}, {}", v(c), v(from), v(to), v(at))
-        }
-        InstKind::MutSwap2 { a, from, to, b, at } => {
-            format!(
-                "mut.swap2 {}, {}, {}, {}, {}",
-                v(a),
-                v(from),
-                v(to),
-                v(b),
-                v(at)
-            )
-        }
-        InstKind::MutSplit { c, from, to } => {
-            format!("mut.split {}, {}, {}", v(c), v(from), v(to))
-        }
-    };
-    format!("{results}{body}")
-}
+        Ok(())
+    }
 
-/// Renders a constant for display in operand position.
-pub fn print_constant(c: Constant) -> String {
-    format!("{c}")
+    /// `mnemonic v0, v1, ...`.
+    fn op(&mut self, mnemonic: &str, vs: &[ValueId]) -> fmt::Result {
+        self.w.write_str(mnemonic)?;
+        self.w.write_char(' ')?;
+        self.values(vs)
+    }
+
+    /// `T.field` of an object type.
+    fn field(&mut self, obj_ty: ObjTypeId, field: u32) -> fmt::Result {
+        let obj = self.types.object(obj_ty);
+        write!(self.w, "{}.{}", obj.name, obj.fields[field as usize].name)
+    }
+
+    /// One instruction, without indentation or newline.
+    fn inst(&mut self, inst: &Inst) -> fmt::Result {
+        if !inst.results.is_empty() {
+            self.values(&inst.results)?;
+            self.w.write_str(" = ")?;
+        }
+        match &inst.kind {
+            InstKind::Bin { op, lhs, rhs } => self.op(op.mnemonic(), &[*lhs, *rhs]),
+            InstKind::Cmp { op, lhs, rhs } => {
+                self.w.write_str("cmp.")?;
+                self.op(op.mnemonic(), &[*lhs, *rhs])
+            }
+            InstKind::Cast { to, value } => {
+                self.op("cast", &[*value])?;
+                self.w.write_str(" to ")?;
+                self.types.write_type(self.w, *to)
+            }
+            InstKind::Select {
+                cond,
+                then_value,
+                else_value,
+            } => self.op("select", &[*cond, *then_value, *else_value]),
+            InstKind::Phi { incoming } => {
+                // The result type is annotated so the parser never needs to
+                // resolve forward references to type a φ.
+                self.w.write_str("phi ")?;
+                self.types
+                    .write_type(self.w, self.f.value_ty(inst.results[0]))?;
+                self.w.write_char(' ')?;
+                for (i, &(b, v)) in incoming.iter().enumerate() {
+                    if i > 0 {
+                        self.w.write_str(", ")?;
+                    }
+                    self.w.write_char('[')?;
+                    self.block(b)?;
+                    self.w.write_str(": ")?;
+                    self.value(v)?;
+                    self.w.write_char(']')?;
+                }
+                Ok(())
+            }
+            InstKind::Call { callee, args } => {
+                match *callee {
+                    Callee::Func(id) => write!(self.w, "call @{}(", self.module.funcs[id].name)?,
+                    Callee::Extern(id) => {
+                        write!(self.w, "call @{}!(", self.module.externs[id].name)?
+                    }
+                }
+                self.values(args)?;
+                self.w.write_char(')')
+            }
+            InstKind::Jump { target } => {
+                self.w.write_str("jump ")?;
+                self.block(*target)
+            }
+            InstKind::Branch {
+                cond,
+                then_target,
+                else_target,
+            } => {
+                self.op("br", &[*cond])?;
+                self.w.write_str(", ")?;
+                self.block(*then_target)?;
+                self.w.write_str(", ")?;
+                self.block(*else_target)
+            }
+            InstKind::Ret { values } => self.op("ret", values),
+            InstKind::Unreachable => self.w.write_str("unreachable"),
+            InstKind::NewSeq { elem, len } => {
+                self.w.write_str("new Seq<")?;
+                self.types.write_type(self.w, *elem)?;
+                self.w.write_str(">(")?;
+                self.value(*len)?;
+                self.w.write_char(')')
+            }
+            InstKind::NewAssoc { key, value } => {
+                self.w.write_str("new Assoc<")?;
+                self.types.write_type(self.w, *key)?;
+                self.w.write_str(", ")?;
+                self.types.write_type(self.w, *value)?;
+                self.w.write_char('>')
+            }
+            InstKind::NewObj { obj } => write!(self.w, "new {}", self.types.object(*obj).name),
+            InstKind::DeleteObj { obj } => self.op("delete", &[*obj]),
+            InstKind::Read { c, idx } => self.op("read", &[*c, *idx]),
+            InstKind::Write { c, idx, value } => self.op("write", &[*c, *idx, *value]),
+            InstKind::Rmw { c, idx, op, value } => self.rmw("rmw", *c, *idx, op.mnemonic(), *value),
+            InstKind::Insert { c, idx, value } => match value {
+                Some(val) => self.op("insert", &[*c, *idx, *val]),
+                None => self.op("insert", &[*c, *idx]),
+            },
+            InstKind::InsertSeq { c, idx, src } => self.op("insert.seq", &[*c, *idx, *src]),
+            InstKind::Remove { c, idx } => self.op("remove", &[*c, *idx]),
+            InstKind::RemoveRange { c, from, to } => self.op("remove.range", &[*c, *from, *to]),
+            InstKind::Copy { c } => self.op("copy", &[*c]),
+            InstKind::CopyRange { c, from, to } => self.op("copy.range", &[*c, *from, *to]),
+            InstKind::Swap { c, from, to, at } => self.op("swap", &[*c, *from, *to, *at]),
+            InstKind::Swap2 { a, from, to, b, at } => self.op("swap2", &[*a, *from, *to, *b, *at]),
+            InstKind::Size { c } => self.op("size", &[*c]),
+            InstKind::Has { c, key } => self.op("has", &[*c, *key]),
+            InstKind::Keys { c } => self.op("keys", &[*c]),
+            InstKind::UsePhi { c } => self.op("usephi", &[*c]),
+            InstKind::FieldRead { obj, obj_ty, field } => {
+                self.op("field.read", &[*obj])?;
+                self.w.write_str(", ")?;
+                self.field(*obj_ty, *field)
+            }
+            InstKind::FieldWrite {
+                obj,
+                obj_ty,
+                field,
+                value,
+            } => {
+                self.op("field.write", &[*obj])?;
+                self.w.write_str(", ")?;
+                self.field(*obj_ty, *field)?;
+                self.w.write_str(", ")?;
+                self.value(*value)
+            }
+            InstKind::MutWrite { c, idx, value } => self.op("mut.write", &[*c, *idx, *value]),
+            InstKind::MutRmw { c, idx, op, value } => {
+                self.rmw("mut.rmw", *c, *idx, op.mnemonic(), *value)
+            }
+            InstKind::MutInsert { c, idx, value } => match value {
+                Some(val) => self.op("mut.insert", &[*c, *idx, *val]),
+                None => self.op("mut.insert", &[*c, *idx]),
+            },
+            InstKind::MutInsertSeq { c, idx, src } => self.op("mut.insert.seq", &[*c, *idx, *src]),
+            InstKind::MutRemove { c, idx } => self.op("mut.remove", &[*c, *idx]),
+            InstKind::MutRemoveRange { c, from, to } => {
+                self.op("mut.remove.range", &[*c, *from, *to])
+            }
+            InstKind::MutAppend { c, src } => self.op("mut.append", &[*c, *src]),
+            InstKind::MutSwap { c, from, to, at } => self.op("mut.swap", &[*c, *from, *to, *at]),
+            InstKind::MutSwap2 { a, from, to, b, at } => {
+                self.op("mut.swap2", &[*a, *from, *to, *b, *at])
+            }
+            InstKind::MutSplit { c, from, to } => self.op("mut.split", &[*c, *from, *to]),
+        }
+    }
+
+    /// `mnemonic c, idx, op, value`: the operator sits between operands.
+    fn rmw(
+        &mut self,
+        mnemonic: &str,
+        c: ValueId,
+        idx: ValueId,
+        op: &str,
+        value: ValueId,
+    ) -> fmt::Result {
+        self.op(mnemonic, &[c, idx])?;
+        write!(self.w, ", {op}, ")?;
+        self.value(value)
+    }
 }
 
 #[cfg(test)]

@@ -374,31 +374,49 @@ impl TypeTable {
     /// Renders a type as MEMOIR surface syntax (e.g. `Seq<i32>`,
     /// `Assoc<&T0, f64>`).
     pub fn display(&self, id: TypeId) -> String {
-        self.display_type(self.get(id))
+        let mut out = String::new();
+        self.write_type(&mut out, id)
+            .expect("a String sink never fails");
+        out
     }
 
-    /// Renders a [`Type`] as MEMOIR surface syntax.
-    pub fn display_type(&self, ty: Type) -> String {
-        match ty {
-            Type::I64 => "i64".into(),
-            Type::I32 => "i32".into(),
-            Type::I16 => "i16".into(),
-            Type::I8 => "i8".into(),
-            Type::U64 => "u64".into(),
-            Type::U32 => "u32".into(),
-            Type::U16 => "u16".into(),
-            Type::U8 => "u8".into(),
-            Type::Bool => "bool".into(),
-            Type::Index => "index".into(),
-            Type::F64 => "f64".into(),
-            Type::F32 => "f32".into(),
-            Type::Ptr => "ptr".into(),
-            Type::Ref(obj) => format!("&{}", self.objects[obj].name),
-            Type::Object(obj) => self.objects[obj].name.clone(),
-            Type::Seq(elem) => format!("Seq<{}>", self.display(elem)),
-            Type::Assoc(k, v) => format!("Assoc<{}, {}>", self.display(k), self.display(v)),
-            Type::Void => "void".into(),
-        }
+    /// Writes a type as MEMOIR surface syntax into `w`: the one type
+    /// renderer, shared by [`display`](Self::display) and the printer.
+    pub(crate) fn write_type<W: fmt::Write>(&self, w: &mut W, id: TypeId) -> fmt::Result {
+        let name = match self.get(id) {
+            Type::I64 => "i64",
+            Type::I32 => "i32",
+            Type::I16 => "i16",
+            Type::I8 => "i8",
+            Type::U64 => "u64",
+            Type::U32 => "u32",
+            Type::U16 => "u16",
+            Type::U8 => "u8",
+            Type::Bool => "bool",
+            Type::Index => "index",
+            Type::F64 => "f64",
+            Type::F32 => "f32",
+            Type::Ptr => "ptr",
+            Type::Void => "void",
+            Type::Ref(obj) => {
+                w.write_char('&')?;
+                &self.objects[obj].name
+            }
+            Type::Object(obj) => &self.objects[obj].name,
+            Type::Seq(elem) => {
+                w.write_str("Seq<")?;
+                self.write_type(w, elem)?;
+                ">"
+            }
+            Type::Assoc(k, v) => {
+                w.write_str("Assoc<")?;
+                self.write_type(w, k)?;
+                w.write_str(", ")?;
+                self.write_type(w, v)?;
+                ">"
+            }
+        };
+        w.write_str(name)
     }
 }
 

@@ -12,15 +12,16 @@
 //! * **Call specialization (escape) DEE** — the mcf path (Listing 4): a
 //!   call whose returned sequence has a bounded live range in the caller
 //!   is redirected to a specialized clone taking `%a`/`%b` bounds. Inside
-//!   the clone, writes reaching only the caller-visible state are guarded
-//!   against `[%a : %b)`, recursive calls thread the bounds, an
-//!   entry guard returns immediately when the live slice is empty, and —
-//!   when a write-range summary is available — recursive calls whose
-//!   write region cannot intersect the live slice are skipped entirely.
-//!   This turns mcf's qsort from `O(n log n)` into `O(n + B log B)`
-//!   (§VII-C). Escape mode preserves the *live slice* of the result (the
-//!   paper's correctness model for mcf; see DESIGN.md §6): elements
-//!   outside `[%a : %b)` may hold stale values.
+//!   the clone, recursive calls thread the bounds, an entry guard returns
+//!   immediately when the live slice is empty, and — when a write-range
+//!   summary is available — recursive calls whose write region cannot
+//!   intersect the live slice are skipped entirely. This turns mcf's
+//!   qsort from `O(n log n)` into `O(n + B log B)` (§VII-C). Escape mode
+//!   preserves the *live slice* of the result (the paper's correctness
+//!   model for mcf; see DESIGN.md §6): elements outside `[%a : %b)` may
+//!   hold stale values. Listing 4 also guards the clone's element writes
+//!   against `[%a : %b)`; that rewrite is unsound under recursion and is
+//!   off unless asked for ([`DeeOptions::guard_element_writes`]).
 
 use crate::materialize::{Materializer, Point};
 use memoir_analysis::cached::CachedDefUse;
@@ -203,32 +204,29 @@ fn materialize_bounds(
 }
 
 /// Options for call-specialization DEE.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// The default is the exact, pruning-only mode: the specialization keeps
+/// only the entry guard and recursion pruning — a partial quicksort —
+/// which is exact whenever the caller observes only the live window. The
+/// registered `dee`/`dee-specialize` passes and O3 run it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeeOptions {
     /// Guard element writes/swaps against `[%a : %b)` (the faithful
-    /// Listing 4 rewrite). Guarded half-swaps may leave stale values in
-    /// the dead region, so results are exact only for the *live slice*
-    /// (the paper's mcf correctness model). With this off, the
-    /// specialization keeps only the entry guard and recursion pruning —
-    /// a partial quicksort — which is exact whenever the caller observes
-    /// only the live window.
+    /// Listing 4 rewrite). **Unsound** for a recursive callee: the guard
+    /// tests the function-level window, so a guarded half-swap drops its
+    /// write to a slot just outside `[%a : %b)`, and a later recursive
+    /// call whose range straddles `%b` can read that stale slot (as its
+    /// pivot or a swap source) and move it into the window. mcf's
+    /// `master(n0, 8, 16, 3)` returns wrong objectives at 21 of the 91
+    /// `n0` in [40, 130] (`findings/README.md`). Only an explicit
+    /// `guard_element_writes: true` reaches it.
     pub guard_element_writes: bool,
 }
 
-impl Default for DeeOptions {
-    fn default() -> Self {
-        DeeOptions {
-            guard_element_writes: true,
-        }
-    }
-}
-
 impl DeeOptions {
-    /// The provably-exact pruning-only mode.
+    /// The exact pruning-only mode (the default).
     pub fn exact() -> Self {
-        DeeOptions {
-            guard_element_writes: false,
-        }
+        DeeOptions::default()
     }
 }
 
@@ -521,8 +519,8 @@ fn specialize_function(
     retarget_self_calls(m, fid, spec_id, a_param, b_param, summary.as_ref(), stats);
 
     // Entry guard: if %a >= %b, nothing inside the live slice can change —
-    // return the inputs unchanged (valid because every write will be
-    // guarded below and recursion threads the same empty slice).
+    // return the inputs unchanged (valid because the caller reads only
+    // the slice and recursion threads the same empty slice).
     insert_entry_guard(m, spec_id, a_param, b_param);
 
     // Guard writes against [%a : %b) using the escape live ranges
@@ -1463,7 +1461,10 @@ mod tests {
             i.run_by_name("main", vec![]).unwrap()
         };
 
-        let stats = dee_specialize_calls(&mut m);
+        let guarded = DeeOptions {
+            guard_element_writes: true,
+        };
+        let stats = dee_specialize_calls_with(&mut m, guarded);
         assert_eq!(stats.functions_specialized, 1, "{stats:?}");
         assert_eq!(stats.calls_specialized, 1, "{stats:?}");
         assert!(stats.writes_guarded >= 1, "{stats:?}");

@@ -34,9 +34,11 @@ use memoir_opt::{
     OptConfig, OptLevel,
 };
 use passman::{
-    BudgetViolation, CompileCache, CompileCacheStats, FaultCause, PipelineSpec, StableHasher,
+    BudgetViolation, CompileCache, CompileCacheStats, FaultCause, Fingerprint, PipelineSpec,
+    TextDigest,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -777,10 +779,7 @@ fn execute_attempt(
     // function of (module text, effective spec).
     if cfg.job_cache && rung.uses_cache() {
         if let Some(cache) = &cache {
-            let mut h = StableHasher::new();
-            h.write_str(&memoir_ir::printer::print_module(&spec.module));
-            h.write_str(&effective_spec.to_string());
-            let fp = h.fingerprint();
+            let fp = job_key(&spec.module, &effective_spec);
             let mut fresh: Option<Result<AttemptOutput, FaultCause>> = None;
             let entry = cache.get_or_compute::<JobCacheEntry, _>("job", fp, || {
                 let r = compile_attempt(spec, &effective_spec, threads, budgets, Some(cache));
@@ -816,6 +815,19 @@ fn execute_attempt(
         }
     }
     compile_attempt(spec, &effective_spec, threads, budgets, cache.as_ref())
+}
+
+/// The job cache's key: the digests of the module's text and of the
+/// effective spec's text, combined. Both are streamed into a
+/// [`TextDigest`] as they print, so the module text is never built; a
+/// clean output is a pure function of the two texts, which is what keeps
+/// the cache coherent (DESIGN.md §15).
+fn job_key(module: &memoir_ir::Module, spec: &PipelineSpec) -> Fingerprint {
+    let mut module_text = TextDigest::new();
+    memoir_ir::printer::write_module(&mut module_text, module).expect("a digest never fails");
+    let mut spec_text = TextDigest::new();
+    write!(spec_text, "{spec}").expect("a digest never fails");
+    module_text.fingerprint().combine(spec_text.fingerprint())
 }
 
 /// One pipeline run (MEMOIR-only or through-lowering) with the attempt's
@@ -1015,6 +1027,7 @@ fn expire_due(shared: &Arc<Shared>, inflight: &mut HashMap<(JobId, usize), Infli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memoir_ir::Module;
     use workloads::synth_ir::build_synth_ir;
 
     fn job(n: usize, seed: u64, spec: &str) -> JobSpec {
@@ -1273,6 +1286,83 @@ mod tests {
         assert!(stats.job_cache_hits >= 1, "{stats:?}");
         let first = outcomes[0].output().unwrap();
         assert!(outcomes.iter().all(|o| o.output().unwrap() == first));
+    }
+
+    /// A module `m(x) = x + k` in two blocks, with every printed name a
+    /// parameter.
+    fn named_module(module: &str, func: &str, value: &str, block: &str, k: i64) -> Module {
+        let mut mb = memoir_ir::ModuleBuilder::new(module);
+        let i64t = mb.module.types.intern(memoir_ir::Type::I64);
+        mb.func(func, memoir_ir::Form::Ssa, |b| {
+            let x = b.param("x", i64t);
+            let next = b.block(block);
+            b.jump(next);
+            b.switch_to(next);
+            let c = b.i64(k);
+            let y = b.add(x, c);
+            b.name(y, value);
+            b.returns(&[i64t]);
+            b.ret(vec![y]);
+        });
+        mb.finish()
+    }
+
+    #[test]
+    fn job_cache_key_covers_every_printed_name_and_constant() {
+        let base = || named_module("m", "f", "y", "next", 5);
+        let variants = [
+            ("base", base()),
+            ("module name", named_module("m2", "f", "y", "next", 5)),
+            ("function name", named_module("m", "g", "y", "next", 5)),
+            ("value name", named_module("m", "f", "z", "next", 5)),
+            ("block name", named_module("m", "f", "y", "then", 5)),
+            ("constant", named_module("m", "f", "y", "next", 6)),
+        ];
+        let spec = PipelineSpec::parse(SPEC).unwrap();
+        let uncached: Vec<String> = variants
+            .iter()
+            .map(|(_, m)| {
+                let mut m = m.clone();
+                compile_spec_with(&mut m, &spec, |pm| pm).unwrap();
+                memoir_ir::printer::print_module(&m)
+            })
+            .collect();
+        for (i, a) in uncached.iter().enumerate() {
+            for (b, other) in uncached.iter().enumerate().skip(i + 1) {
+                assert_ne!(
+                    a, other,
+                    "{} and {} compile alike",
+                    variants[i].0, variants[b].0
+                );
+            }
+        }
+
+        // Every variant, then every variant again, then the base rebuilt
+        // to the same text.
+        let jobs: Vec<JobSpec> = variants
+            .iter()
+            .chain(&variants)
+            .map(|(name, m)| JobSpec::new(*name, m.clone(), spec.clone()))
+            .chain([JobSpec::new("rebuilt", base(), spec.clone())])
+            .collect();
+        let cfg = ServiceConfig {
+            workers: 1,
+            cache: Some(CompileCache::new()),
+            job_cache: true,
+            ..Default::default()
+        };
+        let (outcomes, stats) = run_jobs(cfg, jobs);
+        let n = variants.len();
+        assert_eq!(stats.job_cache_hits, n as u64 + 1, "{stats:?}");
+        for (i, o) in outcomes.iter().enumerate() {
+            assert_eq!(o.kind(), "ok");
+            assert_eq!(
+                o.output(),
+                Some(uncached[i % n].as_str()),
+                "job {i} ({})",
+                variants[i % n].0
+            );
+        }
     }
 
     #[test]

@@ -180,6 +180,72 @@ impl Hasher for StableHasher {
     }
 }
 
+/// A [`fmt::Write`] sink that digests the text written into it, so a
+/// printer's output can be keyed as it is printed, with no `String` in
+/// between.
+///
+/// Bytes are packed eight to a word, little-endian, and each full word
+/// goes through the [`StableHasher`] mixer; the digest pads the last
+/// partial word with zeros and then folds in the total length. The
+/// digest is therefore a function of the bytes alone: a text written
+/// whole, byte by byte, or split anywhere else digests the same.
+#[derive(Clone, Debug, Default)]
+pub struct TextDigest {
+    hasher: StableHasher,
+    /// The bytes of the current partial word (`len % 8` of them).
+    word: u64,
+    len: u64,
+}
+
+impl TextDigest {
+    /// An empty digest.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn write_bytes(&mut self, mut bytes: &[u8]) {
+        let fill = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if fill != 0 {
+            let take = bytes.len().min(8 - fill);
+            for (i, &b) in bytes[..take].iter().enumerate() {
+                self.word |= u64::from(b) << (8 * (fill + i));
+            }
+            if fill + take < 8 {
+                return;
+            }
+            self.hasher.write_u64(self.word);
+            self.word = 0;
+            bytes = &bytes[take..];
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.hasher
+                .write_u64(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.word |= u64::from(b) << (8 * i);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let mut h = self.hasher.clone();
+        if !self.len.is_multiple_of(8) {
+            h.write_u64(self.word);
+        }
+        h.write_u64(self.len);
+        h.fingerprint()
+    }
+}
+
+impl fmt::Write for TextDigest {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Marker folded in place of a callee in the caller's own SCC.
 const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 
@@ -333,6 +399,31 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn text_digest_depends_on_the_bytes_alone() {
+        use std::fmt::Write;
+        let text = "module m\n\nfn f(%0) -> 1 values {\nb0:\n  ret %0\n}\n";
+        let digest = |parts: &[&str]| {
+            let mut d = TextDigest::new();
+            for p in parts {
+                d.write_str(p).unwrap();
+            }
+            d.fingerprint()
+        };
+        let whole = digest(&[text]);
+        let bytes: Vec<&str> = (0..text.len()).map(|i| &text[i..i + 1]).collect();
+        assert_eq!(digest(&bytes), whole);
+        for split in [1, 3, 7, 8, 9, 16, 17] {
+            let (a, b) = text.split_at(split);
+            let (b, c) = b.split_at(b.len() / 3);
+            assert_eq!(digest(&[a, "", b, c]), whole, "split at {split}");
+        }
+        // Padding and length both count.
+        assert_ne!(digest(&["a"]), digest(&["a\0"]));
+        assert_ne!(digest(&[""]), digest(&["\0"]));
+        assert_ne!(digest(&[text]), digest(&[&text[..text.len() - 1]]));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use analysis::{Analysis, AnalysisManager, CacheCounter, FingerprintStats, Mo
 pub use budget::{BudgetViolation, Budgets};
 pub use cache::{CompileCache, CompileCacheStats};
 pub use fault::{FaultPlan, InjectKind};
-pub use fingerprint::{Fingerprint, StableHasher};
+pub use fingerprint::{Fingerprint, StableHasher, TextDigest};
 pub use parallel::{
     ContainedFault, ExecContext, FuncOutcome, FuncPass, FuncPassAdapter, FuncPassProfile,
     ShardStat, ShardedIr,

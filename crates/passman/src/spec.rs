@@ -507,8 +507,14 @@ impl fmt::Display for PipelineSpec {
             match s {
                 SpecStep::Pass(c) => write!(f, "{c}")?,
                 SpecStep::Fixpoint { opts, body } => {
-                    let body: Vec<String> = body.iter().map(|c| c.to_string()).collect();
-                    write!(f, "fixpoint{opts}({})", body.join(","))?;
+                    write!(f, "fixpoint{opts}(")?;
+                    for (j, c) in body.iter().enumerate() {
+                        if j > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{c}")?;
+                    }
+                    f.write_str(")")?;
                 }
             }
         }

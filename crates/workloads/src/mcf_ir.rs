@@ -12,9 +12,10 @@
 //! The kernel is the target of automatic Dead Element Elimination: only
 //! `[0 : B)` of the sorted basket is ever observed, so
 //! `dee_specialize_calls` clones `qsort` with `%a`/`%b` live bounds,
-//! guards its swaps (Listing 4), threads the bounds through the recursion,
-//! and prunes recursive calls that cannot touch the live slice — the
-//! `O(n log n) → O(n + B log B)` effect of §VII-C.
+//! threads the bounds through the recursion, and prunes recursive calls
+//! that cannot touch the live slice — the `O(n log n) → O(n + B log B)`
+//! effect of §VII-C. Listing 4's guarded swaps are opt-in
+//! (`DeeOptions::guard_element_writes`): they miscompile this kernel.
 
 use memoir_ir::{BinOp, Callee, CmpOp, Form, Function, FunctionBuilder, Module, Type};
 
@@ -378,7 +379,10 @@ mod tests {
     fn automatic_dee_listing4_mode() {
         let mut m = build_mcf_ir();
         memoir_opt::construct_ssa(&mut m).unwrap();
-        let stats = memoir_opt::dee_specialize_calls(&mut m);
+        let guarded = memoir_opt::DeeOptions {
+            guard_element_writes: true,
+        };
+        let stats = memoir_opt::dee_specialize_calls_with(&mut m, guarded);
         assert!(stats.swaps_guarded >= 2, "{stats:?}");
         assert!(stats.recursive_calls_pruned >= 1, "{stats:?}");
         memoir_ir::verifier::assert_valid(&m);
