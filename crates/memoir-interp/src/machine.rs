@@ -27,10 +27,11 @@ use crate::regs::{enter_block, PhiFault, RegFile};
 use crate::stats::ExecStats;
 use crate::value::{CollId, Collection, Key, Store, Val, Value};
 use memoir_ir::{
-    BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstId, InstKind, Module, Repr,
-    ReprChoices, Type, ValueDef, ValueId,
+    BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstId, InstKind, Module, ObjTypeId,
+    Repr, ReprChoices, Type, ValueDef, ValueId,
 };
 use std::fmt;
+use std::rc::Rc;
 
 /// Charges `$m.stats` with `$call` when domain `$d` counts.
 macro_rules! charge {
@@ -121,7 +122,10 @@ pub trait Domain {
     /// collection storage for a collection that then holds `len`.
     fn guard(&mut self, stats: &ExecStats, elems: u64, len: u64) -> Result<(), Self::Stop>;
     /// Marks a construct the domain may be unable to model (floats,
-    /// externs, reference ordering).
+    /// externs, reference ordering). The answer for a construct must not
+    /// change during a run: a function's constant table asks once, on
+    /// the function's first entry, and a refused constant is refused
+    /// again wherever a path reads it.
     fn refuse(&mut self, what: &'static str) -> Result<(), Self::Stop>;
     /// A constant integer.
     fn int(&mut self, c: i64) -> Self::Int;
@@ -286,6 +290,9 @@ impl Domain for Concrete {
 /// A value over a domain's payloads.
 type DVal<D> = Val<<D as Domain>::Int, <D as Domain>::Bool>;
 
+/// A function's constant table: its constants bound in a register file.
+type Consts<I, B> = Rc<RegFile<Val<I, B>>>;
+
 /// One call frame: the function, the next instruction, its values.
 #[derive(Clone, Debug)]
 struct Frame<V> {
@@ -350,6 +357,14 @@ pub struct Machine<'m, I, B> {
     /// [`Interp::with_repr_choices`]; affects cost accounting only).
     repr_choices: ReprChoices,
     frames: Vec<Frame<Val<I, B>>>,
+    /// Each entered function's constants in this machine's domain, by
+    /// [`FuncId`]: built on the function's first entry, copied into each
+    /// of its frames. Forks share the tables.
+    consts: Vec<Option<Consts<I, B>>>,
+    /// Each object type's size in bytes, by [`ObjTypeId`], computed on
+    /// first use: the cost model charges allocations and field accesses
+    /// by it.
+    obj_sizes: Vec<Option<u64>>,
     /// Scratch for the φ parallel copy at block entry.
     phis: Vec<Val<I, B>>,
     /// Call arguments and return values in flight.
@@ -444,6 +459,8 @@ where
             fuel: 100_000_000,
             repr_choices: ReprChoices::default(),
             frames: Vec::new(),
+            consts: Vec::new(),
+            obj_sizes: Vec::new(),
             phis: Vec::new(),
             args: Vec::new(),
         }
@@ -471,9 +488,9 @@ where
                 }
             }
         }
-        let mut regs = RegFile::new(f);
+        let mut regs = self.frame_regs(dom, fid, f);
         for (i, &pv) in f.param_values.iter().enumerate() {
-            let a = args.get(i).cloned();
+            let a = args.get(i).copied();
             regs.set(pv, a.ok_or(Trap::TypeConfusion("missing argument"))?);
         }
         let at = self.enter_block(dom, f, None, f.entry, &mut regs)?;
@@ -484,6 +501,46 @@ where
             regs,
         });
         Ok(())
+    }
+
+    /// A register file for a new frame of `fid`: a copy of the function's
+    /// constant table, which the function's first entry builds. Each
+    /// constant is materialized once per machine instead of at every
+    /// read. A constant the domain refuses (a float in the symbolic
+    /// domain) stays out of the table, so only a path that reads it is
+    /// refused.
+    fn frame_regs<D: Domain<Int = I, Bool = B>>(
+        &mut self,
+        dom: &mut D,
+        fid: FuncId,
+        f: &Function,
+    ) -> RegFile<Val<I, B>> {
+        let i = fid.index();
+        if i >= self.consts.len() {
+            self.consts.resize(i + 1, None);
+        }
+        let table = self.consts[i].get_or_insert_with(|| {
+            let mut table = RegFile::new(f);
+            for (v, value) in f.values.iter() {
+                if let ValueDef::Const(c) = value.def {
+                    if let Ok(x) = konst(dom, c) {
+                        table.set(v, x);
+                    }
+                }
+            }
+            Rc::new(table)
+        });
+        RegFile::clone(table)
+    }
+
+    /// The size of object type `obj`, computed once per machine.
+    fn object_size(&mut self, obj: ObjTypeId) -> u64 {
+        let i = obj.index();
+        if i >= self.obj_sizes.len() {
+            self.obj_sizes.resize(i + 1, None);
+        }
+        let types = &self.module.types;
+        *self.obj_sizes[i].get_or_insert_with(|| types.object_layout(obj).size)
     }
 
     /// Runs the frame stack until the bottom frame returns, and returns
@@ -687,9 +744,11 @@ where
                 Val::Coll(id)
             }
             NewObj { obj } => {
+                if D::COUNTS {
+                    let bytes = self.object_size(obj) + 16;
+                    self.stats.alloc(0, bytes);
+                }
                 let nfields = types.object(obj).fields.len();
-                let bytes = types.object_layout(obj).size + 16;
-                charge!(self, D, alloc(0, bytes));
                 Val::Ref(obj, Some(self.store.alloc_obj(obj, nfields)))
             }
             DeleteObj { obj } => {
@@ -704,13 +763,14 @@ where
             Read { c, idx } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let iv = ev(dom, idx)?;
-                let loc = self.locate(dom, cid, &iv, Access::Read)?;
-                self.get::<D>(cid, &loc)
+                let (loc, x) = self.locate(dom, cid, iv, Access::Read)?;
+                self.charge_read::<D>(cid, &loc);
+                x
             }
             Write { c, idx, value } | MutWrite { c, idx, value } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
-                let loc = self.locate(dom, cid, &iv, Access::Write)?;
+                let (loc, _) = self.locate(dom, cid, iv, Access::Write)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Write { .. }))?;
                 self.put::<D>(t, loc, vv, false);
                 Val::Coll(t)
@@ -718,8 +778,7 @@ where
             Rmw { c, idx, op, value } | MutRmw { c, idx, op, value } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
-                let loc = self.locate(dom, cid, &iv, Access::Read)?;
-                let old = self.peek(cid, &loc);
+                let (loc, old) = self.locate(dom, cid, iv, Access::Read)?;
                 let new = exec_bin(dom, op, old, vv)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Rmw { .. }))?;
                 self.put::<D>(t, loc, new, true);
@@ -732,7 +791,7 @@ where
                     Some(v) => ev(dom, v)?,
                     None => Val::Uninit,
                 };
-                let loc = self.locate(dom, cid, &iv, Access::Insert)?;
+                let (loc, _) = self.locate(dom, cid, iv, Access::Insert)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Insert { .. }))?;
                 let len = self.store.coll(t).len() as u64;
                 dom.guard(&self.stats, 1, len + 1)?;
@@ -757,7 +816,7 @@ where
             Remove { c, idx } | MutRemove { c, idx } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let iv = ev(dom, idx)?;
-                let loc = self.locate(dom, cid, &iv, Access::Remove)?;
+                let (loc, _) = self.locate(dom, cid, iv, Access::Remove)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Remove { .. }))?;
                 self.remove_at::<D>(t, loc);
                 Val::Coll(t)
@@ -866,7 +925,7 @@ where
                     charge!(self, D, assoc_op(false));
                 }
                 let kv = ev(dom, key)?;
-                let k = key_of(dom, &kv)?.ok_or(Trap::TypeConfusion("bad key"))?;
+                let k = key_of(dom, kv)?.ok_or(Trap::TypeConfusion("bad key"))?;
                 let Collection::Assoc { map, .. } = self.store.coll(cid) else {
                     return Err(Trap::TypeConfusion("has on sequence").into());
                 };
@@ -899,12 +958,12 @@ where
                 ev(dom, c)?
             }
             FieldRead { obj, obj_ty, field } => {
-                charge!(self, D, field_op(types.object_layout(obj_ty).size));
+                self.charge_field_op::<D>(obj_ty);
                 let Val::Ref(_, Some(id)) = ev(dom, obj)? else {
                     return Err(Trap::BadReference.into());
                 };
                 let fields = self.store.obj(id).fields.as_ref();
-                let fv = fields.ok_or(Trap::BadReference)?[field as usize].clone();
+                let fv = fields.ok_or(Trap::BadReference)?[field as usize];
                 if matches!(fv, Val::Uninit) {
                     return Err(Trap::ReadUninit.into());
                 }
@@ -916,7 +975,7 @@ where
                 field,
                 value,
             } => {
-                charge!(self, D, field_op(types.object_layout(obj_ty).size));
+                self.charge_field_op::<D>(obj_ty);
                 let (v, fv) = (ev(dom, obj)?, ev(dom, value)?);
                 let Val::Ref(_, Some(id)) = v else {
                     return Err(Trap::BadReference.into());
@@ -952,6 +1011,15 @@ where
             }
             Ok(x)
         })
+    }
+
+    /// Charges a field access to an object of type `obj`.
+    #[inline]
+    fn charge_field_op<D: Domain<Int = I, Bool = B>>(&mut self, obj: ObjTypeId) {
+        if D::COUNTS {
+            let bytes = self.object_size(obj);
+            self.stats.field_op(bytes);
+        }
     }
 
     /// Tags a collection allocated at `site` with the site's adaptive
@@ -1000,16 +1068,18 @@ where
         }
     }
 
-    /// Where `access` through `idx` lands in collection `cid`, or the
-    /// trap it raises; resolves the index or key (possibly forking)
-    /// before anything is written.
+    /// Where `access` through `idx` lands in collection `cid`, with the
+    /// element there ([`Val::Uninit`] where there is none), or the trap
+    /// it raises; resolves the index or key (possibly forking) before
+    /// anything is written. An associative map is probed once, and only
+    /// by the accesses that need the element or its presence.
     fn locate<D: Domain<Int = I, Bool = B>>(
         &self,
         dom: &mut D,
         cid: CollId,
-        idx: &Val<I, B>,
+        idx: Val<I, B>,
         access: Access,
-    ) -> Result<Loc, D::Stop> {
+    ) -> Result<(Loc, Val<I, B>), D::Stop> {
         match self.store.coll(cid) {
             Collection::Seq(elems) => {
                 let i = as_index(dom, idx)?.ok_or(Trap::TypeConfusion("seq index"))?;
@@ -1022,40 +1092,37 @@ where
                 if !fits {
                     return Err(Trap::OutOfRange { index: i, len }.into());
                 }
-                if access == Access::Read && matches!(elems[i as usize], Val::Uninit) {
+                let x = elems.get(i as usize).copied().unwrap_or(Val::Uninit);
+                if access == Access::Read && matches!(x, Val::Uninit) {
                     return Err(Trap::ReadUninit.into());
                 }
-                Ok(Loc::At(i as usize))
+                Ok((Loc::At(i as usize), x))
             }
             Collection::Assoc { map, .. } => {
                 let k = key_of(dom, idx)?.ok_or(Trap::TypeConfusion("bad key"))?;
-                match (access, map.get(&k)) {
-                    (Access::Read | Access::Remove, None) => Err(Trap::MissingKey.into()),
+                if matches!(access, Access::Write | Access::Insert) {
+                    return Ok((Loc::Key(k), Val::Uninit));
+                }
+                match (access, map.get(&k).copied()) {
+                    (_, None) => Err(Trap::MissingKey.into()),
                     (Access::Read, Some(Val::Uninit)) => Err(Trap::ReadUninit.into()),
-                    _ => Ok(Loc::Key(k)),
+                    (_, Some(x)) => Ok((Loc::Key(k), x)),
                 }
             }
         }
     }
 
-    /// The element at a located position.
-    fn peek(&self, cid: CollId, loc: &Loc) -> Val<I, B> {
-        match (self.store.coll(cid), loc) {
-            (Collection::Seq(elems), Loc::At(i)) => elems[*i].clone(),
-            (Collection::Assoc { map, .. }, Loc::Key(k)) => map[k].clone(),
-            _ => unreachable!("location shape"),
+    /// Charges a read at a located position.
+    fn charge_read<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: &Loc) {
+        if !D::COUNTS {
+            return;
         }
-    }
-
-    /// Reads the element at a located position, charging the access.
-    fn get<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: &Loc) -> Val<I, B> {
         match (self.store.repr_of(cid), loc) {
-            (Repr::Inline { .. }, Loc::At(_)) => charge!(self, D, inline_access(false)),
-            (_, Loc::At(_)) => charge!(self, D, seq_access(false)),
-            (Repr::Dense { .. }, Loc::Key(_)) => charge!(self, D, dense_access(false)),
-            (_, Loc::Key(_)) => charge!(self, D, assoc_op(false)),
+            (Repr::Inline { .. }, Loc::At(_)) => self.stats.inline_access(false),
+            (_, Loc::At(_)) => self.stats.seq_access(false),
+            (Repr::Dense { .. }, Loc::Key(_)) => self.stats.dense_access(false),
+            (_, Loc::Key(_)) => self.stats.assoc_op(false),
         }
-        self.peek(cid, loc)
     }
 
     /// Writes `v` at a located position, charging a write (or, for `rmw`,
@@ -1228,22 +1295,40 @@ fn konst<D: Domain>(dom: &mut D, c: Constant) -> Result<DVal<D>, D::Stop> {
     })
 }
 
-/// An operand's value: a constant, or the value bound to it.
+/// An operand's value: one register read, constants included (a frame's
+/// registers start from its function's constant table).
+#[inline(always)]
 fn eval<D: Domain>(
     dom: &mut D,
     f: &Function,
     regs: &RegFile<DVal<D>>,
     v: ValueId,
 ) -> Result<DVal<D>, D::Stop> {
-    match &f.values[v].def {
-        ValueDef::Const(c) => konst(dom, *c),
-        _ => Ok(regs
-            .get(v)
-            .cloned()
-            .ok_or(Trap::TypeConfusion("unbound value"))?),
+    match regs.get(v) {
+        Some(x) => Ok(x),
+        None => Err(unbound(dom, f, v)),
     }
 }
 
+/// Why a register is empty: it holds a constant the domain refused when
+/// the table was built, refused again now that a path reaches it, or a
+/// value read before its definition (or no value of `f` at all). The
+/// hot path never merges with this one, so an operand read stays a
+/// register load.
+#[cold]
+#[inline(never)]
+fn unbound<D: Domain>(dom: &mut D, f: &Function, v: ValueId) -> D::Stop {
+    if v.index() < f.values.len() {
+        if let ValueDef::Const(c) = f.values[v].def {
+            if let Err(stop) = konst(dom, c) {
+                return stop;
+            }
+        }
+    }
+    Trap::TypeConfusion("unbound value").into()
+}
+
+#[inline(always)]
 fn coll_arg<D: Domain>(
     dom: &mut D,
     f: &Function,
@@ -1254,6 +1339,7 @@ fn coll_arg<D: Domain>(
     Ok(c.ok_or(Trap::TypeConfusion("expected collection"))?)
 }
 
+#[inline(always)]
 fn index_arg<D: Domain>(
     dom: &mut D,
     f: &Function,
@@ -1261,13 +1347,13 @@ fn index_arg<D: Domain>(
     v: ValueId,
 ) -> Result<u64, D::Stop> {
     let v = eval(dom, f, regs, v)?;
-    Ok(as_index(dom, &v)?.ok_or(Trap::TypeConfusion("expected index"))?)
+    Ok(as_index(dom, v)?.ok_or(Trap::TypeConfusion("expected index"))?)
 }
 
 /// An index payload over a domain: an `index` payload, or any other
 /// non-negative integer.
-pub(crate) fn as_index<D: Domain>(dom: &mut D, v: &DVal<D>) -> Result<Option<u64>, D::Stop> {
-    Ok(match *v {
+pub(crate) fn as_index<D: Domain>(dom: &mut D, v: DVal<D>) -> Result<Option<u64>, D::Stop> {
+    Ok(match v {
         Val::Int(Type::Index, x) => Some(dom.resolve(x)? as u64),
         Val::Int(_, x) => {
             let x = dom.resolve(x)?;
@@ -1278,8 +1364,8 @@ pub(crate) fn as_index<D: Domain>(dom: &mut D, v: &DVal<D>) -> Result<Option<u64
 }
 
 /// The key form of a value over a domain.
-pub(crate) fn key_of<D: Domain>(dom: &mut D, v: &DVal<D>) -> Result<Option<Key>, D::Stop> {
-    Ok(match *v {
+pub(crate) fn key_of<D: Domain>(dom: &mut D, v: DVal<D>) -> Result<Option<Key>, D::Stop> {
+    Ok(match v {
         Val::Int(_, x) => Some(Key::Int(dom.resolve(x)?)),
         Val::Bool(b) => Some(Key::Bool(dom.truth(b)?)),
         Val::Ref(_, o) => Some(Key::Ref(o)),
@@ -1302,9 +1388,23 @@ fn key_value<D: Domain>(dom: &mut D, k: &Key, ty: Type) -> DVal<D> {
     }
 }
 
+/// `a op b`: integers inline, the other operand kinds out of line.
+#[inline(always)]
 fn exec_bin<D: Domain>(dom: &mut D, op: BinOp, a: DVal<D>, b: DVal<D>) -> Result<DVal<D>, D::Stop> {
+    match (a, b) {
+        (Val::Int(ta, x), Val::Int(_, y)) => Ok(Val::Int(ta, dom.bin(op, ta, x, y)?)),
+        _ => exec_bin_other(dom, op, a, b),
+    }
+}
+
+#[inline(never)]
+fn exec_bin_other<D: Domain>(
+    dom: &mut D,
+    op: BinOp,
+    a: DVal<D>,
+    b: DVal<D>,
+) -> Result<DVal<D>, D::Stop> {
     Ok(match (a, b) {
-        (Val::Int(ta, x), Val::Int(_, y)) => Val::Int(ta, dom.bin(op, ta, x, y)?),
         (Val::Float(ta, x), Val::Float(_, y)) => Val::Float(
             ta,
             match op {
@@ -1326,11 +1426,23 @@ fn exec_bin<D: Domain>(dom: &mut D, op: BinOp, a: DVal<D>, b: DVal<D>) -> Result
     })
 }
 
+/// `a op b`: integers inline, the other operand kinds out of line.
+#[inline(always)]
 fn exec_cmp<D: Domain>(dom: &mut D, op: CmpOp, a: DVal<D>, b: DVal<D>) -> Result<DVal<D>, D::Stop> {
+    match (a, b) {
+        (Val::Int(ta, x), Val::Int(_, y)) => Ok(Val::Bool(dom.cmp(op, ta.is_unsigned(), x, y))),
+        _ => exec_cmp_other(dom, op, a, b),
+    }
+}
+
+#[inline(never)]
+fn exec_cmp_other<D: Domain>(
+    dom: &mut D,
+    op: CmpOp,
+    a: DVal<D>,
+    b: DVal<D>,
+) -> Result<DVal<D>, D::Stop> {
     let holds = match (a, b) {
-        (Val::Int(ta, x), Val::Int(_, y)) => {
-            return Ok(Val::Bool(dom.cmp(op, ta.is_unsigned(), x, y)))
-        }
         (Val::Bool(x), Val::Bool(y)) => {
             // Booleans compare as 0/1 with signed order.
             let (x, y) = (dom.widen(x), dom.widen(y));

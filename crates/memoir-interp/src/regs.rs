@@ -10,9 +10,9 @@ use memoir_ir::{BlockId, Function, InstKind, ValueId};
 
 /// One slot per SSA value of a function, indexed by [`ValueId`]. A slot
 /// is empty until its definition runs on the current path, so a use
-/// before definition reads as unbound instead of panicking. Constants
-/// never occupy their slots: executors materialize them from the value
-/// arena.
+/// before definition reads as unbound instead of panicking. A frame's
+/// file starts as a copy of its function's constant table, so constants
+/// read like any other bound value.
 #[derive(Clone, Debug)]
 pub struct RegFile<T> {
     slots: Vec<Option<T>>,
@@ -25,7 +25,7 @@ impl<T> RegFile<T> {
     }
 }
 
-impl<T: Clone> RegFile<T> {
+impl<T: Copy> RegFile<T> {
     /// An empty file with a slot for each value in `f`'s arena.
     pub fn new(f: &Function) -> Self {
         RegFile {
@@ -34,20 +34,26 @@ impl<T: Clone> RegFile<T> {
     }
 
     /// The value bound to `v`, if any.
-    #[inline]
-    pub fn get(&self, v: ValueId) -> Option<&T> {
-        self.slots.get(v.index())?.as_ref()
+    #[inline(always)]
+    pub fn get(&self, v: ValueId) -> Option<T> {
+        *self.slots.get(v.index())?
     }
 
     /// Binds `v`. Every id a [`Function`] mints indexes its arena; one
     /// from elsewhere grows the file.
-    #[inline]
+    #[inline(always)]
     pub fn set(&mut self, v: ValueId, x: T) {
-        let i = v.index();
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+        match self.slots.get_mut(v.index()) {
+            Some(slot) => *slot = Some(x),
+            None => self.grow(v, x),
         }
-        self.slots[i] = Some(x);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, v: ValueId, x: T) {
+        self.slots.resize(v.index() + 1, None);
+        self.slots[v.index()] = Some(x);
     }
 }
 
@@ -63,11 +69,10 @@ pub enum PhiFault {
 /// Enters `target` from `pred`: evaluates its leading φs as one parallel
 /// copy (every incoming value is read through `read` before any φ result
 /// is bound) and returns their count, the position of the first non-φ
-/// instruction. `read` materializes constants and reports an unbound
-/// operand in the caller's own error type. `buf` is scratch owned by the
-/// caller, so entering a block allocates nothing once it has grown to
-/// the widest φ head.
-pub fn enter_block<T: Clone, E: From<PhiFault>>(
+/// instruction. `read` reports an unbound operand in the caller's own
+/// error type. `buf` is scratch owned by the caller, so entering a block
+/// allocates nothing once it has grown to the widest φ head.
+pub fn enter_block<T: Copy, E: From<PhiFault>>(
     f: &Function,
     pred: Option<BlockId>,
     target: BlockId,

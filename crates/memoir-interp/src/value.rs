@@ -15,8 +15,9 @@ pub struct CollId(pub u32);
 pub struct ObjId(pub u32);
 
 /// A runtime value over integer payloads `I` and boolean payloads `B`:
-/// [`Value`] in the concrete interpreter, terms in `symexec`.
-#[derive(Clone, Debug, PartialEq)]
+/// [`Value`] in the concrete interpreter, terms in `symexec`. It is
+/// `Copy`, so the executor reads operands out of registers by copy.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Val<I, B> {
     /// Integer of a specific IR type (including `index`).
     Int(Type, I),
@@ -52,7 +53,7 @@ impl Value {
     /// Index payload (traps-by-panic on type confusion; the verifier rules
     /// this out for verified programs).
     pub fn as_index(&self) -> Option<u64> {
-        Concrete::with(|dom| as_index(dom, self))
+        Concrete::with(|dom| as_index(dom, *self))
     }
 
     /// Integer payload.
@@ -108,7 +109,7 @@ pub enum Key {
 impl Key {
     /// Converts a runtime value into its key form.
     pub fn from_value(v: &Value) -> Option<Key> {
-        Concrete::with(|dom| key_of(dom, v))
+        Concrete::with(|dom| key_of(dom, *v))
     }
 
     /// Rebuilds a value from the key, given the key's IR type.
@@ -278,7 +279,7 @@ impl<V: Clone> Store<V> {
     }
 }
 
-impl<I: Clone, B: Clone> Store<Val<I, B>> {
+impl<I: Copy, B: Copy> Store<Val<I, B>> {
     /// Allocates an object with all fields uninitialized.
     pub fn alloc_obj(&mut self, ty: ObjTypeId, nfields: usize) -> ObjId {
         let id = ObjId(self.objects.len() as u32);

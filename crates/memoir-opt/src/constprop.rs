@@ -833,7 +833,7 @@ mod tests {
                 _ => None,
             })
             .expect("the result folds to a constant");
-        (folded, want[0].clone())
+        (folded, want[0])
     }
 
     #[test]

@@ -1504,11 +1504,7 @@ mod tests {
         let out = i
             .run(
                 spec,
-                vec![
-                    s.clone(),
-                    Value::Int(Type::Index, 5),
-                    Value::Int(Type::Index, 5),
-                ],
+                vec![s, Value::Int(Type::Index, 5), Value::Int(Type::Index, 5)],
             )
             .unwrap();
         // The sequence is unchanged: element 0 still 7.

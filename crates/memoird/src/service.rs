@@ -497,7 +497,15 @@ impl Service {
     }
 
     fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // A worker reads `shutdown` under the queue lock and then waits
+        // on `queue_cv`, which releases the lock. Set outside the lock,
+        // the flag could land between that read and that wait, and its
+        // notification would wake nobody: the worker would sleep on and
+        // `join` below would block on it for good.
+        {
+            let _queue = self.shared.queue.lock().expect("queue poisoned");
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_cv.notify_all();
         let _ = self
             .shared
@@ -1363,6 +1371,40 @@ mod tests {
                 variants[i % n].0
             );
         }
+    }
+
+    /// `join` must not lose its wakeup to a worker that has just found
+    /// the queue empty and the service running, and has yet to wait.
+    /// The test holds the queue lock where such a worker does, lets
+    /// `join` run, then waits as the worker would: the shutdown
+    /// notification has to reach it.
+    #[test]
+    fn shutdown_wakes_a_worker_that_has_not_yet_waited() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let shared = Arc::clone(&svc.shared);
+        let mut queue = shared.queue.lock().unwrap();
+        assert!(queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst));
+        let joiner = thread::spawn(move || svc.join());
+        // Time for `join` to publish shutdown and notify, were it able to
+        // without the queue lock.
+        thread::sleep(Duration::from_millis(200));
+        // Wait as the worker would (again after a spurious wakeup).
+        loop {
+            let wait;
+            (queue, wait) = shared
+                .queue_cv
+                .wait_timeout(queue, Duration::from_secs(10))
+                .unwrap();
+            assert!(!wait.timed_out(), "the shutdown notification was lost");
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+        drop(queue);
+        joiner.join().unwrap();
     }
 
     #[test]

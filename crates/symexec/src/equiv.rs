@@ -18,9 +18,13 @@
 //! `Proved` therefore means: every jointly-feasible pair was discharged
 //! structurally (identical terms) or by the interval/congruence solver —
 //! over the *synthesizable* input domains only (see [`FnVerdict::Proved`]).
+//!
+//! Which pairs are jointly feasible is decided once per pair from state
+//! computed once per path ([`obligations`]); only the pairs left over
+//! join their conditions.
 
 use crate::memoir::seed_params;
-use crate::solver::{self, Lit};
+use crate::solver::{self, Lit, Pairing, Part};
 use crate::term::TermPool;
 use crate::{lirsym, memoir, Budget, Path, PathEnd, SymError};
 use lir::{LirMachine, Module as LModule};
@@ -63,30 +67,79 @@ fn budget_reason(e: SymError) -> &'static str {
     }
 }
 
-/// Discharges all jointly-feasible path pairs; `confirm` runs the
-/// concrete engines on a witness and returns `Some(detail)` when they
-/// really disagree.
-fn compare_paths(
+/// The path pairs [`compare_paths`] discharges, in the order it visits
+/// them: each source path that returns (a source trap imposes no
+/// obligation), with each target path whose condition the solver cannot
+/// refute together with the source path's. Each path's part of the
+/// solver state is computed once (`solver::Part`) and each pair is
+/// decided from the two parts (`solver::Pairing`): exactly the pairs on
+/// which [`solver::contradicts`] of the source condition followed by the
+/// target condition is `false`.
+pub fn obligations(pool: &TermPool, source: &[Path], target: &[Path]) -> Vec<(usize, usize)> {
+    let targets: Vec<Part> = target.iter().map(|p| Part::new(pool, &p.cond)).collect();
+    let mut pairing = Pairing::new(pool);
+    let mut pairs = Vec::new();
+    for (i, p) in source.iter().enumerate() {
+        if p.end == PathEnd::Trap {
+            continue;
+        }
+        let part = Part::new(pool, &p.cond);
+        for (j, t) in targets.iter().enumerate() {
+            if !pairing.contradicts(&part, t) {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
+}
+
+/// Discharges every jointly-feasible path pair ([`obligations`]);
+/// `confirm` runs the concrete engines on a witness and returns
+/// `Some(detail)` when they really disagree.
+pub fn compare_paths(
     pool: &mut TermPool,
     paths_a: &[Path],
     paths_b: &[Path],
     confirm: &mut dyn FnMut(&[i64]) -> Option<String>,
 ) -> FnVerdict {
-    for pa in paths_a {
-        let ret_a = match &pa.end {
-            PathEnd::Trap => continue, // source trap: no obligation
-            PathEnd::Ret(terms) => terms,
+    for (i, j) in obligations(pool, paths_a, paths_b) {
+        let (pa, pb) = (&paths_a[i], &paths_b[j]);
+        let PathEnd::Ret(ret_a) = &pa.end else {
+            unreachable!("only returning source paths carry obligations")
         };
-        for pb in paths_b {
-            let mut joint: Vec<Lit> = pa.cond.clone();
-            joint.extend_from_slice(&pb.cond);
-            if solver::contradicts(pool, &joint) {
-                continue; // the two paths cannot co-occur
+        let mut joint: Vec<Lit> = pa.cond.clone();
+        joint.extend_from_slice(&pb.cond);
+        match &pb.end {
+            PathEnd::Trap => {
+                // Source returns, target traps: candidate.
+                match solver::find_model(pool, &joint) {
+                    Some(model) => match confirm(&model) {
+                        Some(detail) => {
+                            return FnVerdict::Diverged {
+                                args: model,
+                                detail,
+                            }
+                        }
+                        None => return FnVerdict::Inconclusive("unconfirmed trap candidate"),
+                    },
+                    None => return FnVerdict::Inconclusive("no witness for trap candidate"),
+                }
             }
-            match &pb.end {
-                PathEnd::Trap => {
-                    // Source returns, target traps: candidate.
-                    match solver::find_model(pool, &joint) {
+            PathEnd::Ret(ret_b) => {
+                if ret_a.len() != ret_b.len() {
+                    return FnVerdict::Inconclusive("return arity mismatch");
+                }
+                for (&x, &y) in ret_a.iter().zip(ret_b.iter()) {
+                    if x == y {
+                        continue; // structurally identical
+                    }
+                    let ne = pool.cmp(CmpOp::Ne, false, x, y);
+                    let mut lits = joint.clone();
+                    lits.push((ne, true));
+                    if solver::contradicts(pool, &lits) {
+                        continue; // provably equal under the joint condition
+                    }
+                    match solver::find_model(pool, &lits) {
                         Some(model) => match confirm(&model) {
                             Some(detail) => {
                                 return FnVerdict::Diverged {
@@ -94,42 +147,12 @@ fn compare_paths(
                                     detail,
                                 }
                             }
-                            None => return FnVerdict::Inconclusive("unconfirmed trap candidate"),
+                            // The symbolic witness did not reproduce
+                            // concretely: don't trust either engine
+                            // enough to rule.
+                            None => return FnVerdict::Inconclusive("unconfirmed value candidate"),
                         },
-                        None => return FnVerdict::Inconclusive("no witness for trap candidate"),
-                    }
-                }
-                PathEnd::Ret(ret_b) => {
-                    if ret_a.len() != ret_b.len() {
-                        return FnVerdict::Inconclusive("return arity mismatch");
-                    }
-                    for (&x, &y) in ret_a.iter().zip(ret_b.iter()) {
-                        if x == y {
-                            continue; // structurally identical
-                        }
-                        let ne = pool.cmp(CmpOp::Ne, false, x, y);
-                        let mut lits = joint.clone();
-                        lits.push((ne, true));
-                        if solver::contradicts(pool, &lits) {
-                            continue; // provably equal under the joint condition
-                        }
-                        match solver::find_model(pool, &lits) {
-                            Some(model) => match confirm(&model) {
-                                Some(detail) => {
-                                    return FnVerdict::Diverged {
-                                        args: model,
-                                        detail,
-                                    }
-                                }
-                                // The symbolic witness did not reproduce
-                                // concretely: don't trust either engine
-                                // enough to rule.
-                                None => {
-                                    return FnVerdict::Inconclusive("unconfirmed value candidate")
-                                }
-                            },
-                            None => return FnVerdict::Inconclusive("no witness for candidate"),
-                        }
+                        None => return FnVerdict::Inconclusive("no witness for candidate"),
                     }
                 }
             }

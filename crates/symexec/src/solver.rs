@@ -10,10 +10,14 @@
 //!   satisfying the conjunction, used to *refute* equivalence with a
 //!   witness (which is then confirmed on the concrete interpreters, so
 //!   incompleteness here can never produce a false bug report).
+//!
+//! `Part` and `Pairing` answer [`contradicts`] for the conjunction of
+//! two path conditions from state computed once per path, which is how
+//! the equivalence checker pairs every source path with every target
+//! path.
 
 use crate::term::{type_domain, Term, TermId, TermPool};
 use memoir_ir::{BinOp, CmpOp};
-use std::collections::HashMap;
 
 /// A literal: the term asserted non-zero (`true`) or zero (`false`).
 pub type Lit = (TermId, bool);
@@ -97,41 +101,54 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
+/// An atom table: the narrowed interval of each atom term (parameters
+/// and the terms literals narrow), sorted by term. A conjunction narrows
+/// few terms, so a sorted vector beats a hash map.
+type Atoms = Vec<(TermId, Interval)>;
+
 /// The solver state for one conjunction.
 #[derive(Debug)]
 pub struct Solver<'p> {
     pool: &'p TermPool,
-    /// Narrowed intervals for atom terms (params and opaque nodes).
-    atom_iv: HashMap<TermId, Interval>,
+    atoms: Atoms,
 }
 
 impl<'p> Solver<'p> {
     /// Creates a solver over a pool; parameter atoms start at their
     /// declared type domains.
     pub fn new(pool: &'p TermPool) -> Self {
-        let mut atom_iv = HashMap::new();
-        for &(p, t) in &pool.params {
-            let (lo, hi) = pool
-                .param_tys
-                .get(p as usize)
-                .copied()
-                .map(type_domain)
-                .unwrap_or((i64::MIN, i64::MAX));
-            atom_iv.insert(
-                t,
-                Interval {
+        let mut atoms: Atoms = pool
+            .params
+            .iter()
+            .map(|&(p, t)| {
+                let (lo, hi) = pool
+                    .param_tys
+                    .get(p as usize)
+                    .copied()
+                    .map(type_domain)
+                    .unwrap_or((i64::MIN, i64::MAX));
+                let iv = Interval {
                     lo: lo as i128,
                     hi: hi as i128,
-                },
-            );
-        }
-        Solver { pool, atom_iv }
+                };
+                (t, iv)
+            })
+            .collect();
+        atoms.sort_unstable_by_key(|&(t, _)| t);
+        Solver { pool, atoms }
+    }
+
+    /// The narrowed interval of `t`, if it is an atom.
+    #[inline]
+    fn atom(&self, t: TermId) -> Option<Interval> {
+        let i = self.atoms.binary_search_by_key(&t, |&(u, _)| u).ok()?;
+        Some(self.atoms[i].1)
     }
 
     /// Structural interval of a term under the current atom narrowing.
     pub fn interval(&self, t: TermId) -> Interval {
-        if let Some(iv) = self.atom_iv.get(&t) {
-            return *iv;
+        if let Some(iv) = self.atom(t) {
+            return iv;
         }
         match self.pool.get(t) {
             Term::Const(v) => Interval::point(v),
@@ -306,8 +323,10 @@ impl<'p> Solver<'p> {
     }
 
     fn narrow_atom(&mut self, t: TermId, iv: Interval) {
-        let cur = self.atom_iv.get(&t).copied().unwrap_or_else(Interval::full);
-        self.atom_iv.insert(t, cur.meet(iv));
+        match self.atoms.binary_search_by_key(&t, |&(u, _)| u) {
+            Ok(i) => self.atoms[i].1 = self.atoms[i].1.meet(iv),
+            Err(i) => self.atoms.insert(i, (t, Interval::full().meet(iv))),
+        }
     }
 
     /// Absorbs one literal, narrowing atom intervals where the literal
@@ -379,9 +398,11 @@ impl<'p> Solver<'p> {
         self.narrow_atom(t, iv);
     }
 
-    /// Whether the conjunction is *definitely* infeasible.
+    /// Whether the conjunction is *definitely* infeasible: the same term
+    /// is asserted both ways, or, once every literal has narrowed the
+    /// atoms (so a later literal's narrowing feeds an earlier literal's
+    /// check), some literal is refuted.
     pub fn contradicts(&mut self, lits: &[Lit]) -> bool {
-        // Structural complement: the same term asserted both ways.
         for (i, &(t, v)) in lits.iter().enumerate() {
             for &(u, w) in &lits[i + 1..] {
                 if t == u && v != w {
@@ -389,83 +410,237 @@ impl<'p> Solver<'p> {
                 }
             }
         }
-        // Two passes so a later literal's narrowing feeds an earlier
-        // literal's check.
         for &l in lits {
             self.absorb(l);
         }
-        for &(t, truth) in lits {
-            // Constant literal already decided.
-            if let Some(v) = self.pool.as_const(t) {
-                if (v != 0) != truth {
-                    return true;
-                }
-                continue;
-            }
-            if let Term::Cmp(op, unsigned, a, b) = self.pool.get(t) {
-                let op = if truth { op } else { op.negated() };
-                if unsigned {
-                    // Unsigned ordering only matches interval reasoning
-                    // when both sides are known non-negative.
-                    let (ia, ib) = (self.interval(a), self.interval(b));
-                    if ia.lo < 0 || ib.lo < 0 {
-                        continue;
-                    }
-                }
-                let (ia, ib) = (self.interval(a), self.interval(b));
-                let possible = match op {
-                    CmpOp::Eq => ia.lo <= ib.hi && ib.lo <= ia.hi,
-                    CmpOp::Ne => !(ia.lo == ia.hi && ib.lo == ib.hi && ia.lo == ib.lo),
-                    CmpOp::Lt => ia.lo < ib.hi,
-                    CmpOp::Le => ia.lo <= ib.hi,
-                    CmpOp::Gt => ia.hi > ib.lo,
-                    CmpOp::Ge => ia.hi >= ib.lo,
-                };
-                if !possible {
-                    return true;
-                }
-                // Congruence refutation of equalities.
-                if op == CmpOp::Eq {
-                    let (ca, cb) = (self.congruence(a), self.congruence(b));
-                    let m = match (ca.modulus, cb.modulus) {
-                        (0, 0) => 0,
-                        (0, m) | (m, 0) => m,
-                        (x, y) => gcd(x, y),
-                    };
-                    if m > 1 {
-                        let ra = if ca.modulus == 0 {
-                            Congruence::residue(m, ca.rem as i64)
-                        } else {
-                            ca.rem % m
-                        };
-                        let rb = if cb.modulus == 0 {
-                            Congruence::residue(m, cb.rem as i64)
-                        } else {
-                            cb.rem % m
-                        };
-                        if ra != rb {
-                            return true;
-                        }
-                    }
-                }
-            } else {
-                // `t != 0` with a zero-only interval (or vice versa).
-                let iv = self.interval(t);
-                if truth && iv.lo == 0 && iv.hi == 0 {
-                    return true;
-                }
-                if !truth && (iv.lo > 0 || iv.hi < 0) {
-                    return true;
-                }
-            }
+        lits.iter().any(|&l| self.refutes(l))
+    }
+
+    /// Whether one literal is impossible under the current atoms.
+    fn refutes(&self, (t, truth): Lit) -> bool {
+        // Constant literal already decided.
+        if let Some(v) = self.pool.as_const(t) {
+            return (v != 0) != truth;
         }
-        false
+        let Term::Cmp(op, unsigned, a, b) = self.pool.get(t) else {
+            // `t != 0` with a zero-only interval (or vice versa).
+            let iv = self.interval(t);
+            return if truth {
+                iv.lo == 0 && iv.hi == 0
+            } else {
+                iv.lo > 0 || iv.hi < 0
+            };
+        };
+        let op = if truth { op } else { op.negated() };
+        let (ia, ib) = (self.interval(a), self.interval(b));
+        // Unsigned ordering only matches interval reasoning when both
+        // sides are known non-negative.
+        if unsigned && (ia.lo < 0 || ib.lo < 0) {
+            return false;
+        }
+        let possible = match op {
+            CmpOp::Eq => ia.lo <= ib.hi && ib.lo <= ia.hi,
+            CmpOp::Ne => !(ia.lo == ia.hi && ib.lo == ib.hi && ia.lo == ib.lo),
+            CmpOp::Lt => ia.lo < ib.hi,
+            CmpOp::Le => ia.lo <= ib.hi,
+            CmpOp::Gt => ia.hi > ib.lo,
+            CmpOp::Ge => ia.hi >= ib.lo,
+        };
+        if !possible {
+            return true;
+        }
+        if op != CmpOp::Eq {
+            return false;
+        }
+        // Congruence refutation of equalities.
+        let (ca, cb) = (self.congruence(a), self.congruence(b));
+        let m = match (ca.modulus, cb.modulus) {
+            (0, 0) => 0,
+            (0, m) | (m, 0) => m,
+            (x, y) => gcd(x, y),
+        };
+        if m <= 1 {
+            return false;
+        }
+        let ra = if ca.modulus == 0 {
+            Congruence::residue(m, ca.rem as i64)
+        } else {
+            ca.rem % m
+        };
+        let rb = if cb.modulus == 0 {
+            Congruence::residue(m, cb.rem as i64)
+        } else {
+            cb.rem % m
+        };
+        ra != rb
     }
 }
 
 /// Convenience: one-shot infeasibility check.
 pub fn contradicts(pool: &TermPool, lits: &[Lit]) -> bool {
     Solver::new(pool).contradicts(lits)
+}
+
+/// One path condition's part of the solver state, computed once however
+/// many paths it is paired with.
+///
+/// [`contradicts`] of a joined condition `a ∧ b` finds the same term
+/// asserted both ways, or narrows the atoms by every literal and then
+/// refutes some literal. Both parts split by path:
+///
+/// * a complement lies within `a`, within `b`, or across the two; the
+///   part holds its literals sorted by term, so the cross check is one
+///   merge;
+/// * `absorb` narrows an atom from its own literal alone, by a meet, so
+///   the joined atom table is the meet of the two parts' tables (each
+///   with the parameter domains already in it; meet is associative,
+///   commutative and idempotent on the bounds themselves, empty
+///   intervals included);
+/// * a literal's verdict depends on the atom table only. Where the meet
+///   equals a part's own table, that part's literals keep the verdicts
+///   the part computed alone; elsewhere they are checked again against
+///   the meet.
+///
+/// The solver is not monotone (an atom a literal narrows from the full
+/// range can be wider than the structural interval it replaces), so a
+/// part's own verdicts are reused only when the tables are equal.
+#[derive(Clone, Debug)]
+pub(crate) struct Part<'c> {
+    /// The literals in path order.
+    lits: &'c [Lit],
+    /// The literals sorted by term, for the cross complement check.
+    by_term: Vec<Lit>,
+    /// The atom table after absorbing every literal.
+    atoms: Atoms,
+    /// Whether the condition alone is refuted.
+    refuted: bool,
+    /// Whether it asserts one term both ways.
+    complementary: bool,
+}
+
+impl<'c> Part<'c> {
+    /// The part of condition `lits`.
+    pub(crate) fn new(pool: &TermPool, lits: &'c [Lit]) -> Self {
+        let mut solver = Solver::new(pool);
+        for &l in lits {
+            solver.absorb(l);
+        }
+        let mut by_term = lits.to_vec();
+        by_term.sort_unstable();
+        let complementary = by_term
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+        let refuted = complementary || lits.iter().any(|&l| solver.refutes(l));
+        Part {
+            lits,
+            by_term,
+            atoms: solver.atoms,
+            refuted,
+            complementary,
+        }
+    }
+}
+
+/// Decides conjunctions of two path conditions from their [`Part`]s,
+/// with one atom table reused for every pair.
+#[derive(Debug)]
+pub(crate) struct Pairing<'p> {
+    solver: Solver<'p>,
+}
+
+impl<'p> Pairing<'p> {
+    /// A pairing over `pool`, whose terms the parts were built from.
+    pub(crate) fn new(pool: &'p TermPool) -> Self {
+        Pairing {
+            solver: Solver {
+                pool,
+                atoms: Vec::new(),
+            },
+        }
+    }
+
+    /// Whether `a ∧ b` is definitely infeasible: exactly
+    /// [`contradicts`] of `a`'s literals followed by `b`'s.
+    pub(crate) fn contradicts(&mut self, a: &Part, b: &Part) -> bool {
+        if a.complementary || b.complementary || complement_across(&a.by_term, &b.by_term) {
+            return true;
+        }
+        let (same_a, same_b) = meet_into(&mut self.solver.atoms, &a.atoms, &b.atoms);
+        let s = &self.solver;
+        let side = |p: &Part, same: bool| {
+            if same {
+                p.refuted
+            } else {
+                p.lits.iter().any(|&l| s.refutes(l))
+            }
+        };
+        side(a, same_a) || side(b, same_b)
+    }
+}
+
+/// Whether a term sits in both sorted literal lists with opposite truths.
+fn complement_across(a: &[Lit], b: &[Lit]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (t, u) = (a[i].0, b[j].0);
+        if t < u {
+            i += 1;
+        } else if u < t {
+            j += 1;
+        } else {
+            // Every truth `a` gives the term against every truth `b`
+            // gives it.
+            let (ia, jb) = (i, j);
+            while i < a.len() && a[i].0 == t {
+                i += 1;
+            }
+            while j < b.len() && b[j].0 == t {
+                j += 1;
+            }
+            if a[ia..i].iter().any(|x| b[jb..j].iter().any(|y| x.1 != y.1)) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Writes the meet of two atom tables into `out`, and says whether it
+/// equals `a` and whether it equals `b`.
+fn meet_into(out: &mut Atoms, a: &[(TermId, Interval)], b: &[(TermId, Interval)]) -> (bool, bool) {
+    out.clear();
+    let (mut same_a, mut same_b) = (true, true);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let entry = match (a.get(i), b.get(j)) {
+            (Some(&(t, x)), Some(&(u, y))) if t == u => {
+                let m = x.meet(y);
+                same_a &= m == x;
+                same_b &= m == y;
+                i += 1;
+                j += 1;
+                (t, m)
+            }
+            (Some(&(t, x)), Some(&(u, _))) if t < u => {
+                same_b = false;
+                i += 1;
+                (t, x)
+            }
+            (Some(&(t, x)), None) => {
+                same_b = false;
+                i += 1;
+                (t, x)
+            }
+            (_, Some(&(u, y))) => {
+                same_a = false;
+                j += 1;
+                (u, y)
+            }
+            (None, None) => unreachable!("loop condition"),
+        };
+        out.push(entry);
+    }
+    (same_a, same_b)
 }
 
 /// One-shot interval of `t` under a path condition (used by the engines to
@@ -700,6 +875,57 @@ mod tests {
         assert!(m[0] < m[1] && m[0] > 10, "{m:?}");
         // And an infeasible system yields no model.
         assert!(find_model(&p, &[(lt, true), (lt, false)]).is_none());
+    }
+
+    /// Decides every pair of `conds` through parts, and checks each
+    /// against [`contradicts`] of the joined condition.
+    fn pairs_agree(p: &TermPool, conds: &[&[Lit]]) {
+        let parts: Vec<Part> = conds.iter().map(|c| Part::new(p, c)).collect();
+        let mut pairing = Pairing::new(p);
+        for (a, pa) in conds.iter().zip(&parts) {
+            for (b, pb) in conds.iter().zip(&parts) {
+                let joint = [*a, *b].concat();
+                assert_eq!(
+                    pairing.contradicts(pa, pb),
+                    contradicts(p, &joint),
+                    "{joint:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pairing_refutes_what_only_the_joined_condition_refutes() {
+        // MEMOIR's `x <u 5` against lir's `!(x < 5)`: neither alone is
+        // refuted, the meet of their narrowings of `x` is empty.
+        let mut p = TermPool::new();
+        p.param_tys = vec![Type::Index];
+        let x = p.param(0);
+        let five = p.konst(5);
+        let ult = p.cmp(CmpOp::Lt, true, x, five);
+        let slt = p.cmp(CmpOp::Lt, false, x, five);
+        let (a, b) = ([(ult, true)], [(slt, false)]);
+        assert!(!contradicts(&p, &a) && !contradicts(&p, &b));
+        assert!(contradicts(&p, &[a[0], b[0]]));
+        pairs_agree(&p, &[&a, &b, &[(slt, true)], &[]]);
+    }
+
+    #[test]
+    fn pairing_rechecks_a_refuted_part_when_the_other_widens_an_atom() {
+        // `x % 1` is structurally 0 on the Index window, so `x % 1 != 0`
+        // alone is refuted. A literal on `x % 1` itself narrows it from
+        // the full range, to [i64::MIN, 5]: joined, nothing is refuted.
+        let mut p = TermPool::new();
+        p.param_tys = vec![Type::Index];
+        let x = p.param(0);
+        let (zero, one, five) = (p.konst(0), p.konst(1), p.konst(5));
+        let r = p.bin(BinOp::Rem, x, one).unwrap();
+        let ne = p.cmp(CmpOp::Ne, false, r, zero);
+        let le = p.cmp(CmpOp::Le, false, r, five);
+        let (a, b) = ([(ne, true)], [(le, true)]);
+        assert!(contradicts(&p, &a));
+        assert!(!contradicts(&p, &[a[0], b[0]]));
+        pairs_agree(&p, &[&a, &b, &[(ne, false)], &[(le, false), (ne, true)]]);
     }
 
     #[test]

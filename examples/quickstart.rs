@@ -61,7 +61,7 @@ fn main() {
     let run = |m: &memoir::ir::Module| {
         let mut vm = Interp::new(m);
         let out = vm.run_by_name("main", vec![]).unwrap();
-        (out[0].clone(), vm.stats.insts)
+        (out[0], vm.stats.insts)
     };
     let (r0, i0) = run(&module);
     let (r1, i1) = run(&optimized);
