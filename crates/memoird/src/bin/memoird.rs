@@ -37,7 +37,8 @@ OPTIONS:
     --workers=N           worker threads (module-level parallelism;
                           default 2)
     --job-threads=N       function-shard threads *within* each job
-                          (default 1; dropped to 1 on the serial rung)
+                          (default 1; attempts after the second run
+                          serially)
     --timeout-ms=N        per-attempt wall-clock timeout, watchdogged;
                           also handed to the pipeline as an in-band
                           pipeline-ms budget (default: none)
@@ -45,16 +46,14 @@ OPTIONS:
                           pass-ms=N,pipeline-ms=N,growth=F,fixpoint=N
     --on-fault=POLICY     pass-level policy inside each attempt:
                           abort | skip (default) | stop
-    --retries=N           max attempts per job (default 5)
+    --retries=N           max attempts per job (default 5); attempt k
+                          runs on rung k of full, full, no-cache,
+                          baseline, and later attempts on baseline
     --backoff-ms=N        base retry backoff (default 10; exponential,
                           capped, deterministically jittered from --seed)
     --seed=N              service seed for backoff jitter (default 0)
     --queue-cap=N         bounded job queue capacity (default 64);
-                          submissions beyond it are shed
-    --shed-qdepth=N       early-shed when queue depth reaches N
-    --shed-p99=MS         early-shed when windowed p99 latency exceeds MS
-    --breaker=T,C         per-spec circuit breaker: open after T
-                          consecutive failures, probe after C sheds
+                          a job submitted while N jobs wait is shed
     --cache               share one compile cache across all jobs
     --job-cache           also cache whole job outputs (implies --cache)
     --inject=PLAN         service-level fault injection (repeatable):
@@ -137,26 +136,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--seed" => cli.cfg.seed = parse_num(value(&mut it)?, "--seed")?,
             "--queue-cap" => {
                 cli.cfg.queue_cap = parse_num(value(&mut it)?, "--queue-cap")? as usize
-            }
-            "--shed-qdepth" => {
-                cli.cfg.shed_qdepth = Some(parse_num(value(&mut it)?, "--shed-qdepth")? as usize)
-            }
-            "--shed-p99" => {
-                let v = value(&mut it)?;
-                cli.cfg.shed_p99_ms = Some(
-                    v.parse::<f64>()
-                        .map_err(|e| format!("bad --shed-p99 value `{v}`: {e}"))?,
-                )
-            }
-            "--breaker" => {
-                let v = value(&mut it)?;
-                let (t, c) = v
-                    .split_once(',')
-                    .ok_or_else(|| format!("bad --breaker value `{v}` (expected T,C)"))?;
-                cli.cfg.breaker = Some(memoird::BreakerConfig {
-                    threshold: parse_num(t.to_string(), "--breaker threshold")? as u32,
-                    cooldown: parse_num(c.to_string(), "--breaker cooldown")? as u32,
-                });
             }
             "--cache" => cli.use_cache = true,
             "--job-cache" => {
@@ -242,7 +221,6 @@ fn render_report(stats: &ServiceStats) -> String {
     format!(
         "jobs submitted={} ok={} degraded-ok={} shed={} failed={}\n\
          attempts={} retries={} timeouts={} worker-panics={}\n\
-         latency p50={:.1}ms p99={:.1}ms\n\
          compile-cache hits={} skips={} misses={} contended={} job-hits={}\n",
         stats.submitted,
         stats.ok,
@@ -253,8 +231,6 @@ fn render_report(stats: &ServiceStats) -> String {
         stats.retries,
         stats.timeouts,
         stats.worker_panics,
-        stats.p50_ms,
-        stats.p99_ms,
         cc.hits,
         cc.skips,
         cc.misses,
@@ -293,8 +269,8 @@ fn run(mut cli: Cli) -> Result<bool, String> {
                     job.name,
                     outcome.kind(),
                     match outcome {
-                        memoird::JobOutcome::Shed { qdepth, reason } =>
-                            format!("shed at qdepth {qdepth}: {reason}"),
+                        memoird::JobOutcome::Shed { qdepth } =>
+                            format!("queue full at depth {qdepth}"),
                         _ => format!("{} attempts, all faulted", outcome.attempts().len()),
                     }
                 );

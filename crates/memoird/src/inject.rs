@@ -21,8 +21,9 @@
 //!
 //! Plans are pure functions of `(job, attempt, rung)` — no randomness,
 //! no clocks — so a fault-injected run is exactly replayable, which is
-//! what lets the throughput bench assert byte-identical output with and
-//! without injection at the same seed.
+//! what lets the service tests, CI's `memoird` step and `memoir-fuzz
+//! service` assert byte-identical output with and without injection at
+//! the same seed.
 
 use crate::job::{JobId, Rung};
 use std::fmt;
@@ -184,8 +185,8 @@ mod tests {
         // as the ladder stops consulting the cache.
         let p: JobFaultPlan = "poison-cache@2".parse().unwrap();
         assert!(p.fires(2, 0, Rung::Full, true));
-        assert!(p.fires(2, 5, Rung::Serial, true));
-        assert!(!p.fires(2, 3, Rung::NoCache, true));
+        assert!(p.fires(2, 1, Rung::Full, true));
+        assert!(!p.fires(2, 2, Rung::NoCache, true));
         assert!(!p.fires(2, 0, Rung::Full, false), "no cache installed");
     }
 }

@@ -3,9 +3,9 @@
 //! A [`JobSpec`] is one unit of service work: a MEMOIR module, a
 //! pipeline spec (which may contain the `lower` stage), and the per-job
 //! pass-level fault configuration. The service wraps each job in the
-//! robustness envelope (timeout, retry ladder, shedding) and resolves it
-//! to exactly one [`JobOutcome`] — the *zero lost jobs* invariant the
-//! throughput bench's `--check` mode asserts.
+//! robustness envelope (timeout, retry ladder, bounded queue) and
+//! resolves it to exactly one [`JobOutcome`] — the *zero lost jobs*
+//! invariant.
 //!
 //! [`JobLine`] is the textual job-stream syntax the `memoird` binary
 //! (and the `memoir-fuzz service` parser fuzzer) consumes:
@@ -35,7 +35,7 @@ pub struct JobSpec {
     /// job whose output is low-level IR.
     pub spec: PipelineSpec,
     /// Worker threads for function-sharded passes *within* the job
-    /// (dropped to 1 by the [`Rung::Serial`] degradation rung).
+    /// (dropped to 1 on every rung after [`Rung::Full`]).
     pub threads: usize,
     /// Pass-level fault policy. The default is [`FaultPolicy::SkipPass`]:
     /// pass-level containment is the first line of defense, the job-level
@@ -65,14 +65,12 @@ impl JobSpec {
 /// top-to-bottom; every rung except [`Rung::Baseline`] is
 /// output-preserving (serial execution and cold caches are guaranteed
 /// byte-identical to the submitted config), so a job that succeeds on
-/// rungs `Full..=NoCache` reports [`JobOutcome::Ok`] and one that needed
+/// `Full` or `NoCache` reports [`JobOutcome::Ok`] and one that needed
 /// the weaker baseline spec reports [`JobOutcome::DegradedOk`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rung {
     /// The job exactly as submitted.
     Full,
-    /// `parallel<n>` dropped: all function shards run serially.
-    Serial,
     /// Serial, and the shared compile cache is not consulted (the escape
     /// hatch for poisoned cache entries).
     NoCache,
@@ -90,14 +88,13 @@ impl Rung {
 
     /// Whether attempts on this rung consult the shared compile cache.
     pub fn uses_cache(self) -> bool {
-        matches!(self, Rung::Full | Rung::Serial)
+        self == Rung::Full
     }
 
     /// Stable rung name (used in job-level [`Degradation`] records).
     pub fn name(self) -> &'static str {
         match self {
             Rung::Full => "full",
-            Rung::Serial => "serial",
             Rung::NoCache => "no-cache",
             Rung::Baseline => "baseline",
         }
@@ -153,42 +150,6 @@ impl AttemptRecord {
     }
 }
 
-/// Why a job was shed at (or after) admission.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ShedReason {
-    /// The bounded job queue was at capacity.
-    QueueFull,
-    /// Load-based early shedding: queue depth crossed the configured
-    /// high-water mark.
-    QueueDepth {
-        /// The configured threshold.
-        threshold: usize,
-    },
-    /// Load-based early shedding: observed p99 job latency crossed the
-    /// configured threshold.
-    HighLatency {
-        /// The p99 over the recent-latency window, in milliseconds.
-        p99_ms: f64,
-    },
-    /// The per-pipeline-spec circuit breaker is open.
-    BreakerOpen,
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShedReason::QueueFull => write!(f, "queue full"),
-            ShedReason::QueueDepth { threshold } => {
-                write!(f, "queue depth over high-water mark {threshold}")
-            }
-            ShedReason::HighLatency { p99_ms } => {
-                write!(f, "p99 latency {p99_ms:.1}ms over threshold")
-            }
-            ShedReason::BreakerOpen => write!(f, "circuit breaker open for this pipeline spec"),
-        }
-    }
-}
-
 /// The exactly-one terminal state of a submitted job.
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
@@ -211,12 +172,11 @@ pub enum JobOutcome {
         /// Every attempt, including faulted ones.
         attempts: Vec<AttemptRecord>,
     },
-    /// Rejected by admission control; never compiled.
+    /// Rejected at admission because the bounded queue was full; never
+    /// compiled.
     Shed {
         /// Queue depth observed at the shedding decision.
         qdepth: usize,
-        /// Which threshold fired.
-        reason: ShedReason,
     },
     /// Every attempt of the retry ladder failed.
     Failed {
@@ -420,7 +380,7 @@ mod tests {
             ms: 1.0,
         };
         let good = AttemptRecord {
-            rung: Rung::Serial,
+            rung: Rung::Full,
             backoff_ms: 10,
             fault: None,
             degradations: vec![],
@@ -440,10 +400,7 @@ mod tests {
         assert_eq!(degs[0].func.as_deref(), Some("full"));
         assert_eq!(degs[1].pass, "dce");
 
-        let shed = JobOutcome::Shed {
-            qdepth: 9,
-            reason: ShedReason::QueueFull,
-        };
+        let shed = JobOutcome::Shed { qdepth: 9 };
         assert_eq!(shed.kind(), "shed");
         assert!(shed.all_degradations().is_empty());
         assert!(shed.output().is_none());

@@ -12,13 +12,13 @@
 //!   themselves and only truly wedged ones need the watchdog;
 //! * **deterministic retry** — seeded exponential backoff with jitter,
 //!   replayable from the service seed ([`RetryPolicy`]);
-//! * **graceful degradation** — each retry steps down a ladder of
-//!   [`Rung`]s (drop intra-job parallelism, drop the shared cache, fall
-//!   back to a baseline pipeline), and every step is recorded as a
-//!   job-level `Degradation` reusing the pass manager's fault types;
-//! * **admission control** — a bounded queue, queue-depth and
-//!   p99-latency shedding, and a per-pipeline-spec [`CircuitBreaker`],
-//!   each producing a structured [`JobOutcome::Shed`];
+//! * **graceful degradation** — each attempt runs on one [`Rung`] of the
+//!   ladder `Full, Full, NoCache, Baseline` (one same-config retry, then
+//!   the shared cache bypassed, then a baseline pipeline), and every
+//!   faulted attempt is recorded as a job-level `Degradation` reusing
+//!   the pass manager's fault types;
+//! * **admission control** — a bounded queue; a submission that finds it
+//!   full gets a structured [`JobOutcome::Shed`];
 //! * **fault injection** — deterministic `kind@target` plans at the job
 //!   level ([`JobFaultPlan`]: `slow-job@i`, `worker-panic@i`,
 //!   `poison-cache@i`) so every recovery path above is testable.
@@ -26,19 +26,17 @@
 //! Every submitted job resolves to exactly one [`JobOutcome`] (*zero
 //! lost jobs*), and for a fixed submission order, seed, and fault plan
 //! the outcomes and output bytes are reproducible — the properties the
-//! `bench throughput --check` harness asserts.
+//! service tests and `memoir-fuzz service` assert.
 
 #![warn(missing_docs)]
 
 mod backoff;
-mod breaker;
 mod inject;
 mod job;
 mod rng;
 mod service;
 
 pub use backoff::RetryPolicy;
-pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use inject::{JobFaultPlan, JobInjectKind};
-pub use job::{AttemptRecord, JobId, JobLine, JobOutcome, JobSource, JobSpec, Rung, ShedReason};
+pub use job::{AttemptRecord, JobId, JobLine, JobOutcome, JobSource, JobSpec, Rung};
 pub use service::{run_jobs, JobTicket, Service, ServiceConfig, ServiceStats};

@@ -4,31 +4,29 @@
 //! Submitted [`JobSpec`]s flow through a bounded queue into a pool of
 //! worker threads. Each worker owns a job end-to-end: it runs the retry
 //! ladder inline — deterministic seeded backoff, one degradation
-//! [`Rung`] per attempt — with every attempt wrapped in `catch_unwind`.
-//! A supervisor thread watchdogs in-flight attempts against the
-//! configured wall-clock timeout: an attempt that blows its deadline is
-//! *abandoned* (its worker poisoned and replaced, its eventual result
-//! discarded) and the job is requeued for the next rung, so a wedged
-//! pass can never wedge the service.
+//! [`Rung`] per attempt — with every attempt wrapped in `catch_unwind`,
+//! so a panicking attempt is retried on the same worker. A supervisor
+//! thread watchdogs in-flight attempts against the configured
+//! wall-clock timeout: an attempt that blows its deadline is *abandoned*
+//! (its worker poisoned and replaced, its eventual result discarded)
+//! and the job is requeued for the next rung, so a wedged pass can never
+//! wedge the service.
 //!
-//! Admission control sheds work before it queues: a full bounded queue,
-//! a queue-depth high-water mark, a p99-latency threshold over the
-//! recent-completion window, or an open per-pipeline-spec
-//! [`CircuitBreaker`] each produce a structured [`JobOutcome::Shed`].
+//! Admission control sheds work before it queues: a submission that
+//! finds the bounded queue full gets a structured [`JobOutcome::Shed`].
 //! Every admitted job resolves to exactly one terminal [`JobOutcome`]
 //! (the *zero lost jobs* invariant).
 //!
 //! Determinism: for a fixed submission order, seed, and fault plan,
 //! job ids, injected faults, retry rungs, backoff delays, and outputs
-//! are all reproducible — timing-derived numbers (latency percentiles)
-//! are the only nondeterministic observables. The throughput bench's
-//! `--check` mode leans on this to assert byte-identical output with
-//! and without fault injection at the same seed.
+//! are all reproducible — attempt wall times are the only
+//! nondeterministic observables. The service tests lean on this to
+//! assert byte-identical output with and without fault injection at the
+//! same seed.
 
 use crate::backoff::RetryPolicy;
-use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::inject::{JobFaultPlan, JobInjectKind};
-use crate::job::{AttemptRecord, JobId, JobOutcome, JobSpec, Rung, ShedReason};
+use crate::job::{AttemptRecord, JobId, JobOutcome, JobSpec, Rung};
 use memoir_opt::{
     compile_lowered_with, compile_spec_with, default_spec, split_lowered_spec, LowerConfig,
     OptConfig, OptLevel,
@@ -37,7 +35,7 @@ use passman::{
     BudgetViolation, CompileCache, CompileCacheStats, FaultCause, Fingerprint, PipelineSpec,
     TextDigest,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,34 +43,23 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How many recent job latencies the p50/p99 window holds.
-const LATENCY_WINDOW: usize = 64;
-
 /// Service configuration: pool size, envelope thresholds, shared cache.
 #[derive(Clone)]
 pub struct ServiceConfig {
     /// Worker threads (module-level parallelism; clamped to ≥ 1).
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are shed.
+    /// Bounded queue capacity; a submission that finds this many jobs
+    /// queued is shed.
     pub queue_cap: usize,
     /// Per-attempt wall-clock timeout. Composes with job budgets (the
     /// smaller of this and `max_pipeline_millis` is handed to the
     /// pipeline as an in-band budget) and arms the watchdog. `None`
     /// disables the watchdog entirely.
     pub timeout_ms: Option<u64>,
-    /// Retry ladder and backoff curve.
+    /// Attempt count and backoff curve.
     pub retry: RetryPolicy,
     /// Service seed: the only entropy source for backoff jitter.
     pub seed: u64,
-    /// Per-pipeline-spec circuit breaker; `None` (the default) disables
-    /// it — breaker admission depends on completion order, which is
-    /// nondeterministic under concurrency.
-    pub breaker: Option<BreakerConfig>,
-    /// Early-shed when queue depth reaches this high-water mark.
-    pub shed_qdepth: Option<usize>,
-    /// Early-shed when windowed p99 latency exceeds this, in ms (only
-    /// once the latency window is full, so cold starts are not shed).
-    pub shed_p99_ms: Option<f64>,
     /// Shared cross-job compile cache for function-sharded pass results
     /// and lowered bodies; also backs the job-output cache.
     pub cache: Option<CompileCache>,
@@ -91,9 +78,6 @@ impl Default for ServiceConfig {
             timeout_ms: None,
             retry: RetryPolicy::default(),
             seed: 0,
-            breaker: None,
-            shed_qdepth: None,
-            shed_p99_ms: None,
             cache: None,
             job_cache: false,
             faults: Vec::new(),
@@ -101,7 +85,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Monotonic service counters plus a latency snapshot.
+/// Monotonic service counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServiceStats {
     /// Jobs submitted (admitted + shed).
@@ -126,10 +110,6 @@ pub struct ServiceStats {
     pub job_cache_hits: u64,
     /// Compile-cache counters summed over every recorded attempt.
     pub compile_cache: CompileCacheStats,
-    /// Median job latency over the recent window, in ms (0 when empty).
-    pub p50_ms: f64,
-    /// p99 job latency over the recent window, in ms (0 when empty).
-    pub p99_ms: f64,
 }
 
 impl ServiceStats {
@@ -139,68 +119,16 @@ impl ServiceStats {
     }
 }
 
-#[derive(Default)]
-struct StatsInner {
-    submitted: u64,
-    ok: u64,
-    degraded_ok: u64,
-    shed: u64,
-    failed: u64,
-    attempts: u64,
-    retries: u64,
-    timeouts: u64,
-    worker_panics: u64,
-    job_cache_hits: u64,
-    compile_cache: CompileCacheStats,
-}
-
-/// Ring buffer of recent job latencies for load-based shedding.
-struct LatencyWindow {
-    samples: VecDeque<f64>,
-}
-
-impl LatencyWindow {
-    fn new() -> Self {
-        LatencyWindow {
-            samples: VecDeque::with_capacity(LATENCY_WINDOW),
-        }
-    }
-
-    fn record(&mut self, ms: f64) {
-        if self.samples.len() == LATENCY_WINDOW {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(ms);
-    }
-
-    fn full(&self) -> bool {
-        self.samples.len() == LATENCY_WINDOW
-    }
-
-    fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted: Vec<f64> = self.samples.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency NaN"));
-        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    }
-}
-
 /// Per-job mutable state shared between its worker, the supervisor, and
 /// the submitter's ticket.
 struct JobState {
     id: JobId,
     spec: JobSpec,
-    /// The submitted spec rendered once, for breaker keying.
-    spec_string: String,
+    /// Every recorded attempt. The watchdog records an abandoned attempt
+    /// here before it poisons the worker, so a late result for attempt
+    /// `k` finds `attempts.len() > k` and is discarded.
     attempts: Vec<AttemptRecord>,
-    /// Attempt indices abandoned by the watchdog: the stuck worker's
-    /// eventual result for these is discarded.
-    abandoned: HashSet<usize>,
     done: bool,
-    submitted_at: Instant,
     tx: mpsc::Sender<JobOutcome>,
 }
 
@@ -235,9 +163,7 @@ struct Shared {
     pending: AtomicUsize,
     drain_mx: Mutex<()>,
     drain_cv: Condvar,
-    stats: Mutex<StatsInner>,
-    latencies: Mutex<LatencyWindow>,
-    breaker: Option<CircuitBreaker>,
+    stats: Mutex<ServiceStats>,
     workers: Mutex<Vec<WorkerSlot>>,
     next_worker: AtomicUsize,
     /// Prototype sender for worker threads (supervisor owns the receiver).
@@ -252,10 +178,6 @@ impl Shared {
             return false;
         }
         st.done = true;
-        let success = matches!(
-            outcome,
-            JobOutcome::Ok { .. } | JobOutcome::DegradedOk { .. }
-        );
         {
             let mut stats = self.stats.lock().expect("stats poisoned");
             match &outcome {
@@ -266,13 +188,6 @@ impl Shared {
             }
             stats.retries += (st.attempts.len() as u64).saturating_sub(1);
         }
-        if let Some(b) = &self.breaker {
-            b.on_result(&st.spec_string, success);
-        }
-        self.latencies
-            .lock()
-            .expect("latencies poisoned")
-            .record(st.submitted_at.elapsed().as_secs_f64() * 1e3);
         // The submitter may have dropped its ticket; that loses nothing.
         let _ = st.tx.send(outcome);
         self.pending.fetch_sub(1, Ordering::SeqCst);
@@ -342,7 +257,7 @@ impl JobTicket {
 /// The running compile service. See the module docs for the envelope.
 /// `submit` takes `&self` and the type is `Sync`, so clients may share
 /// one service across threads (e.g. `std::thread::scope` closed-loop
-/// drivers in the throughput bench).
+/// drivers).
 pub struct Service {
     shared: Arc<Shared>,
     supervisor: Option<thread::JoinHandle<()>>,
@@ -355,7 +270,6 @@ impl Service {
         let workers = cfg.workers.max(1);
         let (tx, rx) = mpsc::channel::<Event>();
         let shared = Arc::new(Shared {
-            breaker: cfg.breaker.map(CircuitBreaker::new),
             cfg,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -363,8 +277,7 @@ impl Service {
             pending: AtomicUsize::new(0),
             drain_mx: Mutex::new(()),
             drain_cv: Condvar::new(),
-            stats: Mutex::new(StatsInner::default()),
-            latencies: Mutex::new(LatencyWindow::new()),
+            stats: Mutex::new(ServiceStats::default()),
             workers: Mutex::new(Vec::new()),
             next_worker: AtomicUsize::new(0),
             events: Mutex::new(tx),
@@ -391,64 +304,25 @@ impl Service {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let (tx, rx) = mpsc::channel();
         self.shared.stats.lock().expect("stats poisoned").submitted += 1;
-        let spec_string = spec.spec.to_string();
 
-        let shed = {
-            let q = self.shared.queue.lock().expect("queue poisoned");
-            let qdepth = q.len();
-            let cfg = &self.shared.cfg;
-            if qdepth >= cfg.queue_cap {
-                Some((qdepth, ShedReason::QueueFull))
-            } else if cfg.shed_qdepth.is_some_and(|hw| qdepth >= hw) {
-                Some((
-                    qdepth,
-                    ShedReason::QueueDepth {
-                        threshold: cfg.shed_qdepth.unwrap(),
-                    },
-                ))
-            } else if let Some(limit) = cfg.shed_p99_ms {
-                let lat = self.shared.latencies.lock().expect("latencies poisoned");
-                let p99 = lat.percentile(0.99);
-                (lat.full() && p99 > limit)
-                    .then_some((qdepth, ShedReason::HighLatency { p99_ms: p99 }))
-            } else {
-                None
-            }
-        };
-        // Breaker admission runs last so an open breaker is only charged
-        // for jobs that would otherwise have been admitted.
-        let shed = shed.or_else(|| {
-            let b = self.shared.breaker.as_ref()?;
-            if b.admit(&spec_string) {
-                None
-            } else {
-                let qdepth = self.shared.queue.lock().expect("queue poisoned").len();
-                Some((qdepth, ShedReason::BreakerOpen))
-            }
-        });
-
-        if let Some((qdepth, reason)) = shed {
+        let mut q = self.shared.queue.lock().expect("queue poisoned");
+        let qdepth = q.len();
+        if qdepth >= self.shared.cfg.queue_cap {
+            drop(q);
             self.shared.stats.lock().expect("stats poisoned").shed += 1;
-            let _ = tx.send(JobOutcome::Shed { qdepth, reason });
+            let _ = tx.send(JobOutcome::Shed { qdepth });
             return JobTicket { id, rx };
         }
 
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        let state = Arc::new(Mutex::new(JobState {
+        q.push_back(Arc::new(Mutex::new(JobState {
             id,
             spec,
-            spec_string,
             attempts: Vec::new(),
-            abandoned: HashSet::new(),
             done: false,
-            submitted_at: Instant::now(),
             tx,
-        }));
-        {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
-            q.push_back(state);
-            self.shared.queue_cv.notify_one();
-        }
+        })));
+        self.shared.queue_cv.notify_one();
         JobTicket { id, rx }
     }
 
@@ -465,25 +339,9 @@ impl Service {
         }
     }
 
-    /// A stats snapshot (counters plus the current latency window).
+    /// A snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
-        let s = self.shared.stats.lock().expect("stats poisoned");
-        let lat = self.shared.latencies.lock().expect("latencies poisoned");
-        ServiceStats {
-            submitted: s.submitted,
-            ok: s.ok,
-            degraded_ok: s.degraded_ok,
-            shed: s.shed,
-            failed: s.failed,
-            attempts: s.attempts,
-            retries: s.retries,
-            timeouts: s.timeouts,
-            worker_panics: s.worker_panics,
-            job_cache_hits: s.job_cache_hits,
-            compile_cache: s.compile_cache,
-            p50_ms: lat.percentile(0.50),
-            p99_ms: lat.percentile(0.99),
-        }
+        self.shared.stats.lock().expect("stats poisoned").clone()
     }
 
     /// Drains, stops the pool, joins every healthy thread, and returns
@@ -636,7 +494,7 @@ fn run_job(
         }
 
         let mut st = job.lock().expect("job poisoned");
-        if st.done || st.abandoned.contains(&attempt) || st.attempts.len() > attempt {
+        if st.done || st.attempts.len() > attempt {
             return; // finalized or abandoned while we raced the watchdog
         }
         let outcome = match result {
@@ -1010,7 +868,6 @@ fn expire_due(shared: &Arc<Shared>, inflight: &mut HashMap<(JobId, usize), Infli
                 ms: timeout_ms as f64,
             },
         );
-        st.abandoned.insert(attempt);
         shared.stats.lock().expect("stats poisoned").timeouts += 1;
 
         // Poison the stuck worker and backfill the pool.
@@ -1141,15 +998,12 @@ mod tests {
             ..Default::default()
         };
         let (outcomes, _stats) = run_jobs(cfg, jobs);
-        // Job 0 panics on every cache-using rung (Full, Full, Serial)
-        // and only succeeds once the ladder reaches NoCache — which is
-        // still output-preserving, hence Ok.
+        // Job 0 panics on both cache-using attempts (Full, Full) and
+        // only succeeds once the ladder reaches NoCache — which is still
+        // output-preserving, hence Ok.
         assert_eq!(outcomes[0].kind(), "ok", "{:?}", outcomes[0].attempts());
         let rungs: Vec<Rung> = outcomes[0].attempts().iter().map(|a| a.rung).collect();
-        assert_eq!(
-            rungs,
-            vec![Rung::Full, Rung::Full, Rung::Serial, Rung::NoCache]
-        );
+        assert_eq!(rungs, vec![Rung::Full, Rung::Full, Rung::NoCache]);
         assert_eq!(outcomes[1].kind(), "ok");
     }
 
@@ -1164,11 +1018,8 @@ mod tests {
         let t = svc.submit(job(2, 0, SPEC));
         let out = t.wait();
         match out {
-            JobOutcome::Shed {
-                reason: ShedReason::QueueFull,
-                ..
-            } => {}
-            other => panic!("expected QueueFull shed, got {other:?}"),
+            JobOutcome::Shed { qdepth: 0 } => {}
+            other => panic!("expected a queue-full shed at depth 0, got {other:?}"),
         }
         let stats = svc.join();
         assert_eq!(stats.shed, 1);
@@ -1405,48 +1256,5 @@ mod tests {
         }
         drop(queue);
         joiner.join().unwrap();
-    }
-
-    #[test]
-    fn breaker_sheds_after_consecutive_failures() {
-        // One worker + always-failing spec via worker-panic@* on every
-        // attempt is awkward; instead fail deterministically by
-        // exhausting a 1-attempt ladder with a panic on attempt 0.
-        let cfg = ServiceConfig {
-            workers: 1,
-            breaker: Some(BreakerConfig {
-                threshold: 2,
-                cooldown: 2,
-            }),
-            faults: vec!["worker-panic@*#0".parse().unwrap()],
-            retry: RetryPolicy {
-                max_attempts: 1,
-                base_backoff_ms: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let svc = Service::start(cfg);
-        // Serialize: wait each ticket before submitting the next so the
-        // breaker sees a deterministic failure sequence.
-        let mut kinds = Vec::new();
-        for i in 0..5 {
-            let t = svc.submit(job(2, i, SPEC));
-            kinds.push(t.wait().kind());
-        }
-        let stats = svc.join();
-        assert_eq!(
-            kinds,
-            vec!["failed", "failed", "shed", "shed", "failed"],
-            "{stats:?}"
-        );
-        assert!(matches!(
-            stats,
-            ServiceStats {
-                shed: 2,
-                failed: 3,
-                ..
-            }
-        ));
     }
 }

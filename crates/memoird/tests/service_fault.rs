@@ -1,8 +1,8 @@
 //! Service-level robustness integration tests: determinism of the retry
-//! envelope across runs and worker counts, and zero-lost-jobs under
-//! mixed fault injection.
+//! envelope across runs and worker counts, zero-lost-jobs under mixed
+//! fault injection, and queue-full shedding under overload.
 
-use memoird::{JobOutcome, JobSpec, RetryPolicy, ServiceConfig};
+use memoird::{JobOutcome, JobSpec, RetryPolicy, Rung, ServiceConfig};
 use passman::{CompileCache, FaultCause, PipelineSpec};
 use proptest::prelude::*;
 use workloads::synth_ir::build_synth_ir;
@@ -101,8 +101,8 @@ proptest! {
     }
 }
 
-/// The CI service-integration smoke: a mixed batch under slow-job and
-/// worker-panic injection with the watchdog armed loses no jobs, and
+/// A mixed batch under slow-job, worker-panic and poison-cache injection
+/// with the watchdog armed and a shared compile cache loses no jobs, and
 /// recovered jobs report byte-identical output to a clean run.
 #[test]
 fn envelope_zero_lost_jobs_under_mixed_injection() {
@@ -117,10 +117,12 @@ fn envelope_zero_lost_jobs_under_mixed_injection() {
     };
     let faulty_cfg = ServiceConfig {
         timeout_ms: Some(250),
+        cache: Some(CompileCache::new()),
         faults: vec![
             "slow-job@1".parse().unwrap(),
             "worker-panic@3".parse().unwrap(),
             "worker-panic@4#1".parse().unwrap(),
+            "poison-cache@5".parse().unwrap(),
         ],
         ..clean_cfg.clone()
     };
@@ -130,7 +132,10 @@ fn envelope_zero_lost_jobs_under_mixed_injection() {
     assert_eq!(stats.terminal(), 6, "zero lost jobs: {stats:?}");
     assert_eq!(stats.submitted, 6);
     assert!(stats.timeouts >= 1, "slow-job@1 should trip the watchdog");
-    assert!(stats.worker_panics >= 1);
+    // worker-panic@3 panics once, poison-cache@5 on both Full attempts.
+    assert!(stats.worker_panics >= 3, "{stats:?}");
+    let rungs: Vec<Rung> = faulty[5].attempts().iter().map(|a| a.rung).collect();
+    assert_eq!(rungs, [Rung::Full, Rung::Full, Rung::NoCache]);
     for (i, (a, b)) in clean.iter().zip(&faulty).enumerate() {
         assert_eq!(a.kind(), "ok", "clean job {i}");
         assert_eq!(
@@ -141,4 +146,38 @@ fn envelope_zero_lost_jobs_under_mixed_injection() {
     }
     // Fault evidence from every attempt is preserved on the outcome.
     assert!(!faulty[3].all_degradations().is_empty());
+}
+
+/// Overload: one worker held about 100 ms by `slow-job@0` (no watchdog,
+/// so the stall only delays it) while twelve jobs arrive at a queue that
+/// holds two. Which jobs get in races the worker's first pop, so the
+/// test asserts invariants: every job is terminal, at most three (the
+/// running one and two queued) are admitted, every shed saw the full
+/// queue, and every admitted job compiles to a clean run's bytes.
+#[test]
+fn overload_sheds_at_the_queue_cap_and_loses_no_jobs() {
+    let (clean, _) = memoird::run_jobs(ServiceConfig::default(), jobs(12));
+    let (outcomes, stats) = memoird::run_jobs(
+        ServiceConfig {
+            workers: 1,
+            queue_cap: 2,
+            faults: vec!["slow-job@0".parse().unwrap()],
+            ..Default::default()
+        },
+        jobs(12),
+    );
+    assert_eq!(outcomes.len(), 12);
+    assert_eq!(stats.terminal(), 12, "zero lost jobs: {stats:?}");
+    let full = outcomes
+        .iter()
+        .filter(|o| matches!(o, JobOutcome::Shed { qdepth: 2 }))
+        .count();
+    assert!(full >= 9, "only {full} of 12 shed at depth 2: {stats:?}");
+    assert_eq!(stats.shed, full as u64, "a shed below the cap: {stats:?}");
+    for (i, (o, c)) in outcomes.iter().zip(&clean).enumerate() {
+        if o.kind() != "shed" {
+            assert_eq!(o.kind(), "ok", "admitted job {i}");
+            assert_eq!(o.output(), c.output(), "admitted job {i}");
+        }
+    }
 }
