@@ -125,7 +125,7 @@ fn sweep(s: &Subject) -> Vec<ConfigResult> {
 }
 
 fn main() {
-    let args = BenchArgs::parse("BENCH_workloads.json", &[]);
+    let args = BenchArgs::parse("BENCH_workloads.json");
 
     let subjects = subjects();
     let results: Vec<(&'static str, Vec<ConfigResult>)> =

@@ -1,11 +1,6 @@
 //! Shared plumbing for the `BENCH_*.json`-emitting report binaries:
-//! the common CLI shape (`--out FILE`, `--check`, plus binary-specific
-//! `--name VALUE` options), JSON string escaping, and the standard
-//! write-and-announce step. Every report binary parses its arguments
-//! through [`BenchArgs`] so the flag syntax (space- or `=`-separated
-//! values, unknown-flag diagnostics) stays identical across them.
-
-use std::collections::BTreeMap;
+//! the common CLI shape (`--out FILE`, `--check`), JSON string escaping,
+//! and the standard write-and-announce step.
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -22,72 +17,43 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// The common report-binary CLI: `--check`, `--out FILE` (or
-/// `--out=FILE`), plus any extra `--name VALUE` options the binary
-/// declares up front.
+/// The common report-binary CLI: `--check` and `--out FILE` (or
+/// `--out=FILE`).
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
     /// Output path for the primary JSON report.
     pub out: String,
     /// Whether `--check` (the CI smoke assertions) was requested.
     pub check: bool,
-    opts: BTreeMap<String, String>,
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args()`, accepting `--check`, `--out`, and the
-    /// `extra` option names (without the `--` prefix). Panics on unknown
-    /// flags, matching the report binaries' historical behaviour.
-    pub fn parse(default_out: &str, extra: &[&str]) -> BenchArgs {
-        Self::parse_from(std::env::args().skip(1), default_out, extra)
+    /// Parses `std::env::args()`, accepting `--check` and `--out`.
+    /// Panics on unknown flags, matching the report binaries' historical
+    /// behaviour.
+    pub fn parse(default_out: &str) -> BenchArgs {
+        Self::parse_from(std::env::args().skip(1), default_out)
     }
 
     /// [`BenchArgs::parse`] over an explicit argument iterator (testable).
-    pub fn parse_from(
-        args: impl IntoIterator<Item = String>,
-        default_out: &str,
-        extra: &[&str],
-    ) -> BenchArgs {
+    pub fn parse_from(args: impl IntoIterator<Item = String>, default_out: &str) -> BenchArgs {
         let mut out = BenchArgs {
             out: default_out.to_string(),
             check: false,
-            opts: BTreeMap::new(),
         };
-        let mut it = args.into_iter().peekable();
-        'args: while let Some(arg) = it.next() {
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
             if arg == "--check" {
                 out.check = true;
-                continue;
+            } else if arg == "--out" {
+                out.out = it.next().expect("`--out` needs a value");
+            } else if let Some(path) = arg.strip_prefix("--out=") {
+                out.out = path.to_string();
+            } else {
+                panic!("unknown argument `{arg}`");
             }
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            let value = |it: &mut std::iter::Peekable<_>| {
-                inline
-                    .clone()
-                    .or_else(|| it.next())
-                    .unwrap_or_else(|| panic!("`{flag}` needs a value"))
-            };
-            if flag == "--out" {
-                out.out = value(&mut it);
-                continue;
-            }
-            for name in extra {
-                if flag == format!("--{name}") {
-                    let v = value(&mut it);
-                    out.opts.insert(name.to_string(), v);
-                    continue 'args;
-                }
-            }
-            panic!("unknown argument `{arg}`");
         }
         out
-    }
-
-    /// The value of a binary-specific option, if given.
-    pub fn opt(&self, name: &str) -> Option<&str> {
-        self.opts.get(name).map(String::as_str)
     }
 }
 
@@ -102,44 +68,29 @@ pub fn write_report(path: &str, json: &str, what: &str) {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str], extra: &[&str]) -> BenchArgs {
-        BenchArgs::parse_from(
-            args.iter().map(|s| s.to_string()),
-            "BENCH_default.json",
-            extra,
-        )
+    fn parse(args: &[&str]) -> BenchArgs {
+        BenchArgs::parse_from(args.iter().map(|s| s.to_string()), "BENCH_default.json")
     }
 
     #[test]
     fn defaults_and_check() {
-        let a = parse(&[], &[]);
+        let a = parse(&[]);
         assert_eq!(a.out, "BENCH_default.json");
         assert!(!a.check);
-        let a = parse(&["--check"], &[]);
+        let a = parse(&["--check"]);
         assert!(a.check);
     }
 
     #[test]
     fn out_both_syntaxes() {
-        assert_eq!(parse(&["--out", "x.json"], &[]).out, "x.json");
-        assert_eq!(parse(&["--out=y.json"], &[]).out, "y.json");
-    }
-
-    #[test]
-    fn extra_options() {
-        let a = parse(
-            &["--tranches=3", "--inc-out", "z.json"],
-            &["tranches", "inc-out"],
-        );
-        assert_eq!(a.opt("tranches"), Some("3"));
-        assert_eq!(a.opt("inc-out"), Some("z.json"));
-        assert_eq!(a.opt("missing"), None);
+        assert_eq!(parse(&["--out", "x.json"]).out, "x.json");
+        assert_eq!(parse(&["--out=y.json"]).out, "y.json");
     }
 
     #[test]
     #[should_panic(expected = "unknown argument")]
     fn unknown_flag_panics() {
-        parse(&["--bogus"], &[]);
+        parse(&["--bogus"]);
     }
 
     #[test]

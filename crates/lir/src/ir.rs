@@ -527,9 +527,12 @@ impl Module {
 }
 
 /// lir modules can be driven by the generic `passman` pass-manager
-/// framework; functions are keyed by [`Fun`].
+/// framework; functions are keyed by [`Fun`] and detach from the (empty)
+/// module shell, enabling function-sharded passes and per-function
+/// copy-on-write snapshots.
 impl passman::IrUnit for Module {
     type FuncKey = Fun;
+    type Func = Function;
 
     fn func_keys(&self) -> Vec<Fun> {
         (0..self.funcs.len() as u32).map(Fun).collect()
@@ -539,19 +542,9 @@ impl passman::IrUnit for Module {
         self.inst_count()
     }
 
-    fn supports_fingerprints(&self) -> bool {
-        true
-    }
-
     fn fingerprints(&self) -> Vec<(Fun, passman::Fingerprint)> {
         crate::fingerprint::module_fingerprints(self)
     }
-}
-
-/// Functions detach from the (empty) module shell, enabling
-/// function-sharded passes and per-function copy-on-write snapshots.
-impl passman::ShardedIr for Module {
-    type Func = Function;
 
     fn detach_funcs(&mut self) -> Vec<(Fun, Function)> {
         std::mem::take(&mut self.funcs)

@@ -16,7 +16,7 @@ use crate::ir::{Fun, Function, Module};
 use crate::{constfold, dce, gvn, mem2reg, sinkpass};
 use passman::{
     AnalysisManager, FuncOutcome, FuncPass, FuncPassAdapter, PassManager, PassRegistry,
-    PipelineSpec, QueryCtx, RunError, RunReport,
+    PipelineSpec, RunError, RunReport,
 };
 use std::any::Any;
 
@@ -60,11 +60,16 @@ impl FuncPass<Module> for GvnPass {
         "gvn"
     }
     /// GVN gates replacements on dominance, so it pulls the dominator
-    /// tree through the query bridge. A clone of the tree (two flat
+    /// tree from the analysis cache. A clone of the tree (two flat
     /// `Vec`s) crosses onto the worker shard — cheaper than the CHK
     /// recomputation it replaces, and the `Rc` cache itself can't cross.
-    fn prefetch(&self, q: &mut QueryCtx<'_, Module>) -> Option<Box<dyn Any + Send + Sync>> {
-        Some(Box::new((*q.analysis::<DomTreeAnalysis>()).clone()))
+    fn prefetch(
+        &self,
+        m: &Module,
+        key: Fun,
+        am: &mut AnalysisManager<Module>,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        Some(Box::new((*am.get::<DomTreeAnalysis>(m, key)).clone()))
     }
     fn run_on(&self, _shell: &Module, _key: Fun, f: &mut Function, ctx: Ctx) -> FuncOutcome {
         let s = match ctx.and_then(|c| c.downcast_ref::<DomTree>()) {
@@ -137,8 +142,7 @@ pub fn registry() -> PassRegistry<Module> {
 }
 
 /// A [`PassManager`] over the lir registry with the structural verifier
-/// installed (inter-pass verification runs in debug builds by default),
-/// per-function copy-on-write snapshots for recovering fault policies,
+/// installed (inter-pass verification runs in debug builds by default)
 /// and the worker-thread count taken from `MEMOIR_THREADS` (default
 /// serial). The verifier draws dominator trees from the run's analysis
 /// cache ([`DomTreeAnalysis`]), so back-to-back verifications recompute
@@ -153,7 +157,6 @@ pub fn pass_manager() -> PassManager<Module> {
                 Err(errs.join("; "))
             }
         })
-        .with_cow_snapshots()
         .with_threads(crate::passes::threads_from_env());
     if let Some(cache) = cache_from_env() {
         pm = pm.with_compile_cache(cache);

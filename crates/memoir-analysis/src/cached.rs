@@ -227,7 +227,7 @@ mod tests {
             })
             .expect("callee has an i64 constant");
         f.values[vid].def = ValueDef::Const(Constant::Int(Type::I64, 11));
-        am.note_mutation(&m, &passman::Mutation::Funcs(vec![callee]));
+        am.note_mutation(&passman::Mutation::Funcs(vec![callee]));
 
         // The unrelated leaf's entry survives the refresh …
         let _ = am.get::<CachedDefUse>(&m, leaf);

@@ -116,9 +116,12 @@ impl Module {
 }
 
 /// MEMOIR modules can be driven by the generic `passman` pass-manager
-/// framework; functions are keyed by [`FuncId`].
+/// framework; functions are keyed by [`FuncId`] and detach from the
+/// module shell (name, types, externs, entry stay behind), enabling
+/// function-sharded passes and per-function copy-on-write snapshots.
 impl passman::IrUnit for Module {
     type FuncKey = FuncId;
+    type Func = Function;
 
     fn func_keys(&self) -> Vec<FuncId> {
         self.funcs.ids().collect()
@@ -128,20 +131,9 @@ impl passman::IrUnit for Module {
         self.inst_count()
     }
 
-    fn supports_fingerprints(&self) -> bool {
-        true
-    }
-
     fn fingerprints(&self) -> Vec<(FuncId, passman::Fingerprint)> {
         crate::fingerprint::module_fingerprints(self)
     }
-}
-
-/// Functions detach from the module shell (name, types, externs, entry
-/// stay behind), enabling function-sharded passes and per-function
-/// copy-on-write snapshots.
-impl passman::ShardedIr for Module {
-    type Func = Function;
 
     fn detach_funcs(&mut self) -> Vec<(FuncId, Function)> {
         self.funcs.take_entries()

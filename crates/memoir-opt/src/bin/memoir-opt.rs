@@ -195,7 +195,6 @@ fn run_job(
                 inject: cli.inject.clone(),
                 threads: cli.threads.unwrap_or_else(threads_from_env),
                 cross_check: true,
-                full_clone_snapshots: false,
                 cache,
                 adaptive: false,
             };

@@ -100,10 +100,6 @@ pub struct LowerConfig {
     /// Whether the stage runs the cross-IR interpreter-agreement check
     /// (`lir::verifier` always runs).
     pub cross_check: bool,
-    /// Use whole-module clone snapshots instead of the copy-on-write
-    /// default in both pass phases (the recovery baseline, kept for
-    /// comparison — see `bench --bin compile_time`).
-    pub full_clone_snapshots: bool,
     /// Cross-job compile cache shared by all three phases: fingerprint-
     /// keyed per-function pass outputs (MEMOIR and lir) and lowered
     /// function bodies. `None` = no caching (every run is cold).
@@ -123,7 +119,6 @@ impl Default for LowerConfig {
             inject: None,
             threads: threads_from_env(),
             cross_check: true,
-            full_clone_snapshots: false,
             cache: None,
             adaptive: false,
         }
@@ -131,10 +126,7 @@ impl Default for LowerConfig {
 }
 
 impl LowerConfig {
-    fn apply<M: passman::IrUnit + Clone + 'static>(
-        &self,
-        mut pm: PassManager<M>,
-    ) -> PassManager<M> {
+    fn apply<M: passman::IrUnit>(&self, mut pm: PassManager<M>) -> PassManager<M> {
         pm = pm
             .on_fault(self.policy)
             .with_budgets(self.budgets)
@@ -144,9 +136,6 @@ impl LowerConfig {
         }
         if let Some(plan) = &self.inject {
             pm = pm.with_fault_injection(plan.clone());
-        }
-        if self.full_clone_snapshots {
-            pm = pm.with_full_clone_snapshots();
         }
         if let Some(cache) = &self.cache {
             pm = pm.with_compile_cache(cache.clone());
@@ -172,8 +161,9 @@ pub struct LoweredOutcome {
 
 /// Runs a full `MEMOIR → lower → lir` pipeline over `m`.
 ///
-/// `m` ends as the post-MEMOIR-phase module (lowering never mutates its
-/// input; on a contained stage fault it is rolled back bit-for-bit).
+/// `m` ends as the post-MEMOIR-phase module: the lowering stage only
+/// reads it, so a contained stage fault leaves it exactly as the MEMOIR
+/// phase did.
 pub fn compile_lowered_with(
     m: &mut Module,
     pipeline: &LoweredPipeline,
@@ -236,7 +226,7 @@ pub fn compile_lowered_with(
         cache: cfg.cache.clone(),
         adaptive: cfg.adaptive || pipeline.lower_opts.flag("adaptive"),
     };
-    let stage_result = stage.run(m, &mut out.report.run, invocation, |mm: &mut Module| {
+    let stage_result = stage.run(m, &mut out.report.run, invocation, |mm: &Module| {
         let run = lower_module_opts(mm, &lower_opts).map_err(|e| e.to_string())?;
         let (lm, stats) = (run.module, run.stats);
         let placement = placement_report(mm);

@@ -157,7 +157,6 @@ pub fn default_spec(level: OptLevel) -> PipelineSpec {
 /// A [`PassManager`] over the full MEMOIR registry with the IR verifier
 /// installed (inter-pass verification runs in debug builds by default),
 /// the symbolic equivalence oracle behind the `verify-sym` spec option,
-/// per-function copy-on-write snapshots for recovering fault policies,
 /// and the worker-thread count taken from `MEMOIR_THREADS` (default
 /// serial; function-sharded passes like `simplify` use the workers).
 pub fn pass_manager() -> PassManager<Module> {
@@ -172,7 +171,6 @@ pub fn pass_manager() -> PassManager<Module> {
             }
         })
         .with_sym_verifier(|m: &Module| m.clone(), prove_pass_equiv)
-        .with_cow_snapshots()
         .with_threads(threads_from_env());
     if let Some(cache) = cache_from_env() {
         pm = pm.with_compile_cache(cache);

@@ -498,7 +498,7 @@ fn run_job(
             return; // finalized or abandoned while we raced the watchdog
         }
         let outcome = match result {
-            Err(panic) => Err(FaultCause::Panic(panic_message(panic))),
+            Err(panic) => Err(FaultCause::Panic(passman::panic_message(&*panic))),
             Ok(r) => r,
         };
         match outcome {
@@ -549,16 +549,6 @@ fn run_job(
                 // Fall through: next ladder rung, same worker.
             }
         }
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
     }
 }
 
@@ -717,7 +707,6 @@ fn compile_attempt(
                 inject: None,
                 threads,
                 cross_check: true,
-                full_clone_snapshots: false,
                 cache: cache.cloned(),
                 adaptive: false,
             };

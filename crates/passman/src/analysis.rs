@@ -1,20 +1,15 @@
-//! Lazily computed, cached, fingerprint-validated analyses — the
-//! demand-driven half of the incremental query layer.
+//! Lazily computed, cached, fingerprint-validated analyses.
 //!
 //! Passes request analyses through an [`AnalysisManager`] instead of
 //! computing them inline. The manager caches each result per function (or
 //! per module for [`ModuleAnalysis`]) and returns `Rc` clones, so a pass
 //! can hold a result while mutating unrelated state.
 //!
-//! ## Invalidation: fingerprints first, generations as fallback
+//! ## Invalidation by fingerprint
 //!
-//! Historically the manager *push*-invalidated: a pass declaring
-//! [`Mutation`] dropped every cached result for the
-//! declared functions (or for everything, under `Mutation::All`/`None`),
-//! even when the pass left most functions byte-identical. Since the
-//! query-layer refactor, mutation declarations only mark the manager
-//! *stale* ([`note_mutation`](AnalysisManager::note_mutation)); the next
-//! query recomputes the module's [`Fingerprint`]s and drops **only** the
+//! A pass's [`Mutation`] declaration only marks the manager *stale*
+//! ([`note_mutation`](AnalysisManager::note_mutation)); the next query
+//! recomputes the module's [`Fingerprint`]s and drops **only** the
 //! entries whose function's fingerprint actually changed — a recomputed
 //! fingerprint that matches keeps the cached dom tree/liveness/escape
 //! result even though a pass reported `changed`. Because fingerprints
@@ -22,10 +17,7 @@
 //! pass that changes a callee automatically invalidates the *callers'*
 //! entries too (the callgraph-edge audit gap).
 //!
-//! IR units that do not implement
-//! [`IrUnit::fingerprints`] keep the legacy
-//! generation-counter behaviour unchanged. Explicit
-//! [`invalidate`](AnalysisManager::invalidate) /
+//! Explicit [`invalidate`](AnalysisManager::invalidate) /
 //! [`invalidate_all`](AnalysisManager::invalidate_all) always force-drop
 //! regardless of fingerprints — they remain the escape hatch for passes
 //! that know better (`Mutation::Handled`) and for fault rollback.
@@ -98,7 +90,8 @@ pub struct FingerprintStats {
     pub refreshes: u64,
     /// Cached per-function entries that *survived* a refresh because
     /// their function's fingerprint was unchanged — each one an analysis
-    /// the legacy scheme would have recomputed.
+    /// that dropping on the pass's `changed` bit alone would have
+    /// recomputed.
     pub retained: u64,
     /// Cached per-function entries dropped because their function's
     /// fingerprint changed (or the function disappeared).
@@ -131,8 +124,7 @@ type StampedResult = (Fingerprint, Rc<dyn Any>);
 /// docs for the fingerprint-based invalidation scheme).
 pub struct AnalysisManager<M: IrUnit> {
     /// Per-function results, stamped with the fingerprint of the function
-    /// they were computed for (`Fingerprint(0)` when the IR does not
-    /// support fingerprints).
+    /// they were computed for.
     cache: HashMap<(M::FuncKey, TypeId), StampedResult>,
     module_cache: HashMap<TypeId, Rc<dyn Any>>,
     counters: BTreeMap<&'static str, CacheCounter>,
@@ -198,9 +190,9 @@ impl<M: IrUnit> AnalysisManager<M> {
 
     /// Recomputes fingerprints if a mutation was declared since the last
     /// refresh, dropping exactly the entries whose function content
-    /// changed. No-op for IRs without fingerprint support.
+    /// changed.
     fn refresh(&mut self, m: &M) {
-        if !self.fp_dirty || !m.supports_fingerprints() {
+        if !self.fp_dirty {
             return;
         }
         self.fp_dirty = false;
@@ -252,39 +244,22 @@ impl<M: IrUnit> AnalysisManager<M> {
     }
 
     /// Marks the manager stale after a pass reported `changed` with the
-    /// given mutation scope. For fingerprint-capable IRs every scope
-    /// (including the wholesale `All`/`None`) resolves lazily to
-    /// "drop what actually changed" at the next query; other IRs keep the
-    /// legacy push-invalidation semantics.
-    pub fn note_mutation(&mut self, m: &M, mutated: &Mutation<M>) {
-        if m.supports_fingerprints() {
-            self.fp_dirty = true;
-            if !matches!(mutated, Mutation::Handled) {
-                self.pending_handled_only = false;
-                // Module-wide analyses may aggregate anything (including
-                // shell state fingerprints cannot see): stay conservative.
-                self.module_cache.clear();
-            }
-            return;
-        }
-        match mutated {
-            Mutation::None | Mutation::All => self.invalidate_all(),
-            Mutation::Funcs(fs) => {
-                for &f in fs {
-                    self.invalidate(f);
-                }
-            }
-            Mutation::Handled => {}
+    /// given mutation scope. Every scope (including the wholesale
+    /// `All`/`None`) resolves lazily to "drop what actually changed" at
+    /// the next query.
+    pub fn note_mutation(&mut self, mutated: &Mutation<M>) {
+        self.fp_dirty = true;
+        if !matches!(mutated, Mutation::Handled) {
+            self.pending_handled_only = false;
+            // Module-wide analyses may aggregate anything (including
+            // shell state fingerprints cannot see): stay conservative.
+            self.module_cache.clear();
         }
     }
 
     /// Returns the current fingerprint of function `f`, refreshing if
-    /// stale. `None` when the IR does not support fingerprints or the
-    /// function is unknown.
+    /// stale. `None` when the function is unknown.
     pub fn fingerprint_of(&mut self, m: &M, f: M::FuncKey) -> Option<Fingerprint> {
-        if !m.supports_fingerprints() {
-            return None;
-        }
         self.refresh(m);
         if !self.fp_initialized {
             // No mutation was ever declared: compute the initial map now.

@@ -21,6 +21,7 @@
 //!   ([`Budgets::max_growth`] or `pass<max-growth=2.0>`).
 
 use std::fmt;
+use std::time::Duration;
 
 /// Pipeline-wide default budgets (per-pass spec options override the
 /// per-pass axes; see the module docs).
@@ -149,6 +150,24 @@ pub enum BudgetViolation {
         /// Instruction count after the pass.
         after: usize,
     },
+}
+
+impl BudgetViolation {
+    /// The pass-time check passes and the lower stage make after a
+    /// successful body: `forced` (an injected blowup) always violates,
+    /// as if the limit were 0; otherwise `time` must stay within
+    /// `limit_ms`, when one is set.
+    pub(crate) fn pass_time(
+        forced: bool,
+        time: Duration,
+        limit_ms: Option<u64>,
+    ) -> Option<BudgetViolation> {
+        let limit_ms = if forced { 0 } else { limit_ms? };
+        (forced || time > Duration::from_millis(limit_ms)).then(|| BudgetViolation::PassTime {
+            limit_ms,
+            actual_ms: (time.as_millis() as u64).max(1),
+        })
+    }
 }
 
 impl fmt::Display for BudgetViolation {

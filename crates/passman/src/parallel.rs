@@ -26,7 +26,7 @@
 use crate::cache::CompileCacheStats;
 use crate::fingerprint::Fingerprint;
 use crate::pass::{Mutation, Pass, PassError, PassOutcome};
-use crate::query::QueryCtx;
+use crate::recover::panic_message;
 use crate::AnalysisManager;
 use crate::IrUnit;
 use std::marker::PhantomData;
@@ -60,44 +60,6 @@ impl Default for ExecContext {
             contain_faults: false,
             inject_func_panic: None,
         }
-    }
-}
-
-/// An [`IrUnit`] whose functions can be detached from the module shell,
-/// worked on independently, and re-attached — the capability behind both
-/// the sharded executor and per-function copy-on-write snapshots.
-///
-/// Invariants implementors must uphold:
-///
-/// * `detach_funcs` returns every function in stable ascending key order
-///   and leaves the shell intact (types, externs, entry survive);
-/// * `attach_funcs(detach_funcs())` round-trips to an identical module;
-/// * `clone_func`/`restore_func` address functions in place without
-///   disturbing any other function.
-pub trait ShardedIr: IrUnit + Sync {
-    /// One detached function body (`'static` so cached pass outputs can
-    /// live in the type-erased [`CompileCache`](crate::CompileCache)).
-    type Func: Send + Clone + 'static;
-
-    /// Removes all functions, returning `(key, function)` pairs in
-    /// stable ascending key order. The shell stays behind.
-    fn detach_funcs(&mut self) -> Vec<(Self::FuncKey, Self::Func)>;
-
-    /// Re-attaches functions previously returned by
-    /// [`detach_funcs`](ShardedIr::detach_funcs), in the same order.
-    fn attach_funcs(&mut self, funcs: Vec<(Self::FuncKey, Self::Func)>);
-
-    /// Clones one function out of the module (for snapshots).
-    fn clone_func(&self, key: Self::FuncKey) -> Self::Func;
-
-    /// Overwrites one function in place (for snapshot restore).
-    fn restore_func(&mut self, key: Self::FuncKey, func: Self::Func);
-
-    /// A cheap per-function size measure (typically the instruction
-    /// count), the unit of the snapshot-cost counters. Defaults to `0`
-    /// (opting out of size accounting).
-    fn func_size_hint(&self, _key: Self::FuncKey) -> usize {
-        0
     }
 }
 
@@ -140,17 +102,21 @@ impl FuncOutcome {
 /// whatever it returns is handed back to `run_on` for that function as
 /// the `ctx` argument — the bridge between the single-threaded `Rc`
 /// analysis cache and the `Send` worker shards.
-pub trait FuncPass<M: ShardedIr>: Send + Sync {
+pub trait FuncPass<M: IrUnit>: Send + Sync {
     /// The registry/spec name of this pass.
     fn name(&self) -> &'static str;
 
-    /// Fetches (typically from the analysis cache, via the
-    /// [`QueryCtx`] query bridge) whatever per-function context `run_on`
-    /// wants. Called once per function, in stable key order, before the
-    /// functions are detached — the only point in a sharded pass where
-    /// both the whole module and the analysis cache are visible. The
-    /// default prefetches nothing.
-    fn prefetch(&self, _q: &mut QueryCtx<'_, M>) -> Option<Box<dyn std::any::Any + Send + Sync>> {
+    /// Fetches (typically from the analysis cache) whatever context
+    /// `run_on` wants for function `key`. Called once per function, in
+    /// stable key order, before the functions are detached — the only
+    /// point in a sharded pass where both the whole module and the
+    /// analysis cache are visible. The default prefetches nothing.
+    fn prefetch(
+        &self,
+        _m: &M,
+        _key: M::FuncKey,
+        _am: &mut AnalysisManager<M>,
+    ) -> Option<Box<dyn std::any::Any + Send + Sync>> {
         None
     }
 
@@ -234,24 +200,16 @@ struct FuncResult {
     payload: Option<Box<dyn std::any::Any + Send>>,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// Lifts a [`FuncPass`] into a [`Pass`] that shards the module's
 /// functions across scoped worker threads (see the module docs for the
 /// determinism and containment guarantees).
-pub struct FuncPassAdapter<M: ShardedIr, P: FuncPass<M>> {
+pub struct FuncPassAdapter<M: IrUnit, P: FuncPass<M>> {
     pass: P,
     cx: ExecContext,
     _ir: PhantomData<fn(&mut M)>,
 }
 
-impl<M: ShardedIr, P: FuncPass<M>> std::fmt::Debug for FuncPassAdapter<M, P> {
+impl<M: IrUnit, P: FuncPass<M>> std::fmt::Debug for FuncPassAdapter<M, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FuncPassAdapter")
             .field("pass", &self.pass.name())
@@ -260,7 +218,7 @@ impl<M: ShardedIr, P: FuncPass<M>> std::fmt::Debug for FuncPassAdapter<M, P> {
     }
 }
 
-impl<M: ShardedIr, P: FuncPass<M>> FuncPassAdapter<M, P> {
+impl<M: IrUnit, P: FuncPass<M>> FuncPassAdapter<M, P> {
     /// Wraps a function pass. The executor defaults to serial; the
     /// runner raises the worker count via [`Pass::prepare`].
     pub fn new(pass: P) -> Self {
@@ -286,10 +244,7 @@ struct PassEntry<F> {
 
 /// One sharded work item: a function (with its key) tagged with its
 /// global index in the module's stable function order.
-type IndexedFunc<'a, M> = (
-    usize,
-    &'a mut (<M as IrUnit>::FuncKey, <M as ShardedIr>::Func),
-);
+type IndexedFunc<'a, M> = (usize, &'a mut (<M as IrUnit>::FuncKey, <M as IrUnit>::Func));
 
 /// Runs one shard: every `(global index, (key, func))` item, writing
 /// per-function results into the parallel `results` slice (`ctxs`
@@ -297,7 +252,7 @@ type IndexedFunc<'a, M> = (
 /// are the *cache misses* in stable key order; the global index keys
 /// fault injection and profile reporting, so shard layout and cache hits
 /// never shift which function an injection targets.
-fn run_shard<M: ShardedIr, P: FuncPass<M>>(
+fn run_shard<M: IrUnit, P: FuncPass<M>>(
     pass: &P,
     shell: &M,
     items: &mut [IndexedFunc<'_, M>],
@@ -364,7 +319,7 @@ fn run_shard<M: ShardedIr, P: FuncPass<M>>(
     stat.busy = t0.elapsed();
 }
 
-impl<M: ShardedIr, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
+impl<M: IrUnit, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
     fn name(&self) -> &'static str {
         self.pass.name()
     }
@@ -392,8 +347,7 @@ impl<M: ShardedIr, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
         // cache (see cache.rs coherence rules); contained *real* panics
         // are deterministic and simply never populate an entry.
         let cache = am.compile_cache().cloned();
-        let use_cache =
-            cache.is_some() && m.supports_fingerprints() && self.cx.inject_func_panic.is_none();
+        let use_cache = cache.is_some() && self.cx.inject_func_panic.is_none();
         let domain = format!("pass:{}:{}", std::any::type_name::<M>(), self.pass.name());
         let mut fps: Vec<Option<Fingerprint>> = vec![None; n];
         let mut cached: Vec<Option<PassEntry<M::Func>>> = Vec::new();
@@ -423,13 +377,12 @@ impl<M: ShardedIr, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
 
         // Prefetch (misses only) while the module is still whole
         // (analyses index into the attached functions) and the
-        // `Rc`-based cache is still on this thread, via the query
-        // bridge. Stable key order matches the detach order below.
+        // `Rc`-based cache is still on this thread. Stable key order
+        // matches the detach order below.
         let mut miss_ctxs: Vec<Option<Box<dyn std::any::Any + Send + Sync>>> = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             if cached[i].is_none() {
-                let mut q = QueryCtx::new(m, k, am);
-                miss_ctxs.push(self.pass.prefetch(&mut q));
+                miss_ctxs.push(self.pass.prefetch(m, k, am));
             }
         }
 

@@ -6,12 +6,11 @@
 //!
 //! With a recovering [`FaultPolicy`] installed (see
 //! [`PassManager::on_fault`]), every pass runs under `catch_unwind` with
-//! its declared mutation scope snapshotted beforehand (whole-module
-//! clone by default, per-function copy-on-write via
-//! [`PassManager::with_cow_snapshots`]): a panicking, erroring,
-//! verifier-failing, or over-budget pass is rolled back to the last
-//! verified IR and recorded as a [`Degradation`], and the pipeline either
-//! continues (`SkipPass`) or stops cleanly (`StopPipeline`).
+//! its declared mutation scope snapshotted beforehand by the run's
+//! copy-on-write [`CowEngine`]: a panicking, erroring, verifier-failing,
+//! or over-budget pass is rolled back to the last verified IR and
+//! recorded as a [`Degradation`], and the pipeline either continues
+//! (`SkipPass`) or stops cleanly (`StopPipeline`).
 //!
 //! Function-sharded passes (see [`crate::parallel`]) additionally run
 //! their per-function bodies on [`PassManager::with_threads`] worker
@@ -23,18 +22,20 @@ use crate::analysis::{AnalysisManager, CacheCounter, FingerprintStats};
 use crate::budget::{BudgetViolation, Budgets};
 use crate::cache::{CompileCache, CompileCacheStats};
 use crate::fault::{FaultPlan, InjectKind};
-use crate::parallel::{ExecContext, FuncPassProfile, ShardedIr};
+use crate::parallel::{ExecContext, FuncPassProfile};
 use crate::pass::{Pass, PassError, PassRegistry};
-use crate::recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
-use crate::snapshot::{CowEngine, FullCloneEngine, SnapshotCost, SnapshotEngine, SnapshotStats};
+use crate::recover::{Degradation, FaultCause, FaultPolicy, FaultSite, RecoveryAction};
+use crate::snapshot::{CowEngine, SnapshotCost, SnapshotStats};
 use crate::spec::{PassCall, PipelineSpec, SpecStep};
 use crate::IrUnit;
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
+
+/// The `fixpoint(...)` iteration cap when neither the group
+/// (`fixpoint<max=N>`) nor [`Budgets::max_fixpoint_iters`] sets one.
+const DEFAULT_FIXPOINT_ITERS: usize = 8;
 
 /// One executed pass instance in the report.
 #[derive(Clone, Debug)]
@@ -94,8 +95,7 @@ pub struct RunReport {
     /// Cross-job compile-cache hit/skip/miss counters for this run
     /// (all-zero when no [`CompileCache`] was installed).
     pub compile_cache: CompileCacheStats,
-    /// Fingerprint-retention counters for this run (all-zero for IRs
-    /// without fingerprint support).
+    /// Fingerprint-retention counters for this run.
     pub fingerprints: FingerprintStats,
 }
 
@@ -321,21 +321,34 @@ enum StepOutcome {
     Stop,
 }
 
+/// The state of one [`PassManager::run_with`] call. It lives exactly as
+/// long as the run, so nothing one run leaves behind — a pooled
+/// snapshot, the invocation count — reaches the next run of the same
+/// manager.
+struct Run<M: IrUnit> {
+    report: RunReport,
+    /// Pass instances, created once per distinct spec call (name +
+    /// options) and reused across fixpoint iterations, so stateful passes
+    /// can accumulate.
+    instances: HashMap<String, Box<dyn Pass<M>>>,
+    /// Snapshots for recovering policies (never captures under `Abort`).
+    snapshots: CowEngine<M>,
+    /// 0-based index of the next pass invocation.
+    invocation: usize,
+    start: Instant,
+}
+
 /// Drives pipeline specs over an IR unit.
 pub struct PassManager<M: IrUnit> {
     registry: PassRegistry<M>,
     verifier: Option<Verifier<M>>,
     verify_between_passes: bool,
-    max_fixpoint_iters: usize,
     observer: Option<Observer<M>>,
     policy: FaultPolicy,
     budgets: Budgets,
-    snapshots: Option<RefCell<Box<dyn SnapshotEngine<M>>>>,
     injection: Option<FaultPlan>,
     /// Worker threads for function-sharded passes (1 = serial).
     threads: usize,
-    /// 0-based index of the next pass invocation (reset per run).
-    invocations: Cell<usize>,
     /// Cross-job compile cache installed into each run's analysis
     /// manager (unless the manager already carries one).
     compile_cache: Option<CompileCache>,
@@ -349,7 +362,6 @@ impl<M: IrUnit> std::fmt::Debug for PassManager<M> {
         f.debug_struct("PassManager")
             .field("registry", &self.registry)
             .field("verify_between_passes", &self.verify_between_passes)
-            .field("max_fixpoint_iters", &self.max_fixpoint_iters)
             .field("policy", &self.policy)
             .field("budgets", &self.budgets)
             .field("injection", &self.injection)
@@ -368,14 +380,11 @@ impl<M: IrUnit> PassManager<M> {
             registry,
             verifier: None,
             verify_between_passes: cfg!(debug_assertions),
-            max_fixpoint_iters: 8,
             observer: None,
             policy: FaultPolicy::Abort,
             budgets: Budgets::none(),
-            snapshots: None,
             injection: None,
             threads: 1,
-            invocations: Cell::new(0),
             compile_cache: None,
             sym_verifier: None,
         }
@@ -406,9 +415,7 @@ impl<M: IrUnit> PassManager<M> {
     /// Installs a cross-job [`CompileCache`]: function-sharded passes
     /// then skip functions whose `(pass, input-fingerprint)` output is
     /// already cached — across fixpoint iterations, across `run_with`
-    /// calls, and across jobs sharing the cache handle. Requires the IR
-    /// to support fingerprints ([`IrUnit::fingerprints`]); without them
-    /// the cache is never consulted.
+    /// calls, and across jobs sharing the cache handle.
     pub fn with_compile_cache(mut self, cache: CompileCache) -> Self {
         self.compile_cache = Some(cache);
         self
@@ -451,14 +458,6 @@ impl<M: IrUnit> PassManager<M> {
         self
     }
 
-    /// Caps `fixpoint(...)` iteration counts (default 8; overridden per
-    /// group by `fixpoint<max=N>(...)` and by
-    /// [`Budgets::max_fixpoint_iters`]).
-    pub fn max_fixpoint_iters(mut self, n: usize) -> Self {
-        self.max_fixpoint_iters = n.max(1);
-        self
-    }
-
     /// Installs a post-pass observer, called with the module and the
     /// just-recorded [`PassRun`] (e.g. to attach censuses).
     pub fn with_observer(mut self, obs: impl Fn(&M, &mut PassRun) + 'static) -> Self {
@@ -467,50 +466,17 @@ impl<M: IrUnit> PassManager<M> {
     }
 
     /// Sets the fault policy. The recovering policies snapshot what each
-    /// pass may mutate before running it (hence the `Clone` bound) and
-    /// roll back on any contained fault; [`FaultPolicy::Abort`] restores
-    /// the legacy fail-fast behaviour and costs nothing.
-    ///
-    /// If no snapshot engine is installed yet, this installs the
-    /// whole-module [`FullCloneEngine`]; a previously installed engine
-    /// (e.g. [`with_cow_snapshots`](PassManager::with_cow_snapshots)) is
-    /// kept.
-    pub fn on_fault(mut self, policy: FaultPolicy) -> Self
-    where
-        M: Clone + 'static,
-    {
+    /// pass may mutate before running it (per function, copy-on-write;
+    /// see [`CowEngine`]) and roll back on any contained fault;
+    /// [`FaultPolicy::Abort`] fails fast and costs nothing.
+    pub fn on_fault(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
-        if self.snapshots.is_none() {
-            self.snapshots = Some(RefCell::new(Box::new(FullCloneEngine::<M>::new())));
-        }
-        self
-    }
-
-    /// Installs the per-function copy-on-write [`CowEngine`]: recovering
-    /// policies then clone only the functions a pass declares it may
-    /// mutate (reusing clones of still-clean functions across passes)
-    /// instead of the whole module. Overrides any earlier engine.
-    pub fn with_cow_snapshots(mut self) -> Self
-    where
-        M: ShardedIr + Clone + 'static,
-    {
-        self.snapshots = Some(RefCell::new(Box::new(CowEngine::<M>::new())));
-        self
-    }
-
-    /// Forces the legacy whole-module [`FullCloneEngine`] (the baseline
-    /// the compile-time bench compares CoW against). Overrides any
-    /// earlier engine.
-    pub fn with_full_clone_snapshots(mut self) -> Self
-    where
-        M: Clone + 'static,
-    {
-        self.snapshots = Some(RefCell::new(Box::new(FullCloneEngine::<M>::new())));
         self
     }
 
     /// Sets pipeline-wide default budgets (per-pass spec options like
-    /// `dce<max-ms=50>` override the per-pass axes).
+    /// `dce<max-ms=50>` override the per-pass axes). An unset
+    /// [`Budgets::max_fixpoint_iters`] caps `fixpoint(...)` groups at 8.
     pub fn with_budgets(mut self, budgets: Budgets) -> Self {
         self.budgets = budgets;
         self
@@ -553,7 +519,9 @@ impl<M: IrUnit> PassManager<M> {
     }
 
     /// Runs a spec against an existing analysis manager (so cached
-    /// analyses survive across multiple `run_with` calls).
+    /// analyses survive across multiple `run_with` calls). Everything
+    /// else — pass instances, snapshots, invocation indices, the report —
+    /// is this run's own.
     pub fn run_with(
         &self,
         m: &mut M,
@@ -561,8 +529,6 @@ impl<M: IrUnit> PassManager<M> {
         am: &mut AnalysisManager<M>,
     ) -> Result<RunReport, RunError> {
         self.validate(spec)?;
-        let start = Instant::now();
-        self.invocations.set(0);
         if let (Some(cache), None) = (&self.compile_cache, am.compile_cache()) {
             am.set_compile_cache(cache.clone());
         }
@@ -573,21 +539,20 @@ impl<M: IrUnit> PassManager<M> {
         // Contention is counted by the shared cache handle itself (it is
         // a property of the lock, not of this manager), so delta it too.
         let contention_before = am.compile_cache().map_or(0, |c| c.contention());
-        let mut report = RunReport::default();
-        // Pass instances are created once per distinct spec call (name +
-        // options) and reused across fixpoint iterations, so stateful
-        // passes can accumulate.
-        let mut instances: HashMap<String, Box<dyn Pass<M>>> = HashMap::new();
+        let mut run = Run {
+            report: RunReport::default(),
+            instances: HashMap::new(),
+            snapshots: CowEngine::new(),
+            invocation: 0,
+            start: Instant::now(),
+        };
 
         'steps: for step in &spec.steps {
             match step {
                 SpecStep::Pass(call) => {
-                    match self.run_one(m, am, &mut instances, call, None, &mut report, start)? {
-                        StepOutcome::Ran(_) => {}
-                        StepOutcome::Stop => {
-                            report.stopped_early = true;
-                            break 'steps;
-                        }
+                    if let StepOutcome::Stop = self.run_one(m, am, &mut run, call, None)? {
+                        run.report.stopped_early = true;
+                        break 'steps;
                     }
                 }
                 SpecStep::Fixpoint { opts, body } => {
@@ -596,7 +561,7 @@ impl<M: IrUnit> PassManager<M> {
                         Ok(None) => self
                             .budgets
                             .max_fixpoint_iters
-                            .unwrap_or(self.max_fixpoint_iters),
+                            .unwrap_or(DEFAULT_FIXPOINT_ITERS),
                         Err(message) => {
                             return Err(RunError::InvalidOptions {
                                 pass: "fixpoint".into(),
@@ -607,18 +572,10 @@ impl<M: IrUnit> PassManager<M> {
                     for iter in 0..cap {
                         let mut any_changed = false;
                         for call in body {
-                            match self.run_one(
-                                m,
-                                am,
-                                &mut instances,
-                                call,
-                                Some(iter),
-                                &mut report,
-                                start,
-                            )? {
+                            match self.run_one(m, am, &mut run, call, Some(iter))? {
                                 StepOutcome::Ran(changed) => any_changed |= changed,
                                 StepOutcome::Stop => {
-                                    report.stopped_early = true;
+                                    run.report.stopped_early = true;
                                     break 'steps;
                                 }
                             }
@@ -631,7 +588,8 @@ impl<M: IrUnit> PassManager<M> {
             }
         }
 
-        report.total = start.elapsed();
+        let mut report = run.report;
+        report.total = run.start.elapsed();
         report.cache = am
             .counters()
             .iter()
@@ -645,9 +603,7 @@ impl<M: IrUnit> PassManager<M> {
             .saturating_sub(contention_before);
         report.fingerprints = am.fingerprint_stats().since(fp_before);
         report.threads = self.threads;
-        if let Some(engine) = &self.snapshots {
-            report.snapshots = engine.borrow().stats();
-        }
+        report.snapshots = run.snapshots.stats();
         // Deterministic ordering: pass invocation index, then function
         // index (whole-pass faults first). Pushes already happen in this
         // order, so the (stable) sort is a guard, not a shuffle.
@@ -701,16 +657,13 @@ impl<M: IrUnit> PassManager<M> {
         Ok((ms, growth))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_one(
         &self,
         m: &mut M,
         am: &mut AnalysisManager<M>,
-        instances: &mut HashMap<String, Box<dyn Pass<M>>>,
+        run: &mut Run<M>,
         call: &PassCall,
         fixpoint_iteration: Option<usize>,
-        report: &mut RunReport,
-        pipeline_start: Instant,
     ) -> Result<StepOutcome, RunError> {
         let name = call.name.as_str();
         let (max_ms, max_growth) = self.pass_budgets(call)?;
@@ -750,10 +703,16 @@ impl<M: IrUnit> PassManager<M> {
         } else {
             None
         };
-        let pass = self.instance(instances, call)?;
+        let pass = self.instance(&mut run.instances, call)?;
 
-        let invocation = self.invocations.get();
-        self.invocations.set(invocation + 1);
+        let invocation = run.invocation;
+        run.invocation += 1;
+        let site = FaultSite {
+            policy: self.policy,
+            pass: name,
+            invocation,
+            fixpoint_iteration,
+        };
         let plan = self
             .injection
             .as_ref()
@@ -779,14 +738,8 @@ impl<M: IrUnit> PassManager<M> {
             },
         });
         let snapshot_cost = if recovering {
-            let engine = self
-                .snapshots
-                .as_ref()
-                .expect("recovering policies are installed with a snapshot engine");
-            let scope = pass.may_mutate(m);
-            let mut engine = engine.borrow_mut();
-            engine.capture(m, &scope);
-            Some(engine.last_cost())
+            run.snapshots.capture(m, &pass.may_mutate(m));
+            Some(run.snapshots.last_cost())
         } else {
             None
         };
@@ -794,162 +747,73 @@ impl<M: IrUnit> PassManager<M> {
         // The symbolic verifier needs the pre-pass IR to prove against.
         let sym_before = sym.map(|sv| (sv.capture)(m));
 
-        // --- run the pass body ---------------------------------------
-        let t0 = Instant::now();
-        let body = |m: &mut M, am: &mut AnalysisManager<M>, pass: &mut Box<dyn Pass<M>>| {
+        // --- run the pass body, then classify: panic, pass error,
+        // verifier (plain, then symbolic), budget --------------------
+        let (result, time) = site.run(|| {
             if injected == Some(InjectKind::Panic) && injected_func.is_none() {
                 panic!("fault injection: panic in `{name}` at invocation {invocation}");
             }
             pass.run(m, am)
-        };
-        let result: Result<Result<_, PassError>, String> = if recovering {
-            catch_unwind(AssertUnwindSafe(|| body(m, am, pass))).map_err(|payload| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".to_string())
-            })
-        } else {
-            // Abort: let panics propagate with their original backtrace.
-            Ok(body(m, am, pass))
-        };
-        let time = t0.elapsed();
-
-        // --- classify the outcome into (success, fault) ---------------
-        let mut fault: Option<FaultCause> = None;
-        let mut success: Option<crate::pass::PassOutcome<M>> = None;
-        match result {
-            Err(panic_msg) => fault = Some(FaultCause::Panic(panic_msg)),
-            Ok(Err(error)) => {
-                if recovering {
-                    fault = Some(FaultCause::PassFailed(error.message.clone()));
-                } else {
-                    return Err(RunError::PassFailed {
-                        pass: name.to_string(),
-                        error,
-                    });
-                }
+        })?;
+        let checked = result.and_then(|outcome| {
+            if outcome.changed {
+                // Resolved lazily at the next query: cached analyses of
+                // the functions whose fingerprint changed are dropped.
+                am.note_mutation(&outcome.mutated);
             }
-            Ok(Ok(outcome)) => {
-                if outcome.changed {
-                    // Fingerprint-capable IRs resolve every scope lazily
-                    // ("drop what actually changed") at the next query;
-                    // others get the legacy push-invalidation (wholesale
-                    // for `None`/`All`, per-function for `Funcs`,
-                    // nothing for `Handled`).
-                    am.note_mutation(m, &outcome.mutated);
-                }
-
-                // Verification (a forced injection counts as a failure).
-                let verify_msg = if injected == Some(InjectKind::VerifyFail) {
-                    Some(format!(
-                        "fault injection: forced verifier failure after `{name}`"
-                    ))
-                } else if self.verify_between_passes {
-                    match &self.verifier {
-                        Some(v) => v(m, am).err(),
-                        None => None,
-                    }
-                } else {
-                    None
-                };
-                // Symbolic per-pass verification, only once the plain
-                // verifier accepted the IR: prove pre-pass ≡ post-pass.
-                // An unchanged pass is trivially equivalent — skip it.
-                let verify_msg = verify_msg.or_else(|| match (&sym, &sym_before) {
-                    (Some(sv), Some(before)) if outcome.changed => {
-                        (sv.check)(before, m, sym_budget)
-                            .err()
-                            .map(|e| format!("verify-sym: {e}"))
-                    }
-                    _ => None,
-                });
-
-                if let Some(message) = verify_msg {
-                    fault = Some(FaultCause::VerifyFailed(message));
-                } else if let Some(v) =
-                    self.budget_violation(injected, time, max_ms, max_growth, size_before, m)
-                {
-                    fault = Some(FaultCause::Budget(v));
-                } else {
-                    success = Some(outcome);
-                }
-            }
-        }
-
-        // --- fault handling -------------------------------------------
-        if let Some(cause) = fault {
-            if !recovering {
-                return Err(match cause {
-                    FaultCause::Panic(message) => {
-                        unreachable!("panics are not caught under Abort: {message}")
-                    }
-                    FaultCause::PassFailed(message) => RunError::PassFailed {
-                        pass: name.to_string(),
-                        error: PassError::msg(message),
-                    },
-                    FaultCause::VerifyFailed(message) => RunError::VerifyFailed {
-                        pass: name.to_string(),
-                        message,
-                    },
-                    FaultCause::Budget(violation) => RunError::BudgetExceeded {
-                        pass: name.to_string(),
-                        violation,
-                    },
-                });
-            }
-
-            // Roll back to the last verified IR; every cached analysis
-            // may describe the discarded state, so drop them all.
-            self.snapshots
-                .as_ref()
-                .expect("recovering policies are installed with a snapshot engine")
-                .borrow_mut()
-                .restore(m);
-            am.invalidate_all();
-
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("handled above"),
+            // Verification (a forced injection counts as a failure).
+            let verify_msg = if injected == Some(InjectKind::VerifyFail) {
+                Some(format!(
+                    "fault injection: forced verifier failure after `{name}`"
+                ))
+            } else if self.verify_between_passes {
+                self.verifier.as_ref().and_then(|v| v(m, am).err())
+            } else {
+                None
             };
-            report.passes.push(PassRun {
-                name: name.to_string(),
-                time,
-                changed: false,
-                stats: Vec::new(),
-                fixpoint_iteration,
-                annotations: vec![("degraded".into(), cause.to_string())],
-                snapshot: snapshot_cost,
-                profile: None,
+            // Symbolic per-pass verification, only once the plain
+            // verifier accepted the IR: prove pre-pass ≡ post-pass. An
+            // unchanged pass is trivially equivalent — skip it.
+            let verify_msg = verify_msg.or_else(|| match (&sym, &sym_before) {
+                (Some(sv), Some(before)) if outcome.changed => (sv.check)(before, m, sym_budget)
+                    .err()
+                    .map(|e| format!("verify-sym: {e}")),
+                _ => None,
             });
-            report.degradations.push(Degradation {
-                pass: name.to_string(),
-                invocation,
-                cause,
-                fixpoint_iteration,
-                func_index: None,
-                func: None,
-                action,
-            });
-            return Ok(match action {
-                RecoveryAction::RolledBack => StepOutcome::Ran(false),
-                RecoveryAction::Stopped => StepOutcome::Stop,
-            });
-        }
+            if let Some(message) = verify_msg {
+                return Err(FaultCause::VerifyFailed(message));
+            }
+            match self.budget_violation(injected, time, max_ms, max_growth, size_before, m) {
+                Some(v) => Err(FaultCause::Budget(v)),
+                None => Ok(outcome),
+            }
+        });
+        let outcome = match checked {
+            Ok(outcome) => outcome,
+            Err(cause) => {
+                let action = site.fault(cause, time, snapshot_cost, &mut run.report)?;
+                // Roll back to the last verified IR; every cached analysis
+                // may describe the discarded state, so drop them all.
+                run.snapshots.restore(m);
+                am.invalidate_all();
+                return Ok(match action {
+                    RecoveryAction::RolledBack => StepOutcome::Ran(false),
+                    RecoveryAction::Stopped => StepOutcome::Stop,
+                });
+            }
+        };
 
         // --- success ---------------------------------------------------
-        let outcome = success.expect("no fault implies a successful outcome");
-        if let Some(engine) = &self.snapshots {
-            if recovering {
-                engine
-                    .borrow_mut()
-                    .commit(&outcome.mutated, outcome.changed);
-            }
+        if recovering {
+            run.snapshots.commit(&outcome.mutated, outcome.changed);
         }
         let changed = outcome.changed;
-        let mut run = PassRun {
+        let contained = outcome
+            .profile
+            .as_ref()
+            .map(|p| p.contained.clone())
+            .unwrap_or_default();
+        let mut pass_run = PassRun {
             name: name.to_string(),
             time,
             changed,
@@ -957,37 +821,27 @@ impl<M: IrUnit> PassManager<M> {
             fixpoint_iteration,
             annotations: Vec::new(),
             snapshot: snapshot_cost,
-            profile: outcome.profile.clone(),
+            profile: outcome.profile,
         };
         if let Some(obs) = &self.observer {
-            obs(m, &mut run);
+            obs(m, &mut pass_run);
         }
-        report.passes.push(run);
+        run.report.passes.push(pass_run);
 
         // Faults a sharded pass contained to single functions: the pass
         // as a whole succeeded (and verified) with those functions rolled
         // back to their pre-pass state; record them as function-scoped
         // degradations.
-        let contained = outcome
-            .profile
-            .as_ref()
-            .map(|p| p.contained.clone())
-            .unwrap_or_default();
         if !contained.is_empty() {
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("faults are only contained when recovering"),
-            };
+            let action = self
+                .policy
+                .action()
+                .expect("faults are only contained under a recovering policy");
             for c in contained {
-                report.degradations.push(Degradation {
-                    pass: name.to_string(),
-                    invocation,
-                    cause: FaultCause::Panic(c.message),
-                    fixpoint_iteration,
+                run.report.degradations.push(Degradation {
                     func_index: Some(c.func_index),
                     func: Some(c.func),
-                    action,
+                    ..site.degradation(FaultCause::Panic(c.message), action)
                 });
             }
             if action == RecoveryAction::Stopped {
@@ -1000,7 +854,7 @@ impl<M: IrUnit> PassManager<M> {
         // verified, so there is nothing to roll back — the pipeline just
         // ends here (or errors under Abort).
         if let Some(limit_ms) = self.budgets.max_pipeline_millis {
-            let elapsed = pipeline_start.elapsed();
+            let elapsed = run.start.elapsed();
             if elapsed > Duration::from_millis(limit_ms) {
                 let violation = BudgetViolation::PipelineTime {
                     limit_ms,
@@ -1012,15 +866,9 @@ impl<M: IrUnit> PassManager<M> {
                         violation,
                     });
                 }
-                report.degradations.push(Degradation {
-                    pass: name.to_string(),
-                    invocation,
-                    cause: FaultCause::Budget(violation),
-                    fixpoint_iteration,
-                    func_index: None,
-                    func: None,
-                    action: RecoveryAction::Stopped,
-                });
+                run.report
+                    .degradations
+                    .push(site.degradation(FaultCause::Budget(violation), RecoveryAction::Stopped));
                 return Ok(StepOutcome::Stop);
             }
         }
@@ -1039,33 +887,16 @@ impl<M: IrUnit> PassManager<M> {
         size_before: usize,
         m: &M,
     ) -> Option<BudgetViolation> {
-        if injected == Some(InjectKind::BudgetBlowup) {
-            return Some(BudgetViolation::PassTime {
-                limit_ms: 0,
-                actual_ms: (time.as_millis() as u64).max(1),
-            });
-        }
-        if let Some(limit_ms) = max_ms {
-            if time > Duration::from_millis(limit_ms) {
-                return Some(BudgetViolation::PassTime {
-                    limit_ms,
-                    actual_ms: (time.as_millis() as u64).max(1),
-                });
-            }
-        }
-        if let Some(limit) = max_growth {
-            if size_before > 0 {
-                let after = m.size_hint();
-                if after as f64 > size_before as f64 * limit {
-                    return Some(BudgetViolation::Growth {
-                        limit,
-                        before: size_before,
-                        after,
-                    });
-                }
-            }
-        }
-        None
+        let forced = injected == Some(InjectKind::BudgetBlowup);
+        BudgetViolation::pass_time(forced, time, max_ms).or_else(|| {
+            let limit = max_growth.filter(|_| size_before > 0)?;
+            let after = m.size_hint();
+            (after as f64 > size_before as f64 * limit).then_some(BudgetViolation::Growth {
+                limit,
+                before: size_before,
+                after,
+            })
+        })
     }
 }
 
@@ -1074,22 +905,9 @@ mod tests {
     use super::*;
     use crate::pass::{FnPass, PassOutcome};
     use crate::spec::PassOptions;
-
-    /// A toy IR: one "function" per vector slot holding a counter.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    struct Toy {
-        vals: Vec<i64>,
-    }
-
-    impl IrUnit for Toy {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
-    }
+    use crate::toy::Toy;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     struct Sum;
     impl crate::Analysis<Toy> for Sum {
@@ -1175,9 +993,16 @@ mod tests {
         assert_eq!(report.passes[0].fixpoint_iteration, Some(0));
     }
 
+    fn fixpoint_cap(n: usize) -> Budgets {
+        Budgets {
+            max_fixpoint_iters: Some(n),
+            ..Budgets::none()
+        }
+    }
+
     #[test]
     fn fixpoint_iteration_cap_holds() {
-        let pm = PassManager::new(registry()).max_fixpoint_iters(2);
+        let pm = PassManager::new(registry()).with_budgets(fixpoint_cap(2));
         let mut m = Toy { vals: vec![100] };
         let spec = PipelineSpec::parse("fixpoint(dec)").unwrap();
         let report = pm.run(&mut m, &spec).unwrap();
@@ -1187,7 +1012,7 @@ mod tests {
 
     #[test]
     fn fixpoint_cap_from_spec_options_wins() {
-        let pm = PassManager::new(registry()).max_fixpoint_iters(8);
+        let pm = PassManager::new(registry()).with_budgets(fixpoint_cap(8));
         let mut m = Toy { vals: vec![100] };
         let spec = PipelineSpec::parse("fixpoint<max=3>(dec)").unwrap();
         let report = pm.run(&mut m, &spec).unwrap();
@@ -1604,33 +1429,7 @@ mod tests {
 
     // ---- function-sharded execution ----------------------------------
 
-    use crate::parallel::{FuncOutcome, FuncPass, FuncPassAdapter, ShardedIr};
-
-    impl ShardedIr for Toy {
-        type Func = i64;
-        fn detach_funcs(&mut self) -> Vec<(usize, i64)> {
-            std::mem::take(&mut self.vals)
-                .into_iter()
-                .enumerate()
-                .collect()
-        }
-        fn attach_funcs(&mut self, funcs: Vec<(usize, i64)>) {
-            assert!(self.vals.is_empty());
-            for (i, (k, v)) in funcs.into_iter().enumerate() {
-                assert_eq!(i, k, "functions re-attach in key order");
-                self.vals.push(v);
-            }
-        }
-        fn clone_func(&self, key: usize) -> i64 {
-            self.vals[key]
-        }
-        fn restore_func(&mut self, key: usize, func: i64) {
-            self.vals[key] = func;
-        }
-        fn func_size_hint(&self, _key: usize) -> usize {
-            1
-        }
-    }
+    use crate::parallel::{FuncOutcome, FuncPass, FuncPassAdapter};
 
     /// Function-scoped `dec`: decrements one positive slot.
     struct FDec;
@@ -1756,16 +1555,12 @@ mod tests {
     }
 
     #[test]
-    fn cow_snapshots_clone_less_than_full_clones() {
-        let init = Toy {
+    fn cow_snapshots_reuse_clean_functions() {
+        let pm = PassManager::new(registry_with_fdec()).on_fault(FaultPolicy::SkipPass);
+        let mut m = Toy {
             vals: vec![1, 0, 0, 0],
         };
         let spec = PipelineSpec::parse("fdec,fdec").unwrap();
-
-        let pm = PassManager::new(registry_with_fdec())
-            .with_cow_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
-        let mut m = init.clone();
         let cow = pm.run(&mut m, &spec).unwrap().snapshots;
         // First fdec captures all 4 slots, mutates only slot 0; the
         // second capture reclones slot 0 and reuses the other 3.
@@ -1773,25 +1568,36 @@ mod tests {
         assert_eq!(cow.funcs_reused, 3);
         assert_eq!(cow.units_cloned, 5);
         assert_eq!(cow.full_clones, 0);
+    }
 
+    #[test]
+    fn reused_manager_rolls_back_to_this_runs_module() {
+        // Snapshots belong to one run: a clone pooled while fdec ran on
+        // [0, 0] must not restore the next module the manager runs on.
         let pm = PassManager::new(registry_with_fdec())
-            .with_full_clone_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
-        let mut m = init.clone();
-        let full = pm.run(&mut m, &spec).unwrap().snapshots;
-        assert_eq!(full.full_clones, 2);
-        assert_eq!(full.units_cloned, 8);
-        assert!(cow.units_cloned < full.units_cloned);
+            .on_fault(FaultPolicy::SkipPass)
+            .with_fault_injection("verify@fdec".parse().unwrap());
+        let spec = PipelineSpec::parse("fdec").unwrap();
+        let mut first = Toy { vals: vec![0, 0] };
+        pm.run(&mut first, &spec).unwrap();
+        let mut second = Toy { vals: vec![7, 7] };
+        let report = pm.run(&mut second, &spec).unwrap();
+        assert_eq!(
+            second.vals,
+            vec![7, 7],
+            "fdec rolled back to this run's input"
+        );
+        assert_eq!(
+            report.snapshots.captures, 1,
+            "counts this run's capture only"
+        );
     }
 
     #[test]
     fn cow_restore_survives_a_module_level_fault() {
-        // A module-level pass (landmine: may_mutate = All) faulting under
-        // the CoW engine must still roll back via the full-clone
-        // fallback.
-        let pm = PassManager::new(registry_with_fdec())
-            .with_cow_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
+        // A module-level pass (landmine: may_mutate = All) faulting must
+        // still roll back, via the engine's whole-module fallback.
+        let pm = PassManager::new(registry_with_fdec()).on_fault(FaultPolicy::SkipPass);
         let mut m = Toy { vals: vec![-1, 4] };
         let spec = PipelineSpec::parse("landmine,fdec").unwrap();
         let report = pm.run(&mut m, &spec).unwrap();

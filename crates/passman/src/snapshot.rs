@@ -1,33 +1,27 @@
-//! Snapshot engines for the fault-recovery path.
+//! The snapshot engine of the fault-recovery path.
 //!
 //! Before a pass runs under a recovering [`FaultPolicy`](crate::FaultPolicy),
 //! the runner captures a snapshot of whatever the pass declares it *may*
 //! mutate ([`Pass::may_mutate`](crate::Pass::may_mutate)); if the pass
 //! faults, the snapshot restores the module to its pre-pass state.
 //!
-//! Two engines implement this contract:
+//! [`CowEngine`] does this per function, copy-on-write: a
+//! `Mutation::Funcs(keys)` scope clones only the declared functions, and
+//! clones made for an earlier pass are *reused* while those functions
+//! stay unmutated (commit keeps entries whose function did not change),
+//! falling back to a whole-module clone only for `Mutation::All`/`Handled`
+//! scopes. The runner builds one engine per run, so nothing one run
+//! pooled can restore another run's module.
 //!
-//! * [`FullCloneEngine`] — the legacy strategy: clone the whole module,
-//!   every pass, no matter what it touches;
-//! * [`CowEngine`] — per-function copy-on-write for [`ShardedIr`]
-//!   modules: a `Mutation::Funcs(keys)` scope clones only the declared
-//!   functions, and clones made for an earlier pass are *reused* while
-//!   those functions stay unmutated (commit keeps entries whose function
-//!   did not change), falling back to a full module clone only for
-//!   `Mutation::All`/`Handled` scopes.
-//!
-//! Both engines meter their work ([`SnapshotStats`] cumulative,
+//! The engine meters its work ([`SnapshotStats`] cumulative,
 //! [`SnapshotCost`] per capture) in "units" — the implementor's
-//! `size_hint`/`func_size_hint`, i.e. instructions cloned — so the
-//! compile-time profiler can show exactly how much cloning each policy
-//! paid for.
+//! `size_hint`/`func_size_hint`, i.e. instructions cloned — which
+//! `--report` shows per pass.
 
-use crate::parallel::ShardedIr;
 use crate::pass::Mutation;
 use crate::IrUnit;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Cumulative snapshot-engine counters for a whole pipeline run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,100 +51,23 @@ pub struct SnapshotCost {
     pub funcs_reused: usize,
     /// Size units (instructions) cloned by this capture.
     pub units_cloned: usize,
-    /// Wall-clock time spent capturing.
-    pub time: Duration,
 }
 
-/// Strategy for capturing and restoring pre-pass module state.
-///
-/// Call order per pass invocation: `capture` before the pass, then
-/// exactly one of `restore` (the pass faulted) or `commit` (it
-/// succeeded, with its actual mutation declaration).
-pub trait SnapshotEngine<M: IrUnit> {
-    /// Captures whatever `scope` says the upcoming pass may mutate.
-    fn capture(&mut self, m: &M, scope: &Mutation<M>);
-
-    /// Rolls the module back to the captured state.
-    fn restore(&mut self, m: &mut M);
-
-    /// Reconciles the engine with a successful pass: state captured for
-    /// functions the pass actually mutated is now stale and dropped;
-    /// state for untouched functions stays reusable.
-    fn commit(&mut self, mutated: &Mutation<M>, changed: bool);
-
-    /// Cost of the most recent capture.
-    fn last_cost(&self) -> SnapshotCost;
-
-    /// Cumulative counters.
-    fn stats(&self) -> SnapshotStats;
-}
-
-/// The legacy engine: clone the whole module on every capture.
-#[derive(Debug, Default)]
-pub struct FullCloneEngine<M> {
-    snapshot: Option<M>,
-    last: SnapshotCost,
-    stats: SnapshotStats,
-}
-
-impl<M> FullCloneEngine<M> {
-    /// A fresh engine holding no snapshot.
-    pub fn new() -> Self {
-        FullCloneEngine {
-            snapshot: None,
-            last: SnapshotCost::default(),
-            stats: SnapshotStats::default(),
-        }
-    }
-}
-
-impl<M: IrUnit + Clone> SnapshotEngine<M> for FullCloneEngine<M> {
-    fn capture(&mut self, m: &M, _scope: &Mutation<M>) {
-        let t0 = Instant::now();
-        let units = m.size_hint();
-        self.snapshot = Some(m.clone());
-        self.last = SnapshotCost {
-            full: true,
-            funcs_cloned: 0,
-            funcs_reused: 0,
-            units_cloned: units,
-            time: t0.elapsed(),
-        };
-        self.stats.captures += 1;
-        self.stats.full_clones += 1;
-        self.stats.units_cloned += units;
-    }
-
-    fn restore(&mut self, m: &mut M) {
-        if let Some(snap) = self.snapshot.take() {
-            *m = snap;
-            self.stats.restores += 1;
-        }
-    }
-
-    fn commit(&mut self, _mutated: &Mutation<M>, _changed: bool) {
-        self.snapshot = None;
-    }
-
-    fn last_cost(&self) -> SnapshotCost {
-        self.last
-    }
-
-    fn stats(&self) -> SnapshotStats {
-        self.stats
-    }
-}
-
-/// Per-function copy-on-write engine for [`ShardedIr`] modules.
+/// Per-function copy-on-write snapshots.
 ///
 /// Keeps a pool of pre-pass function clones keyed by function id. A
 /// `Mutation::Funcs(keys)` capture clones only pool-missing keys; commit
 /// evicts exactly the functions the pass reported mutated, so clean
 /// functions carry their clone across passes for free. Scopes that may
 /// touch the module shell (`All`, `Handled`) fall back to a full module
-/// clone, preserving the legacy guarantee.
+/// clone.
+///
+/// Call order per pass invocation: [`capture`](CowEngine::capture)
+/// before the pass, then exactly one of [`restore`](CowEngine::restore)
+/// (the pass faulted) or [`commit`](CowEngine::commit) (it succeeded,
+/// with its actual mutation declaration).
 #[derive(Debug)]
-pub struct CowEngine<M: ShardedIr> {
+pub struct CowEngine<M: IrUnit> {
     pool: HashMap<M::FuncKey, M::Func>,
     /// Keys of the most recent `Funcs` capture (the restore scope).
     scope: Vec<M::FuncKey>,
@@ -161,13 +78,13 @@ pub struct CowEngine<M: ShardedIr> {
     stats: SnapshotStats,
 }
 
-impl<M: ShardedIr> Default for CowEngine<M> {
+impl<M: IrUnit> Default for CowEngine<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: ShardedIr> CowEngine<M> {
+impl<M: IrUnit> CowEngine<M> {
     /// A fresh engine with an empty clone pool.
     pub fn new() -> Self {
         CowEngine {
@@ -178,21 +95,16 @@ impl<M: ShardedIr> CowEngine<M> {
             stats: SnapshotStats::default(),
         }
     }
-}
 
-impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
-    fn capture(&mut self, m: &M, scope: &Mutation<M>) {
-        let t0 = Instant::now();
+    /// Captures whatever `scope` says the upcoming pass may mutate.
+    pub fn capture(&mut self, m: &M, scope: &Mutation<M>) {
         self.stats.captures += 1;
         match scope {
             Mutation::None => {
                 // The pass promises to mutate nothing: nothing to hold.
                 self.scope.clear();
                 self.full = None;
-                self.last = SnapshotCost {
-                    time: t0.elapsed(),
-                    ..SnapshotCost::default()
-                };
+                self.last = SnapshotCost::default();
             }
             Mutation::Funcs(keys) => {
                 self.full = None;
@@ -218,7 +130,6 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
                     funcs_cloned: cloned,
                     funcs_reused: reused,
                     units_cloned: units,
-                    time: t0.elapsed(),
                 };
             }
             Mutation::All | Mutation::Handled => {
@@ -235,13 +146,13 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
                     funcs_cloned: 0,
                     funcs_reused: 0,
                     units_cloned: units,
-                    time: t0.elapsed(),
                 };
             }
         }
     }
 
-    fn restore(&mut self, m: &mut M) {
+    /// Rolls the module back to the captured state.
+    pub fn restore(&mut self, m: &mut M) {
         self.stats.restores += 1;
         if let Some(snap) = self.full.take() {
             *m = snap;
@@ -257,7 +168,10 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
         }
     }
 
-    fn commit(&mut self, mutated: &Mutation<M>, changed: bool) {
+    /// Reconciles the engine with a successful pass: clones of functions
+    /// the pass actually mutated are now stale and dropped; clones of
+    /// untouched functions stay reusable.
+    pub fn commit(&mut self, mutated: &Mutation<M>, changed: bool) {
         self.full = None;
         self.scope.clear();
         if !changed {
@@ -276,11 +190,13 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
         }
     }
 
-    fn last_cost(&self) -> SnapshotCost {
+    /// Cost of the most recent capture.
+    pub fn last_cost(&self) -> SnapshotCost {
         self.last
     }
 
-    fn stats(&self) -> SnapshotStats {
+    /// Cumulative counters.
+    pub fn stats(&self) -> SnapshotStats {
         self.stats
     }
 }
@@ -288,48 +204,7 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal sharded IR: functions are plain integers.
-    #[derive(Clone, Debug, Default, PartialEq)]
-    struct Toy {
-        vals: Vec<i64>,
-    }
-
-    impl IrUnit for Toy {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
-    }
-
-    impl ShardedIr for Toy {
-        type Func = i64;
-        fn detach_funcs(&mut self) -> Vec<(usize, i64)> {
-            std::mem::take(&mut self.vals)
-                .into_iter()
-                .enumerate()
-                .collect()
-        }
-        fn attach_funcs(&mut self, funcs: Vec<(usize, i64)>) {
-            assert!(self.vals.is_empty());
-            for (i, (k, v)) in funcs.into_iter().enumerate() {
-                assert_eq!(i, k);
-                self.vals.push(v);
-            }
-        }
-        fn clone_func(&self, key: usize) -> i64 {
-            self.vals[key]
-        }
-        fn restore_func(&mut self, key: usize, func: i64) {
-            self.vals[key] = func;
-        }
-        fn func_size_hint(&self, _key: usize) -> usize {
-            1
-        }
-    }
+    use crate::toy::Toy;
 
     #[test]
     fn cow_clones_only_the_declared_functions() {
@@ -388,19 +263,5 @@ mod tests {
         m.vals.clear(); // even structural damage rolls back
         eng.restore(&mut m);
         assert_eq!(m.vals, vec![5, 6]);
-    }
-
-    #[test]
-    fn full_clone_engine_always_pays_for_the_module() {
-        let mut m = Toy {
-            vals: vec![7, 8, 9],
-        };
-        let mut eng = FullCloneEngine::<Toy>::new();
-        eng.capture(&m, &Mutation::Funcs(vec![0]));
-        assert!(eng.last_cost().full);
-        assert_eq!(eng.last_cost().units_cloned, 3);
-        m.vals[2] = 0;
-        eng.restore(&mut m);
-        assert_eq!(m.vals, vec![7, 8, 9]);
     }
 }

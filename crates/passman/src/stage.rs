@@ -1,53 +1,49 @@
 //! Cross-IR bridge stages: lowering one IR unit into a different IR unit
-//! under the same fault policies, budgets, snapshots, and reporting as
-//! ordinary passes.
+//! under the same fault policies, budgets, and reporting as ordinary
+//! passes.
 //!
 //! [`PassManager`](crate::PassManager) is generic over a single IR type,
 //! so a translation step (MEMOIR → low-level IR) cannot be registered as
 //! a [`Pass`](crate::Pass). [`LowerStage`] fills the gap: it runs a
-//! bridging body `FnOnce(&mut A) -> Result<(B, stats), String>` with
+//! bridging body `FnOnce(&A) -> Result<(B, stats), String>` with
 //!
-//! * panic isolation (`catch_unwind`) and input rollback under the
-//!   recovering [`FaultPolicy`] variants, via a pre-stage full clone of
-//!   the input (the input is the last verified IR: a faulted stage must
-//!   leave it exactly as it found it);
+//! * panic isolation (`catch_unwind`) under the recovering
+//!   [`FaultPolicy`] variants. The body only reads its input, so a
+//!   faulted stage leaves the input as it found it with no snapshot;
 //! * output verification (e.g. the target IR's structural verifier) and
 //!   an optional *cross-IR check* comparing input and output (e.g.
 //!   interpreter agreement on probe inputs) — both classified as
 //!   [`FaultCause::VerifyFailed`];
 //! * per-stage time budgets and [`FaultPlan`] injection (`panic@lower`,
 //!   `verify@lower`, `budget@lower`);
-//! * a [`PassRun`] (and, on fault, a [`Degradation`]) appended to the
-//!   caller's [`RunReport`], so lowering shows up in the same profile
-//!   table as every other pass.
+//! * a [`PassRun`] (and, on fault, a [`Degradation`](crate::Degradation))
+//!   appended to the caller's [`RunReport`], so lowering shows up in the
+//!   same profile table as every other pass.
 //!
-//! Fault classification mirrors `PassManager::run_one`: panic, then body
+//! Faults take the same path as a pass's in `PassManager::run_one` (see
+//! [`crate::recover`]), classified in the same order: panic, then body
 //! error, then output verification, then cross-IR check, then budgets.
 //! Under [`FaultPolicy::Abort`] panics propagate and other faults map to
-//! [`RunError`]; under `SkipPass`/`StopPipeline` the input is restored
-//! and the stage reports [`StageOutcome::Degraded`]. Either recovering
-//! policy marks the report `stopped_early`: unlike an ordinary skipped
-//! pass, nothing downstream of a lowering stage can run without its
-//! output, so the pipeline ends at the stage with the *input* IR as the
-//! final result.
+//! [`RunError`]; under `SkipPass`/`StopPipeline` the stage reports
+//! [`StageOutcome::Degraded`]. Either recovering policy marks the report
+//! `stopped_early`: unlike an ordinary skipped pass, nothing downstream
+//! of a lowering stage can run without its output, so the pipeline ends
+//! at the stage with the *input* IR as the final result.
 
 use crate::budget::{BudgetViolation, Budgets};
 use crate::fault::{FaultPlan, InjectKind};
-use crate::recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
+use crate::pass::PassError;
+use crate::recover::{FaultCause, FaultPolicy, FaultSite, RecoveryAction};
 use crate::runner::{PassRun, RunError, RunReport};
-use crate::snapshot::SnapshotCost;
-use crate::IrUnit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 /// What a [`LowerStage`] run produced.
 #[derive(Debug)]
 pub enum StageOutcome<B> {
     /// The stage completed and verified; here is the lowered unit.
     Lowered(B),
-    /// A recovering [`FaultPolicy`] contained a fault: the input was
-    /// rolled back to its pre-stage state and no lowered unit exists.
-    /// The [`Degradation`] is in the caller's [`RunReport`].
+    /// A recovering [`FaultPolicy`] contained a fault: no lowered unit
+    /// exists. The [`Degradation`](crate::Degradation) is in the
+    /// caller's [`RunReport`].
     Degraded {
         /// The [`RecoveryAction`] taken (`RolledBack` for `SkipPass`,
         /// `Stopped` for `StopPipeline`).
@@ -67,16 +63,13 @@ impl<B> StageOutcome<B> {
 
 type OutputVerifier<B> = Box<dyn Fn(&B) -> Result<(), String>>;
 type CrossCheck<A, B> = Box<dyn Fn(&A, &B) -> Result<(), String>>;
-/// Outcome of running a stage body: outer `Err` is a caught panic
-/// message, inner `Err` a stage failure, `Ok` the output plus stats.
-type BodyResult<B> = Result<Result<(B, Vec<(&'static str, i64)>), String>, String>;
 
-/// A cross-IR bridge stage (see the module docs).
-///
-/// `A` is the source IR unit (cloned for rollback under recovering
-/// policies), `B` the target.
+/// The spec name of every stage: reports and [`FaultPlan`] targets use it.
+const STAGE_NAME: &str = "lower";
+
+/// A cross-IR bridge stage from source IR `A` to target IR `B` (see the
+/// module docs).
 pub struct LowerStage<A, B> {
-    name: String,
     policy: FaultPolicy,
     budgets: Budgets,
     verify_output: bool,
@@ -88,7 +81,6 @@ pub struct LowerStage<A, B> {
 impl<A, B> std::fmt::Debug for LowerStage<A, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LowerStage")
-            .field("name", &self.name)
             .field("policy", &self.policy)
             .field("budgets", &self.budgets)
             .field("verify_output", &self.verify_output)
@@ -99,24 +91,17 @@ impl<A, B> std::fmt::Debug for LowerStage<A, B> {
     }
 }
 
-impl<A: IrUnit + Clone, B: IrUnit> Default for LowerStage<A, B> {
+impl<A, B> Default for LowerStage<A, B> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
+impl<A, B> LowerStage<A, B> {
     /// A stage named `lower` with the [`FaultPolicy::Abort`] policy, no
     /// budgets, and no verifiers.
     pub fn new() -> Self {
-        Self::named("lower")
-    }
-
-    /// A stage with an explicit spec name (used for reporting and as the
-    /// [`FaultPlan`] target name).
-    pub fn named(name: impl Into<String>) -> Self {
         LowerStage {
-            name: name.into(),
             policy: FaultPolicy::Abort,
             budgets: Budgets::default(),
             verify_output: true,
@@ -126,13 +111,8 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
         }
     }
 
-    /// The stage's spec name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Sets the fault policy (recovering policies snapshot the input and
-    /// roll it back on fault).
+    /// Sets the fault policy (recovering policies contain a fault and
+    /// report the stage degraded).
     pub fn on_fault(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
         self
@@ -176,7 +156,8 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
     }
 
     /// Runs the stage body over `input`, appending one [`PassRun`] (and,
-    /// on a contained fault, one [`Degradation`]) to `report`.
+    /// on a contained fault, one [`Degradation`](crate::Degradation)) to
+    /// `report`.
     ///
     /// `invocation` is the stage's invocation index in the surrounding
     /// pipeline (used for `#N` fault-injection targets and recorded on
@@ -184,214 +165,92 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
     /// report stats.
     pub fn run<F>(
         &self,
-        input: &mut A,
+        input: &A,
         report: &mut RunReport,
         invocation: usize,
         body: F,
     ) -> Result<StageOutcome<B>, RunError>
     where
-        F: FnOnce(&mut A) -> Result<(B, Vec<(&'static str, i64)>), String>,
+        F: FnOnce(&A) -> Result<(B, Vec<(&'static str, i64)>), String>,
     {
-        let recovering = self.policy != FaultPolicy::Abort;
+        let site = FaultSite {
+            policy: self.policy,
+            pass: STAGE_NAME,
+            invocation,
+            fixpoint_iteration: None,
+        };
         let injected = self
             .injection
             .as_ref()
-            .filter(|plan| plan.fires(invocation, &self.name))
+            .filter(|plan| plan.fires(invocation, STAGE_NAME))
             .map(|plan| plan.kind);
 
-        // Snapshot the input under recovering policies: the body may
-        // mutate it (normalization) before faulting, and a faulted stage
-        // must leave the input exactly as it found it.
-        let mut snapshot_cost = None;
-        let snapshot = if recovering {
-            let t0 = Instant::now();
-            let units = input.size_hint();
-            let snap = input.clone();
-            let cost = SnapshotCost {
-                full: true,
-                funcs_cloned: 0,
-                funcs_reused: 0,
-                units_cloned: units,
-                time: t0.elapsed(),
-            };
-            report.snapshots.captures += 1;
-            report.snapshots.full_clones += 1;
-            report.snapshots.units_cloned += units;
-            snapshot_cost = Some(cost);
-            Some(snap)
-        } else {
-            None
-        };
-
-        // --- run the stage body ---------------------------------------
-        let t0 = Instant::now();
-        let name = self.name.clone();
-        let exec = |input: &mut A| {
+        let (result, time) = site.run(|| {
             if injected == Some(InjectKind::Panic) {
-                panic!("fault injection: panic in stage `{name}` at invocation {invocation}");
+                panic!("fault injection: panic in stage `{STAGE_NAME}` at invocation {invocation}");
             }
-            body(input)
-        };
-        let result: BodyResult<B> = if recovering {
-            catch_unwind(AssertUnwindSafe(|| exec(input))).map_err(|payload| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".to_string())
-            })
-        } else {
-            // Abort: let panics propagate with their original backtrace.
-            Ok(exec(input))
-        };
-        let time = t0.elapsed();
-
-        // --- classify the outcome into (success, fault) ---------------
-        let mut fault: Option<FaultCause> = None;
-        let mut success: Option<(B, Vec<(&'static str, i64)>)> = None;
-        match result {
-            Err(panic_msg) => fault = Some(FaultCause::Panic(panic_msg)),
-            Ok(Err(message)) => fault = Some(FaultCause::PassFailed(message)),
-            Ok(Ok((out, stats))) => {
-                let verify_msg = if injected == Some(InjectKind::VerifyFail) {
-                    Some(format!(
-                        "fault injection: forced verifier failure after stage `{}`",
-                        self.name
-                    ))
-                } else if self.verify_output {
-                    self.output_verifier
-                        .as_ref()
-                        .and_then(|v| v(&out).err())
-                        .or_else(|| {
-                            self.cross_check
-                                .as_ref()
-                                .and_then(|c| c(input, &out).err())
-                                .map(|msg| format!("cross-IR check failed: {msg}"))
-                        })
-                } else {
-                    None
-                };
-                if let Some(message) = verify_msg {
-                    fault = Some(FaultCause::VerifyFailed(message));
-                } else if let Some(v) = self.budget_violation(injected, time) {
-                    fault = Some(FaultCause::Budget(v));
-                } else {
-                    success = Some((out, stats));
-                }
-            }
-        }
-
-        // --- fault handling -------------------------------------------
-        if let Some(cause) = fault {
-            if !recovering {
-                return Err(match cause {
-                    FaultCause::Panic(message) => {
-                        unreachable!("panics are not caught under Abort: {message}")
-                    }
-                    FaultCause::PassFailed(message) => RunError::PassFailed {
-                        pass: self.name.clone(),
-                        error: crate::pass::PassError::msg(message),
-                    },
-                    FaultCause::VerifyFailed(message) => RunError::VerifyFailed {
-                        pass: self.name.clone(),
-                        message,
-                    },
-                    FaultCause::Budget(violation) => RunError::BudgetExceeded {
-                        pass: self.name.clone(),
-                        violation,
-                    },
-                });
-            }
-
-            // Roll the input back to its pre-stage state.
-            if let Some(snap) = snapshot {
-                *input = snap;
-                report.snapshots.restores += 1;
-            }
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("handled above"),
+            body(input).map_err(PassError::msg)
+        })?;
+        let checked = result.and_then(|(out, stats)| {
+            let verify_msg = if injected == Some(InjectKind::VerifyFail) {
+                Some(format!(
+                    "fault injection: forced verifier failure after stage `{STAGE_NAME}`"
+                ))
+            } else if self.verify_output {
+                self.output_verifier
+                    .as_ref()
+                    .and_then(|v| v(&out).err())
+                    .or_else(|| {
+                        self.cross_check
+                            .as_ref()
+                            .and_then(|c| c(input, &out).err())
+                            .map(|msg| format!("cross-IR check failed: {msg}"))
+                    })
+            } else {
+                None
             };
-            report.passes.push(PassRun {
-                name: self.name.clone(),
-                time,
-                changed: false,
-                stats: Vec::new(),
-                fixpoint_iteration: None,
-                annotations: vec![("degraded".into(), cause.to_string())],
-                snapshot: snapshot_cost,
-                profile: None,
-            });
-            report.degradations.push(Degradation {
-                pass: self.name.clone(),
-                invocation,
-                cause,
-                fixpoint_iteration: None,
-                func_index: None,
-                func: None,
-                action,
-            });
-            // Nothing downstream can run without the stage's output.
-            report.stopped_early = true;
-            return Ok(StageOutcome::Degraded { action });
-        }
-
-        // --- success ---------------------------------------------------
-        let (out, stats) = success.expect("no fault implies a successful outcome");
-        report.passes.push(PassRun {
-            name: self.name.clone(),
-            time,
-            changed: true,
-            stats,
-            fixpoint_iteration: None,
-            annotations: Vec::new(),
-            snapshot: snapshot_cost,
-            profile: None,
+            if let Some(message) = verify_msg {
+                return Err(FaultCause::VerifyFailed(message));
+            }
+            let forced = injected == Some(InjectKind::BudgetBlowup);
+            match BudgetViolation::pass_time(forced, time, self.budgets.max_pass_millis) {
+                Some(v) => Err(FaultCause::Budget(v)),
+                None => Ok((out, stats)),
+            }
         });
-        Ok(StageOutcome::Lowered(out))
-    }
-
-    fn budget_violation(
-        &self,
-        injected: Option<InjectKind>,
-        time: Duration,
-    ) -> Option<BudgetViolation> {
-        if injected == Some(InjectKind::BudgetBlowup) {
-            return Some(BudgetViolation::PassTime {
-                limit_ms: 0,
-                actual_ms: (time.as_millis() as u64).max(1),
-            });
-        }
-        if let Some(limit_ms) = self.budgets.max_pass_millis {
-            if time > Duration::from_millis(limit_ms) {
-                return Some(BudgetViolation::PassTime {
-                    limit_ms,
-                    actual_ms: (time.as_millis() as u64).max(1),
+        match checked {
+            Ok((out, stats)) => {
+                report.passes.push(PassRun {
+                    name: STAGE_NAME.to_string(),
+                    time,
+                    changed: true,
+                    stats,
+                    fixpoint_iteration: None,
+                    annotations: Vec::new(),
+                    snapshot: None,
+                    profile: None,
                 });
+                Ok(StageOutcome::Lowered(out))
+            }
+            Err(cause) => {
+                let action = site.fault(cause, time, None, report)?;
+                // Nothing downstream can run without the stage's output.
+                report.stopped_early = true;
+                Ok(StageOutcome::Degraded { action })
             }
         }
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Toy source IR: a bag of numbers.
     #[derive(Clone, Debug, PartialEq)]
     struct Src {
         vals: Vec<i64>,
-    }
-    impl IrUnit for Src {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
     }
 
     /// Toy target IR: the numbers, doubled.
@@ -399,16 +258,10 @@ mod tests {
     struct Dst {
         vals: Vec<i64>,
     }
-    impl IrUnit for Dst {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-    }
 
     type DoubleResult = Result<(Dst, Vec<(&'static str, i64)>), String>;
 
-    fn double(src: &mut Src) -> DoubleResult {
+    fn double(src: &Src) -> DoubleResult {
         let vals: Vec<i64> = src.vals.iter().map(|v| v * 2).collect();
         let n = vals.len() as i64;
         Ok((Dst { vals }, vec![("lowered", n)]))
@@ -416,12 +269,12 @@ mod tests {
 
     #[test]
     fn success_appends_a_pass_run_and_returns_the_output() {
-        let mut src = Src {
+        let src = Src {
             vals: vec![1, 2, 3],
         };
         let mut report = RunReport::default();
         let stage = LowerStage::<Src, Dst>::new();
-        let out = stage.run(&mut src, &mut report, 0, double).unwrap();
+        let out = stage.run(&src, &mut report, 0, double).unwrap();
         match out {
             StageOutcome::Lowered(d) => assert_eq!(d.vals, vec![2, 4, 6]),
             other => panic!("expected Lowered, got {other:?}"),
@@ -436,11 +289,11 @@ mod tests {
 
     #[test]
     fn body_error_aborts_with_pass_failed() {
-        let mut src = Src { vals: vec![1] };
+        let src = Src { vals: vec![1] };
         let mut report = RunReport::default();
         let stage = LowerStage::<Src, Dst>::new();
         let err = stage
-            .run(&mut src, &mut report, 0, |_| Err("unsupported".into()))
+            .run(&src, &mut report, 0, |_| Err("unsupported".into()))
             .unwrap_err();
         assert!(matches!(err, RunError::PassFailed { ref pass, .. } if pass == "lower"));
         assert!(report.passes.is_empty());
@@ -448,11 +301,11 @@ mod tests {
 
     #[test]
     fn output_verifier_failure_aborts_with_verify_failed() {
-        let mut src = Src { vals: vec![1] };
+        let src = Src { vals: vec![1] };
         let mut report = RunReport::default();
         let stage =
             LowerStage::<Src, Dst>::new().with_output_verifier(|_d: &Dst| Err("bad output".into()));
-        let err = stage.run(&mut src, &mut report, 0, double).unwrap_err();
+        let err = stage.run(&src, &mut report, 0, double).unwrap_err();
         assert!(
             matches!(err, RunError::VerifyFailed { ref message, .. } if message == "bad output")
         );
@@ -460,11 +313,11 @@ mod tests {
 
     #[test]
     fn cross_check_failure_is_a_verify_fault() {
-        let mut src = Src { vals: vec![1] };
+        let src = Src { vals: vec![1] };
         let mut report = RunReport::default();
         let stage = LowerStage::<Src, Dst>::new()
             .with_cross_check(|_a: &Src, _b: &Dst| Err("interp disagreement".into()));
-        let err = stage.run(&mut src, &mut report, 0, double).unwrap_err();
+        let err = stage.run(&src, &mut report, 0, double).unwrap_err();
         match err {
             RunError::VerifyFailed { message, .. } => {
                 assert!(message.contains("cross-IR check failed"));
@@ -475,16 +328,12 @@ mod tests {
     }
 
     #[test]
-    fn panic_under_skip_rolls_back_and_degrades() {
-        let mut src = Src { vals: vec![7, 8] };
-        let before = src.clone();
+    fn panic_under_skip_degrades() {
+        let src = Src { vals: vec![7, 8] };
         let mut report = RunReport::default();
         let stage = LowerStage::<Src, Dst>::new().on_fault(FaultPolicy::SkipPass);
         let out = stage
-            .run(&mut src, &mut report, 2, |s: &mut Src| {
-                s.vals.clear(); // corrupt the input, then die
-                panic!("lowering landmine");
-            })
+            .run(&src, &mut report, 2, |_: &Src| panic!("lowering landmine"))
             .unwrap();
         assert!(matches!(
             out,
@@ -492,14 +341,12 @@ mod tests {
                 action: RecoveryAction::RolledBack
             }
         ));
-        assert_eq!(src, before, "input rolled back to pre-stage state");
         assert_eq!(report.degradations.len(), 1);
         let d = &report.degradations[0];
         assert_eq!(d.pass, "lower");
         assert_eq!(d.invocation, 2);
         assert!(matches!(&d.cause, FaultCause::Panic(msg) if msg.contains("landmine")));
         assert!(report.stopped_early, "nothing can run past a dead stage");
-        assert_eq!(report.snapshots.restores, 1);
         assert!(report.passes[0]
             .annotations
             .iter()
@@ -513,12 +360,12 @@ mod tests {
             ("verify@lower", "verify"),
             ("budget@lower", "budget"),
         ] {
-            let mut src = Src { vals: vec![1] };
+            let src = Src { vals: vec![1] };
             let mut report = RunReport::default();
             let stage = LowerStage::<Src, Dst>::new()
                 .on_fault(FaultPolicy::StopPipeline)
                 .with_fault_injection(plan.parse().unwrap());
-            let out = stage.run(&mut src, &mut report, 0, double).unwrap();
+            let out = stage.run(&src, &mut report, 0, double).unwrap();
             assert!(
                 matches!(
                     out,
@@ -540,24 +387,24 @@ mod tests {
 
     #[test]
     fn injection_targeting_other_stage_does_not_fire() {
-        let mut src = Src { vals: vec![1] };
+        let src = Src { vals: vec![1] };
         let mut report = RunReport::default();
         let stage = LowerStage::<Src, Dst>::new()
             .on_fault(FaultPolicy::SkipPass)
             .with_fault_injection("panic@dce".parse().unwrap());
-        let out = stage.run(&mut src, &mut report, 0, double).unwrap();
+        let out = stage.run(&src, &mut report, 0, double).unwrap();
         assert!(matches!(out, StageOutcome::Lowered(_)));
         assert!(report.degradations.is_empty());
     }
 
     #[test]
     fn pass_time_budget_is_enforced() {
-        let mut src = Src { vals: vec![1] };
+        let src = Src { vals: vec![1] };
         let mut report = RunReport::default();
         let stage =
             LowerStage::<Src, Dst>::new().with_budgets(Budgets::parse("pass-ms=0").unwrap());
         let err = stage
-            .run(&mut src, &mut report, 0, |s: &mut Src| {
+            .run(&src, &mut report, 0, |s: &Src| {
                 std::thread::sleep(Duration::from_millis(5));
                 double(s)
             })

@@ -295,14 +295,14 @@ where
         })
     };
     match catch_unwind(AssertUnwindSafe(|| parse(input))) {
-        Err(payload) => crash(format!("panic: {}", crate::panic_text(payload))),
+        Err(payload) => crash(format!("panic: {}", passman::panic_message(&*payload))),
         Ok(None) => None, // rejected cleanly
         Ok(Some(v)) => {
             let printed = display(&v);
             match catch_unwind(AssertUnwindSafe(|| parse(&printed))) {
                 Err(payload) => crash(format!(
                     "accepted, but its printed form `{printed}` panics the parser: {}",
-                    crate::panic_text(payload)
+                    passman::panic_message(&*payload)
                 )),
                 Ok(None) => crash(format!(
                     "accepted, but its printed form `{printed}` is rejected"
@@ -340,7 +340,7 @@ pub fn fuzz_cli_case(rng: &mut SplitMix64) -> Option<CliCrash> {
                 input: spec_input,
                 message: format!(
                     "split_lowered_spec panicked: {}",
-                    crate::panic_text(payload)
+                    passman::panic_message(&*payload)
                 ),
             });
         }
@@ -386,7 +386,7 @@ pub fn fuzz_cli_case(rng: &mut SplitMix64) -> Option<CliCrash> {
         return Some(CliCrash {
             surface: "run-args",
             input: argv.join(" "),
-            message: format!("panic: {}", crate::panic_text(payload)),
+            message: format!("panic: {}", passman::panic_message(&*payload)),
         });
     }
     None

@@ -37,7 +37,9 @@
 use crate::genprog::{build_case, CaseProgram, Helper, Op};
 use memoir_opt::lowering::{compile_lowered_with, LowerConfig, LoweredPipeline, LOWER_STAGE};
 use memoir_opt::pipeline::compile_spec_with;
-use passman::{Budgets, FaultPlan, FaultPolicy, PassOptions, PipelineSpec, RunError, SpecStep};
+use passman::{
+    panic_message, Budgets, FaultPlan, FaultPolicy, PassOptions, PipelineSpec, RunError, SpecStep,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,16 +187,6 @@ impl Outcome {
             Outcome::Pass => None,
             Outcome::Crash { kind, .. } => Some(kind),
         }
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -597,7 +589,6 @@ fn run_with_cache(
                 inject: cfg.inject.clone(),
                 threads: 1,
                 cross_check: true,
-                full_clone_snapshots: false,
                 cache: Some(cache.clone()),
                 adaptive: cfg.adaptive,
             };
@@ -631,7 +622,7 @@ fn check_cache_coherence(
     let cache = passman::CompileCache::new();
     let run = |label: &str| {
         catch_unwind(AssertUnwindSafe(|| run_with_cache(prog, spec, cfg, &cache)))
-            .map_err(|payload| format!("{label} run panicked: {}", panic_message(payload)))
+            .map_err(|payload| format!("{label} run panicked: {}", panic_message(&*payload)))
             .and_then(|r| r.map_err(|e| format!("{label} run failed: {e}")))
     };
     let cold = match run("cold") {
@@ -818,7 +809,7 @@ fn run_memoir_case(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) ->
         Err(payload) => {
             return Outcome::Crash {
                 kind: "panic",
-                detail: format!("panic: {}", panic_message(payload)),
+                detail: format!("panic: {}", panic_message(&*payload)),
             }
         }
         Ok(Err(e)) => {
@@ -861,7 +852,6 @@ fn run_lowered_case(
         inject: cfg.inject.clone(),
         threads: 1,
         cross_check: true,
-        full_clone_snapshots: false,
         cache: None,
         adaptive: cfg.adaptive,
     };
@@ -873,7 +863,7 @@ fn run_lowered_case(
         Err(payload) => {
             return Outcome::Crash {
                 kind: "panic",
-                detail: format!("panic: {}", panic_message(payload)),
+                detail: format!("panic: {}", panic_message(&*payload)),
             }
         }
         Ok(Err(e)) => {

@@ -65,14 +65,3 @@ pub use harness::{
 pub use repro::Repro;
 pub use rng::SplitMix64;
 pub use service::fuzz_service_case;
-
-/// Best-effort text of a caught panic payload.
-pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}

@@ -9,8 +9,8 @@
 //! 2. **Fault containment** — a fault injected into the stage under a
 //!    recovering policy (`skip` / `stop`) degrades the run instead of
 //!    erroring, produces no lowered module, and leaves the MEMOIR module
-//!    bit-for-bit identical to what the MEMOIR phase produced (the
-//!    stage's snapshot rollback).
+//!    identical to what the MEMOIR phase produced (the stage only reads
+//!    its input, so there is nothing to roll back).
 
 use memoir::ir::printer::print_module as print_memoir;
 use memoir::lir::printer::print_module as print_lir;
