@@ -2,7 +2,9 @@
 //!
 //! The evaluation harness: one binary per table/figure of the paper
 //! (DESIGN.md §4). Each binary regenerates its artefact's rows from the
-//! workloads and prints a plain-text table; `report` runs everything.
+//! workloads and prints a plain-text table. `report` runs the E12 sweep
+//! (automatic DEE on the mcf IR kernel), and `workloads` the four-way
+//! workload cost sweep behind `BENCH_workloads.json`.
 //!
 //! | paper artefact | binary |
 //! |---|---|

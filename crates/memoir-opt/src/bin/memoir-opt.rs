@@ -186,40 +186,25 @@ fn run_job(
     let mut m = memoir_ir::parser::parse_module(&src).map_err(|e| format!("parsing input: {e}"))?;
 
     let lowered_pipeline = split_lowered_spec(&cli.spec)?;
+    let cfg = LowerConfig {
+        policy: cli.policy,
+        budgets: cli.budgets,
+        verify: cli.verify,
+        inject: cli.inject.clone(),
+        threads: cli.threads.unwrap_or_else(threads_from_env),
+        cross_check: true,
+        cache,
+        adaptive: false,
+    };
     let (report, lowered) = match &lowered_pipeline {
         Some(lp) => {
-            let cfg = LowerConfig {
-                policy: cli.policy,
-                budgets: cli.budgets,
-                verify: cli.verify,
-                inject: cli.inject.clone(),
-                threads: cli.threads.unwrap_or_else(threads_from_env),
-                cross_check: true,
-                cache,
-                adaptive: false,
-            };
             let out = compile_lowered_with(&mut m, lp, &cfg)
                 .map_err(|e| format!("pipeline failed: {e}"))?;
             (out.report, out.lowered)
         }
         None => {
-            let report = compile_spec_with(&mut m, &cli.spec, |mut pm| {
-                pm = pm.on_fault(cli.policy).with_budgets(cli.budgets);
-                if let Some(v) = cli.verify {
-                    pm = pm.verify_between_passes(v);
-                }
-                if let Some(plan) = cli.inject.clone() {
-                    pm = pm.with_fault_injection(plan);
-                }
-                if let Some(n) = cli.threads {
-                    pm = pm.with_threads(n);
-                }
-                if let Some(cache) = cache {
-                    pm = pm.with_compile_cache(cache);
-                }
-                pm
-            })
-            .map_err(|e| format!("pipeline failed: {e}"))?;
+            let report = compile_spec_with(&mut m, &cli.spec, |pm| cfg.apply(pm))
+                .map_err(|e| format!("pipeline failed: {e}"))?;
             (report, None)
         }
     };

@@ -126,7 +126,12 @@ impl Default for LowerConfig {
 }
 
 impl LowerConfig {
-    fn apply<M: passman::IrUnit>(&self, mut pm: PassManager<M>) -> PassManager<M> {
+    /// Configures a pass manager (of either IR) with this config's fault
+    /// policy, budgets, threads, verification override, fault injection
+    /// and compile cache: the MEMOIR and lir phases of
+    /// [`compile_lowered_with`], and a MEMOIR-only run
+    /// (`compile_spec_with(m, spec, |pm| cfg.apply(pm))`).
+    pub fn apply<M: passman::IrUnit>(&self, mut pm: PassManager<M>) -> PassManager<M> {
         pm = pm
             .on_fault(self.policy)
             .with_budgets(self.budgets)

@@ -698,18 +698,18 @@ fn compile_attempt(
     let mut m = spec.module.clone();
     let lowered = split_lowered_spec(effective_spec)
         .map_err(|e| FaultCause::PassFailed(format!("bad lowered spec: {e}")))?;
+    let lcfg = LowerConfig {
+        policy: spec.policy,
+        budgets,
+        verify: None,
+        inject: None,
+        threads,
+        cross_check: true,
+        cache: cache.cloned(),
+        adaptive: false,
+    };
     match lowered {
         Some(pipeline) => {
-            let lcfg = LowerConfig {
-                policy: spec.policy,
-                budgets,
-                verify: None,
-                inject: None,
-                threads,
-                cross_check: true,
-                cache: cache.cloned(),
-                adaptive: false,
-            };
             let out = compile_lowered_with(&mut m, &pipeline, &lcfg)
                 .map_err(|e| FaultCause::PassFailed(e.to_string()))?;
             match out.lowered {
@@ -729,17 +729,8 @@ fn compile_attempt(
             }
         }
         None => {
-            let report = compile_spec_with(&mut m, effective_spec, |pm| {
-                let mut pm = pm
-                    .on_fault(spec.policy)
-                    .with_budgets(budgets)
-                    .with_threads(threads);
-                if let Some(c) = cache {
-                    pm = pm.with_compile_cache(c.clone());
-                }
-                pm
-            })
-            .map_err(|e| FaultCause::PassFailed(e.to_string()))?;
+            let report = compile_spec_with(&mut m, effective_spec, |pm| lcfg.apply(pm))
+                .map_err(|e| FaultCause::PassFailed(e.to_string()))?;
             Ok(AttemptOutput {
                 output: memoir_ir::printer::print_module(&m),
                 clean: report.run.degradations.is_empty() && !report.run.stopped_early,

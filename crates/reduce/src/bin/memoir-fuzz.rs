@@ -18,8 +18,9 @@
 //! failure still reproduces; `cli` fuzzes the binaries' own textual
 //! argument surfaces for parser panics; `service` fuzzes the `memoird`
 //! compile service — its job-stream parsers and randomized job batches
-//! under fault injection (zero lost jobs, clean-vs-injected byte
-//! identity, warm-vs-cold job-cache coherence).
+//! (of plain and of object programs) under fault injection (zero lost
+//! jobs, clean-vs-injected byte identity, warm-vs-cold job-cache
+//! coherence).
 
 use reduce::{
     fuzz_cli_case, fuzz_service_case, parse_run_args, random_case, random_case_config, random_spec,
@@ -31,10 +32,9 @@ const USAGE: &str = "\
 memoir-fuzz — fuzz the MEMOIR pass pipeline and triage crashes
 
 USAGE:
-    memoir-fuzz run [--seed N] [--iters N] [--max-ops N] [--out DIR] [--lower]
+    memoir-fuzz run [--seed N] [--iters N] [--out DIR] [--lower]
                     [--objects] [--multi] [--probe]
-                    [--on-fault=abort|skip|stop] [--budget=LIST] [--inject=PLAN]
-                    [--service-fault=PLAN] [--sym] [--no-reduce]
+                    [--on-fault=abort|skip|stop] [--inject=PLAN] [--sym]
     memoir-fuzz reduce FILE.repro
     memoir-fuzz replay FILE.repro
     memoir-fuzz cli [--seed N] [--iters N]
@@ -42,9 +42,9 @@ USAGE:
 
 SUBCOMMANDS:
     run       fuzz: random whole-language programs through random pipeline
-              specs; every failure is delta-debugged (unless --no-reduce)
-              and written to DIR as a replayable .repro artifact (see
-              docs/REPRO_FORMAT.md). Exits 1 if any crash was found.
+              specs; every failure is delta-debugged and written to DIR
+              as a replayable .repro artifact (see docs/REPRO_FORMAT.md).
+              Exits 1 if any crash was found.
     reduce    shrink an existing .repro in place (helpers, ops, pipeline
               steps, lir steps, budgets) and mark it `minimized: true`
     replay    re-run a .repro exactly; exits 0 if the recorded failure
@@ -54,16 +54,15 @@ SUBCOMMANDS:
               argv) for panics and print/parse round-trip breaks.
               Exits 1 if any finding.
     service   fuzz the memoird compile service: job-line and job-fault
-              parsers (panics, round-trip breaks), randomized job
-              batches with sampled slow-job/worker-panic/poison-cache
-              injection (zero lost jobs, clean-vs-injected byte
-              identity, warm-vs-cold job-cache coherence), and the
-              service-envelope case oracle. Exits 1 if any finding.
+              parsers (panics, round-trip breaks), then two randomized
+              job batches per case, of plain and of object programs,
+              with sampled slow-job/worker-panic/poison-cache injection
+              (zero lost jobs, clean-vs-injected byte identity,
+              warm-vs-cold job-cache coherence). Exits 1 if any finding.
 
 OPTIONS (run):
     --seed N              campaign seed (default 1)
     --iters N             number of cases (default 100)
-    --max-ops N           op-sequence length bound per function (default 40)
     --out DIR             artifact directory (default fuzz-out)
     --lower               drive every case through the `lower` stage and a
                           random lir pipeline, with the four-way
@@ -80,21 +79,18 @@ OPTIONS (run):
                           cross-check the direct lowering on the same
                           seeds
     --on-fault=POLICY     pin the fault policy for every case; by default
-                          each case samples abort/skip/stop itself
-    --budget=LIST         pin the budgets for every case (e.g.
-                          growth=4.0,fixpoint=2); by default recovering
-                          cases sample deterministic budget axes
+                          each case samples abort/skip/stop itself (and
+                          recovering cases sample deterministic budgets)
     --inject=PLAN         seed a fault into every case, e.g. panic@dce
-    --service-fault=PLAN  also run every case through the one-job memoird
-                          service envelope, clean vs under PLAN (e.g.
-                          worker-panic@0) — outputs must not diverge
     --sym                 also run every passing case through the bounded
                           symbolic oracle: each function's path-set
                           prediction must match the concrete interpreter
                           (sym-unsound) and pre-opt must prove equivalent
                           to post-opt (sym-diverge on a confirmed witness)
-    --no-reduce           write raw artifacts with `minimized: false`
 ";
+
+/// Op-sequence length bound per generated function.
+const MAX_OPS: usize = 40;
 
 fn first_line(s: &str) -> String {
     s.lines().next().unwrap_or("").to_string()
@@ -108,7 +104,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut crashes = 0u64;
     for case in 0..r.iters {
         let mut rng = root.split(case);
-        let prog = random_case(&mut rng, r.max_ops, r.dims);
+        let prog = random_case(&mut rng, MAX_OPS, r.dims);
         let spec = random_spec(&mut rng);
         let mut cfg = random_case_config(&mut rng, r.lower);
         if r.probe {
@@ -117,11 +113,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         if let Some(p) = r.policy {
             cfg.policy = p;
         }
-        if let Some(b) = r.budgets {
-            cfg.budgets = b;
-        }
         cfg.inject = r.inject.clone();
-        cfg.service_fault = r.service_fault.clone();
         cfg.sym |= r.sym;
         let Outcome::Crash { detail, .. } = run_case_prog(&prog, &spec, &cfg) else {
             continue;
@@ -129,27 +121,15 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         crashes += 1;
         eprintln!("case {case}: {}", first_line(&detail));
 
-        let (prog, spec, cfg, detail, minimized) = if r.no_reduce {
-            (prog, spec, cfg, detail, false)
-        } else {
-            match reduce_case_prog(&prog, &spec, &cfg) {
-                Some((p, s, c, d)) => (p, s, c, d, true),
-                None => (prog, spec, cfg, detail, false), // shrink lost the bug
-            }
+        let (prog, spec, cfg, detail, minimized) = match reduce_case_prog(&prog, &spec, &cfg) {
+            Some((p, s, c, d)) => (p, s, c, d, true),
+            None => (prog, spec, cfg, detail, false), // shrink lost the bug
         };
         let repro = Repro {
             seed: r.seed,
             case,
             spec,
-            lir_spec: cfg.lir_spec.clone(),
-            adaptive: cfg.adaptive,
-            policy: cfg.policy,
-            budgets: cfg.budgets,
-            inject: cfg.inject.clone(),
-            probe_seed: cfg.probe_seed,
-            cache_check: cfg.cache_check,
-            service_fault: cfg.service_fault.clone(),
-            sym: cfg.sym,
+            cfg,
             minimized,
             failure: first_line(&detail),
             prog,
@@ -161,7 +141,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             repro.prog.main.len(),
             repro.prog.helpers.len(),
             repro.spec.steps.len(),
-            match &repro.lir_spec {
+            match &repro.cfg.lir_spec {
                 Some(l) => format!(" + {} lir steps", l.steps.len()),
                 None => String::new(),
             },
@@ -244,8 +224,7 @@ fn load(path: &str) -> Result<Repro, String> {
 
 fn cmd_reduce(path: &str) -> Result<ExitCode, String> {
     let mut repro = load(path)?;
-    let cfg = repro.config();
-    match reduce_case_prog(&repro.prog, &repro.spec, &cfg) {
+    match reduce_case_prog(&repro.prog, &repro.spec, &repro.cfg) {
         None => {
             eprintln!("`{path}` does not reproduce; leaving it untouched");
             Ok(ExitCode::FAILURE)
@@ -253,15 +232,7 @@ fn cmd_reduce(path: &str) -> Result<ExitCode, String> {
         Some((prog, spec, cfg, detail)) => {
             repro.prog = prog;
             repro.spec = spec;
-            repro.lir_spec = cfg.lir_spec;
-            repro.adaptive = cfg.adaptive;
-            repro.policy = cfg.policy;
-            repro.budgets = cfg.budgets;
-            repro.inject = cfg.inject;
-            repro.probe_seed = cfg.probe_seed;
-            repro.cache_check = cfg.cache_check;
-            repro.service_fault = cfg.service_fault;
-            repro.sym = cfg.sym;
+            repro.cfg = cfg;
             repro.failure = first_line(&detail);
             repro.minimized = true;
             std::fs::write(path, repro.to_string())
@@ -280,7 +251,7 @@ fn cmd_reduce(path: &str) -> Result<ExitCode, String> {
 
 fn cmd_replay(path: &str) -> Result<ExitCode, String> {
     let repro = load(path)?;
-    let out = run_case_prog(&repro.prog, &repro.spec, &repro.config());
+    let out = run_case_prog(&repro.prog, &repro.spec, &repro.cfg);
     let recorded_kind = repro.failure.split(':').next().unwrap_or("");
     match out {
         Outcome::Crash { kind, detail } => {

@@ -23,8 +23,6 @@ pub struct RunArgs {
     pub seed: u64,
     /// Number of cases.
     pub iters: u64,
-    /// Op-sequence length bound per function.
-    pub max_ops: usize,
     /// Artifact directory.
     pub out: String,
     /// Drive every case through the `lower` stage + a random lir spec.
@@ -35,18 +33,11 @@ pub struct RunArgs {
     pub probe: bool,
     /// Pin the fault policy for every case.
     pub policy: Option<FaultPolicy>,
-    /// Pin the budgets for every case.
-    pub budgets: Option<Budgets>,
     /// Seed a fault into every case.
     pub inject: Option<FaultPlan>,
-    /// Run every case through the service-envelope differential oracle
-    /// under this `memoird` job-fault plan (`--service-fault`).
-    pub service_fault: Option<memoird::JobFaultPlan>,
     /// Run every passing case through the symbolic oracle (`--sym`; the
     /// `sym-diverge`/`sym-unsound` crash classes).
     pub sym: bool,
-    /// Write raw artifacts without reducing.
-    pub no_reduce: bool,
 }
 
 /// Parses the argv of `memoir-fuzz run` (everything after the
@@ -55,7 +46,6 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut r = RunArgs {
         seed: 1,
         iters: 100,
-        max_ops: 40,
         out: "fuzz-out".to_string(),
         lower: false,
         dims: CaseDims {
@@ -64,11 +54,8 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         },
         probe: false,
         policy: None,
-        budgets: None,
         inject: None,
-        service_fault: None,
         sym: false,
-        no_reduce: false,
     };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -85,18 +72,14 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         match flag {
             "--seed" => r.seed = value()?.parse().map_err(|_| "bad --seed".to_string())?,
             "--iters" => r.iters = value()?.parse().map_err(|_| "bad --iters".to_string())?,
-            "--max-ops" => r.max_ops = value()?.parse().map_err(|_| "bad --max-ops".to_string())?,
             "--out" => r.out = value()?,
             "--lower" => r.lower = true,
             "--objects" => r.dims.objects = true,
             "--multi" => r.dims.multi = true,
             "--probe" => r.probe = true,
             "--on-fault" => r.policy = Some(value()?.parse()?),
-            "--budget" => r.budgets = Some(Budgets::parse(&value()?)?),
             "--inject" => r.inject = Some(value()?.parse()?),
-            "--service-fault" => r.service_fault = Some(value()?.parse()?),
             "--sym" => r.sym = true,
-            "--no-reduce" => r.no_reduce = true,
             other => return Err(format!("unknown `run` option `{other}`")),
         }
     }
@@ -186,26 +169,20 @@ const INJECT_TOKENS: &[&str] = &[
 const ARG_TOKENS: &[&str] = &[
     "--seed",
     "--iters",
-    "--max-ops",
     "--out",
     "--lower",
     "--objects",
     "--multi",
     "--probe",
     "--on-fault",
-    "--budget",
     "--inject",
-    "--service-fault",
     "--sym",
-    "--no-reduce",
     "--seed=abc",
-    "worker-panic@0",
     "--iters=",
     "=",
     "7",
     "skip",
     "panic@dce",
-    "growth=2.0",
     "--unknown",
     "",
 ];
@@ -402,19 +379,14 @@ mod tests {
             "--seed",
             "9",
             "--iters=50",
-            "--max-ops",
-            "12",
             "--lower",
             "--objects",
             "--multi",
             "--probe",
             "--on-fault=skip",
-            "--budget=growth=4.0",
             "--inject",
             "panic@dce",
-            "--service-fault=worker-panic@0",
             "--sym",
-            "--no-reduce",
             "--out",
             "artifacts",
         ]
@@ -424,15 +396,9 @@ mod tests {
         let r = parse_run_args(&args).unwrap();
         assert_eq!(r.seed, 9);
         assert_eq!(r.iters, 50);
-        assert_eq!(r.max_ops, 12);
-        assert!(r.lower && r.dims.objects && r.dims.multi && r.probe && r.no_reduce);
+        assert!(r.lower && r.dims.objects && r.dims.multi && r.probe);
         assert_eq!(r.policy, Some(FaultPolicy::SkipPass));
-        assert!(r.budgets.is_some() && r.inject.is_some());
-        assert_eq!(
-            r.service_fault,
-            Some("worker-panic@0".parse().unwrap()),
-            "--service-fault should parse as a memoird job-fault plan"
-        );
+        assert!(r.inject.is_some());
         assert!(r.sym, "--sym should turn on the symbolic-oracle axis");
         assert_eq!(r.out, "artifacts");
 

@@ -1,10 +1,10 @@
 //! Random MUT-op programs with a built-in oracle, over the whole MEMOIR
 //! language surface.
 //!
-//! This is the program generator of `tests/pipeline_differential.rs`,
-//! promoted to a library so the fuzz harness, the reducer, and the
-//! property tests all draw from the same distribution. A generated case
-//! ([`CaseProgram`]) is:
+//! The fuzz harness, the reducer, and the property tests (including
+//! `tests/pipeline_differential.rs`) all draw from this one generator,
+//! so they share one distribution. A generated case ([`CaseProgram`])
+//! is:
 //!
 //! - a straight-line prefix of sequence mutations (push/write/insert/
 //!   remove/swap/remove-range), associative-array mutations
@@ -282,25 +282,12 @@ pub struct CaseDims {
     pub multi: bool,
 }
 
-/// Draws one random op from the v1 (sequence + assoc) distribution, the
-/// `tests/pipeline_differential.rs` weights.
-pub fn random_op(rng: &mut SplitMix64) -> Op {
-    let bucket = rng.below(16);
-    op_from_bucket(rng, bucket)
-}
-
-/// Draws one random op; with `objects`, the distribution extends to the
-/// object/field ops, including the object-graph shapes (nested `Inner`
-/// links and doc collections of object refs). (`objects = false`
-/// reproduces the [`random_op`] stream exactly, so v1 seeds stay
-/// replayable.)
-pub fn random_op_dim(rng: &mut SplitMix64, objects: bool) -> Op {
-    let bucket = rng.below(if objects { 32 } else { 16 });
-    op_from_bucket(rng, bucket)
-}
-
-fn op_from_bucket(rng: &mut SplitMix64, bucket: u64) -> Op {
-    match bucket {
+/// Draws one random op. Without `objects` it comes from the v1
+/// (sequence + assoc) distribution; with `objects`, the distribution
+/// extends to the object/field ops, including the object-graph shapes
+/// (nested `Inner` links and doc collections of object refs).
+pub fn random_op(rng: &mut SplitMix64, objects: bool) -> Op {
+    match rng.below(if objects { 32 } else { 16 }) {
         0..=2 => Op::Push(rng.next_u64() as i8),
         3..=4 => Op::Write(rng.next_u64() as u8, rng.next_u64() as i8),
         5..=6 => Op::InsertAt(rng.next_u64() as u8, rng.next_u64() as i8),
@@ -337,16 +324,11 @@ fn op_from_bucket(rng: &mut SplitMix64, bucket: u64) -> Op {
     }
 }
 
-/// Draws a random op sequence of length `0..max_len` (v1 distribution).
-pub fn random_ops(rng: &mut SplitMix64, max_len: usize) -> Vec<Op> {
-    random_ops_dim(rng, max_len, false)
-}
-
 /// Draws a random op sequence of length `0..max_len`, optionally
-/// including object ops.
-pub fn random_ops_dim(rng: &mut SplitMix64, max_len: usize, objects: bool) -> Vec<Op> {
+/// including object ops (see [`random_op`]).
+pub fn random_ops(rng: &mut SplitMix64, max_len: usize, objects: bool) -> Vec<Op> {
     let n = rng.index(max_len.max(1));
-    (0..n).map(|_| random_op_dim(rng, objects)).collect()
+    (0..n).map(|_| random_op(rng, objects)).collect()
 }
 
 /// Draws a whole case in the given dimensions: `main`'s ops, plus 1–3
@@ -354,7 +336,7 @@ pub fn random_ops_dim(rng: &mut SplitMix64, max_len: usize, objects: bool) -> Ve
 /// ones; with `dims.objects`, a quarter of the non-scalar draws become
 /// object-probe helpers taking a `&Inner` argument).
 pub fn random_case(rng: &mut SplitMix64, max_ops: usize, dims: CaseDims) -> CaseProgram {
-    let main = random_ops_dim(rng, max_ops, dims.objects);
+    let main = random_ops(rng, max_ops, dims.objects);
     let mut helpers = Vec::new();
     if dims.multi {
         let n = 1 + rng.index(3);
@@ -364,7 +346,7 @@ pub fn random_case(rng: &mut SplitMix64, max_ops: usize, dims: CaseDims) -> Case
             } else if dims.objects && rng.chance(1, 4) {
                 helpers.push(Helper::ObjProbe(rng.next_u64() as i8, rng.next_u64() as i8));
             } else {
-                helpers.push(Helper::Ops(random_ops(rng, max_ops / 2 + 1)));
+                helpers.push(Helper::Ops(random_ops(rng, max_ops / 2 + 1, false)));
             }
         }
     }
@@ -1129,6 +1111,37 @@ fn emit_preamble(b: &mut FunctionBuilder<'_>, types: Option<GenObjTypes>) -> Emi
     }
 }
 
+/// Emits the epilogue of `main` (and of each [`build_multi`] function):
+/// fold loops over the shared sequence and assoc and, with an object
+/// pool, over the pool and both doc collections. Returns their sum plus
+/// the probe accumulator; [`epilogue_oracle`] is its oracle side.
+fn emit_epilogue(b: &mut FunctionBuilder<'_>, ctx: &EmitCtx) -> memoir_ir::ValueId {
+    let acc = emit_seq_fold(b, ctx.s);
+    let kacc = emit_assoc_fold(b, ctx.a);
+    let t1 = b.add(acc, ctx.extra);
+    let mut total = b.add(t1, kacc);
+    if let Some(oc) = &ctx.objs {
+        let ofold = emit_obj_fold(b, oc);
+        let dfold = emit_docs_fold(b, oc);
+        let adfold = emit_adocs_fold(b, oc);
+        let t2 = b.add(ofold, dfold);
+        let t3 = b.add(t2, adfold);
+        total = b.add(total, t3);
+    }
+    total
+}
+
+/// The oracle value of [`emit_epilogue`] over the heap `state` with probe
+/// accumulator `extra` (wrapping).
+fn epilogue_oracle(state: &OracleState, extra: i64) -> i64 {
+    seq_fold_oracle(&state.seq)
+        .wrapping_add(extra)
+        .wrapping_add(assoc_fold_oracle(&state.assoc))
+        .wrapping_add(obj_fold_oracle(&state.objs))
+        .wrapping_add(docs_fold_oracle(state))
+        .wrapping_add(adocs_fold_oracle(state))
+}
+
 /// Emits the body of an ops helper (shared collections by reference, the
 /// accumulator by value); advances `state` past its ops and returns the
 /// oracle's delta to the accumulator.
@@ -1366,28 +1379,11 @@ pub fn build_case(prog: &CaseProgram) -> (Module, i64) {
             };
             rv = rets[0];
         }
-        let acc = emit_seq_fold(b, ctx.s);
-        let kacc = emit_assoc_fold(b, ctx.a);
-        let t1 = b.add(acc, ctx.extra);
-        let mut total = b.add(t1, kacc);
-        if let Some(oc) = &ctx.objs {
-            let ofold = emit_obj_fold(b, oc);
-            let dfold = emit_docs_fold(b, oc);
-            let adfold = emit_adocs_fold(b, oc);
-            let t2 = b.add(ofold, dfold);
-            let t3 = b.add(t2, adfold);
-            total = b.add(total, t3);
-        }
-        total = b.add(total, rv);
+        let folds = emit_epilogue(b, &ctx);
+        let total = b.add(folds, rv);
         b.returns(&[i64t]);
         b.ret(vec![total]);
-        expect = seq_fold_oracle(&state.seq)
-            .wrapping_add(main_extra)
-            .wrapping_add(assoc_fold_oracle(&state.assoc))
-            .wrapping_add(obj_fold_oracle(&state.objs))
-            .wrapping_add(docs_fold_oracle(&state))
-            .wrapping_add(adocs_fold_oracle(&state))
-            .wrapping_add(r);
+        expect = epilogue_oracle(&state, main_extra).wrapping_add(r);
     });
     let mut m = mb.finish();
     m.entry = m.func_by_name("main");
@@ -1396,7 +1392,7 @@ pub fn build_case(prog: &CaseProgram) -> (Module, i64) {
 
 /// Samples a per-case harness configuration, so a campaign varies the
 /// fault policy and budgets *per case* instead of fixing them for the
-/// whole run (explicit `--on-fault`/`--budget` flags pin them again).
+/// whole run (an explicit `--on-fault` flag pins the policy again).
 ///
 /// Policy is Abort half the time (every fault is a crash) and a
 /// recovering policy otherwise (rollback soundness is the fuzzed
@@ -1444,10 +1440,6 @@ pub fn random_case_config(rng: &mut SplitMix64, lower: bool) -> CaseConfig {
         // One case in eight also runs the cached-vs-cold differential
         // oracle (two extra compiles through a shared compile cache).
         cache_check: rng.chance(1, 8),
-        // Service faults are never sampled here: the `memoir-fuzz
-        // service` campaign driver samples them (two extra service
-        // batches per case is too expensive for the default campaign).
-        service_fault: None,
         // The symbolic oracle is opt-in (`--sym`): path enumeration on
         // every case would dominate campaign throughput.
         sym: false,
@@ -1477,28 +1469,10 @@ pub fn build_multi(progs: &[Vec<Op>]) -> (Module, Vec<i64>) {
             let mut ctx = emit_preamble(b, types.filter(|_| func_obj));
             let mut st = OracleState::with_objs(func_obj);
             let extra_oracle = emit_ops(b, ops, &mut ctx, &mut st);
-            let acc = emit_seq_fold(b, ctx.s);
-            let kacc = emit_assoc_fold(b, ctx.a);
-            let t1 = b.add(acc, ctx.extra);
-            let mut total = b.add(t1, kacc);
-            if let Some(oc) = &ctx.objs {
-                let ofold = emit_obj_fold(b, oc);
-                let dfold = emit_docs_fold(b, oc);
-                let adfold = emit_adocs_fold(b, oc);
-                let t2 = b.add(ofold, dfold);
-                let t3 = b.add(t2, adfold);
-                total = b.add(total, t3);
-            }
+            let total = emit_epilogue(b, &ctx);
             b.returns(&[i64t]);
             b.ret(vec![total]);
-            expects.push(
-                seq_fold_oracle(&st.seq)
-                    .wrapping_add(extra_oracle)
-                    .wrapping_add(assoc_fold_oracle(&st.assoc))
-                    .wrapping_add(obj_fold_oracle(&st.objs))
-                    .wrapping_add(docs_fold_oracle(&st))
-                    .wrapping_add(adocs_fold_oracle(&st)),
-            );
+            expects.push(epilogue_oracle(&st, extra_oracle));
         });
     }
     let mut m = mb.finish();
@@ -1555,7 +1529,7 @@ mod tests {
     fn build_matches_the_oracle() {
         let mut rng = SplitMix64::new(99);
         for _ in 0..10 {
-            let ops = random_ops(&mut rng, 30);
+            let ops = random_ops(&mut rng, 30, false);
             let (m, expect) = build(&ops);
             memoir_ir::verifier::assert_valid(&m);
             let mut vm = memoir_interp::Interp::new(&m).with_fuel(50_000_000);
@@ -1716,17 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_random_op_stream_is_preserved() {
-        // `random_op` and `random_op_dim(_, false)` must draw identical
-        // streams so that v1 `.repro` seeds stay replayable.
-        let mut a = SplitMix64::new(555);
-        let mut b = SplitMix64::new(555);
-        for _ in 0..500 {
-            assert_eq!(random_op(&mut a), random_op_dim(&mut b, false));
-        }
-    }
-
-    #[test]
     fn assoc_ops_hit_overwrite_and_probe_paths() {
         let ops = vec![
             Op::AssocHas(3),       // miss: weight 1 not added
@@ -1798,7 +1761,7 @@ mod tests {
     #[test]
     fn build_multi_matches_per_function_oracles() {
         let mut rng = SplitMix64::new(7);
-        let progs: Vec<Vec<Op>> = (0..5).map(|_| random_ops(&mut rng, 25)).collect();
+        let progs: Vec<Vec<Op>> = (0..5).map(|_| random_ops(&mut rng, 25, false)).collect();
         let (m, expects) = build_multi(&progs);
         memoir_ir::verifier::assert_valid(&m);
         assert_eq!(m.funcs.ids().count(), 5);

@@ -6,9 +6,9 @@
 //! the config carries the per-case fault policy, budgets, optional fault
 //! injection, an optional per-function probe seed, and — for
 //! *through-lowering* cases — the low-level IR pipeline to run after the
-//! `lower` stage. The harness builds the MUT-form module, runs the
-//! pipeline with inter-pass verification forced on and panics caught,
-//! then checks the result differentially:
+//! `lower` stage. The harness builds the MUT-form module and compiles it
+//! once, through one [`LowerConfig`], with inter-pass verification forced
+//! on and panics caught. Every oracle then reads that one compile:
 //!
 //! 1. the optimized MEMOIR module must verify and agree with the plain
 //!    Rust oracle in `memoir-interp` (rollback soundness: this holds
@@ -27,6 +27,12 @@
 //!    agree too (isolates lir pass bugs: `lir-verify` / `lir-trap` /
 //!    `lir-miscompile`).
 //!
+//! Two opt-in oracles follow on cases that pass: the cached-vs-cold
+//! check compiles the case twice more through one shared compile cache
+//! ([`CaseConfig::cache_check`]), and the symbolic oracle proves the
+//! pre-opt module equivalent to the base compile's post-opt module
+//! without compiling anything ([`CaseConfig::sym`]).
+//!
 //! Anything other than "completed and computed the right answer" is a
 //! [`Crash`] — including a *degraded* run whose recovered module no
 //! longer matches the oracle, which is exactly the rollback soundness
@@ -34,11 +40,13 @@
 //!
 //! [`Crash`]: Outcome::Crash
 
-use crate::genprog::{build_case, CaseProgram, Helper, Op};
+use crate::genprog::{build_case, CaseProgram, Helper};
+use memoir_ir::Module;
 use memoir_opt::lowering::{compile_lowered_with, LowerConfig, LoweredPipeline, LOWER_STAGE};
 use memoir_opt::pipeline::compile_spec_with;
 use passman::{
-    panic_message, Budgets, FaultPlan, FaultPolicy, PassOptions, PipelineSpec, RunError, SpecStep,
+    panic_message, Budgets, CompileCache, FaultPlan, FaultPolicy, PassOptions, PipelineSpec,
+    RunError, RunReport, SpecStep,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +81,7 @@ const PROBES_PER_FUNC: u64 = 3;
 /// How to configure the pass manager for a fuzz case (fixed across a
 /// reduction, varied across a campaign — see
 /// [`random_case_config`](crate::genprog::random_case_config)).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CaseConfig {
     /// Fault policy for the run (`Abort` makes every fault a crash;
     /// `SkipPass`/`StopPipeline` exercise rollback instead).
@@ -106,16 +114,6 @@ pub struct CaseConfig {
     /// changed flags, stats, degradations; timings and the cache's own
     /// counters excluded). A mismatch is a `cache-diverge` crash.
     pub cache_check: bool,
-    /// `Some(plan)` turns on the service-envelope differential oracle:
-    /// the case is compiled twice more through a one-job
-    /// [`memoird`] service — once clean and once under `plan`
-    /// (`slow-job@0`, `worker-panic@0`, `poison-cache@0`, …). Both runs
-    /// must resolve the job to exactly one terminal outcome
-    /// (`service-lost` otherwise) and, because every injected fault is
-    /// recoverable by the retry ladder, produce byte-identical output
-    /// (`service-diverge` otherwise). Run only on cases that already
-    /// pass the plain oracles, so any failure is the envelope's fault.
-    pub service_fault: Option<memoird::JobFaultPlan>,
     /// Turns on the symbolic-oracle axis: for cases that pass the plain
     /// oracles, every function of the pre-opt module is (a) checked for
     /// symbolic/concrete agreement — the bounded path enumeration's
@@ -137,7 +135,6 @@ impl Default for CaseConfig {
             adaptive: false,
             probe_seed: None,
             cache_check: false,
-            service_fault: None,
             sym: false,
         }
     }
@@ -162,18 +159,13 @@ pub enum Outcome {
         /// oracle), `lower-probe` (it disagrees with the MEMOIR
         /// interpreter on synthesized scalar probes), `lir-verify` /
         /// `lir-trap` / `lir-miscompile` (the lir-optimized module
-        /// does). Service-side classes (see
-        /// [`CaseConfig::service_fault`]): `service-lost` (a one-job
-        /// `memoird` batch did not resolve to exactly one terminal
-        /// outcome) and `service-diverge` (the fault-injected service
-        /// run produced different bytes than the clean one, or failed a
-        /// recoverable fault outright). Symbolic-oracle classes (see
-        /// [`CaseConfig::sym`]): `sym-diverge` (the bounded symbolic
-        /// oracle proved pre-opt ≢ post-opt with a concretely confirmed
-        /// witness) and `sym-unsound` (the oracle's own path-set
-        /// prediction disagrees with the concrete interpreter — a bug in
-        /// the oracle, not the pipeline). Artifact format:
-        /// `docs/REPRO_FORMAT.md`.
+        /// does). `cache-diverge` (see [`CaseConfig::cache_check`]).
+        /// Symbolic-oracle classes (see [`CaseConfig::sym`]):
+        /// `sym-diverge` (the bounded symbolic oracle proved pre-opt ≢
+        /// post-opt with a concretely confirmed witness) and
+        /// `sym-unsound` (the oracle's own path-set prediction disagrees
+        /// with the concrete interpreter — a bug in the oracle, not the
+        /// pipeline). Artifact format: `docs/REPRO_FORMAT.md`.
         kind: &'static str,
         /// Human-readable one-liner.
         detail: String,
@@ -192,7 +184,7 @@ impl Outcome {
 
 /// Verifies the (post-pipeline) MEMOIR module and runs it against the
 /// oracle; `None` means both checks passed.
-fn check_memoir(m: &memoir_ir::Module, expect: i64) -> Option<Outcome> {
+fn check_memoir(m: &Module, expect: i64) -> Option<Outcome> {
     // The pipeline itself verifies between passes, but re-check the final
     // module so a corrupting *last* pass cannot slip through.
     let errs = memoir_ir::verifier::verify_module(m);
@@ -255,7 +247,7 @@ fn check_lowered(
 /// Canonical signature text of a function (probing only compares
 /// functions whose signature survived the pipeline — layout passes like
 /// field elision legitimately thread extra parameters).
-fn sig_string(m: &memoir_ir::Module, f: &memoir_ir::Function) -> String {
+fn sig_string(m: &Module, f: &memoir_ir::Function) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     for p in &f.params {
@@ -307,7 +299,7 @@ fn coll_snapshot(interp: &memoir_interp::Interp, v: &memoir_interp::Value) -> Op
 /// return values and the final contents of collection arguments must
 /// agree. Probes where the *pre*-optimization run traps are skipped
 /// (passes may legally remove dead trapping reads).
-fn probe_functions(m0: &memoir_ir::Module, m: &memoir_ir::Module, seed: u64) -> Option<Outcome> {
+fn probe_functions(m0: &Module, m: &Module, seed: u64) -> Option<Outcome> {
     use memoir_lower::{materialize, mix_seed, synth_args};
 
     type ProbeResult = Result<(Vec<i64>, Vec<Option<String>>), memoir_interp::Trap>;
@@ -327,7 +319,7 @@ fn probe_functions(m0: &memoir_ir::Module, m: &memoir_ir::Module, seed: u64) -> 
             else {
                 break; // un-synthesizable parameter type
             };
-            let run = |mm: &memoir_ir::Module| -> ProbeResult {
+            let run = |mm: &Module| -> ProbeResult {
                 let mut interp = memoir_interp::Interp::new(mm).with_fuel(FUEL);
                 // `synth_args` never emits collection-valued assoc keys,
                 // so materialization cannot fail here.
@@ -368,7 +360,8 @@ fn probe_functions(m0: &memoir_ir::Module, m: &memoir_ir::Module, seed: u64) -> 
     None
 }
 
-/// Runs one whole-language case end to end and classifies it.
+/// Runs one whole-language case end to end and classifies it: one
+/// compile, then every oracle on its result (see the module docs).
 ///
 /// ```
 /// use passman::PipelineSpec;
@@ -379,26 +372,185 @@ fn probe_functions(m0: &memoir_ir::Module, m: &memoir_ir::Module, seed: u64) -> 
 /// assert_eq!(run_case_prog(&prog, &spec, &CaseConfig::default()), Outcome::Pass);
 /// ```
 pub fn run_case_prog(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -> Outcome {
-    let out = match &cfg.lir_spec {
-        None => run_memoir_case(prog, spec, cfg),
-        Some(lir_spec) => run_lowered_case(prog, spec, lir_spec, cfg),
+    let (m0, expect) = build_case(prog);
+    let out = match compile(&m0, spec, cfg, None) {
+        Ok(out) => out,
+        Err((kind, detail)) => return Outcome::Crash { kind, detail },
     };
-    if cfg.cache_check && out == Outcome::Pass {
-        if let Some(crash) = check_cache_coherence(prog, spec, cfg) {
-            return crash;
+    // Oracle 1: the optimized MEMOIR module is always checkable — and
+    // must stay correct even when the stage (or a pass) degraded.
+    check_memoir(&out.module, expect)
+        // Oracle 2: preserved-signature functions on synthesized inputs.
+        .or_else(|| probe_functions(&m0, &out.module, cfg.probe_seed?))
+        // Oracles 3 and 4, when the stage produced a lowered module (it
+        // does not when it or the MEMOIR phase degraded under a
+        // recovering policy: graceful containment, the just-checked
+        // MEMOIR module is the pipeline's result).
+        .or_else(|| {
+            let lm = out.lowered.as_ref()?;
+            check_lowering(&out.module, lm, expect, cfg.probe_seed)
+        })
+        // The opt-in oracles.
+        .or_else(|| {
+            cfg.cache_check
+                .then(|| check_cache_coherence(&m0, spec, cfg))?
+        })
+        .or_else(|| cfg.sym.then(|| check_sym_oracle(&m0, &out.module))?)
+        .unwrap_or(Outcome::Pass)
+}
+
+/// One compile of a case: the post-MEMOIR-phase module, the lowered (and
+/// lir-optimized) module when the lowering stage produced one, and the
+/// merged run report.
+struct Compiled {
+    module: Module,
+    lowered: Option<lir::Module>,
+    report: RunReport,
+}
+
+/// Compiles a copy of `m0` under `cfg` through one [`LowerConfig`] — on
+/// through the `lower` stage and the lir phase for through-lowering
+/// cases — with `cache` installed in every phase (the cache oracle's
+/// cold and warm runs; `None` for the base run). A panic or pipeline
+/// error comes back as its crash class and detail.
+fn compile(
+    m0: &Module,
+    spec: &PipelineSpec,
+    cfg: &CaseConfig,
+    cache: Option<CompileCache>,
+) -> Result<Compiled, (&'static str, String)> {
+    let lcfg = LowerConfig {
+        policy: cfg.policy,
+        budgets: cfg.budgets,
+        verify: Some(true),
+        inject: cfg.inject.clone(),
+        cache,
+        adaptive: cfg.adaptive,
+        ..LowerConfig::default()
+    };
+    let mut m = m0.clone();
+    let ran = catch_unwind(AssertUnwindSafe(|| match &cfg.lir_spec {
+        None => compile_spec_with(&mut m, spec, |pm| lcfg.apply(pm)).map(|r| (None, r.run)),
+        Some(lir_spec) => {
+            let pipeline = LoweredPipeline {
+                memoir: spec.clone(),
+                lower_opts: PassOptions::none(),
+                lir: lir_spec.clone(),
+            };
+            compile_lowered_with(&mut m, &pipeline, &lcfg).map(|out| (out.lowered, out.report.run))
+        }
+    }));
+    match ran {
+        Err(payload) => Err(("panic", format!("panic: {}", panic_message(&*payload)))),
+        Ok(Err(e)) => {
+            // Stage faults get their own classes so reduction keeps a
+            // lowering bug a lowering bug.
+            let kind = match &e {
+                RunError::VerifyFailed { pass, .. } if pass == LOWER_STAGE => "lower-verify",
+                RunError::PassFailed { pass, .. } if pass == LOWER_STAGE => "lower-error",
+                _ => "run-error",
+            };
+            Err((kind, format!("{kind}: {e}")))
+        }
+        Ok(Ok((lowered, report))) => Ok(Compiled {
+            module: m,
+            lowered,
+            report,
+        }),
+    }
+}
+
+/// Oracles 3 and 4 of a through-lowering case whose stage produced `lm`.
+fn check_lowering(
+    m: &Module,
+    lm: &lir::Module,
+    expect: i64,
+    probe_seed: Option<u64>,
+) -> Option<Outcome> {
+    // Oracle 3: the *direct* lowering of the optimized MEMOIR module —
+    // pre-lir-opt, so a divergence here is memoir-lower's fault.
+    let direct = match memoir_lower::lower_module(m) {
+        Ok(direct) => direct,
+        Err(e) => {
+            return Some(Outcome::Crash {
+                kind: "lower-error",
+                detail: format!("lower-error: direct lowering failed after the stage ran: {e}"),
+            })
+        }
+    };
+    if let Some(crash) = check_lowered(&direct, expect, "lower-trap", "lower-miscompile") {
+        return Some(crash);
+    }
+    // Cross-IR agreement on this case's probe seeds (scalar signatures
+    // only — e.g. the generated scalar helpers).
+    if let Some(seed) = probe_seed {
+        match memoir_lower::cross_validate(m, &direct, &[seed, seed ^ 0x9e3779b9]) {
+            Err(e) => {
+                return Some(Outcome::Crash {
+                    kind: "lower-probe",
+                    detail: format!("lower-probe: {e}"),
+                });
+            }
+            Ok(report) => {
+                CC_PROVED.fetch_add(report.functions_proved as u64, Ordering::Relaxed);
+                CC_PROBED.fetch_add(report.functions_probed as u64, Ordering::Relaxed);
+                CC_SKIPPED.fetch_add(report.functions_skipped as u64, Ordering::Relaxed);
+            }
         }
     }
-    if cfg.sym && out == Outcome::Pass {
-        if let Some(crash) = check_sym_oracle(prog, spec, cfg) {
-            return crash;
+
+    // Oracle 4: the pipeline's final lir-optimized module. The stage
+    // verifier already vetted its input, so re-verify and blame the lir
+    // passes for anything new.
+    let errs = lir::verifier::verify_module(lm);
+    if let Some(first) = errs.first() {
+        return Some(Outcome::Crash {
+            kind: "lir-verify",
+            detail: format!("lir-verify: {first} (+{} more)", errs.len() - 1),
+        });
+    }
+    check_lowered(lm, expect, "lir-trap", "lir-miscompile")
+}
+
+/// The cached-vs-cold differential oracle (`cache-diverge`): compiles
+/// the case twice through one shared [`passman::CompileCache`]. The
+/// first run populates the cache; the second must replay it to a
+/// byte-identical module and an equivalent report. Run only on cases
+/// that already pass the plain oracles, so any divergence is the
+/// cache's fault.
+fn check_cache_coherence(m0: &Module, spec: &PipelineSpec, cfg: &CaseConfig) -> Option<Outcome> {
+    let cache = CompileCache::new();
+    let crash = |detail: String| {
+        Some(Outcome::Crash {
+            kind: "cache-diverge",
+            detail: format!("cache-diverge: {detail}"),
+        })
+    };
+    let mut runs = Vec::with_capacity(2);
+    for label in ["cold", "warm"] {
+        match compile(m0, spec, cfg, Some(cache.clone())) {
+            Ok(out) => {
+                let mut text = memoir_ir::printer::print_module(&out.module);
+                if let Some(lm) = &out.lowered {
+                    text.push_str("\n== lowered ==\n");
+                    text.push_str(&lir::printer::print_module(lm));
+                }
+                runs.push((text, report_signature(&out.report)));
+            }
+            Err((_, detail)) => return crash(format!("{label} run failed: {detail}")),
         }
     }
-    if cfg.service_fault.is_some() && out == Outcome::Pass {
-        if let Some(crash) = check_service_envelope(prog, spec, cfg) {
-            return crash;
-        }
+    let (cold, warm) = (&runs[0], &runs[1]);
+    if cold.0 != warm.0 {
+        return crash("warm run produced a different module than the cold run".to_string());
     }
-    out
+    if cold.1 != warm.1 {
+        return crash(format!(
+            "warm run report differs from cold:\n--- cold\n{}--- warm\n{}",
+            cold.1, warm.1
+        ));
+    }
+    None
 }
 
 /// Concrete argument vectors for the symbolic/concrete agreement check:
@@ -417,40 +569,21 @@ fn sym_probe_args(domains: &[(i64, i64)], fidx: u64, probe: u64) -> Vec<i64> {
 }
 
 /// The symbolic-oracle axis (`sym-unsound` / `sym-diverge`; see
-/// [`CaseConfig::sym`]). Run only on cases that already pass the plain
-/// oracles, so any failure is the symbolic engine's or an
+/// [`CaseConfig::sym`]) over the pre-opt module `m0` and the base
+/// compile's post-opt module `m`. Run only on cases that already pass
+/// the plain oracles, so any failure is the symbolic engine's or an
 /// oracle-visible miscompile's fault. The lowering phase is not
 /// re-checked here — the `lower` stage's prove-then-probe cross-check
 /// already runs the symbolic oracle across the IR boundary.
-fn check_sym_oracle(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -> Option<Outcome> {
+fn check_sym_oracle(m0: &Module, m: &Module) -> Option<Outcome> {
     use memoir_interp::{Interp, Value};
-
-    let (m0, _) = build_case(prog);
-    let (mut m, _) = build_case(prog);
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        compile_spec_with(&mut m, spec, |mut pm| {
-            pm = pm
-                .on_fault(cfg.policy)
-                .with_budgets(cfg.budgets)
-                .verify_between_passes(true);
-            if let Some(plan) = cfg.inject.clone() {
-                pm = pm.with_fault_injection(plan);
-            }
-            pm
-        })
-    }));
-    if !matches!(ran, Ok(Ok(_))) {
-        // The base oracle already ran this compile and passed; a failure
-        // on the re-run is not the symbolic oracle's finding.
-        return None;
-    }
 
     let budget = symexec::Budget::default();
     for (fidx, (fid0, f)) in m0.funcs.iter().enumerate() {
         // (a) Soundness of the oracle itself: the enumerated path set's
         // prediction must match the concrete interpreter.
-        if let Some(mut pool) = symexec::seed_params(&m0, fid0) {
-            if let Ok(paths) = symexec::enumerate_memoir(&m0, fid0, &mut pool, &budget) {
+        if let Some(mut pool) = symexec::seed_params(m0, fid0) {
+            if let Ok(paths) = symexec::enumerate_memoir(m0, fid0, &mut pool, &budget) {
                 let domains = symexec::param_domains(&pool);
                 for probe in 0..PROBES_PER_FUNC {
                     let args = sym_probe_args(&domains, fidx as u64, probe);
@@ -463,7 +596,7 @@ fn check_sym_oracle(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -
                             ty => Value::Int(ty, v),
                         })
                         .collect();
-                    let concrete = Interp::new(&m0)
+                    let concrete = Interp::new(m0)
                         .with_fuel(FUEL)
                         .run_by_name(&f.name, vals)
                         .ok()
@@ -510,7 +643,7 @@ fn check_sym_oracle(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -
         }
         // (b) Pre-opt ≡ post-opt, with confirmed witnesses only.
         if let symexec::FnVerdict::Diverged { args, detail } =
-            symexec::prove_memoir_equiv(&m0, &m, &f.name, &budget)
+            symexec::prove_memoir_equiv(m0, m, &f.name, &budget)
         {
             return Some(Outcome::Crash {
                 kind: "sym-diverge",
@@ -527,7 +660,7 @@ fn check_sym_oracle(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -
 /// The stable part of a run report: everything a warm cache run must
 /// reproduce bit-for-bit. Timings and the compile cache's own counters
 /// (which legitimately differ cold vs warm) are excluded.
-fn report_signature(r: &passman::RunReport) -> String {
+fn report_signature(r: &RunReport) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     for p in &r.passes {
@@ -545,406 +678,6 @@ fn report_signature(r: &passman::RunReport) -> String {
     let _ = writeln!(s, "degradations={:?}", r.degradations);
     let _ = writeln!(s, "stopped_early={}", r.stopped_early);
     s
-}
-
-/// One compile of the case with `cache` installed, summarized as
-/// `(module text, report signature)` — the pair a warm run must
-/// reproduce byte-for-byte.
-fn run_with_cache(
-    prog: &CaseProgram,
-    spec: &PipelineSpec,
-    cfg: &CaseConfig,
-    cache: &passman::CompileCache,
-) -> Result<(String, String), String> {
-    let (mut m, _) = build_case(prog);
-    match &cfg.lir_spec {
-        None => {
-            let report = compile_spec_with(&mut m, spec, |mut pm| {
-                pm = pm
-                    .on_fault(cfg.policy)
-                    .with_budgets(cfg.budgets)
-                    .verify_between_passes(true)
-                    .with_compile_cache(cache.clone());
-                if let Some(plan) = cfg.inject.clone() {
-                    pm = pm.with_fault_injection(plan);
-                }
-                pm
-            })
-            .map_err(|e| format!("run-error: {e}"))?;
-            Ok((
-                memoir_ir::printer::print_module(&m),
-                report_signature(&report.run),
-            ))
-        }
-        Some(lir_spec) => {
-            let pipeline = LoweredPipeline {
-                memoir: spec.clone(),
-                lower_opts: PassOptions::none(),
-                lir: lir_spec.clone(),
-            };
-            let lcfg = LowerConfig {
-                policy: cfg.policy,
-                budgets: cfg.budgets,
-                verify: Some(true),
-                inject: cfg.inject.clone(),
-                threads: 1,
-                cross_check: true,
-                cache: Some(cache.clone()),
-                adaptive: cfg.adaptive,
-            };
-            let out = compile_lowered_with(&mut m, &pipeline, &lcfg)
-                .map_err(|e| format!("run-error: {e}"))?;
-            let mut text = memoir_ir::printer::print_module(&m);
-            if let Some(lm) = &out.lowered {
-                text.push_str(
-                    "
-== lowered ==
-",
-                );
-                text.push_str(&lir::printer::print_module(lm));
-            }
-            Ok((text, report_signature(&out.report.run)))
-        }
-    }
-}
-
-/// The cached-vs-cold differential oracle (`cache-diverge`): compiles
-/// the case twice through one shared [`passman::CompileCache`]. The
-/// first run populates the cache; the second must replay it to a
-/// byte-identical module and an equivalent report. Run only on cases
-/// that already pass the plain oracles, so any divergence is the
-/// cache's fault.
-fn check_cache_coherence(
-    prog: &CaseProgram,
-    spec: &PipelineSpec,
-    cfg: &CaseConfig,
-) -> Option<Outcome> {
-    let cache = passman::CompileCache::new();
-    let run = |label: &str| {
-        catch_unwind(AssertUnwindSafe(|| run_with_cache(prog, spec, cfg, &cache)))
-            .map_err(|payload| format!("{label} run panicked: {}", panic_message(&*payload)))
-            .and_then(|r| r.map_err(|e| format!("{label} run failed: {e}")))
-    };
-    let cold = match run("cold") {
-        Ok(v) => v,
-        Err(detail) => {
-            return Some(Outcome::Crash {
-                kind: "cache-diverge",
-                detail: format!("cache-diverge: {detail}"),
-            })
-        }
-    };
-    let warm = match run("warm") {
-        Ok(v) => v,
-        Err(detail) => {
-            return Some(Outcome::Crash {
-                kind: "cache-diverge",
-                detail: format!("cache-diverge: {detail}"),
-            })
-        }
-    };
-    if cold.0 != warm.0 {
-        return Some(Outcome::Crash {
-            kind: "cache-diverge",
-            detail: "cache-diverge: warm run produced a different module than the cold run"
-                .to_string(),
-        });
-    }
-    if cold.1 != warm.1 {
-        return Some(Outcome::Crash {
-            kind: "cache-diverge",
-            detail: format!(
-                "cache-diverge: warm run report differs from cold:
---- cold
-{}--- warm
-{}",
-                cold.1, warm.1
-            ),
-        });
-    }
-    None
-}
-
-/// The service-envelope differential oracle (`service-lost` /
-/// `service-diverge`): runs the case as a one-job [`memoird`] batch
-/// twice — once clean, once under [`CaseConfig::service_fault`] — with
-/// the watchdog armed. Both batches must resolve the job to exactly one
-/// terminal outcome, and because every injectable service fault is
-/// recoverable by the retry ladder, both must compile it to the same
-/// bytes. Run only on cases that already pass the plain oracles, so any
-/// failure is the envelope's fault.
-fn check_service_envelope(
-    prog: &CaseProgram,
-    spec: &PipelineSpec,
-    cfg: &CaseConfig,
-) -> Option<Outcome> {
-    let plan = cfg.service_fault.clone()?;
-    let crash = |kind: &'static str, detail: String| {
-        Some(Outcome::Crash {
-            kind,
-            detail: format!("{kind}: {detail}"),
-        })
-    };
-
-    // The service takes the whole pipeline as one spec; for
-    // through-lowering cases the lir phase rides behind a `lower` step.
-    let mut text = spec.to_string();
-    if let Some(lspec) = &cfg.lir_spec {
-        if !text.is_empty() {
-            text.push(',');
-        }
-        text.push_str(LOWER_STAGE);
-        let ltext = lspec.to_string();
-        if !ltext.is_empty() {
-            text.push(',');
-            text.push_str(&ltext);
-        }
-    }
-    let full_spec = match PipelineSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return crash(
-                "service-lost",
-                format!("composed job spec `{text}` does not parse: {e}"),
-            )
-        }
-    };
-
-    let run = |faults: Vec<memoird::JobFaultPlan>| {
-        let (m, _) = build_case(prog);
-        let mut job = memoird::JobSpec::new("fuzz-case", m, full_spec.clone());
-        job.policy = cfg.policy;
-        job.budgets = cfg.budgets;
-        let scfg = memoird::ServiceConfig {
-            workers: 1,
-            // Generous for a fuzz-sized compile, but small enough that
-            // `slow-job`'s stall (which sleeps past it) trips the
-            // watchdog rather than the campaign's patience.
-            timeout_ms: Some(1000),
-            seed: 0x5e41ce,
-            cache: Some(passman::CompileCache::new()),
-            retry: memoird::RetryPolicy {
-                base_backoff_ms: 1,
-                max_backoff_ms: 8,
-                ..Default::default()
-            },
-            faults,
-            ..Default::default()
-        };
-        memoird::run_jobs(scfg, vec![job])
-    };
-    let (clean, clean_stats) = run(Vec::new());
-    let (faulty, faulty_stats) = run(vec![plan.clone()]);
-
-    if clean.len() != 1 || clean_stats.terminal() != 1 {
-        return crash(
-            "service-lost",
-            format!(
-                "clean one-job batch resolved {} outcome(s), {} terminal",
-                clean.len(),
-                clean_stats.terminal()
-            ),
-        );
-    }
-    if faulty.len() != 1 || faulty_stats.terminal() != 1 {
-        return crash(
-            "service-lost",
-            format!(
-                "one-job batch under `{plan}` resolved {} outcome(s), {} terminal",
-                faulty.len(),
-                faulty_stats.terminal()
-            ),
-        );
-    }
-    match (clean[0].output(), faulty[0].output()) {
-        (Some(a), Some(b)) if a == b => None,
-        (Some(_), Some(_)) => crash(
-            "service-diverge",
-            format!(
-                "output under `{plan}` differs from the clean run ({} vs {})",
-                clean[0].kind(),
-                faulty[0].kind()
-            ),
-        ),
-        (None, _) => crash(
-            "service-diverge",
-            format!(
-                "clean service run did not compile the job (outcome `{}`)",
-                clean[0].kind()
-            ),
-        ),
-        (_, None) => crash(
-            "service-diverge",
-            format!(
-                "run under `{plan}` did not compile the job (outcome `{}` after {} attempt(s))",
-                faulty[0].kind(),
-                faulty[0].attempts().len()
-            ),
-        ),
-    }
-}
-
-/// Runs one single-function case end to end and classifies it (the v1
-/// entry point; see [`run_case_prog`] for the whole-language form).
-pub fn run_case(ops: &[Op], spec: &PipelineSpec, cfg: &CaseConfig) -> Outcome {
-    run_case_prog(&CaseProgram::single(ops.to_vec()), spec, cfg)
-}
-
-fn run_memoir_case(prog: &CaseProgram, spec: &PipelineSpec, cfg: &CaseConfig) -> Outcome {
-    let (mut m, expect) = build_case(prog);
-
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        compile_spec_with(&mut m, spec, |mut pm| {
-            pm = pm
-                .on_fault(cfg.policy)
-                .with_budgets(cfg.budgets)
-                .verify_between_passes(true);
-            if let Some(plan) = cfg.inject.clone() {
-                pm = pm.with_fault_injection(plan);
-            }
-            pm
-        })
-    }));
-    match ran {
-        Err(payload) => {
-            return Outcome::Crash {
-                kind: "panic",
-                detail: format!("panic: {}", panic_message(&*payload)),
-            }
-        }
-        Ok(Err(e)) => {
-            return Outcome::Crash {
-                kind: "run-error",
-                detail: format!("run-error: {e}"),
-            }
-        }
-        Ok(Ok(_report)) => {}
-    }
-
-    if let Some(crash) = check_memoir(&m, expect) {
-        return crash;
-    }
-    if let Some(seed) = cfg.probe_seed {
-        let (m0, _) = build_case(prog);
-        if let Some(crash) = probe_functions(&m0, &m, seed) {
-            return crash;
-        }
-    }
-    Outcome::Pass
-}
-
-fn run_lowered_case(
-    prog: &CaseProgram,
-    spec: &PipelineSpec,
-    lir_spec: &PipelineSpec,
-    cfg: &CaseConfig,
-) -> Outcome {
-    let (mut m, expect) = build_case(prog);
-    let pipeline = LoweredPipeline {
-        memoir: spec.clone(),
-        lower_opts: PassOptions::none(),
-        lir: lir_spec.clone(),
-    };
-    let lcfg = LowerConfig {
-        policy: cfg.policy,
-        budgets: cfg.budgets,
-        verify: Some(true),
-        inject: cfg.inject.clone(),
-        threads: 1,
-        cross_check: true,
-        cache: None,
-        adaptive: cfg.adaptive,
-    };
-
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        compile_lowered_with(&mut m, &pipeline, &lcfg)
-    }));
-    let outcome = match ran {
-        Err(payload) => {
-            return Outcome::Crash {
-                kind: "panic",
-                detail: format!("panic: {}", panic_message(&*payload)),
-            }
-        }
-        Ok(Err(e)) => {
-            // Stage faults get their own classes so reduction keeps a
-            // lowering bug a lowering bug.
-            let kind = match &e {
-                RunError::VerifyFailed { pass, .. } if pass == LOWER_STAGE => "lower-verify",
-                RunError::PassFailed { pass, .. } if pass == LOWER_STAGE => "lower-error",
-                _ => "run-error",
-            };
-            return Outcome::Crash {
-                kind,
-                detail: format!("{kind}: {e}"),
-            };
-        }
-        Ok(Ok(out)) => out,
-    };
-
-    // Oracle 1: the optimized MEMOIR module is always checkable — and
-    // must stay correct even when the stage (or a pass) degraded.
-    if let Some(crash) = check_memoir(&m, expect) {
-        return crash;
-    }
-    // Oracle 2: preserved-signature functions on synthesized inputs.
-    if let Some(seed) = cfg.probe_seed {
-        let (m0, _) = build_case(prog);
-        if let Some(crash) = probe_functions(&m0, &m, seed) {
-            return crash;
-        }
-    }
-    let Some(lm) = outcome.lowered else {
-        // The stage or the MEMOIR phase degraded under a recovering
-        // policy: graceful containment, the (just-checked) MEMOIR module
-        // is the pipeline's result.
-        return Outcome::Pass;
-    };
-
-    // Oracle 3: the *direct* lowering of the optimized MEMOIR module —
-    // pre-lir-opt, so a divergence here is memoir-lower's fault.
-    match memoir_lower::lower_module(&m) {
-        Err(e) => {
-            return Outcome::Crash {
-                kind: "lower-error",
-                detail: format!("lower-error: direct lowering failed after the stage ran: {e}"),
-            }
-        }
-        Ok(direct) => {
-            if let Some(crash) = check_lowered(&direct, expect, "lower-trap", "lower-miscompile") {
-                return crash;
-            }
-            // Cross-IR agreement on this case's probe seeds (scalar
-            // signatures only — e.g. the generated scalar helpers).
-            if let Some(seed) = cfg.probe_seed {
-                match memoir_lower::cross_validate(&m, &direct, &[seed, seed ^ 0x9e3779b9]) {
-                    Err(e) => {
-                        return Outcome::Crash {
-                            kind: "lower-probe",
-                            detail: format!("lower-probe: {e}"),
-                        };
-                    }
-                    Ok(report) => {
-                        CC_PROVED.fetch_add(report.functions_proved as u64, Ordering::Relaxed);
-                        CC_PROBED.fetch_add(report.functions_probed as u64, Ordering::Relaxed);
-                        CC_SKIPPED.fetch_add(report.functions_skipped as u64, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-
-    // Oracle 4: the pipeline's final lir-optimized module. The stage
-    // verifier already vetted its input, so re-verify and blame the lir
-    // passes for anything new.
-    let errs = lir::verifier::verify_module(&lm);
-    if let Some(first) = errs.first() {
-        return Outcome::Crash {
-            kind: "lir-verify",
-            detail: format!("lir-verify: {first} (+{} more)", errs.len() - 1),
-        };
-    }
-    check_lowered(&lm, expect, "lir-trap", "lir-miscompile").unwrap_or(Outcome::Pass)
 }
 
 /// Shrinks the `fixpoint(...)` groups inside a step list: ddmin each
@@ -983,12 +716,12 @@ fn shrink_fixpoints(mut steps: Vec<SpecStep>, eval: impl Fn(&[SpecStep]) -> bool
 }
 
 /// Reduces a crashing whole-language case: the config shrinks first
-/// (service envelope and cache oracle dropped, budgets cleared, probe
-/// seed dropped, the lir phase dropped entirely),
-/// then ddmin over the helper list, `main`'s ops, each surviving
-/// helper's ops, the MEMOIR pipeline steps, and the lir pipeline steps —
-/// holding the failure *class* fixed throughout so the shrink converges
-/// on the original bug rather than a new one.
+/// (cache and symbolic oracles dropped, budgets cleared, probe seed,
+/// adaptive layouts and the lir phase dropped), then ddmin over the
+/// helper list, `main`'s ops, each surviving helper's ops, the MEMOIR
+/// pipeline steps, and the lir pipeline steps — holding the failure
+/// *class* fixed throughout so the shrink converges on the original bug
+/// rather than a new one.
 ///
 /// Returns the minimized `(program, spec, config)` and the (possibly
 /// re-worded) failure detail of the minimized case.
@@ -1003,56 +736,21 @@ pub fn reduce_case_prog(
     let mut prog = prog.clone();
 
     // Config first, so every later trial runs the cheapest harness that
-    // still crashes: without the service envelope (two extra service
-    // batches per trial — by far the most expensive axis, so it goes
-    // first), the cache oracle, budgets, probing, adaptive layouts, or
-    // the lowering phase.
-    if cfg.service_fault.is_some() {
+    // still crashes. Each entry switches one axis off and says whether
+    // it was on: the cache oracle (two extra compiles per trial), the
+    // symbolic oracle, budgets, probing, adaptive layouts, and the
+    // lowering phase, in that order.
+    let drops: [fn(&mut CaseConfig) -> bool; 6] = [
+        |c| std::mem::take(&mut c.cache_check),
+        |c| std::mem::take(&mut c.sym),
+        |c| !std::mem::take(&mut c.budgets).is_unlimited(),
+        |c| c.probe_seed.take().is_some(),
+        |c| std::mem::take(&mut c.adaptive),
+        |c| c.lir_spec.take().is_some(),
+    ];
+    for drop in drops {
         let mut trial = cfg.clone();
-        trial.service_fault = None;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if cfg.cache_check {
-        let mut trial = cfg.clone();
-        trial.cache_check = false;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if cfg.sym {
-        let mut trial = cfg.clone();
-        trial.sym = false;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if !cfg.budgets.is_unlimited() {
-        let mut trial = cfg.clone();
-        trial.budgets = Budgets::none();
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if cfg.probe_seed.is_some() {
-        let mut trial = cfg.clone();
-        trial.probe_seed = None;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if cfg.adaptive {
-        let mut trial = cfg.clone();
-        trial.adaptive = false;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
-            cfg = trial;
-        }
-    }
-    if cfg.lir_spec.is_some() {
-        let mut trial = cfg.clone();
-        trial.lir_spec = None;
-        if same_kind(&run_case_prog(&prog, spec, &trial)) {
+        if drop(&mut trial) && same_kind(&run_case_prog(&prog, spec, &trial)) {
             cfg = trial;
         }
     }
@@ -1136,22 +834,10 @@ pub fn reduce_case_prog(
     }
 }
 
-/// Reduces a crashing single-function case (the v1 entry point; see
-/// [`reduce_case_prog`] for the whole-language form).
-pub fn reduce_case(
-    ops: &[Op],
-    spec: &PipelineSpec,
-    cfg: &CaseConfig,
-) -> Option<(Vec<Op>, PipelineSpec, CaseConfig, String)> {
-    let (prog, spec, cfg, detail) =
-        reduce_case_prog(&CaseProgram::single(ops.to_vec()), spec, cfg)?;
-    Some((prog.main, spec, cfg, detail))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genprog::{random_case, random_case_config, random_ops, CaseDims};
+    use crate::genprog::{random_case, random_case_config, random_ops, CaseDims, Op};
     use crate::genspec::{random_lir_spec, random_spec};
     use crate::rng::SplitMix64;
 
@@ -1159,10 +845,10 @@ mod tests {
     fn healthy_cases_pass() {
         let mut rng = SplitMix64::new(11);
         for _ in 0..5 {
-            let ops = random_ops(&mut rng, 20);
+            let prog = CaseProgram::single(random_ops(&mut rng, 20, false));
             let spec = random_spec(&mut rng);
-            let out = run_case(&ops, &spec, &CaseConfig::default());
-            assert_eq!(out, Outcome::Pass, "ops {ops:?} spec {spec}");
+            let out = run_case_prog(&prog, &spec, &CaseConfig::default());
+            assert_eq!(out, Outcome::Pass, "prog {prog:?} spec {spec}");
         }
     }
 
@@ -1170,15 +856,15 @@ mod tests {
     fn healthy_cases_pass_through_lowering() {
         let mut rng = SplitMix64::new(13);
         for _ in 0..5 {
-            let ops = random_ops(&mut rng, 20);
+            let prog = CaseProgram::single(random_ops(&mut rng, 20, false));
             let spec = random_spec(&mut rng);
             let mut cfg = random_case_config(&mut rng, true);
             cfg.lir_spec = Some(random_lir_spec(&mut rng));
-            let out = run_case(&ops, &spec, &cfg);
+            let out = run_case_prog(&prog, &spec, &cfg);
             assert_eq!(
                 out,
                 Outcome::Pass,
-                "ops {ops:?} spec {spec} lir {:?}",
+                "prog {prog:?} spec {spec} lir {:?}",
                 cfg.lir_spec
             );
         }
@@ -1210,7 +896,7 @@ mod tests {
     /// now that GVN gates replacements on dominance.
     #[test]
     fn gvn_respects_dominance_in_lowered_modules() {
-        let ops = vec![Op::Push(-15), Op::Write(61, 67), Op::Push(67)];
+        let prog = CaseProgram::single(vec![Op::Push(-15), Op::Write(61, 67), Op::Push(67)]);
         let spec =
             PipelineSpec::parse("ssa-construct,fixpoint<max=3>(dee-strict),ssa-destruct").unwrap();
         let cfg = CaseConfig {
@@ -1218,22 +904,22 @@ mod tests {
             lir_spec: Some(PipelineSpec::parse("gvn").unwrap()),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
 
         // crash-1234-101: same root cause through a different spec.
-        let ops = vec![
+        let prog = CaseProgram::single(vec![
             Op::Push(88),
             Op::Write(64, 9),
             Op::AssocInsert(169, -103),
             Op::Push(-25),
-        ];
+        ]);
         let spec = PipelineSpec::parse("ssa-construct,dee-strict,dee-strict,ssa-destruct").unwrap();
         let cfg = CaseConfig {
             policy: FaultPolicy::StopPipeline,
             lir_spec: Some(PipelineSpec::parse("gvn").unwrap()),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
     }
 
     /// Reduced from `memoir-fuzz run --lower --seed 7` (crash-7-193,
@@ -1244,11 +930,18 @@ mod tests {
     /// resolve the never-translated value.
     #[test]
     fn ssa_destruct_tolerates_unreachable_phi_incomings() {
-        let ops = vec![Op::InsertAt(81, 31), Op::Write(156, -28), Op::Remove(90)];
+        let prog = CaseProgram::single(vec![
+            Op::InsertAt(81, 31),
+            Op::Write(156, -28),
+            Op::Remove(90),
+        ]);
         let spec =
             PipelineSpec::parse("ssa-construct,fixpoint<max=3>(constprop,dee-strict),ssa-destruct")
                 .unwrap();
-        assert_eq!(run_case(&ops, &spec, &CaseConfig::default()), Outcome::Pass);
+        assert_eq!(
+            run_case_prog(&prog, &spec, &CaseConfig::default()),
+            Outcome::Pass
+        );
 
         // Second manifestation of the same case: with the panic fixed,
         // destruction used to materialize the stranded arm as an empty,
@@ -1258,7 +951,7 @@ mod tests {
             lir_spec: Some(PipelineSpec::new(Vec::new())),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
     }
 
     /// Reduced from `memoir-fuzz run --lower --seed 7` (crash-7-46):
@@ -1266,19 +959,19 @@ mod tests {
     /// reversed slice range in `region_between`.
     #[test]
     fn sink_survives_backward_layout_in_lowered_modules() {
-        let ops = vec![
+        let prog = CaseProgram::single(vec![
             Op::Push(32),
             Op::Write(209, -115),
             Op::AssocKeys,
             Op::Push(12),
-        ];
+        ]);
         let spec = PipelineSpec::parse("ssa-construct,dee-strict,ssa-destruct").unwrap();
         let cfg = CaseConfig {
             policy: FaultPolicy::Abort,
             lir_spec: Some(PipelineSpec::parse("sink").unwrap()),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
     }
 
     /// Adaptive lowered cases must pass the same differential oracles
@@ -1288,14 +981,14 @@ mod tests {
     /// `lower`, and under argument probing.
     #[test]
     fn adaptive_lowering_passes_the_differential_oracles() {
-        let ops = vec![
+        let prog = CaseProgram::single(vec![
             Op::Push(7),
             Op::AssocInsert(3, 40),
             Op::AssocInsert(3, -2),
             Op::Write(1, 9),
             Op::AssocKeys,
             Op::Push(-5),
-        ];
+        ]);
         for spec in [
             "ssa-construct,constprop,dce,ssa-destruct",
             "ssa-construct,constprop,fusion,dce,ssa-destruct",
@@ -1311,7 +1004,7 @@ mod tests {
                     ..CaseConfig::default()
                 };
                 assert_eq!(
-                    run_case(&ops, &spec, &cfg),
+                    run_case_prog(&prog, &spec, &cfg),
                     Outcome::Pass,
                     "spec `{spec}` + lir `{lir}`"
                 );
@@ -1321,20 +1014,20 @@ mod tests {
 
     #[test]
     fn injected_panic_is_a_crash_under_abort() {
-        let ops = vec![Op::Push(1), Op::Push(2)];
+        let prog = CaseProgram::single(vec![Op::Push(1), Op::Push(2)]);
         let spec = PipelineSpec::parse("ssa-construct,dce,ssa-destruct").unwrap();
         let cfg = CaseConfig {
             policy: FaultPolicy::Abort,
             inject: Some("panic@dce".parse().unwrap()),
             ..CaseConfig::default()
         };
-        let out = run_case(&ops, &spec, &cfg);
+        let out = run_case_prog(&prog, &spec, &cfg);
         assert_eq!(out.kind(), Some("panic"), "{out:?}");
     }
 
     #[test]
     fn injected_panic_is_recovered_under_skip() {
-        let ops = vec![Op::Push(1), Op::Push(2), Op::Write(0, 9)];
+        let prog = CaseProgram::single(vec![Op::Push(1), Op::Push(2), Op::Write(0, 9)]);
         let spec = PipelineSpec::parse("ssa-construct,dce,ssa-destruct").unwrap();
         let cfg = CaseConfig {
             policy: FaultPolicy::SkipPass,
@@ -1342,12 +1035,12 @@ mod tests {
             ..CaseConfig::default()
         };
         // Rollback must leave an interpreter-correct module: no crash.
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
     }
 
     #[test]
     fn injected_stage_fault_classifies_and_recovers() {
-        let ops = vec![Op::Push(3), Op::AssocInsert(1, 4)];
+        let prog = CaseProgram::single(vec![Op::Push(3), Op::AssocInsert(1, 4)]);
         let spec = PipelineSpec::parse("ssa-construct,dce,ssa-destruct").unwrap();
         let lir_spec = PipelineSpec::parse("mem2reg,dce").unwrap();
 
@@ -1357,7 +1050,10 @@ mod tests {
             lir_spec: Some(lir_spec.clone()),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg).kind(), Some("lower-verify"));
+        assert_eq!(
+            run_case_prog(&prog, &spec, &cfg).kind(),
+            Some("lower-verify")
+        );
 
         // …an injected stage panic under Abort is a plain panic…
         let cfg = CaseConfig {
@@ -1365,7 +1061,7 @@ mod tests {
             lir_spec: Some(lir_spec.clone()),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg).kind(), Some("panic"));
+        assert_eq!(run_case_prog(&prog, &spec, &cfg).kind(), Some("panic"));
 
         // …and under a recovering policy the stage fault is contained:
         // the MEMOIR module is the (oracle-correct) result.
@@ -1375,13 +1071,13 @@ mod tests {
             lir_spec: Some(lir_spec),
             ..CaseConfig::default()
         };
-        assert_eq!(run_case(&ops, &spec, &cfg), Outcome::Pass);
+        assert_eq!(run_case_prog(&prog, &spec, &cfg), Outcome::Pass);
     }
 
     #[test]
     fn reduction_shrinks_an_injected_crash() {
         let mut rng = SplitMix64::new(3);
-        let ops = random_ops(&mut rng, 40);
+        let prog = CaseProgram::single(random_ops(&mut rng, 40, false));
         let spec = PipelineSpec::parse(
             "ssa-construct,constprop,fixpoint<max=3>(simplify,dce),dee,ssa-destruct,rie,dfe",
         )
@@ -1391,8 +1087,9 @@ mod tests {
             inject: Some("panic@dee".parse().unwrap()),
             ..CaseConfig::default()
         };
-        let (min_ops, min_spec, _, detail) = reduce_case(&ops, &spec, &cfg).expect("still crashes");
-        assert!(min_ops.len() <= 8, "ops not minimal: {min_ops:?}");
+        let (min, min_spec, _, detail) =
+            reduce_case_prog(&prog, &spec, &cfg).expect("still crashes");
+        assert!(min.main.len() <= 8, "ops not minimal: {min:?}");
         assert!(
             min_spec.steps.len() <= 2,
             "spec not minimal: {min_spec} ({} steps)",
@@ -1422,37 +1119,12 @@ mod tests {
     }
 
     #[test]
-    fn healthy_cases_pass_the_service_envelope() {
-        // Every injectable service fault is recoverable, so a passing
-        // case must stay byte-identical through the one-job envelope —
-        // including through-lowering cases, whose lir phase rides behind
-        // a `lower` step in the composed job spec.
-        let prog = CaseProgram::single(vec![Op::Push(3), Op::AssocInsert(2, -1), Op::Write(0, 9)]);
-        let spec = PipelineSpec::parse("ssa-construct,constprop,dce,ssa-destruct").unwrap();
-        for plan in ["worker-panic@0", "poison-cache@0", "slow-job@0"] {
-            let cfg = CaseConfig {
-                service_fault: Some(plan.parse().unwrap()),
-                ..CaseConfig::default()
-            };
-            let out = run_case_prog(&prog, &spec, &cfg);
-            assert_eq!(out, Outcome::Pass, "{plan}: {out:?}");
-        }
-        let lowered = CaseConfig {
-            lir_spec: Some(PipelineSpec::parse("mem2reg,constfold,dce").unwrap()),
-            service_fault: Some("worker-panic@0".parse().unwrap()),
-            ..CaseConfig::default()
-        };
-        let out = run_case_prog(&prog, &spec, &lowered);
-        assert_eq!(out, Outcome::Pass, "{out:?}");
-    }
-
-    #[test]
     fn reduction_shrinks_config_too() {
-        let ops = vec![Op::Push(1), Op::Push(2), Op::AssocInsert(3, 4)];
+        let prog = CaseProgram::single(vec![Op::Push(1), Op::Push(2), Op::AssocInsert(3, 4)]);
         let spec = PipelineSpec::parse("ssa-construct,constprop,dce,ssa-destruct").unwrap();
-        // A dce-targeted injected panic: the service envelope, cache
-        // oracle, budgets, probing, adaptive layouts, and the lowering
-        // phase are irrelevant to the crash, so reduction drops all six.
+        // A dce-targeted injected panic: the cache and symbolic oracles,
+        // budgets, probing, adaptive layouts, and the lowering phase are
+        // irrelevant to the crash, so reduction drops all six.
         let cfg = CaseConfig {
             policy: FaultPolicy::Abort,
             inject: Some("panic@dce".parse().unwrap()),
@@ -1461,26 +1133,21 @@ mod tests {
             adaptive: true,
             probe_seed: Some(42),
             cache_check: true,
-            service_fault: Some("worker-panic@0".parse().unwrap()),
             sym: true,
         };
-        let (_, _, min_cfg, detail) = reduce_case(&ops, &spec, &cfg).expect("still crashes");
+        let (_, _, min_cfg, detail) = reduce_case_prog(&prog, &spec, &cfg).expect("still crashes");
         assert!(min_cfg.budgets.is_unlimited(), "{:?}", min_cfg.budgets);
         assert!(min_cfg.lir_spec.is_none(), "{:?}", min_cfg.lir_spec);
         assert!(min_cfg.probe_seed.is_none(), "{:?}", min_cfg.probe_seed);
         assert!(!min_cfg.adaptive, "adaptive layouts should be dropped");
         assert!(!min_cfg.cache_check, "cache oracle should be dropped");
         assert!(!min_cfg.sym, "symbolic oracle should be dropped");
-        assert!(
-            min_cfg.service_fault.is_none(),
-            "service envelope should be dropped"
-        );
         assert!(detail.starts_with("panic:"), "{detail}");
     }
 
     #[test]
     fn reduction_keeps_the_lir_phase_when_the_crash_needs_it() {
-        let ops = vec![Op::Push(5)];
+        let prog = CaseProgram::single(vec![Op::Push(5)]);
         let spec = PipelineSpec::parse("ssa-construct,dce,ssa-destruct").unwrap();
         // A fault injected into a *lir* pass only fires when the lir
         // phase actually runs, so `lir_spec` must survive reduction.
@@ -1492,12 +1159,11 @@ mod tests {
             adaptive: false,
             probe_seed: None,
             cache_check: false,
-            service_fault: None,
             sym: false,
         };
-        let out = run_case(&ops, &spec, &cfg);
+        let out = run_case_prog(&prog, &spec, &cfg);
         assert_eq!(out.kind(), Some("panic"), "{out:?}");
-        let (_, _, min_cfg, _) = reduce_case(&ops, &spec, &cfg).expect("still crashes");
+        let (_, _, min_cfg, _) = reduce_case_prog(&prog, &spec, &cfg).expect("still crashes");
         let lspec = min_cfg.lir_spec.expect("lir phase is load-bearing");
         assert_eq!(lspec.pass_names(), vec!["gvn"], "{lspec}");
     }

@@ -8,15 +8,15 @@
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG, so every campaign
 //!   and every case is replayable from `(seed, case-index)` alone;
 //! * [`genprog`] — random MUT-op sequence programs with a plain-Rust
-//!   oracle computed alongside (the generator of
-//!   `tests/pipeline_differential.rs`, promoted to a library), plus
-//!   per-case sampling of the fault policy and budgets;
+//!   oracle computed alongside (the property tests, such as
+//!   `tests/pipeline_differential.rs`, draw from it too), plus per-case
+//!   sampling of the fault policy and budgets;
 //! * [`genspec`] — random but always phase-correct [`PipelineSpec`]s,
 //!   for both the MEMOIR and the post-lowering low-level IR phase;
-//! * [`harness`] — runs one case through the pipeline (optionally on
-//!   through the `lower` stage and a lir pipeline) with panics caught
-//!   and verification forced on, then differentially checks every
-//!   intermediate result against the oracle;
+//! * [`harness`] — compiles one case once through the pipeline
+//!   (optionally on through the `lower` stage and a lir pipeline) with
+//!   panics caught and verification forced on, then differentially
+//!   checks every intermediate result against the oracle;
 //! * [`ddmin`](mod@ddmin) — delta debugging, used to shrink the op
 //!   sequence, the pipeline steps of both phases, and the config of a
 //!   crashing case;
@@ -28,8 +28,7 @@
 //!   compile service's job-stream parsers and drives randomized job
 //!   batches with sampled fault injection, asserting zero lost jobs,
 //!   clean-vs-injected byte identity, and warm-vs-cold job-cache
-//!   coherence (the harness-side oracle is
-//!   [`harness::CaseConfig::service_fault`]).
+//!   coherence.
 //!
 //! Programs span the whole language: sequence and assoc ops, object
 //! types with field reads/writes and nested collections
@@ -59,9 +58,7 @@ pub use genprog::{
     CaseProgram, Helper, Op,
 };
 pub use genspec::{random_lir_spec, random_spec};
-pub use harness::{
-    cross_check_totals, reduce_case, reduce_case_prog, run_case, run_case_prog, CaseConfig, Outcome,
-};
+pub use harness::{cross_check_totals, reduce_case_prog, run_case_prog, CaseConfig, Outcome};
 pub use repro::Repro;
 pub use rng::SplitMix64;
 pub use service::fuzz_service_case;

@@ -29,28 +29,27 @@
 //! helper-scalar: 3 -2
 //! ```
 //!
-//! `budget:` is omitted when unlimited, `inject:` and `probe-seed:` when
-//! absent, and `cache-check: true` is present only when the case runs
-//! the cached-vs-cold differential oracle (two extra compiles through a
-//! shared compile cache — the `cache-diverge` crash class).
-//! `service-fault:` carries a `memoird` job-fault plan (e.g.
-//! `worker-panic@0`) and is present only when the case runs the
-//! service-envelope differential oracle (two one-job service batches —
-//! the `service-lost`/`service-diverge` crash classes). `sym: true` is
-//! present only when the case runs the symbolic-oracle axis (the
-//! `sym-diverge`/`sym-unsound` crash classes). A present `lir-spec:` key marks a through-lowering case; its
-//! value may be empty ("lower, then nothing"). `adaptive: true` marks a
-//! through-lowering case that used the adaptive representation selector
-//! (dense / inline collection layouts) and is omitted otherwise. Each `helper:` block and
+//! The keys between `spec:` and `minimized:` are the case's
+//! [`CaseConfig`], which the artifact holds whole. `budget:` is omitted
+//! when unlimited, `inject:` and `probe-seed:` when absent, and
+//! `cache-check: true` is present only when the case runs the
+//! cached-vs-cold differential oracle (two extra compiles through a
+//! shared compile cache — the `cache-diverge` crash class). `sym: true`
+//! is present only when the case runs the symbolic-oracle axis (the
+//! `sym-diverge`/`sym-unsound` crash classes). A present `lir-spec:` key
+//! marks a through-lowering case; its value may be empty ("lower, then
+//! nothing"). `adaptive: true` marks a through-lowering case that used
+//! the adaptive representation selector (dense / inline collection
+//! layouts) and is omitted otherwise. Each `helper:` block and
 //! `helper-scalar:` line after the `ops:` block appends one helper
 //! function, in call order. Files that use none of the v2 features
-//! (helpers, object ops, probe seed, cache check) are written with — and round-trip
-//! through — the v1 header, so artifacts committed by older campaigns
-//! stay valid verbatim.
+//! (helpers, object ops, probe seed, cache check) are written with — and
+//! round-trip through — the v1 header, so artifacts committed by older
+//! campaigns stay valid verbatim.
 
 use crate::genprog::{CaseProgram, Helper, Op};
 use crate::harness::CaseConfig;
-use passman::{Budgets, FaultPolicy, PipelineSpec};
+use passman::{Budgets, PipelineSpec};
 use std::fmt;
 use std::str::FromStr;
 
@@ -66,33 +65,10 @@ pub struct Repro {
     pub case: u64,
     /// The (MEMOIR) pipeline spec the case ran.
     pub spec: PipelineSpec,
-    /// The low-level IR pipeline after the `lower` stage, when this is a
-    /// through-lowering case (may be empty: "lower, then nothing").
-    pub lir_spec: Option<PipelineSpec>,
-    /// Whether the through-lowering case lowered through the adaptive
-    /// representation selector (v2; dense / inline layouts for provably
-    /// bounded collections — layout-sensitive crashes replay only with
-    /// this set).
-    pub adaptive: bool,
-    /// Fault policy in effect.
-    pub policy: FaultPolicy,
-    /// Per-case budgets ([`Budgets::none`] when the line is absent).
-    pub budgets: Budgets,
-    /// Injection plan, if the campaign was seeded with one.
-    pub inject: Option<passman::FaultPlan>,
-    /// Per-function probe seed, if the case ran with synthesized-argument
-    /// probing (v2).
-    pub probe_seed: Option<u64>,
-    /// Whether the case ran the cached-vs-cold differential oracle (v2;
-    /// the `cache-diverge` class replays only with this set).
-    pub cache_check: bool,
-    /// Service-fault plan of the service-envelope differential oracle
-    /// (v2; the `service-lost`/`service-diverge` classes replay only
-    /// with this set).
-    pub service_fault: Option<memoird::JobFaultPlan>,
-    /// Whether the case ran the symbolic-oracle axis (v2; the
-    /// `sym-diverge`/`sym-unsound` classes replay only with this set).
-    pub sym: bool,
+    /// The harness configuration the case ran, and replays, under. Its
+    /// `adaptive`, `probe_seed`, `cache_check` and `sym` need the v2
+    /// header.
+    pub cfg: CaseConfig,
     /// Whether this artifact has been through the reducer.
     pub minimized: bool,
     /// One-line failure classification from the harness.
@@ -102,29 +78,13 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// The harness configuration this repro replays under.
-    pub fn config(&self) -> CaseConfig {
-        CaseConfig {
-            policy: self.policy,
-            inject: self.inject.clone(),
-            budgets: self.budgets,
-            lir_spec: self.lir_spec.clone(),
-            adaptive: self.adaptive,
-            probe_seed: self.probe_seed,
-            cache_check: self.cache_check,
-            service_fault: self.service_fault.clone(),
-            sym: self.sym,
-        }
-    }
-
     /// Whether this artifact needs the v2 header (any helper, object op,
     /// probe seed, or differential-oracle key).
     pub fn uses_v2(&self) -> bool {
-        self.probe_seed.is_some()
-            || self.adaptive
-            || self.cache_check
-            || self.service_fault.is_some()
-            || self.sym
+        self.cfg.probe_seed.is_some()
+            || self.cfg.adaptive
+            || self.cfg.cache_check
+            || self.cfg.sym
             || self.prog.uses_v2()
     }
 }
@@ -136,29 +96,27 @@ impl fmt::Display for Repro {
         writeln!(f, "seed: {}", self.seed)?;
         writeln!(f, "case: {}", self.case)?;
         writeln!(f, "spec: {}", self.spec)?;
-        if let Some(lspec) = &self.lir_spec {
+        let cfg = &self.cfg;
+        if let Some(lspec) = &cfg.lir_spec {
             writeln!(f, "lir-spec: {lspec}")?;
         }
-        if self.adaptive {
+        if cfg.adaptive {
             writeln!(f, "adaptive: true")?;
         }
-        writeln!(f, "policy: {}", self.policy)?;
-        if !self.budgets.is_unlimited() {
-            writeln!(f, "budget: {}", self.budgets)?;
+        writeln!(f, "policy: {}", cfg.policy)?;
+        if !cfg.budgets.is_unlimited() {
+            writeln!(f, "budget: {}", cfg.budgets)?;
         }
-        if let Some(plan) = &self.inject {
+        if let Some(plan) = &cfg.inject {
             writeln!(f, "inject: {plan}")?;
         }
-        if let Some(seed) = self.probe_seed {
+        if let Some(seed) = cfg.probe_seed {
             writeln!(f, "probe-seed: {seed}")?;
         }
-        if self.cache_check {
+        if cfg.cache_check {
             writeln!(f, "cache-check: true")?;
         }
-        if let Some(plan) = &self.service_fault {
-            writeln!(f, "service-fault: {plan}")?;
-        }
-        if self.sym {
+        if cfg.sym {
             writeln!(f, "sym: true")?;
         }
         writeln!(f, "minimized: {}", self.minimized)?;
@@ -202,15 +160,8 @@ impl FromStr for Repro {
         let mut seed = None;
         let mut case = None;
         let mut spec = None;
-        let mut lir_spec = None;
-        let mut adaptive = false;
         let mut policy = None;
-        let mut budgets = None;
-        let mut inject = None;
-        let mut probe_seed = None;
-        let mut cache_check = false;
-        let mut service_fault = None;
-        let mut sym = false;
+        let mut cfg = CaseConfig::default();
         let mut minimized = None;
         let mut failure = None;
         let mut main: Option<Vec<Op>> = None;
@@ -297,7 +248,7 @@ impl FromStr for Repro {
                 "lir-spec" => {
                     // The key's presence is what marks a through-lowering
                     // case; an empty value is the empty lir pipeline.
-                    lir_spec = Some(if value.is_empty() {
+                    cfg.lir_spec = Some(if value.is_empty() {
                         PipelineSpec::new(Vec::new())
                     } else {
                         PipelineSpec::parse(value).map_err(|e| err(&e.to_string()))?
@@ -307,38 +258,28 @@ impl FromStr for Repro {
                     if !v2 {
                         return Err(err("`adaptive:` requires the v2 header"));
                     }
-                    adaptive = value.parse::<bool>().map_err(|_| err("bad adaptive"))?
+                    cfg.adaptive = value.parse::<bool>().map_err(|_| err("bad adaptive"))?
                 }
                 "policy" => policy = Some(value.parse().map_err(|e: String| err(&e))?),
-                "budget" => budgets = Some(Budgets::parse(value).map_err(|e| err(&e))?),
-                "inject" => inject = Some(value.parse().map_err(|e: String| err(&e))?),
+                "budget" => cfg.budgets = Budgets::parse(value).map_err(|e| err(&e))?,
+                "inject" => cfg.inject = Some(value.parse().map_err(|e: String| err(&e))?),
                 "probe-seed" => {
                     if !v2 {
                         return Err(err("`probe-seed:` requires the v2 header"));
                     }
-                    probe_seed = Some(value.parse::<u64>().map_err(|_| err("bad probe-seed"))?)
+                    cfg.probe_seed = Some(value.parse::<u64>().map_err(|_| err("bad probe-seed"))?)
                 }
                 "cache-check" => {
                     if !v2 {
                         return Err(err("`cache-check:` requires the v2 header"));
                     }
-                    cache_check = value.parse::<bool>().map_err(|_| err("bad cache-check"))?
-                }
-                "service-fault" => {
-                    if !v2 {
-                        return Err(err("`service-fault:` requires the v2 header"));
-                    }
-                    service_fault = Some(
-                        value
-                            .parse::<memoird::JobFaultPlan>()
-                            .map_err(|e| err(&e))?,
-                    )
+                    cfg.cache_check = value.parse::<bool>().map_err(|_| err("bad cache-check"))?
                 }
                 "sym" => {
                     if !v2 {
                         return Err(err("`sym:` requires the v2 header"));
                     }
-                    sym = value.parse::<bool>().map_err(|_| err("bad sym"))?
+                    cfg.sym = value.parse::<bool>().map_err(|_| err("bad sym"))?
                 }
                 "minimized" => {
                     minimized = Some(value.parse::<bool>().map_err(|_| err("bad minimized"))?)
@@ -353,15 +294,10 @@ impl FromStr for Repro {
             seed: seed.ok_or("missing `seed:`")?,
             case: case.ok_or("missing `case:`")?,
             spec: spec.ok_or("missing `spec:`")?,
-            lir_spec,
-            adaptive,
-            policy: policy.ok_or("missing `policy:`")?,
-            budgets: budgets.unwrap_or_default(),
-            inject,
-            probe_seed,
-            cache_check,
-            service_fault,
-            sym,
+            cfg: CaseConfig {
+                policy: policy.ok_or("missing `policy:`")?,
+                ..cfg
+            },
             minimized: minimized.ok_or("missing `minimized:`")?,
             failure: failure.ok_or("missing `failure:`")?,
             prog: CaseProgram {
@@ -375,6 +311,7 @@ impl FromStr for Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use passman::FaultPolicy;
 
     fn sample() -> Repro {
         Repro {
@@ -382,15 +319,11 @@ mod tests {
             case: 17,
             spec: PipelineSpec::parse("ssa-construct,fixpoint<max=3>(simplify,dce),ssa-destruct")
                 .unwrap(),
-            lir_spec: None,
-            adaptive: false,
-            policy: FaultPolicy::SkipPass,
-            budgets: Budgets::none(),
-            inject: Some("panic@dce#2".parse().unwrap()),
-            probe_seed: None,
-            cache_check: false,
-            service_fault: None,
-            sym: false,
+            cfg: CaseConfig {
+                policy: FaultPolicy::SkipPass,
+                inject: Some("panic@dce#2".parse().unwrap()),
+                ..CaseConfig::default()
+            },
             minimized: true,
             failure: "panic: injected fault".to_string(),
             prog: CaseProgram::single(vec![Op::Push(-3), Op::Write(1, 7), Op::RemoveRange(0, 2)]),
@@ -406,15 +339,16 @@ mod tests {
 
         // And without the optional inject line.
         let mut r2 = sample();
-        r2.inject = None;
+        r2.cfg.inject = None;
         assert_eq!(r2.to_string().parse::<Repro>().unwrap(), r2);
     }
 
     #[test]
     fn round_trips_budgets_and_lir_spec() {
         let mut r = sample();
-        r.budgets = Budgets::parse("growth=16,fixpoint=2").unwrap();
-        r.lir_spec = Some(PipelineSpec::parse("mem2reg,fixpoint<max=3>(constfold,dce)").unwrap());
+        r.cfg.budgets = Budgets::parse("growth=16,fixpoint=2").unwrap();
+        r.cfg.lir_spec =
+            Some(PipelineSpec::parse("mem2reg,fixpoint<max=3>(constfold,dce)").unwrap());
         let text = r.to_string();
         assert!(text.contains("budget: growth=16,fixpoint=2"), "{text}");
         assert!(text.contains("lir-spec: mem2reg"), "{text}");
@@ -422,17 +356,17 @@ mod tests {
 
         // An *empty* lir spec is a real case ("lower, then nothing") and
         // must survive the round trip as Some, not collapse to None.
-        r.lir_spec = Some(PipelineSpec::new(Vec::new()));
+        r.cfg.lir_spec = Some(PipelineSpec::new(Vec::new()));
         let text = r.to_string();
         let back = text.parse::<Repro>().unwrap();
         assert_eq!(back, r, "{text}");
-        assert!(back.lir_spec.is_some());
+        assert!(back.cfg.lir_spec.is_some());
 
         // Unlimited budgets write no line and read back as none().
-        r.budgets = Budgets::none();
+        r.cfg.budgets = Budgets::none();
         let text = r.to_string();
         assert!(!text.contains("budget:"), "{text}");
-        assert_eq!(text.parse::<Repro>().unwrap().budgets, Budgets::none());
+        assert_eq!(text.parse::<Repro>().unwrap().cfg.budgets, Budgets::none());
     }
 
     #[test]
@@ -440,7 +374,7 @@ mod tests {
         // Helpers, object ops, and a probe seed together force — and
         // survive — the v2 header.
         let mut r = sample();
-        r.probe_seed = Some(7);
+        r.cfg.probe_seed = Some(7);
         r.prog = CaseProgram {
             main: vec![
                 Op::Push(1),
@@ -473,28 +407,22 @@ mod tests {
         assert!(obj_only.to_string().starts_with(HEADER_V2));
         assert_eq!(obj_only.to_string().parse::<Repro>().unwrap(), obj_only);
         let mut probe_only = sample();
-        probe_only.probe_seed = Some(0);
+        probe_only.cfg.probe_seed = Some(0);
         assert!(probe_only.to_string().starts_with(HEADER_V2));
         let mut adaptive_only = sample();
-        adaptive_only.adaptive = true;
+        adaptive_only.cfg.adaptive = true;
         let text = adaptive_only.to_string();
         assert!(text.starts_with(HEADER_V2), "{text}");
         assert!(text.contains("adaptive: true"), "{text}");
         assert_eq!(text.parse::<Repro>().unwrap(), adaptive_only, "{text}");
         let mut cache_only = sample();
-        cache_only.cache_check = true;
+        cache_only.cfg.cache_check = true;
         let text = cache_only.to_string();
         assert!(text.starts_with(HEADER_V2), "{text}");
         assert!(text.contains("cache-check: true"), "{text}");
         assert_eq!(text.parse::<Repro>().unwrap(), cache_only, "{text}");
-        let mut service_only = sample();
-        service_only.service_fault = Some("worker-panic@0#1".parse().unwrap());
-        let text = service_only.to_string();
-        assert!(text.starts_with(HEADER_V2), "{text}");
-        assert!(text.contains("service-fault: worker-panic@0#1"), "{text}");
-        assert_eq!(text.parse::<Repro>().unwrap(), service_only, "{text}");
         let mut sym_only = sample();
-        sym_only.sym = true;
+        sym_only.cfg.sym = true;
         let text = sym_only.to_string();
         assert!(text.starts_with(HEADER_V2), "{text}");
         assert!(text.contains("sym: true"), "{text}");
@@ -527,10 +455,6 @@ mod tests {
             .to_string()
             .replace("minimized:", "adaptive: true\nminimized:");
         assert!(with_adaptive.parse::<Repro>().is_err(), "{with_adaptive}");
-        let with_service = sample()
-            .to_string()
-            .replace("minimized:", "service-fault: slow-job@0\nminimized:");
-        assert!(with_service.parse::<Repro>().is_err(), "{with_service}");
         let with_sym = sample()
             .to_string()
             .replace("minimized:", "sym: true\nminimized:");
@@ -538,25 +462,15 @@ mod tests {
     }
 
     #[test]
-    fn config_carries_the_whole_case() {
-        let mut r = sample();
-        r.budgets = Budgets::parse("fixpoint=1").unwrap();
-        r.lir_spec = Some(PipelineSpec::parse("dce").unwrap());
-        r.probe_seed = Some(99);
-        let cfg = r.config();
-        assert_eq!(cfg.policy, r.policy);
-        assert_eq!(cfg.budgets, r.budgets);
-        assert_eq!(cfg.inject, r.inject);
-        assert_eq!(cfg.lir_spec, r.lir_spec);
-        assert_eq!(cfg.probe_seed, r.probe_seed);
-        r.adaptive = true;
-        assert!(r.config().adaptive);
-        r.cache_check = true;
-        assert!(r.config().cache_check);
-        r.service_fault = Some("poison-cache@0".parse().unwrap());
-        assert_eq!(r.config().service_fault, r.service_fault);
-        r.sym = true;
-        assert!(r.config().sym);
+    fn retired_service_fault_key_is_rejected() {
+        // The service-envelope oracle is gone; a file still carrying its
+        // key is refused as an unknown key, under either header.
+        let v2 = sample()
+            .to_string()
+            .replace(HEADER_V1, HEADER_V2)
+            .replace("minimized:", "service-fault: worker-panic@0\nminimized:");
+        let err = v2.parse::<Repro>().unwrap_err();
+        assert!(err.contains("unknown key `service-fault`"), "{err}");
     }
 
     #[test]

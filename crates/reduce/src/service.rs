@@ -1,6 +1,6 @@
 //! `memoir-fuzz service` — fuzz the `memoird` service envelope.
 //!
-//! Each case exercises three surfaces of the compile service:
+//! Each case exercises two surfaces of the compile service:
 //!
 //! 1. **Parsers.** Token soup through the textual job-stream syntax
 //!    ([`memoird::JobLine`], `SOURCE [:: SPEC]`) and job-fault plans
@@ -12,15 +12,11 @@
 //!    resolves to exactly one terminal outcome), byte-identical outputs
 //!    to a clean run of the same batch at the same seed, and a doubled
 //!    batch through the job-output cache whose warm halves must serve
-//!    the same bytes the cold halves computed.
-//! 3. **The envelope oracle.** One whole-language case through the
-//!    harness's service-envelope differential oracle
-//!    ([`CaseConfig::service_fault`]), the path `memoir-fuzz run
-//!    --service-fault` and `.repro` replay take.
+//!    the same bytes the cold halves computed. Each case runs one batch
+//!    of sequence/assoc programs, then one of object programs.
 
 use crate::cli::{check, soup, CliCrash};
 use crate::genprog::{build_case, random_case, CaseDims};
-use crate::harness::{run_case_prog, CaseConfig, Outcome};
 use crate::rng::SplitMix64;
 use passman::PipelineSpec;
 
@@ -90,8 +86,9 @@ const BATCH_SPECS: &[&str] = &[
 /// A randomized job batch through the service, three ways: clean,
 /// fault-injected (outputs must not diverge), and doubled through the
 /// job-output cache (warm must equal cold). Any lost job, shed job, or
-/// byte divergence is a finding.
-fn fuzz_service_batch(rng: &mut SplitMix64) -> Option<CliCrash> {
+/// byte divergence is a finding. `objects` draws the jobs' programs from
+/// the object dimension.
+fn fuzz_service_batch(rng: &mut SplitMix64, objects: bool) -> Option<CliCrash> {
     let njobs = 1 + rng.index(3);
     let jobs: Vec<memoird::JobSpec> = (0..njobs)
         .map(|i| {
@@ -99,7 +96,7 @@ fn fuzz_service_batch(rng: &mut SplitMix64) -> Option<CliCrash> {
                 rng,
                 10,
                 CaseDims {
-                    objects: false,
+                    objects,
                     multi: false,
                 },
             );
@@ -143,7 +140,8 @@ fn fuzz_service_batch(rng: &mut SplitMix64) -> Option<CliCrash> {
         ..Default::default()
     };
     let input = format!(
-        "{njobs} job(s), workers {workers}, seed {seed}, faults [{}]",
+        "{njobs} job(s){}, workers {workers}, seed {seed}, faults [{}]",
+        if objects { " of object programs" } else { "" },
         faults
             .iter()
             .map(ToString::to_string)
@@ -213,42 +211,9 @@ fn fuzz_service_batch(rng: &mut SplitMix64) -> Option<CliCrash> {
     None
 }
 
-/// One whole-language case through the harness's service-envelope
-/// differential oracle, with a sampled recoverable fault plan. A
-/// `service-lost`/`service-diverge` (or any other) crash is a finding.
-fn fuzz_envelope_case(rng: &mut SplitMix64) -> Option<CliCrash> {
-    let prog = random_case(
-        rng,
-        10,
-        CaseDims {
-            objects: true,
-            multi: false,
-        },
-    );
-    let plan: memoird::JobFaultPlan = match rng.below(3) {
-        0 => "worker-panic@0",
-        1 => "poison-cache@0",
-        _ => "worker-panic@0#1",
-    }
-    .parse()
-    .unwrap();
-    let spec = PipelineSpec::parse("ssa-construct,constprop,dce,ssa-destruct").unwrap();
-    let cfg = CaseConfig {
-        service_fault: Some(plan.clone()),
-        ..CaseConfig::default()
-    };
-    match run_case_prog(&prog, &spec, &cfg) {
-        Outcome::Pass => None,
-        Outcome::Crash { kind, detail } => Some(CliCrash {
-            surface: "service-case",
-            input: format!("plan {plan}, prog {prog:?}"),
-            message: format!("[{kind}] {detail}"),
-        }),
-    }
-}
-
-/// Runs one service-fuzz case across all three surfaces (parsers, a
-/// randomized batch, the envelope oracle). Returns the first finding.
+/// Runs one service-fuzz case across both surfaces (parsers, then a
+/// randomized batch without and one with object programs). Returns the
+/// first finding.
 pub fn fuzz_service_case(rng: &mut SplitMix64) -> Option<CliCrash> {
     if let Some(c) = check(
         "job-line",
@@ -266,10 +231,9 @@ pub fn fuzz_service_case(rng: &mut SplitMix64) -> Option<CliCrash> {
     ) {
         return Some(c);
     }
-    if let Some(c) = fuzz_service_batch(rng) {
-        return Some(c);
-    }
-    fuzz_envelope_case(rng)
+    // The object batch draws after the plain one, so the plain batch's
+    // draws match those of a campaign without it.
+    fuzz_service_batch(rng, false).or_else(|| fuzz_service_batch(rng, true))
 }
 
 #[cfg(test)]

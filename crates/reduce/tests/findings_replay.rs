@@ -25,7 +25,10 @@ fn archived_findings_stay_fixed() {
         let repro: Repro = text
             .parse()
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let outcome = run_case_prog(&repro.prog, &repro.spec, &repro.config());
+        // Committed artifacts stay valid verbatim: they re-render to the
+        // same bytes.
+        assert_eq!(repro.to_string(), text, "{}", path.display());
+        let outcome = run_case_prog(&repro.prog, &repro.spec, &repro.cfg);
         assert_eq!(
             outcome,
             Outcome::Pass,

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn stage_lowering_matches_direct_lowering(seed in 0u64..10_000) {
         let mut rng = SplitMix64::new(seed);
-        let ops = random_ops(&mut rng, 24);
+        let ops = random_ops(&mut rng, 24, false);
         let (m0, _expect) = build(&ops);
 
         let mut staged = m0.clone();
@@ -70,7 +70,7 @@ proptest! {
         fault_verify in any::<bool>(),
     ) {
         let mut rng = SplitMix64::new(seed);
-        let ops = random_ops(&mut rng, 24);
+        let ops = random_ops(&mut rng, 24, false);
         let (m0, _expect) = build(&ops);
 
         // Reference: the clean run's post-MEMOIR module.

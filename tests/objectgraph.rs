@@ -84,15 +84,10 @@ proptest! {
             seed,
             case: rng.next_u64(),
             spec: genspec::random_spec(&mut rng),
-            lir_spec: cfg.lir_spec.clone(),
-            adaptive: cfg.adaptive,
-            policy: cfg.policy,
-            budgets: cfg.budgets,
-            inject: cfg.inject.clone(),
-            probe_seed: (rng.below(2) == 0).then(|| rng.next_u64()),
-            cache_check: cfg.cache_check,
-            service_fault: cfg.service_fault.clone(),
-            sym: cfg.sym,
+            cfg: CaseConfig {
+                probe_seed: (rng.below(2) == 0).then(|| rng.next_u64()),
+                ..cfg
+            },
             minimized: true,
             failure: "lower-miscompile: direct lowering returned 3, oracle says 9".into(),
             prog,

@@ -1,174 +1,58 @@
-//! Differential property test: arbitrary MUT-form sequence programs are
-//! compiled at O0 and O3(ALL), lowered to the low-level IR, and all four
-//! executions (plus a plain Rust oracle) must agree — and SSA
-//! construction + destruction must introduce zero copies on these linear
-//! programs (Table III's claim).
+//! Differential property test: random MUT-form sequence and assoc
+//! programs from `reduce`'s genprog are compiled at O0 and O3(ALL),
+//! lowered to the low-level IR, and all four executions (plus genprog's
+//! plain Rust oracle) must agree — and SSA construction + destruction
+//! must introduce zero copies on these straight-line programs (Table
+//! III's claim).
 
 use memoir::interp::Interp;
-use memoir::ir::{Form, Module, ModuleBuilder, Type};
+use memoir::ir::Module;
 use memoir::opt::{compile, OptConfig, OptLevel};
+use memoir::reduce::genprog::{build, random_ops, Op};
+use memoir::reduce::rng::SplitMix64;
 use proptest::prelude::*;
-
-#[derive(Clone, Debug)]
-enum Op {
-    Push(i8),
-    Write(u8, i8),
-    InsertAt(u8, i8),
-    Remove(u8),
-    SwapElems(u8, u8),
-    RemoveRange(u8, u8),
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => any::<i8>().prop_map(Op::Push),
-        2 => (any::<u8>(), any::<i8>()).prop_map(|(i, v)| Op::Write(i, v)),
-        2 => (any::<u8>(), any::<i8>()).prop_map(|(i, v)| Op::InsertAt(i, v)),
-        1 => any::<u8>().prop_map(Op::Remove),
-        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::SwapElems(a, b)),
-        1 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::RemoveRange(a, b)),
-    ]
-}
-
-/// Builds the module and the oracle result together (lengths are static,
-/// so out-of-bounds indices are clamped identically in both).
-fn build(ops: &[Op]) -> (Module, i64) {
-    let mut oracle: Vec<i64> = Vec::new();
-    let mut mb = ModuleBuilder::new("prop");
-    mb.func("main", Form::Mut, |b| {
-        let i64t = b.ty(Type::I64);
-        let zero = b.index(0);
-        let s = b.new_seq(i64t, zero);
-        for o in ops {
-            match *o {
-                Op::Push(v) => {
-                    let sz = b.size(s);
-                    let vv = b.i64(v as i64);
-                    b.mut_insert(s, sz, Some(vv));
-                    oracle.push(v as i64);
-                }
-                Op::Write(i, v) => {
-                    if !oracle.is_empty() {
-                        let i = i as usize % oracle.len();
-                        let iv = b.index(i as u64);
-                        let vv = b.i64(v as i64);
-                        b.mut_write(s, iv, vv);
-                        oracle[i] = v as i64;
-                    }
-                }
-                Op::InsertAt(i, v) => {
-                    let i = i as usize % (oracle.len() + 1);
-                    let iv = b.index(i as u64);
-                    let vv = b.i64(v as i64);
-                    b.mut_insert(s, iv, Some(vv));
-                    oracle.insert(i, v as i64);
-                }
-                Op::Remove(i) => {
-                    if !oracle.is_empty() {
-                        let i = i as usize % oracle.len();
-                        let iv = b.index(i as u64);
-                        b.mut_remove(s, iv);
-                        oracle.remove(i);
-                    }
-                }
-                Op::SwapElems(a, c) => {
-                    if !oracle.is_empty() {
-                        let a = a as usize % oracle.len();
-                        let c = c as usize % oracle.len();
-                        // Disjoint or identical single-element ranges only.
-                        if a != c {
-                            let av = b.index(a as u64);
-                            let a1 = b.index(a as u64 + 1);
-                            let cv = b.index(c as u64);
-                            b.mut_swap(s, av, a1, cv);
-                            oracle.swap(a, c);
-                        }
-                    }
-                }
-                Op::RemoveRange(a, c) => {
-                    if !oracle.is_empty() {
-                        let a = a as usize % oracle.len();
-                        let c = c as usize % oracle.len();
-                        let (lo, hi) = (a.min(c), a.max(c));
-                        let lov = b.index(lo as u64);
-                        let hiv = b.index(hi as u64);
-                        b.mut_remove_range(s, lov, hiv);
-                        oracle.drain(lo..hi);
-                    }
-                }
-            }
-        }
-        // Epilogue: fold the sequence with a loop: acc = Σ (2*acc + elem).
-        let idxt = b.ty(Type::Index);
-        let header = b.block("header");
-        let body = b.block("body");
-        let exit = b.block("exit");
-        let zero64 = b.i64(0);
-        let pre = b.current_block();
-        b.jump(header);
-        b.switch_to(header);
-        let i = b.phi_placeholder(idxt);
-        let acc = b.phi_placeholder(i64t);
-        b.add_phi_incoming(i, pre, zero);
-        b.add_phi_incoming(acc, pre, zero64);
-        let sz = b.size(s);
-        let done = b.cmp(memoir::ir::CmpOp::Ge, i, sz);
-        b.branch(done, exit, body);
-        b.switch_to(body);
-        let v = b.read(s, i);
-        let two = b.i64(2);
-        let acc2x = b.mul(acc, two);
-        let acc2 = b.add(acc2x, v);
-        let one = b.index(1);
-        let next = b.add(i, one);
-        let bb = b.current_block();
-        b.add_phi_incoming(i, bb, next);
-        b.add_phi_incoming(acc, bb, acc2);
-        b.jump(header);
-        b.switch_to(exit);
-        b.returns(&[i64t]);
-        b.ret(vec![acc]);
-    });
-    let mut m = mb.finish();
-    m.entry = m.func_by_name("main");
-    let expect = oracle
-        .iter()
-        .fold(0i64, |a, &v| a.wrapping_mul(2).wrapping_add(v));
-    (m, expect)
-}
 
 fn run_module(m: &Module) -> i64 {
     let mut vm = Interp::new(m).with_fuel(50_000_000);
     vm.run_by_name("main", vec![]).unwrap()[0].as_int().unwrap()
 }
 
+/// The four checks: the mut form, O0 (with zero destruct copies), O3 and
+/// the lowered O3 module all compute the oracle's result.
+fn pipelines_agree(ops: &[Op]) -> TestCaseResult {
+    let (m0, expect) = build(ops);
+    memoir::ir::verifier::assert_valid(&m0);
+    prop_assert_eq!(run_module(&m0), expect, "mut form");
+
+    // O0: construct + destruct, zero copies.
+    let mut o0 = m0.clone();
+    let r0 = compile(&mut o0, OptLevel::O0).unwrap();
+    memoir::ir::verifier::assert_valid(&o0);
+    prop_assert_eq!(r0.destruct_copies, 0, "no spurious copies");
+    prop_assert_eq!(run_module(&o0), expect, "O0");
+
+    // O3 with everything.
+    let mut o3 = m0.clone();
+    compile(&mut o3, OptLevel::O3(OptConfig::all())).unwrap();
+    memoir::ir::verifier::assert_valid(&o3);
+    prop_assert_eq!(run_module(&o3), expect, "O3");
+
+    // Lowered to the low-level IR.
+    let lowered = memoir::lower::lower_module(&o3)
+        .unwrap_or_else(|e| panic!("lowering the O3 module failed: {e}"));
+    let mut vm = memoir::lir::LirMachine::new(&lowered);
+    let got = vm.run_by_name("main", vec![]).unwrap()[0];
+    prop_assert_eq!(got, expect, "lowered");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn all_pipelines_agree(ops in proptest::collection::vec(op(), 0..40)) {
-        let (m0, expect) = build(&ops);
-        memoir::ir::verifier::assert_valid(&m0);
-        prop_assert_eq!(run_module(&m0), expect, "mut form");
-
-        // O0: construct + destruct, zero copies.
-        let mut o0 = m0.clone();
-        let r0 = compile(&mut o0, OptLevel::O0).unwrap();
-        memoir::ir::verifier::assert_valid(&o0);
-        prop_assert_eq!(r0.destruct_copies, 0, "no spurious copies");
-        prop_assert_eq!(run_module(&o0), expect, "O0");
-
-        // O3 with everything.
-        let mut o3 = m0.clone();
-        compile(&mut o3, OptLevel::O3(OptConfig::all())).unwrap();
-        memoir::ir::verifier::assert_valid(&o3);
-        prop_assert_eq!(run_module(&o3), expect, "O3");
-
-        // Lowered to the low-level IR.
-        let lowered = memoir::lower::lower_module(&o3)
-            .unwrap_or_else(|e| panic!("lowering the O3 module failed: {e}"));
-        let mut vm = memoir::lir::LirMachine::new(&lowered);
-        let got = vm.run_by_name("main", vec![]).unwrap()[0];
-        prop_assert_eq!(got, expect, "lowered");
+    fn all_pipelines_agree(seed in any::<u64>()) {
+        // Up to 40 ops, without the object dimension.
+        let ops = random_ops(&mut SplitMix64::new(seed), 40, false);
+        pipelines_agree(&ops)?;
     }
 }
 
@@ -181,7 +65,7 @@ fn regression_empty_program() {
 
 #[test]
 fn regression_interleaved_ops() {
-    let ops = vec![
+    let ops = [
         Op::Push(5),
         Op::Push(-3),
         Op::InsertAt(1, 7),
@@ -191,9 +75,37 @@ fn regression_interleaved_ops() {
         Op::RemoveRange(1, 3),
         Op::Remove(0),
     ];
-    let (m, expect) = build(&ops);
-    assert_eq!(run_module(&m), expect);
-    let mut o3 = m.clone();
-    compile(&mut o3, OptLevel::O3(OptConfig::all())).unwrap();
-    assert_eq!(run_module(&o3), expect);
+    pipelines_agree(&ops).unwrap();
+}
+
+/// A shrunk case the property test once recorded: an empty range
+/// removal between pushes, then a write and an insert at the front.
+#[test]
+fn regression_empty_range_removal() {
+    let ops = [
+        Op::Push(0),
+        Op::RemoveRange(0, 0),
+        Op::Push(0),
+        Op::Push(0),
+        Op::Write(0, 0),
+        Op::InsertAt(0, 0),
+    ];
+    pipelines_agree(&ops).unwrap();
+}
+
+/// A shrunk case the property test once recorded: front inserts, a range
+/// removal with out-of-range bounds, then a wrapped write and insert.
+#[test]
+fn regression_wrapped_indices_after_range_removal() {
+    let ops = [
+        Op::Push(0),
+        Op::InsertAt(0, 0),
+        Op::InsertAt(0, 0),
+        Op::Push(0),
+        Op::RemoveRange(113, 30),
+        Op::Push(0),
+        Op::Write(251, 1),
+        Op::InsertAt(5, 0),
+    ];
+    pipelines_agree(&ops).unwrap();
 }

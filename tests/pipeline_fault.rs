@@ -164,7 +164,7 @@ proptest! {
         let name = &names[victim % names.len()];
 
         let mut rng = SplitMix64::new(seed);
-        let ops = random_ops(&mut rng, 30);
+        let ops = random_ops(&mut rng, 30, false);
         let (_, expect) = build(&ops);
 
         let plan = FaultPlan::at_pass(InjectKind::Panic, name);

@@ -47,7 +47,7 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let n_funcs = 3 + rng.index(4);
         let progs: Vec<Vec<Op>> =
-            (0..n_funcs).map(|_| random_ops(&mut rng, 20)).collect();
+            (0..n_funcs).map(|_| random_ops(&mut rng, 20, false)).collect();
         let (m, _) = build_multi(&progs);
         let spec = default_spec(OptLevel::O3(OptConfig::all()));
 
@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn parallel_with_cow_snapshots_is_bit_identical(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
-        let progs: Vec<Vec<Op>> = (0..4).map(|_| random_ops(&mut rng, 16)).collect();
+        let progs: Vec<Vec<Op>> = (0..4).map(|_| random_ops(&mut rng, 16, false)).collect();
         let (m, _) = build_multi(&progs);
         let spec = default_spec(OptLevel::O3(OptConfig::all()));
 

@@ -96,48 +96,78 @@ fn range() -> impl Strategy<Value = Range> {
     (expr(), expr()).prop_map(|(lo, hi)| Range::new(lo, hi))
 }
 
+fn join_commutes(a: &Range, b: &Range) -> TestCaseResult {
+    prop_assert_eq!(a.join(b), b.join(a));
+    Ok(())
+}
+
+fn meet_commutes(a: &Range, b: &Range) -> TestCaseResult {
+    prop_assert_eq!(a.meet(b), b.meet(a));
+    Ok(())
+}
+
+fn join_associates(a: &Range, b: &Range, c: &Range) -> TestCaseResult {
+    prop_assert_eq!(a.join(b).join(c), a.join(&b.join(c)));
+    Ok(())
+}
+
+fn meet_associates(a: &Range, b: &Range, c: &Range) -> TestCaseResult {
+    prop_assert_eq!(a.meet(b).meet(c), a.meet(&b.meet(c)));
+    Ok(())
+}
+
+fn join_and_meet_idempotent(a: &Range) -> TestCaseResult {
+    // Join canonicalizes (symbolically) empty ranges to `[0 : 0)`;
+    // idempotence is structural only on proper ranges.
+    if !a.is_empty_const() {
+        prop_assert_eq!(a.join(a), a.clone());
+    } else {
+        prop_assert!(a.join(a).is_empty_const());
+    }
+    prop_assert_eq!(a.meet(a), a.clone());
+    Ok(())
+}
+
+fn shift_distributes(a: &Range, b: &Range, c: i64) -> TestCaseResult {
+    // Empty ranges canonicalize under join, which does not commute
+    // with shifting; the law holds on proper ranges.
+    prop_assume!(!a.is_empty_const() && !b.is_empty_const());
+    prop_assert_eq!(
+        a.join(b).shift_const(c),
+        a.shift_const(c).join(&b.shift_const(c))
+    );
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn join_is_commutative(a in range(), b in range()) {
-        prop_assert_eq!(a.join(&b), b.join(&a));
+        join_commutes(&a, &b)?;
     }
 
     #[test]
     fn meet_is_commutative(a in range(), b in range()) {
-        prop_assert_eq!(a.meet(&b), b.meet(&a));
+        meet_commutes(&a, &b)?;
     }
 
     #[test]
     fn join_is_associative(a in range(), b in range(), c in range()) {
-        prop_assert_eq!(a.join(&b).join(&c), a.join(&b.join(&c)));
+        join_associates(&a, &b, &c)?;
     }
 
     #[test]
     fn meet_is_associative(a in range(), b in range(), c in range()) {
-        prop_assert_eq!(a.meet(&b).meet(&c), a.meet(&b.meet(&c)));
+        meet_associates(&a, &b, &c)?;
     }
 
     #[test]
     fn join_and_meet_are_idempotent(a in range()) {
-        // Join canonicalizes (symbolically) empty ranges to `[0 : 0)`;
-        // idempotence is structural only on proper ranges.
-        if !a.is_empty_const() {
-            prop_assert_eq!(a.join(&a), a.clone());
-        } else {
-            prop_assert!(a.join(&a).is_empty_const());
-        }
-        prop_assert_eq!(a.meet(&a), a);
+        join_and_meet_idempotent(&a)?;
     }
 
     #[test]
     fn shift_distributes_over_join(a in range(), b in range(), c in -4i64..4) {
-        // Empty ranges canonicalize under join, which does not commute
-        // with shifting; the law holds on proper ranges.
-        prop_assume!(!a.is_empty_const() && !b.is_empty_const());
-        prop_assert_eq!(
-            a.join(&b).shift_const(c),
-            a.shift_const(c).join(&b.shift_const(c))
-        );
+        shift_distributes(&a, &b, c)?;
     }
 
     #[test]
@@ -151,4 +181,49 @@ proptest! {
             }
         }
     }
+}
+
+/// Five shrunk counterexamples the law tests once recorded. Their
+/// `min`/`max` members go through `Expr::min_of`/`max_of`, the canonical
+/// constructors the strategies build with, so each is a value the
+/// strategies can generate (the record lists `min(0, %0, 1)`, which they
+/// fold to `min(0, %0)`). The record does not say which law each broke,
+/// so each runs through every law of its arity.
+#[test]
+fn recorded_range_cases_satisfy_their_laws() {
+    let k = Expr::constant;
+    let v = |raw| Expr::value(memoir::ir::ValueId::from_raw(raw));
+    let min = Expr::min_of;
+    let max = Expr::max_of;
+    let holds = |law: &str, result: TestCaseResult| match result {
+        Ok(()) | Err(TestCaseError::Reject) => {}
+        Err(TestCaseError::Fail(m)) => panic!("{law}: {m}"),
+    };
+
+    for a in [
+        Range::new(k(0), min(vec![k(0), v(0), k(1)])),
+        Range::new(max(vec![v(3), Expr::end()]), max(vec![v(3), Expr::end()])),
+    ] {
+        holds("idempotence", join_and_meet_idempotent(&a));
+    }
+
+    for (a, b, c) in [
+        (
+            Range::new(k(0), v(0)),
+            Range::new(k(0), k(1)),
+            Range::new(v(0), k(2)),
+        ),
+        (
+            Range::new(min(vec![k(0), v(0)]), k(0)),
+            Range::new(k(0), k(0)),
+            Range::new(k(1), k(0)),
+        ),
+    ] {
+        holds("join associativity", join_associates(&a, &b, &c));
+        holds("meet associativity", meet_associates(&a, &b, &c));
+    }
+
+    let a = Range::new(k(1), min(vec![k(0), v(0)]));
+    let b = Range::new(min(vec![k(0), v(0)]), k(0));
+    holds("shift distributivity", shift_distributes(&a, &b, 0));
 }
