@@ -14,7 +14,7 @@ fn main() {
     let baseline = workloads::mcf_ir::build_mcf_ir();
     let mut dee = workloads::mcf_ir::build_mcf_ir();
     memoir_opt::construct_ssa(&mut dee).unwrap();
-    let stats = memoir_opt::dee_specialize_calls_with(&mut dee, memoir_opt::DeeOptions::exact());
+    let stats = memoir_opt::dee_specialize_calls(&mut dee);
     memoir_opt::destruct_ssa(&mut dee);
     println!("transform: {stats:?}");
     println!(

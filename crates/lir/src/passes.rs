@@ -157,42 +157,11 @@ pub fn pass_manager() -> PassManager<Module> {
                 Err(errs.join("; "))
             }
         })
-        .with_threads(crate::passes::threads_from_env());
-    if let Some(cache) = cache_from_env() {
+        .with_threads(passman::threads_from_env());
+    if let Some(cache) = passman::cache_from_env() {
         pm = pm.with_compile_cache(cache);
     }
     pm
-}
-
-/// The process-global compile cache enabled by `MEMOIR_CACHE=1` (or
-/// `true`); read once per process, shared by every lir pass manager
-/// built here. Pass outputs are keyed by function fingerprint, so jobs
-/// recompiling unchanged functions through an identical pipeline are
-/// served from cache.
-pub fn cache_from_env() -> Option<passman::CompileCache> {
-    static CACHE: std::sync::OnceLock<Option<passman::CompileCache>> = std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            matches!(
-                std::env::var("MEMOIR_CACHE")
-                    .ok()
-                    .map(|v| v.trim().to_ascii_lowercase())
-                    .as_deref(),
-                Some("1") | Some("true")
-            )
-            .then(passman::CompileCache::new)
-        })
-        .clone()
-}
-
-/// The worker-thread count requested via the `MEMOIR_THREADS`
-/// environment variable (unset, empty, or unparsable → 1, i.e. serial).
-pub fn threads_from_env() -> usize {
-    std::env::var("MEMOIR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
 }
 
 /// The default lir optimization pipeline: promote memory, then fold /

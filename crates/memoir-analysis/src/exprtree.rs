@@ -24,11 +24,6 @@ pub enum Term {
     Value(ValueId),
     /// The size of the sequence the range refers to (`end`).
     End,
-    /// The lower bound of the caller's live range (the `%a` parameter that
-    /// Alg. 2 materializes at specialization time).
-    CallerLo,
-    /// The upper bound of the caller's live range (`%b`).
-    CallerHi,
 }
 
 /// A canonical affine expression: `konst + Σ coeff·term`.
@@ -125,16 +120,6 @@ impl Expr {
     /// The symbolic `end`.
     pub fn end() -> Expr {
         Expr::Affine(Affine::term(Term::End))
-    }
-
-    /// The caller live-range bounds.
-    pub fn caller_lo() -> Expr {
-        Expr::Affine(Affine::term(Term::CallerLo))
-    }
-
-    /// See [`Expr::caller_lo`].
-    pub fn caller_hi() -> Expr {
-        Expr::Affine(Affine::term(Term::CallerHi))
     }
 
     /// Whether this is exactly the constant `c`.
@@ -279,20 +264,9 @@ impl Expr {
         }
     }
 
-    /// Whether the expression mentions the caller-context bounds.
-    pub fn mentions_caller(&self) -> bool {
-        match self {
-            Expr::Affine(a) => {
-                a.terms.contains_key(&Term::CallerLo) || a.terms.contains_key(&Term::CallerHi)
-            }
-            Expr::Min(es) | Expr::Max(es) => es.iter().any(Expr::mentions_caller),
-            Expr::Unknown => false,
-        }
-    }
-
     /// Substitutes terms via the provided map, leaving unmapped terms
-    /// intact. Used when importing a callee summary into a caller (ARGφ)
-    /// or materializing caller bounds (Alg. 2).
+    /// intact. Used to rebind `end` across index-space changes (Table I)
+    /// and to import a callee's write-range summary at a call site.
     pub fn substitute(&self, map: &dyn Fn(Term) -> Option<Expr>) -> Expr {
         match self {
             Expr::Affine(a) => {
@@ -367,8 +341,6 @@ impl fmt::Display for Expr {
                     match t {
                         Term::Value(v) => write!(f, "{v}")?,
                         Term::End => write!(f, "end")?,
-                        Term::CallerLo => write!(f, "%a")?,
-                        Term::CallerHi => write!(f, "%b")?,
                     }
                 }
                 Ok(())
@@ -481,9 +453,9 @@ mod tests {
 
     #[test]
     fn substitution_maps_terms() {
-        let e = Expr::caller_lo().offset(2);
+        let e = Expr::value(v(1)).offset(2);
         let sub = e.substitute(&|t| match t {
-            Term::CallerLo => Some(Expr::constant(10)),
+            Term::Value(_) => Some(Expr::constant(10)),
             _ => None,
         });
         assert!(sub.is_const(12));
@@ -504,7 +476,5 @@ mod tests {
     fn values_collected() {
         let e = Expr::min2(Expr::value(v(3)), Expr::value(v(1)).offset(2));
         assert_eq!(e.values(), vec![v(1), v(3)]);
-        assert!(!e.mentions_caller());
-        assert!(Expr::caller_hi().mentions_caller());
     }
 }

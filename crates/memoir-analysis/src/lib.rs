@@ -13,7 +13,9 @@
 //! * [`idxrange`] — intraprocedural symbolic index ranges, the `R(i)`
 //!   input of Alg. 1;
 //! * [`liverange`] — live range analysis of sequence elements (Table I +
-//!   Alg. 1), in sound and escape (paper-methodology) modes;
+//!   Alg. 1), in sound and caller-side paper-methodology modes (Listing
+//!   4's callee-side element guards are unsound under recursion and not
+//!   implemented);
 //! * [`escape`] — allocation-site escape analysis for heap/stack
 //!   selection (§VI);
 //! * [`affinity`] — field affinity analysis choosing field-elision
@@ -54,4 +56,4 @@ pub use liveness::Liveness;
 pub use liverange::{live_ranges, LiveRangeConfig, LiveRanges};
 pub use purity::{EffectSummary, Purity};
 pub use range::Range;
-pub use repr::{choose_reprs, choose_reprs_with, ReprConfig};
+pub use repr::choose_reprs;

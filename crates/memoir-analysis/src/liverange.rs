@@ -18,15 +18,18 @@
 //!
 //! * [`LiveRangeConfig::sound`] — the full Table I transfer functions,
 //!   including element *relocation* through `insert`/`remove`/`swap` and
-//!   `R(i)` contributions from every read. Safe for semantics-preserving
-//!   dead element elimination.
-//! * [`LiveRangeConfig::escape`] — the configuration that reproduces the
-//!   paper's mcf methodology (Listing 4): liveness is seeded only at the
-//!   function boundary (returned sequences are live in the caller's
-//!   `[%a : %b)`, recursive calls inherit the same context), reads internal
-//!   to the function are not counted, and swaps are treated as stationary.
-//!   Dead element elimination guarded by this mode preserves the *live
-//!   slice* of the result, which is the paper's correctness model for mcf.
+//!   `[0 : end)` contributions from sequences passed to calls. Safe for
+//!   semantics-preserving dead element elimination.
+//! * [`LiveRangeConfig::paper`] — the caller side of the paper's mcf
+//!   methodology: relocating ops transfer liveness as the identity and
+//!   call arguments contribute nothing, because call specialization
+//!   threads the live slice into the callee instead. Use only under the
+//!   live-slice correctness model.
+//!
+//! Both count every read, and both treat a returned sequence as fully
+//! live. Listing 4's callee-side model (returns live in the caller's
+//! `[%a : %b)`) is not provided: the element guards it derives are
+//! unsound under recursion (DESIGN.md §6).
 
 use crate::exprtree::Expr;
 use crate::idxrange::IndexRanges;
@@ -34,49 +37,27 @@ use crate::range::Range;
 use memoir_ir::{Callee, FuncId, Function, InstKind, Module, Type, ValueId};
 use std::collections::HashMap;
 
+/// Bound-expression complexity past which a range widens to full.
+const MAX_COMPLEXITY: usize = 16;
+
+/// Fixed-point iterations after which every range widens to full.
+const MAX_ITERATIONS: usize = 32;
+
 /// Configuration of the analysis (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LiveRangeConfig {
-    /// Count `READ(S, i)` as making `R(i)` live.
-    pub include_reads: bool,
     /// Apply the relocation components of the Table I transfers (shifted
-    /// contributions through insert/remove/swap/copy-range).
-    pub relocation_transfers: bool,
-    /// Returned sequences are live in the symbolic caller context
-    /// `[%a : %b)` rather than `[0 : end)`.
-    pub ret_is_caller_context: bool,
-    /// Sequence arguments of calls contribute liveness (`[0 : end)` for
-    /// unknown callees). Disabled by the paper-methodology configuration,
-    /// where callee reads are accounted by the specialization itself.
-    pub calls_contribute: bool,
-    /// Maximum bound-expression complexity before widening to full.
-    pub max_complexity: usize,
-    /// Maximum fixed-point iterations before widening the whole SCC.
-    pub max_iterations: usize,
+    /// contributions through insert/remove/swap/copy-range) and let
+    /// sequence arguments of calls contribute liveness (`[0 : end)`
+    /// unless the callee is a non-reading extern).
+    full_transfers: bool,
 }
 
 impl LiveRangeConfig {
     /// The fully sound configuration.
     pub fn sound() -> Self {
         LiveRangeConfig {
-            include_reads: true,
-            relocation_transfers: true,
-            ret_is_caller_context: false,
-            calls_contribute: true,
-            max_complexity: 16,
-            max_iterations: 32,
-        }
-    }
-
-    /// The escape (callee-side paper-methodology) configuration.
-    pub fn escape() -> Self {
-        LiveRangeConfig {
-            include_reads: false,
-            relocation_transfers: false,
-            ret_is_caller_context: true,
-            calls_contribute: false,
-            max_complexity: 16,
-            max_iterations: 32,
+            full_transfers: true,
         }
     }
 
@@ -87,12 +68,7 @@ impl LiveRangeConfig {
     /// only under the live-slice correctness model (DESIGN.md §6).
     pub fn paper() -> Self {
         LiveRangeConfig {
-            include_reads: true,
-            relocation_transfers: false,
-            ret_is_caller_context: false,
-            calls_contribute: false,
-            max_complexity: 16,
-            max_iterations: 32,
+            full_transfers: false,
         }
     }
 }
@@ -157,7 +133,7 @@ pub fn live_ranges(m: &Module, fid: FuncId, cfg: &LiveRangeConfig) -> LiveRanges
         // Reverse order helps convergence (liveness flows backwards).
         for &(_, i) in insts.iter().rev() {
             let inst = &f.insts[i];
-            let contributions = transfer(m, f, fid, inst, &p, &idx, cfg, is_seq);
+            let contributions = transfer(m, f, inst, &p, &idx, cfg, is_seq);
             for (target, contrib) in contributions {
                 // Unknown bounds mean "cannot be bounded", not "empty":
                 // widen so they do not collapse under min/max absorption.
@@ -167,7 +143,7 @@ pub fn live_ranges(m: &Module, fid: FuncId, cfg: &LiveRangeConfig) -> LiveRanges
                 }
                 let entry = p.entry(target).or_insert_with(Range::empty);
                 let joined = entry.join(&contrib);
-                let joined = if joined.complexity() > cfg.max_complexity {
+                let joined = if joined.complexity() > MAX_COMPLEXITY {
                     Range::full()
                 } else {
                     joined
@@ -181,7 +157,7 @@ pub fn live_ranges(m: &Module, fid: FuncId, cfg: &LiveRangeConfig) -> LiveRanges
         if !changed {
             break;
         }
-        if iter >= cfg.max_iterations {
+        if iter >= MAX_ITERATIONS {
             // Alg. 1's default for unresolved cycles.
             for r in p.values_mut() {
                 *r = Range::full();
@@ -198,11 +174,9 @@ pub fn live_ranges(m: &Module, fid: FuncId, cfg: &LiveRangeConfig) -> LiveRanges
 
 /// Computes the liveness contributions of one instruction: pairs of
 /// (sequence operand, range that becomes live in it).
-#[allow(clippy::too_many_arguments)]
 fn transfer(
     m: &Module,
     f: &Function,
-    fid: FuncId,
     inst: &memoir_ir::Inst,
     p: &HashMap<ValueId, Range>,
     idx: &IndexRanges<'_>,
@@ -218,7 +192,7 @@ fn transfer(
     };
     let mut out = Vec::new();
     match &inst.kind {
-        InstKind::Read { c, idx: i } if is_seq(*c) && cfg.include_reads => {
+        InstKind::Read { c, idx: i } if is_seq(*c) => {
             out.push((*c, idx.range_of(*i).widened()));
         }
         InstKind::UsePhi { c } | InstKind::Copy { c } if is_seq(*c) => {
@@ -226,7 +200,7 @@ fn transfer(
         }
         InstKind::CopyRange { c, from, to } if is_seq(*c) => {
             let pr = result_range(0);
-            let r = if cfg.relocation_transfers {
+            let r = if cfg.full_transfers {
                 // Table I: S1 + i ⊑ S0 — but p(S1)'s `end` is the copy's
                 // width, not S0's size.
                 if range_mentions_end_sym(&pr) {
@@ -254,13 +228,11 @@ fn transfer(
             // (S1 ⊑ S0, no kill) and the read half makes the indexed
             // element live exactly like `read`.
             out.push((*c, result_range(0)));
-            if cfg.include_reads {
-                out.push((*c, idx.range_of(*i).widened()));
-            }
+            out.push((*c, idx.range_of(*i).widened()));
         }
         InstKind::Insert { c, idx: i, .. } if is_seq(*c) => {
             let pr = result_range(0);
-            let r = if cfg.relocation_transfers {
+            let r = if cfg.full_transfers {
                 // Table I: S1 ∧ [0:i] ⊑ S0 ; (S1 ∧ [i+1:end]) − 1 ⊑ S0.
                 // The symbolic `end` in p(S1) denotes S1's size, which is
                 // S0's size + 1: rebind it before shifting (dropping the
@@ -287,7 +259,7 @@ fn transfer(
             if is_seq(*c) {
                 // Splice relocation needs |src| which is not an SSA value
                 // here; widen under relocation, identity otherwise.
-                let r = if cfg.relocation_transfers {
+                let r = if cfg.full_transfers {
                     Range::full()
                 } else {
                     pr.clone()
@@ -295,7 +267,7 @@ fn transfer(
                 out.push((*c, r));
             }
             if is_seq(*src) {
-                let r = if cfg.relocation_transfers {
+                let r = if cfg.full_transfers {
                     Range::full()
                 } else {
                     pr
@@ -305,7 +277,7 @@ fn transfer(
         }
         InstKind::Remove { c, idx: i } if is_seq(*c) => {
             let pr = result_range(0);
-            let r = if cfg.relocation_transfers {
+            let r = if cfg.full_transfers {
                 let p1 = subst_end(&pr, -1);
                 let shifted = p1.shift_const(1);
                 match bound_expr(f, idx, *i) {
@@ -323,7 +295,7 @@ fn transfer(
         }
         InstKind::RemoveRange { c, from, to } if is_seq(*c) => {
             let pr = result_range(0);
-            let r = if cfg.relocation_transfers {
+            let r = if cfg.full_transfers {
                 match width_expr(f, idx, *from, *to) {
                     Some(w) => {
                         // p(S1) in S0 coordinates: end shrinks by w.
@@ -346,7 +318,7 @@ fn transfer(
         }
         InstKind::Swap { c, .. } if is_seq(*c) => {
             let pr = result_range(0);
-            let r = if cfg.relocation_transfers {
+            let r = if cfg.full_transfers {
                 // Identity ∨ cross-shifts; the cross-shifts involve
                 // loop-variant offsets in practice, so they widen unless
                 // anchored. Conservative: join with full when offsets are
@@ -359,7 +331,7 @@ fn transfer(
         }
         InstKind::Swap2 { a, b, .. } => {
             let (pa, pb) = (result_range(0), result_range(1));
-            if cfg.relocation_transfers {
+            if cfg.full_transfers {
                 // Sound over-approximation for the two-sequence swap.
                 if is_seq(*a) {
                     out.push((*a, pa.join(&pb)));
@@ -396,12 +368,7 @@ fn transfer(
         InstKind::Ret { values } => {
             for &v in values {
                 if is_seq(v) {
-                    let r = if cfg.ret_is_caller_context {
-                        Range::caller_context()
-                    } else {
-                        Range::full()
-                    };
-                    out.push((v, r));
+                    out.push((v, Range::full()));
                 }
             }
         }
@@ -409,19 +376,13 @@ fn transfer(
             for &a in args {
                 if is_seq(a) {
                     let r = match callee {
-                        // Recursive self-calls inherit the caller context
-                        // (the specialized clone threads %a/%b through,
-                        // Listing 4).
-                        Callee::Func(target) if *target == fid && cfg.ret_is_caller_context => {
-                            Range::caller_context()
-                        }
                         Callee::Extern(e)
                             if !m.externs[*e].effects.reads_args
                                 && !m.externs[*e].effects.opaque =>
                         {
                             Range::empty()
                         }
-                        _ if !cfg.calls_contribute => Range::empty(),
+                        _ if !cfg.full_transfers => Range::empty(),
                         _ => Range::full(),
                     };
                     out.push((a, r));
@@ -612,8 +573,8 @@ mod tests {
         assert_eq!(r0, Range::constant(0, 3), "origin: {r0}");
     }
 
-    /// A sequence returned from the function is fully live in sound mode
-    /// and caller-context live in escape mode.
+    /// A sequence returned from the function is fully live in both
+    /// configurations: the caller may read any element.
     #[test]
     fn returned_sequence_modes() {
         let mut mb = ModuleBuilder::new("m");
@@ -629,51 +590,8 @@ mod tests {
         });
         let m = mb.finish();
         let s = probe.unwrap();
-        let sound = live_ranges(&m, fid, &LiveRangeConfig::sound());
-        assert!(sound.range(s).is_full());
-        let escape = live_ranges(&m, fid, &LiveRangeConfig::escape());
-        assert!(escape.range(s).mentions_caller());
-    }
-
-    /// Liveness flows through φs in a loop without widening when the
-    /// transfer is the identity (escape mode).
-    #[test]
-    fn phi_cycle_converges_in_escape_mode() {
-        let mut mb = ModuleBuilder::new("m");
-        let mut probe = None;
-        let fid = mb.func("f", Form::Ssa, |b| {
-            let i64t = b.ty(memoir_ir::Type::I64);
-            let seqt = b.types.seq_of(i64t);
-            let s_in = b.param("s", seqt);
-            let header = b.block("header");
-            let body = b.block("body");
-            let exit = b.block("exit");
-            b.jump(header);
-            b.switch_to(header);
-            let s_phi = b.phi_placeholder(seqt);
-            let entry = b.func.entry;
-            b.add_phi_incoming(s_phi, entry, s_in);
-            let c = b.bool(true);
-            b.branch(c, exit, body);
-            b.switch_to(body);
-            let zero = b.index(0);
-            let v = b.i64(1);
-            let s2 = b.write(s_phi, zero, v);
-            let bb = b.current_block();
-            b.add_phi_incoming(s_phi, bb, s2);
-            b.jump(header);
-            b.switch_to(exit);
-            b.returns(&[seqt]);
-            b.ret(vec![s_phi]);
-            probe = Some((s_in, s_phi, s2));
-        });
-        let m = mb.finish();
-        let lr = live_ranges(&m, fid, &LiveRangeConfig::escape());
-        let (s_in, s_phi, s2) = probe.unwrap();
-        for v in [s_in, s_phi, s2] {
-            let r = lr.range(v);
-            assert!(r.mentions_caller(), "{v}: {r}");
-            assert!(!r.is_full(), "{v} must not widen: {r}");
+        for cfg in [LiveRangeConfig::sound(), LiveRangeConfig::paper()] {
+            assert!(live_ranges(&m, fid, &cfg).range(s).is_full(), "{cfg:?}");
         }
     }
 
@@ -715,31 +633,6 @@ mod tests {
         };
         assert!(covers_source, "swap source must stay live: {r}");
         assert!(!r.is_full() || r.hi.as_const().is_none(), "{r}");
-    }
-
-    /// Escape mode treats the same swap as stationary (the Listing 4
-    /// model): no relocation, identity only.
-    #[test]
-    fn escape_mode_swap_is_stationary() {
-        let mut mb = ModuleBuilder::new("m");
-        let mut probe = None;
-        let fid = mb.func("f", Form::Ssa, |b| {
-            let i64t = b.ty(memoir_ir::Type::I64);
-            let seqt = b.types.seq_of(i64t);
-            let s0 = b.param("s", seqt);
-            let zero = b.index(0);
-            let two = b.index(2);
-            let four = b.index(4);
-            let s1 = b.swap(s0, zero, two, four);
-            probe = Some((s0, s1));
-            b.returns(&[seqt]);
-            b.ret(vec![s1]);
-        });
-        let m = mb.finish();
-        let lr = live_ranges(&m, fid, &LiveRangeConfig::escape());
-        let (s0, s1) = probe.unwrap();
-        assert_eq!(lr.range(s0), lr.range(s1), "identity transfer");
-        assert!(lr.range(s0).mentions_caller());
     }
 
     /// Loop-bounded reads: reading `s[i]` for `i in 0..k` yields

@@ -39,14 +39,6 @@ impl Range {
         }
     }
 
-    /// The caller-context range `[%a : %b)` used at ARGφ/RETφ boundaries.
-    pub fn caller_context() -> Self {
-        Range {
-            lo: Expr::caller_lo(),
-            hi: Expr::caller_hi(),
-        }
-    }
-
     /// A singleton range `[e : e+1)`.
     pub fn singleton(e: Expr) -> Self {
         let hi = e.offset(1);
@@ -156,11 +148,6 @@ impl Range {
         }
     }
 
-    /// Whether either bound mentions the caller-context terms.
-    pub fn mentions_caller(&self) -> bool {
-        self.lo.mentions_caller() || self.hi.mentions_caller()
-    }
-
     /// Structural size of the bound expressions — used for widening
     /// heuristics in the cycle resolver.
     pub fn complexity(&self) -> usize {
@@ -250,13 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn caller_context_range() {
-        let r = Range::caller_context();
-        assert!(r.mentions_caller());
+    fn substitute_maps_both_bounds() {
+        let v = memoir_ir::ValueId::from_raw(3);
+        let r = Range::new(Expr::value(v), Expr::end());
         let sub = r.substitute(&|t| match t {
-            crate::exprtree::Term::CallerLo => Some(Expr::constant(0)),
-            crate::exprtree::Term::CallerHi => Some(Expr::constant(8)),
-            _ => None,
+            crate::exprtree::Term::Value(_) => Some(Expr::constant(0)),
+            crate::exprtree::Term::End => Some(Expr::constant(8)),
         });
         assert_eq!(sub, Range::constant(0, 8));
     }

@@ -9,7 +9,7 @@
 //!   non-negative, and bounded lowers to a direct-indexed array
 //!   (present-bitmap + value slots). Legality: every key ever used with
 //!   any version of the collection has a constant element-level range
-//!   `[lo : hi)` with `0 ≤ lo` and `hi ≤` the configured cap limit (the
+//!   `[lo : hi)` with `0 ≤ lo` and `hi ≤ 2¹⁶` (the
 //!   [`IndexRanges`] lattice, including the `x & mask` wrapping rule);
 //!   no `keys` op observes insertion order; and the collection never
 //!   escapes the function (per [`EscapeAnalysis`]) nor flows through a
@@ -33,37 +33,19 @@ use memoir_ir::{
 };
 use std::collections::HashMap;
 
-/// Limits on how large a chosen representation may get.
-#[derive(Clone, Copy, Debug)]
-pub struct ReprConfig {
-    /// Largest key-space bound eligible for [`Repr::Dense`] (slots are
-    /// reserved eagerly, so this caps wasted space).
-    pub dense_cap_limit: u64,
-    /// Largest constant sequence length eligible for [`Repr::Inline`].
-    pub inline_cap_limit: u64,
-}
+/// Largest key-space bound eligible for [`Repr::Dense`] (slots are
+/// reserved eagerly, so this caps wasted space).
+const DENSE_CAP_LIMIT: u64 = 1 << 16;
 
-impl Default for ReprConfig {
-    fn default() -> Self {
-        ReprConfig {
-            dense_cap_limit: 1 << 16,
-            inline_cap_limit: 8,
-        }
-    }
-}
-
-/// Chooses representations for every eligible allocation site of the
-/// module with the default [`ReprConfig`].
-pub fn choose_reprs(m: &Module) -> ReprChoices {
-    choose_reprs_with(m, &ReprConfig::default())
-}
+/// Largest constant sequence length eligible for [`Repr::Inline`].
+const INLINE_CAP_LIMIT: u64 = 8;
 
 /// Chooses representations for every eligible allocation site of the
 /// module.
-pub fn choose_reprs_with(m: &Module, cfg: &ReprConfig) -> ReprChoices {
+pub fn choose_reprs(m: &Module) -> ReprChoices {
     let mut out = ReprChoices::new();
     for (fid, f) in m.funcs.iter() {
-        choose_function(m, cfg, fid, f, &mut out);
+        choose_function(m, fid, f, &mut out);
     }
     out
 }
@@ -124,13 +106,7 @@ struct GroupFacts {
     _reserved: (),
 }
 
-fn choose_function(
-    m: &Module,
-    cfg: &ReprConfig,
-    fid: memoir_ir::FuncId,
-    f: &Function,
-    out: &mut ReprChoices,
-) {
+fn choose_function(m: &Module, fid: memoir_ir::FuncId, f: &Function, out: &mut ReprChoices) {
     let is_coll = |v: ValueId| {
         matches!(
             m.types.get(f.value_ty(v)),
@@ -207,7 +183,7 @@ fn choose_function(
             let root = uf.find(c);
             let g = facts.entry(root).or_default();
             match key_bound(f, &idx, k) {
-                Some((lo, hi)) if lo >= 0 && (hi as u64) <= cfg.dense_cap_limit && hi > 0 => {
+                Some((lo, hi)) if lo >= 0 && (hi as u64) <= DENSE_CAP_LIMIT && hi > 0 => {
                     let hi = hi as u64;
                     g.key_hi = Some(g.key_hi.map_or(hi, |h| h.max(hi)));
                 }
@@ -321,7 +297,7 @@ fn choose_function(
                 }
             }
         } else if let Some(n) = seq_len {
-            if !g.resized && n >= 0 && (n as u64) <= cfg.inline_cap_limit {
+            if !g.resized && n >= 0 && (n as u64) <= INLINE_CAP_LIMIT {
                 out.insert((fid, iid), Repr::Inline { cap: n as u64 });
             }
         }

@@ -30,9 +30,7 @@
 //! MEMOIR interpreter itself traps (e.g. out-of-bounds on that input)
 //! are skipped conservatively — and skipping is *accounted*: functions
 //! that end up with neither a proof nor a single compared probe are
-//! reported in [`CrossCheckReport::functions_skipped`], and a run that
-//! covers nothing at all can be made a hard error
-//! ([`ValidateOptions::require_coverage`]).
+//! reported in [`CrossCheckReport::functions_skipped`].
 
 use lir::{LirMachine, Module as LModule};
 use memoir_interp::{Collection, Interp, Key, Value};
@@ -91,10 +89,6 @@ pub enum ValidateError {
     /// An associative probe argument used a non-scalar key, which has no
     /// well-defined interpreter materialization.
     NonScalarKey,
-    /// The run was required to cover something
-    /// ([`ValidateOptions::require_coverage`]) but proved and probed
-    /// zero functions.
-    NoCoverage,
 }
 
 impl std::fmt::Display for ValidateError {
@@ -118,12 +112,6 @@ impl std::fmt::Display for ValidateError {
             ValidateError::NonScalarKey => {
                 write!(f, "associative probe argument has a non-scalar key")
             }
-            ValidateError::NoCoverage => {
-                write!(
-                    f,
-                    "cross-check proved and probed zero functions (no coverage)"
-                )
-            }
         }
     }
 }
@@ -136,17 +124,12 @@ pub struct ValidateOptions {
     /// Symbolic budget for the prove tier; `None` disables proving and
     /// every checkable function is probed.
     pub prove: Option<Budget>,
-    /// Fail with [`ValidateError::NoCoverage`] when the run proves and
-    /// probes zero functions (check-style runs should not silently pass
-    /// on vacuous coverage).
-    pub require_coverage: bool,
 }
 
 impl Default for ValidateOptions {
     fn default() -> Self {
         ValidateOptions {
             prove: Some(Budget::default()),
-            require_coverage: false,
         }
     }
 }
@@ -522,9 +505,6 @@ pub fn cross_validate_opts(
             report.functions_skipped += 1;
         }
     }
-    if opts.require_coverage && report.functions_proved + report.functions_probed == 0 {
-        return Err(ValidateError::NoCoverage);
-    }
     Ok(report)
 }
 
@@ -549,10 +529,7 @@ mod tests {
     }
 
     fn probe_only() -> ValidateOptions {
-        ValidateOptions {
-            prove: None,
-            ..ValidateOptions::default()
-        }
+        ValidateOptions { prove: None }
     }
 
     #[test]
@@ -665,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_coverage_fails_when_required() {
+    fn zero_coverage_passes_with_zero_counters() {
         // Only collection-signature functions: nothing is checkable.
         let mut mb = ModuleBuilder::new("m");
         mb.func("colly", Form::Mut, |b| {
@@ -679,15 +656,6 @@ mod tests {
         });
         let m = mb.finish();
         let lm = lower_module(&m).unwrap();
-        let strict = ValidateOptions {
-            require_coverage: true,
-            ..ValidateOptions::default()
-        };
-        assert_eq!(
-            cross_validate_opts(&m, &lm, DEFAULT_PROBES, &strict).unwrap_err(),
-            ValidateError::NoCoverage
-        );
-        // The default is lenient: same module passes with counters only.
         let rep = cross_validate(&m, &lm, DEFAULT_PROBES).unwrap();
         assert_eq!(rep.functions_checked, 0);
         assert_eq!(rep.probes_compared, 0);

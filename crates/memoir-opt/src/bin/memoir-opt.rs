@@ -7,10 +7,8 @@
 //! ```
 
 use memoir_opt::lowering::{compile_lowered_with, split_lowered_spec, LowerConfig};
-use memoir_opt::pipeline::{
-    compile_spec_with, default_spec, threads_from_env, OptConfig, OptLevel,
-};
-use passman::{Budgets, FaultPlan, FaultPolicy, PipelineSpec};
+use memoir_opt::pipeline::{compile_spec_with, default_spec, OptConfig, OptLevel};
+use passman::{threads_from_env, Budgets, FaultPlan, FaultPolicy, PipelineSpec};
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
@@ -149,7 +147,7 @@ fn run(cli: Cli) -> Result<(), String> {
     let cache = if cli.cache {
         Some(passman::CompileCache::new())
     } else {
-        memoir_opt::pipeline::cache_from_env()
+        passman::cache_from_env()
     };
     if cli.inputs.len() > 1 && cli.output.is_some() {
         return Err("-o cannot be combined with more than one input".into());

@@ -17,7 +17,7 @@
 //! by-reference exactly like a C++ `&` parameter.
 
 use crate::dfe::remove_field;
-use memoir_ir::{Callee, Form, FuncId, InstKind, Module, ObjTypeId, TypeId, ValueId};
+use memoir_ir::{Callee, Form, FuncId, InstKind, Module, ObjTypeId, ValueId};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics from field elision.
@@ -241,12 +241,6 @@ pub fn field_elision(
     remove_field(m, ty, field);
     stats.fields_elided.push((tname, fname));
     Ok(stats)
-}
-
-/// The element value type of an elided field's assoc (test helper).
-pub fn elided_assoc_ty(m: &mut Module, ty: ObjTypeId, val_ty: TypeId) -> TypeId {
-    let r = m.types.ref_of(ty);
-    m.types.assoc_of(r, val_ty)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub mod ssa_destruct;
 pub use constprop::{constprop, ConstPropStats};
 pub use copyfold::{construct_use_phis, destruct_use_phis};
 pub use dce::{dce, DceStats};
-pub use dee::{dee_specialize_calls, dee_specialize_calls_with, dee_strict, DeeOptions, DeeStats};
+pub use dee::{dee_specialize_calls, dee_strict, DeeStats};
 pub use dfe::{dfe, DfeStats};
 pub use field_elision::{auto_field_elision, field_elision, FieldElisionStats};
 pub use fusion::{fuse, FusionStats};

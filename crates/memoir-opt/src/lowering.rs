@@ -22,7 +22,7 @@
 //! the MEMOIR module (already optimized) is the pipeline's final result
 //! and [`LoweredOutcome::lowered`] is `None` / partially optimized.
 
-use crate::pipeline::{compile_spec_with, threads_from_env, PipelineReport};
+use crate::pipeline::{compile_spec_with, PipelineReport};
 use memoir_ir::Module;
 use memoir_lower::{cross_validate, lower_module_opts, placement_report, LowerOptions};
 use memoir_lower::{LowerStats, PlacementReport, DEFAULT_PROBES};
@@ -117,7 +117,7 @@ impl Default for LowerConfig {
             budgets: Budgets::default(),
             verify: None,
             inject: None,
-            threads: threads_from_env(),
+            threads: passman::threads_from_env(),
             cross_check: true,
             cache: None,
             adaptive: false,

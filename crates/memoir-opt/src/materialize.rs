@@ -33,9 +33,6 @@ pub struct Materializer<'a> {
     /// Value of the symbolic `end` (the relevant sequence's size), if the
     /// expression may mention it.
     pub end_value: Option<ValueId>,
-    /// Values for the caller-context bounds `%a` / `%b` (the specialized
-    /// function's extra parameters).
-    pub caller_bounds: Option<(ValueId, ValueId)>,
 }
 
 impl<'a> Materializer<'a> {
@@ -48,7 +45,6 @@ impl<'a> Materializer<'a> {
             dt,
             index_ty,
             end_value: None,
-            caller_bounds: None,
         }
     }
 
@@ -66,9 +62,6 @@ impl<'a> Materializer<'a> {
             if !self.dominates_point(v, point) {
                 return None;
             }
-        }
-        if e.mentions_caller() && self.caller_bounds.is_none() {
-            return None;
         }
         let mut inserted = 0;
         let v = self.emit(e, point, &mut inserted)?;
@@ -119,8 +112,6 @@ impl<'a> Materializer<'a> {
                     let base = match t {
                         Term::Value(v) => v,
                         Term::End => self.end_value?,
-                        Term::CallerLo => self.caller_bounds?.0,
-                        Term::CallerHi => self.caller_bounds?.1,
                     };
                     let scaled = match coeff {
                         1 => base,
@@ -295,30 +286,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r, vec![memoir_interp::Value::Int(Type::Index, 5)]);
-    }
-
-    #[test]
-    fn caller_bounds_required() {
-        let mut mb = ModuleBuilder::new("m");
-        mb.func("f", Form::Ssa, |b| {
-            b.ret(vec![]);
-        });
-        let mut m = mb.finish();
-        let idx_ty = index_ty(&mut m.types);
-        let fid = m.func_by_name("f").unwrap();
-        let f = &mut m.funcs[fid];
-        let e = Expr::caller_lo();
-        let entry = f.entry;
-        let mut mat = Materializer::new(f, idx_ty);
-        assert!(mat
-            .materialize(
-                &e,
-                Point {
-                    block: entry,
-                    index: 0
-                }
-            )
-            .is_none());
     }
 
     #[test]

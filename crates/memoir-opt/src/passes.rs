@@ -23,7 +23,6 @@ fn dee_stats(s: &DeeStats) -> Vec<(&'static str, i64)> {
     vec![
         ("writes_guarded", s.writes_guarded as i64),
         ("inserts_guarded", s.inserts_guarded as i64),
-        ("swaps_guarded", s.swaps_guarded as i64),
         ("ops_dropped", s.ops_dropped as i64),
         ("functions_specialized", s.functions_specialized as i64),
         ("calls_specialized", s.calls_specialized as i64),

@@ -171,8 +171,8 @@ pub fn pass_manager() -> PassManager<Module> {
             }
         })
         .with_sym_verifier(|m: &Module| m.clone(), prove_pass_equiv)
-        .with_threads(threads_from_env());
-    if let Some(cache) = cache_from_env() {
+        .with_threads(passman::threads_from_env());
+    if let Some(cache) = passman::cache_from_env() {
         pm = pm.with_compile_cache(cache);
     }
     pm
@@ -212,37 +212,6 @@ pub fn prove_pass_equiv(before: &Module, after: &Module, budget: u64) -> Result<
         }
     }
     Ok(())
-}
-
-/// The process-global compile cache enabled by `MEMOIR_CACHE=1` (or
-/// `true`): every pass manager built by [`pass_manager`] shares one
-/// [`passman::CompileCache`], so repeated compiles of unchanged
-/// functions across jobs in the same process are served from cache. The
-/// variable is read once; later changes have no effect.
-pub fn cache_from_env() -> Option<passman::CompileCache> {
-    static CACHE: std::sync::OnceLock<Option<passman::CompileCache>> = std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            matches!(
-                std::env::var("MEMOIR_CACHE")
-                    .ok()
-                    .map(|v| v.trim().to_ascii_lowercase())
-                    .as_deref(),
-                Some("1") | Some("true")
-            )
-            .then(passman::CompileCache::new)
-        })
-        .clone()
-}
-
-/// The worker-thread count requested via the `MEMOIR_THREADS`
-/// environment variable (unset, empty, or unparsable → 1, i.e. serial).
-pub fn threads_from_env() -> usize {
-    std::env::var("MEMOIR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
 }
 
 /// Runs an arbitrary pipeline spec over a module, producing the same

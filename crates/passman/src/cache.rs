@@ -251,6 +251,28 @@ impl CompileCache {
     }
 }
 
+/// The process-global compile cache enabled by `MEMOIR_CACHE=1` (or
+/// `true`): every pass manager that installs it — MEMOIR's and lir's
+/// alike — shares one [`CompileCache`], so repeated compiles of unchanged
+/// functions across jobs in the same process are served from cache.
+/// Pass entries are namespaced `pass:<ir>:<name>`, so the two IRs never
+/// alias. The variable is read once; later changes have no effect.
+pub fn cache_from_env() -> Option<CompileCache> {
+    static CACHE: std::sync::OnceLock<Option<CompileCache>> = std::sync::OnceLock::new();
+    CACHE
+        .get_or_init(|| {
+            matches!(
+                std::env::var("MEMOIR_CACHE")
+                    .ok()
+                    .map(|v| v.trim().to_ascii_lowercase())
+                    .as_deref(),
+                Some("1") | Some("true")
+            )
+            .then(CompileCache::new)
+        })
+        .clone()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,11 +43,12 @@ pub mod stage;
 
 pub use analysis::{Analysis, AnalysisManager, CacheCounter, FingerprintStats, ModuleAnalysis};
 pub use budget::{BudgetViolation, Budgets};
-pub use cache::{CompileCache, CompileCacheStats};
+pub use cache::{cache_from_env, CompileCache, CompileCacheStats};
 pub use fault::{FaultPlan, InjectKind};
 pub use fingerprint::{Fingerprint, StableHasher, TextDigest};
 pub use parallel::{
-    ContainedFault, ExecContext, FuncOutcome, FuncPass, FuncPassAdapter, FuncPassProfile, ShardStat,
+    threads_from_env, ContainedFault, ExecContext, FuncOutcome, FuncPass, FuncPassAdapter,
+    FuncPassProfile, ShardStat,
 };
 pub use pass::{FnPass, Mutation, Pass, PassError, PassOutcome, PassRegistry};
 pub use recover::{panic_message, Degradation, FaultCause, FaultPolicy, RecoveryAction};

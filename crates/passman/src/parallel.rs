@@ -63,6 +63,16 @@ impl Default for ExecContext {
     }
 }
 
+/// The worker-thread count requested via the `MEMOIR_THREADS`
+/// environment variable (unset, empty, or unparsable → 1, i.e. serial).
+pub fn threads_from_env() -> usize {
+    std::env::var("MEMOIR_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .map(|n| n.max(1))
+        .unwrap_or(1)
+}
+
 /// The result of running a [`FuncPass`] on one function.
 #[derive(Clone, Debug, Default)]
 pub struct FuncOutcome {

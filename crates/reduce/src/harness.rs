@@ -185,8 +185,10 @@ impl Outcome {
 /// Verifies the (post-pipeline) MEMOIR module and runs it against the
 /// oracle; `None` means both checks passed.
 fn check_memoir(m: &Module, expect: i64) -> Option<Outcome> {
-    // The pipeline itself verifies between passes, but re-check the final
-    // module so a corrupting *last* pass cannot slip through.
+    // The pipeline verifies after every pass, but not after it rolls a
+    // faulted pass back, and a rollback restores only the pass's declared
+    // mutation scope: re-check the final module so a bad rollback cannot
+    // slip through.
     let errs = memoir_ir::verifier::verify_module(m);
     if let Some(first) = errs.first() {
         return Some(Outcome::Crash {
@@ -501,7 +503,8 @@ fn check_lowering(
 
     // Oracle 4: the pipeline's final lir-optimized module. The stage
     // verifier already vetted its input, so re-verify and blame the lir
-    // passes for anything new.
+    // passes (or a rollback of one, unverified as above) for anything
+    // new.
     let errs = lir::verifier::verify_module(lm);
     if let Some(first) = errs.first() {
         return Some(Outcome::Crash {

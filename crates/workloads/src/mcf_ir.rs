@@ -14,8 +14,9 @@
 //! `dee_specialize_calls` clones `qsort` with `%a`/`%b` live bounds,
 //! threads the bounds through the recursion, and prunes recursive calls
 //! that cannot touch the live slice — the `O(n log n) → O(n + B log B)`
-//! effect of §VII-C. Listing 4's guarded swaps are opt-in
-//! (`DeeOptions::guard_element_writes`): they miscompile this kernel.
+//! effect of §VII-C. Listing 4 also guards the clone's swaps against
+//! `[%a : %b)`; those guards miscompile this kernel under recursion, so
+//! DEE does not emit them (DESIGN.md §6, `tests/dee_soundness.rs`).
 
 use memoir_ir::{BinOp, Callee, CmpOp, Form, Function, FunctionBuilder, Module, Type};
 
@@ -339,7 +340,7 @@ mod tests {
         let mut m = build_mcf_ir();
         memoir_opt::construct_ssa(&mut m).unwrap();
         memoir_ir::verifier::assert_valid(&m);
-        let stats = memoir_opt::dee_specialize_calls_with(&mut m, memoir_opt::DeeOptions::exact());
+        let stats = memoir_opt::dee_specialize_calls(&mut m);
         assert_eq!(stats.functions_specialized, 1, "{stats:?}");
         assert_eq!(stats.calls_specialized, 1, "{stats:?}");
         assert!(stats.recursive_calls_pruned >= 1, "{stats:?}");
@@ -366,49 +367,6 @@ mod tests {
         assert!(
             s_dee.cost < s_base.cost * 0.75,
             "DEE must cut ≥25% of the cost: base={} dee={}",
-            s_base.cost,
-            s_dee.cost
-        );
-    }
-
-    /// The faithful Listing-4 mode (guarded half-swaps): structurally the
-    /// paper's rewrite, exact on small windows that cover the basket, and
-    /// approximate on the dead region otherwise (the paper's live-slice
-    /// correctness model for mcf — DESIGN.md §6).
-    #[test]
-    fn automatic_dee_listing4_mode() {
-        let mut m = build_mcf_ir();
-        memoir_opt::construct_ssa(&mut m).unwrap();
-        let guarded = memoir_opt::DeeOptions {
-            guard_element_writes: true,
-        };
-        let stats = memoir_opt::dee_specialize_calls_with(&mut m, guarded);
-        assert!(stats.swaps_guarded >= 2, "{stats:?}");
-        assert!(stats.recursive_calls_pruned >= 1, "{stats:?}");
-        memoir_ir::verifier::assert_valid(&m);
-        memoir_opt::destruct_ssa(&mut m);
-        memoir_ir::verifier::assert_valid(&m);
-
-        let baseline = build_mcf_ir();
-        // When the live window covers the whole basket the guards are
-        // always true and the result is exact.
-        let (ob, _) = run_master(&baseline, 30, 64, 10, 3);
-        let (od, _) = run_master(&m, 30, 64, 10, 3);
-        assert_eq!(ob, od, "full-window run is exact");
-
-        // Narrow window: the dead region goes stale (the documented
-        // live-slice approximation — real mcf tolerates it because it
-        // re-prices every arc each iteration), and the sort work
-        // collapses. The picked values remain genuine basket costs.
-        let (ob, s_base) = run_master(&baseline, 900, 8, 450, 2);
-        let (od, s_dee) = run_master(&m, 900, 8, 450, 2);
-        assert!(
-            (0..4 * 16384).contains(&od),
-            "picked values stay in range: base={ob} dee={od}"
-        );
-        assert!(
-            s_dee.cost < s_base.cost * 0.75,
-            "base={} dee={}",
             s_base.cost,
             s_dee.cost
         );

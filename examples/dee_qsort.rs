@@ -7,7 +7,7 @@
 
 use memoir::interp::{Interp, Value};
 use memoir::ir::{printer, Type};
-use memoir::opt::{construct_ssa, dee_specialize_calls_with, destruct_ssa, DeeOptions};
+use memoir::opt::{construct_ssa, dee_specialize_calls, destruct_ssa};
 
 fn main() {
     let baseline = memoir::workloads::mcf_ir::build_mcf_ir();
@@ -16,13 +16,13 @@ fn main() {
     // [0 : B) of the sorted basket.
     let mut optimized = memoir::workloads::mcf_ir::build_mcf_ir();
     construct_ssa(&mut optimized).unwrap();
-    let stats = dee_specialize_calls_with(&mut optimized, DeeOptions::exact());
+    let stats = dee_specialize_calls(&mut optimized);
     println!("DEE: {stats:?}");
     assert!(stats.functions_specialized >= 1);
     assert!(stats.recursive_calls_pruned >= 1);
 
-    // Show the specialized kernel (the Listing 4 analogue with the
-    // pruning-only, exact configuration).
+    // Show the specialized kernel (the Listing 4 analogue: entry guard
+    // and recursion pruning, no element guards).
     let spec = optimized.func_by_name("qsort__dee").unwrap();
     println!("––– specialized qsort (SSA) –––");
     println!(
