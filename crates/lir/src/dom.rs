@@ -7,11 +7,11 @@
 //! pass that reasons about "before/after" must therefore consult real
 //! dominance, not layout positions; this module provides it.
 //!
-//! The immediate-dominator tree is computed with the Cooper–Harvey–
-//! Kennedy iterative algorithm over a reverse post-order, which is
-//! simple and near-linear on the small CFGs lowering produces.
+//! [`DomTree`] is a `Blk`-typed view of [`passman::graph::DomTree`], the
+//! Cooper–Harvey–Kennedy tree both IRs share.
 
 use crate::ir::{Blk, Fun, Function, Module};
+use passman::graph;
 
 /// The dominator tree of one function's CFG.
 ///
@@ -19,130 +19,32 @@ use crate::ir::{Blk, Fun, Function, Module};
 /// [`DomTree::dominates`] is `false` whenever either endpoint is
 /// unreachable.
 ///
-/// `Clone` is cheap (two flat `Vec`s over the block count) so sharded
+/// `Clone` is cheap (a few flat `Vec`s over the block count) so sharded
 /// passes can carry a copy of the cached tree onto worker threads — see
 /// [`DomTreeAnalysis`].
 #[derive(Clone, Debug)]
-pub struct DomTree {
-    /// Immediate dominator per block; the entry points at itself,
-    /// unreachable blocks are `None`.
-    idom: Vec<Option<Blk>>,
-    /// Reverse post-order number per block (`None` = unreachable).
-    rpo_num: Vec<Option<u32>>,
-}
+pub struct DomTree(graph::DomTree);
 
 impl DomTree {
-    /// Computes the dominator tree of `f`.
+    /// Computes the dominator tree of `f`. Out-of-range branch targets
+    /// are a (reportable) malformation, not a reason to panic — the
+    /// verifier runs this on broken modules — so they are skipped.
     pub fn compute(f: &Function) -> DomTree {
-        let n = f.blocks.len();
-        // Out-of-range targets are a (reportable) malformation, not a
-        // reason to panic — the verifier runs this on broken modules.
-        let succs = |b: Blk| -> Vec<Blk> {
-            f.successors(b)
-                .into_iter()
-                .filter(|s| (s.0 as usize) < n)
-                .collect()
-        };
-        // Post-order DFS from the entry (iterative, successor cursor per
-        // frame), then reverse.
-        let mut post: Vec<Blk> = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut stack: Vec<(Blk, Vec<Blk>, usize)> = Vec::new();
-        visited[f.entry.0 as usize] = true;
-        stack.push((f.entry, succs(f.entry), 0));
-        while let Some((b, frame_succs, cursor)) = stack.last_mut() {
-            if let Some(&s) = frame_succs.get(*cursor) {
-                *cursor += 1;
-                if !visited[s.0 as usize] {
-                    visited[s.0 as usize] = true;
-                    stack.push((s, succs(s), 0));
-                }
-            } else {
-                post.push(*b);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<Blk> = post.into_iter().rev().collect();
-        let mut rpo_num = vec![None; n];
-        for (k, &b) in rpo.iter().enumerate() {
-            rpo_num[b.0 as usize] = Some(k as u32);
-        }
-
-        // Predecessors, restricted to reachable blocks.
-        let mut preds: Vec<Vec<Blk>> = vec![Vec::new(); n];
-        for &b in &rpo {
-            for s in succs(b) {
-                if rpo_num[s.0 as usize].is_some() {
-                    preds[s.0 as usize].push(b);
-                }
-            }
-        }
-
-        let mut idom: Vec<Option<Blk>> = vec![None; n];
-        idom[f.entry.0 as usize] = Some(f.entry);
-        let intersect = |idom: &[Option<Blk>], mut a: Blk, mut b: Blk| -> Blk {
-            let num = |x: Blk| rpo_num[x.0 as usize].unwrap();
-            while a != b {
-                while num(a) > num(b) {
-                    a = idom[a.0 as usize].unwrap();
-                }
-                while num(b) > num(a) {
-                    b = idom[b.0 as usize].unwrap();
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new: Option<Blk> = None;
-                for &p in &preds[b.0 as usize] {
-                    if idom[p.0 as usize].is_none() {
-                        continue;
-                    }
-                    new = Some(match new {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if new.is_some() && idom[b.0 as usize] != new {
-                    idom[b.0 as usize] = new;
-                    changed = true;
-                }
-            }
-        }
-
-        DomTree { idom, rpo_num }
+        DomTree(graph::DomTree::compute(
+            &f.successor_lists(),
+            f.entry.0 as usize,
+        ))
     }
 
     /// Whether `b` is reachable from the entry.
     pub fn is_reachable(&self, b: Blk) -> bool {
-        self.rpo_num.get(b.0 as usize).is_some_and(|n| n.is_some())
+        self.0.is_reachable(b.0 as usize)
     }
 
     /// Whether `a` dominates `b` (reflexively). `false` when either
     /// block is unreachable.
     pub fn dominates(&self, a: Blk, b: Blk) -> bool {
-        let (Some(na), Some(_)) = (
-            self.rpo_num.get(a.0 as usize).copied().flatten(),
-            self.rpo_num.get(b.0 as usize).copied().flatten(),
-        ) else {
-            return false;
-        };
-        // Walk b's idom chain; RPO numbers strictly decrease along it,
-        // so stop once we pass a's.
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            let num = self.rpo_num[cur.0 as usize].unwrap();
-            if num <= na {
-                return false;
-            }
-            cur = self.idom[cur.0 as usize].unwrap();
-        }
+        self.0.dominates(a.0 as usize, b.0 as usize)
     }
 
     /// Whether `a` strictly dominates `b`.
@@ -153,8 +55,12 @@ impl DomTree {
     /// The immediate dominator of `b` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, b: Blk) -> Option<Blk> {
-        let d = self.idom.get(b.0 as usize).copied().flatten()?;
-        (d != b).then_some(d)
+        self.0.idom(b.0 as usize).map(|d| Blk(d as u32))
+    }
+
+    /// The reachable blocks in reverse post-order (entry first).
+    pub fn rpo(&self) -> impl Iterator<Item = Blk> + '_ {
+        self.0.rpo().iter().map(|&u| Blk(u as u32))
     }
 }
 

@@ -19,7 +19,7 @@
 //! of all its dependents.
 
 use crate::ir::{Blk, Fun, Function, Module, Op, Val};
-use passman::fingerprint::{propagate, Fingerprint, StableHasher};
+use passman::fingerprint::{block_order, propagate, Fingerprint, StableHasher};
 use std::hash::Hasher;
 
 /// Per-op tags (stable, never reordered: they are part of the hash).
@@ -41,44 +41,14 @@ const T_RET: u64 = 15;
 /// A value or block slot not given a canonical number.
 const UNNUMBERED: u64 = u64::MAX;
 
-/// Canonical block order: reverse postorder from the entry, then any
-/// unreachable blocks in id order.
-fn block_order(f: &Function) -> Vec<Blk> {
-    let n = f.blocks.len();
-    let mut seen = vec![false; n];
-    let mut post: Vec<Blk> = Vec::with_capacity(n);
-    // Iterative DFS with explicit (block, next-successor) frames.
-    if (f.entry.0 as usize) < n {
-        let mut stack: Vec<(Blk, Vec<Blk>, usize)> = vec![(f.entry, f.successors(f.entry), 0)];
-        seen[f.entry.0 as usize] = true;
-        while let Some(frame) = stack.last_mut() {
-            if frame.1.len() > frame.2 {
-                let s = frame.1[frame.2];
-                frame.2 += 1;
-                if (s.0 as usize) < n && !seen[s.0 as usize] {
-                    seen[s.0 as usize] = true;
-                    stack.push((s, f.successors(s), 0));
-                }
-            } else {
-                post.push(frame.0);
-                stack.pop();
-            }
-        }
-    }
-    post.reverse();
-    for (b, &hit) in seen.iter().enumerate() {
-        if !hit {
-            post.push(Blk(b as u32));
-        }
-    }
-    post
-}
-
 /// Hashes one function's structure (ops, immediates, control flow) with
 /// canonical value/block numbering, and collects its callee list in
 /// call-site order.
 fn local_structure(f: &Function) -> (u64, Vec<usize>) {
-    let order = block_order(f);
+    let order: Vec<Blk> = block_order(&f.successor_lists(), f.entry.0 as usize)
+        .into_iter()
+        .map(|b| Blk(b as u32))
+        .collect();
     // `order` holds every block once, so every in-range slot is filled.
     let mut bnum = vec![UNNUMBERED; f.blocks.len()];
     for (i, &b) in order.iter().enumerate() {

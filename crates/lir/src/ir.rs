@@ -471,6 +471,19 @@ impl Function {
             .unwrap_or_default()
     }
 
+    /// Successor lists by block index (`succs[b]`), the graph shape
+    /// [`passman::graph`] works over.
+    pub fn successor_lists(&self) -> Vec<Vec<usize>> {
+        (0..self.blocks.len() as u32)
+            .map(|b| {
+                self.successors(Blk(b))
+                    .into_iter()
+                    .map(|s| s.0 as usize)
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Replaces uses of values per the map.
     pub fn replace_uses(&mut self, map: &HashMap<Val, Val>) {
         if map.is_empty() {

@@ -60,7 +60,7 @@ impl FuncPass<Module> for GvnPass {
         "gvn"
     }
     /// GVN gates replacements on dominance, so it pulls the dominator
-    /// tree from the analysis cache. A clone of the tree (two flat
+    /// tree from the analysis cache. A clone of the tree (five flat
     /// `Vec`s) crosses onto the worker shard — cheaper than the CHK
     /// recomputation it replaces, and the `Rc` cache itself can't cross.
     fn prefetch(

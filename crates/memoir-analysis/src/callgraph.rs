@@ -1,6 +1,5 @@
 //! Call graph construction and recursion groups.
 
-use crate::scc::tarjan_scc;
 use memoir_ir::{Callee, FuncId, InstId, InstKind, Module};
 use std::collections::{HashMap, HashSet};
 
@@ -23,8 +22,9 @@ pub struct CallGraph {
     /// Functions that call at least one extern with unknown effects.
     pub calls_opaque: HashSet<FuncId>,
     /// Strongly-connected components in reverse topological order
-    /// (leaves first). Functions in a component of size > 1 (or with a
-    /// self-edge) are (mutually) recursive.
+    /// (leaves first), members in ascending id order
+    /// ([`passman::graph::sccs`]). Functions in a component of size > 1
+    /// (or with a self-edge) are (mutually) recursive.
     pub sccs: Vec<Vec<FuncId>>,
 }
 
@@ -59,7 +59,7 @@ impl CallGraph {
                 }
             }
         }
-        let sccs = tarjan_scc(&adj)
+        let sccs = passman::graph::sccs(n, &|v| &adj[v])
             .into_iter()
             .map(|comp| {
                 comp.into_iter()

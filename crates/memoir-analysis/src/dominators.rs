@@ -1,141 +1,74 @@
-//! Dominator tree construction (Cooper–Harvey–Kennedy).
+//! Dominator trees and dominance frontiers over MEMOIR blocks.
 //!
 //! The MEMOIR SSA construction (§VI) inserts φs on the dominance frontier
 //! and renames along a depth-first traversal of the dominator tree, exactly
-//! like scalar SSA construction.
+//! like scalar SSA construction. [`DomTree`] is a `BlockId`-typed view of
+//! [`passman::graph::DomTree`], the Cooper–Harvey–Kennedy tree both IRs
+//! share.
 
-use memoir_ir::{BlockId, Function};
+use memoir_ir::{BlockId, Function, IdMap};
+use passman::graph;
 use std::collections::HashMap;
 
 /// A dominator tree over the reachable blocks of a function.
 #[derive(Clone, Debug)]
-pub struct DomTree {
-    /// Immediate dominator of each reachable block (the entry maps to
-    /// itself).
-    pub idom: HashMap<BlockId, BlockId>,
-    /// Children in the dominator tree.
-    pub children: HashMap<BlockId, Vec<BlockId>>,
-    /// Reverse post-order of reachable blocks.
-    pub rpo: Vec<BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
+pub struct DomTree(graph::DomTree);
+
+fn block(u: usize) -> BlockId {
+    BlockId::from_raw(u as u32)
 }
 
 impl DomTree {
-    /// Computes the dominator tree of `f` using the Cooper–Harvey–Kennedy
-    /// iterative algorithm over reverse post-order.
+    /// Computes the dominator tree of `f`.
     pub fn compute(f: &Function) -> Self {
-        let rpo = f.reverse_postorder();
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        let preds = f.predecessors();
-
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(f.entry, f.entry);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b] {
-                    if !idom.contains_key(&p) {
-                        continue; // unreachable or not yet processed
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&b, &d) in &idom {
-            if b != d {
-                children.entry(d).or_default().push(b);
-            }
-        }
-        for kids in children.values_mut() {
-            kids.sort();
-        }
-        DomTree {
-            idom,
-            children,
-            rpo,
-            rpo_index,
-        }
+        DomTree(graph::DomTree::compute(
+            &f.successor_lists(),
+            f.entry.index(),
+        ))
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// The reachable blocks in reverse post-order (entry first).
+    pub fn rpo(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.0.rpo().iter().map(|&u| block(u))
+    }
+
+    /// The immediate dominator of `b` (`None` for the entry and for
+    /// unreachable blocks).
+    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+        self.0.idom(b.index()).map(block)
+    }
+
+    /// `b`'s children in the dominator tree, in ascending block order.
+    pub fn children(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        self.0.children(b.index()).iter().map(|&u| block(u))
+    }
+
+    /// Whether `a` dominates `b` (reflexive, also for unreachable
+    /// blocks).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom.get(&cur) {
-                Some(&d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
+        a == b || self.0.dominates(a.index(), b.index())
     }
 
     /// Whether a block is reachable from entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.idom.contains_key(&b)
+        self.0.is_reachable(b.index())
     }
 
-    /// Pre-order depth-first traversal of the dominator tree.
-    pub fn preorder(&self, entry: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        let mut stack = vec![entry];
-        while let Some(b) = stack.pop() {
-            out.push(b);
-            if let Some(kids) = self.children.get(&b) {
-                for &k in kids.iter().rev() {
-                    stack.push(k);
-                }
-            }
-        }
-        out
+    /// Pre-order depth-first traversal of the dominator tree from the
+    /// entry, children in ascending block order.
+    pub fn preorder(&self) -> Vec<BlockId> {
+        self.0.preorder().into_iter().map(block).collect()
     }
 
     /// Computes dominance frontiers (Cytron et al.): `DF(b)` is the set of
-    /// blocks where `b`'s dominance ends — the φ-insertion points.
-    pub fn dominance_frontiers(&self, f: &Function) -> HashMap<BlockId, Vec<BlockId>> {
-        let preds = f.predecessors();
-        let mut df: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for &b in &self.rpo {
-            if preds[b].len() >= 2 {
-                for &p in &preds[b] {
-                    if !self.is_reachable(p) {
-                        continue;
-                    }
-                    let mut runner = p;
-                    while runner != self.idom[&b] {
-                        let entry = df.entry(runner).or_default();
-                        if !entry.contains(&b) {
-                            entry.push(b);
-                        }
-                        if runner == self.idom[&runner] {
-                            break; // reached entry
-                        }
-                        runner = self.idom[&runner];
-                    }
-                }
-            }
+    /// blocks where `b`'s dominance ends — the φ-insertion points. `f`
+    /// must be the function the tree was computed from.
+    pub fn dominance_frontiers(&self, f: &Function) -> IdMap<BlockId, Vec<BlockId>> {
+        let mut df = IdMap::new();
+        for frontier in self.0.frontiers(&f.successor_lists()) {
+            df.push(frontier.into_iter().map(block).collect());
         }
         df
-    }
-
-    /// The reverse post-order index of a block (entry is 0).
-    pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
-        self.rpo_index.get(&b).copied()
     }
 }
 
@@ -146,8 +79,8 @@ impl DomTree {
 pub fn natural_loop_depths(f: &Function) -> HashMap<BlockId, u32> {
     let dt = DomTree::compute(f);
     let preds = f.predecessors();
-    let mut depth: HashMap<BlockId, u32> = dt.rpo.iter().map(|&b| (b, 0)).collect();
-    for &u in &dt.rpo {
+    let mut depth: HashMap<BlockId, u32> = dt.rpo().map(|b| (b, 0)).collect();
+    for u in dt.rpo() {
         for h in f.successors(u) {
             if !dt.dominates(h, u) {
                 continue; // not a back edge
@@ -170,23 +103,6 @@ pub fn natural_loop_depths(f: &Function) -> HashMap<BlockId, u32> {
         }
     }
     depth
-}
-
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
-    while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
-        }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
-        }
-    }
-    a
 }
 
 #[cfg(test)]
@@ -221,9 +137,9 @@ mod tests {
         let f = &m.funcs[m.func_by_name("f").unwrap()];
         let dt = DomTree::compute(f);
         let [entry, then_b, else_b, join] = [ids[0], ids[1], ids[2], ids[3]];
-        assert_eq!(dt.idom[&then_b], entry);
-        assert_eq!(dt.idom[&else_b], entry);
-        assert_eq!(dt.idom[&join], entry);
+        assert_eq!(dt.idom(then_b), Some(entry));
+        assert_eq!(dt.idom(else_b), Some(entry));
+        assert_eq!(dt.idom(join), Some(entry));
         assert!(dt.dominates(entry, join));
         assert!(!dt.dominates(then_b, join));
         assert!(dt.dominates(join, join));
@@ -236,9 +152,9 @@ mod tests {
         let dt = DomTree::compute(f);
         let df = dt.dominance_frontiers(f);
         let [_, then_b, else_b, join] = [ids[0], ids[1], ids[2], ids[3]];
-        assert_eq!(df[&then_b], vec![join]);
-        assert_eq!(df[&else_b], vec![join]);
-        assert!(!df.contains_key(&join));
+        assert_eq!(df[then_b], vec![join]);
+        assert_eq!(df[else_b], vec![join]);
+        assert!(df[join].is_empty());
     }
 
     #[test]
@@ -266,9 +182,9 @@ mod tests {
         let header = blocks[1];
         let body = blocks[2];
         // The loop body's frontier is the header (back edge).
-        assert_eq!(df[&body], vec![header]);
+        assert_eq!(df[body], vec![header]);
         // The header is in its own frontier.
-        assert!(df.get(&header).is_some_and(|v| v.contains(&header)));
+        assert!(df[header].contains(&header));
     }
 
     #[test]
@@ -276,7 +192,7 @@ mod tests {
         let (m, _) = diamond();
         let f = &m.funcs[m.func_by_name("f").unwrap()];
         let dt = DomTree::compute(f);
-        let pre = dt.preorder(f.entry);
+        let pre = dt.preorder();
         assert_eq!(pre.len(), 4);
         assert_eq!(pre[0], f.entry);
     }

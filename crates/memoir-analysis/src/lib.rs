@@ -2,20 +2,21 @@
 //!
 //! Analyses over the MEMOIR IR (paper §V):
 //!
-//! * [`dominators`] — dominator trees and dominance frontiers (for SSA
-//!   construction and the verifier);
+//! * [`dominators`] — `BlockId`-typed dominator trees and dominance
+//!   frontiers over `passman::graph` (for SSA construction, fusion,
+//!   sinking, materialization and lowering), plus natural-loop depths;
 //! * [`defuse`] — sparse def-use chains, the backbone of element-level
 //!   analysis;
 //! * [`liveness`] — scalar SSA liveness (consumed by SSA destruction);
-//! * [`scc`] — Tarjan's SCC (constraint-graph and call-graph cycles);
 //! * [`exprtree`] — expression trees (Def. 1) in canonical affine form;
 //! * [`range`] — ranges and the range lattice (Defs. 2–5);
 //! * [`idxrange`] — intraprocedural symbolic index ranges, the `R(i)`
 //!   input of Alg. 1;
-//! * [`liverange`] — live range analysis of sequence elements (Table I +
-//!   Alg. 1), in sound and caller-side paper-methodology modes (Listing
-//!   4's callee-side element guards are unsound under recursion and not
-//!   implemented);
+//! * [`liverange`] — intraprocedural live range analysis of sequence
+//!   elements (Table I transfers iterated to a fixed point, in place of
+//!   Alg. 1's context-sensitive constraint graph), in sound and
+//!   caller-side paper-methodology modes (Listing 4's callee-side element
+//!   guards are unsound under recursion and not implemented);
 //! * [`escape`] — allocation-site escape analysis for heap/stack
 //!   selection (§VI);
 //! * [`affinity`] — field affinity analysis choosing field-elision
@@ -43,7 +44,6 @@ pub mod liverange;
 pub mod purity;
 pub mod range;
 pub mod repr;
-pub mod scc;
 
 pub use affinity::Affinity;
 pub use callgraph::CallGraph;

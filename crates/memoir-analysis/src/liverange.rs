@@ -7,10 +7,15 @@
 //! `S`; an SSA update `S₁ = op(S₀, …)` transfers `p(S₁)` onto `S₀` per the
 //! Table I constraint for `op`; φs fan liveness out to every incoming.
 //!
-//! Cycles in the constraint graph (loop φs, recursion) are resolved as in
-//! Alg. 1: iterate to a fixed point with a growth cap, widening to
-//! `[0 : end)` when a bound keeps growing — the default Alg. 1 assigns to
-//! unresolved context-insensitive SCC members.
+//! The analysis is intraprocedural: [`live_ranges`] iterates one
+//! function's instructions (in reverse) to a fixed point. It builds no
+//! constraint graph and no SCCs; Alg. 1's cycles (loop φs) are what the
+//! iteration resolves. A join whose bounds grow past a complexity cap
+//! widens to `[0 : end)`, and after 32 iterations without convergence
+//! every range becomes `[0 : end)` — the default Alg. 1 assigns to
+//! unresolved SCC members. Calls are not looked through and carry no
+//! call-site context: a sequence argument contributes `[0 : end)` in
+//! sound mode (nothing to a non-reading extern), nothing in paper mode.
 //!
 //! ## Modes
 //!

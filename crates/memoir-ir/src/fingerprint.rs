@@ -41,7 +41,7 @@ use crate::function::{Function, ValueDef};
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::{Callee, Constant, InstKind};
 use crate::module::Module;
-use passman::fingerprint::{propagate, Fingerprint, StableHasher};
+use passman::fingerprint::{block_order, propagate, Fingerprint, StableHasher};
 use std::hash::{Hash, Hasher};
 
 /// Marker written to the op stream in place of a constant operand (the
@@ -51,22 +51,6 @@ const CONST_MARK: u32 = u32::MAX - 1;
 /// IR mid-fuzz), and for a value slot not yet numbered; keeps the walk
 /// total and deterministic.
 const DANGLING_MARK: u32 = u32::MAX;
-
-/// Canonical block order: reverse postorder from the entry, then any
-/// unreachable blocks in id order.
-fn block_order(f: &Function) -> Vec<BlockId> {
-    let mut order = f.reverse_postorder();
-    let mut seen = vec![false; f.blocks.len()];
-    for &b in &order {
-        seen[b.index()] = true;
-    }
-    for b in f.blocks.ids() {
-        if !seen[b.index()] {
-            order.push(b);
-        }
-    }
-    order
-}
 
 /// Hashes the module-wide context every function's meaning depends on:
 /// the type table (interned types, object definitions, computed layouts)
@@ -107,7 +91,10 @@ fn table_hash(m: &Module) -> u64 {
 /// Hashes one function's structure with canonical value/block numbering,
 /// and collects its in-module callee list in call-site order.
 fn local_structure(f: &Function) -> (u64, Vec<usize>) {
-    let order = block_order(f);
+    let order: Vec<BlockId> = block_order(&f.successor_lists(), f.entry.index())
+        .into_iter()
+        .map(|b| BlockId::from_raw(b as u32))
+        .collect();
     let mut blk_pos = vec![DANGLING_MARK; f.blocks.len()];
     for (i, &b) in order.iter().enumerate() {
         blk_pos[b.index()] = i as u32;

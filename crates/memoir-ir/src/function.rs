@@ -306,30 +306,21 @@ impl Function {
         preds
     }
 
+    /// Successor lists by block index (`succs[b.index()]`), the graph
+    /// shape [`passman::graph`] works over.
+    pub fn successor_lists(&self) -> Vec<Vec<usize>> {
+        self.blocks
+            .ids()
+            .map(|b| self.successors(b).into_iter().map(BlockId::index).collect())
+            .collect()
+    }
+
     /// Blocks in reverse post-order from the entry.
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut post = Vec::with_capacity(self.blocks.len());
-        // Iterative DFS with an explicit stack of (block, next-successor).
-        let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = Vec::new();
-        visited[self.entry.index()] = true;
-        stack.push((self.entry, self.successors(self.entry), 0));
-        while let Some((b, succs, i)) = stack.last_mut() {
-            if *i < succs.len() {
-                let s = succs[*i];
-                *i += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    let ss = self.successors(s);
-                    stack.push((s, ss, 0));
-                }
-            } else {
-                post.push(*b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
+        passman::graph::reverse_postorder(&self.successor_lists(), self.entry.index())
+            .into_iter()
+            .map(|b| BlockId::from_raw(b as u32))
+            .collect()
     }
 
     /// Number of instructions currently reachable from blocks.

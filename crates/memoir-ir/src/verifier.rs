@@ -583,54 +583,9 @@ fn check_form(ctx: &mut Ctx<'_>) {
     }
 }
 
-/// Self-contained dominator computation (iterative data-flow over RPO) used
-/// only by the verifier; the analysis crate has the full-featured version.
-fn dominators(f: &Function) -> HashMap<BlockId, Vec<BlockId>> {
-    let rpo = f.reverse_postorder();
-    let preds = f.predecessors();
-    let all: Vec<BlockId> = rpo.clone();
-    let mut dom: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    dom.insert(f.entry, vec![f.entry]);
-    for &b in &all {
-        if b != f.entry {
-            dom.insert(b, all.clone());
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &all {
-            if b == f.entry {
-                continue;
-            }
-            let mut new: Option<Vec<BlockId>> = None;
-            for &p in &preds[b] {
-                if !dom.contains_key(&p) {
-                    continue; // unreachable predecessor
-                }
-                let pd = &dom[&p];
-                new = Some(match new {
-                    None => pd.clone(),
-                    Some(cur) => cur.into_iter().filter(|x| pd.contains(x)).collect(),
-                });
-            }
-            let mut new = new.unwrap_or_default();
-            if !new.contains(&b) {
-                new.push(b);
-            }
-            new.sort();
-            if dom[&b] != new {
-                dom.insert(b, new);
-                changed = true;
-            }
-        }
-    }
-    dom
-}
-
 fn check_dominance(ctx: &mut Ctx<'_>) {
     let f = ctx.f;
-    let dom = dominators(f);
+    let dom = passman::graph::DomTree::compute(&f.successor_lists(), f.entry.index());
     // Position of each instruction: (block, index).
     let mut pos: HashMap<InstId, (BlockId, usize)> = HashMap::new();
     for (b, block) in f.blocks.iter() {
@@ -647,16 +602,14 @@ fn check_dominance(ctx: &mut Ctx<'_>) {
                     if db == use_block {
                         didx < use_idx
                     } else {
-                        dom.get(&use_block)
-                            .map(|d| d.contains(&db))
-                            .unwrap_or(false)
+                        dom.dominates(db.index(), use_block.index())
                     }
                 }
             },
         }
     };
     for (b, block) in f.blocks.iter() {
-        if !dom.contains_key(&b) {
+        if !dom.is_reachable(b.index()) {
             continue; // unreachable; skip
         }
         for (idx, &i) in block.insts.iter().enumerate() {

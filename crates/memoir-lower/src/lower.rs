@@ -353,7 +353,7 @@ fn lower_function(
     // order is not sufficient — transformed functions create dominating
     // blocks with high ids).
     let dt = memoir_analysis::DomTree::compute(f);
-    for ob in dt.preorder(f.entry) {
+    for ob in dt.preorder() {
         let b = ctx.blk(ob);
         for &iid in &f.blocks[ob].insts.clone() {
             lower_inst(

@@ -143,13 +143,18 @@ fn dee_function(m: &mut Module, fid: FuncId, am: &mut AnalysisManager<Module>) -
                 stats.ops_dropped += 1;
             }
             Site::GuardWrite(inst, range) => {
-                if let Some((lo_v, hi_v)) = materialize_bounds(m, fid, inst, &range) {
+                // Negative symbolic lower bounds denote the same liveness
+                // as zero and would wrap as unsigned indices.
+                let Range { lo, hi } = range.clamp_lo_zero();
+                if let Some(&[lo_v, hi_v]) = materialize_bounds(m, fid, inst, &[lo, hi]).as_deref()
+                {
                     guard_write(m, fid, inst, lo_v, hi_v);
                     stats.writes_guarded += 1;
                 }
             }
             Site::GuardInsert(inst, range) => {
-                if let Some((_, hi_v)) = materialize_bounds(m, fid, inst, &range) {
+                // Alg. 2 guards an insert by the upper bound alone.
+                if let Some(&[hi_v]) = materialize_bounds(m, fid, inst, &[range.hi]).as_deref() {
                     guard_insert(m, fid, inst, hi_v);
                     stats.inserts_guarded += 1;
                 }
@@ -162,14 +167,14 @@ fn dee_function(m: &mut Module, fid: FuncId, am: &mut AnalysisManager<Module>) -
     stats
 }
 
-/// Materializes a live range's bounds immediately before `inst`,
+/// Materializes live-range bounds immediately before `inst`, in order,
 /// providing `size(S0)` for the symbolic `end`.
 fn materialize_bounds(
     m: &mut Module,
     fid: FuncId,
     inst: InstId,
-    range: &Range,
-) -> Option<(ValueId, ValueId)> {
+    bounds: &[Expr],
+) -> Option<Vec<ValueId>> {
     let index_ty = m.types.intern(Type::Index);
     let f = &mut m.funcs[fid];
     let (block, pos) = find_inst(f, inst)?;
@@ -177,21 +182,21 @@ fn materialize_bounds(
         InstKind::Write { c, .. } | InstKind::Insert { c, .. } | InstKind::Swap { c, .. } => *c,
         _ => return None,
     };
-    // Negative symbolic lower bounds denote the same liveness as zero
-    // and would wrap as unsigned indices.
-    let range = range.clamp_lo_zero();
     let mut point = Point { block, index: pos };
     let mut mat = Materializer::new(f, index_ty);
-    if range_mentions_end(&range) {
+    if bounds.iter().any(mentions_end) {
         let (_, sz) = mat_insert_size(mat.f, point, source, index_ty);
         mat.end_value = Some(sz);
         point.index += 1;
         mat.refresh();
     }
-    let (lo_v, n1) = mat.materialize(&range.lo, point)?;
-    point.index += n1;
-    let (hi_v, _) = mat.materialize(&range.hi, point)?;
-    Some((lo_v, hi_v))
+    let mut values = Vec::with_capacity(bounds.len());
+    for e in bounds {
+        let (v, n) = mat.materialize(e, point)?;
+        point.index += n;
+        values.push(v);
+    }
+    Some(values)
 }
 
 /// Runs call-specialization DEE (the paper's mcf methodology): for every
@@ -342,15 +347,16 @@ fn mat_insert_size(
     (iid, res[0])
 }
 
-fn range_mentions_end(r: &Range) -> bool {
-    fn mentions(e: &Expr) -> bool {
-        match e {
-            Expr::Affine(a) => a.terms.contains_key(&Term::End),
-            Expr::Min(es) | Expr::Max(es) => es.iter().any(mentions),
-            Expr::Unknown => false,
-        }
+fn mentions_end(e: &Expr) -> bool {
+    match e {
+        Expr::Affine(a) => a.terms.contains_key(&Term::End),
+        Expr::Min(es) | Expr::Max(es) => es.iter().any(mentions_end),
+        Expr::Unknown => false,
     }
-    mentions(&r.lo) || mentions(&r.hi)
+}
+
+fn range_mentions_end(r: &Range) -> bool {
+    mentions_end(&r.lo) || mentions_end(&r.hi)
 }
 
 /// Which parameter the callee's `ret` position `ri` structurally roots at
@@ -1088,6 +1094,48 @@ mod tests {
         let out = i.run_by_name("main", vec![]).unwrap();
         assert_eq!(out, baseline);
         assert_eq!(out, vec![Value::Int(Type::I64, 10 + 12)]);
+    }
+
+    /// A guarded insert reads only its live range's upper bound: with a
+    /// symbolic lower bound (`max(0, %x)` after clamping) the pass must
+    /// not materialize it, so every instruction it adds has a user.
+    #[test]
+    fn strict_dee_insert_guard_adds_no_dead_instructions() {
+        let mut mb = ModuleBuilder::new("m");
+        mb.func("main", Form::Ssa, |b| {
+            let i64t = b.ty(Type::I64);
+            let idxt = b.ty(Type::Index);
+            let x = b.param("x", idxt);
+            let n = b.index(8);
+            let s0 = b.new_seq(i64t, n);
+            let at = b.index(3);
+            let v = b.i64(5);
+            let s1 = b.insert(s0, at, Some(v));
+            let r = b.read(s1, x);
+            b.returns(&[i64t]);
+            b.ret(vec![r]);
+        });
+        let mut m = mb.finish();
+        let fid = m.func_by_name("main").unwrap();
+        let old_insts = m.funcs[fid].insts.len();
+        let stats = dee_strict(&mut m);
+        assert_eq!(stats.inserts_guarded, 1, "{stats:?}");
+        memoir_ir::verifier::assert_valid(&m);
+
+        let f = &m.funcs[fid];
+        let placed = f.inst_ids_in_order();
+        let mut used = std::collections::HashSet::new();
+        for &(_, i) in &placed {
+            used.extend(f.insts[i].kind.operands());
+        }
+        for &(_, i) in &placed {
+            if i.index() < old_insts {
+                continue;
+            }
+            for r in &f.insts[i].results {
+                assert!(used.contains(r), "added {:?} has no user", f.insts[i].kind);
+            }
+        }
     }
 
     /// Call specialization: the callee fills the whole sequence, but the

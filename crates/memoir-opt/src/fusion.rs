@@ -518,10 +518,8 @@ fn cse_block(
         added
     };
     // Recurse into dominated children.
-    if let Some(kids) = cx.dom.children.get(&block) {
-        for &b in &kids.clone() {
-            cse_block(types, f, idx, cx, b, skip, avail, merges);
-        }
+    for b in cx.dom.children(block) {
+        cse_block(types, f, idx, cx, b, skip, avail, merges);
     }
     for key in added {
         avail.remove(&key);

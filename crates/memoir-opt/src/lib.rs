@@ -5,15 +5,14 @@
 //! dead field elimination, field elision, redundant indirection
 //! elimination, key folding, and the supporting scalar passes (constant
 //! propagation with element-level forwarding, DCE, CFG simplification,
-//! sinking, USEφ copy folding), assembled into the Fig. 4 pipeline —
-//! now driven by the generic `passman` pass manager: every pass is
+//! sinking; SSA destruction folds USEφs away), assembled into the Fig. 4
+//! pipeline — now driven by the generic `passman` pass manager: every pass is
 //! registered in [`passes::registry`] and pipelines are textual
 //! [`PipelineSpec`](passman::PipelineSpec)s (see [`pipeline`]).
 
 #![warn(missing_docs)]
 
 pub mod constprop;
-pub mod copyfold;
 pub mod dce;
 pub mod dee;
 pub mod dfe;
@@ -31,7 +30,6 @@ pub mod ssa_construct;
 pub mod ssa_destruct;
 
 pub use constprop::{constprop, ConstPropStats};
-pub use copyfold::{construct_use_phis, destruct_use_phis};
 pub use dce::{dce, DceStats};
 pub use dee::{dee_specialize_calls, dee_strict, DeeStats};
 pub use dfe::{dfe, DfeStats};

@@ -13,7 +13,7 @@
 use crate::dee::DeeStats;
 use crate::pipeline::FE_AFFINITY_THRESHOLD;
 use crate::{constprop, dce, dee, dfe, field_elision, fusion, key_fold, rie, simplify, sink};
-use crate::{construct_ssa, construct_use_phis, destruct_ssa, destruct_use_phis};
+use crate::{construct_ssa, destruct_ssa};
 use memoir_ir::{FuncId, Function, Module};
 use passman::{
     FnPass, FuncOutcome, FuncPass, FuncPassAdapter, Mutation, Pass, PassOutcome, PassRegistry,
@@ -104,8 +104,6 @@ impl FuncPass<Module> for FusionPass {
 /// | `rie` | [`rie::rie`] |
 /// | `key-fold` | [`key_fold::key_fold`] |
 /// | `dfe` | [`dfe::dfe`] |
-/// | `use-phi-construct` | [`construct_use_phis`] |
-/// | `use-phi-destruct` | [`destruct_use_phis`] |
 pub fn registry() -> PassRegistry<Module> {
     let mut r = PassRegistry::new();
 
@@ -235,24 +233,6 @@ pub fn registry() -> PassRegistry<Module> {
             ])
         }))
     });
-    r.register("use-phi-construct", || {
-        Box::new(FnPass::infallible(
-            "use-phi-construct",
-            |m: &mut Module, _am| {
-                let n = construct_use_phis(m);
-                PassOutcome::from_stats(vec![("use_phis_constructed", n as i64)])
-            },
-        ))
-    });
-    r.register("use-phi-destruct", || {
-        Box::new(FnPass::infallible(
-            "use-phi-destruct",
-            |m: &mut Module, _am| {
-                let n = destruct_use_phis(m);
-                PassOutcome::from_stats(vec![("use_phis_folded", n as i64)])
-            },
-        ))
-    });
 
     r
 }
@@ -285,12 +265,10 @@ mod tests {
             "rie",
             "key-fold",
             "dfe",
-            "use-phi-construct",
-            "use-phi-destruct",
         ] {
             assert!(r.contains(name), "missing pass `{name}`");
         }
-        assert_eq!(r.names().len(), 16);
+        assert_eq!(r.names().len(), 14);
     }
 
     #[test]

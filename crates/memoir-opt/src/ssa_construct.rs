@@ -220,7 +220,7 @@ fn construct_function(
         let mut work: Vec<BlockId> = defs.iter().copied().collect();
         let mut placed: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
-            for &frontier in df.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &frontier in &df[b] {
                 if placed.insert(frontier) {
                     if liveness
                         .live_in
@@ -719,13 +719,11 @@ fn rename_block(
     let _ = preds;
 
     // Recurse into dominator-tree children.
-    if let Some(children) = dt.children.get(&block).cloned() {
-        for child in children {
-            rename_block(
-                m, old, dt, preds, child, b, stacks, phis_at, phi_values, phi_insts, is_cell,
-                extra_rets, my_extras,
-            )?;
-        }
+    for child in dt.children(block) {
+        rename_block(
+            m, old, dt, preds, child, b, stacks, phis_at, phi_values, phi_insts, is_cell,
+            extra_rets, my_extras,
+        )?;
     }
 
     // Pop.

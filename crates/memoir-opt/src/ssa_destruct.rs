@@ -294,8 +294,7 @@ fn build_destructed(
     // terminator-less husks behind, which downstream lowering rejects
     // (found by `memoir-fuzz`, crash-7-193 — constprop branch folding
     // strands the dropped arm).
-    let reachable: std::collections::HashSet<BlockId> =
-        dt.preorder(old.entry).into_iter().collect();
+    let reachable: std::collections::HashSet<BlockId> = dt.preorder().into_iter().collect();
     // Old block → new block. The old entry need not be block 0 (DEE's
     // entry guard prepends blocks), so the mapping is explicit.
     let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
@@ -351,7 +350,7 @@ fn build_destructed(
     let is_coll = |v: ValueId| m.types.get(old.value_ty(v)).is_collection();
 
     // Process blocks in dominator-tree preorder so operand reprs exist.
-    for block in dt.preorder(old.entry) {
+    for block in dt.preorder() {
         let nblock = bmap[&block];
         let insts = old.blocks[block].insts.clone();
         for (pos, &iid) in insts.iter().enumerate() {

@@ -246,6 +246,19 @@ impl fmt::Write for TextDigest {
     }
 }
 
+/// The canonical block order both IRs' walks hash in: reverse
+/// post-order from `entry` over the successor lists `succs`, then the
+/// unreachable blocks in index order.
+pub fn block_order(succs: &[Vec<usize>], entry: usize) -> Vec<usize> {
+    let mut order = crate::graph::reverse_postorder(succs, entry);
+    let mut seen = vec![false; succs.len()];
+    for &b in &order {
+        seen[b] = true;
+    }
+    order.extend((0..succs.len()).filter(|&b| !seen[b]));
+    order
+}
+
 /// Marker folded in place of a callee in the caller's own SCC.
 const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 
@@ -264,7 +277,7 @@ const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 /// all its callers.
 pub fn propagate(context: Option<u64>, funcs: &[(u64, Vec<usize>)]) -> Vec<Fingerprint> {
     let n = funcs.len();
-    let comps = sccs(n, &|v| &funcs[v].1);
+    let comps = crate::graph::sccs(n, &|v| &funcs[v].1);
     let mut comp_of = vec![usize::MAX; n];
     for (ci, comp) in comps.iter().enumerate() {
         for &v in comp {
@@ -295,77 +308,6 @@ pub fn propagate(context: Option<u64>, funcs: &[(u64, Vec<usize>)]) -> Vec<Finge
         let summary = Fingerprint::combine_commutative(members.iter().copied());
         for (&v, member) in comp.iter().zip(members) {
             out[v] = member.combine(summary);
-        }
-    }
-    out
-}
-
-/// Strongly connected components of a directed graph over nodes
-/// `0..n`, returned **leaves-first** (every edge leaving a component
-/// points to an earlier component in the returned order). Within a
-/// component, nodes appear in a deterministic (input-index) order.
-///
-/// Iterative Tarjan — fuzzed modules can have deep call chains, so no
-/// recursion.
-fn sccs<'a>(n: usize, edges: &dyn Fn(usize) -> &'a [usize]) -> Vec<Vec<usize>> {
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, its edge list, next edge position).
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        let mut frames: Vec<(usize, &[usize], usize)> = vec![(root, edges(root), 0)];
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(frame) = frames.last_mut() {
-            let v = frame.0;
-            if frame.2 < frame.1.len() {
-                let w = frame.1[frame.2];
-                frame.2 += 1;
-                if w >= n {
-                    continue; // dangling edge (broken IR): ignore
-                }
-                if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, edges(w), 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(parent) = frames.last() {
-                    let p = parent.0;
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    out.push(comp);
-                }
-            }
         }
     }
     out
@@ -434,35 +376,5 @@ mod tests {
         assert_eq!(a, b);
         let c = Fingerprint::combine_commutative([fps[0], fps[1]]);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sccs_leaves_first() {
-        // 0 -> 1 -> 2, 2 -> 1 (cycle {1,2}), 3 isolated.
-        let edges = |v: usize| -> &'static [usize] {
-            match v {
-                0 => &[1],
-                1 => &[2],
-                2 => &[1],
-                _ => &[],
-            }
-        };
-        let comps = sccs(4, &edges);
-        let pos = |v: usize| comps.iter().position(|c| c.contains(&v)).unwrap();
-        assert!(pos(1) < pos(0), "callee SCC must precede caller");
-        assert_eq!(pos(1), pos(2), "cycle is one component");
-        assert_eq!(comps.iter().map(|c| c.len()).sum::<usize>(), 4);
-    }
-
-    #[test]
-    fn sccs_handles_self_loop_and_dangling_edges() {
-        let edges = |v: usize| -> &'static [usize] {
-            match v {
-                0 => &[0, 7],
-                _ => &[],
-            }
-        };
-        let comps = sccs(2, &edges);
-        assert_eq!(comps.iter().map(|c| c.len()).sum::<usize>(), 2);
     }
 }

@@ -23,7 +23,8 @@
 //!   offending pass on failure), and producing a unified [`RunReport`].
 //!
 //! The framework is IR-agnostic: anything implementing [`IrUnit`] can be
-//! driven by it.
+//! driven by it. The graph algorithms both IRs' passes and verifiers
+//! stand on (reverse post-order, dominators, SCCs) live in [`graph`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,6 +34,7 @@ pub mod budget;
 pub mod cache;
 pub mod fault;
 pub mod fingerprint;
+pub mod graph;
 pub mod parallel;
 pub mod pass;
 pub mod recover;

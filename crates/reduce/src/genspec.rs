@@ -5,8 +5,7 @@
 //! wrapped in a `fixpoint` group), `ssa-destruct`, then MUT-form layout
 //! passes. That keeps every generated spec *valid*, so any failure the
 //! harness sees is a genuine pipeline bug rather than a phase-ordering
-//! usage error. The use-phi passes are excluded: they are subroutines of
-//! ssa-construct/destruct, not standalone pipeline stages.
+//! usage error.
 
 use crate::rng::SplitMix64;
 use passman::{PassCall, PipelineSpec, SpecStep};

@@ -7,6 +7,7 @@
 //! remaining entry tighter (−16.6% max RSS) at the price of routing tag
 //! checks through an associative array (+5.1% execution time).
 
+use crate::Rng;
 use memoir_runtime::{stats, CollectionClass, ObjRef, ObjectHeap, Seq};
 
 /// Workload parameters.
@@ -55,19 +56,6 @@ struct Entry {
 
 const LAYOUT_BASE: u64 = 24;
 const LAYOUT_ELIDED: u64 = 16;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
-}
 
 /// Runs the workload; resets the thread ledger first.
 pub fn run_deepsjeng(p: &DeepsjengParams, v: DeepsjengVariant) -> DeepsjengOutcome {

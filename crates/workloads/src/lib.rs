@@ -34,3 +34,18 @@ pub mod smallbank;
 pub mod smallbank_ir;
 pub mod suite;
 pub mod synth_ir;
+
+/// The seeded xorshift64 generator every workload draws its inputs from;
+/// each caller keeps its own seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut s = self.0;
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        self.0 = s;
+        s
+    }
+}

@@ -22,6 +22,7 @@
 //! * layouts: baseline 72 B → FE 64 B → DFE 64 B → FE+DFE **56 B** (the
 //!   paper's packed size).
 
+use crate::Rng;
 use memoir_runtime::{stats, Assoc, ObjRef, ObjectHeap, Seq};
 
 /// Workload parameters.
@@ -111,18 +112,7 @@ fn layout_bytes(v: McfVariant) -> u64 {
     b
 }
 
-struct Rng(u64);
-
 impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
-
     fn cost(&mut self) -> i64 {
         ((self.next() >> 33) & 0x3FFF) as i64
     }

@@ -5,6 +5,7 @@
 //! optimizations were not applicable), and we use it the same way, plus as
 //! a Fig. 1 classification subject.
 
+use crate::Rng;
 use memoir_runtime::{stats, Assoc, ObjRef, ObjectHeap, Seq};
 
 /// Workload parameters.
@@ -43,19 +44,6 @@ struct SynthInst {
     lhs: u32,
     rhs: u32,
     value_number: u32,
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
 }
 
 /// Runs the workload; resets the thread ledger first.

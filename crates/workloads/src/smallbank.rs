@@ -23,6 +23,7 @@
 //! four variants) and strictly cheaper on the ledger's cost and — for
 //! dense — footprint axes.
 
+use crate::Rng;
 use memoir_runtime::{stats, Assoc, DenseMap};
 
 /// Workload parameters.
@@ -122,19 +123,6 @@ impl Table {
             self.write(k, v);
             v
         }
-    }
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
     }
 }
 

@@ -5,7 +5,7 @@
 //! to run in milliseconds; the *proportions* of the traffic are the
 //! experiment (DESIGN.md E1).
 
-use crate::{deepsjeng, mcf, smallbank};
+use crate::{deepsjeng, mcf, smallbank, Rng};
 use memoir_runtime::{stats, Assoc, CollectionClass, ObjectHeap, RawBuf, Seq};
 
 /// One Fig. 1 column: workload name plus its ledger snapshot.
@@ -15,19 +15,6 @@ pub struct SuiteResult {
     pub name: &'static str,
     /// The ledger after the run.
     pub ledger: stats::Ledger,
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
 }
 
 /// Runs the full suite, returning one result per workload.

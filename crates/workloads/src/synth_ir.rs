@@ -7,20 +7,10 @@
 //! stores (occasional load-fold successes), hash-table calls (opaque
 //! barriers), and object field traffic.
 
+use crate::Rng;
 use memoir_ir::{BinOp, CmpOp, Field, Form, Module, ModuleBuilder, Type};
 
-struct Rng(u64);
-
 impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
-
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
