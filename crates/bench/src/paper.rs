@@ -1,0 +1,464 @@
+//! The paper's evaluation artifacts (§VII), each a function that prints
+//! its table to stdout. [`artifact`] maps a name to its function.
+
+use memoir_interp::{Interp, Value};
+use memoir_ir::{Module, Type};
+use memoir_opt::{OptConfig, OptLevel};
+use memoir_runtime::stats::Ledger;
+use memoir_runtime::CollectionClass;
+use std::path::Path;
+use workloads::deepsjeng::{run_deepsjeng, DeepsjengParams, DeepsjengVariant};
+use workloads::mcf::{run_mcf, McfParams, McfVariant};
+
+/// The artifact named `name`, or `None` if there is none.
+pub fn artifact(name: &str) -> Option<fn()> {
+    let print: fn() = match name {
+        "fig1" => fig1,
+        "table2" => table2,
+        "table3" => table3,
+        "fig6" => || {
+            ported(
+                "Figure 6 — relative execution time (vs baseline)",
+                |l| l.cost,
+                "(paper: mcf −26.6%…−28%, deepsjeng +5.1%)",
+            )
+        },
+        "fig7" => || {
+            ported(
+                "Figure 7 — relative max RSS (vs baseline)",
+                |l| l.peak_bytes as f64,
+                "(paper: mcf −20.8%, deepsjeng −16.6%)",
+            )
+        },
+        "fig8" => || {
+            mcf_breakdown(
+                "Figure 8 — mcf execution time per configuration",
+                |l| l.cost,
+                "(paper: DEE −26.6%, FE +10.4%, FE+RIE +1.3%, FE+DFE −4.7%, ALL ≈ DEE −2.1%)",
+            )
+        },
+        "fig9" => || {
+            mcf_breakdown(
+                "Figure 9 — mcf max RSS per configuration",
+                |l| l.peak_bytes as f64,
+                "(paper: FE +3.3%, FE+RIE −10.4%, FE+DFE/ALL −20.8%)",
+            )
+        },
+        "fig10" => fig10,
+        "fig11" => fig11,
+        "fig12" => fig12,
+        "e12" => e12,
+        _ => return None,
+    };
+    Some(print)
+}
+
+/// Prints a labelled percentage row.
+fn pct(label: &str, value: f64) {
+    println!("{label:>24}  {:+7.1}%", value * 100.0);
+}
+
+/// Prints an artifact's title between blank lines.
+fn header(title: &str) {
+    println!("\n=== {title} ===\n");
+}
+
+/// The O3 level with every optimization.
+pub fn o3_all() -> OptLevel {
+    OptLevel::O3(OptConfig::all())
+}
+
+/// The mcf variant axis used by Figs. 8/9, in the paper's bar order.
+fn mcf_variants() -> Vec<(&'static str, McfVariant)> {
+    vec![
+        ("LLVM9 (baseline)", McfVariant::default()),
+        (
+            "DEE",
+            McfVariant {
+                dee: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "FE",
+            McfVariant {
+                fe: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "FE+RIE",
+            McfVariant {
+                fe: true,
+                rie: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "FE+DFE",
+            McfVariant {
+                fe: true,
+                dfe: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "RIE",
+            McfVariant {
+                rie: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "DFE",
+            McfVariant {
+                dfe: true,
+                ..Default::default()
+            },
+        ),
+        ("ALL", McfVariant::all()),
+    ]
+}
+
+/// The three Table III compilation subjects.
+fn compilation_subjects() -> Vec<(&'static str, Module)> {
+    vec![
+        ("mcf", workloads::mcf_ir::build_mcf_ir()),
+        ("deepsjeng", workloads::deepsjeng_ir::build_deepsjeng_ir()),
+        ("LLVM opt", workloads::optlike_ir::build_optlike_ir()),
+    ]
+}
+
+/// The compilation subjects (plus Listing 1 and a synthetic module)
+/// lowered to the low-level IR, for the pass-analysis figures.
+fn lowered_subjects() -> Vec<(&'static str, lir::Module)> {
+    let mut out = Vec::new();
+    for (name, m) in compilation_subjects() {
+        out.push((name, memoir_lower::lower_module(&m).expect("lowerable")));
+    }
+    out.push((
+        "listing1",
+        memoir_lower::lower_module(&workloads::listing1::build_listing1()).expect("lowerable"),
+    ));
+    // A whole-program-sized synthetic subject: the paper's pass analysis
+    // ran on full SPEC bitcode, which the kernels above cannot match in
+    // op-mix volume (DESIGN.md §2).
+    out.push((
+        "synthetic",
+        memoir_lower::lower_module(&workloads::synth_ir::build_synth_ir(120, 2024))
+            .expect("lowerable"),
+    ));
+    out
+}
+
+/// Figure 1: classification of heap memory usage across the
+/// SPECINT-shaped workload suite — bytes allocated, read, and written per
+/// collection class (paper §III).
+fn fig1() {
+    let results = workloads::suite::run_suite();
+    let classes = CollectionClass::ALL;
+    let panels = ["(a) bytes allocated", "(b) bytes read", "(c) bytes written"];
+    for (panel, title) in panels.into_iter().enumerate() {
+        header(&format!("Figure 1{title} per collection class"));
+        print!("{:>12}", "");
+        for c in classes {
+            print!("{:>14}", c.label());
+        }
+        println!();
+        for r in &results {
+            print!("{:>12}", r.name);
+            let bytes = |c| {
+                let cb = r.ledger.class(c);
+                [cb.allocated, cb.read, cb.written][panel] as f64
+            };
+            let total: f64 = classes.iter().map(|&c| bytes(c)).sum();
+            for c in classes {
+                let share = if total > 0.0 {
+                    bytes(c) / total * 100.0
+                } else {
+                    0.0
+                };
+                print!("{share:>13.1}%");
+            }
+            println!();
+        }
+    }
+
+    // The §III headline number.
+    let mut structured = 0.0;
+    let mut total = 0.0;
+    for r in &results {
+        for c in classes {
+            let b = r.ledger.class(c).allocated as f64;
+            total += b;
+            if c.representable() {
+                structured += b;
+            }
+        }
+    }
+    println!(
+        "\nMEMOIR-representable share of allocated bytes across the suite: {:.1}%",
+        structured / total * 100.0
+    );
+}
+
+/// Significant lines of code: non-blank, not `//`, before `#[cfg(test)]`
+/// (0 for a missing file).
+fn sloc(path: &Path) -> usize {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return 0;
+    };
+    text.lines()
+        .map(str::trim)
+        .take_while(|t| !t.starts_with("#[cfg(test)]"))
+        .filter(|t| !t.is_empty() && !t.starts_with("//"))
+        .count()
+}
+
+/// Table II: developer effort — significant lines of code of each MEMOIR
+/// transformation, next to the low-level-IR passes they are contrasted
+/// with in §VII-D.
+fn table2() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    header("Table II — developer effort (SLOC, tests excluded)");
+    println!("{:>28} | {:>6}", "MEMOIR pass", "SLOC");
+    println!("{}", "-".repeat(40));
+    for (label, file) in [
+        ("DEE", "crates/memoir-opt/src/dee.rs"),
+        ("DFE", "crates/memoir-opt/src/dfe.rs"),
+        ("FE", "crates/memoir-opt/src/field_elision.rs"),
+        ("RIE", "crates/memoir-opt/src/rie.rs"),
+        ("KeyFold", "crates/memoir-opt/src/key_fold.rs"),
+        ("SSA construction", "crates/memoir-opt/src/ssa_construct.rs"),
+        ("SSA destruction", "crates/memoir-opt/src/ssa_destruct.rs"),
+    ] {
+        println!("{label:>28} | {:>6}", sloc(&root.join(file)));
+    }
+    println!();
+    println!("{:>28} | {:>6}", "low-level-IR pass", "SLOC");
+    println!("{}", "-".repeat(40));
+    for (label, file) in [
+        ("GVN (NewGVN analogue)", "crates/lir/src/gvn.rs"),
+        ("Sink", "crates/lir/src/sinkpass.rs"),
+        ("ConstantFold", "crates/lir/src/constfold.rs"),
+    ] {
+        println!("{label:>28} | {:>6}", sloc(&root.join(file)));
+    }
+}
+
+/// Table III: MEMOIR compile time at O0/O3 and the collection census
+/// (source / SSA / binary), demonstrating that SSA construction and
+/// destruction introduce no spurious copies.
+fn table3() {
+    let compile_at = |m: &Module, level| {
+        let mut m = m.clone();
+        memoir_opt::compile(&mut m, level).expect("pipeline")
+    };
+    header("Table III — compile time and collection census");
+    println!(
+        "{:>12} | {:>12} {:>12} | {:>8} {:>6} {:>8} | {:>14}",
+        "benchmark", "MEMOIR O0", "MEMOIR O3", "source", "SSA", "binary", "destruct copies"
+    );
+    println!("{}", "-".repeat(96));
+    for (name, module) in compilation_subjects() {
+        let source = module.collection_census();
+        // The median time of five runs, and the last run's report.
+        let timed = |level| {
+            let mut times = Vec::new();
+            let mut report = None;
+            for _ in 0..5 {
+                let r = compile_at(&module, level);
+                times.push(r.total_ms());
+                report = Some(r);
+            }
+            times.sort_by(f64::total_cmp);
+            (times[times.len() / 2], report.expect("five runs"))
+        };
+        // Warm once before timing.
+        let _ = compile_at(&module, OptLevel::O0);
+        let (o0_ms, o0r) = timed(OptLevel::O0);
+        let (o3_ms, o3r) = timed(o3_all());
+        println!(
+            "{:>12} | {:>10.2}ms {:>10.2}ms | {:>8} {:>6} {:>8} | {:>14}",
+            name,
+            o0_ms,
+            o3_ms,
+            source.allocations,
+            o0r.ssa_census.ssa_variables,
+            o3r.final_census.allocations,
+            o0r.destruct_copies,
+        );
+        assert_eq!(o0r.destruct_copies, 0, "no spurious copies at O0");
+    }
+    println!("\n(`destruct copies` = collection copies materialized by SSA destruction;");
+    println!(" the paper's Table III claim is that this is zero.)");
+}
+
+/// Figures 6 and 7: one ledger number of the ported benchmarks under the
+/// ALL configuration, relative to the baseline pipeline.
+fn ported(title: &str, metric: fn(&Ledger) -> f64, paper: &str) {
+    header(title);
+    let p = McfParams::default();
+    let base = run_mcf(&p, McfVariant::default());
+    let all = run_mcf(&p, McfVariant::all());
+    pct(
+        "mcf (MEMOIR ALL)",
+        metric(&all.ledger) / metric(&base.ledger) - 1.0,
+    );
+    let p = DeepsjengParams::default();
+    let base = run_deepsjeng(&p, DeepsjengVariant::default());
+    let all = run_deepsjeng(&p, DeepsjengVariant { fe_key_fold: true });
+    pct(
+        "deepsjeng (MEMOIR ALL)",
+        metric(&all.ledger) / metric(&base.ledger) - 1.0,
+    );
+    println!("\n{paper}");
+}
+
+/// Figures 8 and 9: one ledger number of each mcf optimization, in
+/// isolation and concert, relative to the baseline (paper §VII-C).
+fn mcf_breakdown(title: &str, metric: fn(&Ledger) -> f64, paper: &str) {
+    header(title);
+    let p = McfParams::default();
+    let sweep: Vec<(&str, f64)> = mcf_variants()
+        .into_iter()
+        .map(|(name, v)| (name, metric(&run_mcf(&p, v).ledger)))
+        .collect();
+    let base = sweep[0].1;
+    for (name, value) in sweep {
+        pct(name, value / base - 1.0);
+    }
+    println!("\n{paper}");
+}
+
+/// Figure 10: percentage of global value numbers introduced for memory
+/// operations in the low-level GVN (paper §VII-D).
+fn fig10() {
+    header("Figure 10 — % value numbers for memory (GVN)");
+    for (name, mut m) in lowered_subjects() {
+        let stats = lir::gvn(&mut m);
+        println!(
+            "{:>12}  {:5.1}%   ({} of {} value numbers)",
+            name,
+            stats.memory_fraction() * 100.0,
+            stats.memory_value_numbers,
+            stats.total_value_numbers
+        );
+    }
+    println!("\n(paper: 30–52.8% across SPECINT; memory VNs dominate hot benchmarks)");
+}
+
+/// Figure 11: the Sink pass attempt breakdown — success / blocked by
+/// may-write / blocked by may-reference (paper §VII-D).
+fn fig11() {
+    header("Figure 11 — Sink attempt breakdown");
+    println!(
+        "{:>12} {:>10} {:>12} {:>16}",
+        "benchmark", "success", "may write", "may reference"
+    );
+    for (name, mut m) in lowered_subjects() {
+        let stats = lir::sink(&mut m);
+        let total = stats.attempts().max(1) as f64;
+        println!(
+            "{:>12} {:>9.1}% {:>11.1}% {:>15.1}%",
+            name,
+            stats.success as f64 / total * 100.0,
+            stats.blocked_may_write as f64 / total * 100.0,
+            stats.blocked_may_reference as f64 / total * 100.0,
+        );
+    }
+    println!("\n(paper: ~15–42% success; the rest blocked by memory barriers)");
+}
+
+/// Figure 12: the ConstantFold attempt breakdown — scalar success / load
+/// success / load fail (paper §VII-D).
+fn fig12() {
+    header("Figure 12 — ConstantFold attempt breakdown");
+    println!(
+        "{:>12} {:>15} {:>13} {:>11}",
+        "benchmark", "scalar success", "load success", "load fail"
+    );
+    for (name, mut m) in lowered_subjects() {
+        // mem2reg + GVN first (the production pipeline order): promoted
+        // allocas and merged address computations are what give
+        // ConstantFold its few load-fold successes.
+        lir::mem2reg(&mut m);
+        lir::gvn(&mut m);
+        let stats = lir::constfold(&mut m);
+        let total = stats.attempts().max(1) as f64;
+        println!(
+            "{:>12} {:>14.1}% {:>12.1}% {:>10.1}%",
+            name,
+            stats.scalar_success as f64 / total * 100.0,
+            stats.load_success as f64 / total * 100.0,
+            stats.load_fail as f64 / total * 100.0,
+        );
+    }
+    println!("\n(paper: load folds mostly fail in the lowered form; MEMOIR's");
+    println!(" element-level constprop succeeds on the same programs — see");
+    println!(" `memoir-opt::constprop` and the listing1 integration test.)");
+}
+
+/// E12: the interpreted mcf kernel, baseline vs the automatically
+/// DEE-specialized build, across basket sizes — the
+/// `O(n log n) → O(n + B log B)` effect of §VII-C.
+fn e12() {
+    header("E12 — automatic DEE on the mcf IR kernel (interp cost)");
+    let baseline = workloads::mcf_ir::build_mcf_ir();
+    let mut dee = workloads::mcf_ir::build_mcf_ir();
+    memoir_opt::construct_ssa(&mut dee).unwrap();
+    let stats = memoir_opt::dee_specialize_calls(&mut dee);
+    memoir_opt::destruct_ssa(&mut dee);
+    println!("transform: {stats:?}");
+    println!(
+        "{:>8} {:>4} {:>14} {:>14} {:>9}",
+        "n0+K", "B", "baseline cost", "DEE cost", "speedup"
+    );
+    for (n0, k) in [(1000i64, 500i64), (2000, 1000), (4000, 2000), (8000, 4000)] {
+        let run = |m: &Module| {
+            let mut i = Interp::new(m).with_fuel(4_000_000_000);
+            let args = vec![
+                Value::Int(Type::Index, n0),
+                Value::Int(Type::Index, 16),
+                Value::Int(Type::Index, k),
+                Value::Int(Type::Index, 3),
+            ];
+            let out = i.run_by_name("master", args).unwrap();
+            (out[0].as_int().unwrap(), i.stats.cost)
+        };
+        let (ob, cb) = run(&baseline);
+        let (od, cd) = run(&dee);
+        assert_eq!(ob, od, "exact-mode objectives match");
+        println!(
+            "{:>8} {:>4} {:>14.0} {:>14.0} {:>8.1}%",
+            n0 + k,
+            16,
+            cb,
+            cd,
+            (1.0 - cd / cb) * 100.0
+        );
+    }
+    println!("\n(the speedup grows with n while B stays fixed: O(n log n) → O(n + B log B))");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn variants_cover_paper_bars() {
+        let v = mcf_variants();
+        assert_eq!(v.len(), 8);
+        assert_eq!(v[0].0, "LLVM9 (baseline)");
+        assert_eq!(v[7].0, "ALL");
+    }
+
+    #[test]
+    fn subjects_build_and_lower() {
+        let lowered = lowered_subjects();
+        assert_eq!(lowered.len(), 5);
+        for (name, m) in &lowered {
+            assert!(m.inst_count() > 0, "{name} is empty");
+        }
+    }
+}

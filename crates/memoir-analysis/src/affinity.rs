@@ -87,7 +87,7 @@ impl Affinity {
 }
 
 fn accumulate(f: &Function, per_type: &mut HashMap<ObjTypeId, FieldAffinity>) {
-    let depths = crate::dominators::natural_loop_depths(f);
+    let depths = crate::dominators::natural_loop_depths(f, &crate::DomTree::compute(f));
     for (b, block) in f.blocks.iter() {
         let w = 10f64.powi(*depths.get(&b).unwrap_or(&0) as i32);
         // Collect the set of (type, field) accessed in this block.

@@ -8,9 +8,8 @@
 //! "analyses as first-class cached artifacts shared across rewrites".
 
 use crate::{Affinity, CallGraph, DefUse, DomTree, EscapeAnalysis, Liveness, Purity, TypeEscape};
-use memoir_ir::{BlockId, FuncId, Module};
+use memoir_ir::{FuncId, Module};
 use passman::{Analysis, ModuleAnalysis};
-use std::collections::HashMap;
 
 /// Cached sparse def-use chains ([`DefUse`]).
 #[derive(Debug)]
@@ -33,19 +32,6 @@ impl Analysis<Module> for CachedDomTree {
     const NAME: &'static str = "dom-tree";
     fn compute(m: &Module, f: FuncId) -> DomTree {
         DomTree::compute(&m.funcs[f])
-    }
-}
-
-/// Cached natural-loop nesting depths per block
-/// ([`natural_loop_depths`](crate::dominators::natural_loop_depths)).
-#[derive(Debug)]
-pub struct CachedLoopDepths;
-
-impl Analysis<Module> for CachedLoopDepths {
-    type Output = HashMap<BlockId, u32>;
-    const NAME: &'static str = "loop-depths";
-    fn compute(m: &Module, f: FuncId) -> HashMap<BlockId, u32> {
-        crate::dominators::natural_loop_depths(&m.funcs[f])
     }
 }
 

@@ -75,9 +75,9 @@ impl DomTree {
 /// Natural-loop nesting depth per block: for every back edge `u → h`
 /// (where `h` dominates `u`), the loop body is `h` plus every block that
 /// reaches `u` over predecessors without passing through `h`; a block's
-/// depth is the number of such loops containing it.
-pub fn natural_loop_depths(f: &Function) -> HashMap<BlockId, u32> {
-    let dt = DomTree::compute(f);
+/// depth is the number of such loops containing it. `dt` must be the
+/// dominator tree of `f`.
+pub fn natural_loop_depths(f: &Function, dt: &DomTree) -> HashMap<BlockId, u32> {
     let preds = f.predecessors();
     let mut depth: HashMap<BlockId, u32> = dt.rpo().map(|b| (b, 0)).collect();
     for u in dt.rpo() {

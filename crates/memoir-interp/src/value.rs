@@ -64,14 +64,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Boolean payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

@@ -2,7 +2,7 @@
 //!
 //! Removes: pure instructions with no used results; unreachable blocks;
 //! and — using the purity summaries — calls whose callee has no observable
-//! effect and whose results are unused (`drop_effect_free_calls`, the
+//! effect and whose results are unused (`DceStats::calls_removed`, the
 //! dead-call component of the DEE follow-up described in DESIGN.md §6).
 
 use memoir_analysis::Purity;
@@ -134,28 +134,6 @@ fn run_function(m: &mut Module, fid: memoir_ir::FuncId, purity: &Purity) -> DceS
         let (_, _) = f.append_inst(b, InstKind::Unreachable, &[]);
     }
     stats
-}
-
-/// Removes calls that cannot affect the observable live state — used after
-/// DEE to prune recursion into fully-dead ranges. A call is dropped when
-/// the callee's summary is effect-free apart from mutating by-ref
-/// arguments that the *caller* never reads afterwards.
-pub fn drop_effect_free_calls(m: &mut Module) -> usize {
-    let before = count_calls(m);
-    dce(m);
-    count_calls(m).saturating_sub(before)
-}
-
-fn count_calls(m: &Module) -> usize {
-    m.funcs
-        .iter()
-        .map(|(_, f)| {
-            f.inst_ids_in_order()
-                .iter()
-                .filter(|(_, i)| matches!(f.insts[*i].kind, InstKind::Call { .. }))
-                .count()
-        })
-        .sum()
 }
 
 #[cfg(test)]

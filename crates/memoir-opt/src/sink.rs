@@ -8,10 +8,12 @@
 //! is precisely the advantage §VII-D measures against LLVM's Sink pass
 //! (where "may write"/"may reference" memory barriers dominate failures).
 
-use memoir_analysis::cached::{CachedDefUse, CachedDomTree, CachedLoopDepths};
+use memoir_analysis::cached::{CachedDefUse, CachedDomTree};
+use memoir_analysis::dominators::natural_loop_depths;
 use memoir_analysis::{DefUse, DomTree};
 use memoir_ir::{BlockId, Effect, Form, Function, InstId, InstKind, Module};
 use passman::AnalysisManager;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Statistics from a sink run.
@@ -29,8 +31,9 @@ pub fn sink(m: &mut Module) -> SinkStats {
 /// Runs sinking, sharing analyses through `am`.
 ///
 /// Sinking moves instructions between existing blocks: it changes
-/// neither the CFG nor any value's set of users. So the dominator tree,
-/// def-use chains and loop depths fetched once per function stay valid
+/// neither the CFG nor any value's set of users. So the dominator tree
+/// and def-use chains fetched once per function, and the loop depths
+/// derived from that tree when a first candidate needs them, stay valid
 /// across every iteration of that function's fixpoint, and the functions
 /// that moved anything are invalidated together after the last one —
 /// the pass causes at most one fingerprint refresh of the module, not
@@ -44,7 +47,7 @@ pub fn sink_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> SinkStats 
         }
         let dt = am.get::<CachedDomTree>(m, fid);
         let du = am.get::<CachedDefUse>(m, fid);
-        let depths = am.get::<CachedLoopDepths>(m, fid);
+        let depths = OnceCell::new();
         let before = stats.sunk;
         loop {
             let n = run_function(&mut m.funcs[fid], &dt, &du, &depths);
@@ -68,7 +71,7 @@ fn run_function(
     f: &mut Function,
     dt: &DomTree,
     du: &DefUse,
-    depths: &HashMap<BlockId, u32>,
+    depths: &OnceCell<HashMap<BlockId, u32>>,
 ) -> usize {
     // Position of each instruction.
     let mut pos: HashMap<InstId, (BlockId, usize)> = HashMap::new();
@@ -131,6 +134,7 @@ fn run_function(
             if !dt.dominates(b, ub) {
                 continue;
             }
+            let depths = depths.get_or_init(|| natural_loop_depths(f, dt));
             if depths.get(&ub).copied().unwrap_or(0) > depths.get(&b).copied().unwrap_or(0) {
                 continue; // don't sink into deeper loops
             }

@@ -79,10 +79,39 @@ pub fn construct_ssa(m: &mut Module) -> Result<(), ConstructError> {
         if m.funcs[fid].form != Form::Mut {
             continue;
         }
+        split_entered_entry(&mut m.funcs[fid]);
         let rebuilt = construct_function(m, fid, &extra_rets)?;
         m.funcs[fid] = rebuilt;
     }
     Ok(())
+}
+
+/// When an edge enters the entry block, moves the entry's instructions
+/// into a new block, points every edge and φ label that named the entry
+/// at it, and leaves the entry as a lone jump to it. φ placement on the
+/// dominance frontier never reaches the entry, and renaming starts there
+/// from the parameters' versions, so a loop back to the entry would read
+/// stale versions.
+fn split_entered_entry(f: &mut Function) {
+    let entry = f.entry;
+    if !f.blocks.ids().any(|b| f.successors(b).contains(&entry)) {
+        return;
+    }
+    let body = f.add_block("body");
+    f.blocks[body].insts = std::mem::take(&mut f.blocks[entry].insts);
+    let retarget = move |b: &mut BlockId| {
+        if *b == entry {
+            *b = body;
+        }
+    };
+    for (_, iid) in f.inst_ids_in_order() {
+        let kind = &mut f.insts[iid].kind;
+        kind.visit_successors_mut(retarget);
+        if let InstKind::Phi { incoming } = kind {
+            incoming.iter_mut().for_each(|(pred, _)| retarget(pred));
+        }
+    }
+    f.append_inst(entry, InstKind::Jump { target: body }, &[]);
 }
 
 /// Whether an instruction (in mut form) assigns a new version to the
@@ -1044,5 +1073,68 @@ mod tests {
         let census_ssa = m_ssa.collection_census();
         assert_eq!(census_mut.allocations, census_ssa.allocations);
         assert!(census_ssa.ssa_variables > census_mut.ssa_variables);
+    }
+
+    /// A loop back to the entry block: `f` bumps `s[0]` until it reads 3.
+    /// The entry needs a φ for `s`, which the dominance frontier never
+    /// places there, so construction first moves the entry's body out.
+    #[test]
+    fn loop_back_to_the_entry_reads_the_updated_version() {
+        use memoir_interp::{Interp, Value};
+        const TEXT: &str = "module entry_loop
+
+fn f(&s: Seq<i64>) -> (i64) form=mut {
+entry.0:
+  %1 = read %s.0, 0:Index
+  %2 = cmp.ge %1, 3:I64
+  br %2, done.1, again.2
+done.1:
+  ret %1
+again.2:
+  %3 = add %1, 1:I64
+  mut.write %s.0, 0:Index, %3
+  jump entry.0
+}
+
+fn main() -> (i64) form=mut {
+entry.0:
+  %1 = new Seq<i64>(1:Index)
+  mut.write %1, 0:Index, 0:I64
+  %2 = call @f(%1)
+  ret %2
+}
+";
+        let run = |m: &Module| {
+            Interp::new(m)
+                .with_fuel(10_000)
+                .run_by_name("main", vec![])
+                .unwrap()
+        };
+        let three = vec![Value::Int(Type::I64, 3)];
+        let m_mut = memoir_ir::parser::parse_module(TEXT).unwrap();
+        assert_eq!(run(&m_mut), three);
+
+        let mut m_ssa = m_mut.clone();
+        construct_ssa(&mut m_ssa).unwrap();
+        memoir_ir::verifier::assert_valid(&m_ssa);
+        assert_eq!(run(&m_ssa), three);
+
+        let o3 = crate::OptLevel::O3(crate::OptConfig::all());
+        let mut m_o3 = m_mut.clone();
+        crate::compile(&mut m_o3, o3).unwrap();
+        assert_eq!(run(&m_o3), three);
+
+        // Lowered through the cross-checked stage onto the lir machine.
+        let spec = format!("{},lower<adaptive>", crate::default_spec(o3));
+        let spec = passman::PipelineSpec::parse(&spec).unwrap();
+        let lp = crate::split_lowered_spec(&spec).unwrap().unwrap();
+        let mut m_low = m_mut.clone();
+        let out = crate::compile_lowered_with(&mut m_low, &lp, &Default::default()).unwrap();
+        let lm = out.lowered.expect("pipeline completes");
+        let r = lir::LirMachine::new(&lm)
+            .with_fuel(10_000)
+            .run_by_name("main", vec![])
+            .unwrap();
+        assert_eq!(r, vec![3]);
     }
 }

@@ -54,16 +54,6 @@ impl Ledger {
         self.per_class.iter().map(|c| c.allocated).sum()
     }
 
-    /// Total bytes read across classes.
-    pub fn total_read(&self) -> u64 {
-        self.per_class.iter().map(|c| c.read).sum()
-    }
-
-    /// Total bytes written across classes.
-    pub fn total_written(&self) -> u64 {
-        self.per_class.iter().map(|c| c.written).sum()
-    }
-
     /// Fraction of allocated bytes in a class (0 when nothing allocated).
     pub fn allocated_share(&self, c: CollectionClass) -> f64 {
         let total = self.total_allocated();
