@@ -24,6 +24,7 @@ use memoir_interp::{ExecStats, Interp, Value};
 use memoir_ir::{Module, Type};
 use memoir_opt::pipeline::{compile_spec_with, default_spec};
 use passman::PipelineSpec;
+use std::io::{self, Write};
 
 /// One workload kernel: module, entry function, and entry arguments.
 struct Subject {
@@ -140,9 +141,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Runs the sweep, prints the JSON document to stdout and the table to
+/// Runs the sweep, writes the JSON document to `out` and the table to
 /// stderr, then (with `check`) asserts the CI invariants.
-pub fn run(check: bool) {
+pub fn run(check: bool, out: &mut dyn Write) -> io::Result<()> {
     let subjects = subjects();
     let results: Vec<(&'static str, Vec<ConfigResult>)> =
         subjects.iter().map(|s| (s.name, sweep(s))).collect();
@@ -172,7 +173,8 @@ pub fn run(check: bool) {
             )
         })
         .collect();
-    print!(
+    let written = write!(
+        out,
         "{{\n  \"bench\": \"workloads\",\n  \"configs\": [\"baseline\", \"fusion\", \"adaptive\", \"fusion+adaptive\"],\n  \"subjects\": [\n{}\n  ]\n}}\n",
         subject_json.join(",\n")
     );
@@ -224,6 +226,7 @@ pub fn run(check: bool) {
             best * 100.0
         );
     }
+    written
 }
 
 #[cfg(test)]

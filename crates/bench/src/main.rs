@@ -29,6 +29,8 @@
 mod cost_sweep;
 mod paper;
 
+use std::io::{ErrorKind, Write};
+
 const USAGE: &str = "usage: bench paper ARTIFACT...
        bench workloads [--check]
 
@@ -37,7 +39,7 @@ artifacts: fig1 table2 table3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 e12";
 /// What the command line asks for.
 enum Command {
     /// Print these artifacts, in order.
-    Paper(Vec<fn()>),
+    Paper(Vec<paper::Artifact>),
     /// Run the workload cost sweep, with or without its self-checks.
     Workloads { check: bool },
 }
@@ -63,13 +65,24 @@ fn main() {
         .skip(1)
         .map(|a| a.into_string().ok())
         .collect();
-    match args.as_deref().and_then(parse) {
-        Some(Command::Paper(artifacts)) => artifacts.iter().for_each(|print| print()),
-        Some(Command::Workloads { check }) => cost_sweep::run(check),
-        None => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
+    let Some(command) = args.as_deref().and_then(parse) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    // Everything goes through one locked stdout; a reader that closes
+    // the pipe early (`bench paper fig1 | head -1`) ends the run quietly.
+    let mut out = std::io::stdout().lock();
+    let written = match command {
+        Command::Paper(artifacts) => artifacts.iter().try_for_each(|write| write(&mut out)),
+        Command::Workloads { check } => cost_sweep::run(check, &mut out),
+    }
+    .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("bench: writing stdout: {e}");
+            std::process::exit(1);
         }
+        _ => {}
     }
 }
 

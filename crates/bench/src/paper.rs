@@ -1,44 +1,55 @@
-//! The paper's evaluation artifacts (§VII), each a function that prints
-//! its table to stdout. [`artifact`] maps a name to its function.
+//! The paper's evaluation artifacts (§VII), each a function that writes
+//! its table to a sink. [`artifact`] maps a name to its function.
 
 use memoir_interp::{Interp, Value};
 use memoir_ir::{Module, Type};
 use memoir_opt::{OptConfig, OptLevel};
 use memoir_runtime::stats::Ledger;
 use memoir_runtime::CollectionClass;
+use std::io::{self, Write};
 use std::path::Path;
 use workloads::deepsjeng::{run_deepsjeng, DeepsjengParams, DeepsjengVariant};
 use workloads::mcf::{run_mcf, McfParams, McfVariant};
 
+/// Where an artifact writes its table.
+type Out<'a> = &'a mut dyn Write;
+
+/// An artifact: writes its table.
+pub type Artifact = fn(Out) -> io::Result<()>;
+
 /// The artifact named `name`, or `None` if there is none.
-pub fn artifact(name: &str) -> Option<fn()> {
-    let print: fn() = match name {
+pub fn artifact(name: &str) -> Option<Artifact> {
+    let write: Artifact = match name {
         "fig1" => fig1,
         "table2" => table2,
         "table3" => table3,
-        "fig6" => || {
+        "fig6" => |out| {
             ported(
+                out,
                 "Figure 6 — relative execution time (vs baseline)",
                 |l| l.cost,
                 "(paper: mcf −26.6%…−28%, deepsjeng +5.1%)",
             )
         },
-        "fig7" => || {
+        "fig7" => |out| {
             ported(
+                out,
                 "Figure 7 — relative max RSS (vs baseline)",
                 |l| l.peak_bytes as f64,
                 "(paper: mcf −20.8%, deepsjeng −16.6%)",
             )
         },
-        "fig8" => || {
+        "fig8" => |out| {
             mcf_breakdown(
+                out,
                 "Figure 8 — mcf execution time per configuration",
                 |l| l.cost,
                 "(paper: DEE −26.6%, FE +10.4%, FE+RIE +1.3%, FE+DFE −4.7%, ALL ≈ DEE −2.1%)",
             )
         },
-        "fig9" => || {
+        "fig9" => |out| {
             mcf_breakdown(
+                out,
                 "Figure 9 — mcf max RSS per configuration",
                 |l| l.peak_bytes as f64,
                 "(paper: FE +3.3%, FE+RIE −10.4%, FE+DFE/ALL −20.8%)",
@@ -50,17 +61,17 @@ pub fn artifact(name: &str) -> Option<fn()> {
         "e12" => e12,
         _ => return None,
     };
-    Some(print)
+    Some(write)
 }
 
-/// Prints a labelled percentage row.
-fn pct(label: &str, value: f64) {
-    println!("{label:>24}  {:+7.1}%", value * 100.0);
+/// Writes a labelled percentage row.
+fn pct(out: Out, label: &str, value: f64) -> io::Result<()> {
+    writeln!(out, "{label:>24}  {:+7.1}%", value * 100.0)
 }
 
-/// Prints an artifact's title between blank lines.
-fn header(title: &str) {
-    println!("\n=== {title} ===\n");
+/// Writes an artifact's title between blank lines.
+fn header(out: Out, title: &str) -> io::Result<()> {
+    writeln!(out, "\n=== {title} ===\n")
 }
 
 /// The O3 level with every optimization.
@@ -154,19 +165,19 @@ fn lowered_subjects() -> Vec<(&'static str, lir::Module)> {
 /// Figure 1: classification of heap memory usage across the
 /// SPECINT-shaped workload suite — bytes allocated, read, and written per
 /// collection class (paper §III).
-fn fig1() {
+fn fig1(out: Out) -> io::Result<()> {
     let results = workloads::suite::run_suite();
     let classes = CollectionClass::ALL;
     let panels = ["(a) bytes allocated", "(b) bytes read", "(c) bytes written"];
     for (panel, title) in panels.into_iter().enumerate() {
-        header(&format!("Figure 1{title} per collection class"));
-        print!("{:>12}", "");
+        header(out, &format!("Figure 1{title} per collection class"))?;
+        write!(out, "{:>12}", "")?;
         for c in classes {
-            print!("{:>14}", c.label());
+            write!(out, "{:>14}", c.label())?;
         }
-        println!();
+        writeln!(out)?;
         for r in &results {
-            print!("{:>12}", r.name);
+            write!(out, "{:>12}", r.name)?;
             let bytes = |c| {
                 let cb = r.ledger.class(c);
                 [cb.allocated, cb.read, cb.written][panel] as f64
@@ -178,9 +189,9 @@ fn fig1() {
                 } else {
                     0.0
                 };
-                print!("{share:>13.1}%");
+                write!(out, "{share:>13.1}%")?;
             }
-            println!();
+            writeln!(out)?;
         }
     }
 
@@ -196,10 +207,12 @@ fn fig1() {
             }
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nMEMOIR-representable share of allocated bytes across the suite: {:.1}%",
         structured / total * 100.0
-    );
+    )?;
+    Ok(())
 }
 
 /// Significant lines of code: non-blank, not `//`, before `#[cfg(test)]`
@@ -218,11 +231,11 @@ fn sloc(path: &Path) -> usize {
 /// Table II: developer effort — significant lines of code of each MEMOIR
 /// transformation, next to the low-level-IR passes they are contrasted
 /// with in §VII-D.
-fn table2() {
+fn table2(out: Out) -> io::Result<()> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    header("Table II — developer effort (SLOC, tests excluded)");
-    println!("{:>28} | {:>6}", "MEMOIR pass", "SLOC");
-    println!("{}", "-".repeat(40));
+    header(out, "Table II — developer effort (SLOC, tests excluded)")?;
+    writeln!(out, "{:>28} | {:>6}", "MEMOIR pass", "SLOC")?;
+    writeln!(out, "{}", "-".repeat(40))?;
     for (label, file) in [
         ("DEE", "crates/memoir-opt/src/dee.rs"),
         ("DFE", "crates/memoir-opt/src/dfe.rs"),
@@ -232,34 +245,36 @@ fn table2() {
         ("SSA construction", "crates/memoir-opt/src/ssa_construct.rs"),
         ("SSA destruction", "crates/memoir-opt/src/ssa_destruct.rs"),
     ] {
-        println!("{label:>28} | {:>6}", sloc(&root.join(file)));
+        writeln!(out, "{label:>28} | {:>6}", sloc(&root.join(file)))?;
     }
-    println!();
-    println!("{:>28} | {:>6}", "low-level-IR pass", "SLOC");
-    println!("{}", "-".repeat(40));
+    writeln!(out)?;
+    writeln!(out, "{:>28} | {:>6}", "low-level-IR pass", "SLOC")?;
+    writeln!(out, "{}", "-".repeat(40))?;
     for (label, file) in [
         ("GVN (NewGVN analogue)", "crates/lir/src/gvn.rs"),
         ("Sink", "crates/lir/src/sinkpass.rs"),
         ("ConstantFold", "crates/lir/src/constfold.rs"),
     ] {
-        println!("{label:>28} | {:>6}", sloc(&root.join(file)));
+        writeln!(out, "{label:>28} | {:>6}", sloc(&root.join(file)))?;
     }
+    Ok(())
 }
 
 /// Table III: MEMOIR compile time at O0/O3 and the collection census
 /// (source / SSA / binary), demonstrating that SSA construction and
 /// destruction introduce no spurious copies.
-fn table3() {
+fn table3(out: Out) -> io::Result<()> {
     let compile_at = |m: &Module, level| {
         let mut m = m.clone();
         memoir_opt::compile(&mut m, level).expect("pipeline")
     };
-    header("Table III — compile time and collection census");
-    println!(
+    header(out, "Table III — compile time and collection census")?;
+    writeln!(
+        out,
         "{:>12} | {:>12} {:>12} | {:>8} {:>6} {:>8} | {:>14}",
         "benchmark", "MEMOIR O0", "MEMOIR O3", "source", "SSA", "binary", "destruct copies"
-    );
-    println!("{}", "-".repeat(96));
+    )?;
+    writeln!(out, "{}", "-".repeat(96))?;
     for (name, module) in compilation_subjects() {
         let source = module.collection_census();
         // The median time of five runs, and the last run's report.
@@ -278,7 +293,8 @@ fn table3() {
         let _ = compile_at(&module, OptLevel::O0);
         let (o0_ms, o0r) = timed(OptLevel::O0);
         let (o3_ms, o3r) = timed(o3_all());
-        println!(
+        writeln!(
+            out,
             "{:>12} | {:>10.2}ms {:>10.2}ms | {:>8} {:>6} {:>8} | {:>14}",
             name,
             o0_ms,
@@ -287,38 +303,45 @@ fn table3() {
             o0r.ssa_census.ssa_variables,
             o3r.final_census.allocations,
             o0r.destruct_copies,
-        );
+        )?;
         assert_eq!(o0r.destruct_copies, 0, "no spurious copies at O0");
     }
-    println!("\n(`destruct copies` = collection copies materialized by SSA destruction;");
-    println!(" the paper's Table III claim is that this is zero.)");
+    writeln!(
+        out,
+        "\n(`destruct copies` = collection copies materialized by SSA destruction;"
+    )?;
+    writeln!(out, " the paper's Table III claim is that this is zero.)")?;
+    Ok(())
 }
 
 /// Figures 6 and 7: one ledger number of the ported benchmarks under the
 /// ALL configuration, relative to the baseline pipeline.
-fn ported(title: &str, metric: fn(&Ledger) -> f64, paper: &str) {
-    header(title);
+fn ported(out: Out, title: &str, metric: fn(&Ledger) -> f64, paper: &str) -> io::Result<()> {
+    header(out, title)?;
     let p = McfParams::default();
     let base = run_mcf(&p, McfVariant::default());
     let all = run_mcf(&p, McfVariant::all());
     pct(
+        out,
         "mcf (MEMOIR ALL)",
         metric(&all.ledger) / metric(&base.ledger) - 1.0,
-    );
+    )?;
     let p = DeepsjengParams::default();
     let base = run_deepsjeng(&p, DeepsjengVariant::default());
     let all = run_deepsjeng(&p, DeepsjengVariant { fe_key_fold: true });
     pct(
+        out,
         "deepsjeng (MEMOIR ALL)",
         metric(&all.ledger) / metric(&base.ledger) - 1.0,
-    );
-    println!("\n{paper}");
+    )?;
+    writeln!(out, "\n{paper}")?;
+    Ok(())
 }
 
 /// Figures 8 and 9: one ledger number of each mcf optimization, in
 /// isolation and concert, relative to the baseline (paper §VII-C).
-fn mcf_breakdown(title: &str, metric: fn(&Ledger) -> f64, paper: &str) {
-    header(title);
+fn mcf_breakdown(out: Out, title: &str, metric: fn(&Ledger) -> f64, paper: &str) -> io::Result<()> {
+    header(out, title)?;
     let p = McfParams::default();
     let sweep: Vec<(&str, f64)> = mcf_variants()
         .into_iter()
@@ -326,58 +349,71 @@ fn mcf_breakdown(title: &str, metric: fn(&Ledger) -> f64, paper: &str) {
         .collect();
     let base = sweep[0].1;
     for (name, value) in sweep {
-        pct(name, value / base - 1.0);
+        pct(out, name, value / base - 1.0)?;
     }
-    println!("\n{paper}");
+    writeln!(out, "\n{paper}")?;
+    Ok(())
 }
 
 /// Figure 10: percentage of global value numbers introduced for memory
 /// operations in the low-level GVN (paper §VII-D).
-fn fig10() {
-    header("Figure 10 — % value numbers for memory (GVN)");
+fn fig10(out: Out) -> io::Result<()> {
+    header(out, "Figure 10 — % value numbers for memory (GVN)")?;
     for (name, mut m) in lowered_subjects() {
         let stats = lir::gvn(&mut m);
-        println!(
+        writeln!(
+            out,
             "{:>12}  {:5.1}%   ({} of {} value numbers)",
             name,
             stats.memory_fraction() * 100.0,
             stats.memory_value_numbers,
             stats.total_value_numbers
-        );
+        )?;
     }
-    println!("\n(paper: 30–52.8% across SPECINT; memory VNs dominate hot benchmarks)");
+    writeln!(
+        out,
+        "\n(paper: 30–52.8% across SPECINT; memory VNs dominate hot benchmarks)"
+    )?;
+    Ok(())
 }
 
 /// Figure 11: the Sink pass attempt breakdown — success / blocked by
 /// may-write / blocked by may-reference (paper §VII-D).
-fn fig11() {
-    header("Figure 11 — Sink attempt breakdown");
-    println!(
+fn fig11(out: Out) -> io::Result<()> {
+    header(out, "Figure 11 — Sink attempt breakdown")?;
+    writeln!(
+        out,
         "{:>12} {:>10} {:>12} {:>16}",
         "benchmark", "success", "may write", "may reference"
-    );
+    )?;
     for (name, mut m) in lowered_subjects() {
         let stats = lir::sink(&mut m);
         let total = stats.attempts().max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "{:>12} {:>9.1}% {:>11.1}% {:>15.1}%",
             name,
             stats.success as f64 / total * 100.0,
             stats.blocked_may_write as f64 / total * 100.0,
             stats.blocked_may_reference as f64 / total * 100.0,
-        );
+        )?;
     }
-    println!("\n(paper: ~15–42% success; the rest blocked by memory barriers)");
+    writeln!(
+        out,
+        "\n(paper: ~15–42% success; the rest blocked by memory barriers)"
+    )?;
+    Ok(())
 }
 
 /// Figure 12: the ConstantFold attempt breakdown — scalar success / load
 /// success / load fail (paper §VII-D).
-fn fig12() {
-    header("Figure 12 — ConstantFold attempt breakdown");
-    println!(
+fn fig12(out: Out) -> io::Result<()> {
+    header(out, "Figure 12 — ConstantFold attempt breakdown")?;
+    writeln!(
+        out,
         "{:>12} {:>15} {:>13} {:>11}",
         "benchmark", "scalar success", "load success", "load fail"
-    );
+    )?;
     for (name, mut m) in lowered_subjects() {
         // mem2reg + GVN first (the production pipeline order): promoted
         // allocas and merged address computations are what give
@@ -386,34 +422,49 @@ fn fig12() {
         lir::gvn(&mut m);
         let stats = lir::constfold(&mut m);
         let total = stats.attempts().max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "{:>12} {:>14.1}% {:>12.1}% {:>10.1}%",
             name,
             stats.scalar_success as f64 / total * 100.0,
             stats.load_success as f64 / total * 100.0,
             stats.load_fail as f64 / total * 100.0,
-        );
+        )?;
     }
-    println!("\n(paper: load folds mostly fail in the lowered form; MEMOIR's");
-    println!(" element-level constprop succeeds on the same programs — see");
-    println!(" `memoir-opt::constprop` and the listing1 integration test.)");
+    writeln!(
+        out,
+        "\n(paper: load folds mostly fail in the lowered form; MEMOIR's"
+    )?;
+    writeln!(
+        out,
+        " element-level constprop succeeds on the same programs — see"
+    )?;
+    writeln!(
+        out,
+        " `memoir-opt::constprop` and the listing1 integration test.)"
+    )?;
+    Ok(())
 }
 
 /// E12: the interpreted mcf kernel, baseline vs the automatically
 /// DEE-specialized build, across basket sizes — the
 /// `O(n log n) → O(n + B log B)` effect of §VII-C.
-fn e12() {
-    header("E12 — automatic DEE on the mcf IR kernel (interp cost)");
+fn e12(out: Out) -> io::Result<()> {
+    header(
+        out,
+        "E12 — automatic DEE on the mcf IR kernel (interp cost)",
+    )?;
     let baseline = workloads::mcf_ir::build_mcf_ir();
     let mut dee = workloads::mcf_ir::build_mcf_ir();
     memoir_opt::construct_ssa(&mut dee).unwrap();
     let stats = memoir_opt::dee_specialize_calls(&mut dee);
     memoir_opt::destruct_ssa(&mut dee);
-    println!("transform: {stats:?}");
-    println!(
+    writeln!(out, "transform: {stats:?}")?;
+    writeln!(
+        out,
         "{:>8} {:>4} {:>14} {:>14} {:>9}",
         "n0+K", "B", "baseline cost", "DEE cost", "speedup"
-    );
+    )?;
     for (n0, k) in [(1000i64, 500i64), (2000, 1000), (4000, 2000), (8000, 4000)] {
         let run = |m: &Module| {
             let mut i = Interp::new(m).with_fuel(4_000_000_000);
@@ -429,16 +480,21 @@ fn e12() {
         let (ob, cb) = run(&baseline);
         let (od, cd) = run(&dee);
         assert_eq!(ob, od, "exact-mode objectives match");
-        println!(
+        writeln!(
+            out,
             "{:>8} {:>4} {:>14.0} {:>14.0} {:>8.1}%",
             n0 + k,
             16,
             cb,
             cd,
             (1.0 - cd / cb) * 100.0
-        );
+        )?;
     }
-    println!("\n(the speedup grows with n while B stays fixed: O(n log n) → O(n + B log B))");
+    writeln!(
+        out,
+        "\n(the speedup grows with n while B stays fixed: O(n log n) → O(n + B log B))"
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]

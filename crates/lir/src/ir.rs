@@ -213,6 +213,45 @@ pub enum Op {
     Ret(Vec<Val>),
 }
 
+/// The one operand visit behind [`Op::visit`] and [`Op::visit_mut`]: the
+/// bindings are shared or mutable references as the visited op is.
+macro_rules! visit_operands {
+    ($op:expr, $f:ident) => {
+        match $op {
+            Op::Const(_) | Op::Alloca(_) | Op::Jmp(_) => {}
+            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
+                $f(a);
+                $f(b);
+            }
+            Op::Phi(incs) => {
+                for (_, v) in incs {
+                    $f(v);
+                }
+            }
+            Op::Malloc(v) | Op::Free(v) | Op::Load(v) => $f(v),
+            Op::Store { addr, value } => {
+                $f(addr);
+                $f(value);
+            }
+            Op::Gep { base, offset } => {
+                $f(base);
+                $f(offset);
+            }
+            Op::Call { args, .. } | Op::CallRt { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Op::Br { cond, .. } => $f(cond),
+            Op::Ret(vs) => {
+                for v in vs {
+                    $f(v);
+                }
+            }
+        }
+    };
+}
+
 impl Op {
     /// Whether this terminates a block.
     pub fn is_terminator(&self) -> bool {
@@ -257,74 +296,12 @@ impl Op {
 
     /// Visits operands immutably.
     pub fn visit(&self, mut f: impl FnMut(&Val)) {
-        match self {
-            Op::Const(_) | Op::Alloca(_) | Op::Jmp(_) => {}
-            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
-                f(a);
-                f(b);
-            }
-            Op::Phi(incs) => {
-                for (_, v) in incs {
-                    f(v);
-                }
-            }
-            Op::Malloc(v) | Op::Free(v) | Op::Load(v) => f(v),
-            Op::Store { addr, value } => {
-                f(addr);
-                f(value);
-            }
-            Op::Gep { base, offset } => {
-                f(base);
-                f(offset);
-            }
-            Op::Call { args, .. } | Op::CallRt { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Op::Br { cond, .. } => f(cond),
-            Op::Ret(vs) => {
-                for v in vs {
-                    f(v);
-                }
-            }
-        }
+        visit_operands!(self, f)
     }
 
     /// Visits operands mutably.
     pub fn visit_mut(&mut self, mut f: impl FnMut(&mut Val)) {
-        match self {
-            Op::Const(_) | Op::Alloca(_) | Op::Jmp(_) => {}
-            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
-                f(a);
-                f(b);
-            }
-            Op::Phi(incs) => {
-                for (_, v) in incs {
-                    f(v);
-                }
-            }
-            Op::Malloc(v) | Op::Free(v) | Op::Load(v) => f(v),
-            Op::Store { addr, value } => {
-                f(addr);
-                f(value);
-            }
-            Op::Gep { base, offset } => {
-                f(base);
-                f(offset);
-            }
-            Op::Call { args, .. } | Op::CallRt { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Op::Br { cond, .. } => f(cond),
-            Op::Ret(vs) => {
-                for v in vs {
-                    f(v);
-                }
-            }
-        }
+        visit_operands!(self, f)
     }
 
     /// Successor blocks of a terminator.

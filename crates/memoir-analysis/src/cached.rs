@@ -7,7 +7,7 @@
 //! Results are cached until a pass declares it mutated the function —
 //! "analyses as first-class cached artifacts shared across rewrites".
 
-use crate::{Affinity, CallGraph, DefUse, DomTree, EscapeAnalysis, Liveness, Purity, TypeEscape};
+use crate::{Affinity, CallGraph, DefUse, DomTree, Purity, TypeEscape};
 use memoir_ir::{FuncId, Module};
 use passman::{Analysis, ModuleAnalysis};
 
@@ -32,30 +32,6 @@ impl Analysis<Module> for CachedDomTree {
     const NAME: &'static str = "dom-tree";
     fn compute(m: &Module, f: FuncId) -> DomTree {
         DomTree::compute(&m.funcs[f])
-    }
-}
-
-/// Cached scalar SSA liveness ([`Liveness`]).
-#[derive(Debug)]
-pub struct CachedLiveness;
-
-impl Analysis<Module> for CachedLiveness {
-    type Output = Liveness;
-    const NAME: &'static str = "liveness";
-    fn compute(m: &Module, f: FuncId) -> Liveness {
-        Liveness::compute(&m.funcs[f])
-    }
-}
-
-/// Cached allocation-site escape analysis ([`EscapeAnalysis`]).
-#[derive(Debug)]
-pub struct CachedEscape;
-
-impl Analysis<Module> for CachedEscape {
-    type Output = EscapeAnalysis;
-    const NAME: &'static str = "escape";
-    fn compute(m: &Module, f: FuncId) -> EscapeAnalysis {
-        EscapeAnalysis::compute(m, &m.funcs[f])
     }
 }
 

@@ -1,11 +1,11 @@
 //! Ergonomic construction of MEMOIR functions.
 //!
-//! [`FunctionBuilder`] keeps a cursor on a current block and derives result
-//! types from operand types, so frontends and tests can build IR without
-//! spelling out every type. It is deliberately thin: it never reorders or
+//! [`FunctionBuilder`] keeps a cursor on a current block and types each
+//! result by the instruction table's rule ([`InstKind::result_types`]),
+//! so frontends and tests can build IR without spelling out every type. It is deliberately thin: it never reorders or
 //! optimizes what it is given.
 
-use crate::ids::{BlockId, InstId, ObjTypeId, TypeId, ValueId};
+use crate::ids::{BlockId, ObjTypeId, TypeId, ValueId};
 use crate::inst::{BinOp, Callee, CmpOp, Constant, InstKind};
 use crate::{Form, Function, Module, Type, TypeTable};
 
@@ -73,12 +73,25 @@ impl<'a> FunctionBuilder<'a> {
         v
     }
 
-    fn emit(&mut self, kind: InstKind, tys: &[TypeId]) -> (InstId, Vec<ValueId>) {
-        self.func.append_inst(self.cur, kind, tys)
+    /// Appends `kind` at the cursor, its results typed by the instruction
+    /// table's rule (`declared` is φ's annotation or a callee's return
+    /// types). Panics when no result type can be derived, e.g. a `read`
+    /// of a scalar.
+    fn emit(&mut self, kind: InstKind, declared: &[TypeId]) -> Vec<ValueId> {
+        let tys = self.result_tys(&kind, declared);
+        self.func.append_inst(self.cur, kind, &tys).1
     }
 
-    fn emit1(&mut self, kind: InstKind, ty: TypeId) -> ValueId {
-        self.emit(kind, &[ty]).1[0]
+    fn emit1(&mut self, kind: InstKind) -> ValueId {
+        self.emit(kind, &[])[0]
+    }
+
+    fn result_tys(&mut self, kind: &InstKind, declared: &[TypeId]) -> Vec<TypeId> {
+        let func = &self.func;
+        let tys = kind
+            .result_types(self.types, |v| func.value_ty(v), declared)
+            .unwrap_or_else(|e| panic!("ill-typed {kind:?}: {e}"));
+        tys.into_iter().map(|t| self.types.intern(t)).collect()
     }
 
     // ------------------------------------------------------------- constants
@@ -129,8 +142,7 @@ impl<'a> FunctionBuilder<'a> {
 
     /// Binary operation; result has the operand type.
     pub fn bin(&mut self, op: BinOp, lhs: ValueId, rhs: ValueId) -> ValueId {
-        let ty = self.func.value_ty(lhs);
-        self.emit1(InstKind::Bin { op, lhs, rhs }, ty)
+        self.emit1(InstKind::Bin { op, lhs, rhs })
     }
 
     /// Addition.
@@ -150,27 +162,22 @@ impl<'a> FunctionBuilder<'a> {
 
     /// Comparison producing `bool`.
     pub fn cmp(&mut self, op: CmpOp, lhs: ValueId, rhs: ValueId) -> ValueId {
-        let b = self.ty(Type::Bool);
-        self.emit1(InstKind::Cmp { op, lhs, rhs }, b)
+        self.emit1(InstKind::Cmp { op, lhs, rhs })
     }
 
     /// Numeric cast.
     pub fn cast(&mut self, to: Type, value: ValueId) -> ValueId {
         let to = self.ty(to);
-        self.emit1(InstKind::Cast { to, value }, to)
+        self.emit1(InstKind::Cast { to, value })
     }
 
     /// Ternary select.
     pub fn select(&mut self, cond: ValueId, t: ValueId, e: ValueId) -> ValueId {
-        let ty = self.func.value_ty(t);
-        self.emit1(
-            InstKind::Select {
-                cond,
-                then_value: t,
-                else_value: e,
-            },
-            ty,
-        )
+        self.emit1(InstKind::Select {
+            cond,
+            then_value: t,
+            else_value: e,
+        })
     }
 
     /// Creates a φ with the given incomings.
@@ -181,10 +188,9 @@ impl<'a> FunctionBuilder<'a> {
             .iter()
             .take_while(|&&i| self.func.insts[i].kind.is_phi())
             .count();
-        let cur = self.cur;
-        self.func
-            .insert_inst_at(cur, pos, InstKind::Phi { incoming }, &[ty])
-            .1[0]
+        let kind = InstKind::Phi { incoming };
+        let tys = self.result_tys(&kind, &[ty]);
+        self.func.insert_inst_at(self.cur, pos, kind, &tys).1[0]
     }
 
     /// Creates an empty φ to be filled later via [`FunctionBuilder::add_phi_incoming`]
@@ -205,7 +211,7 @@ impl<'a> FunctionBuilder<'a> {
     /// Calls a module function; result types must be supplied by the caller
     /// (they are the callee's return types).
     pub fn call(&mut self, callee: Callee, args: Vec<ValueId>, ret_tys: &[TypeId]) -> Vec<ValueId> {
-        self.emit(InstKind::Call { callee, args }, ret_tys).1
+        self.emit(InstKind::Call { callee, args }, ret_tys)
     }
 
     // --------------------------------------------------------------- control
@@ -236,20 +242,17 @@ impl<'a> FunctionBuilder<'a> {
 
     /// `new Seq<elem>(len)`.
     pub fn new_seq(&mut self, elem: TypeId, len: ValueId) -> ValueId {
-        let ty = self.types.seq_of(elem);
-        self.emit1(InstKind::NewSeq { elem, len }, ty)
+        self.emit1(InstKind::NewSeq { elem, len })
     }
 
     /// `new Assoc<K, V>`.
     pub fn new_assoc(&mut self, key: TypeId, value: TypeId) -> ValueId {
-        let ty = self.types.assoc_of(key, value);
-        self.emit1(InstKind::NewAssoc { key, value }, ty)
+        self.emit1(InstKind::NewAssoc { key, value })
     }
 
     /// `new T` object allocation.
     pub fn new_obj(&mut self, obj: ObjTypeId) -> ValueId {
-        let ty = self.types.ref_of(obj);
-        self.emit1(InstKind::NewObj { obj }, ty)
+        self.emit1(InstKind::NewObj { obj })
     }
 
     /// `delete(obj)`.
@@ -257,73 +260,49 @@ impl<'a> FunctionBuilder<'a> {
         self.emit(InstKind::DeleteObj { obj }, &[]);
     }
 
-    /// Element type when reading from a collection-typed value.
-    pub fn element_ty(&self, c: ValueId) -> TypeId {
-        match self.types.get(self.func.value_ty(c)) {
-            Type::Seq(e) => e,
-            Type::Assoc(_, v) => v,
-            other => panic!("element_ty of non-collection {other:?}"),
-        }
-    }
-
     /// `READ(c, idx)`.
     pub fn read(&mut self, c: ValueId, idx: ValueId) -> ValueId {
-        let ty = self.element_ty(c);
-        self.emit1(InstKind::Read { c, idx }, ty)
+        self.emit1(InstKind::Read { c, idx })
     }
 
     /// SSA `WRITE`.
     pub fn write(&mut self, c: ValueId, idx: ValueId, value: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Write { c, idx, value }, ty)
+        self.emit1(InstKind::Write { c, idx, value })
     }
 
     /// SSA fused `RMW`: `c' = WRITE(c, idx, op(READ(c, idx), value))`.
     pub fn rmw(&mut self, c: ValueId, idx: ValueId, op: BinOp, value: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Rmw { c, idx, op, value }, ty)
+        self.emit1(InstKind::Rmw { c, idx, op, value })
     }
 
     /// SSA `INSERT` of a single element.
     pub fn insert(&mut self, c: ValueId, idx: ValueId, value: Option<ValueId>) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Insert { c, idx, value }, ty)
-    }
-
-    /// SSA sequence splice `INSERT(s, i, src)`.
-    pub fn insert_seq(&mut self, c: ValueId, idx: ValueId, src: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::InsertSeq { c, idx, src }, ty)
+        self.emit1(InstKind::Insert { c, idx, value })
     }
 
     /// SSA `REMOVE` of one element.
     pub fn remove(&mut self, c: ValueId, idx: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Remove { c, idx }, ty)
+        self.emit1(InstKind::Remove { c, idx })
     }
 
     /// SSA `REMOVE` of a range.
     pub fn remove_range(&mut self, c: ValueId, from: ValueId, to: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::RemoveRange { c, from, to }, ty)
+        self.emit1(InstKind::RemoveRange { c, from, to })
     }
 
     /// SSA `COPY` of a whole collection.
     pub fn copy(&mut self, c: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Copy { c }, ty)
+        self.emit1(InstKind::Copy { c })
     }
 
     /// SSA `COPY` of a range.
     pub fn copy_range(&mut self, c: ValueId, from: ValueId, to: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::CopyRange { c, from, to }, ty)
+        self.emit1(InstKind::CopyRange { c, from, to })
     }
 
     /// SSA one-sequence `SWAP`.
     pub fn swap(&mut self, c: ValueId, from: ValueId, to: ValueId, at: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::Swap { c, from, to, at }, ty)
+        self.emit1(InstKind::Swap { c, from, to, at })
     }
 
     /// SSA two-sequence `SWAP`; returns the two updated sequences.
@@ -335,48 +314,30 @@ impl<'a> FunctionBuilder<'a> {
         b: ValueId,
         at: ValueId,
     ) -> (ValueId, ValueId) {
-        let ta = self.func.value_ty(a);
-        let tb = self.func.value_ty(b);
-        let r = self
-            .emit(InstKind::Swap2 { a, from, to, b, at }, &[ta, tb])
-            .1;
+        let r = self.emit(InstKind::Swap2 { a, from, to, b, at }, &[]);
         (r[0], r[1])
     }
 
     /// `SIZE(c)`.
     pub fn size(&mut self, c: ValueId) -> ValueId {
-        let t = self.ty(Type::Index);
-        self.emit1(InstKind::Size { c }, t)
+        self.emit1(InstKind::Size { c })
     }
 
     /// `HAS(assoc, key)`.
     pub fn has(&mut self, c: ValueId, key: ValueId) -> ValueId {
-        let t = self.ty(Type::Bool);
-        self.emit1(InstKind::Has { c, key }, t)
+        self.emit1(InstKind::Has { c, key })
     }
 
     /// `KEYS(assoc)` — a sequence of the key type.
     pub fn keys(&mut self, c: ValueId) -> ValueId {
-        let key_ty = match self.types.get(self.func.value_ty(c)) {
-            Type::Assoc(k, _) => k,
-            other => panic!("keys of non-assoc {other:?}"),
-        };
-        let ty = self.types.seq_of(key_ty);
-        self.emit1(InstKind::Keys { c }, ty)
-    }
-
-    /// `USEφ(c)`.
-    pub fn use_phi(&mut self, c: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::UsePhi { c }, ty)
+        self.emit1(InstKind::Keys { c })
     }
 
     // ---------------------------------------------------------------- fields
 
     /// Field array read `READ(F_{T.f}, obj)`.
     pub fn field_read(&mut self, obj: ValueId, obj_ty: ObjTypeId, field: u32) -> ValueId {
-        let ty = self.types.object(obj_ty).fields[field as usize].ty;
-        self.emit1(InstKind::FieldRead { obj, obj_ty, field }, ty)
+        self.emit1(InstKind::FieldRead { obj, obj_ty, field })
     }
 
     /// Field array write.
@@ -409,11 +370,6 @@ impl<'a> FunctionBuilder<'a> {
         self.emit(InstKind::MutInsert { c, idx, value }, &[]);
     }
 
-    /// `mut.insert(s, i, src)`.
-    pub fn mut_insert_seq(&mut self, c: ValueId, idx: ValueId, src: ValueId) {
-        self.emit(InstKind::MutInsertSeq { c, idx, src }, &[]);
-    }
-
     /// `mut.remove(c, idx)`.
     pub fn mut_remove(&mut self, c: ValueId, idx: ValueId) {
         self.emit(InstKind::MutRemove { c, idx }, &[]);
@@ -441,8 +397,7 @@ impl<'a> FunctionBuilder<'a> {
 
     /// `s2 = mut.split(s, from, to)`.
     pub fn mut_split(&mut self, c: ValueId, from: ValueId, to: ValueId) -> ValueId {
-        let ty = self.func.value_ty(c);
-        self.emit1(InstKind::MutSplit { c, from, to }, ty)
+        self.emit1(InstKind::MutSplit { c, from, to })
     }
 }
 

@@ -19,6 +19,7 @@
 //! by both forms and are always in SSA.
 
 use crate::ids::{BlockId, ExternId, FuncId, ObjTypeId, TypeId, ValueId};
+use crate::{Type, TypeTable};
 use std::fmt;
 
 /// A compile-time constant value.
@@ -27,10 +28,10 @@ pub enum Constant {
     /// An integer of the given integer type (`index` included); the payload
     /// is the value sign-extended to 64 bits (or zero-extended for unsigned
     /// types).
-    Int(crate::Type, i64),
+    Int(Type, i64),
     /// A float of the given float type, stored as raw bits so constants are
     /// hashable.
-    Float(crate::Type, u64),
+    Float(Type, u64),
     /// A boolean.
     Bool(bool),
     /// The null reference of the given object type.
@@ -39,33 +40,33 @@ pub enum Constant {
 
 impl Constant {
     /// The type of this constant.
-    pub fn ty(self) -> crate::Type {
+    pub fn ty(self) -> Type {
         match self {
             Constant::Int(ty, _) => ty,
             Constant::Float(ty, _) => ty,
-            Constant::Bool(_) => crate::Type::Bool,
-            Constant::Null(obj) => crate::Type::Ref(obj),
+            Constant::Bool(_) => Type::Bool,
+            Constant::Null(obj) => Type::Ref(obj),
         }
     }
 
     /// Convenience constructor for an `index` constant.
     pub fn index(v: u64) -> Self {
-        Constant::Int(crate::Type::Index, v as i64)
+        Constant::Int(Type::Index, v as i64)
     }
 
     /// Convenience constructor for an `i64` constant.
     pub fn i64(v: i64) -> Self {
-        Constant::Int(crate::Type::I64, v)
+        Constant::Int(Type::I64, v)
     }
 
     /// Convenience constructor for an `i32` constant.
     pub fn i32(v: i32) -> Self {
-        Constant::Int(crate::Type::I32, v as i64)
+        Constant::Int(Type::I32, v as i64)
     }
 
     /// Convenience constructor for an `f64` constant.
     pub fn f64(v: f64) -> Self {
-        Constant::Float(crate::Type::F64, v.to_bits())
+        Constant::Float(Type::F64, v.to_bits())
     }
 
     /// The integer payload, if this is an integer constant.
@@ -119,11 +120,32 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [BinOp; 12] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+
+    /// The operator spelled `m` (see [`mnemonic`](Self::mnemonic)).
+    pub fn from_mnemonic(m: &str) -> Option<BinOp> {
+        BinOp::ALL.into_iter().find(|op| op.mnemonic() == m)
+    }
+
     /// The integer semantics every MEMOIR executor and folder shares, on
     /// raw `i64` payloads: wrapping arithmetic, shifts by the low six bits
     /// of `y`, signed `min`/`max`. `None` is a division or remainder by
     /// zero (a trap, never a value). The result is not yet truncated to
-    /// the operand type: see [`Type::truncate`](crate::Type::truncate).
+    /// the operand type: see [`Type::truncate`](Type::truncate).
     #[inline]
     pub fn eval(self, x: i64, y: i64) -> Option<i64> {
         Some(match self {
@@ -188,6 +210,21 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// The operator spelled `m` (see [`mnemonic`](Self::mnemonic)).
+    pub fn from_mnemonic(m: &str) -> Option<CmpOp> {
+        CmpOp::ALL.into_iter().find(|op| op.mnemonic() == m)
+    }
+
     /// Surface mnemonic used by the printer/parser.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -215,7 +252,7 @@ impl CmpOp {
 
     /// The integer comparison every MEMOIR executor and folder shares,
     /// on raw `i64` payloads ordered as unsigned when `unsigned` (see
-    /// [`Type::is_unsigned`](crate::Type::is_unsigned)).
+    /// [`Type::is_unsigned`](Type::is_unsigned)).
     #[inline]
     pub fn eval(self, unsigned: bool, x: i64, y: i64) -> bool {
         self.holds(if unsigned {
@@ -771,215 +808,75 @@ impl InstKind {
         out
     }
 
-    /// Visits every value operand immutably.
-    pub fn visit_operands(&self, mut f: impl FnMut(&ValueId)) {
-        // Delegate to the mutable visitor through a clone-free match by
-        // duplicating the traversal. To avoid divergence, both visitors are
-        // generated from the same match arms below.
+    /// The types of this instruction's results, in order: the §IV typing
+    /// rule, from operand types (`value_ty`) and immediates. Two kinds
+    /// take theirs from `declared`: φ has the one type it is annotated
+    /// with, and `call` its callee's return types. `Err` names an
+    /// operand or immediate no result type can be derived from.
+    pub fn result_types(
+        &self,
+        types: &TypeTable,
+        value_ty: impl Fn(ValueId) -> TypeId,
+        declared: &[TypeId],
+    ) -> Result<Vec<Type>, String> {
         use InstKind::*;
-        match self {
-            Bin { lhs, rhs, .. } | Cmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Cast { value, .. } => f(value),
-            Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                f(cond);
-                f(then_value);
-                f(else_value);
-            }
-            Phi { incoming } => {
-                for (_, v) in incoming {
-                    f(v);
+        let ty = |v: ValueId| types.get(value_ty(v));
+        Ok(match self {
+            Bin { lhs, .. } => vec![ty(*lhs)],
+            Cmp { .. } | Has { .. } => vec![Type::Bool],
+            Cast { to, .. } => vec![types.get(*to)],
+            Select { then_value, .. } => vec![ty(*then_value)],
+            Phi { .. } => match declared {
+                [t] => vec![types.get(*t)],
+                _ => return Err(format!("phi defines one result, not {}", declared.len())),
+            },
+            Call { .. } => declared.iter().map(|&t| types.get(t)).collect(),
+            NewSeq { elem, .. } => vec![Type::Seq(*elem)],
+            NewAssoc { key, value } => vec![Type::Assoc(*key, *value)],
+            NewObj { obj } => vec![Type::Ref(*obj)],
+            Read { c, .. } => match ty(*c) {
+                Type::Seq(e) | Type::Assoc(_, e) => vec![types.get(e)],
+                other => return Err(format!("read of non-collection {other:?}")),
+            },
+            Write { c, .. }
+            | Rmw { c, .. }
+            | Insert { c, .. }
+            | InsertSeq { c, .. }
+            | Remove { c, .. }
+            | RemoveRange { c, .. }
+            | Copy { c }
+            | CopyRange { c, .. }
+            | Swap { c, .. }
+            | UsePhi { c }
+            | MutSplit { c, .. } => vec![ty(*c)],
+            Swap2 { a, b, .. } => vec![ty(*a), ty(*b)],
+            Size { .. } => vec![Type::Index],
+            Keys { c } => match ty(*c) {
+                Type::Assoc(k, _) => vec![Type::Seq(k)],
+                other => return Err(format!("keys of non-assoc {other:?}")),
+            },
+            FieldRead { obj_ty, field, .. } => {
+                match types.object(*obj_ty).fields.get(*field as usize) {
+                    Some(f) => vec![types.get(f.ty)],
+                    None => return Err(format!("field index {field} out of range")),
                 }
             }
-            Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Jump { .. } | Unreachable => {}
-            Branch { cond, .. } => f(cond),
-            Ret { values } => {
-                for v in values {
-                    f(v);
-                }
-            }
-            NewSeq { len, .. } => f(len),
-            NewAssoc { .. } | NewObj { .. } => {}
-            DeleteObj { obj } => f(obj),
-            Read { c, idx } => {
-                f(c);
-                f(idx);
-            }
-            Write { c, idx, value }
-            | MutWrite { c, idx, value }
-            | Rmw { c, idx, value, .. }
-            | MutRmw { c, idx, value, .. } => {
-                f(c);
-                f(idx);
-                f(value);
-            }
-            Insert { c, idx, value } | MutInsert { c, idx, value } => {
-                f(c);
-                f(idx);
-                if let Some(v) = value {
-                    f(v);
-                }
-            }
-            InsertSeq { c, idx, src } | MutInsertSeq { c, idx, src } => {
-                f(c);
-                f(idx);
-                f(src);
-            }
-            Remove { c, idx } | MutRemove { c, idx } => {
-                f(c);
-                f(idx);
-            }
-            RemoveRange { c, from, to }
-            | CopyRange { c, from, to }
-            | MutRemoveRange { c, from, to }
-            | MutSplit { c, from, to } => {
-                f(c);
-                f(from);
-                f(to);
-            }
-            Copy { c } | Size { c } | Keys { c } | UsePhi { c } => f(c),
-            Swap { c, from, to, at } | MutSwap { c, from, to, at } => {
-                f(c);
-                f(from);
-                f(to);
-                f(at);
-            }
-            Swap2 { a, from, to, b, at } | MutSwap2 { a, from, to, b, at } => {
-                f(a);
-                f(from);
-                f(to);
-                f(b);
-                f(at);
-            }
-            Has { c, key } => {
-                f(c);
-                f(key);
-            }
-            MutAppend { c, src } => {
-                f(c);
-                f(src);
-            }
-            FieldRead { obj, .. } => f(obj),
-            FieldWrite { obj, value, .. } => {
-                f(obj);
-                f(value);
-            }
-        }
-    }
-
-    /// Visits every value operand mutably (used to rewrite uses).
-    pub fn visit_operands_mut(&mut self, mut f: impl FnMut(&mut ValueId)) {
-        use InstKind::*;
-        match self {
-            Bin { lhs, rhs, .. } | Cmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Cast { value, .. } => f(value),
-            Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                f(cond);
-                f(then_value);
-                f(else_value);
-            }
-            Phi { incoming } => {
-                for (_, v) in incoming {
-                    f(v);
-                }
-            }
-            Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Jump { .. } | Unreachable => {}
-            Branch { cond, .. } => f(cond),
-            Ret { values } => {
-                for v in values {
-                    f(v);
-                }
-            }
-            NewSeq { len, .. } => f(len),
-            NewAssoc { .. } | NewObj { .. } => {}
-            DeleteObj { obj } => f(obj),
-            Read { c, idx } => {
-                f(c);
-                f(idx);
-            }
-            Write { c, idx, value }
-            | MutWrite { c, idx, value }
-            | Rmw { c, idx, value, .. }
-            | MutRmw { c, idx, value, .. } => {
-                f(c);
-                f(idx);
-                f(value);
-            }
-            Insert { c, idx, value } | MutInsert { c, idx, value } => {
-                f(c);
-                f(idx);
-                if let Some(v) = value {
-                    f(v);
-                }
-            }
-            InsertSeq { c, idx, src } | MutInsertSeq { c, idx, src } => {
-                f(c);
-                f(idx);
-                f(src);
-            }
-            Remove { c, idx } | MutRemove { c, idx } => {
-                f(c);
-                f(idx);
-            }
-            RemoveRange { c, from, to }
-            | CopyRange { c, from, to }
-            | MutRemoveRange { c, from, to }
-            | MutSplit { c, from, to } => {
-                f(c);
-                f(from);
-                f(to);
-            }
-            Copy { c } | Size { c } | Keys { c } | UsePhi { c } => f(c),
-            Swap { c, from, to, at } | MutSwap { c, from, to, at } => {
-                f(c);
-                f(from);
-                f(to);
-                f(at);
-            }
-            Swap2 { a, from, to, b, at } | MutSwap2 { a, from, to, b, at } => {
-                f(a);
-                f(from);
-                f(to);
-                f(b);
-                f(at);
-            }
-            Has { c, key } => {
-                f(c);
-                f(key);
-            }
-            MutAppend { c, src } => {
-                f(c);
-                f(src);
-            }
-            FieldRead { obj, .. } => f(obj),
-            FieldWrite { obj, value, .. } => {
-                f(obj);
-                f(value);
-            }
-        }
+            Jump { .. }
+            | Branch { .. }
+            | Ret { .. }
+            | Unreachable
+            | DeleteObj { .. }
+            | FieldWrite { .. }
+            | MutWrite { .. }
+            | MutRmw { .. }
+            | MutInsert { .. }
+            | MutInsertSeq { .. }
+            | MutRemove { .. }
+            | MutRemoveRange { .. }
+            | MutAppend { .. }
+            | MutSwap { .. }
+            | MutSwap2 { .. } => Vec::new(),
+        })
     }
 
     /// Successor blocks named by a terminator (empty for non-terminators).
@@ -1015,6 +912,176 @@ impl InstKind {
             }
             _ => {}
         }
+    }
+}
+
+/// The instruction table: one row per flat form `mnemonic v, v, …`,
+/// giving its variant, mnemonic and operands in print order (`bin` and
+/// `cmp` rows spell the mnemonic with their operator: `add`,
+/// `cmp.lt`), then the operand visit of every form with immediates.
+/// The rows generate `InstKind::flat` (the printer's flat forms),
+/// `InstKind::from_flat` (the parser's), and both operand visitors.
+macro_rules! instruction_table {
+    (
+        operators { $( $ov:ident($oty:ident, $prefix:literal) [$($oo:ident),*] )* }
+        flat { $( $fv:ident $fm:literal [$($fo:ident),*] )* }
+        optional { $( $qv:ident $qm:literal [$($qo:ident),*; $qopt:ident] )* }
+        list { $( $lv:ident $lm:literal [$list:ident] )* }
+        immediates($f:ident) { $( $pat:pat => $visit:expr, )* }
+    ) => {
+        impl InstKind {
+            /// Hands a flat form's mnemonic as `(prefix, name)`, e.g.
+            /// `("cmp.", "lt")`, and its operands in print order to
+            /// `write`; `None` for forms with immediates.
+            pub(crate) fn flat<R>(
+                &self,
+                write: impl FnOnce(&'static str, &'static str, &[ValueId]) -> R,
+            ) -> Option<R> {
+                Some(match self {
+                    $(
+                        InstKind::$ov { op, $($oo,)* .. } => {
+                            write($prefix, op.mnemonic(), &[$(*$oo),*])
+                        }
+                    )*
+                    $( InstKind::$fv { $($fo),* } => write("", $fm, &[$(*$fo),*]), )*
+                    $(
+                        InstKind::$qv { $($qo,)* $qopt } => match $qopt {
+                            Some(v) => write("", $qm, &[$(*$qo,)* *v]),
+                            None => write("", $qm, &[$(*$qo),*]),
+                        },
+                    )*
+                    $( InstKind::$lv { $list } => write("", $lm, $list), )*
+                    _ => return None,
+                })
+            }
+
+            /// The flat form `mnemonic ops…`, if `mnemonic` names one
+            /// taking that many operands.
+            pub(crate) fn from_flat(mnemonic: &str, ops: &[ValueId]) -> Option<InstKind> {
+                $(
+                    if let Some(op) = mnemonic.strip_prefix($prefix).and_then($oty::from_mnemonic) {
+                        return match *ops {
+                            [$($oo),*] => Some(InstKind::$ov { op, $($oo),* }),
+                            _ => None,
+                        };
+                    }
+                )*
+                match (mnemonic, ops) {
+                    $( ($fm, &[$($fo),*]) => Some(InstKind::$fv { $($fo),* }), )*
+                    $( ($qm, &[$($qo),*]) => Some(InstKind::$qv { $($qo,)* $qopt: None }), )*
+                    $(
+                        ($qm, &[$($qo,)* $qopt]) => {
+                            Some(InstKind::$qv { $($qo,)* $qopt: Some($qopt) })
+                        }
+                    )*
+                    $( ($lm, $list) => Some(InstKind::$lv { $list: $list.to_vec() }), )*
+                    _ => None,
+                }
+            }
+
+            /// Visits every value operand immutably, in print order.
+            pub fn visit_operands(&self, mut $f: impl FnMut(&ValueId)) {
+                match self {
+                    $( InstKind::$ov { $($oo,)* .. } => { $( $f($oo); )* } )*
+                    $( InstKind::$fv { $($fo),* } => { $( $f($fo); )* } )*
+                    $(
+                        InstKind::$qv { $($qo,)* $qopt } => {
+                            $( $f($qo); )*
+                            if let Some(v) = $qopt {
+                                $f(v);
+                            }
+                        }
+                    )*
+                    $( InstKind::$lv { $list } => $list.iter().for_each($f), )*
+                    $( $pat => $visit, )*
+                }
+            }
+
+            /// Visits every value operand mutably (used to rewrite uses).
+            pub fn visit_operands_mut(&mut self, mut $f: impl FnMut(&mut ValueId)) {
+                match self {
+                    $( InstKind::$ov { $($oo,)* .. } => { $( $f($oo); )* } )*
+                    $( InstKind::$fv { $($fo),* } => { $( $f($fo); )* } )*
+                    $(
+                        InstKind::$qv { $($qo,)* $qopt } => {
+                            $( $f($qo); )*
+                            if let Some(v) = $qopt {
+                                $f(v);
+                            }
+                        }
+                    )*
+                    $( InstKind::$lv { $list } => $list.iter_mut().for_each($f), )*
+                    $( $pat => $visit, )*
+                }
+            }
+        }
+    };
+}
+
+instruction_table! {
+    operators {
+        Bin(BinOp, "") [lhs, rhs]
+        Cmp(CmpOp, "cmp.") [lhs, rhs]
+    }
+    flat {
+        Select "select" [cond, then_value, else_value]
+        DeleteObj "delete" [obj]
+        Read "read" [c, idx]
+        Write "write" [c, idx, value]
+        InsertSeq "insert.seq" [c, idx, src]
+        Remove "remove" [c, idx]
+        RemoveRange "remove.range" [c, from, to]
+        Copy "copy" [c]
+        CopyRange "copy.range" [c, from, to]
+        Swap "swap" [c, from, to, at]
+        Swap2 "swap2" [a, from, to, b, at]
+        Size "size" [c]
+        Has "has" [c, key]
+        Keys "keys" [c]
+        UsePhi "usephi" [c]
+        MutWrite "mut.write" [c, idx, value]
+        MutInsertSeq "mut.insert.seq" [c, idx, src]
+        MutRemove "mut.remove" [c, idx]
+        MutRemoveRange "mut.remove.range" [c, from, to]
+        MutAppend "mut.append" [c, src]
+        MutSwap "mut.swap" [c, from, to, at]
+        MutSwap2 "mut.swap2" [a, from, to, b, at]
+        MutSplit "mut.split" [c, from, to]
+    }
+    optional {
+        Insert "insert" [c, idx; value]
+        MutInsert "mut.insert" [c, idx; value]
+    }
+    list {
+        Ret "ret" [values]
+    }
+    immediates(f) {
+        InstKind::Cast { value, .. } | InstKind::NewSeq { len: value, .. } => f(value),
+        InstKind::Phi { incoming } => {
+            for (_, v) in incoming {
+                f(v);
+            }
+        },
+        InstKind::Call { args, .. } => {
+            for a in args {
+                f(a);
+            }
+        },
+        InstKind::Branch { cond, .. } => f(cond),
+        InstKind::Rmw { c, idx, value, .. } | InstKind::MutRmw { c, idx, value, .. } => {
+            f(c);
+            f(idx);
+            f(value);
+        },
+        InstKind::FieldRead { obj, .. } => f(obj),
+        InstKind::FieldWrite { obj, value, .. } => {
+            f(obj);
+            f(value);
+        },
+        InstKind::Jump { .. }
+        | InstKind::Unreachable
+        | InstKind::NewAssoc { .. }
+        | InstKind::NewObj { .. } => {},
     }
 }
 

@@ -16,7 +16,9 @@
 //! * [`Type`], [`TypeTable`], [`ObjectType`] — the static, strong type
 //!   system (§IV-E) with object types and per-field *field arrays*;
 //! * [`InstKind`] — the instruction set of Fig. 2, in both the mutable
-//!   (MUT-library) and SSA forms;
+//!   (MUT-library) and SSA forms, with one instruction table (flat
+//!   syntax, operand visits, [`InstKind::result_types`]) that the
+//!   builder, printer, parser and verifier share;
 //! * [`Function`], [`Module`] — arena-based program containers;
 //! * [`FunctionBuilder`] / [`ModuleBuilder`] — ergonomic construction;
 //! * [`printer`] / [`parser`] — a stable textual format;

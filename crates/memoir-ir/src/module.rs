@@ -1,7 +1,7 @@
 //! Modules: the compilation unit holding functions, externs, and types.
 
 use crate::ids::{ExternId, FuncId, IdMap, TypeId};
-use crate::{Form, Function, TypeTable};
+use crate::{Callee, Form, Function, TypeTable};
 
 /// Summarized effects of an external (unknown) function, used under partial
 /// compilation (§V): externally visible behaviour must be assumed where not
@@ -34,6 +34,36 @@ impl ExternEffects {
             writes_args: true,
             opaque: true,
         }
+    }
+
+    /// The summaries an `extern` line spells, by keyword, widest first.
+    pub const KEYWORDS: [(&'static str, ExternEffects); 4] = [
+        ("opaque", ExternEffects::effects(true, true, true)),
+        ("writes", ExternEffects::effects(true, true, false)),
+        ("pure", ExternEffects::effects(true, false, false)),
+        ("const", ExternEffects::effects(false, false, false)),
+    ];
+
+    const fn effects(reads_args: bool, writes_args: bool, opaque: bool) -> Self {
+        ExternEffects {
+            reads_args,
+            writes_args,
+            opaque,
+        }
+    }
+
+    /// The keyword of the narrowest spelled summary covering this one.
+    pub fn keyword(self) -> &'static str {
+        let covers = |k: &ExternEffects| {
+            (k.opaque || !self.opaque)
+                && (k.writes_args || !self.writes_args)
+                && (k.reads_args || !self.reads_args)
+        };
+        ExternEffects::KEYWORDS
+            .iter()
+            .rev()
+            .find(|(_, k)| covers(k))
+            .map_or("opaque", |(word, _)| word)
     }
 }
 
@@ -84,6 +114,14 @@ impl Module {
     /// Declares an external function.
     pub fn add_extern(&mut self, decl: ExternDecl) -> ExternId {
         self.externs.push(decl)
+    }
+
+    /// The return types of a call's target.
+    pub fn ret_tys(&self, callee: Callee) -> &[TypeId] {
+        match callee {
+            Callee::Func(id) => &self.funcs[id].ret_tys,
+            Callee::Extern(id) => &self.externs[id].ret_tys,
+        }
     }
 
     /// Finds a function by name.

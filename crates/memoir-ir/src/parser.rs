@@ -1,14 +1,29 @@
-//! Parser for the textual MEMOIR format emitted by [`crate::printer`].
+//! Reader for the textual MEMOIR format emitted by [`crate::printer`].
 //!
-//! The grammar is line-oriented: a module header, object type definitions,
-//! extern declarations, then functions whose bodies are labelled blocks of
-//! one instruction per line. The parser is a hand-written recursive-descent
-//! over a small token stream and reconstructs a [`Module`] that round-trips
-//! through the printer.
+//! The format is line-oriented: a `module` header, object type
+//! definitions, extern declarations, then functions whose bodies are
+//! labelled blocks of one instruction per line; `;` starts a comment.
+//! Instructions are read against the instruction table of
+//! [`InstKind`]: a flat form `mnemonic v, v, …` by the table's rows, the
+//! forms with immediates (`cast`, `phi`, `call`, `jump`, `br`,
+//! `unreachable`, `new`, `rmw`, `field.*`) here, and every result is
+//! typed by [`InstKind::result_types`].
+//!
+//! A body is read in one pass. Values are numbered parameters first,
+//! then constants and operands at their first mention, then the results
+//! no operand names, in instruction order, so the printer's own text
+//! reads back to the same text. The reader rejects, naming the line:
+//! malformed syntax; unknown types, fields, functions, externs, blocks
+//! and opcodes; integers outside 64 bits; a block or value defined
+//! twice; an operand never defined; a result count other than the
+//! table's; and a result whose type the rule cannot derive, or that is
+//! derived from itself without a φ.
 
-use crate::ids::{BlockId, InstId, ObjTypeId, TypeId, ValueId};
-use crate::inst::{BinOp, Callee, CmpOp, Constant, Inst, InstKind};
-use crate::{ExternDecl, ExternEffects, Field, Form, Function, Module, Type, Value, ValueDef};
+use crate::ids::{BlockId, ExternId, FuncId, InstId, ObjTypeId, TypeId, ValueId};
+use crate::inst::{BinOp, Callee, Constant, Inst, InstKind};
+use crate::{
+    ExternDecl, ExternEffects, Field, Form, Function, IdMap, Module, Type, Value, ValueDef,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -31,1218 +46,616 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+fn error(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        line,
+        message: message.into(),
+    }
+}
+
+/// Deepest type nesting accepted (`Seq<Seq<…>>`), so hostile text cannot
+/// exhaust the stack.
+const MAX_TYPE_DEPTH: usize = 64;
+
 /// Parses a module from its textual form.
 pub fn parse_module(src: &str) -> PResult<Module> {
-    Parser::new(src).parse()
-}
-
-// --------------------------------------------------------------- tokenizer
-
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Number(String),
-    Percent,
-    At,
-    Amp,
-    Lt,
-    Gt,
-    LParen,
-    RParen,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Colon,
-    Comma,
-    Eq,
-    Arrow,
-    Bang,
-    Minus,
-}
-
-fn tokenize(line: &str, lineno: usize) -> PResult<Vec<Tok>> {
-    let mut toks = Vec::new();
-    let bytes: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            ' ' | '\t' => i += 1,
-            ';' => break, // comment
-            '%' => {
-                toks.push(Tok::Percent);
-                i += 1;
+    let lines: Vec<Line<'_>> = src
+        .lines()
+        .enumerate()
+        .map(|(i, text)| Line {
+            no: i + 1,
+            rest: text.split(';').next().unwrap_or_default(),
+        })
+        .filter(|l| !l.clone().at_end())
+        .collect();
+    let mut r = Reader {
+        m: Module::new("anonymous"),
+        objects: HashMap::new(),
+        funcs: HashMap::new(),
+        externs: HashMap::new(),
+    };
+    // Interned first, as they always were, so type ids keep their order.
+    for t in [Type::Index, Type::Bool, Type::Void] {
+        r.m.types.intern(t);
+    }
+    let mut rest = &lines[..];
+    if let Some(first) = lines.first() {
+        let mut l = first.clone();
+        if l.word() == Ok("module") {
+            if !l.at_end() {
+                r.m.name = l.rest.trim_end().to_string();
             }
-            '@' => {
-                toks.push(Tok::At);
-                i += 1;
-            }
-            '&' => {
-                toks.push(Tok::Amp);
-                i += 1;
-            }
-            '<' => {
-                toks.push(Tok::Lt);
-                i += 1;
-            }
-            '>' => {
-                toks.push(Tok::Gt);
-                i += 1;
-            }
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            '{' => {
-                toks.push(Tok::LBrace);
-                i += 1;
-            }
-            '}' => {
-                toks.push(Tok::RBrace);
-                i += 1;
-            }
-            '[' => {
-                toks.push(Tok::LBracket);
-                i += 1;
-            }
-            ']' => {
-                toks.push(Tok::RBracket);
-                i += 1;
-            }
-            ':' => {
-                toks.push(Tok::Colon);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            '=' => {
-                toks.push(Tok::Eq);
-                i += 1;
-            }
-            '!' => {
-                toks.push(Tok::Bang);
-                i += 1;
-            }
-            '-' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == '>' {
-                    toks.push(Tok::Arrow);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Minus);
-                    i += 1;
-                }
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '+' || bytes[i] == '-')
-                            && i > start
-                            && (bytes[i - 1] == 'e' || bytes[i - 1] == 'E')))
-                {
-                    i += 1;
-                }
-                // A trailing '.' belongs to the number only if followed by a
-                // digit; numbers inside names (e.g. `%x.3`) never reach here
-                // because names start with a letter after `%`.
-                let text: String = bytes[start..i].iter().collect();
-                toks.push(Tok::Number(text));
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_alphanumeric() || bytes[i] == '_' || bytes[i] == '.')
-                {
-                    i += 1;
-                }
-                // Do not swallow a trailing '.' (can't happen: '.' is always
-                // followed by alnum in our format).
-                let text: String = bytes[start..i].iter().collect();
-                toks.push(Tok::Ident(text));
-            }
-            other => {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
+            rest = &lines[1..];
         }
     }
-    Ok(toks)
+
+    // Declarations and signatures first, so calls can name any function.
+    let mut bodies = Vec::new();
+    let mut i = 0;
+    while i < rest.len() {
+        let mut l = rest[i].clone();
+        match l.word()? {
+            "type" => r.object_type(&mut l)?,
+            "extern" => r.extern_decl(&mut l)?,
+            "fn" => {
+                let fid = r.signature(&mut l)?;
+                let len = rest[i + 1..]
+                    .iter()
+                    .position(Line::is_close)
+                    .ok_or_else(|| l.error("unterminated function body"))?;
+                bodies.push((fid, l.no, &rest[i + 1..i + 1 + len]));
+                i += len + 1;
+            }
+            other => return Err(l.error(format!("unexpected top-level token `{other}`"))),
+        }
+        i += 1;
+    }
+    for (fid, line, body) in bodies {
+        Body::read(&mut r, fid, line, body)?;
+    }
+    Ok(r.m)
 }
 
-// ------------------------------------------------------------------ parser
-
-struct Parser<'a> {
-    lines: Vec<(usize, Vec<Tok>)>,
-    pos: usize,
-    src: &'a str,
-    /// Result types recorded in parse order for instructions whose result
-    /// type is written in their syntax (φ annotations and `new` operators);
-    /// consumed in the same order by `commit_staged`.
-    noted: RefCell<Vec<TypeId>>,
+/// The unread rest of one source line.
+#[derive(Clone, Debug)]
+struct Line<'s> {
+    no: usize,
+    rest: &'s str,
 }
 
-struct LineCursor<'t> {
-    toks: &'t [Tok],
-    i: usize,
-    line: usize,
-}
-
-impl<'t> LineCursor<'t> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i)
+impl<'s> Line<'s> {
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        error(self.no, message)
     }
 
-    fn next(&mut self) -> PResult<&Tok> {
-        let t = self.toks.get(self.i).ok_or_else(|| ParseError {
-            line: self.line,
-            message: "unexpected end of line".into(),
-        })?;
-        self.i += 1;
-        Ok(t)
+    fn skip_ws(&mut self) {
+        self.rest = self.rest.trim_start_matches([' ', '\t']);
     }
 
-    fn expect(&mut self, want: &Tok) -> PResult<()> {
-        let line = self.line;
-        let t = self.next()?;
-        if t == want {
+    fn at_end(&mut self) -> bool {
+        self.skip_ws();
+        self.rest.is_empty()
+    }
+
+    /// Nothing but blanks is left.
+    fn end(&mut self) -> PResult<()> {
+        if self.at_end() {
             Ok(())
         } else {
-            Err(ParseError {
-                line,
-                message: format!("expected {want:?}, found {t:?}"),
-            })
+            Err(self.error(format!("unexpected `{}`", self.rest)))
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
-        if self.peek() == Some(want) {
-            self.i += 1;
-            true
+    fn eat(&mut self, tok: &str) -> bool {
+        self.skip_ws();
+        match self.rest.strip_prefix(tok) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn expect(&mut self, tok: &str) -> PResult<()> {
+        if self.eat(tok) {
+            Ok(())
         } else {
-            false
+            Err(self.error(format!("expected `{tok}`, found `{}`", self.rest)))
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
-        let line = self.line;
-        match self.next()? {
-            Tok::Ident(s) => Ok(s.clone()),
-            other => Err(ParseError {
-                line,
-                message: format!("expected identifier, found {other:?}"),
-            }),
+    fn take(&mut self, len: usize) -> &'s str {
+        let (taken, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        taken
+    }
+
+    /// An identifier: a letter or `_`, then letters, digits, `_` and `.`.
+    fn word(&mut self) -> PResult<&'s str> {
+        self.skip_ws();
+        let mut chars = self.rest.char_indices();
+        if !chars
+            .next()
+            .is_some_and(|(_, c)| c.is_alphabetic() || c == '_')
+        {
+            return Err(self.error(format!("expected identifier, found `{}`", self.rest)));
+        }
+        let len = chars
+            .find(|&(_, c)| !(c.is_alphanumeric() || c == '_' || c == '.'))
+            .map_or(self.rest.len(), |(i, _)| i);
+        Ok(self.take(len))
+    }
+
+    /// A number: a digit, then digits, `.`, `e`/`E`, and a sign right
+    /// after an exponent marker.
+    fn number(&mut self) -> Option<&'s str> {
+        self.skip_ws();
+        let b = self.rest.as_bytes();
+        if !b.first().is_some_and(u8::is_ascii_digit) {
+            return None;
+        }
+        let mut len = 1;
+        while len < b.len()
+            && (b[len].is_ascii_digit()
+                || matches!(b[len], b'.' | b'e' | b'E')
+                || (matches!(b[len], b'+' | b'-') && matches!(b[len - 1], b'e' | b'E')))
+        {
+            len += 1;
+        }
+        Some(self.take(len))
+    }
+
+    /// A value name after `%`: a number or an identifier.
+    fn name(&mut self) -> PResult<&'s str> {
+        match self.number() {
+            Some(n) => Ok(n),
+            None => self.word(),
         }
     }
 
-    fn done(&self) -> bool {
-        self.i >= self.toks.len()
+    /// `item, item, … close`, possibly empty; an empty `close` is the
+    /// end of the line.
+    fn list<T>(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> PResult<T>,
+    ) -> PResult<Vec<T>> {
+        let done = |l: &mut Self| {
+            if close.is_empty() {
+                l.at_end()
+            } else {
+                l.eat(close)
+            }
+        };
+        let mut items = Vec::new();
+        if done(self) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if done(self) {
+                return Ok(items);
+            }
+            self.expect(",")?;
+        }
+    }
+
+    /// The block label this line declares (`name:`), if it is one.
+    fn label(&self) -> Option<&'s str> {
+        let mut l = self.clone();
+        let label = l.word().ok()?;
+        (l.eat(":") && l.at_end()).then_some(label)
+    }
+
+    /// Whether this line closes a function body.
+    fn is_close(&self) -> bool {
+        let mut l = self.clone();
+        l.eat("}") && l.at_end()
     }
 }
 
-/// Staged instruction before result types are known.
-struct Staged {
-    block: BlockId,
-    kind: InstKind,
-    result_names: Vec<String>,
-    line: usize,
+/// The module being read, with its names.
+struct Reader<'s> {
+    m: Module,
+    objects: HashMap<&'s str, ObjTypeId>,
+    funcs: HashMap<&'s str, FuncId>,
+    externs: HashMap<&'s str, ExternId>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        let lines = src
-            .lines()
-            .enumerate()
-            .map(|(n, l)| (n + 1, l))
-            .filter_map(|(n, l)| match tokenize(l, n) {
-                Ok(toks) if toks.is_empty() => None,
-                Ok(toks) => Some(Ok((n, toks))),
-                Err(e) => Some(Err(e)),
-            })
-            .collect::<PResult<Vec<_>>>();
-        // Tokenization errors are deferred to parse().
-        match lines {
-            Ok(lines) => Parser {
-                lines,
-                pos: 0,
-                src,
-                noted: RefCell::new(Vec::new()),
-            },
-            Err(e) => Parser {
-                lines: vec![(e.line, vec![Tok::Ident(format!("\u{0}{}", e.message))])],
-                pos: 0,
-                src,
-                noted: RefCell::new(Vec::new()),
-            },
-        }
+impl<'s> Reader<'s> {
+    fn object(&self, l: &Line<'s>, name: &str) -> PResult<ObjTypeId> {
+        self.objects
+            .get(name)
+            .copied()
+            .ok_or_else(|| l.error(format!("unknown object type `{name}`")))
     }
 
-    fn parse(mut self) -> PResult<Module> {
-        // Surface deferred tokenizer errors.
-        if let Some((line, toks)) = self.lines.first() {
-            if let Some(Tok::Ident(s)) = toks.first() {
-                if let Some(msg) = s.strip_prefix('\u{0}') {
-                    return Err(ParseError {
-                        line: *line,
-                        message: msg.to_string(),
-                    });
-                }
-            }
-        }
-        let mut module = Module::new("anonymous");
-        // Pre-intern types that inference synthesizes without seeing them
-        // spelled in the source.
-        module.types.intern(Type::Index);
-        module.types.intern(Type::Bool);
-        module.types.intern(Type::Void);
-
-        // Header.
-        if let Some((_, toks)) = self.lines.first() {
-            if toks.first() == Some(&Tok::Ident("module".into())) {
-                if let Some(Tok::Ident(name)) = toks.get(1) {
-                    module.name = name.clone();
-                }
-                self.pos += 1;
-            }
-        }
-
-        // Pass 1: type definitions, externs, and function signatures.
-        let mut obj_names: HashMap<String, ObjTypeId> = HashMap::new();
-        let mut fn_sigs: HashMap<String, crate::FuncId> = HashMap::new();
-        let mut extern_names: HashMap<String, crate::ExternId> = HashMap::new();
-        let mut body_ranges: Vec<(String, usize, usize)> = Vec::new(); // (fn name, start, end)
-
-        let mut i = self.pos;
-        while i < self.lines.len() {
-            let (line, toks) = &self.lines[i];
-            let head = match toks.first() {
-                Some(Tok::Ident(s)) => s.as_str(),
-                _ => "",
-            };
-            match head {
-                "type" => {
-                    let mut c = LineCursor {
-                        toks,
-                        i: 1,
-                        line: *line,
-                    };
-                    let name = c.ident()?;
-                    c.expect(&Tok::Eq)?;
-                    c.expect(&Tok::LBrace)?;
-                    let mut fields = Vec::new();
-                    if !c.eat(&Tok::RBrace) {
-                        loop {
-                            let fname = c.ident()?;
-                            c.expect(&Tok::Colon)?;
-                            let fty = self.parse_type(&mut c, &mut module, &obj_names)?;
-                            fields.push(Field {
-                                name: fname,
-                                ty: fty,
-                            });
-                            if c.eat(&Tok::RBrace) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    let id = module
-                        .types
-                        .define_object(name.clone(), fields)
-                        .map_err(|e| ParseError {
-                            line: *line,
-                            message: e.to_string(),
-                        })?;
-                    obj_names.insert(name, id);
-                    i += 1;
-                }
-                "extern" => {
-                    let mut c = LineCursor {
-                        toks,
-                        i: 1,
-                        line: *line,
-                    };
-                    let name = c.ident()?;
-                    c.expect(&Tok::LParen)?;
-                    let mut params = Vec::new();
-                    if !c.eat(&Tok::RParen) {
-                        loop {
-                            params.push(self.parse_type(&mut c, &mut module, &obj_names)?);
-                            if c.eat(&Tok::RParen) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    c.expect(&Tok::Arrow)?;
-                    c.expect(&Tok::LParen)?;
-                    let mut rets = Vec::new();
-                    if !c.eat(&Tok::RParen) {
-                        loop {
-                            rets.push(self.parse_type(&mut c, &mut module, &obj_names)?);
-                            if c.eat(&Tok::RParen) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    c.expect(&Tok::LBracket)?;
-                    let eff = c.ident()?;
-                    c.expect(&Tok::RBracket)?;
-                    let effects = match eff.as_str() {
-                        "pure" => ExternEffects::pure_reader(),
-                        "writes" => ExternEffects {
-                            reads_args: true,
-                            writes_args: true,
-                            opaque: false,
-                        },
-                        "opaque" => ExternEffects::unknown(),
-                        "const" => ExternEffects {
-                            reads_args: false,
-                            writes_args: false,
-                            opaque: false,
-                        },
-                        other => {
-                            return Err(ParseError {
-                                line: *line,
-                                message: format!("unknown extern effect `{other}`"),
-                            })
-                        }
-                    };
-                    let id = module.add_extern(ExternDecl {
-                        name: name.clone(),
-                        params,
-                        ret_tys: rets,
-                        effects,
-                    });
-                    extern_names.insert(name, id);
-                    i += 1;
-                }
-                "fn" => {
-                    let mut c = LineCursor {
-                        toks,
-                        i: 1,
-                        line: *line,
-                    };
-                    let name = c.ident()?;
-                    c.expect(&Tok::LParen)?;
-                    let mut params: Vec<(String, TypeId, bool)> = Vec::new();
-                    if !c.eat(&Tok::RParen) {
-                        loop {
-                            let by_ref = c.eat(&Tok::Amp);
-                            let pname = c.ident()?;
-                            c.expect(&Tok::Colon)?;
-                            let pty = self.parse_type(&mut c, &mut module, &obj_names)?;
-                            params.push((pname, pty, by_ref));
-                            if c.eat(&Tok::RParen) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    c.expect(&Tok::Arrow)?;
-                    c.expect(&Tok::LParen)?;
-                    let mut rets = Vec::new();
-                    if !c.eat(&Tok::RParen) {
-                        loop {
-                            rets.push(self.parse_type(&mut c, &mut module, &obj_names)?);
-                            if c.eat(&Tok::RParen) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    // form=ssa|mut
-                    let form_tok = c.ident()?;
-                    let form = match form_tok.as_str() {
-                        "form" => {
-                            c.expect(&Tok::Eq)?;
-                            match c.ident()?.as_str() {
-                                "ssa" => Form::Ssa,
-                                "mut" => Form::Mut,
-                                other => {
-                                    return Err(ParseError {
-                                        line: *line,
-                                        message: format!("unknown form `{other}`"),
-                                    })
-                                }
-                            }
-                        }
-                        other => {
-                            return Err(ParseError {
-                                line: *line,
-                                message: format!("expected `form=`, found `{other}`"),
-                            })
-                        }
-                    };
-                    c.expect(&Tok::LBrace)?;
-                    let mut f = Function::new(name.clone(), form);
-                    // Drop the implicit entry block: bodies declare all
-                    // blocks by label, the first label being the entry.
-                    f.blocks = crate::IdMap::new();
-                    f.entry = BlockId::from_raw(0);
-                    for (pname, pty, by_ref) in params {
-                        f.add_param(pname, pty, by_ref);
-                    }
-                    f.ret_tys = rets;
-                    let fid = module.add_func(f);
-                    fn_sigs.insert(name.clone(), fid);
-                    // Find body end: matching line with single `}`.
-                    let start = i + 1;
-                    let mut end = start;
-                    while end < self.lines.len() {
-                        if self.lines[end].1 == vec![Tok::RBrace] {
-                            break;
-                        }
-                        end += 1;
-                    }
-                    if end == self.lines.len() {
-                        return Err(ParseError {
-                            line: *line,
-                            message: "unterminated function body".into(),
-                        });
-                    }
-                    body_ranges.push((name, start, end));
-                    i = end + 1;
-                }
-                other => {
-                    return Err(ParseError {
-                        line: *line,
-                        message: format!("unexpected top-level token `{other}`"),
-                    })
-                }
-            }
-        }
-
-        // Pass 2: bodies.
-        for (name, start, end) in body_ranges {
-            let fid = fn_sigs[&name];
-            self.parse_body(
-                &mut module,
-                fid,
-                start,
-                end,
-                &obj_names,
-                &fn_sigs,
-                &extern_names,
-            )?;
-        }
-        let _ = self.src;
-        Ok(module)
+    fn ty(&mut self, l: &mut Line<'s>) -> PResult<TypeId> {
+        self.ty_at(l, 0)
     }
 
-    fn parse_type(
-        &self,
-        c: &mut LineCursor<'_>,
-        module: &mut Module,
-        obj_names: &HashMap<String, ObjTypeId>,
-    ) -> PResult<TypeId> {
-        let line = c.line;
-        if c.eat(&Tok::Amp) {
-            let name = c.ident()?;
-            let obj = *obj_names.get(&name).ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown object type `{name}`"),
-            })?;
-            return Ok(module.types.ref_of(obj));
+    fn ty_at(&mut self, l: &mut Line<'s>, depth: usize) -> PResult<TypeId> {
+        if depth > MAX_TYPE_DEPTH {
+            return Err(l.error("type nested too deeply"));
         }
-        let name = c.ident()?;
-        let prim = |t: Type, m: &mut Module| Ok(m.types.intern(t));
-        match name.as_str() {
-            "i64" => prim(Type::I64, module),
-            "i32" => prim(Type::I32, module),
-            "i16" => prim(Type::I16, module),
-            "i8" => prim(Type::I8, module),
-            "u64" => prim(Type::U64, module),
-            "u32" => prim(Type::U32, module),
-            "u16" => prim(Type::U16, module),
-            "u8" => prim(Type::U8, module),
-            "bool" => prim(Type::Bool, module),
-            "index" => prim(Type::Index, module),
-            "f64" => prim(Type::F64, module),
-            "f32" => prim(Type::F32, module),
-            "ptr" => prim(Type::Ptr, module),
-            "void" => prim(Type::Void, module),
+        if l.eat("&") {
+            let name = l.word()?;
+            let obj = self.object(l, name)?;
+            return Ok(self.m.types.ref_of(obj));
+        }
+        let name = l.word()?;
+        if let Some(t) = Type::KEYWORD_TYPES
+            .into_iter()
+            .find(|t| t.keyword() == Some(name))
+        {
+            return Ok(self.m.types.intern(t));
+        }
+        Ok(match name {
             "Seq" => {
-                c.expect(&Tok::Lt)?;
-                let elem = self.parse_type(c, module, obj_names)?;
-                c.expect(&Tok::Gt)?;
-                Ok(module.types.seq_of(elem))
+                l.expect("<")?;
+                let elem = self.ty_at(l, depth + 1)?;
+                l.expect(">")?;
+                self.m.types.seq_of(elem)
             }
             "Assoc" => {
-                c.expect(&Tok::Lt)?;
-                let k = self.parse_type(c, module, obj_names)?;
-                c.expect(&Tok::Comma)?;
-                let v = self.parse_type(c, module, obj_names)?;
-                c.expect(&Tok::Gt)?;
-                Ok(module.types.assoc_of(k, v))
+                l.expect("<")?;
+                let key = self.ty_at(l, depth + 1)?;
+                l.expect(",")?;
+                let value = self.ty_at(l, depth + 1)?;
+                l.expect(">")?;
+                self.m.types.assoc_of(key, value)
             }
-            other => match obj_names.get(other) {
-                Some(&obj) => Ok(module.types.intern(Type::Object(obj))),
-                None => Err(ParseError {
-                    line,
-                    message: format!("unknown type `{other}`"),
-                }),
-            },
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn parse_body(
-        &self,
-        module: &mut Module,
-        fid: crate::FuncId,
-        start: usize,
-        end: usize,
-        obj_names: &HashMap<String, ObjTypeId>,
-        fn_sigs: &HashMap<String, crate::FuncId>,
-        extern_names: &HashMap<String, crate::ExternId>,
-    ) -> PResult<()> {
-        // φ/new result-type notes are per-body (consumed positionally by
-        // commit_staged); clear leftovers from the previous function.
-        self.noted.borrow_mut().clear();
-        // Collect block labels first so branches can forward-reference.
-        let mut block_ids: HashMap<String, BlockId> = HashMap::new();
-        {
-            let f = &mut module.funcs[fid];
-            for idx in start..end {
-                let (_, toks) = &self.lines[idx];
-                if toks.len() == 2 && matches!(toks[0], Tok::Ident(_)) && toks[1] == Tok::Colon {
-                    if let Tok::Ident(label) = &toks[0] {
-                        let base = label.rsplit_once('.').map(|(b, _)| b).unwrap_or(label);
-                        let b = f.add_block(base);
-                        block_ids.insert(label.clone(), b);
-                    }
-                }
+            _ => {
+                let obj = self.object(l, name)?;
+                self.m.types.intern(Type::Object(obj))
             }
-            if f.blocks.is_empty() {
-                return Err(ParseError {
-                    line: self.lines[start].0,
-                    message: "function body has no blocks".into(),
-                });
-            }
-            f.entry = BlockId::from_raw(0);
-        }
-
-        // Map value names to ids; parameters are pre-bound as `%name.N`
-        // style and `%N` raw style.
-        let mut values: HashMap<String, ValueId> = HashMap::new();
-        {
-            let f = &module.funcs[fid];
-            for &pv in &f.param_values {
-                if let Some(n) = &f.values[pv].name {
-                    values.insert(format!("{}.{}", n, pv.raw()), pv);
-                    values.insert(n.clone(), pv);
-                }
-                values.insert(format!("{}", pv.raw()), pv);
-            }
-        }
-
-        let mut staged: Vec<Staged> = Vec::new();
-        let mut cur_block: Option<BlockId> = None;
-        for idx in start..end {
-            let (line, toks) = &self.lines[idx];
-            // Label?
-            if toks.len() == 2 && matches!(toks[0], Tok::Ident(_)) && toks[1] == Tok::Colon {
-                if let Tok::Ident(label) = &toks[0] {
-                    cur_block = Some(block_ids[label]);
-                }
-                continue;
-            }
-            let block = cur_block.ok_or_else(|| ParseError {
-                line: *line,
-                message: "instruction before first block label".into(),
-            })?;
-            let mut c = LineCursor {
-                toks,
-                i: 0,
-                line: *line,
-            };
-            // Results: `%name [, %name]* =` prefix.
-            let mut result_names = Vec::new();
-            let save = c.i;
-            let mut is_def = false;
-            if c.peek() == Some(&Tok::Percent) {
-                // Look ahead for `=` before an opcode.
-                let mut j = c.i;
-                while j < toks.len() {
-                    match &toks[j] {
-                        Tok::Eq => {
-                            is_def = true;
-                            break;
-                        }
-                        Tok::Percent | Tok::Comma | Tok::Ident(_) | Tok::Number(_) => j += 1,
-                        _ => break,
-                    }
-                }
-            }
-            if is_def {
-                loop {
-                    c.expect(&Tok::Percent)?;
-                    let name = match c.next()? {
-                        Tok::Ident(s) => s.clone(),
-                        Tok::Number(s) => s.clone(),
-                        other => {
-                            return Err(ParseError {
-                                line: *line,
-                                message: format!("bad result name {other:?}"),
-                            })
-                        }
-                    };
-                    result_names.push(name);
-                    if c.eat(&Tok::Eq) {
-                        break;
-                    }
-                    c.expect(&Tok::Comma)?;
-                }
-            } else {
-                c.i = save;
-            }
-            let kind = self.parse_inst(
-                &mut c,
-                module,
-                fid,
-                &mut values,
-                &block_ids,
-                obj_names,
-                fn_sigs,
-                extern_names,
-            )?;
-            staged.push(Staged {
-                block,
-                kind,
-                result_names,
-                line: *line,
-            });
-        }
-
-        self.commit_staged(module, fid, staged, &mut values, fn_sigs, extern_names)
-    }
-
-    /// Creates instructions, minting result values with types derived from
-    /// operands via a worklist (φs carry explicit type annotations, so the
-    /// derivation terminates).
-    fn commit_staged(
-        &self,
-        module: &mut Module,
-        fid: crate::FuncId,
-        staged: Vec<Staged>,
-        values: &mut HashMap<String, ValueId>,
-        _fn_sigs: &HashMap<String, crate::FuncId>,
-        _extern_names: &HashMap<String, crate::ExternId>,
-    ) -> PResult<()> {
-        // First mint all result values with a placeholder type, so operands
-        // referencing later results resolve. parse_inst already minted
-        // pending values for forward references; bind them here.
-        let void_ty = module.types.intern(Type::Void);
-        let mut planned: Vec<(InstId, Vec<ValueId>)> = Vec::new();
-        {
-            let f = &mut module.funcs[fid];
-            for (si, s) in staged.iter().enumerate() {
-                let inst_id = InstId::from_raw(si as u32);
-                let mut results = Vec::new();
-                for (ri, rname) in s.result_names.iter().enumerate() {
-                    let v = match values.get(rname) {
-                        Some(&v) => {
-                            f.values[v].def = ValueDef::Inst(inst_id, ri as u32);
-                            v
-                        }
-                        None => {
-                            let v = f.values.push(Value {
-                                ty: void_ty,
-                                def: ValueDef::Inst(inst_id, ri as u32),
-                                name: name_hint(rname),
-                            });
-                            values.insert(rname.clone(), v);
-                            v
-                        }
-                    };
-                    results.push(v);
-                }
-                planned.push((inst_id, results));
-            }
-            for (si, s) in staged.iter().enumerate() {
-                let id = f.insts.push(Inst {
-                    kind: s.kind.clone(),
-                    results: planned[si].1.clone(),
-                });
-                debug_assert_eq!(id.raw() as usize, si);
-                f.blocks[s.block].insts.push(id);
-            }
-        }
-
-        // Apply syntax-annotated result types (φ and `new`) in parse order.
-        {
-            let noted = self.noted.borrow();
-            let mut noted_idx = 0usize;
-            let f = &mut module.funcs[fid];
-            for (si, s) in staged.iter().enumerate() {
-                let annotated = matches!(
-                    s.kind,
-                    InstKind::Phi { .. }
-                        | InstKind::NewSeq { .. }
-                        | InstKind::NewAssoc { .. }
-                        | InstKind::NewObj { .. }
-                );
-                if annotated {
-                    let ty = noted[noted_idx];
-                    noted_idx += 1;
-                    if let Some(&v) = planned[si].1.first() {
-                        f.values[v].ty = ty;
-                    }
-                }
-            }
-        }
-
-        // Worklist type inference for the remaining result values.
-        let mut changed = true;
-        let mut rounds = 0;
-        while changed {
-            changed = false;
-            rounds += 1;
-            if rounds > staged.len() + 2 {
-                break;
-            }
-            for (si, s) in staged.iter().enumerate() {
-                let tys = self.infer_result_tys(module, fid, &s.kind, s.line)?;
-                let f = &mut module.funcs[fid];
-                for (ri, ty) in tys.into_iter().enumerate() {
-                    if let Some(ty) = ty {
-                        let v = planned[si].1[ri];
-                        if f.values[v].ty != ty {
-                            f.values[v].ty = ty;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        // Any result still void-typed (other than genuinely void) is an
-        // inference failure only if used; leave as-is — the verifier will
-        // flag real inconsistencies.
-        Ok(())
-    }
-
-    fn infer_result_tys(
-        &self,
-        module: &mut Module,
-        fid: crate::FuncId,
-        kind: &InstKind,
-        _line: usize,
-    ) -> PResult<Vec<Option<TypeId>>> {
-        let index_ty = module.types.intern(Type::Index);
-        let bool_ty = module.types.intern(Type::Bool);
-        // Pre-compute types that need table mutation before borrowing funcs.
-        let keys_ty = if let InstKind::Keys { c } = kind {
-            let cty = module.funcs[fid].value_ty(*c);
-            match module.types.get(cty) {
-                Type::Assoc(k, _) => Some(module.types.seq_of(k)),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let f = &module.funcs[fid];
-        let t = |v: ValueId| f.value_ty(v);
-        Ok(match kind {
-            InstKind::Bin { lhs, .. } => vec![Some(t(*lhs))],
-            InstKind::Cmp { .. } | InstKind::Has { .. } => vec![Some(bool_ty)],
-            InstKind::Cast { to, .. } => vec![Some(*to)],
-            InstKind::Select { then_value, .. } => vec![Some(t(*then_value))],
-            InstKind::Phi { .. } => vec![None], // annotated at parse time
-            InstKind::Call { callee, .. } => match callee {
-                Callee::Func(id) => module.funcs[*id].ret_tys.iter().map(|&x| Some(x)).collect(),
-                Callee::Extern(id) => module.externs[*id]
-                    .ret_tys
-                    .iter()
-                    .map(|&x| Some(x))
-                    .collect(),
-            },
-            InstKind::NewSeq { .. } | InstKind::NewAssoc { .. } | InstKind::NewObj { .. } => {
-                vec![None]
-            } // set at parse time
-            InstKind::Read { c, .. } => {
-                vec![match module.types.get(t(*c)) {
-                    Type::Seq(e) => Some(e),
-                    Type::Assoc(_, v) => Some(v),
-                    _ => None,
-                }]
-            }
-            InstKind::Write { c, .. }
-            | InstKind::Rmw { c, .. }
-            | InstKind::Insert { c, .. }
-            | InstKind::InsertSeq { c, .. }
-            | InstKind::Remove { c, .. }
-            | InstKind::RemoveRange { c, .. }
-            | InstKind::Copy { c }
-            | InstKind::CopyRange { c, .. }
-            | InstKind::Swap { c, .. }
-            | InstKind::UsePhi { c }
-            | InstKind::MutSplit { c, .. } => vec![Some(t(*c))],
-            InstKind::Swap2 { a, b, .. } => vec![Some(t(*a)), Some(t(*b))],
-            InstKind::Size { .. } => vec![Some(index_ty)],
-            InstKind::Keys { .. } => vec![keys_ty],
-            InstKind::FieldRead { obj_ty, field, .. } => {
-                vec![Some(
-                    module.types.object(*obj_ty).fields[*field as usize].ty,
-                )]
-            }
-            _ => vec![],
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn parse_inst(
-        &self,
-        c: &mut LineCursor<'_>,
-        module: &mut Module,
-        fid: crate::FuncId,
-        values: &mut HashMap<String, ValueId>,
-        blocks: &HashMap<String, BlockId>,
-        obj_names: &HashMap<String, ObjTypeId>,
-        fn_sigs: &HashMap<String, crate::FuncId>,
-        extern_names: &HashMap<String, crate::ExternId>,
-    ) -> PResult<InstKind> {
-        let line = c.line;
-        let op = c.ident()?;
-        macro_rules! val {
-            () => {
-                self.parse_value(c, module, fid, values, obj_names)?
-            };
-        }
-        macro_rules! comma_val {
-            () => {{
-                c.expect(&Tok::Comma)?;
-                self.parse_value(c, module, fid, values, obj_names)?
-            }};
-        }
-        let block_ref = |c: &mut LineCursor<'_>| -> PResult<BlockId> {
-            let line = c.line;
-            let name = c.ident()?;
-            blocks.get(&name).copied().ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown block `{name}`"),
+    /// `type NAME = { field: T, … }`.
+    fn object_type(&mut self, l: &mut Line<'s>) -> PResult<()> {
+        let name = l.word()?;
+        l.expect("=")?;
+        l.expect("{")?;
+        let fields = l.list("}", |l| {
+            let name = l.word()?.to_string();
+            l.expect(":")?;
+            Ok(Field {
+                name,
+                ty: self.ty(l)?,
             })
+        })?;
+        l.end()?;
+        let id = self
+            .m
+            .types
+            .define_object(name, fields)
+            .map_err(|e| l.error(e.to_string()))?;
+        self.objects.insert(name, id);
+        Ok(())
+    }
+
+    /// `extern NAME(T, …) -> (T, …) [effects]`.
+    fn extern_decl(&mut self, l: &mut Line<'s>) -> PResult<()> {
+        let name = l.word()?;
+        l.expect("(")?;
+        let params = l.list(")", |l| self.ty(l))?;
+        l.expect("->")?;
+        l.expect("(")?;
+        let ret_tys = l.list(")", |l| self.ty(l))?;
+        l.expect("[")?;
+        let word = l.word()?;
+        let (_, effects) = ExternEffects::KEYWORDS
+            .into_iter()
+            .find(|&(w, _)| w == word)
+            .ok_or_else(|| l.error(format!("unknown extern effect `{word}`")))?;
+        l.expect("]")?;
+        l.end()?;
+        let id = self.m.add_extern(ExternDecl {
+            name: name.to_string(),
+            params,
+            ret_tys,
+            effects,
+        });
+        self.externs.insert(name, id);
+        Ok(())
+    }
+
+    /// `fn NAME(&p: T, …) -> (T, …) form=ssa {`.
+    fn signature(&mut self, l: &mut Line<'s>) -> PResult<FuncId> {
+        let name = l.word()?;
+        l.expect("(")?;
+        let params = l.list(")", |l| {
+            let by_ref = l.eat("&");
+            let name = l.word()?;
+            l.expect(":")?;
+            Ok((name, self.ty(l)?, by_ref))
+        })?;
+        l.expect("->")?;
+        l.expect("(")?;
+        let ret_tys = l.list(")", |l| self.ty(l))?;
+        let form_kw = l.word()?;
+        if form_kw != "form" {
+            return Err(l.error(format!("expected `form=`, found `{form_kw}`")));
+        }
+        l.expect("=")?;
+        let form = match l.word()? {
+            "ssa" => Form::Ssa,
+            "mut" => Form::Mut,
+            other => return Err(l.error(format!("unknown form `{other}`"))),
         };
-        let kind = match op.as_str() {
-            "add" | "sub" | "mul" | "div" | "rem" | "and" | "or" | "xor" | "shl" | "shr"
-            | "min" | "max" => {
-                let bop = match op.as_str() {
-                    "add" => BinOp::Add,
-                    "sub" => BinOp::Sub,
-                    "mul" => BinOp::Mul,
-                    "div" => BinOp::Div,
-                    "rem" => BinOp::Rem,
-                    "and" => BinOp::And,
-                    "or" => BinOp::Or,
-                    "xor" => BinOp::Xor,
-                    "shl" => BinOp::Shl,
-                    "shr" => BinOp::Shr,
-                    "min" => BinOp::Min,
-                    _ => BinOp::Max,
-                };
-                let lhs = val!();
-                let rhs = comma_val!();
-                InstKind::Bin { op: bop, lhs, rhs }
-            }
-            s if s.starts_with("cmp.") => {
-                let cop = match &s[4..] {
-                    "eq" => CmpOp::Eq,
-                    "ne" => CmpOp::Ne,
-                    "lt" => CmpOp::Lt,
-                    "le" => CmpOp::Le,
-                    "gt" => CmpOp::Gt,
-                    "ge" => CmpOp::Ge,
-                    other => {
-                        return Err(ParseError {
-                            line,
-                            message: format!("bad cmp op `{other}`"),
-                        })
-                    }
-                };
-                let lhs = val!();
-                let rhs = comma_val!();
-                InstKind::Cmp { op: cop, lhs, rhs }
-            }
-            "cast" => {
-                let value = val!();
-                let kw = c.ident()?;
-                if kw != "to" {
-                    return Err(ParseError {
-                        line,
-                        message: "expected `to` in cast".into(),
-                    });
+        l.expect("{")?;
+        l.end()?;
+        let mut f = Function::new(name, form);
+        // Bodies declare every block by label, the first being the entry.
+        f.blocks = IdMap::new();
+        for (name, ty, by_ref) in params {
+            f.add_param(name, ty, by_ref);
+        }
+        f.ret_tys = ret_tys;
+        let id = self.m.add_func(f);
+        self.funcs.insert(name, id);
+        Ok(id)
+    }
+}
+
+/// One function body being read.
+struct Body<'s, 'r> {
+    r: &'r mut Reader<'s>,
+    fid: FuncId,
+    blocks: HashMap<&'s str, BlockId>,
+    values: HashMap<String, ValueId>,
+    /// Operands named before any definition: their first line and name.
+    undefined: HashMap<ValueId, (usize, &'s str)>,
+    /// Per instruction: its line, its result names, and φ's annotation.
+    read: Vec<(usize, Vec<&'s str>, Option<TypeId>)>,
+}
+
+impl<'s, 'r> Body<'s, 'r> {
+    /// Reads the body of `fid`, whose header is on line `header`.
+    fn read(r: &'r mut Reader<'s>, fid: FuncId, header: usize, lines: &[Line<'s>]) -> PResult<()> {
+        let mut body = Body {
+            r,
+            fid,
+            blocks: HashMap::new(),
+            values: HashMap::new(),
+            undefined: HashMap::new(),
+            read: Vec::new(),
+        };
+        // Labels first, so branches can name blocks further down.
+        for l in lines {
+            if let Some(label) = l.label() {
+                let base = label.rsplit_once('.').map_or(label, |(base, _)| base);
+                let b = body.func().add_block(base);
+                if body.blocks.insert(label, b).is_some() {
+                    return Err(l.error(format!("block `{label}` is defined twice")));
                 }
-                let to = self.parse_type(c, module, obj_names)?;
+            }
+        }
+        if body.blocks.is_empty() {
+            return Err(error(header, "function body has no blocks"));
+        }
+        let f = body.func();
+        f.entry = BlockId::from_raw(0);
+        let params: Vec<(String, ValueId)> = f
+            .param_values
+            .iter()
+            .map(|&v| (f.values[v].name.clone().unwrap_or_default(), v))
+            .collect();
+        for (name, v) in params {
+            body.values.insert(format!("{name}.{}", v.raw()), v);
+            body.values.insert(format!("{}", v.raw()), v);
+            body.values.insert(name, v);
+        }
+        let mut block = None;
+        for l in lines {
+            if let Some(label) = l.label() {
+                block = Some(body.blocks[label]);
+                continue;
+            }
+            let b = block.ok_or_else(|| l.error("instruction before first block label"))?;
+            body.inst(&mut l.clone(), b)?;
+        }
+        body.finish()
+    }
+
+    fn func(&mut self) -> &mut Function {
+        &mut self.r.m.funcs[self.fid]
+    }
+
+    fn block(&mut self, l: &mut Line<'s>) -> PResult<BlockId> {
+        let name = l.word()?;
+        self.blocks
+            .get(name)
+            .copied()
+            .ok_or_else(|| l.error(format!("unknown block `{name}`")))
+    }
+
+    /// An operand: `%name`, minted at its first mention, or a constant.
+    fn value(&mut self, l: &mut Line<'s>) -> PResult<ValueId> {
+        if l.eat("%") {
+            let name = l.name()?;
+            if let Some(&v) = self.values.get(name) {
+                return Ok(v);
+            }
+            let void = self.r.m.types.intern(Type::Void);
+            let v = self.func().values.push(Value {
+                ty: void,
+                def: ValueDef::Inst(InstId::from_raw(u32::MAX), 0),
+                name: name_hint(name),
+            });
+            self.values.insert(name.to_string(), v);
+            self.undefined.insert(v, (l.no, name));
+            return Ok(v);
+        }
+        let c = self.constant(l)?;
+        let ty = self.r.m.types.intern(c.ty());
+        Ok(self.func().constant(c, ty))
+    }
+
+    /// `true`, `false`, `null:T<n>`, or `<number>:<Type>` (the suffix is
+    /// the type's keyword, capitalized as the printer writes it).
+    fn constant(&mut self, l: &mut Line<'s>) -> PResult<Constant> {
+        l.skip_ws();
+        let start = l.rest;
+        let negative = l.eat("-");
+        if l.number().is_none() {
+            match l.word()? {
+                "true" if !negative => return Ok(Constant::Bool(true)),
+                "false" if !negative => return Ok(Constant::Bool(false)),
+                "null" if !negative => {
+                    l.expect(":")?;
+                    let t = l.word()?;
+                    return t
+                        .strip_prefix('T')
+                        .and_then(|n| n.parse::<u32>().ok())
+                        .filter(|&n| (n as usize) < self.r.m.types.object_count())
+                        .map(|n| Constant::Null(ObjTypeId::from_raw(n)))
+                        .ok_or_else(|| l.error(format!("unknown object type `{t}`")));
+                }
+                _ => {} // `inf`, `NaN`: float spellings
+            }
+        }
+        let text = &start[..start.len() - l.rest.len()];
+        l.expect(":")?;
+        let suffix = l.word()?;
+        let ty = Type::KEYWORD_TYPES
+            .into_iter()
+            .filter(|t| t.is_integer() || t.is_float())
+            .find(|t| t.keyword().is_some_and(|k| k.eq_ignore_ascii_case(suffix)))
+            .ok_or_else(|| l.error(format!("bad constant type `{suffix}`")))?;
+        if ty.is_float() {
+            let v: f64 = text
+                .parse()
+                .map_err(|_| l.error(format!("bad float `{text}`")))?;
+            return Ok(Constant::Float(ty, v.to_bits()));
+        }
+        // Unsigned payloads past `i64::MAX` wrap, as the printer's
+        // sign-extended payloads do.
+        let v = text
+            .parse::<i64>()
+            .ok()
+            .or_else(|| text.parse::<u64>().ok().map(|v| v as i64))
+            .ok_or_else(|| l.error(format!("bad 64-bit integer `{text}`")))?;
+        Ok(Constant::Int(ty, v))
+    }
+
+    /// One instruction line, appended to `block`.
+    fn inst(&mut self, l: &mut Line<'s>, block: BlockId) -> PResult<()> {
+        let results = if l.clone().eat("%") {
+            l.list("=", |l| {
+                l.expect("%")?;
+                l.name()
+            })?
+        } else {
+            Vec::new()
+        };
+        let mut annotation = None;
+        let kind = match l.word()? {
+            "cast" => {
+                let value = self.value(l)?;
+                if l.word()? != "to" {
+                    return Err(l.error("expected `to` in cast"));
+                }
+                let to = self.r.ty(l)?;
                 InstKind::Cast { to, value }
             }
-            "select" => {
-                let cond = val!();
-                let a = comma_val!();
-                let b = comma_val!();
-                InstKind::Select {
-                    cond,
-                    then_value: a,
-                    else_value: b,
-                }
-            }
             "phi" => {
-                let ty = self.parse_type(c, module, obj_names)?;
-                let mut incoming = Vec::new();
-                while c.eat(&Tok::LBracket) {
-                    let b = block_ref(c)?;
-                    c.expect(&Tok::Colon)?;
-                    let v = val!();
-                    c.expect(&Tok::RBracket)?;
-                    incoming.push((b, v));
-                    c.eat(&Tok::Comma);
-                }
-                // Stash the annotated type onto the pending result by
-                // encoding through a special marker: commit_staged reads φ
-                // types via `phi_tys`. Simpler: mint nothing here; instead
-                // remember the type by wrapping in a Cast-like trick is
-                // ugly — we instead record it in the side table below.
-                self.note_phi_ty(ty);
+                annotation = Some(self.r.ty(l)?);
+                let incoming = l.list("", |l| {
+                    l.expect("[")?;
+                    let b = self.block(l)?;
+                    l.expect(":")?;
+                    let v = self.value(l)?;
+                    l.expect("]")?;
+                    Ok((b, v))
+                })?;
                 InstKind::Phi { incoming }
             }
             "call" => {
-                c.expect(&Tok::At)?;
-                let name = c.ident()?;
-                let is_extern = c.eat(&Tok::Bang);
-                let callee = if is_extern {
-                    Callee::Extern(*extern_names.get(&name).ok_or_else(|| ParseError {
-                        line,
-                        message: format!("unknown extern `{name}`"),
-                    })?)
+                l.expect("@")?;
+                let name = l.word()?;
+                let callee = if l.eat("!") {
+                    self.r.externs.get(name).map(|&e| Callee::Extern(e))
                 } else {
-                    Callee::Func(*fn_sigs.get(&name).ok_or_else(|| ParseError {
-                        line,
-                        message: format!("unknown function `{name}`"),
-                    })?)
+                    self.r.funcs.get(name).map(|&f| Callee::Func(f))
                 };
-                c.expect(&Tok::LParen)?;
-                let mut args = Vec::new();
-                if !c.eat(&Tok::RParen) {
-                    loop {
-                        args.push(self.parse_value(c, module, fid, values, obj_names)?);
-                        if c.eat(&Tok::RParen) {
-                            break;
-                        }
-                        c.expect(&Tok::Comma)?;
-                    }
-                }
+                let callee = callee.ok_or_else(|| l.error(format!("unknown callee `{name}`")))?;
+                l.expect("(")?;
+                let args = l.list(")", |l| self.value(l))?;
                 InstKind::Call { callee, args }
             }
             "jump" => InstKind::Jump {
-                target: block_ref(c)?,
+                target: self.block(l)?,
             },
             "br" => {
-                let cond = val!();
-                c.expect(&Tok::Comma)?;
-                let t = block_ref(c)?;
-                c.expect(&Tok::Comma)?;
-                let e = block_ref(c)?;
+                let cond = self.value(l)?;
+                l.expect(",")?;
+                let then_target = self.block(l)?;
+                l.expect(",")?;
+                let else_target = self.block(l)?;
                 InstKind::Branch {
                     cond,
-                    then_target: t,
-                    else_target: e,
+                    then_target,
+                    else_target,
                 }
-            }
-            "ret" => {
-                let mut vals = Vec::new();
-                if !c.done() {
-                    loop {
-                        vals.push(self.parse_value(c, module, fid, values, obj_names)?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                }
-                InstKind::Ret { values: vals }
             }
             "unreachable" => InstKind::Unreachable,
-            "new" => {
-                let what = c.ident()?;
-                match what.as_str() {
-                    "Seq" => {
-                        c.expect(&Tok::Lt)?;
-                        let elem = self.parse_type(c, module, obj_names)?;
-                        c.expect(&Tok::Gt)?;
-                        c.expect(&Tok::LParen)?;
-                        let len = val!();
-                        c.expect(&Tok::RParen)?;
-                        self.note_new_ty(module.types.seq_of(elem));
-                        InstKind::NewSeq { elem, len }
-                    }
-                    "Assoc" => {
-                        c.expect(&Tok::Lt)?;
-                        let k = self.parse_type(c, module, obj_names)?;
-                        c.expect(&Tok::Comma)?;
-                        let v = self.parse_type(c, module, obj_names)?;
-                        c.expect(&Tok::Gt)?;
-                        self.note_new_ty(module.types.assoc_of(k, v));
-                        InstKind::NewAssoc { key: k, value: v }
-                    }
-                    obj_name => {
-                        let obj = *obj_names.get(obj_name).ok_or_else(|| ParseError {
-                            line,
-                            message: format!("unknown object type `{obj_name}`"),
-                        })?;
-                        self.note_new_ty(module.types.ref_of(obj));
-                        InstKind::NewObj { obj }
-                    }
+            "new" => match l.word()? {
+                "Seq" => {
+                    l.expect("<")?;
+                    let elem = self.r.ty(l)?;
+                    l.expect(">")?;
+                    l.expect("(")?;
+                    let len = self.value(l)?;
+                    l.expect(")")?;
+                    InstKind::NewSeq { elem, len }
                 }
-            }
-            "delete" => InstKind::DeleteObj { obj: val!() },
-            "read" => {
-                let cv = val!();
-                let idx = comma_val!();
-                InstKind::Read { c: cv, idx }
-            }
-            "write" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let value = comma_val!();
-                InstKind::Write { c: cv, idx, value }
-            }
-            "rmw" | "mut.rmw" => {
-                let cv = val!();
-                let idx = comma_val!();
-                c.expect(&Tok::Comma)?;
-                let opname = c.ident()?;
-                let bop = match opname.as_str() {
-                    "add" => BinOp::Add,
-                    "sub" => BinOp::Sub,
-                    "mul" => BinOp::Mul,
-                    "div" => BinOp::Div,
-                    "rem" => BinOp::Rem,
-                    "and" => BinOp::And,
-                    "or" => BinOp::Or,
-                    "xor" => BinOp::Xor,
-                    "shl" => BinOp::Shl,
-                    "shr" => BinOp::Shr,
-                    "min" => BinOp::Min,
-                    "max" => BinOp::Max,
-                    other => {
-                        return Err(ParseError {
-                            line,
-                            message: format!("bad rmw op `{other}`"),
-                        })
-                    }
-                };
-                let value = comma_val!();
-                if op == "rmw" {
-                    InstKind::Rmw {
-                        c: cv,
-                        idx,
-                        op: bop,
-                        value,
-                    }
+                "Assoc" => {
+                    l.expect("<")?;
+                    let key = self.r.ty(l)?;
+                    l.expect(",")?;
+                    let value = self.r.ty(l)?;
+                    l.expect(">")?;
+                    InstKind::NewAssoc { key, value }
+                }
+                name => InstKind::NewObj {
+                    obj: self.r.object(l, name)?,
+                },
+            },
+            m @ ("rmw" | "mut.rmw") => {
+                let c = self.value(l)?;
+                l.expect(",")?;
+                let idx = self.value(l)?;
+                l.expect(",")?;
+                let name = l.word()?;
+                let op = BinOp::from_mnemonic(name)
+                    .ok_or_else(|| l.error(format!("bad rmw op `{name}`")))?;
+                l.expect(",")?;
+                let value = self.value(l)?;
+                if m == "rmw" {
+                    InstKind::Rmw { c, idx, op, value }
                 } else {
-                    InstKind::MutRmw {
-                        c: cv,
-                        idx,
-                        op: bop,
-                        value,
-                    }
+                    InstKind::MutRmw { c, idx, op, value }
                 }
             }
-            "insert" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let value = if c.eat(&Tok::Comma) {
-                    Some(self.parse_value(c, module, fid, values, obj_names)?)
-                } else {
-                    None
-                };
-                InstKind::Insert { c: cv, idx, value }
-            }
-            "insert.seq" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let src = comma_val!();
-                InstKind::InsertSeq { c: cv, idx, src }
-            }
-            "remove" => {
-                let cv = val!();
-                let idx = comma_val!();
-                InstKind::Remove { c: cv, idx }
-            }
-            "remove.range" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                InstKind::RemoveRange { c: cv, from, to }
-            }
-            "copy" => InstKind::Copy { c: val!() },
-            "copy.range" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                InstKind::CopyRange { c: cv, from, to }
-            }
-            "swap" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                let at = comma_val!();
-                InstKind::Swap {
-                    c: cv,
-                    from,
-                    to,
-                    at,
-                }
-            }
-            "swap2" => {
-                let a = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                let b = comma_val!();
-                let at = comma_val!();
-                InstKind::Swap2 { a, from, to, b, at }
-            }
-            "size" => InstKind::Size { c: val!() },
-            "has" => {
-                let cv = val!();
-                let key = comma_val!();
-                InstKind::Has { c: cv, key }
-            }
-            "keys" => InstKind::Keys { c: val!() },
-            "usephi" => InstKind::UsePhi { c: val!() },
-            "field.read" | "field.write" => {
-                let obj = val!();
-                c.expect(&Tok::Comma)?;
-                let path = c.ident()?; // `tname.fname`
-                let (tname, fname) = path.rsplit_once('.').ok_or_else(|| ParseError {
-                    line,
-                    message: format!("bad field path `{path}`"),
-                })?;
-                let obj_ty = *obj_names.get(tname).ok_or_else(|| ParseError {
-                    line,
-                    message: format!("unknown object type `{tname}`"),
-                })?;
-                let field = module
-                    .types
-                    .object(obj_ty)
-                    .field_index(fname)
-                    .ok_or_else(|| ParseError {
-                        line,
-                        message: format!("unknown field `{fname}`"),
-                    })? as u32;
-                if op == "field.read" {
+            m @ ("field.read" | "field.write") => {
+                let obj = self.value(l)?;
+                l.expect(",")?;
+                let path = l.word()?;
+                let (ty_name, field_name) = path
+                    .rsplit_once('.')
+                    .ok_or_else(|| l.error(format!("bad field path `{path}`")))?;
+                let obj_ty = self.r.object(l, ty_name)?;
+                let field = self.r.m.types.object(obj_ty).field_index(field_name);
+                let field =
+                    field.ok_or_else(|| l.error(format!("unknown field `{field_name}`")))? as u32;
+                if m == "field.read" {
                     InstKind::FieldRead { obj, obj_ty, field }
                 } else {
-                    let value = comma_val!();
+                    l.expect(",")?;
+                    let value = self.value(l)?;
                     InstKind::FieldWrite {
                         obj,
                         obj_ty,
@@ -1251,237 +664,137 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            "mut.write" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let value = comma_val!();
-                InstKind::MutWrite { c: cv, idx, value }
-            }
-            "mut.insert" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let value = if c.eat(&Tok::Comma) {
-                    Some(self.parse_value(c, module, fid, values, obj_names)?)
-                } else {
-                    None
-                };
-                InstKind::MutInsert { c: cv, idx, value }
-            }
-            "mut.insert.seq" => {
-                let cv = val!();
-                let idx = comma_val!();
-                let src = comma_val!();
-                InstKind::MutInsertSeq { c: cv, idx, src }
-            }
-            "mut.remove" => {
-                let cv = val!();
-                let idx = comma_val!();
-                InstKind::MutRemove { c: cv, idx }
-            }
-            "mut.remove.range" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                InstKind::MutRemoveRange { c: cv, from, to }
-            }
-            "mut.append" => {
-                let cv = val!();
-                let src = comma_val!();
-                InstKind::MutAppend { c: cv, src }
-            }
-            "mut.swap" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                let at = comma_val!();
-                InstKind::MutSwap {
-                    c: cv,
-                    from,
-                    to,
-                    at,
-                }
-            }
-            "mut.swap2" => {
-                let a = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                let b = comma_val!();
-                let at = comma_val!();
-                InstKind::MutSwap2 { a, from, to, b, at }
-            }
-            "mut.split" => {
-                let cv = val!();
-                let from = comma_val!();
-                let to = comma_val!();
-                InstKind::MutSplit { c: cv, from, to }
-            }
-            other => {
-                return Err(ParseError {
-                    line,
-                    message: format!("unknown opcode `{other}`"),
-                })
+            m => {
+                let ops = l.list("", |l| self.value(l))?;
+                InstKind::from_flat(m, &ops).ok_or_else(|| {
+                    l.error(format!("unknown opcode `{m}` with {} operands", ops.len()))
+                })?
             }
         };
-        Ok(kind)
+        l.end()?;
+        let f = self.func();
+        let id = f.insts.push(Inst {
+            kind,
+            results: Vec::new(),
+        });
+        f.blocks[block].insts.push(id);
+        self.read.push((l.no, results, annotation));
+        Ok(())
     }
 
-    fn parse_value(
-        &self,
-        c: &mut LineCursor<'_>,
-        module: &mut Module,
-        fid: crate::FuncId,
-        values: &mut HashMap<String, ValueId>,
-        _obj_names: &HashMap<String, ObjTypeId>,
-    ) -> PResult<ValueId> {
-        let line = c.line;
-        match c.next()?.clone() {
-            Tok::Percent => {
-                let name = match c.next()? {
-                    Tok::Ident(s) => s.clone(),
-                    Tok::Number(s) => s.clone(),
-                    other => {
-                        return Err(ParseError {
-                            line,
-                            message: format!("bad value name {other:?}"),
-                        })
+    /// Binds every result to its value, then types it.
+    fn finish(mut self) -> PResult<()> {
+        let void = self.r.m.types.intern(Type::Void);
+        // A result some operand already named takes that value; the rest
+        // are minted now, in instruction order.
+        for i in 0..self.read.len() {
+            let (line, names) = (self.read[i].0, std::mem::take(&mut self.read[i].1));
+            let inst = InstId::from_raw(i as u32);
+            for (k, name) in names.into_iter().enumerate() {
+                let def = ValueDef::Inst(inst, k as u32);
+                let v = match self.values.get(name) {
+                    Some(&v) if self.undefined.remove(&v).is_some() => {
+                        self.func().values[v].def = def;
+                        v
+                    }
+                    Some(_) => return Err(error(line, format!("`%{name}` is defined twice"))),
+                    None => {
+                        let v = self.func().values.push(Value {
+                            ty: void,
+                            def,
+                            name: name_hint(name),
+                        });
+                        self.values.insert(name.to_string(), v);
+                        v
                     }
                 };
-                if let Some(&v) = values.get(&name) {
-                    return Ok(v);
-                }
-                // Forward reference: mint a placeholder result value.
-                let void_ty = module.types.intern(Type::Void);
-                let f = &mut module.funcs[fid];
-                let v = f.values.push(Value {
-                    ty: void_ty,
-                    def: ValueDef::Inst(InstId::from_raw(u32::MAX), 0),
-                    name: name_hint(&name),
-                });
-                values.insert(name, v);
-                Ok(v)
+                self.func().insts[inst].results.push(v);
             }
-            Tok::Ident(s) if s == "true" || s == "false" => {
-                let t = module.types.intern(Type::Bool);
-                Ok(module.funcs[fid].constant(Constant::Bool(s == "true"), t))
-            }
-            Tok::Ident(s) if s.starts_with("null") => {
-                // Printed as `null:T<raw>` — tokenizer keeps `null` then `:`.
-                c.expect(&Tok::Colon)?;
-                let tref = c.ident()?;
-                let raw: u32 = tref
-                    .strip_prefix('T')
-                    .and_then(|r| r.parse().ok())
-                    .ok_or_else(|| ParseError {
-                        line,
-                        message: format!("bad null type `{tref}`"),
-                    })?;
-                let obj = ObjTypeId::from_raw(raw);
-                let t = module.types.ref_of(obj);
-                Ok(module.funcs[fid].constant(Constant::Null(obj), t))
-            }
-            Tok::Minus => {
-                let num = match c.next()? {
-                    Tok::Number(s) => s.clone(),
-                    other => {
-                        return Err(ParseError {
-                            line,
-                            message: format!("bad number {other:?}"),
-                        })
-                    }
-                };
-                self.typed_const(c, module, fid, &num, true)
-            }
-            Tok::Number(num) => self.typed_const(c, module, fid, &num, false),
-            other => Err(ParseError {
-                line,
-                message: format!("expected value, found {other:?}"),
-            }),
         }
+        if let Some((_, &(line, name))) = self
+            .undefined
+            .iter()
+            .min_by_key(|(v, (line, _))| (*line, **v))
+        {
+            return Err(error(line, format!("`%{name}` is never defined")));
+        }
+
+        // Results are typed in instruction order; an operand defined
+        // further down is typed first (φ and call results need no
+        // operand types, so valid SSA never waits on itself).
+        const TYPING: u8 = 1;
+        const TYPED: u8 = 2;
+        let mut state = vec![0u8; self.read.len()];
+        for root in 0..state.len() {
+            let mut stack = vec![root];
+            while let Some(&i) = stack.last() {
+                if state[i] == TYPED {
+                    stack.pop();
+                    continue;
+                }
+                state[i] = TYPING;
+                let f = &self.r.m.funcs[self.fid];
+                let kind = &f.insts[InstId::from_raw(i as u32)].kind;
+                let pending = match kind {
+                    InstKind::Phi { .. } | InstKind::Call { .. } => None,
+                    _ => kind
+                        .operands()
+                        .into_iter()
+                        .find_map(|v| match f.values[v].def {
+                            ValueDef::Inst(d, _) if state[d.index()] != TYPED => Some(d.index()),
+                            _ => None,
+                        }),
+                };
+                match pending {
+                    Some(d) if state[d] == TYPING => {
+                        return Err(error(self.read[i].0, "result derived from itself"))
+                    }
+                    Some(d) => stack.push(d),
+                    None => {
+                        self.type_results(i)?;
+                        state[i] = TYPED;
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
-    fn typed_const(
-        &self,
-        c: &mut LineCursor<'_>,
-        module: &mut Module,
-        fid: crate::FuncId,
-        num: &str,
-        neg: bool,
-    ) -> PResult<ValueId> {
-        let line = c.line;
-        c.expect(&Tok::Colon)?;
-        let tyname = c.ident()?;
-        let ty = match tyname.as_str() {
-            "I64" => Type::I64,
-            "I32" => Type::I32,
-            "I16" => Type::I16,
-            "I8" => Type::I8,
-            "U64" => Type::U64,
-            "U32" => Type::U32,
-            "U16" => Type::U16,
-            "U8" => Type::U8,
-            "Index" => Type::Index,
-            "F64" => Type::F64,
-            "F32" => Type::F32,
-            other => {
-                return Err(ParseError {
-                    line,
-                    message: format!("bad constant type `{other}`"),
-                })
-            }
+    /// Types instruction `i`'s results by the rule, checking their count.
+    fn type_results(&mut self, i: usize) -> PResult<()> {
+        let (line, _, annotation) = self.read[i];
+        let m = &mut self.r.m;
+        let f = &m.funcs[self.fid];
+        let inst = &f.insts[InstId::from_raw(i as u32)];
+        let declared = match inst.kind {
+            InstKind::Phi { .. } => annotation.as_slice(),
+            InstKind::Call { callee, .. } => m.ret_tys(callee),
+            _ => &[],
         };
-        let tid = module.types.intern(ty);
-        let konst = if ty.is_float() {
-            let mut v: f64 = num.parse().map_err(|_| ParseError {
-                line,
-                message: format!("bad float `{num}`"),
-            })?;
-            if neg {
-                v = -v;
-            }
-            Constant::Float(ty, v.to_bits())
-        } else {
-            let mut v: i64 = if let Ok(x) = num.parse::<i64>() {
-                x
-            } else if let Ok(x) = num.parse::<u64>() {
-                x as i64
-            } else {
-                return Err(ParseError {
-                    line,
-                    message: format!("bad integer `{num}`"),
-                });
-            };
-            if neg {
-                v = -v;
-            }
-            Constant::Int(ty, v)
-        };
-        Ok(module.funcs[fid].constant(konst, tid))
-    }
-
-    // φ and `new` result types are recorded while parsing the instruction
-    // and consumed in order by `commit_staged`. Because instructions are
-    // parsed strictly in order, a simple queue (behind a RefCell to keep
-    // parse methods `&self`) suffices.
-    fn note_phi_ty(&self, ty: TypeId) {
-        self.noted.borrow_mut().push(ty);
-    }
-
-    fn note_new_ty(&self, ty: TypeId) {
-        self.noted.borrow_mut().push(ty);
+        let tys = inst
+            .kind
+            .result_types(&m.types, |v| f.value_ty(v), declared)
+            .map_err(|e| error(line, e))?;
+        let (want, got) = (tys.len(), inst.results.len());
+        if want != got {
+            return Err(error(line, format!("defines {want} results, not {got}")));
+        }
+        let results = inst.results.clone();
+        for (r, t) in results.into_iter().zip(tys) {
+            let t = m.types.intern(t);
+            m.funcs[self.fid].values[r].ty = t;
+        }
+        Ok(())
     }
 }
 
-use std::cell::RefCell;
-
+/// The printer's name hint behind a value name: `%foo.12` carries `foo`,
+/// a bare `%12` none.
 fn name_hint(raw: &str) -> Option<String> {
-    // `%foo.12` carries name hint `foo`; bare `%12` carries none.
-    match raw.rsplit_once('.') {
-        Some((base, _)) if !base.is_empty() && !base.chars().next().unwrap().is_ascii_digit() => {
-            Some(base.to_string())
-        }
-        None if raw.chars().next().is_some_and(|c| !c.is_ascii_digit()) => Some(raw.to_string()),
-        _ => None,
-    }
+    let base = raw.rsplit_once('.').map_or(raw, |(base, _)| base);
+    base.starts_with(|c: char| !c.is_ascii_digit())
+        .then(|| base.to_string())
 }
 
 #[cfg(test)]
@@ -1549,6 +862,134 @@ mod tests {
         let text2 = print_module(&parsed);
         let parsed2 = parse_module(&text2).unwrap();
         assert_eq!(print_module(&parsed2), text2);
+    }
+
+    /// One of each of the 41 instruction kinds, in the printer's own
+    /// spelling: it reads back to the same bytes.
+    const EVERY_KIND: &str = "\
+module every
+type Obj = { x: i64, y: index }  ; T0
+extern ext(i64) -> (i64) [pure]
+
+fn f(a: Assoc<i64, i64>, s: Seq<i64>, o: &Obj, n: index) -> (i64) form=ssa {
+entry.0:
+  %r.4 = read %s.1, %n.3
+  %b.6 = add %r.4, 1:I64
+  %c.8 = cmp.lt %b.6, 2:I64
+  %k.9 = cast %n.3 to i64
+  %sel.10 = select %c.8, %b.6, %k.9
+  %e.15 = call @ext!(%sel.10)
+  %s2.21 = new Seq<i64>(%n.3)
+  %33 = new Assoc<index, bool>
+  %ob.11 = new Obj
+  %fx.13 = field.read %ob.11, Obj.x
+  field.write %ob.11, Obj.y, %n.3
+  delete %ob.11
+  %w.14 = write %s.1, 0:Index, %fx.13
+  %m.16 = rmw %w.14, 0:Index, max, %e.15
+  %i1.18 = insert %m.16, 1:Index
+  %i2.20 = insert %i1.18, 1:Index, 5:I64
+  %is.22 = insert.seq %i2.20, 0:Index, %s2.21
+  %rm.23 = remove %is.22, 0:Index
+  %rr.24 = remove.range %rm.23, 0:Index, 1:Index
+  %cp.25 = copy %rr.24
+  %cr.26 = copy.range %cp.25, 0:Index, 1:Index
+  %sw.28 = swap %cr.26, 0:Index, 1:Index, 2:Index
+  %34, %y.29 = swap2 %sw.28, 0:Index, 1:Index, %s2.21, 0:Index
+  %35 = size %y.29
+  %h.31 = has %a.0, %b.6
+  %ks.30 = keys %a.0
+  %36 = usephi %ks.30
+  br %h.31, then.1, else.2
+then.1:
+  jump join.3
+else.2:
+  unreachable
+join.3:
+  %p.32 = phi i64 [then.1: %b.6]
+  ret %p.32
+}
+
+fn g(&s: Seq<i64>, t: Seq<i64>) -> () form=mut {
+entry.0:
+  mut.write %s.0, 0:Index, 1:I64
+  mut.rmw %s.0, 0:Index, add, 2:I64
+  mut.insert %s.0, 0:Index
+  mut.insert %s.0, 0:Index, 3:I64
+  mut.insert.seq %s.0, 0:Index, %t.1
+  mut.remove %s.0, 0:Index
+  mut.remove.range %s.0, 0:Index, 1:Index
+  mut.append %s.0, %t.1
+  mut.swap %s.0, 0:Index, 1:Index, 2:Index
+  mut.swap2 %s.0, 0:Index, 1:Index, %t.1, 0:Index
+  %as.8 = new Assoc<i64, i64>
+  %10 = mut.split %s.0, 0:Index, 1:Index
+  %11 = call @f(%as.8, %t.1, null:T0, 0:Index)
+  ret 
+}
+";
+
+    #[test]
+    fn every_instruction_kind_round_trips() {
+        let m = parse_module(EVERY_KIND).unwrap_or_else(|e| panic!("{e}"));
+        crate::verifier::assert_valid(&m);
+        assert_eq!(print_module(&m), EVERY_KIND);
+        let kinds: std::collections::HashSet<_> = m
+            .funcs
+            .iter()
+            .flat_map(|(_, f)| f.insts.iter().map(|(_, i)| std::mem::discriminant(&i.kind)))
+            .collect();
+        assert_eq!(kinds.len(), 41);
+    }
+
+    /// Wraps `insts` as the body of `fn f() -> (i64)`; its first line is
+    /// line 4.
+    fn in_body(insts: &str) -> Result<Module, ParseError> {
+        parse_module(&format!(
+            "module m\nfn f() -> (i64) form=ssa {{\nentry.0:\n{insts}\n}}\n"
+        ))
+    }
+
+    /// Printer output the reader used to panic on, reject, or rename.
+    #[test]
+    fn printed_edge_values_read_back() {
+        for src in [
+            "module m\n\nfn f() -> (i64) form=ssa {\nentry.0:\n  ret -9223372036854775808:I64\n}\n",
+            "module m\n\nfn f() -> (f64) form=ssa {\nentry.0:\n  ret -inf:F64\n}\n",
+            "module fuzz-multi\n\nfn f() -> (f64) form=ssa {\nentry.0:\n  ret NaN:F64\n}\n",
+        ] {
+            let m = parse_module(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(print_module(&m), src);
+        }
+    }
+
+    #[test]
+    fn malformed_instructions_are_errors_on_their_line() {
+        for (insts, line) in [
+            ("  %1 = new Seq<i64>(0:Index)\n  size %1\n  ret 0:I64", 5),
+            ("  phi i64 [entry.0: 0:I64]\n  ret 0:I64", 4),
+            (
+                "  %1 = new Seq<i64>(0:Index)\n  %2, %3 = size %1\n  ret %2",
+                5,
+            ),
+            ("  ret %9", 4),
+            ("  ret -18446744073709551615:I64", 4),
+            ("  %1 = add %2, 1:I64\n  %2 = add %1, 1:I64\n  ret %2", 5),
+            ("  %1 = read 1:I64, 0:Index\n  ret %1", 4),
+            (
+                "  %1 = add 1:I64, 1:I64\n  %1 = add 1:I64, 2:I64\n  ret %1",
+                5,
+            ),
+        ] {
+            let err = in_body(insts).map(|m| print_module(&m)).unwrap_err();
+            assert_eq!(err.line, line, "{insts}: {err}");
+        }
+        let deep = format!(
+            "  %1 = new {}i64{}(0:Index)",
+            "Seq<".repeat(99),
+            ">".repeat(99)
+        );
+        assert_eq!(in_body(&deep).unwrap_err().line, 4);
     }
 
     #[test]

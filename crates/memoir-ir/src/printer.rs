@@ -48,16 +48,7 @@ pub fn write_module<W: Write>(w: &mut W, m: &Module) -> fmt::Result {
         write_types(w, &m.types, &e.params)?;
         w.write_str(") -> (")?;
         write_types(w, &m.types, &e.ret_tys)?;
-        let eff = if e.effects.opaque {
-            "opaque"
-        } else if e.effects.writes_args {
-            "writes"
-        } else if e.effects.reads_args {
-            "pure"
-        } else {
-            "const"
-        };
-        writeln!(w, ") [{eff}]")?;
+        writeln!(w, ") [{}]", e.effects.keyword())?;
     }
     for (_, f) in m.funcs.iter() {
         w.write_char('\n')?;
@@ -155,41 +146,27 @@ impl<W: Write> FnWriter<'_, W> {
         Ok(())
     }
 
-    /// `mnemonic v0, v1, ...`.
-    fn op(&mut self, mnemonic: &str, vs: &[ValueId]) -> fmt::Result {
-        self.w.write_str(mnemonic)?;
-        self.w.write_char(' ')?;
-        self.values(vs)
-    }
-
     /// `T.field` of an object type.
     fn field(&mut self, obj_ty: ObjTypeId, field: u32) -> fmt::Result {
         let obj = self.types.object(obj_ty);
         write!(self.w, "{}.{}", obj.name, obj.fields[field as usize].name)
     }
 
-    /// One instruction, without indentation or newline.
+    /// One instruction, without indentation or newline. Flat forms come
+    /// from the instruction table; the arms below spell the forms with
+    /// immediates.
     fn inst(&mut self, inst: &Inst) -> fmt::Result {
         if !inst.results.is_empty() {
             self.values(&inst.results)?;
             self.w.write_str(" = ")?;
         }
         match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => self.op(op.mnemonic(), &[*lhs, *rhs]),
-            InstKind::Cmp { op, lhs, rhs } => {
-                self.w.write_str("cmp.")?;
-                self.op(op.mnemonic(), &[*lhs, *rhs])
-            }
             InstKind::Cast { to, value } => {
-                self.op("cast", &[*value])?;
+                self.w.write_str("cast ")?;
+                self.value(*value)?;
                 self.w.write_str(" to ")?;
                 self.types.write_type(self.w, *to)
             }
-            InstKind::Select {
-                cond,
-                then_value,
-                else_value,
-            } => self.op("select", &[*cond, *then_value, *else_value]),
             InstKind::Phi { incoming } => {
                 // The result type is annotated so the parser never needs to
                 // resolve forward references to type a φ.
@@ -228,13 +205,13 @@ impl<W: Write> FnWriter<'_, W> {
                 then_target,
                 else_target,
             } => {
-                self.op("br", &[*cond])?;
+                self.w.write_str("br ")?;
+                self.value(*cond)?;
                 self.w.write_str(", ")?;
                 self.block(*then_target)?;
                 self.w.write_str(", ")?;
                 self.block(*else_target)
             }
-            InstKind::Ret { values } => self.op("ret", values),
             InstKind::Unreachable => self.w.write_str("unreachable"),
             InstKind::NewSeq { elem, len } => {
                 self.w.write_str("new Seq<")?;
@@ -251,27 +228,20 @@ impl<W: Write> FnWriter<'_, W> {
                 self.w.write_char('>')
             }
             InstKind::NewObj { obj } => write!(self.w, "new {}", self.types.object(*obj).name),
-            InstKind::DeleteObj { obj } => self.op("delete", &[*obj]),
-            InstKind::Read { c, idx } => self.op("read", &[*c, *idx]),
-            InstKind::Write { c, idx, value } => self.op("write", &[*c, *idx, *value]),
-            InstKind::Rmw { c, idx, op, value } => self.rmw("rmw", *c, *idx, op.mnemonic(), *value),
-            InstKind::Insert { c, idx, value } => match value {
-                Some(val) => self.op("insert", &[*c, *idx, *val]),
-                None => self.op("insert", &[*c, *idx]),
-            },
-            InstKind::InsertSeq { c, idx, src } => self.op("insert.seq", &[*c, *idx, *src]),
-            InstKind::Remove { c, idx } => self.op("remove", &[*c, *idx]),
-            InstKind::RemoveRange { c, from, to } => self.op("remove.range", &[*c, *from, *to]),
-            InstKind::Copy { c } => self.op("copy", &[*c]),
-            InstKind::CopyRange { c, from, to } => self.op("copy.range", &[*c, *from, *to]),
-            InstKind::Swap { c, from, to, at } => self.op("swap", &[*c, *from, *to, *at]),
-            InstKind::Swap2 { a, from, to, b, at } => self.op("swap2", &[*a, *from, *to, *b, *at]),
-            InstKind::Size { c } => self.op("size", &[*c]),
-            InstKind::Has { c, key } => self.op("has", &[*c, *key]),
-            InstKind::Keys { c } => self.op("keys", &[*c]),
-            InstKind::UsePhi { c } => self.op("usephi", &[*c]),
+            InstKind::Rmw { c, idx, op, value } | InstKind::MutRmw { c, idx, op, value } => {
+                let mnemonic = if inst.kind.is_mut_op() {
+                    "mut.rmw "
+                } else {
+                    "rmw "
+                };
+                self.w.write_str(mnemonic)?;
+                self.values(&[*c, *idx])?;
+                write!(self.w, ", {}, ", op.mnemonic())?;
+                self.value(*value)
+            }
             InstKind::FieldRead { obj, obj_ty, field } => {
-                self.op("field.read", &[*obj])?;
+                self.w.write_str("field.read ")?;
+                self.value(*obj)?;
                 self.w.write_str(", ")?;
                 self.field(*obj_ty, *field)
             }
@@ -281,46 +251,25 @@ impl<W: Write> FnWriter<'_, W> {
                 field,
                 value,
             } => {
-                self.op("field.write", &[*obj])?;
+                self.w.write_str("field.write ")?;
+                self.value(*obj)?;
                 self.w.write_str(", ")?;
                 self.field(*obj_ty, *field)?;
                 self.w.write_str(", ")?;
                 self.value(*value)
             }
-            InstKind::MutWrite { c, idx, value } => self.op("mut.write", &[*c, *idx, *value]),
-            InstKind::MutRmw { c, idx, op, value } => {
-                self.rmw("mut.rmw", *c, *idx, op.mnemonic(), *value)
+            kind => {
+                let written = kind.flat(|prefix, mnemonic, operands| {
+                    if !prefix.is_empty() {
+                        self.w.write_str(prefix)?;
+                    }
+                    self.w.write_str(mnemonic)?;
+                    self.w.write_char(' ')?;
+                    self.values(operands)
+                });
+                written.unwrap_or_else(|| unreachable!("{kind:?} has no printer arm"))
             }
-            InstKind::MutInsert { c, idx, value } => match value {
-                Some(val) => self.op("mut.insert", &[*c, *idx, *val]),
-                None => self.op("mut.insert", &[*c, *idx]),
-            },
-            InstKind::MutInsertSeq { c, idx, src } => self.op("mut.insert.seq", &[*c, *idx, *src]),
-            InstKind::MutRemove { c, idx } => self.op("mut.remove", &[*c, *idx]),
-            InstKind::MutRemoveRange { c, from, to } => {
-                self.op("mut.remove.range", &[*c, *from, *to])
-            }
-            InstKind::MutAppend { c, src } => self.op("mut.append", &[*c, *src]),
-            InstKind::MutSwap { c, from, to, at } => self.op("mut.swap", &[*c, *from, *to, *at]),
-            InstKind::MutSwap2 { a, from, to, b, at } => {
-                self.op("mut.swap2", &[*a, *from, *to, *b, *at])
-            }
-            InstKind::MutSplit { c, from, to } => self.op("mut.split", &[*c, *from, *to]),
         }
-    }
-
-    /// `mnemonic c, idx, op, value`: the operator sits between operands.
-    fn rmw(
-        &mut self,
-        mnemonic: &str,
-        c: ValueId,
-        idx: ValueId,
-        op: &str,
-        value: ValueId,
-    ) -> fmt::Result {
-        self.op(mnemonic, &[c, idx])?;
-        write!(self.w, ", {op}, ")?;
-        self.value(value)
     }
 }
 

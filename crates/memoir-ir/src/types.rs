@@ -56,6 +56,47 @@ pub enum Type {
 }
 
 impl Type {
+    /// Every type spelled by a keyword (see [`keyword`](Self::keyword)).
+    pub const KEYWORD_TYPES: [Type; 14] = [
+        Type::I64,
+        Type::I32,
+        Type::I16,
+        Type::I8,
+        Type::U64,
+        Type::U32,
+        Type::U16,
+        Type::U8,
+        Type::Bool,
+        Type::Index,
+        Type::F64,
+        Type::F32,
+        Type::Ptr,
+        Type::Void,
+    ];
+
+    /// The keyword spelling this type in MEMOIR syntax (`i64`, `index`,
+    /// …); `None` for references, objects and collections. A constant's
+    /// type suffix (`7:I64`) is the same word, capitalized.
+    pub fn keyword(self) -> Option<&'static str> {
+        Some(match self {
+            Type::I64 => "i64",
+            Type::I32 => "i32",
+            Type::I16 => "i16",
+            Type::I8 => "i8",
+            Type::U64 => "u64",
+            Type::U32 => "u32",
+            Type::U16 => "u16",
+            Type::U8 => "u8",
+            Type::Bool => "bool",
+            Type::Index => "index",
+            Type::F64 => "f64",
+            Type::F32 => "f32",
+            Type::Ptr => "ptr",
+            Type::Void => "void",
+            Type::Ref(_) | Type::Object(_) | Type::Seq(_) | Type::Assoc(..) => return None,
+        })
+    }
+
     /// Whether this is one of the primitive (non-collection, non-object)
     /// types of Fig. 2.
     pub fn is_primitive(self) -> bool {
@@ -384,20 +425,6 @@ impl TypeTable {
     /// renderer, shared by [`display`](Self::display) and the printer.
     pub(crate) fn write_type<W: fmt::Write>(&self, w: &mut W, id: TypeId) -> fmt::Result {
         let name = match self.get(id) {
-            Type::I64 => "i64",
-            Type::I32 => "i32",
-            Type::I16 => "i16",
-            Type::I8 => "i8",
-            Type::U64 => "u64",
-            Type::U32 => "u32",
-            Type::U16 => "u16",
-            Type::U8 => "u8",
-            Type::Bool => "bool",
-            Type::Index => "index",
-            Type::F64 => "f64",
-            Type::F32 => "f32",
-            Type::Ptr => "ptr",
-            Type::Void => "void",
             Type::Ref(obj) => {
                 w.write_char('&')?;
                 &self.objects[obj].name
@@ -415,6 +442,7 @@ impl TypeTable {
                 self.write_type(w, v)?;
                 ">"
             }
+            ty => ty.keyword().unwrap_or_default(),
         };
         w.write_str(name)
     }

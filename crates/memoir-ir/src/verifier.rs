@@ -6,13 +6,15 @@
 //! * φs appear only at block heads and have exactly one incoming per
 //!   predecessor;
 //! * every use is dominated by its definition (SSA dominance);
-//! * operand types satisfy the MEMOIR typing rules of Fig. 2;
+//! * operand types satisfy the MEMOIR typing rules of Fig. 2, and every
+//!   instruction's result count and types are the instruction table's
+//!   ([`InstKind::result_types`]);
 //! * form invariants: `Form::Ssa` functions contain no `mut.*`
 //!   instructions, `Form::Mut` functions contain no SSA collection
 //!   updates or USEφ.
 
-use crate::ids::{BlockId, FuncId, InstId, ValueId};
-use crate::inst::{Callee, InstKind};
+use crate::ids::{BlockId, FuncId, InstId, TypeId, ValueId};
+use crate::inst::{Callee, Inst, InstKind};
 use crate::{Form, Function, Module, Type, ValueDef};
 use std::collections::HashMap;
 use std::fmt;
@@ -188,9 +190,37 @@ fn elem_ty(ctx: &Ctx<'_>, c: ValueId) -> Option<Type> {
     }
 }
 
+/// Checks an instruction's results against the instruction table's rule:
+/// their count and every type.
+fn check_results(ctx: &mut Ctx<'_>, i: InstId, inst: &Inst) {
+    let (m, f) = (ctx.m, ctx.f);
+    let annotated: Vec<TypeId>;
+    let declared: &[TypeId] = match &inst.kind {
+        InstKind::Phi { .. } => {
+            annotated = inst.results.iter().map(|&r| f.value_ty(r)).collect();
+            &annotated
+        }
+        InstKind::Call { callee, .. } => m.ret_tys(*callee),
+        _ => &[],
+    };
+    match inst
+        .kind
+        .result_types(&m.types, |v| f.value_ty(v), declared)
+    {
+        Ok(want) => {
+            let got: Vec<Type> = inst.results.iter().map(|&r| ctx.ty(r)).collect();
+            if got != want {
+                ctx.err(Some(i), format!("results {got:?} != the rule's {want:?}"));
+            }
+        }
+        Err(e) => ctx.err(Some(i), e),
+    }
+}
+
 fn check_types(ctx: &mut Ctx<'_>) {
     for (_, i) in ctx.f.inst_ids_in_order() {
         let inst = ctx.f.insts[i].clone();
+        check_results(ctx, i, &inst);
         match &inst.kind {
             InstKind::Bin { lhs, rhs, .. } => {
                 let (a, b) = (ctx.ty(*lhs), ctx.ty(*rhs));
@@ -236,7 +266,10 @@ fn check_types(ctx: &mut Ctx<'_>) {
                 );
             }
             InstKind::Phi { incoming } => {
-                let rt = ctx.ty(inst.results[0]);
+                let Some(&r) = inst.results.first() else {
+                    continue;
+                };
+                let rt = ctx.ty(r);
                 for (_, v) in incoming {
                     let vt = ctx.ty(*v);
                     expect(
@@ -275,29 +308,17 @@ fn check_types(ctx: &mut Ctx<'_>) {
                 }
             }
             InstKind::Call { callee, args } => {
-                let (params, rets): (Vec<Type>, Vec<Type>) = match callee {
-                    Callee::Func(fid) => {
-                        let callee_f = &ctx.m.funcs[*fid];
-                        (
-                            callee_f
-                                .params
-                                .iter()
-                                .map(|p| ctx.m.types.get(p.ty))
-                                .collect(),
-                            callee_f
-                                .ret_tys
-                                .iter()
-                                .map(|&t| ctx.m.types.get(t))
-                                .collect(),
-                        )
-                    }
-                    Callee::Extern(eid) => {
-                        let e = &ctx.m.externs[*eid];
-                        (
-                            e.params.iter().map(|&t| ctx.m.types.get(t)).collect(),
-                            e.ret_tys.iter().map(|&t| ctx.m.types.get(t)).collect(),
-                        )
-                    }
+                let params: Vec<Type> = match callee {
+                    Callee::Func(fid) => ctx.m.funcs[*fid]
+                        .params
+                        .iter()
+                        .map(|p| ctx.m.types.get(p.ty))
+                        .collect(),
+                    Callee::Extern(eid) => ctx.m.externs[*eid]
+                        .params
+                        .iter()
+                        .map(|&t| ctx.m.types.get(t))
+                        .collect(),
                 };
                 expect(
                     ctx,
@@ -309,38 +330,8 @@ fn check_types(ctx: &mut Ctx<'_>) {
                     let at = ctx.ty(*a);
                     expect(ctx, i, at == *p, format!("call arg {at:?} != param {p:?}"));
                 }
-                expect(
-                    ctx,
-                    i,
-                    inst.results.len() == rets.len(),
-                    format!(
-                        "call results {} != returns {}",
-                        inst.results.len(),
-                        rets.len()
-                    ),
-                );
-                for (r, t) in inst.results.iter().zip(rets.iter()) {
-                    let rt = ctx.ty(*r);
-                    expect(
-                        ctx,
-                        i,
-                        rt == *t,
-                        format!("call result {rt:?} != return {t:?}"),
-                    );
-                }
             }
-            InstKind::Read { c, idx } => {
-                check_collection_access(ctx, i, *c, *idx);
-                if let Some(et) = elem_ty(ctx, *c) {
-                    let rt = ctx.ty(inst.results[0]);
-                    expect(
-                        ctx,
-                        i,
-                        rt == et,
-                        format!("read result {rt:?} != element {et:?}"),
-                    );
-                }
-            }
+            InstKind::Read { c, idx } => check_collection_access(ctx, i, *c, *idx),
             InstKind::Write { c, idx, value } | InstKind::MutWrite { c, idx, value } => {
                 check_collection_access(ctx, i, *c, *idx);
                 if let Some(et) = elem_ty(ctx, *c) {
@@ -472,14 +463,6 @@ fn check_types(ctx: &mut Ctx<'_>) {
                 }
                 other => expect(ctx, i, false, format!("has needs an assoc, got {other:?}")),
             },
-            InstKind::Keys { c } => {
-                expect(
-                    ctx,
-                    i,
-                    matches!(ctx.ty(*c), Type::Assoc(..)),
-                    "keys needs an assoc",
-                );
-            }
             InstKind::UsePhi { c } | InstKind::Copy { c } => {
                 expect(
                     ctx,
@@ -558,6 +541,7 @@ fn check_types(ctx: &mut Ctx<'_>) {
             }
             InstKind::NewAssoc { .. }
             | InstKind::NewObj { .. }
+            | InstKind::Keys { .. }
             | InstKind::Cast { .. }
             | InstKind::Jump { .. }
             | InstKind::Unreachable => {}

@@ -423,9 +423,8 @@ impl<M: IrUnit> PassManager<M> {
 
     /// Sets the worker-thread count for function-sharded passes (see
     /// [`FuncPassAdapter`](crate::parallel::FuncPassAdapter)). Results
-    /// are bit-identical to serial runs; only wall-clock changes. The
-    /// per-call spec option `parallel=N` overrides this for one
-    /// invocation. Default 1 (serial).
+    /// are bit-identical to serial runs; only wall-clock changes.
+    /// Default 1 (serial).
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -667,16 +666,6 @@ impl<M: IrUnit> PassManager<M> {
     ) -> Result<StepOutcome, RunError> {
         let name = call.name.as_str();
         let (max_ms, max_growth) = self.pass_budgets(call)?;
-        let threads = match call.opts.get_parsed::<usize>("parallel") {
-            Ok(Some(n)) => n.max(1),
-            Ok(None) => self.threads,
-            Err(message) => {
-                return Err(RunError::InvalidOptions {
-                    pass: name.to_string(),
-                    message,
-                })
-            }
-        };
         // Per-pass symbolic verification (`verify-sym` / `verify-sym=N`).
         let sym_requested = call.opts.iter().any(|(k, _)| k == "verify-sym");
         let sym_budget = match call.opts.get_parsed::<u64>("verify-sym") {
@@ -729,7 +718,7 @@ impl<M: IrUnit> PassManager<M> {
             0
         };
         pass.prepare(ExecContext {
-            threads,
+            threads: self.threads,
             contain_faults: recovering,
             inject_func_panic: if injected == Some(InjectKind::Panic) {
                 injected_func
@@ -1493,21 +1482,6 @@ mod tests {
             );
         }
         assert_eq!(serial.vals, vec![0; 8]);
-    }
-
-    #[test]
-    fn parallel_spec_option_overrides_the_manager() {
-        let mut m = Toy {
-            vals: vec![1, 2, 3],
-        };
-        let spec = PipelineSpec::parse("fdec<parallel=2>").unwrap();
-        let report = PassManager::new(registry_with_fdec())
-            .run(&mut m, &spec)
-            .unwrap();
-        assert_eq!(m.vals, vec![0, 1, 2]);
-        let prof = report.passes[0].profile.as_ref().unwrap();
-        assert_eq!(prof.shards.len(), 2);
-        assert_eq!(prof.func_times.len(), 3);
     }
 
     #[test]

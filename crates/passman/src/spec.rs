@@ -25,10 +25,6 @@
 //!   overriding the manager-wide default;
 //! * `max-ms` — per-pass wall-clock budget in milliseconds;
 //! * `max-growth` — per-pass instruction-count growth factor budget;
-//! * `parallel` — worker-thread count for this invocation of a
-//!   function-sharded pass (e.g. `simplify<parallel=4>`), overriding the
-//!   manager-wide [`with_threads`](crate::PassManager::with_threads)
-//!   setting. Module-level passes ignore it.
 //! * `verify-sym` — prove this invocation's input ≡ output with the
 //!   manager's symbolic verifier (see
 //!   [`with_sym_verifier`](crate::PassManager::with_sym_verifier));
@@ -42,10 +38,10 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Option keys interpreted by the runner rather than the pass
-/// constructor (budgets, fixpoint caps, worker threads, per-pass
-/// symbolic verification).
-pub const RESERVED_OPTION_KEYS: &[&str] =
-    &["max", "max-ms", "max-growth", "parallel", "verify-sym"];
+/// constructor (budgets, fixpoint caps, per-pass symbolic verification).
+/// The worker-thread count is the manager's alone
+/// ([`with_threads`](crate::PassManager::with_threads)).
+pub const RESERVED_OPTION_KEYS: &[&str] = &["max", "max-ms", "max-growth", "verify-sym"];
 
 /// Options attached to a pass invocation or fixpoint group: an ordered
 /// list of `key` / `key=value` pairs.

@@ -4,15 +4,18 @@
 //! The binaries accept user-controlled text in several places — pipeline
 //! spec strings (`--passes`), budget lists (`--budget`), fault-injection
 //! plans (`--inject`), fault policies (`--on-fault`), whole `.repro`
-//! files, and `memoir-fuzz run`'s own argv. A malformed input must come
+//! files, `memoir-fuzz run`'s own argv, and the textual MEMOIR modules
+//! `memoir-opt` and `memoird` read. A malformed input must come
 //! back as `Err`, never a panic, and anything a parser *accepts* must
 //! round-trip through its `Display` form. [`fuzz_cli_case`] throws
 //! grammar-aware garbage at all of them; `memoir-fuzz cli` is the
 //! campaign driver around it.
 
-use crate::genprog::CaseDims;
+use crate::genprog::{build_case, random_case, CaseDims};
 use crate::repro::Repro;
 use crate::rng::SplitMix64;
+use memoir_ir::parser::parse_module;
+use memoir_ir::printer::print_module;
 use passman::{Budgets, FaultPlan, FaultPolicy, PipelineSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -91,7 +94,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 #[derive(Clone, Debug)]
 pub struct CliCrash {
     /// Which textual surface (`spec`, `budget`, `inject`, `policy`,
-    /// `repro`, `run-args`).
+    /// `repro`, `run-args`, `module`).
     pub surface: &'static str,
     /// The offending input, verbatim.
     pub input: String,
@@ -225,15 +228,7 @@ fn repro_soup(rng: &mut SplitMix64) -> String {
                 // Clobber the line with token soup from a random grammar.
                 lines[i] = soup(rng, SPEC_TOKENS, 6);
             }
-            _ => {
-                // Flip one byte to a printable-ish random one.
-                let mut bytes = lines[i].clone().into_bytes();
-                if !bytes.is_empty() {
-                    let j = rng.index(bytes.len());
-                    bytes[j] = (rng.below(95) + 32) as u8;
-                }
-                lines[i] = String::from_utf8_lossy(&bytes).into_owned();
-            }
+            _ => flip_byte(rng, &mut lines[i]),
         }
         if lines.is_empty() {
             break;
@@ -248,6 +243,47 @@ fn repro_soup(rng: &mut SplitMix64) -> String {
         s.truncate(cut);
     }
     s
+}
+
+/// Flips one byte of `line` to a printable-ish random one.
+fn flip_byte(rng: &mut SplitMix64, line: &mut String) {
+    let mut bytes = std::mem::take(line).into_bytes();
+    if !bytes.is_empty() {
+        let j = rng.index(bytes.len());
+        bytes[j] = (rng.below(95) + 32) as u8;
+    }
+    *line = String::from_utf8_lossy(&bytes).into_owned();
+}
+
+/// A printed genprog case (objects and helpers on) with random lines
+/// dropped, duplicated, byte-flipped, or token-spliced: a line's first
+/// tokens joined to another line's last ones.
+fn module_soup(rng: &mut SplitMix64) -> String {
+    let dims = CaseDims {
+        objects: true,
+        multi: true,
+    };
+    let (m, _) = build_case(&random_case(rng, 12, dims));
+    let mut lines: Vec<String> = print_module(&m).lines().map(String::from).collect();
+    for _ in 0..1 + rng.index(4) {
+        let i = rng.index(lines.len());
+        match rng.below(4) {
+            0 => {
+                lines.remove(i);
+            }
+            1 => lines.insert(i, lines[i].clone()),
+            2 => flip_byte(rng, &mut lines[i]),
+            _ => {
+                let donor = lines[rng.index(lines.len())].clone();
+                let donor: Vec<&str> = donor.split(' ').collect();
+                let tokens: Vec<&str> = lines[i].split(' ').collect();
+                let head = &tokens[..rng.index(tokens.len() + 1)];
+                let spliced = [head, &donor[rng.index(donor.len())..]].concat().join(" ");
+                lines[i] = spliced;
+            }
+        }
+    }
+    lines.join("\n")
 }
 
 /// Checks one parser on one input: it must not panic, and if it accepts
@@ -366,7 +402,14 @@ pub fn fuzz_cli_case(rng: &mut SplitMix64) -> Option<CliCrash> {
             message: format!("panic: {}", passman::panic_message(&*payload)),
         });
     }
-    None
+    // An accepted module is compared by its printed form: it must
+    // reparse and print the same.
+    check(
+        "module",
+        &module_soup(rng),
+        |s| parse_module(s).ok().map(|m| print_module(&m)),
+        String::clone,
+    )
 }
 
 #[cfg(test)]

@@ -7,13 +7,22 @@
 //! The corpus: the five kernels as built, after O3 and lowered through
 //! `lower<adaptive>` plus the default lir pipeline; and `synth_ir`
 //! modules of four sizes and seeds through the same three stages.
+//!
+//! A second digest pins the MEMOIR parser's side of the text format:
+//! `print(parse(print(m)))` over the corpus's MEMOIR modules, 300
+//! seeded genprog cases (as built and after O3), `findings/*.mir` and
+//! `crates/memoir-opt/examples/sum.mir`. Each text must parse, verify,
+//! and print the same after one more trip.
 
 use memoir::ir::printer as memoir_printer;
-use memoir::ir::Module;
+use memoir::ir::{parser, verifier, Module};
 use memoir::lir::printer as lir_printer;
+use memoir::opt::compile;
 use memoir::opt::lowering::{compile_lowered_with, split_lowered_spec, LowerConfig};
 use memoir::opt::pipeline::{default_spec, OptConfig, OptLevel};
 use memoir::passman::{PipelineSpec, TextDigest};
+use memoir::reduce::genprog::{build_case, random_case, CaseDims};
+use memoir::reduce::rng::SplitMix64;
 use memoir::workloads::synth_ir::build_synth_ir;
 use memoir::workloads::{deepsjeng_ir, docstore, mcf_ir, optlike_ir, smallbank_ir};
 use std::fmt::{self, Write};
@@ -21,6 +30,10 @@ use std::fmt::{self, Write};
 /// The digest of the whole corpus, each entry preceded by a
 /// `; <label>\n` line.
 const CORPUS_DIGEST: u64 = 0x8c90_c830_3ddb_98d6;
+
+/// The digest of every reparsed text (see the module doc), each
+/// preceded by a `; <label>\n` line.
+const REPARSED_DIGEST: u64 = 0x5ab2_9776_8e23_5117;
 
 /// A kernel's builder.
 type Build = fn() -> Module;
@@ -150,4 +163,68 @@ fn printed_corpus_matches_the_pinned_digest() {
         at = end;
     }
     assert_eq!(digest_of(&parts), CORPUS_DIGEST);
+}
+
+/// The texts the reparse digest covers, labelled, in order.
+fn parser_inputs() -> Vec<(String, String)> {
+    let mut texts: Vec<(String, String)> = corpus()
+        .into_iter()
+        .filter_map(|(label, printed)| match printed {
+            Printed::Memoir(m) => Some((label, memoir_printer::print_module(&m))),
+            Printed::Lir(_) => None,
+        })
+        .collect();
+    let mut rng = SplitMix64::new(0x7e47_f0a7);
+    let dims = CaseDims {
+        objects: true,
+        multi: true,
+    };
+    for case in 0..300 {
+        let (m, _) = build_case(&random_case(&mut rng, 24, dims));
+        let mut o3 = m.clone();
+        compile(&mut o3, OptLevel::O3(OptConfig::all())).unwrap();
+        texts.push((
+            format!("genprog {case} built"),
+            memoir_printer::print_module(&m),
+        ));
+        texts.push((
+            format!("genprog {case} O3"),
+            memoir_printer::print_module(&o3),
+        ));
+    }
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut files: Vec<String> = std::fs::read_dir(format!("{root}/findings"))
+        .unwrap()
+        .map(|e| e.unwrap().path().to_string_lossy().into_owned())
+        .filter(|p| p.ends_with(".mir"))
+        .collect();
+    files.sort();
+    files.push(format!("{root}/crates/memoir-opt/examples/sum.mir"));
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let label = path.strip_prefix(root).unwrap_or(&path).to_string();
+        texts.push((label, text));
+    }
+    texts
+}
+
+#[test]
+fn reparsed_texts_match_the_pinned_digest() {
+    let mut digest = TextDigest::new();
+    for (label, text) in parser_inputs() {
+        let parsed = parser::parse_module(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let errs = verifier::verify_module(&parsed);
+        assert!(errs.is_empty(), "{label}: {errs:?}");
+        let printed = memoir_printer::print_module(&parsed);
+        let again = parser::parse_module(&printed).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(
+            memoir_printer::print_module(&again),
+            printed,
+            "{label}: not stable after one trip"
+        );
+        writeln!(digest, "; {label}").unwrap();
+        digest.write_str(&printed).unwrap();
+    }
+    let got = digest.fingerprint().0;
+    assert_eq!(got, REPARSED_DIGEST, "reparsed bytes changed: {got:#018x}");
 }
