@@ -25,6 +25,8 @@
 //!   layouts per allocation site, from escape + index-range facts);
 //! * [`callgraph`] / [`purity`] — call graph and function effect
 //!   summaries (dead-call elimination, sinking);
+//! * [`retalias`] — which parameter each returned collection aliases
+//!   (SSA destruction's by-reference parameters, DEE call specialization);
 //! * [`cached`] — adapters exposing these analyses through the
 //!   `passman` analysis manager so passes share cached results.
 
@@ -44,6 +46,7 @@ pub mod liverange;
 pub mod purity;
 pub mod range;
 pub mod repr;
+pub mod retalias;
 
 pub use affinity::Affinity;
 pub use callgraph::CallGraph;
@@ -57,3 +60,4 @@ pub use liverange::{live_ranges, LiveRangeConfig, LiveRanges};
 pub use purity::{EffectSummary, Purity};
 pub use range::Range;
 pub use repr::choose_reprs;
+pub use retalias::ReturnAliases;

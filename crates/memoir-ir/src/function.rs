@@ -406,10 +406,6 @@ impl Function {
             let insts: Vec<InstId> = self.blocks[b].insts.iter().map(|i| inst_map[i]).collect();
             self.blocks[b].insts = insts;
         }
-        for (_, inst) in new_insts.iter() {
-            // sanity: all operands must be mapped
-            inst.kind.visit_operands(|_v| {});
-        }
         for id in new_insts.ids().collect::<Vec<_>>() {
             new_insts[id].kind.visit_operands_mut(|op| {
                 *op = *value_map

@@ -10,12 +10,13 @@
 //!   folding and simplification). This mode is fully
 //!   semantics-preserving.
 //! * **Call specialization DEE** — the mcf path (Listings 2–3): a call
-//!   whose returned sequence has a bounded live range in the caller is
+//!   whose returned sequence has a bounded live range in the caller, and
+//!   aliases one of the callee's parameters (`ReturnAliases`), is
 //!   redirected to a specialized clone taking `%a`/`%b` bounds. Inside the
-//!   clone, recursive calls thread the bounds, an entry guard returns
-//!   immediately when the live slice is empty, and — when a write-range
-//!   summary is available — recursive calls whose write region cannot
-//!   intersect the live slice are skipped entirely. This turns mcf's
+//!   clone, recursive calls thread the bounds, an entry guard returns the
+//!   aliased parameters when the live slice is empty, and — when a
+//!   write-range summary is available — recursive calls whose write region
+//!   cannot intersect the live slice are skipped entirely. This turns mcf's
 //!   qsort from `O(n log n)` into `O(n + B log B)` (§VII-C), and the
 //!   result is exact whenever the caller observes only `[%a : %b)`.
 //!   Listing 4 also guards the clone's element writes against
@@ -28,6 +29,7 @@ use memoir_analysis::exprtree::{Expr, Term};
 use memoir_analysis::idxrange::IndexRanges;
 use memoir_analysis::liverange::{live_ranges, LiveRangeConfig};
 use memoir_analysis::range::Range;
+use memoir_analysis::{CallGraph, ReturnAliases};
 use memoir_ir::{
     BlockId, Callee, Form, FuncId, Function, InstId, InstKind, Module, Type, TypeId, ValueId,
 };
@@ -205,6 +207,10 @@ fn materialize_bounds(
 pub fn dee_specialize_calls(m: &mut Module) -> DeeStats {
     let mut stats = DeeStats::default();
     let mut specializations: HashMap<FuncId, FuncId> = HashMap::new();
+    // Computed at the first bounded call result. A clone keeps its
+    // original's plan: its self-calls return what the original's did, and
+    // its early exit returns the aliased parameters.
+    let mut returns: Option<ReturnAliases> = None;
 
     // Examine every call site in every SSA function.
     for fid in m.funcs.ids().collect::<Vec<_>>() {
@@ -215,14 +221,15 @@ pub fn dee_specialize_calls(m: &mut Module) -> DeeStats {
         // (callee reads are accounted by the specialization; see
         // LiveRangeConfig::paper and DESIGN.md §6).
         let lr = live_ranges(m, fid, &LiveRangeConfig::paper());
-        // Collect candidate call sites: (block, inst, target, result index,
-        // live range, seq argument position).
+        // Collect candidate call sites: (block, inst, target, live range,
+        // seq argument position, the target's return-alias plan).
         struct Candidate {
             block: BlockId,
             inst: InstId,
             target: FuncId,
             range: Range,
             arg_pos: usize,
+            plan: Vec<Option<usize>>,
         }
         let mut candidates = Vec::new();
         {
@@ -230,7 +237,7 @@ pub fn dee_specialize_calls(m: &mut Module) -> DeeStats {
             for (b, i) in f.inst_ids_in_order() {
                 let InstKind::Call {
                     callee: Callee::Func(target),
-                    args,
+                    ..
                 } = &f.insts[i].kind
                 else {
                     continue;
@@ -252,18 +259,19 @@ pub fn dee_specialize_calls(m: &mut Module) -> DeeStats {
                     }
                     // The returned seq must alias a parameter of the callee
                     // (so bounds apply to the threaded storage).
-                    let Some(param_pos) = ret_param_root(m, *target, ri) else {
+                    let plan = returns
+                        .get_or_insert_with(|| ReturnAliases::compute(m, &CallGraph::compute(m)))
+                        .plan(*target);
+                    let Some(arg_pos) = plan.get(ri).copied().flatten() else {
                         continue;
                     };
-                    if args.get(param_pos).is_none() {
-                        continue;
-                    }
                     candidates.push(Candidate {
                         block: b,
                         inst: i,
                         target: *target,
                         range,
-                        arg_pos: param_pos,
+                        arg_pos,
+                        plan,
                     });
                     break; // one specialization per call
                 }
@@ -275,7 +283,7 @@ pub fn dee_specialize_calls(m: &mut Module) -> DeeStats {
             let spec = match specializations.get(&cand.target) {
                 Some(&s) => s,
                 None => {
-                    let s = specialize_function(m, cand.target, &mut stats);
+                    let s = specialize_function(m, cand.target, &cand.plan, &mut stats);
                     specializations.insert(cand.target, s);
                     stats.functions_specialized += 1;
                     s
@@ -359,88 +367,6 @@ fn range_mentions_end(r: &Range) -> bool {
     mentions_end(&r.lo) || mentions_end(&r.hi)
 }
 
-/// Which parameter the callee's `ret` position `ri` structurally roots at
-/// (every ret site must agree).
-fn ret_param_root(m: &Module, fid: FuncId, ri: usize) -> Option<usize> {
-    let f = &m.funcs[fid];
-    let mut root: Option<usize> = None;
-    for (_, i) in f.inst_ids_in_order() {
-        if let InstKind::Ret { values } = &f.insts[i].kind {
-            let v = *values.get(ri)?;
-            let p = trace_param(f, v, &mut Vec::new())?;
-            match (root, p) {
-                (_, usize::MAX) => {}
-                (None, p) => root = Some(p),
-                (Some(r), p) if r == p => {}
-                _ => return None,
-            }
-        }
-    }
-    root
-}
-
-fn trace_param(f: &Function, v: ValueId, visiting: &mut Vec<ValueId>) -> Option<usize> {
-    if visiting.contains(&v) {
-        return Some(usize::MAX); // agnostic (cycle)
-    }
-    match &f.values[v].def {
-        memoir_ir::ValueDef::Param(i) => Some(*i as usize),
-        memoir_ir::ValueDef::Const(_) => None,
-        memoir_ir::ValueDef::Inst(iid, ri) => {
-            visiting.push(v);
-            let r = match &f.insts[*iid].kind {
-                InstKind::Write { c, .. }
-                | InstKind::Insert { c, .. }
-                | InstKind::InsertSeq { c, .. }
-                | InstKind::Remove { c, .. }
-                | InstKind::RemoveRange { c, .. }
-                | InstKind::Swap { c, .. }
-                | InstKind::UsePhi { c } => trace_param(f, *c, visiting),
-                InstKind::Swap2 { a, b, .. } => {
-                    trace_param(f, if *ri == 0 { *a } else { *b }, visiting)
-                }
-                InstKind::Phi { incoming } => {
-                    let mut root = None;
-                    let mut ok = true;
-                    for (_, inc) in incoming {
-                        match trace_param(f, *inc, visiting) {
-                            Some(usize::MAX) => {}
-                            Some(p) => match root {
-                                None => root = Some(p),
-                                Some(r) if r == p => {}
-                                _ => {
-                                    ok = false;
-                                    break;
-                                }
-                            },
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        root.or(Some(usize::MAX))
-                    } else {
-                        None
-                    }
-                }
-                InstKind::Call { args, .. } => {
-                    // Through recursion: the self-call returns the threaded
-                    // arg (position matches because the clone preserves ret
-                    // structure). Approximate by tracing the arg at the
-                    // same position when arities line up.
-                    args.get(*ri as usize)
-                        .and_then(|&a| trace_param(f, a, visiting))
-                }
-                _ => None,
-            };
-            visiting.pop();
-            r
-        }
-    }
-}
-
 fn merge(a: DeeStats, b: DeeStats) -> DeeStats {
     DeeStats {
         writes_guarded: a.writes_guarded + b.writes_guarded,
@@ -458,12 +384,15 @@ fn merge(a: DeeStats, b: DeeStats) -> DeeStats {
 
 /// Clones `fid` into `fid__dee` with two extra `index` params `%a`, `%b`,
 /// threads the bounds through recursive calls, prunes recursion outside
-/// the live slice, and returns early when the slice is empty. Element
-/// writes are not guarded (DESIGN.md §6).
-fn specialize_function(m: &mut Module, fid: FuncId, stats: &mut DeeStats) -> FuncId {
-    // Write-range summary over params, for recursion pruning.
-    let summary = write_range_summary(m, fid);
-
+/// the live slice, and returns early when the slice is empty. `plan` is
+/// `fid`'s return-alias plan: a skipped call or the early exit returns
+/// the aliased arguments. Element writes are not guarded (DESIGN.md §6).
+fn specialize_function(
+    m: &mut Module,
+    fid: FuncId,
+    plan: &[Option<usize>],
+    stats: &mut DeeStats,
+) -> FuncId {
     let mut g = m.funcs[fid].clone();
     g.name = format!("{}__dee", g.name);
     let index_ty = m.types.intern(Type::Index);
@@ -473,12 +402,12 @@ fn specialize_function(m: &mut Module, fid: FuncId, stats: &mut DeeStats) -> Fun
 
     // Redirect self-calls to the specialization, threading %a/%b; insert
     // pruning guards where the summary proves non-intersection.
-    retarget_self_calls(m, fid, spec_id, a_param, b_param, summary.as_ref(), stats);
+    retarget_self_calls(m, fid, spec_id, a_param, b_param, plan, stats);
 
     // Entry guard: if %a >= %b, nothing inside the live slice can change —
     // return the inputs unchanged (valid because the caller reads only
     // the slice and recursion threads the same empty slice).
-    insert_entry_guard(m, spec_id, a_param, b_param);
+    insert_entry_guard(m, spec_id, a_param, b_param, plan);
     spec_id
 }
 
@@ -548,8 +477,8 @@ fn write_range_summary(m: &Module, fid: FuncId) -> Option<Range> {
                 // Self recursion: assume the recursive write range is the
                 // substituted summary; since the summary we are computing
                 // must *contain* it and qsort-style recursion narrows its
-                // range, the parent range covers it. (Optimistic;验证d by
-                // the range check below being over params.)
+                // range, the parent range covers it. (Optimistic; validated
+                // by the range check below being over params.)
             }
             InstKind::Call {
                 callee: Callee::Func(_),
@@ -661,15 +590,16 @@ fn contains_unknown(e: &Expr) -> bool {
 }
 
 /// Redirects self-calls of the original inside the clone to the clone,
-/// appending `%a`/`%b`, and — when a write summary is available — wraps
-/// the call in an intersection guard.
+/// appending `%a`/`%b`, and — when the original has a write summary —
+/// wraps the call in an intersection guard; a skipped call gives back
+/// the arguments its results alias under `plan`.
 fn retarget_self_calls(
     m: &mut Module,
     original: FuncId,
     spec: FuncId,
     a_param: ValueId,
     b_param: ValueId,
-    summary: Option<&Range>,
+    plan: &[Option<usize>],
     stats: &mut DeeStats,
 ) {
     // Pass 1: retarget and collect sites for pruning.
@@ -687,7 +617,9 @@ fn retarget_self_calls(
             }
         }
     }
-    let Some(summary) = summary else { return };
+    let Some(summary) = write_range_summary(m, original) else {
+        return;
+    };
 
     // Pass 2: guard each recursive call with the intersection test
     //   call is needed iff  sub_lo < %b  and  %a < sub_hi
@@ -719,29 +651,15 @@ fn retarget_self_calls(
             continue;
         }
         // Results of the call must be forwardable when skipped: each
-        // result's value when skipped is the corresponding threaded arg
-        // (position-aligned, as in trace_param).
+        // result is then the argument its position aliases.
         let results = m.funcs[spec].insts[call_inst].results.clone();
-        let fallbacks: Vec<ValueId> = results
+        let Some(fallbacks) = plan
             .iter()
-            .enumerate()
-            .map(|(ri, _)| args.get(ri).copied())
+            .map(|p| p.map(|p| args[p]))
             .collect::<Option<Vec<_>>>()
-            .unwrap_or_default();
-        if fallbacks.len() != results.len() {
+        else {
             continue;
-        }
-        // Check the fallback types match.
-        {
-            let g = &m.funcs[spec];
-            if !results
-                .iter()
-                .zip(&fallbacks)
-                .all(|(&r, &fb)| g.value_ty(r) == g.value_ty(fb))
-            {
-                continue;
-            }
-        }
+        };
 
         // Materialize sub.lo and sub.hi before the call.
         let g = &mut m.funcs[spec];
@@ -892,27 +810,24 @@ fn replace_uses_except(
 }
 
 /// Inserts `if %a >= %b: return <params>` at the entry of the clone,
-/// returning the threaded parameters for collection results (valid only
-/// when every ret position roots at a param — checked; otherwise no guard
-/// is inserted).
-fn insert_entry_guard(m: &mut Module, spec: FuncId, a_param: ValueId, b_param: ValueId) {
-    // Determine per-ret fallbacks.
-    let nrets = m.funcs[spec].ret_tys.len();
-    let mut fallbacks = Vec::with_capacity(nrets);
-    for ri in 0..nrets {
-        match ret_param_root(m, spec, ri) {
-            Some(p) if p != usize::MAX => fallbacks.push(m.funcs[spec].param_values[p]),
-            _ => return, // cannot guard
-        }
-    }
+/// returning the parameter each ret position aliases under `plan` (no
+/// guard when some position aliases none).
+fn insert_entry_guard(
+    m: &mut Module,
+    spec: FuncId,
+    a_param: ValueId,
+    b_param: ValueId,
+    plan: &[Option<usize>],
+) {
     let bool_ty = m.types.intern(Type::Bool);
     let g = &mut m.funcs[spec];
-    // Type check the fallbacks.
-    for (ri, &fb) in fallbacks.iter().enumerate() {
-        if g.value_ty(fb) != g.ret_tys[ri] {
-            return;
-        }
-    }
+    let Some(fallbacks) = plan
+        .iter()
+        .map(|p| p.map(|p| g.param_values[p]))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return;
+    };
     let old_entry = g.entry;
     // New entry block: guard, then jump into the old entry.
     let new_entry = g.add_block("dee_entry");
@@ -1240,7 +1155,7 @@ mod tests {
         let mut m = mb.finish();
         let fid = m.func_by_name("touch").unwrap();
         let mut stats = DeeStats::default();
-        let spec = specialize_function(&mut m, fid, &mut stats);
+        let spec = specialize_function(&mut m, fid, &[Some(0)], &mut stats);
         memoir_ir::verifier::assert_valid(&m);
 
         // Call the specialization directly with an empty slice [5, 5).

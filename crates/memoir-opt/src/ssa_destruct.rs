@@ -13,12 +13,13 @@
 //! Interprocedurally, destruction re-materializes the MUT calling
 //! convention: an SSA function that returns an updated version of a
 //! parameter's storage chain (the explicit RETφ) is rewritten to take that
-//! parameter **by reference** and the extra return is dropped. Recursive
-//! functions are handled with an optimistic fixed point: assume every
-//! structural ret→param alias holds, rebuild, and retract assumptions
-//! invalidated by an inserted copy.
+//! parameter **by reference** and the extra return is dropped. Which
+//! parameter a return aliases is [`ReturnAliases`]' answer (optimistic
+//! inside recursive components); destruction builds each body under it and
+//! retracts any position whose returned handle a copy cut off from the
+//! parameter, until the component's plans hold.
 
-use memoir_analysis::{CallGraph, Liveness};
+use memoir_analysis::{CallGraph, Liveness, ReturnAliases};
 use memoir_ir::{
     BlockId, Callee, Form, FuncId, Function, InstId, InstKind, Module, TypeId, ValueDef, ValueId,
 };
@@ -29,7 +30,10 @@ use std::collections::HashMap;
 pub struct DestructStats {
     /// Copies materialized because an operand was live after a consuming
     /// use. Zero for programs whose SSA chains are linear (Table III's
-    /// "no spurious copies from SSA construction" claim).
+    /// "no spurious copies from SSA construction" claim). The claim also
+    /// needs every by-ref collection parameter restored: one left by
+    /// value costs its callers a run-time copy per call that this count
+    /// does not see, so `bench paper table3` checks both.
     pub copies_inserted: usize,
     /// Functions whose signature was rewritten back to by-reference.
     pub byref_params_restored: usize,
@@ -38,49 +42,45 @@ pub struct DestructStats {
 /// Destructs every SSA-form function of the module back to mut form.
 pub fn destruct_ssa(m: &mut Module) -> DestructStats {
     let cg = CallGraph::compute(m);
+    let returns = ReturnAliases::compute(m, &cg);
     let mut stats = DestructStats::default();
 
-    // Per function: ret position → aliased param index (the by-ref
-    // restoration plan). Built optimistically per SCC and pruned.
+    // Per function: ret position → the parameter it becomes by reference
+    // (the by-ref restoration plan): the return-alias plan, where a
+    // parameter backs at most one position, pruned per SCC.
     let mut aliases: HashMap<FuncId, Vec<Option<usize>>> = HashMap::new();
-
-    // Functions not reached by the SCC enumeration (none) default to no
-    // aliases.
-    for comp in cg.sccs.clone() {
-        // Optimistic candidates from the SSA structure.
-        for &fid in &comp {
-            if m.funcs[fid].form == Form::Ssa {
-                let cand = candidate_aliases(m, fid, &aliases, &comp);
-                aliases.insert(fid, cand);
-            } else {
-                aliases.insert(fid, vec![None; m.funcs[fid].ret_tys.len()]);
+    for comp in &cg.sccs {
+        for &fid in comp {
+            let mut plan = returns.plan(fid);
+            for k in 0..plan.len() {
+                if plan[k].is_some() && plan[..k].contains(&plan[k]) {
+                    plan[k] = None;
+                }
             }
+            aliases.insert(fid, plan);
         }
         // Prune to a fixed point: rebuild bodies, retract violated
-        // assumptions.
-        loop {
+        // assumptions, and commit the bodies built under the plans that
+        // held.
+        let built = loop {
+            let mut built = Vec::new();
             let mut violated: Vec<(FuncId, usize)> = Vec::new();
-            for &fid in &comp {
+            for &fid in comp {
                 if m.funcs[fid].form != Form::Ssa {
                     continue;
                 }
-                let (_, bad) = build_destructed(m, fid, &aliases);
+                let (g, bad) = build_destructed(m, fid, &aliases);
                 violated.extend(bad.into_iter().map(|r| (fid, r)));
+                built.push((fid, g));
             }
             if violated.is_empty() {
-                break;
+                break built;
             }
             for (fid, r) in violated {
                 aliases.get_mut(&fid).unwrap()[r] = None;
             }
-        }
-        // Commit.
-        for &fid in &comp {
-            if m.funcs[fid].form != Form::Ssa {
-                continue;
-            }
-            let (mut g, bad) = build_destructed(m, fid, &aliases);
-            debug_assert!(bad.is_empty());
+        };
+        for (fid, mut g) in built {
             g.form = Form::Mut;
             stats.copies_inserted += count_copies(&g) - count_copies(&m.funcs[fid]);
             if g.params.iter().any(|p| p.by_ref) {
@@ -97,181 +97,6 @@ fn count_copies(f: &Function) -> usize {
         .iter()
         .filter(|(_, i)| matches!(f.insts[*i].kind, InstKind::Copy { .. }))
         .count()
-}
-
-/// Structural ret→param alias candidates: trace each returned collection
-/// back through the SSA update chain; if every path roots at the same
-/// parameter, the return is a candidate for by-ref restoration.
-fn candidate_aliases(
-    m: &Module,
-    fid: FuncId,
-    committed: &HashMap<FuncId, Vec<Option<usize>>>,
-    scc: &[FuncId],
-) -> Vec<Option<usize>> {
-    let f = &m.funcs[fid];
-    let nrets = f.ret_tys.len();
-    let mut out: Vec<Option<usize>> = vec![None; nrets];
-
-    // Gather returned values per position across all ret sites; a position
-    // is a candidate only if all sites agree on the rooted param.
-    let mut per_pos: Vec<Vec<ValueId>> = vec![Vec::new(); nrets];
-    for (_, i) in f.inst_ids_in_order() {
-        if let InstKind::Ret { values } = &f.insts[i].kind {
-            for (k, &v) in values.iter().enumerate() {
-                per_pos[k].push(v);
-            }
-        }
-    }
-    for (k, vals) in per_pos.iter().enumerate() {
-        if vals.is_empty() {
-            continue;
-        }
-        let mut root: Option<usize> = None;
-        let mut ok = true;
-        for &v in vals {
-            match trace_root(m, fid, v, committed, scc, &mut Vec::new()) {
-                Some(p) => match root {
-                    None => root = Some(p),
-                    Some(r) if r == p => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                },
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            // A param may back at most one return position.
-            if let Some(p) = root {
-                if !out.contains(&Some(p)) {
-                    out[k] = Some(p);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Traces the storage chain of `v` back to a parameter index, following
-/// SSA updates, φs, USEφs, and calls whose returns alias their params
-/// (optimistically for in-SCC callees). `visiting` cuts φ cycles.
-fn trace_root(
-    m: &Module,
-    fid: FuncId,
-    v: ValueId,
-    committed: &HashMap<FuncId, Vec<Option<usize>>>,
-    scc: &[FuncId],
-    visiting: &mut Vec<ValueId>,
-) -> Option<usize> {
-    let f = &m.funcs[fid];
-    if visiting.contains(&v) {
-        // φ cycle: no constraint from this path; the caller treats a
-        // cyclic path as agreeing with the others. Encoded as a special
-        // marker via recursion — here we simply return the result of the
-        // other incomings by signaling "agnostic" with a sentinel. We use
-        // usize::MAX as the agnostic marker.
-        return Some(usize::MAX);
-    }
-    match &f.values[v].def {
-        ValueDef::Param(i) => Some(*i as usize),
-        ValueDef::Const(_) => None,
-        ValueDef::Inst(iid, ri) => {
-            let inst = &f.insts[*iid];
-            match &inst.kind {
-                InstKind::Write { c, .. }
-                | InstKind::Rmw { c, .. }
-                | InstKind::Insert { c, .. }
-                | InstKind::InsertSeq { c, .. }
-                | InstKind::Remove { c, .. }
-                | InstKind::RemoveRange { c, .. }
-                | InstKind::Swap { c, .. }
-                | InstKind::UsePhi { c } => {
-                    visiting.push(v);
-                    let r = trace_root(m, fid, *c, committed, scc, visiting);
-                    visiting.pop();
-                    r
-                }
-                InstKind::Swap2 { a, b, .. } => {
-                    let src = if *ri == 0 { *a } else { *b };
-                    visiting.push(v);
-                    let r = trace_root(m, fid, src, committed, scc, visiting);
-                    visiting.pop();
-                    r
-                }
-                InstKind::Phi { incoming } => {
-                    visiting.push(v);
-                    let mut root: Option<usize> = None;
-                    let mut ok = true;
-                    for (_, inc) in incoming {
-                        match trace_root(m, fid, *inc, committed, scc, visiting) {
-                            Some(p) if p == usize::MAX => {}
-                            Some(p) => match root {
-                                None => root = Some(p),
-                                Some(r) if r == p => {}
-                                _ => {
-                                    ok = false;
-                                    break;
-                                }
-                            },
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    visiting.pop();
-                    if ok {
-                        root.or(Some(usize::MAX))
-                    } else {
-                        None
-                    }
-                }
-                InstKind::Call { callee, args } => {
-                    let Callee::Func(target) = callee else {
-                        return None;
-                    };
-                    // Which param does the callee's ret `ri` alias?
-                    let callee_alias: Option<usize> = if scc.contains(target) {
-                        committed
-                            .get(target)
-                            .and_then(|a| a.get(*ri as usize).copied().flatten())
-                    } else {
-                        committed
-                            .get(target)
-                            .and_then(|a| a.get(*ri as usize).copied().flatten())
-                    };
-                    // During candidate computation for the first SCC
-                    // member, in-SCC callees may be missing: assume the
-                    // structural candidate optimistically by tracing the
-                    // callee once without recursion (self-calls: assume
-                    // ret k aliases the param that position-k extra ret
-                    // would — approximated by direct per-position trace of
-                    // the callee's own ret chain, cycle-cut by `visiting`).
-                    let callee_alias = match callee_alias {
-                        Some(p) => Some(p),
-                        None if *target == fid => {
-                            // Self call during candidate computation: the
-                            // position traces to whatever this very
-                            // analysis decides; treat as agnostic.
-                            return Some(usize::MAX);
-                        }
-                        None => None,
-                    };
-                    let p = callee_alias?;
-                    let arg = *args.get(p)?;
-                    visiting.push(v);
-                    let r = trace_root(m, fid, arg, committed, scc, visiting);
-                    visiting.pop();
-                    r
-                }
-                _ => None,
-            }
-        }
-    }
 }
 
 /// Builds the destructed body of `fid` under the current alias plan.
@@ -331,13 +156,11 @@ fn build_destructed(
         map: HashMap<ValueId, ValueId>,
         /// collection SSA value → handle value in the new function.
         repr: HashMap<ValueId, ValueId>,
-        copies: usize,
         phi_patch: Vec<(InstId, Vec<(BlockId, ValueId)>)>,
     }
     let mut ctx = Ctx {
         map: HashMap::new(),
         repr: HashMap::new(),
-        copies: 0,
         phi_patch: Vec::new(),
     };
     for (i, &pv) in old.param_values.iter().enumerate() {
@@ -383,9 +206,7 @@ fn build_destructed(
                     let h = op!(v);
                     if liveness.live_after(old, block, pos, v) {
                         let ty = old.value_ty(v);
-                        let copy = g.append_inst(nblock, InstKind::Copy { c: h }, &[ty]).1[0];
-                        ctx.copies += 1;
-                        copy
+                        g.append_inst(nblock, InstKind::Copy { c: h }, &[ty]).1[0]
                     } else {
                         h
                     }
@@ -654,15 +475,15 @@ fn build_destructed(
     }
 
     // Validate the alias plan: at every ret site, the value returned at an
-    // aliased position must be represented by that parameter's handle.
+    // aliased position must be represented by that parameter's handle (a
+    // copy breaks the chain).
     let mut violated = Vec::new();
     for (_, i) in old.inst_ids_in_order() {
         if let InstKind::Ret { values } = &old.insts[i].kind {
             for (k, &v) in values.iter().enumerate() {
                 if let Some(p) = my_aliases.get(k).copied().flatten() {
-                    let want = g.param_values[p];
-                    let got = resolve_handle(&g, &ctx.repr, v);
-                    if got != Some(want) && !violated.contains(&k) {
+                    let got = ctx.repr.get(&v).map(|&h| resolve_handle(&g, h));
+                    if got != Some(g.param_values[p]) && !violated.contains(&k) {
                         violated.push(k);
                     }
                 }
@@ -672,39 +493,27 @@ fn build_destructed(
     (g, violated)
 }
 
-/// Resolves the final handle of an SSA value, looking through handle φs
-/// whose incomings all agree.
-fn resolve_handle(g: &Function, repr: &HashMap<ValueId, ValueId>, v: ValueId) -> Option<ValueId> {
-    let mut h = *repr.get(&v)?;
-    // Look through self-agreeing φs (bounded walk).
-    for _ in 0..8 {
-        let ValueDef::Inst(iid, _) = g.values[h].def else {
-            break;
-        };
-        let InstKind::Phi { incoming } = &g.insts[iid].kind else {
-            break;
-        };
-        let mut agree: Option<ValueId> = None;
-        let mut all = true;
-        for (_, inc) in incoming {
-            if *inc == h {
-                continue; // self edge through the loop
+/// Resolves a storage handle through the web of handle φs it heads: when
+/// every incoming outside the web is one handle, that is the handle.
+fn resolve_handle(g: &Function, h: ValueId) -> ValueId {
+    let mut web = vec![h];
+    let mut leaf = None;
+    let mut k = 0;
+    while let Some(&x) = web.get(k) {
+        k += 1;
+        match g.values[x].def {
+            ValueDef::Inst(i, _) if g.insts[i].kind.is_phi() => {
+                g.insts[i].kind.visit_operands(|&v| {
+                    if !web.contains(&v) {
+                        web.push(v);
+                    }
+                });
             }
-            match agree {
-                None => agree = Some(*inc),
-                Some(a) if a == *inc => {}
-                _ => {
-                    all = false;
-                    break;
-                }
-            }
-        }
-        match (all, agree) {
-            (true, Some(a)) => h = a,
-            _ => break,
+            _ if leaf.is_none_or(|l| l == x) => leaf = Some(x),
+            _ => return h,
         }
     }
-    Some(h)
+    leaf.unwrap_or(h)
 }
 
 #[cfg(test)]
@@ -934,6 +743,102 @@ mod tests {
         let r1 = i1.run_by_name("main", vec![]).unwrap();
         assert_eq!(r0, r1);
         assert_eq!(r1, vec![Value::Int(Type::I64, 7)]);
+        assert_eq!(i1.stats.collection_copies, 0);
+    }
+
+    /// A recursive by-ref function with a loop keeps its `&` through the
+    /// round trip: quicksort, whose base case returns the parameter, whose
+    /// partition loop threads it through a header/latch φ pair, and whose
+    /// two self-calls chain it. No copy is inserted or executed.
+    #[test]
+    fn recursive_byref_round_trip_keeps_the_reference() {
+        let mut mb = ModuleBuilder::new("m");
+        let sort = mb.module.add_func(Function::new("sort", Form::Mut));
+        let i64t = mb.module.types.intern(Type::I64);
+        let seqt = mb.module.types.seq_of(i64t);
+        let mut b = memoir_ir::FunctionBuilder::new(&mut mb.module.types, "sort", Form::Mut);
+        let idxt = b.ty(Type::Index);
+        let s = b.param_ref("S", seqt);
+        let lo = b.param("lo", idxt);
+        let hi = b.param("hi", idxt);
+        let (done, body) = (b.block("done"), b.block("body"));
+        let (header, scan, do_swap) = (b.block("header"), b.block("scan"), b.block("do_swap"));
+        let (latch, after) = (b.block("latch"), b.block("after"));
+        let one = b.index(1);
+        let lo1 = b.add(lo, one);
+        let trivial = b.cmp(CmpOp::Le, hi, lo1);
+        b.branch(trivial, done, body);
+        b.switch_to(done);
+        b.ret(vec![]);
+        b.switch_to(body);
+        let last = b.sub(hi, one);
+        let pivot = b.read(s, last);
+        b.jump(header);
+        b.switch_to(header);
+        let i = b.phi_placeholder(idxt);
+        let store = b.phi_placeholder(idxt);
+        b.add_phi_incoming(i, body, lo);
+        b.add_phi_incoming(store, body, lo);
+        let scanned = b.cmp(CmpOp::Ge, i, last);
+        b.branch(scanned, after, scan);
+        b.switch_to(scan);
+        let v = b.read(s, i);
+        let below = b.cmp(CmpOp::Lt, v, pivot);
+        b.branch(below, do_swap, latch);
+        b.switch_to(do_swap);
+        let i1 = b.add(i, one);
+        b.mut_swap(s, i, i1, store);
+        let store1 = b.add(store, one);
+        b.jump(latch);
+        b.switch_to(latch);
+        let store_next = b.phi(idxt, vec![(do_swap, store1), (scan, store)]);
+        let i_next = b.add(i, one);
+        b.add_phi_incoming(i, latch, i_next);
+        b.add_phi_incoming(store, latch, store_next);
+        b.jump(header);
+        b.switch_to(after);
+        let store_end = b.add(store, one);
+        b.mut_swap(s, store, store_end, last);
+        b.call(Callee::Func(sort), vec![s, lo, store], &[]);
+        b.call(Callee::Func(sort), vec![s, store_end, hi], &[]);
+        b.ret(vec![]);
+        mb.module.funcs[sort] = b.finish();
+        mb.func("main", Form::Mut, |b| {
+            let zero = b.index(0);
+            let s = b.new_seq(i64t, zero);
+            for x in [5, 3, 9, 1, 7, 2, 8] {
+                let end = b.size(s);
+                let x = b.i64(x);
+                b.mut_insert(s, end, Some(x));
+            }
+            let n = b.size(s);
+            b.call(Callee::Func(sort), vec![s, zero, n], &[]);
+            let ten = b.i64(10);
+            let mut acc = b.i64(0);
+            for k in 0..7 {
+                let k = b.index(k);
+                let x = b.read(s, k);
+                let shifted = b.mul(acc, ten);
+                acc = b.add(shifted, x);
+            }
+            b.returns(&[i64t]);
+            b.ret(vec![acc]);
+        });
+        let m0 = mb.finish();
+        memoir_ir::verifier::assert_valid(&m0);
+        let mut m = m0.clone();
+        construct_ssa(&mut m).unwrap();
+        let stats = destruct_ssa(&mut m);
+        memoir_ir::verifier::assert_valid(&m);
+        assert_eq!(stats.copies_inserted, 0);
+        assert!(m.funcs[sort].params[0].by_ref, "`&S` restored");
+        assert!(m.funcs[sort].ret_tys.is_empty(), "RETφ dropped");
+
+        let r0 = Interp::new(&m0).run_by_name("main", vec![]).unwrap();
+        let mut i1 = Interp::new(&m);
+        let r1 = i1.run_by_name("main", vec![]).unwrap();
+        assert_eq!(r1, r0);
+        assert_eq!(r1, vec![Value::Int(Type::I64, 1235789)]);
         assert_eq!(i1.stats.collection_copies, 0);
     }
 }

@@ -203,3 +203,56 @@ fn idxrange_exit_value_fusion_read_cse_stays_fixed() {
         "fusion output no longer proves equivalent: {verdict:?}"
     );
 }
+
+/// DEE call specialization, callee-alias manifestation
+/// (`findings/dee-callee-alias.mir`): `wrap(&a, &b)` calls `h(a, b)`, and
+/// `h` returns its second parameter. DEE read the call's result as the
+/// argument at the result's own position, `a`, so the clone
+/// `wrap__dee`'s empty-window early exit gave back `a` in `b`'s slot and
+/// SSA destruction took `b`'s `&` away. `main`'s window is never empty,
+/// so results agreed; the clone is run here on an empty window.
+#[test]
+fn dee_callee_alias_stays_fixed() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../findings/dee-callee-alias.mir");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let source = memoir_ir::parser::parse_module(&text).unwrap();
+    let run = |m: &memoir_ir::Module, spec: &str| {
+        let mut m = m.clone();
+        let spec = passman::PipelineSpec::parse(spec).unwrap();
+        memoir_opt::pipeline::compile_spec_with(&mut m, &spec, |pm| pm).expect("pipeline runs");
+        m
+    };
+
+    let ssa = run(&source, "ssa-construct,dee");
+    let clone = ssa
+        .func_by_name("wrap__dee")
+        .expect("DEE specializes `wrap`");
+    let mut i = memoir_interp::Interp::new(&ssa);
+    let seq = |base: i64| (0..4).map(move |k| memoir_interp::Value::Int(Type::I64, base + k));
+    let (a, b) = (
+        i.alloc_seq(seq(10).collect()),
+        i.alloc_seq(seq(20).collect()),
+    );
+    let empty = memoir_interp::Value::Int(Type::Index, 5);
+    let out = i.run(clone, vec![a, b, empty, empty]).unwrap();
+    let slots: Vec<_> = out.iter().map(|v| i.seq_values(v).unwrap()).collect();
+    assert_eq!(
+        slots,
+        vec![seq(10).collect::<Vec<_>>(), seq(20).collect()],
+        "the early exit gives back each slot's own parameter"
+    );
+
+    let destructed = run(&source, "ssa-construct,dee,ssa-destruct");
+    for name in ["wrap", "wrap__dee"] {
+        let f = &destructed.funcs[destructed.func_by_name(name).unwrap()];
+        let by_ref: Vec<bool> = f.params.iter().take(2).map(|p| p.by_ref).collect();
+        assert_eq!(by_ref, [true, true], "{name} keeps `&a` and `&b`");
+    }
+    let result = |m: &memoir_ir::Module| {
+        memoir_interp::Interp::new(m)
+            .run_by_name("main", vec![])
+            .unwrap()
+    };
+    assert_eq!(result(&destructed), result(&source));
+}

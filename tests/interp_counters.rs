@@ -40,7 +40,7 @@ const KERNELS: [Kernel; 5] = [
         entry: "master",
         args: &[64, 8, 16, 3],
         unoptimized: (1519, [5395, 0, 0, 262, 127, 0, 32], 6476.0),
-        priced: (1519, [5462, 0, 0, 193, 127, 40, 8056], 8343.0),
+        priced: (1519, [5462, 0, 0, 193, 127, 0, 32], 6177.0),
     },
     Kernel {
         name: "deepsjeng",

@@ -45,7 +45,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[64, 8, 16, 3],
         expected: Expected {
             result: 1519,
-            stats: [8303, 3443, 1503, 245],
+            stats: [8237, 2312, 493, 204],
             verdicts: [0, 1, 0],
             paths: None,
         },
