@@ -44,23 +44,12 @@ impl EscapeAnalysis {
             for &(_, i) in &insts {
                 let inst = &f.insts[i];
                 let mark = |v: ValueId, escaped: &mut HashSet<ValueId>| escaped.insert(v);
-                // SSA chains and copies propagate escape backwards: if the
-                // result escapes, the source's storage may be reused by
-                // destruction, so treat it as escaping too.
-                if let InstKind::Write { c, .. }
-                | InstKind::Rmw { c, .. }
-                | InstKind::Insert { c, .. }
-                | InstKind::Remove { c, .. }
-                | InstKind::RemoveRange { c, .. }
-                | InstKind::Swap { c, .. }
-                | InstKind::UsePhi { c }
-                | InstKind::InsertSeq { c, .. } = &inst.kind
-                {
-                    if inst.results.first().is_some_and(|r| escaped.contains(r))
-                        && !escaped.contains(c)
-                    {
-                        escaped.insert(*c);
-                        changed = true;
+                // SSA chains propagate escape backwards: if a version
+                // escapes, destruction may reuse its source's storage, so
+                // treat the source as escaping too.
+                for (r, c) in inst.results.iter().zip(inst.kind.versioned_operands()) {
+                    if escaped.contains(r) {
+                        changed |= mark(c, &mut escaped);
                     }
                 }
                 match &inst.kind {

@@ -206,7 +206,7 @@ impl<'f> IndexRanges<'f> {
         //  (b) header-tested: the φ's block ends in `br cond, A, B` where
         //      one target reaches the back edge — cond bounds the φ value
         //      inside the body.
-        let phi_block = self.block_of(phi_inst);
+        let phi_block = self.f.block_of(phi_inst).expect("φ placed in a block");
         let mut bound: Option<Expr> = None; // exclusive upper bound (ascending)
         let mut lo_bound: Option<Expr> = None; // inclusive lower bound (descending)
         let mut header_tested = false;
@@ -535,15 +535,6 @@ impl<'f> IndexRanges<'f> {
             return Some(0);
         }
         self.step_from(phi_val, val)
-    }
-
-    fn block_of(&self, inst: memoir_ir::InstId) -> BlockId {
-        for (b, block) in self.f.blocks.iter() {
-            if block.insts.contains(&inst) {
-                return b;
-            }
-        }
-        panic!("instruction not placed in any block");
     }
 
     /// Cheap reachability from `from` to `target` avoiding `avoid` (the

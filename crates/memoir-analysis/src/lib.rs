@@ -7,6 +7,9 @@
 //!   sinking, materialization and lowering), plus natural-loop depths;
 //! * [`defuse`] — sparse def-use chains, the backbone of element-level
 //!   analysis;
+//! * [`chain`] — the one walker of collection version chains, answering
+//!   `size`, `has` and `read` from each op's query row (constant
+//!   propagation and fusion's query CSE);
 //! * [`liveness`] — scalar SSA liveness (consumed by SSA destruction);
 //! * [`exprtree`] — expression trees (Def. 1) in canonical affine form;
 //! * [`range`] — ranges and the range lattice (Defs. 2–5);
@@ -36,6 +39,7 @@
 pub mod affinity;
 pub mod cached;
 pub mod callgraph;
+pub mod chain;
 pub mod defuse;
 pub mod dominators;
 pub mod escape;

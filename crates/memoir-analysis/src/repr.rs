@@ -118,28 +118,13 @@ fn choose_function(m: &Module, fid: memoir_ir::FuncId, f: &Function, out: &mut R
     // ---- 1. group versions --------------------------------------------
     let mut uf = Uf::new();
     for &(_, iid) in &order {
-        match &f.insts[iid].kind {
-            // SSA chain ops: result is a new version of `c`.
-            InstKind::Write { c, .. }
-            | InstKind::Rmw { c, .. }
-            | InstKind::Insert { c, .. }
-            | InstKind::InsertSeq { c, .. }
-            | InstKind::Remove { c, .. }
-            | InstKind::RemoveRange { c, .. }
-            | InstKind::Swap { c, .. }
-            | InstKind::UsePhi { c }
-            | InstKind::Copy { c } => {
-                if let Some(&r) = f.insts[iid].results.first() {
-                    uf.union(*c, r);
-                }
-            }
-            InstKind::Swap2 { a, b, .. } => {
-                for (i, src) in [*a, *b].into_iter().enumerate() {
-                    if let Some(&r) = f.insts[iid].results.get(i) {
-                        uf.union(src, r);
-                    }
-                }
-            }
+        // SSA chain ops: each result is a new version of an operand.
+        let inst = &f.insts[iid];
+        for (&r, c) in inst.results.iter().zip(inst.kind.versioned_operands()) {
+            uf.union(c, r);
+        }
+        match &inst.kind {
+            InstKind::Copy { c } => uf.union(*c, inst.results[0]),
             InstKind::Phi { incoming } => {
                 if let Some(&r) = f.insts[iid].results.first() {
                     if is_coll(r) {

@@ -119,15 +119,7 @@ fn ret_roots(m: &Module, fid: FuncId, callees: &HashMap<FuncId, Vec<Root>>) -> V
             for (ri, &r) in inst.results.iter().enumerate() {
                 let of = |v: memoir_ir::ValueId| root[v.index()];
                 let new = match &inst.kind {
-                    InstKind::Write { c, .. }
-                    | InstKind::Rmw { c, .. }
-                    | InstKind::Insert { c, .. }
-                    | InstKind::InsertSeq { c, .. }
-                    | InstKind::Remove { c, .. }
-                    | InstKind::RemoveRange { c, .. }
-                    | InstKind::Swap { c, .. }
-                    | InstKind::UsePhi { c } => of(*c),
-                    InstKind::Swap2 { a, b, .. } => of(if ri == 0 { *a } else { *b }),
+                    kind if kind.is_ssa_collection_op() => of(kind.versioned_operands()[ri]),
                     InstKind::Phi { incoming } => incoming
                         .iter()
                         .fold(Root::Any, |acc, &(_, v)| acc.meet(of(v))),

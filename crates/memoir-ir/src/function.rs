@@ -279,6 +279,15 @@ impl Function {
         out
     }
 
+    /// The block an instruction is placed in, by a scan of every block
+    /// (`None` for an instruction removed from its block).
+    pub fn block_of(&self, inst: InstId) -> Option<BlockId> {
+        self.blocks
+            .iter()
+            .find(|(_, b)| b.insts.contains(&inst))
+            .map(|(id, _)| id)
+    }
+
     /// The terminator of a block, if the block is non-empty and terminated.
     pub fn terminator(&self, b: BlockId) -> Option<InstId> {
         let last = *self.blocks[b].insts.last()?;

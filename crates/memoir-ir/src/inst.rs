@@ -747,56 +747,13 @@ impl InstKind {
         }
     }
 
-    /// Whether this is a mut-form instruction (in-place collection update).
-    pub fn is_mut_op(&self) -> bool {
-        use InstKind::*;
-        matches!(
-            self,
-            MutWrite { .. }
-                | MutRmw { .. }
-                | MutInsert { .. }
-                | MutInsertSeq { .. }
-                | MutRemove { .. }
-                | MutRemoveRange { .. }
-                | MutAppend { .. }
-                | MutSwap { .. }
-                | MutSwap2 { .. }
-                | MutSplit { .. }
-        )
-    }
-
-    /// Whether this is an SSA-form collection update (produces a new
-    /// collection value from an old one).
-    pub fn is_ssa_collection_op(&self) -> bool {
-        use InstKind::*;
-        matches!(
-            self,
-            Write { .. }
-                | Rmw { .. }
-                | Insert { .. }
-                | InsertSeq { .. }
-                | Remove { .. }
-                | RemoveRange { .. }
-                | Swap { .. }
-                | Swap2 { .. }
-                | UsePhi { .. }
-        )
-    }
-
-    /// The collections this instruction mutates in place (mut form).
+    /// The collections a mut-form instruction updates in place: its
+    /// pair's versioned operands, and the `c` of `mut.append` and
+    /// `mut.split`.
     pub fn mutated_collections(&self) -> Vec<ValueId> {
-        use InstKind::*;
         match self {
-            MutWrite { c, .. }
-            | MutRmw { c, .. }
-            | MutInsert { c, .. }
-            | MutInsertSeq { c, .. }
-            | MutRemove { c, .. }
-            | MutRemoveRange { c, .. }
-            | MutAppend { c, .. }
-            | MutSwap { c, .. }
-            | MutSplit { c, .. } => vec![*c],
-            MutSwap2 { a, b, .. } => vec![*a, *b],
+            InstKind::MutAppend { c, .. } | InstKind::MutSplit { c, .. } => vec![*c],
+            _ if self.is_mut_op() => self.versioned_operands(),
             _ => Vec::new(),
         }
     }
@@ -1082,6 +1039,184 @@ instruction_table! {
         | InstKind::Unreachable
         | InstKind::NewAssoc { .. }
         | InstKind::NewObj { .. } => {},
+    }
+}
+
+/// Fig. 5's pairs: one row per SSA collection update, the in-place mut
+/// op construction rewrites into it and destruction (Alg. 3) rewrites
+/// back, their shared fields, and the operands whose collections the
+/// results version, in result order. `usephi` versions its operand
+/// with no mut form (destruction folds it away); Fig. 5 expands
+/// `mut.append` and `mut.split` into two SSA ops each, so construction
+/// spells those two out.
+macro_rules! collection_pairs {
+    (
+        pairs { $( $ssa:ident <-> $mut:ident { $($f:ident),* } [$($v:ident),*] )* }
+        ssa_only { $( $so:ident [$($sov:ident),*] )* }
+        mut_only { $( $mo:ident )* }
+    ) => {
+        impl InstKind {
+            /// The mut op Alg. 3 rewrites this SSA update into.
+            pub fn to_mut(&self) -> Option<InstKind> {
+                match *self {
+                    $( InstKind::$ssa { $($f),* } => Some(InstKind::$mut { $($f),* }), )*
+                    _ => None,
+                }
+            }
+
+            /// The SSA update Fig. 5 rewrites this mut op into.
+            pub fn to_ssa(&self) -> Option<InstKind> {
+                match *self {
+                    $( InstKind::$mut { $($f),* } => Some(InstKind::$ssa { $($f),* }), )*
+                    _ => None,
+                }
+            }
+
+            /// The operands whose collections this update versions, in
+            /// result order: an SSA update's results are their new
+            /// versions, and its mut pair updates them in place.
+            pub fn versioned_operands(&self) -> Vec<ValueId> {
+                match self {
+                    $(
+                        InstKind::$ssa { $($v,)* .. } | InstKind::$mut { $($v,)* .. } => {
+                            vec![$(*$v),*]
+                        }
+                    )*
+                    $( InstKind::$so { $($sov,)* .. } => vec![$(*$sov),*], )*
+                    _ => Vec::new(),
+                }
+            }
+
+            /// Visits the operands [`versioned_operands`](Self::versioned_operands)
+            /// lists, mutably and by position, in result order.
+            pub fn visit_versioned_mut(&mut self, mut f: impl FnMut(&mut ValueId)) {
+                match self {
+                    $(
+                        InstKind::$ssa { $($v,)* .. } | InstKind::$mut { $($v,)* .. } => {
+                            $( f($v); )*
+                        }
+                    )*
+                    $( InstKind::$so { $($sov,)* .. } => { $( f($sov); )* } )*
+                    _ => {}
+                }
+            }
+
+            /// Whether this is a mut-form instruction (in-place collection
+            /// update).
+            pub fn is_mut_op(&self) -> bool {
+                matches!(self, $( InstKind::$mut { .. } )|* $( | InstKind::$mo { .. } )*)
+            }
+
+            /// Whether this is an SSA-form collection update (produces a
+            /// new collection value from an old one).
+            pub fn is_ssa_collection_op(&self) -> bool {
+                matches!(self, $( InstKind::$ssa { .. } )|* $( | InstKind::$so { .. } )*)
+            }
+        }
+    };
+}
+
+collection_pairs! {
+    pairs {
+        Write <-> MutWrite { c, idx, value } [c]
+        Rmw <-> MutRmw { c, idx, op, value } [c]
+        Insert <-> MutInsert { c, idx, value } [c]
+        InsertSeq <-> MutInsertSeq { c, idx, src } [c]
+        Remove <-> MutRemove { c, idx } [c]
+        RemoveRange <-> MutRemoveRange { c, from, to } [c]
+        Swap <-> MutSwap { c, from, to, at } [c]
+        Swap2 <-> MutSwap2 { a, from, to, b, at } [a, b]
+    }
+    ssa_only { UsePhi [c] }
+    mut_only { MutAppend MutSplit }
+}
+
+/// A query on a collection version, answered by the op that defined it
+/// (§IV-B, Listing 1: `READ(WRITE(A, k, v), k) = v`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Query {
+    /// `size c`.
+    Size,
+    /// `has c, k`.
+    Has(ValueId),
+    /// `read c, k`.
+    Read(ValueId),
+}
+
+/// How a query's key relates to an op's key operand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyRel {
+    /// The same key.
+    Same,
+    /// A different key, below the op's (as an index).
+    Below,
+    /// A different key.
+    Unequal,
+    /// Possibly either.
+    Unknown,
+}
+
+/// What a query on an op's result equals, by [`InstKind::query_step`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueryStep {
+    /// The same query on the previous version, plus a size delta.
+    Pass(ValueId, i64),
+    /// An operand of the op.
+    Operand(ValueId),
+    /// A constant.
+    Const(Constant),
+    /// Unknown from the op alone.
+    Stop,
+}
+
+impl InstKind {
+    /// The query this instruction asks, and of which collection.
+    pub fn query(&self) -> Option<(Query, ValueId)> {
+        match *self {
+            InstKind::Size { c } => Some((Query::Size, c)),
+            InstKind::Has { c, key } => Some((Query::Has(key), c)),
+            InstKind::Read { c, idx } => Some((Query::Read(idx), c)),
+            _ => None,
+        }
+    }
+
+    /// The query row of this SSA op: what `q` on its result equals, for
+    /// a sequence result when `seq` (else an associative one). `rel`
+    /// relates the query's key to the op's key operand.
+    pub fn query_step(&self, q: Query, seq: bool, rel: impl Fn(ValueId) -> KeyRel) -> QueryStep {
+        use {KeyRel::*, Query::*, QueryStep::*};
+        match (self, q) {
+            (InstKind::Copy { c } | InstKind::UsePhi { c }, _) => Pass(*c, 0),
+            (InstKind::NewSeq { len, .. }, Size) => Operand(*len),
+            (InstKind::NewAssoc { .. }, Size) => Const(Constant::index(0)),
+            (InstKind::NewAssoc { .. }, Has(_)) => Const(Constant::Bool(false)),
+            // An associative write of an absent key adds it.
+            (InstKind::Write { c, .. }, Size) if seq => Pass(*c, 0),
+            (InstKind::Write { c, idx, value }, Has(_) | Read(_)) => match (rel(*idx), q) {
+                (Same, Read(_)) => Operand(*value),
+                (Same, _) => Const(Constant::Bool(true)),
+                (Below | Unequal, _) => Pass(*c, 0),
+                (Unknown, _) => Stop,
+            },
+            // The key must be present, so neither size nor key set moves.
+            (InstKind::Rmw { c, .. }, Size | Has(_)) => Pass(*c, 0),
+            (InstKind::Rmw { c, idx, .. }, Read(_)) => match rel(*idx) {
+                Below | Unequal => Pass(*c, 0),
+                Same | Unknown => Stop,
+            },
+            // An associative insert of a present key overwrites it.
+            (InstKind::Insert { c, .. }, Size) if seq => Pass(*c, 1),
+            // A sequence insert shifts the elements at and above its index.
+            (InstKind::Insert { c, idx, value }, Read(_)) => match (rel(*idx), value) {
+                (Same, Some(v)) => Operand(*v),
+                (Below, _) => Pass(*c, 0),
+                (Unequal, _) if !seq => Pass(*c, 0),
+                _ => Stop,
+            },
+            (InstKind::Remove { c, .. }, Size) if seq => Pass(*c, -1),
+            (InstKind::Swap { c, .. }, Size) => Pass(*c, 0),
+            _ => Stop,
+        }
     }
 }
 

@@ -19,6 +19,11 @@
 //!   (MUT-library) and SSA forms, with one instruction table (flat
 //!   syntax, operand visits, [`InstKind::result_types`]) that the
 //!   builder, printer, parser and verifier share;
+//! * the collection-op facts, stated once: Fig. 5's pairs of SSA update
+//!   and mut op ([`InstKind::to_mut`], [`InstKind::to_ssa`], the
+//!   [`InstKind::versioned_operands`] each result versions), and one
+//!   query row per op ([`InstKind::query_step`]) saying what `size`,
+//!   `has k` and `read k` on its result equal;
 //! * [`Function`], [`Module`] — arena-based program containers;
 //! * [`FunctionBuilder`] / [`ModuleBuilder`] — ergonomic construction;
 //! * [`printer`] / [`parser`] — a stable textual format;
@@ -67,7 +72,7 @@ pub mod verifier;
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use function::{Block, Form, Function, Param, Value, ValueDef};
 pub use ids::{BlockId, ExternId, FuncId, IdMap, InstId, ObjTypeId, TypeId, ValueId};
-pub use inst::{BinOp, Callee, CmpOp, Constant, Effect, Inst, InstKind};
+pub use inst::{BinOp, Callee, CmpOp, Constant, Effect, Inst, InstKind, KeyRel, Query, QueryStep};
 pub use module::{CollectionCensus, ExternDecl, ExternEffects, Module};
 pub use repr::{Repr, ReprChoices};
 pub use types::{Field, ObjectLayout, ObjectType, Type, TypeError, TypeTable};

@@ -1,7 +1,7 @@
 //! Collection-op fusion: collapses chains of collection operations over
 //! the same SSA collection version into fused composite ops.
 //!
-//! Three rule families, all restricted to SSA form (mut-form chains stop
+//! Two rule families, both restricted to SSA form (mut-form chains stop
 //! at the allocation and say nothing about contents):
 //!
 //! 1. **Read-modify-write fusion.** The pipeline
@@ -19,30 +19,21 @@
 //!    be present. For non-commutative `op` the read must be the left
 //!    operand; commutative ops accept either side.
 //!
-//! 2. **Query folding through version chains.** `size(new_seq(n)) → n`
-//!    (even for non-constant `n`), `size(new_assoc()) → 0`, and
-//!    `has(write(c₀, k, v), k) → true` (an associative write always
-//!    leaves `k` present). Only scalar results are forwarded, so no
-//!    collection live range grows and SSA destruction stays copy-free.
+//! 2. **Dominance-based CSE of redundant queries.** `size`/`has`/`read`
+//!    recomputations whose walks down the version chain
+//!    ([`memoir_analysis::chain::walk`]) reach the same version with the
+//!    same key are merged into the dominating occurrence (scoped value
+//!    numbering over the dominator tree). Queries are deleted, never
+//!    re-pointed at older versions, so fusion cannot lengthen a
+//!    collection live range (which would make SSA destruction insert
+//!    copies).
 //!
-//! 3. **Dominance-based CSE of redundant queries.** `size`/`has`/`read`
-//!    recomputations whose operand chains reach the same canonical
-//!    version with the same key are merged into the dominating
-//!    occurrence (scoped value numbering over the dominator tree). The
-//!    canonical version walks through chain steps that provably preserve
-//!    the query's answer: `rmw` preserves sizes and key sets outright;
-//!    `write` preserves a *different* key's element when the two keys
-//!    are definitely unequal — same-constant comparison or disjoint
-//!    [`IndexRanges`] element-level range
-//!    lattices; `copy`/`use-phi` preserve everything. Queries are
-//!    deleted, never re-pointed at older versions, so fusion cannot
-//!    lengthen a collection live range (which would make SSA destruction
-//!    insert copies).
+//! Queries a chain answers outright (`size(new_seq(n)) → n`,
+//! `has(write(c, k, v), k) → true`, …) are constant propagation's to
+//! fold, and it runs before fusion in every pipeline.
 
-use memoir_analysis::{DefUse, DomTree, IndexRanges};
-use memoir_ir::{
-    BlockId, Constant, Function, InstId, InstKind, Module, Type, TypeTable, ValueDef, ValueId,
-};
+use memoir_analysis::{chain, DefUse, DomTree, IndexRanges};
+use memoir_ir::{BlockId, Function, InstId, InstKind, Module, Query, TypeTable, ValueDef, ValueId};
 use std::collections::HashMap;
 
 /// Statistics from one fusion run.
@@ -50,9 +41,6 @@ use std::collections::HashMap;
 pub struct FusionStats {
     /// `read; bin; write` pipelines fused into `rmw`.
     pub rmws_fused: usize,
-    /// Queries folded through version chains (`size(new_seq(n))→n`,
-    /// `size(new_assoc())→0`, `has(write(c,k,v),k)→true`).
-    pub queries_folded: usize,
     /// Redundant `size`/`has`/`read` recomputations merged into a
     /// dominating occurrence.
     pub queries_merged: usize,
@@ -65,7 +53,6 @@ impl FusionStats {
 
     fn absorb(&mut self, o: FusionStats) {
         self.rmws_fused += o.rmws_fused;
-        self.queries_folded += o.queries_folded;
         self.queries_merged += o.queries_merged;
     }
 }
@@ -239,78 +226,17 @@ fn run_round(types: &TypeTable, f: &mut Function) -> FusionStats {
         });
     }
 
-    // ---- Rule 2: query folds (scalar-only forwarding) -------------------
-    enum Fold {
-        /// Replace the query result with an existing value, drop the inst.
-        Forward(BlockId, InstId, ValueId, ValueId),
-        /// Replace the query result with a constant, drop the inst.
-        Const(BlockId, InstId, ValueId, Constant),
-    }
-    let mut folds: Vec<Fold> = Vec::new();
-    for &(blk, iid) in &order {
-        if claimed.contains(&iid) {
-            continue;
-        }
-        match f.insts[iid].kind {
-            InstKind::Size { c } => match chain_def(f, c) {
-                Some(InstKind::NewSeq { len, .. }) => {
-                    folds.push(Fold::Forward(blk, iid, f.insts[iid].results[0], len));
-                }
-                Some(InstKind::NewAssoc { .. }) => {
-                    folds.push(Fold::Const(
-                        blk,
-                        iid,
-                        f.insts[iid].results[0],
-                        Constant::index(0),
-                    ));
-                }
-                _ => {}
-            },
-            InstKind::Has { c, key } => {
-                if let Some(InstKind::Write { idx: wk, .. }) = chain_def(f, c) {
-                    if wk == key {
-                        folds.push(Fold::Const(
-                            blk,
-                            iid,
-                            f.insts[iid].results[0],
-                            Constant::Bool(true),
-                        ));
-                    }
-                } else if let Some(InstKind::NewAssoc { .. }) = chain_def(f, c) {
-                    folds.push(Fold::Const(
-                        blk,
-                        iid,
-                        f.insts[iid].results[0],
-                        Constant::Bool(false),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // ---- Rule 3: dominance-scoped CSE of size/has/read ------------------
-    let folded_or_claimed: std::collections::HashSet<InstId> = claimed
-        .iter()
-        .copied()
-        .chain(folds.iter().map(|a| match a {
-            Fold::Forward(_, i, _, _) | Fold::Const(_, i, _, _) => *i,
-        }))
-        .collect();
+    // ---- Rule 2: dominance-scoped CSE of size/has/read ------------------
     let mut merges: Vec<(BlockId, InstId, ValueId, ValueId)> = Vec::new();
-    {
-        let mut avail: HashMap<QueryKey, ValueId> = HashMap::new();
-        cse_block(
-            types,
-            f,
-            &idx,
-            &cx,
-            f.entry,
-            &folded_or_claimed,
-            &mut avail,
-            &mut merges,
-        );
-    }
+    cse_block(
+        types,
+        &idx,
+        &cx,
+        f.entry,
+        &claimed,
+        &mut HashMap::new(),
+        &mut merges,
+    );
 
     // ---- Apply ----------------------------------------------------------
     let mut replacements: HashMap<ValueId, ValueId> = HashMap::new();
@@ -328,22 +254,6 @@ fn run_round(types: &TypeTable, f: &mut Function) -> FusionStats {
         replacements.insert(cand.write_res, cand.read_res);
         stats.rmws_fused += 1;
     }
-    for fold in folds {
-        match fold {
-            Fold::Forward(b, i, r, v) => {
-                replacements.insert(r, v);
-                f.remove_inst(b, i);
-                stats.queries_folded += 1;
-            }
-            Fold::Const(b, i, r, c) => {
-                let ty = f.value_ty(r);
-                let cv = f.constant(c, ty);
-                replacements.insert(r, cv);
-                f.remove_inst(b, i);
-                stats.queries_folded += 1;
-            }
-        }
-    }
     for (b, i, r, v) in merges {
         replacements.insert(r, v);
         f.remove_inst(b, i);
@@ -353,173 +263,40 @@ fn run_round(types: &TypeTable, f: &mut Function) -> FusionStats {
     stats
 }
 
-/// The defining instruction kind of a value, if instruction-defined.
-fn chain_def(f: &Function, v: ValueId) -> Option<InstKind> {
-    match f.values[v].def {
-        ValueDef::Inst(iid, _) => Some(f.insts[iid].kind.clone()),
-        _ => None,
-    }
-}
-
-/// Canonical key of a query operand for CSE: either a shared SSA value or
-/// a constant (so distinct SSA constants with equal payloads still match).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum KeyRepr {
-    Value(ValueId),
-    Const(ConstKey),
-}
-
-/// Hashable constant (floats by bit pattern, matching runtime key
-/// identity semantics).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum ConstKey {
-    Int(Type, i64),
-    Bool(bool),
-    Float(Type, u64),
-    Null,
-}
-
-fn key_repr(f: &Function, v: ValueId) -> KeyRepr {
-    match f.value_const(v) {
-        Some(Constant::Int(t, x)) => KeyRepr::Const(ConstKey::Int(t, x)),
-        Some(Constant::Bool(b)) => KeyRepr::Const(ConstKey::Bool(b)),
-        Some(Constant::Float(t, bits)) => KeyRepr::Const(ConstKey::Float(t, bits)),
-        Some(Constant::Null(_)) => KeyRepr::Const(ConstKey::Null),
-        _ => KeyRepr::Value(v),
-    }
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum QueryKey {
-    Size(ValueId),
-    Has(ValueId, KeyRepr),
-    Read(ValueId, KeyRepr),
-}
-
-/// Whether two key/index values are *definitely* unequal: distinct
-/// constants, or disjoint element-level range lattices.
-fn definitely_unequal(f: &Function, idx: &IndexRanges<'_>, a: ValueId, b: ValueId) -> bool {
-    if let (Some(ca), Some(cb)) = (f.value_const(a), f.value_const(b)) {
-        return ca != cb;
-    }
-    // Disjoint constant ranges (hi is exclusive).
-    let (ra, rb) = (idx.range_of(a), idx.range_of(b));
-    match (
-        ra.lo.as_const(),
-        ra.hi.as_const(),
-        rb.lo.as_const(),
-        rb.hi.as_const(),
-    ) {
-        (Some(_), Some(ahi), Some(blo), Some(_)) if ahi <= blo => true,
-        (Some(alo), Some(_), Some(_), Some(bhi)) if bhi <= alo => true,
-        _ => false,
-    }
-}
-
-/// Walks `c` backwards through chain steps that preserve the query's
-/// answer, returning the canonical (oldest equivalent) version.
-fn canonical_version(
-    types: &TypeTable,
-    f: &Function,
-    idx: &IndexRanges<'_>,
-    q: &QueryKind,
-    mut c: ValueId,
-) -> ValueId {
-    let is_seq = |v: ValueId| matches!(types.get(f.value_ty(v)), Type::Seq(_));
-    for _ in 0..64 {
-        let ValueDef::Inst(iid, _) = f.values[c].def else {
-            return c;
-        };
-        let next = match (&f.insts[iid].kind, q) {
-            // Copies and use-φs preserve contents wholesale.
-            (InstKind::Copy { c: p } | InstKind::UsePhi { c: p }, _) => *p,
-            // rmw preserves sizes and key sets; it changes exactly one
-            // element, so reads of definitely-different keys pass too.
-            (InstKind::Rmw { c: p, .. }, QueryKind::Size | QueryKind::Has(_)) => *p,
-            (InstKind::Rmw { c: p, idx: j, .. }, QueryKind::Read(k))
-                if definitely_unequal(f, idx, *j, *k) =>
-            {
-                *p
-            }
-            // A sequence write preserves size; an associative write may
-            // grow the key space, so size does not pass through it.
-            (InstKind::Write { c: p, .. }, QueryKind::Size) if is_seq(*p) => *p,
-            (InstKind::Swap { c: p, .. }, QueryKind::Size) if is_seq(*p) => *p,
-            // A write preserves `has k` / `read k` for definitely
-            // different keys (sequence writes never shift indices).
-            (InstKind::Write { c: p, idx: j, .. }, QueryKind::Has(k) | QueryKind::Read(k))
-                if definitely_unequal(f, idx, *j, *k) =>
-            {
-                *p
-            }
-            _ => return c,
-        };
-        c = next;
-    }
-    c
-}
-
-enum QueryKind {
-    Size,
-    Has(ValueId),
-    Read(ValueId),
-}
-
 /// Scoped value numbering over the dominator tree: children inherit the
-/// parent block's available queries; siblings do not see each other.
-#[allow(clippy::too_many_arguments)]
+/// parent block's available queries, keyed by the query and the version
+/// its walk reaches; siblings do not see each other.
 fn cse_block(
     types: &TypeTable,
-    f: &Function,
     idx: &IndexRanges<'_>,
     cx: &Cx<'_>,
     block: BlockId,
     skip: &std::collections::HashSet<InstId>,
-    avail: &mut HashMap<QueryKey, ValueId>,
+    avail: &mut HashMap<(Query, ValueId), ValueId>,
     merges: &mut Vec<(BlockId, InstId, ValueId, ValueId)>,
 ) {
-    let added: Vec<QueryKey> = {
-        let mut added = Vec::new();
-        for &iid in &f.blocks[block].insts {
-            if skip.contains(&iid) {
-                continue;
-            }
-            let key = match &f.insts[iid].kind {
-                InstKind::Size { c } => Some(QueryKey::Size(canonical_version(
-                    types,
-                    f,
-                    idx,
-                    &QueryKind::Size,
-                    *c,
-                ))),
-                InstKind::Has { c, key } => Some(QueryKey::Has(
-                    canonical_version(types, f, idx, &QueryKind::Has(*key), *c),
-                    key_repr(f, *key),
-                )),
-                InstKind::Read { c, idx: i } => Some(QueryKey::Read(
-                    canonical_version(types, f, idx, &QueryKind::Read(*i), *c),
-                    key_repr(f, *i),
-                )),
-                _ => None,
-            };
-            let Some(key) = key else { continue };
-            let res = f.insts[iid].results[0];
-            match avail.get(&key) {
-                Some(&prior) if prior != res => {
-                    merges.push((block, iid, res, prior));
-                }
-                Some(_) => {}
-                None => {
-                    avail.insert(key.clone(), res);
-                    added.push(key);
-                }
+    let f = cx.f;
+    let mut added = Vec::new();
+    for &iid in &f.blocks[block].insts {
+        let Some((q, c)) = f.insts[iid].kind.query() else {
+            continue;
+        };
+        if skip.contains(&iid) {
+            continue;
+        }
+        let key = (q, chain::walk(types, f, idx, q, c).same);
+        let res = f.insts[iid].results[0];
+        match avail.get(&key) {
+            Some(&prior) if prior != res => merges.push((block, iid, res, prior)),
+            Some(_) => {}
+            None => {
+                avail.insert(key, res);
+                added.push(key);
             }
         }
-        added
-    };
-    // Recurse into dominated children.
+    }
     for b in cx.dom.children(block) {
-        cse_block(types, f, idx, cx, b, skip, avail, merges);
+        cse_block(types, idx, cx, b, skip, avail, merges);
     }
     for key in added {
         avail.remove(&key);
@@ -529,7 +306,7 @@ fn cse_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memoir_ir::{BinOp, Form, ModuleBuilder};
+    use memoir_ir::{BinOp, Form, ModuleBuilder, Type};
 
     fn kinds(f: &Function) -> Vec<&'static str> {
         f.inst_ids_in_order()
@@ -646,44 +423,6 @@ mod tests {
         });
         let mut m = mb.finish();
         assert_eq!(fuse(&mut m).rmws_fused, 1);
-        memoir_ir::verifier::assert_valid(&m);
-    }
-
-    #[test]
-    fn size_of_new_seq_folds_to_len() {
-        let mut mb = ModuleBuilder::new("m");
-        mb.func("f", Form::Ssa, |b| {
-            let i64t = b.ty(Type::I64);
-            let idxt = b.ty(Type::Index);
-            let n = b.param("n", idxt);
-            let s = b.new_seq(i64t, n);
-            let sz = b.size(s);
-            b.returns(&[idxt]);
-            b.ret(vec![sz]);
-        });
-        let mut m = mb.finish();
-        let stats = fuse(&mut m);
-        assert_eq!(stats.queries_folded, 1);
-        memoir_ir::verifier::assert_valid(&m);
-    }
-
-    #[test]
-    fn has_after_write_folds_true() {
-        let mut mb = ModuleBuilder::new("m");
-        mb.func("f", Form::Ssa, |b| {
-            let i64t = b.ty(Type::I64);
-            let boolt = b.ty(Type::Bool);
-            let assoc_ty = b.types.assoc_of(i64t, i64t);
-            let a0 = b.param("a", assoc_ty);
-            let k = b.param("k", i64t);
-            let v = b.i64(1);
-            let a1 = b.write(a0, k, v);
-            let h = b.has(a1, k);
-            b.returns(&[boolt]);
-            b.ret(vec![h]);
-        });
-        let mut m = mb.finish();
-        assert_eq!(fuse(&mut m).queries_folded, 1);
         memoir_ir::verifier::assert_valid(&m);
     }
 

@@ -114,12 +114,6 @@ fn split_entered_entry(f: &mut Function) {
     f.append_inst(entry, InstKind::Jump { target: body }, &[]);
 }
 
-/// Whether an instruction (in mut form) assigns a new version to the
-/// collection cells it names. Returns the cells.
-fn assigned_cells(kind: &InstKind) -> Vec<ValueId> {
-    kind.mutated_collections()
-}
-
 struct Builder<'m> {
     new_f: Function,
     types: &'m mut memoir_ir::TypeTable,
@@ -196,7 +190,7 @@ fn construct_function(
                 s.insert(old.entry);
             }
             ValueDef::Inst(iid, _) => {
-                if let Some(b) = block_of(old, iid) {
+                if let Some(b) = old.block_of(iid) {
                     s.insert(b);
                 }
             }
@@ -205,9 +199,8 @@ fn construct_function(
         def_blocks.insert(c, s);
     }
     for (b, iid) in old.inst_ids_in_order() {
-        for cell in assigned_cells(&old.insts[iid].kind) {
-            let root = cell; // mut ops name cells directly in mut form
-            def_blocks.entry(root).or_default().insert(b);
+        for cell in old.insts[iid].kind.mutated_collections() {
+            def_blocks.entry(cell).or_default().insert(b);
         }
         // Calls through by-ref arguments also assign the cell.
         if let InstKind::Call { callee, args } = &old.insts[iid].kind {
@@ -366,13 +359,6 @@ fn construct_function(
     Ok(new_f)
 }
 
-fn block_of(f: &Function, inst: InstId) -> Option<BlockId> {
-    f.blocks
-        .iter()
-        .find(|(_, b)| b.insts.contains(&inst))
-        .map(|(id, _)| id)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn rename_block(
     m: &Module,
@@ -425,68 +411,17 @@ fn rename_block(
             }};
         }
         match inst.kind.clone() {
-            // Fig. 5 rewrites: mut ops become SSA ops defining new versions.
-            InstKind::MutWrite { c, idx, value } => {
-                let (cc, ii, vv) = (op!(c), op!(idx), op!(value));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::Write {
-                        c: cc,
-                        idx: ii,
-                        value: vv,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutRmw { c, idx, op, value } => {
-                let (cc, ii, vv) = (op!(c), op!(idx), op!(value));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::Rmw {
-                        c: cc,
-                        idx: ii,
-                        op,
-                        value: vv,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutInsert { c, idx, value } => {
-                let (cc, ii) = (op!(c), op!(idx));
-                let vv = value.map(|v| op!(v));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::Insert {
-                        c: cc,
-                        idx: ii,
-                        value: vv,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutInsertSeq { c, idx, src } => {
-                let (cc, ii, ss) = (op!(c), op!(idx), op!(src));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::InsertSeq {
-                        c: cc,
-                        idx: ii,
-                        src: ss,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
+            // Fig. 5 rewrites: a mut op becomes its SSA pair, whose
+            // results are new versions of the cells it updated.
+            kind if kind.to_ssa().is_some() => {
+                let mut update = kind.to_ssa().expect("a pair");
+                update.visit_operands_mut(|v| *v = op!(*v));
+                let cells = kind.mutated_collections();
+                let tys: Vec<TypeId> = cells.iter().map(|&c| old.value_ty(c)).collect();
+                for (c, r) in cells.into_iter().zip(b.emit(block, update, &tys)) {
+                    stacks.get_mut(&c).unwrap().push(r);
+                    pushed.push(c);
+                }
             }
             InstKind::MutAppend { c, src } => {
                 // Fig. 5: append(s, s2) → s' = INSERT(s, end, s2).
@@ -505,69 +440,6 @@ fn rename_block(
                 );
                 stacks.get_mut(&c).unwrap().push(r[0]);
                 pushed.push(c);
-            }
-            InstKind::MutRemove { c, idx } => {
-                let (cc, ii) = (op!(c), op!(idx));
-                let ty = old.value_ty(c);
-                let r = b.emit(block, InstKind::Remove { c: cc, idx: ii }, &[ty]);
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutRemoveRange { c, from, to } => {
-                let (cc, ff, tt) = (op!(c), op!(from), op!(to));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::RemoveRange {
-                        c: cc,
-                        from: ff,
-                        to: tt,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutSwap { c, from, to, at } => {
-                let (cc, ff, tt, aa) = (op!(c), op!(from), op!(to), op!(at));
-                let ty = old.value_ty(c);
-                let r = b.emit(
-                    block,
-                    InstKind::Swap {
-                        c: cc,
-                        from: ff,
-                        to: tt,
-                        at: aa,
-                    },
-                    &[ty],
-                );
-                stacks.get_mut(&c).unwrap().push(r[0]);
-                pushed.push(c);
-            }
-            InstKind::MutSwap2 {
-                a,
-                from,
-                to,
-                b: b2,
-                at,
-            } => {
-                let (aa, ff, tt, bb, kk) = (op!(a), op!(from), op!(to), op!(b2), op!(at));
-                let (ta, tb) = (old.value_ty(a), old.value_ty(b2));
-                let r = b.emit(
-                    block,
-                    InstKind::Swap2 {
-                        a: aa,
-                        from: ff,
-                        to: tt,
-                        b: bb,
-                        at: kk,
-                    },
-                    &[ta, tb],
-                );
-                stacks.get_mut(&a).unwrap().push(r[0]);
-                pushed.push(a);
-                stacks.get_mut(&b2).unwrap().push(r[1]);
-                pushed.push(b2);
             }
             InstKind::MutSplit { c, from, to } => {
                 // Fig. 5: s2 = split(s, i, j) → s2 = COPY(s, i, j);
