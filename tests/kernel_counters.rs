@@ -45,7 +45,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[64, 8, 16, 3],
         expected: Expected {
             result: 1519,
-            stats: [8237, 2312, 493, 204],
+            stats: [7592, 2312, 493, 204],
             verdicts: [0, 1, 0],
             paths: None,
         },
@@ -57,7 +57,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[3000],
         expected: Expected {
             result: -3000,
-            stats: [167363, 892, 6000, 9893],
+            stats: [161362, 892, 6000, 9893],
             verdicts: [1, 0, 0],
             paths: Some((17, 17)),
         },
@@ -69,7 +69,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[5000],
         expected: Expected {
             result: 3982,
-            stats: [146031, 13054, 3056, 6019],
+            stats: [136030, 13054, 3056, 6019],
             verdicts: [1, 0, 0],
             paths: Some((17, 17)),
         },
@@ -81,7 +81,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[4000],
         expected: Expected {
             result: 5988,
-            stats: [167382, 58146, 18148, 22051],
+            stats: [157330, 58146, 18148, 22051],
             verdicts: [1, 0, 0],
             paths: Some((17, 17)),
         },
@@ -93,7 +93,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[4000],
         expected: Expected {
             result: 6723930,
-            stats: [338394, 87052, 41167, 16733],
+            stats: [321366, 87052, 41167, 16733],
             verdicts: [1, 0, 0],
             paths: Some((17, 17)),
         },
