@@ -9,7 +9,7 @@
 //! mask of a hash so the representation analysis can prove the key space
 //! bounded and lower both tables to the dense direct-indexed layout.
 //! The duplicate `size` queries at the exit are fodder for the fusion
-//! pass's redundant-query folding.
+//! pass's redundant-query merging.
 
 use memoir_ir::{BinOp, CmpOp, Form, Module, ModuleBuilder, Type};
 
