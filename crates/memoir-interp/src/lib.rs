@@ -12,7 +12,9 @@
 //!   spurious copies;
 //! * **a deterministic cost model** — an execution-"time" proxy under
 //!   which the paper's complexity-level effects reproduce without
-//!   hardware (see [`stats`]).
+//!   hardware: each run keeps an integer profile ([`ExecStats`]: one
+//!   count per priced event and layout), and one table of integer
+//!   weights ([`stats::COST_TABLE`]) prices it when the run returns.
 //!
 //! Memory (max RSS) is measured by the runtime-library twin
 //! (`memoir-runtime`), not here — see DESIGN.md §2.

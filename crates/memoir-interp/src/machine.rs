@@ -25,22 +25,13 @@
 
 use crate::regs::{enter_block, PhiFault, RegFile};
 use crate::stats::ExecStats;
-use crate::value::{CollId, Collection, Key, Store, Val, Value};
+use crate::value::{CollId, Collection, Key, Layout, Store, Val, Value};
 use memoir_ir::{
     BinOp, BlockId, Callee, CmpOp, Constant, FuncId, Function, InstId, InstKind, Module, ObjTypeId,
-    Repr, ReprChoices, Type, ValueDef, ValueId,
+    ReprChoices, Type, ValueDef, ValueId,
 };
 use std::fmt;
 use std::rc::Rc;
-
-/// Charges `$m.stats` with `$call` when domain `$d` counts.
-macro_rules! charge {
-    ($m:expr, $d:ty, $($call:tt)+) => {
-        if <$d as Domain>::COUNTS {
-            $m.stats.$($call)+;
-        }
-    };
-}
 
 /// An execution failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,10 +103,6 @@ pub trait Domain {
     /// Why an instruction stops short: a trap, or a decision of the
     /// domain (a budget, a fork, a construct it cannot model).
     type Stop: From<Trap> + From<PhiFault>;
-    /// Whether the step charges [`ExecStats`]. Only the concrete drivers
-    /// read the counters, and the cost model's running sum would slow the
-    /// symbolic engine by a tenth.
-    const COUNTS: bool;
     /// Runs before each instruction that is not a φ.
     fn tick(&mut self, stats: &ExecStats) -> Result<(), Self::Stop>;
     /// The storage guard: runs before allocating `elems` elements of
@@ -185,7 +172,6 @@ impl Domain for Concrete {
     type Int = i64;
     type Bool = bool;
     type Stop = Trap;
-    const COUNTS: bool = true;
 
     #[inline]
     fn tick(&mut self, stats: &ExecStats) -> Result<(), Trap> {
@@ -328,13 +314,16 @@ enum Loc {
     Key(Key),
 }
 
-/// What an element access does, for [`Machine::locate`]'s checks.
+/// What an element access does, for [`Machine::locate`]'s checks and
+/// the counters.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Access {
-    /// Reads a present, initialized element.
+    /// Reads a present, initialized element (a `has` counts as one).
     Read,
     /// Writes an element (any key; an in-range index).
     Write,
+    /// Reads a present, initialized element and writes it back.
+    Rmw,
     /// Inserts before an index `<= len`, or at any key.
     Insert,
     /// Removes a present element.
@@ -362,8 +351,8 @@ pub struct Machine<'m, I, B> {
     /// of its frames. Forks share the tables.
     consts: Vec<Option<Consts<I, B>>>,
     /// Each object type's size in bytes, by [`ObjTypeId`], computed on
-    /// first use: the cost model charges allocations and field accesses
-    /// by it.
+    /// first use: object allocations and field accesses are counted by
+    /// it.
     obj_sizes: Vec<Option<u64>>,
     /// Scratch for the φ parallel copy at block entry.
     phis: Vec<Val<I, B>>,
@@ -397,9 +386,9 @@ impl<'m> Interp<'m> {
     }
 
     /// Enables adaptive-representation cost accounting: collections
-    /// allocated at the given sites are tagged with their chosen
-    /// representation and charge that representation's (cheaper) per-op
-    /// costs. Semantics are unchanged — only `stats.cost` differs — so
+    /// allocated at the given sites take their chosen layout, and their
+    /// accesses count under it, at its (cheaper) prices. Semantics are
+    /// unchanged — only the layout counters and `stats.cost` differ — so
     /// observable outputs are byte-identical to a run without choices.
     pub fn with_repr_choices(mut self, choices: ReprChoices) -> Self {
         self.repr_choices = choices;
@@ -427,6 +416,7 @@ impl<'m> Interp<'m> {
             .enter(&mut dom, fid, args)
             .and_then(|()| self.exec(&mut dom));
         self.fuel = dom.fuel;
+        self.stats.cost = self.stats.model_cycles() as f64;
         out
     }
 
@@ -480,7 +470,7 @@ where
     ) -> Result<(), D::Stop> {
         let module = self.module;
         let f = &module.funcs[fid];
-        charge!(self, D, call());
+        self.count_call();
         if f.form == memoir_ir::Form::Mut {
             for (p, a) in f.params.iter().zip(args.iter_mut()) {
                 if let (false, Val::Coll(c)) = (p.by_ref, &*a) {
@@ -641,17 +631,17 @@ where
         let ev = |dom: &mut D, v| eval(dom, f, regs, v);
         let out: Val<I, B> = match inst.kind {
             Bin { op, lhs, rhs } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let (a, b) = (ev(dom, lhs)?, ev(dom, rhs)?);
                 exec_bin(dom, op, a, b)?
             }
             Cmp { op, lhs, rhs } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let (a, b) = (ev(dom, lhs)?, ev(dom, rhs)?);
                 exec_cmp(dom, op, a, b)?
             }
             Cast { to, value } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let v = ev(dom, value)?;
                 exec_cast(dom, types.get(to), v)?
             }
@@ -660,7 +650,7 @@ where
                 then_value,
                 else_value,
             } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let Val::Bool(c) = ev(dom, cond)? else {
                     return Err(Trap::TypeConfusion("select").into());
                 };
@@ -692,14 +682,14 @@ where
                     Callee::Func(callee) => return Ok(Flow::Exit(Exit::Call(callee))),
                     Callee::Extern(eid) => {
                         dom.refuse("extern call")?;
-                        charge!(self, D, call());
+                        self.count_call();
                         let name = module.externs[eid].name.clone();
                         return Err(Trap::UnknownExtern(name).into());
                     }
                 }
             }
             Jump { target } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 return Ok(Flow::Jump(target));
             }
             Branch {
@@ -707,7 +697,7 @@ where
                 then_target,
                 else_target,
             } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let Val::Bool(c) = ev(dom, cond)? else {
                     return Err(Trap::TypeConfusion("branch").into());
                 };
@@ -733,26 +723,24 @@ where
                 let id = self
                     .store
                     .alloc_coll(Collection::Seq(vec![Val::Uninit; n as usize]));
-                self.charge_alloc_bytes::<D>(id);
+                self.count_alloc(id);
                 self.tag_repr((fid, iid), id);
                 Val::Coll(id)
             }
             NewAssoc { .. } => {
                 let id = self.store.alloc_coll(Collection::new_assoc());
-                self.charge_alloc_bytes::<D>(id);
+                self.count_alloc(id);
                 self.tag_repr((fid, iid), id);
                 Val::Coll(id)
             }
             NewObj { obj } => {
-                if D::COUNTS {
-                    let bytes = self.object_size(obj) + 16;
-                    self.stats.alloc(0, bytes);
-                }
+                self.stats.allocations += 1;
+                self.stats.bytes_allocated += self.object_size(obj) + 16;
                 let nfields = types.object(obj).fields.len();
                 Val::Ref(obj, Some(self.store.alloc_obj(obj, nfields)))
             }
             DeleteObj { obj } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let Val::Ref(_, Some(id)) = ev(dom, obj)? else {
                     return Err(Trap::BadReference.into());
                 };
@@ -763,8 +751,8 @@ where
             Read { c, idx } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let iv = ev(dom, idx)?;
-                let (loc, x) = self.locate(dom, cid, iv, Access::Read)?;
-                self.charge_read::<D>(cid, &loc);
+                let (_, x) = self.locate(dom, cid, iv, Access::Read)?;
+                self.count_access(cid, Access::Read);
                 x
             }
             Write { c, idx, value } | MutWrite { c, idx, value } => {
@@ -772,16 +760,16 @@ where
                 let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
                 let (loc, _) = self.locate(dom, cid, iv, Access::Write)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Write { .. }))?;
-                self.put::<D>(t, loc, vv, false);
+                self.put(t, loc, vv, Access::Write);
                 Val::Coll(t)
             }
             Rmw { c, idx, op, value } | MutRmw { c, idx, op, value } => {
                 let cid = coll_arg(dom, f, regs, c)?;
                 let (iv, vv) = (ev(dom, idx)?, ev(dom, value)?);
-                let (loc, old) = self.locate(dom, cid, iv, Access::Read)?;
+                let (loc, old) = self.locate(dom, cid, iv, Access::Rmw)?;
                 let new = exec_bin(dom, op, old, vv)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Rmw { .. }))?;
-                self.put::<D>(t, loc, new, true);
+                self.put(t, loc, new, Access::Rmw);
                 Val::Coll(t)
             }
             Insert { c, idx, value } | MutInsert { c, idx, value } => {
@@ -795,7 +783,7 @@ where
                 let t = self.target(dom, cid, matches!(inst.kind, Insert { .. }))?;
                 let len = self.store.coll(t).len() as u64;
                 dom.guard(&self.stats, 1, len + 1)?;
-                self.insert_at::<D>(t, loc, vv);
+                self.insert_at(t, loc, vv);
                 Val::Coll(t)
             }
             InsertSeq { c, idx, src } | MutInsertSeq { c, idx, src } => {
@@ -818,7 +806,7 @@ where
                 let iv = ev(dom, idx)?;
                 let (loc, _) = self.locate(dom, cid, iv, Access::Remove)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Remove { .. }))?;
-                self.remove_at::<D>(t, loc);
+                self.remove_at(t, loc);
                 Val::Coll(t)
             }
             RemoveRange { c, from, to } | MutRemoveRange { c, from, to } => {
@@ -835,7 +823,7 @@ where
                     return Err(Trap::OutOfRange { index: b, len }.into());
                 }
                 elems.drain(a as usize..b as usize);
-                charge!(self, D, moved(len - b));
+                self.stats.elements_moved += len - b;
                 Val::Coll(t)
             }
             Copy { c } => {
@@ -868,11 +856,10 @@ where
                 };
                 let part = part.unwrap_or_default();
                 let id = self.store.alloc_coll(Collection::Seq(part));
-                charge!(self, D, copy(b - a));
-                if split {
-                    charge!(self, D, moved(len - b));
-                }
-                self.charge_alloc_bytes::<D>(id);
+                self.stats.collection_copies += 1;
+                // A split also shifts the tail down.
+                self.stats.elements_moved += if split { len - a } else { b - a };
+                self.count_alloc(id);
                 Val::Coll(id)
             }
             Swap { c, from, to, at: k } | MutSwap { c, from, to, at: k } => {
@@ -881,7 +868,7 @@ where
                 let b = index_arg(dom, f, regs, to)?;
                 let k = index_arg(dom, f, regs, k)?;
                 let t = self.target(dom, cid, matches!(inst.kind, Swap { .. }))?;
-                self.swap_ranges::<D>(t, a, b, k)?;
+                self.swap_ranges(t, a, b, k)?;
                 Val::Coll(t)
             }
             Swap2 {
@@ -906,24 +893,20 @@ where
                 let ssa = matches!(inst.kind, Swap2 { .. });
                 let ta = self.target(dom, aid, ssa)?;
                 let tb = self.target(dom, bid, ssa)?;
-                self.swap_across::<D>(ta, tb, x, y, k)?;
+                self.swap_across(ta, tb, x, y, k)?;
                 for (&r, v) in inst.results.iter().zip([Val::Coll(ta), Val::Coll(tb)]) {
                     regs.set(r, v);
                 }
                 return Ok(Flow::Next);
             }
             Size { c } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 let cid = coll_arg(dom, f, regs, c)?;
                 Val::Int(Type::Index, dom.int(self.store.coll(cid).len() as i64))
             }
             Has { c, key } => {
                 let cid = coll_arg(dom, f, regs, c)?;
-                if matches!(self.store.repr_of(cid), Repr::Dense { .. }) {
-                    charge!(self, D, dense_access(false));
-                } else {
-                    charge!(self, D, assoc_op(false));
-                }
+                self.count_access(cid, Access::Read);
                 let kv = ev(dom, key)?;
                 let k = key_of(dom, kv)?.ok_or(Trap::TypeConfusion("bad key"))?;
                 let Collection::Assoc { map, .. } = self.store.coll(cid) else {
@@ -949,16 +932,17 @@ where
                     .map(|k| key_value(dom, k, key_ty))
                     .collect();
                 let id = self.store.alloc_coll(Collection::Seq(elems));
-                charge!(self, D, copy(n));
-                self.charge_alloc_bytes::<D>(id);
+                self.stats.collection_copies += 1;
+                self.stats.elements_moved += n;
+                self.count_alloc(id);
                 Val::Coll(id)
             }
             UsePhi { c } => {
-                charge!(self, D, scalar());
+                self.count_scalar();
                 ev(dom, c)?
             }
             FieldRead { obj, obj_ty, field } => {
-                self.charge_field_op::<D>(obj_ty);
+                self.count_field_op(obj_ty);
                 let Val::Ref(_, Some(id)) = ev(dom, obj)? else {
                     return Err(Trap::BadReference.into());
                 };
@@ -975,7 +959,7 @@ where
                 field,
                 value,
             } => {
-                self.charge_field_op::<D>(obj_ty);
+                self.count_field_op(obj_ty);
                 let (v, fv) = (ev(dom, obj)?, ev(dom, value)?);
                 let Val::Ref(_, Some(id)) = v else {
                     return Err(Trap::BadReference.into());
@@ -1006,40 +990,78 @@ where
         let stats = &mut self.stats;
         enter_block(f, pred, target, regs, &mut self.phis, |regs, v| {
             let x = eval(dom, f, regs, v)?;
-            if D::COUNTS {
-                stats.scalar();
-            }
+            stats.insts += 1;
+            stats.scalars += 1;
             Ok(x)
         })
     }
 
-    /// Charges a field access to an object of type `obj`.
+    /// Counts a scalar or control instruction.
+    #[inline(always)]
+    fn count_scalar(&mut self) {
+        self.stats.insts += 1;
+        self.stats.scalars += 1;
+    }
+
+    /// Counts a call.
+    fn count_call(&mut self) {
+        self.stats.insts += 1;
+        self.stats.calls += 1;
+    }
+
+    /// Counts a field access to an object of type `obj`.
     #[inline]
-    fn charge_field_op<D: Domain<Int = I, Bool = B>>(&mut self, obj: ObjTypeId) {
-        if D::COUNTS {
-            let bytes = self.object_size(obj);
-            self.stats.field_op(bytes);
-        }
+    fn count_field_op(&mut self, obj: ObjTypeId) {
+        let lines = self.object_size(obj).div_ceil(64);
+        self.stats.insts += 1;
+        self.stats.field_ops += 1;
+        self.stats.field_lines += lines;
     }
 
-    /// Tags a collection allocated at `site` with the site's adaptive
-    /// representation choice, if it has one.
+    /// Counts an element access to collection `cid` under its layout.
+    #[inline(always)]
+    fn count_access(&mut self, cid: CollId, access: Access) {
+        let layout = self.store.layout(cid);
+        let s = &mut self.stats;
+        s.insts += 1;
+        if layout == Layout::Hashed {
+            s.assoc_ops += 1;
+        } else {
+            s.seq_reads += matches!(access, Access::Read | Access::Rmw) as u64;
+            s.seq_writes += (access != Access::Read) as u64;
+        }
+        *match (layout, access) {
+            (Layout::Hashed, Access::Read | Access::Remove) => &mut s.assoc_lookups,
+            (Layout::Hashed, Access::Rmw) => &mut s.assoc_rmws,
+            (Layout::Hashed, _) => &mut s.assoc_stores,
+            (Layout::Dense, Access::Rmw) => &mut s.dense_rmws,
+            (Layout::Dense, _) => &mut s.dense_accesses,
+            (_, Access::Rmw) => &mut s.seq_rmws,
+            (Layout::Inline, Access::Read | Access::Write) => &mut s.inline_accesses,
+            _ => &mut s.seq_accesses,
+        } += 1;
+    }
+
+    /// Lays a collection allocated at `site` out as the site's adaptive
+    /// representation choice says, if it has one.
     fn tag_repr(&mut self, site: (FuncId, InstId), id: CollId) {
-        if let Some(r) = self.repr_choices.get(&site).copied() {
-            self.store.reprs.insert(id, r);
+        if let Some(&r) = self.repr_choices.get(&site) {
+            self.store.set_layout(id, r);
         }
     }
 
-    fn charge_alloc_bytes<D: Domain<Int = I, Bool = B>>(&mut self, id: CollId) {
+    /// Counts the allocation of collection `id`.
+    fn count_alloc(&mut self, id: CollId) {
         let c = self.store.coll(id);
-        let bytes = match c {
+        self.stats.allocations += 1;
+        self.stats.elements_reserved += c.len() as u64;
+        self.stats.bytes_allocated += match c {
             Collection::Seq(v) => 32 + 8 * v.len() as u64,
             Collection::Assoc { map, .. } => 48 + 24 * map.len() as u64,
         };
-        charge!(self, D, alloc(c.len() as u64, bytes));
     }
 
-    /// A value copy of collection `cid`, charged as one.
+    /// A value copy of collection `cid`, counted as one.
     fn copy_coll<D: Domain<Int = I, Bool = B>>(
         &mut self,
         dom: &mut D,
@@ -1048,8 +1070,9 @@ where
         let n = self.store.coll(cid).len() as u64;
         dom.guard(&self.stats, n, n)?;
         let (copy, n) = self.store.clone_coll(cid);
-        charge!(self, D, copy(n as u64));
-        self.charge_alloc_bytes::<D>(copy);
+        self.stats.collection_copies += 1;
+        self.stats.elements_moved += n as u64;
+        self.count_alloc(copy);
         Ok(copy)
     }
 
@@ -1093,7 +1116,7 @@ where
                     return Err(Trap::OutOfRange { index: i, len }.into());
                 }
                 let x = elems.get(i as usize).copied().unwrap_or(Val::Uninit);
-                if access == Access::Read && matches!(x, Val::Uninit) {
+                if matches!(access, Access::Read | Access::Rmw) && matches!(x, Val::Uninit) {
                     return Err(Trap::ReadUninit.into());
                 }
                 Ok((Loc::At(i as usize), x))
@@ -1105,37 +1128,16 @@ where
                 }
                 match (access, map.get(&k).copied()) {
                     (_, None) => Err(Trap::MissingKey.into()),
-                    (Access::Read, Some(Val::Uninit)) => Err(Trap::ReadUninit.into()),
+                    (Access::Read | Access::Rmw, Some(Val::Uninit)) => Err(Trap::ReadUninit.into()),
                     (_, Some(x)) => Ok((Loc::Key(k), x)),
                 }
             }
         }
     }
 
-    /// Charges a read at a located position.
-    fn charge_read<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: &Loc) {
-        if !D::COUNTS {
-            return;
-        }
-        match (self.store.repr_of(cid), loc) {
-            (Repr::Inline { .. }, Loc::At(_)) => self.stats.inline_access(false),
-            (_, Loc::At(_)) => self.stats.seq_access(false),
-            (Repr::Dense { .. }, Loc::Key(_)) => self.stats.dense_access(false),
-            (_, Loc::Key(_)) => self.stats.assoc_op(false),
-        }
-    }
-
-    /// Writes `v` at a located position, charging a write (or, for `rmw`,
-    /// a fused read-modify-write).
-    fn put<D: Domain<Int = I, Bool = B>>(
-        &mut self,
-        cid: CollId,
-        loc: Loc,
-        v: Val<I, B>,
-        rmw: bool,
-    ) {
-        let repr = self.store.repr_of(cid);
-        let seq = matches!(loc, Loc::At(_));
+    /// Stores `v` at a located position and counts the `access` (a
+    /// write, an `rmw`, or an insert into an assoc).
+    fn put(&mut self, cid: CollId, loc: Loc, v: Val<I, B>, access: Access) {
         match (self.store.coll_mut(cid), loc) {
             (Collection::Seq(elems), Loc::At(i)) => elems[i] = v,
             (Collection::Assoc { map, order }, Loc::Key(k)) => {
@@ -1145,51 +1147,37 @@ where
             }
             _ => unreachable!("location shape"),
         }
-        match (seq, rmw, repr) {
-            (true, true, _) => charge!(self, D, seq_rmw()),
-            (true, false, Repr::Inline { .. }) => charge!(self, D, inline_access(true)),
-            (true, false, _) => charge!(self, D, seq_access(true)),
-            (false, true, Repr::Dense { .. }) => charge!(self, D, dense_rmw()),
-            (false, true, _) => charge!(self, D, assoc_rmw()),
-            (false, false, Repr::Dense { .. }) => charge!(self, D, dense_access(true)),
-            (false, false, _) => charge!(self, D, assoc_op(true)),
-        }
+        self.count_access(cid, access);
     }
 
-    /// Inserts `v` at a located position, charging the insertion.
-    fn insert_at<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: Loc, v: Val<I, B>) {
+    /// Inserts `v` at a located position, counting the insertion.
+    fn insert_at(&mut self, cid: CollId, loc: Loc, v: Val<I, B>) {
         let Loc::At(i) = loc else {
-            return self.put::<D>(cid, loc, v, false);
+            return self.put(cid, loc, v, Access::Insert);
         };
         if let Some(elems) = self.store.seq_mut(cid) {
             let len = elems.len();
             elems.insert(i, v);
-            charge!(self, D, seq_access(true));
-            charge!(self, D, moved((len - i) as u64));
+            self.count_access(cid, Access::Insert);
+            self.stats.elements_moved += (len - i) as u64;
         }
     }
 
-    /// Removes the element at a located position, charging the removal.
-    fn remove_at<D: Domain<Int = I, Bool = B>>(&mut self, cid: CollId, loc: Loc) {
-        let dense = matches!(self.store.repr_of(cid), Repr::Dense { .. });
+    /// Removes the element at a located position, counting the removal.
+    fn remove_at(&mut self, cid: CollId, loc: Loc) {
         match (self.store.coll_mut(cid), loc) {
             (Collection::Seq(elems), Loc::At(i)) => {
                 let len = elems.len();
                 elems.remove(i);
-                charge!(self, D, seq_access(true));
-                charge!(self, D, moved((len - i - 1) as u64));
+                self.stats.elements_moved += (len - i - 1) as u64;
             }
             (Collection::Assoc { map, order }, Loc::Key(k)) => {
                 map.remove(&k);
                 order.retain(|x| x != &k);
-                if dense {
-                    charge!(self, D, dense_access(true));
-                } else {
-                    charge!(self, D, assoc_op(false));
-                }
             }
             _ => unreachable!("location shape"),
         }
+        self.count_access(cid, Access::Remove);
     }
 
     /// Inserts sequence `src` into sequence `dst` before position `at`.
@@ -1218,17 +1206,11 @@ where
         if let Some(elems) = self.store.seq_mut(dst) {
             elems.splice(at as usize..at as usize, src_elems);
         }
-        charge!(self, D, moved(n + len - at));
+        self.stats.elements_moved += n + len - at;
         Ok(())
     }
 
-    fn swap_ranges<D: Domain<Int = I, Bool = B>>(
-        &mut self,
-        cid: CollId,
-        from: u64,
-        to: u64,
-        at: u64,
-    ) -> Result<(), Trap> {
+    fn swap_ranges(&mut self, cid: CollId, from: u64, to: u64, at: u64) -> Result<(), Trap> {
         let elems = self
             .store
             .seq_mut(cid)
@@ -1246,11 +1228,11 @@ where
         for k in 0..width {
             elems.swap((from + k) as usize, (at + k) as usize);
         }
-        charge!(self, D, moved(2 * width));
+        self.stats.elements_moved += 2 * width;
         Ok(())
     }
 
-    fn swap_across<D: Domain<Int = I, Bool = B>>(
+    fn swap_across(
         &mut self,
         a: CollId,
         b: CollId,
@@ -1259,7 +1241,7 @@ where
         at: u64,
     ) -> Result<(), Trap> {
         if a == b {
-            return self.swap_ranges::<D>(a, from, to, at);
+            return self.swap_ranges(a, from, to, at);
         }
         let width = to.checked_sub(from).ok_or(Trap::OutOfRange {
             index: from,
@@ -1277,7 +1259,7 @@ where
         for k in 0..width {
             std::mem::swap(&mut ea[(from + k) as usize], &mut eb[(at + k) as usize]);
         }
-        charge!(self, D, moved(2 * width));
+        self.stats.elements_moved += 2 * width;
         Ok(())
     }
 }

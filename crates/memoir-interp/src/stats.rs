@@ -1,63 +1,37 @@
-//! Execution accounting: instruction counts, copies, and the deterministic
-//! cost model.
+//! Execution accounting: an integer profile of each run, and the
+//! deterministic cost model that prices it.
 //!
 //! The cost model assigns a deterministic "time" to an execution so that
 //! complexity-level effects (e.g. dead element elimination turning mcf's
 //! sort from `O(n log n)` into `O(n + B log B)`, §VII-C) reproduce without
-//! real hardware. Costs are in abstract cycles:
+//! real hardware. Every weight is an integer number of abstract cycles,
+//! and a run's cost is the dot product of its counts with
+//! [`COST_TABLE`], the one price list (`docs/WORKLOADS.md` §3 prints it,
+//! and a test keeps the two equal).
 //!
-//! | operation | cost |
-//! |---|---|
-//! | scalar ALU / compare / φ / branch | 1 |
-//! | sequence read/write | 2 |
-//! | associative read/write/has (hash + probe) | 8 |
-//! | associative insert (amortized growth) | 12 |
-//! | field read/write | 1 + ⌈object bytes ⁄ 64⌉ (cache-line factor) |
-//! | per element moved (insert/remove/swap/copy/splice) | 1 |
-//! | call/return | 6 |
-//! | collection allocation | 12 (+1 per reserved element) |
-//!
-//! ## Fused operations
-//!
-//! `rmw` (fused read-modify-write, produced by the fusion pass) touches
-//! storage once where the unfused `read; bin; write` sequence touches it
-//! twice plus an ALU op:
-//!
-//! | operation | fused cost | unfused equivalent |
-//! |---|---|---|
-//! | sequence `rmw` | 3 | 2 (read) + 1 (bin) + 2 (write) = 5 |
-//! | associative `rmw` (one hash + probe) | 9 | 8 + 1 + 8 = 17 |
-//! | dense-repr `rmw` | 3 | 2 + 1 + 2 = 5 |
-//!
-//! ## Per-representation costs (adaptive representation selection)
-//!
-//! When the interpreter is given a `ReprChoices` map
-//! (opt-in; default off so baselines stay comparable), collections tagged
-//! with a non-default representation charge cheaper per-op costs — the
-//! semantics are unchanged, only the cost accounting reflects the layout
-//! the lowering would pick:
-//!
-//! | representation | read/write/has | insert | size |
-//! |---|---|---|---|
-//! | assoc table (default) | 8 | 12 | 1 |
-//! | dense array (bounded integral keys, no `keys`, no escape) | 2 | 2 | 1 |
-//! | inline buffer (small const-len non-escaping seq) | 1 | — | 1 |
-//! | seq (default) | 2 | 2 + shift | 1 |
-//!
-//! Allocation charges are identical across representations, so a
-//! repr-tagged run's cost is always ≤ the default-layout run of the same
-//! program (checked by proptest).
+//! Element accesses are counted per layout. A collection allocated at a
+//! site [`Interp::with_repr_choices`](crate::Interp::with_repr_choices)
+//! tags dense or inline counts its accesses under that layout, so only
+//! the price differs from an untagged run; allocations cost the same in
+//! every layout.
 
 /// Counters accumulated during execution.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecStats {
-    /// Instructions executed.
+    /// Instructions counted: each one that adds to `scalars`, to an
+    /// element-access counter (`seq_accesses` through `assoc_rmws`), to
+    /// `field_ops` or to `calls`. So `new`, `copy`, `copy.range`, `split`,
+    /// `keys`, `remove.range`, `insert.seq`, `append`, `swap`, `swap2` and
+    /// `ret` never add to it, and a call adds one, at the callee's entry.
+    /// Fuel is drawn against it.
     pub insts: u64,
-    /// Sequence element reads.
+    /// Element reads (and `has`) of a sequence or a dense-layout assoc,
+    /// `rmw`s included.
     pub seq_reads: u64,
-    /// Sequence element writes.
+    /// Element writes, inserts and removes on a sequence or a
+    /// dense-layout assoc, `rmw`s included.
     pub seq_writes: u64,
-    /// Associative operations (read/write/has/insert/remove).
+    /// Operations on a hashed assoc (read/write/has/insert/remove/rmw).
     pub assoc_ops: u64,
     /// Field array reads/writes.
     pub field_ops: u64,
@@ -67,157 +41,73 @@ pub struct ExecStats {
     /// functional updates). Table III's "no spurious copies" claim is
     /// checked against this counter.
     pub collection_copies: u64,
-    /// Collections allocated.
+    /// Collections and objects allocated.
     pub allocations: u64,
     /// Logical bytes allocated for collections/objects (no reclamation —
     /// RSS is measured by the runtime-library twin, see DESIGN.md).
     pub bytes_allocated: u64,
     /// Calls executed.
     pub calls: u64,
-    /// Accumulated abstract cost (the execution-time proxy).
+    /// Scalar and control instructions: arithmetic, compares, casts,
+    /// selects, φs, jumps, branches, `size`, `use.phi` and `delete`.
+    pub scalars: u64,
+    /// Reads, writes, inserts and removes on a default-layout sequence,
+    /// and inserts and removes on an inline one.
+    pub seq_accesses: u64,
+    /// Reads and writes of an inline-layout sequence.
+    pub inline_accesses: u64,
+    /// Reads, `has`, writes, inserts and removes on a dense-layout assoc.
+    pub dense_accesses: u64,
+    /// Reads, `has` and removes on a hashed assoc (hash + probe).
+    pub assoc_lookups: u64,
+    /// Writes and inserts on a hashed assoc (probe + amortized growth).
+    pub assoc_stores: u64,
+    /// `rmw`s on a sequence, either layout.
+    pub seq_rmws: u64,
+    /// `rmw`s on a dense-layout assoc.
+    pub dense_rmws: u64,
+    /// `rmw`s on a hashed assoc (one hash + probe).
+    pub assoc_rmws: u64,
+    /// Cache lines the objects of field accesses span: ⌈object bytes ⁄
+    /// 64⌉ per access.
+    pub field_lines: u64,
+    /// Elements the allocated collections hold when allocated.
+    pub elements_reserved: u64,
+    /// The modeled cycles, [`ExecStats::model_cycles`]: the
+    /// execution-time proxy. [`Interp::run`](crate::Interp::run) sets it
+    /// when it returns, trapped or not.
     pub cost: f64,
 }
 
+/// A priced counter of [`ExecStats`]: its name, its weight in abstract
+/// cycles, and how to read it.
+pub type Price = (&'static str, u64, fn(&ExecStats) -> u64);
+
+/// The cost model, a [`Price`] per priced counter; counters not listed
+/// are free. A fused `rmw` costs less than the `read`, `bin` and `write`
+/// it replaces (seq 3 vs 5, hashed 9 vs 21); a copy or `keys` of `n`
+/// elements costs `12 + 2n` (moved, then reserved).
+pub const COST_TABLE: [Price; 15] = [
+    ("scalars", 1, |s| s.scalars),
+    ("seq_accesses", 2, |s| s.seq_accesses),
+    ("inline_accesses", 1, |s| s.inline_accesses),
+    ("dense_accesses", 2, |s| s.dense_accesses),
+    ("assoc_lookups", 8, |s| s.assoc_lookups),
+    ("assoc_stores", 12, |s| s.assoc_stores),
+    ("seq_rmws", 3, |s| s.seq_rmws),
+    ("dense_rmws", 3, |s| s.dense_rmws),
+    ("assoc_rmws", 9, |s| s.assoc_rmws),
+    ("field_ops", 1, |s| s.field_ops),
+    ("field_lines", 1, |s| s.field_lines),
+    ("elements_moved", 1, |s| s.elements_moved),
+    ("allocations", 12, |s| s.allocations),
+    ("elements_reserved", 1, |s| s.elements_reserved),
+    ("calls", 6, |s| s.calls),
+];
+
 impl ExecStats {
-    /// Adds the base cost of one scalar/control instruction.
-    pub fn scalar(&mut self) {
-        self.insts += 1;
-        self.cost += 1.0;
-    }
-
-    /// Records a sequence element access.
-    pub fn seq_access(&mut self, write: bool) {
-        self.insts += 1;
-        if write {
-            self.seq_writes += 1;
-        } else {
-            self.seq_reads += 1;
-        }
-        self.cost += 2.0;
-    }
-
-    /// Records an associative operation; `insert` marks growth-amortized
-    /// insertion.
-    pub fn assoc_op(&mut self, insert: bool) {
-        self.insts += 1;
-        self.assoc_ops += 1;
-        self.cost += if insert { 12.0 } else { 8.0 };
-    }
-
-    /// Records a field access on an object whose layout occupies
-    /// `object_bytes`.
-    pub fn field_op(&mut self, object_bytes: u64) {
-        self.insts += 1;
-        self.field_ops += 1;
-        self.cost += 1.0 + (object_bytes as f64 / 64.0).ceil();
-    }
-
-    /// Records `n` elements moved by a bulk operation.
-    pub fn moved(&mut self, n: u64) {
-        self.elements_moved += n;
-        self.cost += n as f64;
-    }
-
-    /// Records a whole-collection copy of `n` elements.
-    pub fn copy(&mut self, n: u64) {
-        self.collection_copies += 1;
-        self.moved(n);
-    }
-
-    /// Records a collection allocation of `reserved` elements and
-    /// `bytes` logical bytes.
-    pub fn alloc(&mut self, reserved: u64, bytes: u64) {
-        self.allocations += 1;
-        self.bytes_allocated += bytes;
-        self.cost += 12.0 + reserved as f64;
-    }
-
-    /// Records a fused read-modify-write on a sequence (one pass over
-    /// storage: cost 3 vs 5 for the unfused read+bin+write).
-    pub fn seq_rmw(&mut self) {
-        self.insts += 1;
-        self.seq_reads += 1;
-        self.seq_writes += 1;
-        self.cost += 3.0;
-    }
-
-    /// Records a fused read-modify-write on an associative array (one
-    /// hash + probe: cost 9 vs 17 unfused).
-    pub fn assoc_rmw(&mut self) {
-        self.insts += 1;
-        self.assoc_ops += 1;
-        self.cost += 9.0;
-    }
-
-    /// Records an element access on a dense-array-repr collection
-    /// (direct indexing: cost 2, like a sequence access).
-    pub fn dense_access(&mut self, write: bool) {
-        self.insts += 1;
-        if write {
-            self.seq_writes += 1;
-        } else {
-            self.seq_reads += 1;
-        }
-        self.cost += 2.0;
-    }
-
-    /// Records a fused read-modify-write on a dense-array-repr
-    /// collection (cost 3, like a sequence rmw).
-    pub fn dense_rmw(&mut self) {
-        self.seq_rmw();
-    }
-
-    /// Records an element access on an inline-buffer-repr sequence
-    /// (register-like: cost 1).
-    pub fn inline_access(&mut self, write: bool) {
-        self.insts += 1;
-        if write {
-            self.seq_writes += 1;
-        } else {
-            self.seq_reads += 1;
-        }
-        self.cost += 1.0;
-    }
-
-    /// Records a call.
-    pub fn call(&mut self) {
-        self.insts += 1;
-        self.calls += 1;
-        self.cost += 6.0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn costs_accumulate() {
-        let mut s = ExecStats::default();
-        s.scalar();
-        s.seq_access(false);
-        s.seq_access(true);
-        s.assoc_op(true);
-        s.field_op(128);
-        s.moved(10);
-        s.copy(5);
-        s.alloc(4, 64);
-        s.call();
-        assert_eq!(s.insts, 6);
-        assert_eq!(s.seq_reads, 1);
-        assert_eq!(s.seq_writes, 1);
-        assert_eq!(s.collection_copies, 1);
-        assert_eq!(s.elements_moved, 15);
-        assert_eq!(s.allocations, 1);
-        assert!(s.cost > 0.0);
-    }
-
-    #[test]
-    fn field_cost_scales_with_object_size() {
-        let mut small = ExecStats::default();
-        small.field_op(56);
-        let mut big = ExecStats::default();
-        big.field_op(72);
-        assert!(big.cost > small.cost, "packing objects must lower cost");
+    /// The counts priced by [`COST_TABLE`]: Σ weight × count.
+    pub fn model_cycles(&self) -> u64 {
+        COST_TABLE.iter().map(|(_, w, count)| w * count(self)).sum()
     }
 }

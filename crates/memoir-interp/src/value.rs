@@ -1,7 +1,7 @@
 //! Runtime values and the collection store.
 
 use crate::machine::{as_index, key_of, Concrete};
-use memoir_ir::{ObjTypeId, Type};
+use memoir_ir::{ObjTypeId, Repr, Type};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -166,6 +166,33 @@ pub struct Object<V = Value> {
     pub fields: Option<Vec<V>>,
 }
 
+/// How a collection's elements are laid out, which sets what accessing
+/// them costs ([`crate::stats`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// A sequence buffer.
+    Seq,
+    /// A small inline buffer for a constant-length sequence.
+    Inline,
+    /// A hash table.
+    Hashed,
+    /// A direct-indexed array for an assoc with bounded integral keys.
+    Dense,
+}
+
+impl Layout {
+    /// The layout `repr` gives `c`: one meant for the other collection
+    /// kind leaves the kind's default.
+    fn of<V>(c: &Collection<V>, repr: Repr) -> Layout {
+        match (c, repr) {
+            (Collection::Seq(_), Repr::Inline { .. }) => Layout::Inline,
+            (Collection::Seq(_), _) => Layout::Seq,
+            (Collection::Assoc { .. }, Repr::Dense { .. }) => Layout::Dense,
+            (Collection::Assoc { .. }, _) => Layout::Hashed,
+        }
+    }
+}
+
 /// The heap: collections and objects, copy-on-write. Each sits behind an
 /// `Rc`, so a value copy (and a clone of the whole store) shares storage
 /// until one side writes; [`Store::coll_mut`] and [`Store::obj_mut`] copy
@@ -173,19 +200,19 @@ pub struct Object<V = Value> {
 #[derive(Clone, Debug)]
 pub struct Store<V = Value> {
     collections: Vec<Rc<Collection<V>>>,
+    /// Each collection's layout, by [`CollId`]. It prices accesses only
+    /// (storage semantics are the same in every layout), and follows
+    /// value copies.
+    layouts: Vec<Layout>,
     objects: Vec<Rc<Object<V>>>,
-    /// Representation tags for collections allocated at sites with a
-    /// non-default [`Repr`](memoir_ir::Repr) choice (cost accounting
-    /// only — storage semantics are unchanged). Tags follow value copies.
-    pub reprs: HashMap<CollId, memoir_ir::Repr>,
 }
 
 impl<V> Default for Store<V> {
     fn default() -> Self {
         Store {
             collections: Vec::new(),
+            layouts: Vec::new(),
             objects: Vec::new(),
-            reprs: HashMap::new(),
         }
     }
 }
@@ -194,6 +221,7 @@ impl<V: Clone> Store<V> {
     /// Allocates a collection, returning its handle.
     pub fn alloc_coll(&mut self, c: Collection<V>) -> CollId {
         let id = CollId(self.collections.len() as u32);
+        self.layouts.push(Layout::of(&c, Repr::Default));
         self.collections.push(Rc::new(c));
         id
     }
@@ -255,19 +283,18 @@ impl<V: Clone> Store<V> {
         let n = c.len();
         let copy = CollId(self.collections.len() as u32);
         self.collections.push(c);
-        if let Some(r) = self.reprs.get(&id).copied() {
-            self.reprs.insert(copy, r);
-        }
+        self.layouts.push(self.layout(id));
         (copy, n)
     }
 
-    /// The representation tag of a collection ([`memoir_ir::Repr::Default`]
-    /// when untagged).
-    pub fn repr_of(&self, id: CollId) -> memoir_ir::Repr {
-        self.reprs
-            .get(&id)
-            .copied()
-            .unwrap_or(memoir_ir::Repr::Default)
+    /// A collection's layout.
+    pub(crate) fn layout(&self, id: CollId) -> Layout {
+        self.layouts[id.0 as usize]
+    }
+
+    /// Lays collection `id` out as `repr` chooses.
+    pub(crate) fn set_layout(&mut self, id: CollId, repr: Repr) {
+        self.layouts[id.0 as usize] = Layout::of(self.coll(id), repr);
     }
 }
 

@@ -27,7 +27,6 @@ impl Domain for Sym<'_> {
     type Int = TermId;
     type Bool = TermId;
     type Stop = Stop;
-    const COUNTS: bool = false;
 
     fn tick(&mut self, _: &ExecStats) -> Result<(), Stop> {
         self.count_op()
