@@ -583,6 +583,8 @@ fn rename_block(
         // collection that was read *out of a field* gets a new SSA
         // version — a rewritten mut op, or a by-ref call's RETφ — the
         // version must be stored back for later field reads to see it.
+        // The `field.read` itself pushes the first version, which the
+        // field already holds.
         for &c in &pushed[pushed_before..] {
             let ValueDef::Inst(def_inst, _) = old.values[c].def else {
                 continue;
@@ -590,6 +592,9 @@ fn rename_block(
             let InstKind::FieldRead { obj, obj_ty, field } = old.insts[def_inst].kind else {
                 continue;
             };
+            if def_inst == iid {
+                continue;
+            }
             let value = cur(stacks, b, c);
             let obj = op!(obj);
             b.emit(
@@ -945,6 +950,45 @@ mod tests {
         let census_ssa = m_ssa.collection_census();
         assert_eq!(census_mut.allocations, census_ssa.allocations);
         assert!(census_ssa.ssa_variables > census_mut.ssa_variables);
+    }
+
+    /// A collection read out of a field is stored back after an update
+    /// of it, and only then: the read alone leaves the field as it was.
+    #[test]
+    fn field_collection_is_stored_back_only_after_an_update() {
+        for update in [false, true] {
+            let mut mb = ModuleBuilder::new("m");
+            let i64t = mb.module.types.intern(Type::I64);
+            let seq = mb.module.types.seq_of(i64t);
+            let tags = memoir_ir::Field {
+                name: "tags".into(),
+                ty: seq,
+            };
+            let doc = mb.module.types.define_object("Doc", vec![tags]).unwrap();
+            let doc_ref = mb.module.types.ref_of(doc);
+            let f = mb.func("f", Form::Mut, |b| {
+                let o = b.param("o", doc_ref);
+                let s = b.field_read(o, doc, 0);
+                if update {
+                    let (zero, seven) = (b.index(0), b.i64(7));
+                    b.mut_write(s, zero, seven);
+                }
+                let n = b.size(s);
+                let idx = b.ty(Type::Index);
+                b.returns(&[idx]);
+                b.ret(vec![n]);
+            });
+            let mut m = mb.finish();
+            construct_ssa(&mut m).unwrap();
+            memoir_ir::verifier::assert_valid(&m);
+            let g = &m.funcs[f];
+            let stores = g
+                .inst_ids_in_order()
+                .into_iter()
+                .filter(|&(_, i)| matches!(g.insts[i].kind, InstKind::FieldWrite { .. }))
+                .count();
+            assert_eq!(stores, update as usize, "update: {update}");
+        }
     }
 
     /// A loop back to the entry block: `f` bumps `s[0]` until it reads 3.

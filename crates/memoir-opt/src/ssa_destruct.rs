@@ -24,7 +24,8 @@
 
 use memoir_analysis::{CallGraph, Liveness, ReturnAliases};
 use memoir_ir::{
-    BlockId, Callee, Form, FuncId, Function, InstId, InstKind, Module, TypeId, ValueDef, ValueId,
+    BlockId, Callee, Form, FuncId, Function, InstId, InstKind, Module, ObjTypeId, TypeId, ValueDef,
+    ValueId,
 };
 use std::collections::HashMap;
 
@@ -412,6 +413,7 @@ fn build_destructed(
     for h in ctx.repr.values_mut() {
         *h = bound.get(h).copied().unwrap_or(*h);
     }
+    drop_unchanged_write_backs(m, &mut g);
 
     // Validate the alias plan: at every ret site, the value returned at an
     // aliased position must be represented by that parameter's handle (a
@@ -430,6 +432,47 @@ fn build_destructed(
         }
     }
     (g, violated)
+}
+
+/// Drops each collection-field write that stores back the handle a
+/// `field.read` of the same object value and field took earlier in its
+/// block, when no write of that field (on any object), no `delete` and
+/// no call lies between them: the mut ops in between updated that
+/// handle in place, and the field still holds it.
+fn drop_unchanged_write_backs(m: &Module, g: &mut Function) {
+    let mut unchanged = Vec::new();
+    for (b, block) in g.blocks.iter() {
+        // Handle → the (object, type, field) it was read from, while no
+        // write, delete or call has cut it off from the field.
+        let mut held: HashMap<ValueId, (ValueId, ObjTypeId, u32)> = HashMap::new();
+        for &i in &block.insts {
+            match g.insts[i].kind {
+                InstKind::FieldRead { obj, obj_ty, field } => {
+                    let h = g.insts[i].results[0];
+                    if m.types.get(g.value_ty(h)).is_collection() {
+                        held.insert(h, (obj, obj_ty, field));
+                    }
+                }
+                InstKind::FieldWrite {
+                    obj,
+                    obj_ty,
+                    field,
+                    value,
+                } => {
+                    if held.get(&value) == Some(&(obj, obj_ty, field)) {
+                        unchanged.push((b, i));
+                    } else {
+                        held.retain(|_, &mut (_, t, k)| (t, k) != (obj_ty, field));
+                    }
+                }
+                InstKind::DeleteObj { .. } | InstKind::Call { .. } => held.clear(),
+                _ => {}
+            }
+        }
+    }
+    for (b, i) in unchanged {
+        g.remove_inst(b, i);
+    }
 }
 
 /// The web of handle φs `phi` heads (every φ its incomings reach), and
@@ -780,5 +823,58 @@ mod tests {
         assert_eq!(r1, r0);
         assert_eq!(r1, vec![Value::Int(Type::I64, 1235789)]);
         assert_eq!(i1.stats.collection_copies, 0);
+    }
+
+    /// A write-back of the handle a collection field already holds is
+    /// dropped; a write of that field on another object, a `delete` of
+    /// the object, or a call between the read and the write-back each
+    /// keeps it.
+    #[test]
+    fn unchanged_write_back_is_dropped_unless_the_field_may_have_moved() {
+        for between in [None, Some("field.write"), Some("delete"), Some("call")] {
+            let mut mb = ModuleBuilder::new("m");
+            let i64t = mb.module.types.intern(Type::I64);
+            let seq = mb.module.types.seq_of(i64t);
+            let field = memoir_ir::Field {
+                name: "tags".into(),
+                ty: seq,
+            };
+            let doc = mb.module.types.define_object("Doc", vec![field]).unwrap();
+            let doc_ref = mb.module.types.ref_of(doc);
+            let g = mb.func("g", Form::Ssa, |b| b.ret(vec![]));
+            let f = mb.func("f", Form::Ssa, |b| {
+                let o = b.param("o", doc_ref);
+                let other = b.param("other", doc_ref);
+                let s0 = b.field_read(o, doc, 0);
+                match between {
+                    Some("field.write") => {
+                        let one = b.index(1);
+                        let t = b.new_seq(i64t, one);
+                        b.field_write(other, doc, 0, t);
+                    }
+                    Some("delete") => b.delete_obj(o),
+                    Some(_) => {
+                        b.call(Callee::Func(g), vec![], &[]);
+                    }
+                    None => {}
+                }
+                let (zero, seven) = (b.index(0), b.i64(7));
+                let s1 = b.write(s0, zero, seven);
+                b.field_write(o, doc, 0, s1);
+                b.ret(vec![]);
+            });
+            let mut m = mb.finish();
+            memoir_ir::verifier::assert_valid(&m);
+            destruct_ssa(&mut m);
+            memoir_ir::verifier::assert_valid(&m);
+            let fm = &m.funcs[f];
+            let o = fm.param_values[0];
+            let write_backs = fm
+                .inst_ids_in_order()
+                .into_iter()
+                .filter(|&(_, i)| matches!(fm.insts[i].kind, InstKind::FieldWrite { obj, .. } if obj == o))
+                .count();
+            assert_eq!(write_backs, between.is_some() as usize, "{between:?}");
+        }
     }
 }

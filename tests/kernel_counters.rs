@@ -93,7 +93,7 @@ const KERNELS: [Kernel; 5] = [
         args: &[4000],
         expected: Expected {
             result: 6723930,
-            stats: [321366, 87052, 41167, 16733],
+            stats: [313366, 87052, 33167, 16733],
             verdicts: [1, 0, 0],
             paths: Some((17, 17)),
         },
